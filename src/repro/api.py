@@ -65,6 +65,7 @@ from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula, bind_parameters, formula as to_formula
+from repro.engine import SemiNaiveEngine, create_engine
 from repro.engine.stats import EngineStats
 from repro.fault.deadline import Deadline
 from repro.obs import trace as _trace
@@ -119,6 +120,9 @@ _QUERY_OPTIONS = frozenset(
 _NON_GUARD_OPTIONS = (
     "against", "on_closure", "allow_bottom", "engine", "timeout_ms", "batch_size",
 )
+
+#: What remains: the divergence guards :meth:`Session.close` accepts.
+_GUARD_OPTIONS = _QUERY_OPTIONS.difference(_NON_GUARD_OPTIONS)
 
 
 def _check_options(options: Mapping) -> None:
@@ -222,6 +226,7 @@ class Session:
             "closure_misses": 0,
             "closure_evictions": 0,
             "closure_invalidations": 0,
+            "closure_maintained": 0,
             "prepared_queries": 0,
         }
         self._slow_query_ms = slow_query_ms
@@ -465,16 +470,31 @@ class Session:
         This is the paper's ``R*(O)`` (Definition 4.6) — *not* a resource
         release; sessions are torn down with :meth:`shutdown` (or by leaving
         their ``with`` block).  The result is cached keyed on the session
-        :attr:`version`, so repeated calls after unchanged commits are free
-        and any store commit invalidates the closure automatically.
+        :attr:`version`, so repeated calls after unchanged commits are free.
+
+        A commit makes the cached closure stale but not useless.  While the
+        rules are unchanged and the database only *grew* in the sub-object
+        order (``old ∪ new == new`` — any mix of ``put``, ``transact`` and
+        ``seed_object`` that loses nothing), the ``seminaive`` engine resumes
+        from the cached closure and runs delta rounds over the new elements
+        only: sound because rule application is monotone (Lemma 4.1) and the
+        cached closure is closed, so a match without a new set witness
+        derives nothing new.  A retraction, a :meth:`register` or
+        ``engine="naive"`` recomputes from scratch.  ``iterations`` and
+        ``stats`` of the result then describe the work of this evaluation
+        (the delta), not of the whole closure.
 
         ``deadline`` — a :class:`repro.fault.Deadline` — bounds the
         evaluation (checked at engine round boundaries; raises
         :class:`QueryTimeout` with the partial closure attached).  It is
         deliberately *not* part of the cache key: a closure that completed
         within any deadline is the correct closure, a cached hit is returned
-        instantly, and a timed-out evaluation caches nothing.
+        instantly, and an evaluation that fails (timeout, divergence guard)
+        caches nothing and drops the stale entry it started from.
         """
+        unknown = set(guards) - _GUARD_OPTIONS
+        if unknown:
+            raise TypeError(f"close() got unexpected option(s) {sorted(unknown)}")
         chosen = engine if engine is not None else self._default_engine
         key = (chosen, tuple(sorted(guards.items())))
         entry = self._closure_cache.get(key)
@@ -483,25 +503,47 @@ class Session:
             self._counters["closure_hits"] += 1
             _METRICS.counter("session.closure_cache.hits").inc()
             self._closure_cache.move_to_end(key)
-            return entry[1]
+            return entry[3]
         if entry is not None:
             self._counters["closure_invalidations"] += 1
             _METRICS.counter("session.closure_cache.invalidations").inc()
+            # A resumed run mutates the entry's indexes: the entry is gone
+            # until the run completes, so an aborted one leaves no base.
+            del self._closure_cache[key]
         self._counters["closure_misses"] += 1
         _METRICS.counter("session.closure_cache.misses").inc()
         start_ns = time.perf_counter_ns()
         with _trace.span("session.close") as span:
+            program = self.program()
+            seed = program.seed()
+            resume = {}
+            if entry is not None:
+                (_, _, old_rules), old_seed, evaluator, old_result = entry
+                if (
+                    old_rules == self._rules_version
+                    and isinstance(evaluator, SemiNaiveEngine)
+                    and union(old_seed, seed) == seed
+                ):
+                    resume = {"previous": old_result.value}
+                    evaluator.deadline = deadline
+                    self._counters["closure_maintained"] += 1
+                    _METRICS.counter("session.closure_cache.maintained").inc()
+            if not resume:
+                evaluator = create_engine(
+                    chosen, program.rules, deadline=deadline, **guards
+                )
             if span.enabled:
-                span.set(engine=chosen, rules=len(self._rules))
-            result = self.program().evaluate(
-                engine=chosen, deadline=deadline, **guards
-            )
+                span.set(
+                    engine=chosen,
+                    rules=len(self._rules),
+                    mode="delta" if resume else "full",
+                )
+            result = evaluator.run(seed, **resume)
         _METRICS.histogram("session.closure_ns").observe(
             time.perf_counter_ns() - start_ns
         )
         self._last_closure_stats = getattr(result, "stats", None)
-        self._closure_cache[key] = (version, result)
-        self._closure_cache.move_to_end(key)
+        self._closure_cache[key] = (version, seed, evaluator, result)
         while len(self._closure_cache) > _CACHE_LIMIT:
             self._closure_cache.popitem(last=False)
             self._counters["closure_evictions"] += 1
@@ -547,7 +589,9 @@ class Session:
         and misses are never reset when entries are evicted or invalidated;
         those events have their own monotonic counters (``plan_evictions``,
         ``plan_invalidations`` and the closure equivalents) so deltas between
-        two reads are always meaningful.  ``plans_cached`` /
+        two reads are always meaningful.  ``closure_maintained`` counts the
+        closure invalidations :meth:`close` resumed from the stale closure
+        instead of recomputing (each is also a miss).  ``plans_cached`` /
         ``closures_cached`` are the current cache sizes (gauges, not
         counters).
         """
@@ -562,7 +606,8 @@ class Session:
         ``"query"`` is the :class:`~repro.engine.stats.EngineStats` record of
         the last fully-consumed query cursor (match attempts, index hits,
         substitutions...); ``"closure"`` is the record of the last closure
-        evaluation (``result.stats`` of the engine run).  Either is ``None``
+        evaluation (``result.stats`` of the engine run — after a maintained
+        :meth:`close`, of the delta rounds alone).  Either is ``None``
         until the corresponding path has run.  Use ``.summary()`` on a record
         for the human-readable one-liner.
         """

@@ -110,11 +110,27 @@ def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObjec
     if isinstance(left, SetObject) and isinstance(right, SetObject):
         right_elements = right.elements
         left_elements = left.elements
-        kept = [
+        interned = left._iid is not None and right._iid is not None
+        kept = []
+        # Interned operands are reduced and their elements canonical, so an
+        # element both sides hold (the same instance) is kept, and no *other*
+        # element of either side dominates or is dominated by it: only the
+        # elements one side holds alone need sub-object tests, O(n + dL·dR)
+        # instead of O(n²) when two versions of one large set are joined.
+        # A one-element operand is a linear scan already, and the engine
+        # folds thousands of those — the partition would only tax them.
+        if interned and len(left_elements) > 1 and len(right_elements) > 1:
+            right_ids = set(map(id, right_elements))
+            kept = [e for e in left_elements if id(e) in right_ids]
+            if kept:
+                shared = set(map(id, kept))
+                left_elements = [e for e in left_elements if id(e) not in shared]
+                right_elements = [e for e in right_elements if id(e) not in shared]
+        kept.extend(
             element
             for element in left_elements
             if not any(is_subobject(element, other) for other in right_elements)
-        ]
+        )
         kept.extend(
             other
             for other in right_elements
@@ -129,7 +145,7 @@ def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObjec
         # sound when both operands are interned (hence reduced, hence the
         # kept list is reduced); raw non-reduced operands can leave mutually
         # dominating elements in `kept` and must stay un-interned.
-        if left._iid is not None and right._iid is not None:
+        if interned:
             return SetObject._from_reduced(kept)
         return SetObject._build(kept)
     # Definition 3.4(v): incompatible kinds.

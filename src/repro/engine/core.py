@@ -240,37 +240,67 @@ class SemiNaiveEngine:
             for rule in self.rules
             if rule.body is not None
         }
+        #: (closure, plans, indexes) of the last completed run — what a
+        #: ``run(database, previous=closure)`` resumes from.
+        self._retained: Optional[Tuple[ComplexObject, Dict, Optional[IndexStore]]] = None
 
     # -- public API -------------------------------------------------------------------
-    def run(self, database: ComplexObject) -> EngineResult:
+    def run(
+        self, database: ComplexObject, previous: Optional[ComplexObject] = None
+    ) -> EngineResult:
+        """The closure of ``database``; resumed from ``previous`` when given.
+
+        ``previous`` is the value this engine's last completed ``run``
+        returned, for a database that is a sub-object of ``database``.  Rule
+        application is monotone (Lemma 4.1), so the closure sought is the
+        least closed object above ``previous ∪ database``, and ``previous``
+        is closed: a match whose set witnesses are all old derives nothing
+        new (the argument of :mod:`repro.engine.delta`), so every stratum
+        runs delta rounds only, on the plans and indexes the last run left.
+        Any other ``previous`` is ignored and the run starts from scratch.
+        ``iterations`` and ``stats`` describe the work of this call alone.
+        """
         stats = EngineStats()
         stats.strata = len(self._strata)
         stats.recursive_strata = sum(1 for s in self._strata if s.recursive)
-        # Plans ordered against the statistics of the database being closed;
-        # run-local so concurrent run() calls on one engine instance cannot
-        # clobber each other's orderings (ordering is a pure cost decision,
-        # so even a foreign order would stay correct — just unoptimized).
-        statistics = DatabaseStatistics.collect(database)
-        shapes = _infer_run_shapes(self.rules.rules, database, self.use_shapes)
-        statistics.shapes = shapes
-        plans = {
-            rule: optimize_body(plan, statistics, shapes)
-            for rule, plan in self._body_plans.items()
-        }
-        stats.rules_pruned = sum(
-            1 for plan in plans.values() if plan.pruned is not None
-        )
-        indexes: Optional[IndexStore] = None
-        if self.use_indexes:
-            indexes = IndexStore(stats)
-            for rule in self.rules:
-                # Pruned bodies never execute, so maintaining their match
-                # indexes every round would be pure overhead.
-                if rule.body is not None and plans[rule].pruned is None:
+        retained, self._retained = self._retained, None
+        if previous is not None and retained is not None and retained[0] is previous:
+            _, plans, indexes = retained
+            # A shape proof held against the old database only: the rules it
+            # pruned run live (in source order) from here on.
+            for rule in [r for r, plan in plans.items() if plan.pruned is not None]:
+                plans[rule] = self._body_plans[rule]
+                if indexes is not None:
                     indexes.register_body(rule.body)
-            indexes.refresh(BOTTOM, database)
+            current = union(previous, database)
+            if indexes is not None:
+                indexes.refresh(previous, current)
+        else:
+            previous = None
+            # Plans ordered against the statistics of the database being
+            # closed (ordering is a pure cost decision, so a resumed run
+            # keeps them: a stale order stays correct, just less optimized).
+            statistics = DatabaseStatistics.collect(database)
+            shapes = _infer_run_shapes(self.rules.rules, database, self.use_shapes)
+            statistics.shapes = shapes
+            plans = {
+                rule: optimize_body(plan, statistics, shapes)
+                for rule, plan in self._body_plans.items()
+            }
+            stats.rules_pruned = sum(
+                1 for plan in plans.values() if plan.pruned is not None
+            )
+            indexes = None
+            if self.use_indexes:
+                indexes = IndexStore(stats)
+                for rule in self.rules:
+                    # Pruned bodies never execute, so maintaining their match
+                    # indexes every round would be pure overhead.
+                    if rule.body is not None and plans[rule].pruned is None:
+                        indexes.register_body(rule.body)
+                indexes.refresh(BOTTOM, database)
+            current = database
 
-        current = database
         budget = [0]  # recursive rounds charged against max_iterations
         with _trace.span("engine.run") as run_span:
             for number, stratum in enumerate(self._strata, start=1):
@@ -281,109 +311,83 @@ class SemiNaiveEngine:
                             recursive=stratum.recursive,
                             rules=len(stratum.rules),
                         )
-                    if stratum.recursive:
-                        current = self._close_stratum(
-                            stratum, current, plans, indexes, stats, budget
-                        )
-                    else:
-                        current = self._apply_once(
-                            stratum, current, plans, indexes, stats
-                        )
+                    # Every stratum of a resumed run starts from the same
+                    # closed base: none of its rules has seen the growth yet.
+                    current = self._close_stratum(
+                        stratum, previous, current, plans, indexes, stats, budget
+                    )
             if run_span.enabled:
-                run_span.set(engine=self.name, iterations=stats.iterations)
+                run_span.set(
+                    engine=self.name,
+                    iterations=stats.iterations,
+                    resumed=previous is not None,
+                )
         _METRICS.record_engine_run(stats)
+        # Retained only on normal exit: a run that leaves by exception has
+        # indexed elements of a database nobody will resume from.
+        self._retained = (current, plans, indexes)
         return EngineResult(
             value=current, iterations=stats.iterations, converged=True, stats=stats
         )
 
     # -- strata -----------------------------------------------------------------------
-    def _apply_once(
-        self,
-        stratum: Stratum,
-        current: ComplexObject,
-        plans: Dict[Rule, BodyPlan],
-        indexes: Optional[IndexStore],
-        stats: EngineStats,
-    ) -> ComplexObject:
-        """Evaluate a non-recursive stratum: one full application suffices."""
-        self._check_deadline(current)
-        live = self._live_rules(stratum, plans)
-        with _trace.span("engine.round") as span:
-            if span.enabled:
-                span.set(round=1, mode="full")
-            produced = union_all(
-                self._apply_full(rule, current, plans, indexes, stats)
-                for rule in live
-            )
-        next_value = union(current, produced)
-        if next_value == current:
-            return current
-        # Like close(), ``iterations`` counts growing applications only, so
-        # the two engines report comparable numbers for the same program.
-        stats.iterations += 1
-        check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
-        if indexes is not None:
-            indexes.refresh(current, next_value)
-        return next_value
-
     def _close_stratum(
         self,
         stratum: Stratum,
+        previous: Optional[ComplexObject],
         current: ComplexObject,
         plans: Dict[Rule, BodyPlan],
         indexes: Optional[IndexStore],
         stats: EngineStats,
         budget: List[int],
     ) -> ComplexObject:
-        """Iterate one recursive stratum to its local fixpoint."""
-        # Round one must see the whole database: the delta discipline only
-        # covers growth contributed by *previous* rounds of this stratum.
-        previous = current
+        """Iterate one stratum to its local fixpoint.
+
+        ``previous is None`` makes the first round a full application — it
+        must see the whole database, the delta discipline only covers growth
+        since ``previous`` — and every later round a delta round.  A
+        non-recursive stratum is done after one round.
+        """
         live = self._live_rules(stratum, plans)
         if not live:
             # Every rule of this stratum is statically empty: its fixpoint is
             # the input, no round needs to run.
             return current
         round_ns = _METRICS.histogram("engine.round_ns")
-        self._charge(budget, current)
-        round_start = time.perf_counter_ns()
-        with _trace.span("engine.round") as span:
-            if span.enabled:
-                span.set(round=1, mode="full")
-            produced = union_all(
-                self._apply_full(rule, current, plans, indexes, stats)
-                for rule in live
-            )
-            next_value = union(current, produced)
-        round_ns.observe(time.perf_counter_ns() - round_start)
-        if next_value == current:
-            return current
-        stats.iterations += 1
-        check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
-        if indexes is not None:
-            indexes.refresh(current, next_value)
-        previous, current = current, next_value
-
-        round_number = 1
+        round_number = 0
         while True:
             round_number += 1
-            self._charge(budget, current)
+            if stratum.recursive:
+                self._charge(budget, current)
+            else:
+                self._check_deadline(current)
             round_start = time.perf_counter_ns()
             with _trace.span("engine.round") as span:
                 if span.enabled:
-                    span.set(round=round_number, mode="delta")
+                    span.set(
+                        round=round_number,
+                        mode="full" if previous is None else "delta",
+                    )
                 produced = union_all(
-                    self._apply_delta(rule, previous, current, plans, indexes, stats)
+                    self._apply_full(rule, current, plans, indexes, stats)
+                    if previous is None
+                    else self._apply_delta(
+                        rule, previous, current, plans, indexes, stats
+                    )
                     for rule in live
                 )
                 next_value = union(current, produced)
             round_ns.observe(time.perf_counter_ns() - round_start)
             if next_value == current:
                 return current
+            # Like close(), ``iterations`` counts growing applications only, so
+            # the two engines report comparable numbers for the same program.
             stats.iterations += 1
             check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
             if indexes is not None:
                 indexes.refresh(current, next_value)
+            if not stratum.recursive:
+                return next_value
             previous, current = current, next_value
 
     @staticmethod
@@ -459,7 +463,8 @@ class SemiNaiveEngine:
         sound delta exists for one of the body's set paths.
         """
         if rule.body is None:
-            # The fact already fired during the stratum's full first round.
+            # The fact already fired during the full first round (of this run
+            # or of the run resumed from).
             return BOTTOM
         decomposition = self._decompositions[rule]
         if not decomposition.decomposable or self.allow_bottom:

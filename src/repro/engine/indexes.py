@@ -19,7 +19,11 @@ during evaluation*: after every round the :class:`IndexStore` feeds it just
 the new elements.  Elements absorbed by set reduction are left in the buckets
 on purpose — matching a stale element only re-derives results dominated by the
 absorbing element, which the union absorbs — so removal bookkeeping stays off
-the hot path.
+the hot path.  An index store outlives one run when a session resumes the
+engine from a cached closure, so the stale share is bounded: a refresh that
+would leave an index covering more than twice the live elements of its set
+rebuilds it from the current database instead (amortized O(1) per absorbed
+element, and a long-lived session cannot grow without bound).
 """
 
 from __future__ import annotations
@@ -185,22 +189,22 @@ class IndexStore:
     def refresh(self, previous: ComplexObject, current: ComplexObject) -> None:
         """Bring every index up to date after the database grew.
 
-        New elements are computed per path from the (previous, current) pair;
-        when no sound delta exists the index is rebuilt from scratch.
+        New elements are computed per path from the (previous, current) pair.
+        The index is rebuilt from ``current`` instead when no sound delta
+        exists, when it was registered (or gained a key path) after the last
+        refresh, or when it would cover more than twice the live set.
         """
         for set_path, wanted_keys in self._wanted.items():
+            now = navigate(current, set_path)
+            live = now.elements if isinstance(now, SetObject) else ()
             index = self._indexes.get(set_path)
-            if index is None:
-                index = MatchIndex(set_path, wanted_keys)
-                self._indexes[set_path] = index
-            fresh = new_set_elements(previous, current, set_path)
-            if fresh is None:
-                index.clear()
-                now = navigate(current, set_path)
-                if isinstance(now, SetObject):
-                    index.extend(now.elements)
-            else:
-                index.extend(fresh)
+            fresh = None
+            if index is not None and index.key_paths == tuple(wanted_keys):
+                fresh = new_set_elements(previous, current, set_path)
+            if fresh is None or len(index) + len(fresh) > 2 * len(live):
+                index = self._indexes[set_path] = MatchIndex(set_path, wanted_keys)
+                fresh = live
+            index.extend(fresh)
 
     def candidates(
         self, set_path: Path, key_path: Path, key: ComplexObject

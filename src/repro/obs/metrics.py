@@ -227,6 +227,7 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "session.closure_cache.misses",
     "session.closure_cache.evictions",
     "session.closure_cache.invalidations",
+    "session.closure_cache.maintained",
     # store — commits, conflicts, and the access-path counters that mirror
     # ObjectDatabase.access_stats
     "store.commits",

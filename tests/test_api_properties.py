@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from repro import Program, Session, parse_formula, parse_object  # noqa: E402
 from repro.calculus.interpretation import interpret as baseline_interpret  # noqa: E402
 from repro.core.lattice import union_all  # noqa: E402
-from repro.core.objects import Atom, SetObject, TupleObject  # noqa: E402
+from repro.core.objects import BOTTOM, Atom, SetObject, TupleObject  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "r1", "r2", "name")
 
@@ -152,3 +152,91 @@ def test_closure_query_equals_program_query(generations, fanout):
     assert via_session == baseline_interpret(
         query, program.evaluate(engine="naive").value
     )
+
+
+# -- closure maintenance: whole command sequences against the oracle --------------------
+
+_PEOPLE = ("abraham", "isaac", "jacob", "esau", "ishmael")
+
+# The recursive core plus: a second stratum reading its result, a
+# non-decomposable body (variable on the spine), and a merge that reaches ⊤
+# once two people descend from abraham.
+_CLOSURE_RULES = {
+    "descendants": (
+        "[doa: {abraham}].\n"
+        "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].\n"
+    ),
+    "second_stratum": "[parents: {Y}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {X}].",
+    "spine_variable": "[mirror: X] :- [doa: X].",
+    "merge_to_top": "[heir: X] :- [doa: {X}].",
+}
+
+
+def _person(name, *children):
+    offspring = SetObject(TupleObject({"name": Atom(child)}) for child in children)
+    return TupleObject({"name": Atom(name), "children": offspring})
+
+
+_people = st.sampled_from(_PEOPLE)
+_commands = st.one_of(
+    st.tuples(st.just("grow"), _people, _people),
+    st.tuples(st.just("add"), _people),
+    st.tuples(st.just("shrink")),
+    st.tuples(st.just("remove"), st.sampled_from(["family", "other"])),
+    st.tuples(st.just("put_other"), st.integers(0, 2)),
+    st.tuples(st.just("seed"), _people, _people),
+    st.tuples(st.just("register"), st.sampled_from(sorted(_CLOSURE_RULES))),
+)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.sampled_from(sorted(_CLOSURE_RULES))),
+    st.lists(_commands, min_size=1, max_size=8),
+)
+def test_close_after_every_command_equals_the_fixpoint_oracle(registered, commands):
+    """Maintained or recomputed, ``close()`` is ``calculus.fixpoint.close``."""
+    from repro import parse_program
+    from repro.calculus.fixpoint import close as oracle
+    from repro.calculus.rules import RuleSet
+    from repro.core.lattice import union
+
+    # The model: a dict, a seed and a rule list — no session code.
+    stored, seed, rules = {}, None, list(parse_program(_CLOSURE_RULES["descendants"]))
+    session = Session(rules=_CLOSURE_RULES["descendants"])
+    for command in [("register", name) for name in sorted(registered)] + commands:
+        kind, arguments = command[0], command[1:]
+        family = stored.get("family", SetObject())
+        if kind == "grow":
+            parent, child = arguments
+            old = next((p for p in family.elements if p["name"] == Atom(parent)), None)
+            grown = _person(parent, child) if old is None else old.replace(
+                children=old["children"].add(TupleObject({"name": Atom(child)}))
+            )
+            stored["family"] = family.add(grown)
+            session.transact(lambda txn: txn.put("family", stored["family"]))
+        elif kind == "add":
+            stored["family"] = family.add(_person(*arguments))
+            session.put("family", stored["family"])
+        elif kind == "shrink":
+            stored["family"] = SetObject(family.elements[1:])
+            session.put("family", stored["family"])
+        elif kind == "remove":
+            stored.pop(arguments[0], None)
+            session.remove(arguments[0])
+        elif kind == "put_other":
+            stored["other"] = SetObject([Atom(arguments[0])])
+            session.put("other", stored["other"])
+        elif kind == "seed":
+            extra = TupleObject({"family": SetObject([_person(*arguments)])})
+            seed = extra if seed is None else union(seed, extra)
+            session.seed_object(extra)
+        else:
+            rules.extend(parse_program(_CLOSURE_RULES[arguments[0]]))
+            session.register(_CLOSURE_RULES[arguments[0]])
+        base = TupleObject(stored)
+        if seed is not None:
+            base = union(base, seed) if stored else seed
+        base = union_all([base] + [fact.apply(BOTTOM) for fact in rules if fact.is_fact])
+        expected = oracle(base, RuleSet([r for r in rules if not r.is_fact])).value
+        assert session.close().value == expected

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro import ParameterError, ReproError, Session, connect, parse_formula, parse_object
+from repro.calculus.fixpoint import close as calculus_close
 from repro.calculus.interpretation import interpret as baseline_interpret
 from repro.core.errors import ComplexObjectError, StoreError
 from repro.core.objects import BOTTOM
@@ -249,6 +250,97 @@ class TestRulesAndClosures:
         session = Session.over_object(parse_object(self.FAMILY), rules=self.RULES)
         session.close()
         assert session.query("[family: {[name: X]}]") != BOTTOM
+
+
+class TestClosureMaintenance:
+    """Insert-only commits resume the cached closure; anything else recomputes."""
+
+    RULES = TestRulesAndClosures.RULES
+    ISAAC = "[name: isaac, children: {[name: jacob]}]"
+    SMALL = "{[name: abraham, children: {[name: isaac]}]}"
+    MIDDLE = "{[name: abraham, children: {[name: isaac]}], %s}" % ISAAC
+    GROWN = "{[name: abraham, children: {[name: isaac], [name: ishmael]}], %s}" % ISAAC
+    DESCENDANTS = parse_object("{abraham, isaac, ishmael, jacob}")
+
+    def _session(self, **options):
+        session = connect(rules=self.RULES, **options)
+        session.put("family", parse_object(self.SMALL))
+        session.close()
+        return session
+
+    def test_growing_commit_resumes_from_the_cached_closure(self):
+        with self._session() as session:
+            # abraham's tuple is *replaced* by a larger one: growth is judged
+            # on the data (old ≤ new), not on how the commit was phrased.
+            session.put("family", parse_object(self.GROWN))
+            result = session.close()
+            assert result.value["doa"] == self.DESCENDANTS
+            info = session.cache_info()
+            assert info["closure_maintained"] == 1
+            assert info["closure_invalidations"] == 1
+            assert info["closure_misses"] == 2 and info["closures_cached"] == 1
+            # The record describes the delta: no rule re-matched in full.
+            assert result.stats.full_matches == 0
+            assert session.stats()["closure"] is result.stats
+            assert session.close() is result
+
+    def test_transact_second_name_and_seed_object_all_qualify(self):
+        with self._session() as session:
+            session.transact(lambda txn: txn.put("family", parse_object(self.GROWN)))
+            session.close()
+            session.put("other", parse_object("{1}"))
+            session.close()
+            session.seed_object(parse_object("[family: {[name: jacob]}]"))
+            closure = session.close().value
+            assert session.cache_info()["closure_maintained"] == 3
+            program = session.program()
+            assert closure == calculus_close(program.seed(), program.rules).value
+
+    def test_retraction_register_and_naive_recompute(self):
+        with self._session() as session:
+            session.put("family", parse_object("{[name: abraham]}"))  # lost isaac
+            assert session.close().value["doa"] == parse_object("{abraham}")
+            session.remove("family")
+            session.close()
+            session.register("[names: {X}] :- [family: {[name: X]}].")
+            session.close()
+            assert session.cache_info()["closure_maintained"] == 0
+        with self._session(default_engine="naive") as session:
+            session.put("family", parse_object(self.GROWN))
+            assert session.close().value["doa"] == self.DESCENDANTS
+            assert session.cache_info()["closure_maintained"] == 0
+
+    def test_guard_tripped_by_resumed_growth_evicts_the_base(self):
+        from repro.core.errors import DivergenceError
+
+        with connect(rules=self.RULES) as session:
+            session.put("family", parse_object(self.SMALL))
+            session.close(max_nodes=17)
+            session.put("family", parse_object(self.GROWN))
+            with pytest.raises(DivergenceError) as info:
+                session.close(max_nodes=17)
+            assert info.value.partial is not None
+            assert session.cache_info()["closures_cached"] == 0
+            # Still ≥ the evicted base, but nothing is left to resume from —
+            # and nothing of the abandoned GROWN may leak into the answer.
+            session.put("family", parse_object(self.MIDDLE))
+            result = session.close(max_nodes=17)
+            assert session.cache_info()["closure_maintained"] == 1
+            assert result.value["doa"] == parse_object("{abraham, isaac, jacob}")
+            assert result.stats.full_matches > 0
+
+    def test_failed_commit_leaves_the_cached_closure_a_hit(self, tmp_path):
+        from repro.fault.injection import InjectedFault, inject
+
+        with self._session(path=str(tmp_path / "db.wal")) as session:
+            cached, version = session.close(), session.version
+            with inject("store.wal.append:fail:times=1"):
+                with pytest.raises(InjectedFault):
+                    session.put("family", parse_object(self.GROWN))
+            assert session.version == version
+            assert session.close() is cached
+            info = session.cache_info()
+            assert info["closure_invalidations"] == 0 and info["closure_misses"] == 1
 
 
 class TestBottomSemantics:

@@ -138,6 +138,49 @@ class TestDivergence:
             NaiveEngine(self.LISTS, max_iterations=25).run(self.SEED)
 
 
+class TestResume:
+    """``run(database, previous=...)`` continues from the engine's last closure."""
+
+    RULES = [rule for rule in parse_program(DESCENDANTS) if not rule.is_fact]
+    SMALL = parse_object("[doa: {abraham}, family: {[name: abraham, children: {[name: isaac]}]}]")
+    GROWN = parse_object(
+        "[doa: {abraham}, family: {[name: abraham, children: {[name: isaac]}],"
+        " [name: isaac, children: {[name: esau], [name: jacob]}]}]"
+    )
+
+    def test_resumed_run_derives_only_the_delta(self):
+        engine = SemiNaiveEngine(self.RULES)
+        base = engine.run(self.SMALL)
+        resumed = engine.run(self.GROWN, previous=base.value)
+        assert resumed.value == close(self.GROWN, RuleSet(self.RULES)).value
+        # The record is this call's: no full match, two heads, one growing round.
+        assert resumed.stats.full_matches == 0
+        assert resumed.stats.subobjects_derived == 2
+        assert resumed.iterations == resumed.stats.iterations == 1
+
+    def test_rules_pruned_against_the_old_database_run_live(self):
+        engine = SemiNaiveEngine(self.RULES)
+        base = engine.run(parse_object("[doa: {abraham}]"))
+        assert base.stats.rules_pruned == 1  # no family: the body cannot match
+        resumed = engine.run(self.GROWN, previous=base.value)
+        assert resumed.stats.rules_pruned == 0
+        assert resumed.value == close(self.GROWN, RuleSet(self.RULES)).value
+
+    def test_round_budget_is_charged_per_call(self):
+        engine = SemiNaiveEngine(self.RULES, max_iterations=3)
+        base = engine.run(self.SMALL)  # two rounds of three
+        resumed = engine.run(self.GROWN, previous=base.value)  # two more: a fresh budget
+        assert resumed.converged
+
+    def test_an_aborted_run_leaves_nothing_to_resume_from(self):
+        engine = SemiNaiveEngine(self.RULES, max_nodes=12)
+        base = engine.run(self.SMALL)
+        with pytest.raises(DivergenceError):
+            engine.run(self.GROWN, previous=base.value)
+        again = engine.run(self.SMALL, previous=base.value)
+        assert again.stats.full_matches > 0 and again.value == base.value
+
+
 class TestEngineInterface:
     def test_create_engine_registry(self):
         engine = create_engine("seminaive", [parse_rule("[b: {X}] :- [a: {X}]")])

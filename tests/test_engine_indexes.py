@@ -109,6 +109,35 @@ class TestIndexStore:
         store.refresh(before, after)
         assert store.candidates(Path("doa"), Path(()), Atom("isaac")) == (Atom("isaac"),)
 
+    def test_absorbed_elements_stay_until_they_outnumber_the_live_set(self):
+        store = IndexStore()
+        store.register_body(self.BODY)
+
+        def family(*children):
+            names = ", ".join(f"[name: {child}]" for child in children)
+            return parse_object(f"[family: {{[name: abraham, children: {{{names}}}]}}]")
+
+        def indexed():
+            return len(store.candidates(Path("family"), Path("name"), Atom("abraham")))
+
+        versions = [family("a"), family("a", "b"), family("a", "b", "c")]
+        store.refresh(BOTTOM, versions[0])
+        store.refresh(versions[0], versions[1])
+        assert indexed() == 2  # the absorbed tuple is stale, by design
+        store.refresh(versions[1], versions[2])
+        assert indexed() == 1  # three for one live element: rebuilt
+
+    def test_a_body_registered_late_is_indexed_from_the_whole_database(self):
+        store = IndexStore()
+        before = parse_object("[doa: {abraham}]")
+        after = parse_object("[doa: {abraham, isaac}]")
+        store.refresh(BOTTOM, before)
+        store.register_body(self.BODY)
+        store.refresh(before, after)
+        assert store.candidates(Path("doa"), Path(()), Atom("abraham")) == (
+            Atom("abraham"),
+        )
+
     def test_unknown_set_path_cannot_answer(self):
         store = IndexStore()
         store.register_body(self.BODY)

@@ -101,3 +101,52 @@ def test_divergence_reported_identically(fanout, budget):
 
     with pytest.raises(DivergenceError):
         SemiNaiveEngine(rules, max_iterations=budget * fanout).run(database)
+
+
+# -- resuming from a cached closure ---------------------------------------------------
+
+# On top of EXTRA_RULES (a second stratum, a two-witness join, a
+# non-decomposable spine variable): a merge that reaches ⊤ as soon as two
+# people descend from abraham.
+MERGING_RULE = "[heir: X] :- [doa: {X}]."
+
+
+@st.composite
+def grown_databases(draw):
+    """``(rules, O, O')`` with ``O ≤ O'``: a pruned genealogy and the whole one."""
+    from repro.core.lattice import union
+    from repro.core.objects import SetObject, TupleObject
+
+    tree = make_genealogy(
+        draw(st.integers(min_value=0, max_value=3)), draw(st.integers(1, 3))
+    )
+    kept = []
+    for person in tree.family_object["family"].elements:
+        fate = draw(st.sampled_from(["keep", "drop", "childless"]))
+        if fate == "keep":
+            kept.append(person)
+        elif fate == "childless":
+            kept.append(person.replace(children=SetObject()))
+    small = TupleObject({"family": SetObject(kept)})
+    extras = draw(st.sets(st.sampled_from(sorted(EXTRA_RULES))))
+    source = DESCENDANTS_RULES + "".join(EXTRA_RULES[name] for name in sorted(extras))
+    if draw(st.booleans()):
+        source += MERGING_RULE
+    program = Program.from_source(source, database=small)
+    grown = program.with_database(union(small, tree.family_object))
+    return program.rules, program.seed(), grown.seed()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grown_databases(), st.booleans())
+def test_resuming_from_a_smaller_closure_equals_running_from_scratch(drawn, use_indexes):
+    from repro.engine import SemiNaiveEngine
+
+    rules, small, grown = drawn
+    engine = SemiNaiveEngine(rules, use_indexes=use_indexes)
+    base = engine.run(small)
+    assert base.value == close(small, rules).value
+    resumed = engine.run(grown, previous=base.value)
+    assert resumed.value == close(grown, rules).value
+    # Only the engine's own last closure is a base: anything else recomputes.
+    assert engine.run(grown, previous=small).value == resumed.value

@@ -127,6 +127,54 @@ class TestExecuteTimeout:
             assert rows
 
 
+class _SpentAfter(Deadline):
+    """A generous deadline that reports itself spent after ``checks`` checkpoints."""
+
+    def __init__(self, checks):
+        super().__init__(60_000)
+        self.checks = checks
+
+    def check(self, context="", **attached):
+        self.checks -= 1
+        if self.checks < 0:
+            Deadline(-1).check(context, **attached)
+
+
+class TestResumedCloseTimeout:
+    RULES = (
+        "[doa: {a}].\n"
+        "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].\n"
+    )
+
+    @staticmethod
+    def _family(*edges):
+        return repro.obj(
+            [{"name": parent, "children": [{"name": child}]} for parent, child in edges]
+        )
+
+    def test_deadline_expiring_inside_a_resumed_round_evicts_the_base(self):
+        with repro.connect(rules=self.RULES) as session:
+            session.put("family", self._family("ab"))
+            session.close()
+            # Three delta rounds away; the deadline dies entering the second,
+            # after b→c was indexed under the cached base.
+            session.put("family", self._family("ab", "bc", "cd", "de"))
+            with pytest.raises(QueryTimeout) as info:
+                session.close(deadline=_SpentAfter(1))
+            assert "c" in info.value.partial.to_text()
+            assert session.cache_info()["closure_maintained"] == 1
+            assert session.cache_info()["closures_cached"] == 0
+            # A different growth of the same base: were the abandoned b→c
+            # still indexed under it, c (and d) would be derived here.
+            session.put("family", self._family("ab", "cd"))
+            closure = session.close().value
+            with repro.connect(rules=self.RULES) as fresh:
+                fresh.put("family", session.get("family"))
+                assert closure == fresh.close().value
+            assert closure["doa"] == repro.obj(["a", "b"])
+            assert session.cache_info()["closure_maintained"] == 1
+
+
 class TestExecutorDeadline:
     def test_match_plan_deadline_attaches_plan_rendering(self):
         from repro.plan import compile_body, match_plan

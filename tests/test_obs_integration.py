@@ -95,6 +95,31 @@ def test_closure_cache_counters_and_last_stats():
     assert stats["closure"].summary()  # renders
 
 
+def test_maintained_close_is_counted_and_traced(tracer):
+    maintained_before = _counter("session.closure_cache.maintained")
+    invalidations_before = _counter("session.closure_cache.invalidations")
+    with repro.connect() as session:
+        session.put("parent", repro.parse_object("{[of: {tom}, is: {bob}]}"))
+        session.register("[anc: {X}] :- [parent: {[is: {X}]}].")
+        session.close()
+        session.put("parent", repro.parse_object("{[of: {tom}, is: {bob, ann}]}"))
+        session.close()
+        info = session.cache_info()
+    assert info["closure_maintained"] == 1 and info["closure_invalidations"] == 1
+    assert info["closure_misses"] == 2
+    assert _counter("session.closure_cache.maintained") == maintained_before + 1
+    assert _counter("session.closure_cache.invalidations") == invalidations_before + 1
+    closes = [span for span in tracer.traces() if span.name == "session.close"]
+    assert [span.attrs["mode"] for span in closes] == ["full", "delta"]
+    runs = [
+        child.attrs["resumed"]
+        for span in closes
+        for child in span.children
+        if child.name == "engine.run"
+    ]
+    assert runs == [False, True]
+
+
 def test_session_stats_exposes_the_last_query_run():
     with repro.connect() as session:
         session.put("r1", repro.parse_object("{[name: ada], [name: grace]}"))

@@ -5,13 +5,16 @@ and together they must satisfy the standard lattice identities on the space of
 reduced objects.
 """
 
-from hypothesis import given
+from unittest import mock
+
+from hypothesis import given, strategies as st
 
 from tests.conftest import complex_objects
 
+from repro.core import lattice
 from repro.core.enumeration import all_subobjects
-from repro.core.lattice import intersection, union
-from repro.core.objects import BOTTOM, TOP
+from repro.core.lattice import intersection, is_lattice_consistent, union
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
 
 
@@ -96,3 +99,34 @@ class TestTheorem36LatticeLaws:
         below = is_subobject(left, right)
         assert below == (union(left, right) == right)
         assert below == (intersection(left, right) == left)
+
+
+class TestSetUnionPartition:
+    """Set union skips the elements both operands hold; the reducing
+    constructor of Definition 3.4(iv) is its oracle."""
+
+    @given(
+        st.lists(complex_objects(max_depth=2), min_size=2, max_size=8),
+        st.lists(st.sampled_from(["left", "right", "both"]), min_size=8, max_size=8),
+    )
+    def test_union_of_overlapping_sets_is_the_reduced_concatenation(self, pool, sides):
+        left = SetObject(e for e, side in zip(pool, sides) if side != "right")
+        right = SetObject(e for e, side in zip(pool, sides) if side != "left")
+        assert union(left, right) is SetObject(left.elements + right.elements)
+        assert is_lattice_consistent(left, right)
+
+    def test_two_versions_of_a_large_set_join_without_the_quadratic_scan(self):
+        def row(number, *tags):
+            return TupleObject(
+                {"partition_row": Atom(number), "tags": SetObject(map(Atom, tags))}
+            )
+
+        rows = [row(number, "old") for number in range(500)]
+        before = SetObject(rows)
+        after = SetObject(rows[1:] + [row(0, "old", "new")])
+        with mock.patch.object(
+            lattice, "is_subobject", wraps=lattice.is_subobject
+        ) as counted:
+            joined = union(before, after)
+        assert joined is after
+        assert counted.call_count < 2_000
