@@ -5,9 +5,9 @@ The physical executor (:mod:`repro.plan.execute`) processes **batches** of
 partial substitutions per plan operator instead of dispatching once per
 binding.  This walkthrough shows the knobs and the instrumentation:
 
-1. vector vs scalar — both executors enumerate identical results in
-   identical order; ``executor="scalar"`` keeps the binding-at-a-time
-   reference implementation one argument away;
+1. the executor vs its oracle — on a source-ordered plan ``match_plan``
+   returns the very list ``repro.calculus.matching.match_all``
+   (Definition 4.2, read literally) does, order included;
 2. the compiled-leaf cache — hot leaf predicates compile to closures once
    per formula (``compile_element_matcher.cache_info()`` shows reuse across
    prepared-query re-executions);
@@ -24,6 +24,7 @@ Run with::
 import time
 
 import repro
+from repro.calculus.matching import match_all
 from repro.obs import snapshot
 from repro.plan import compile_body, match_plan
 from repro.plan.compile import compile_element_matcher
@@ -46,8 +47,8 @@ def build_session(rows: int = 300):
     return session
 
 
-def demo_vector_vs_scalar() -> None:
-    banner("1. Vector vs scalar: identical answers, one argument apart")
+def demo_executor_vs_oracle() -> None:
+    banner("1. The executor vs its oracle: the same list, batch-at-a-time")
     body = repro.parse_formula("[a_r: {[x: X, y: Y]}, b_r: {[y: Y, z: Z]}]")
     target = repro.parse_object(
         "[a_r: {" + ", ".join(f"[x: {i}, y: y{i % 30}]" for i in range(300)) + "},"
@@ -56,17 +57,17 @@ def demo_vector_vs_scalar() -> None:
     plan = compile_body(body)
 
     start = time.perf_counter_ns()
-    scalar = match_plan(plan, target, executor="scalar")
-    scalar_ns = time.perf_counter_ns() - start
+    oracle = match_all(body, target)
+    oracle_ns = time.perf_counter_ns() - start
 
     start = time.perf_counter_ns()
-    vector = match_plan(plan, target, executor="vector")
-    vector_ns = time.perf_counter_ns() - start
+    executed = match_plan(plan, target)
+    executed_ns = time.perf_counter_ns() - start
 
-    assert vector == scalar  # same list — order included
-    print(f"rows: {len(vector)}")
-    print(f"scalar: {scalar_ns / 1e6:8.2f} ms")
-    print(f"vector: {vector_ns / 1e6:8.2f} ms  ({scalar_ns / vector_ns:.1f}x)")
+    assert executed == oracle  # same list — order included
+    print(f"rows: {len(executed)}")
+    print(f"match_all:  {oracle_ns / 1e6:8.2f} ms")
+    print(f"match_plan: {executed_ns / 1e6:8.2f} ms  ({oracle_ns / executed_ns:.1f}x)")
 
 
 def demo_compiled_leaf_cache() -> None:
@@ -96,7 +97,7 @@ def demo_batch_size_tuning() -> None:
     banner("3. batch_size: first-row latency vs bulk throughput")
     with build_session() as session:
         body = "[graph: [a_r: {[x: X, y: Y]}, b_r: {[y: Y, z: Z]}]]"
-        session.execute(body).one()  # warm the plan cache: time executors, not planning
+        session.execute(body).one()  # warm the plan cache: time execution, not planning
         for batch_size in (1, 8, 64, 512):
             start = time.perf_counter_ns()
             first = session.execute(body, batch_size=batch_size).one()
@@ -133,7 +134,7 @@ def demo_exec_metrics() -> None:
 
 
 if __name__ == "__main__":
-    demo_vector_vs_scalar()
+    demo_executor_vs_oracle()
     demo_compiled_leaf_cache()
     demo_batch_size_tuning()
     demo_explain_analyze()

@@ -812,7 +812,9 @@ class Session:
             deadline = Deadline.start(timeout_ms) if timeout_ms is not None else None
             batch_size = options.get("batch_size")
             if batch_size is not None and not (
-                isinstance(batch_size, int) and batch_size > 0
+                isinstance(batch_size, int)
+                and not isinstance(batch_size, bool)
+                and batch_size > 0
             ):
                 raise ReproError(
                     f"batch_size must be a positive integer, got {batch_size!r}"

@@ -14,10 +14,6 @@ complex-object calculus itself:
 * :mod:`repro.engine.indexes` — match indexes over set elements keyed by
   attribute paths of body formulae, maintained incrementally as the closure
   grows;
-* :mod:`repro.engine.matching` — the delta- and index-aware matcher, a thin
-  front over the shared plan pipeline of :mod:`repro.plan` (bodies compile
-  into logical plans, the cost-based optimizer orders their joins, and one
-  physical executor serves every evaluation path);
 * :mod:`repro.engine.stats` — the :class:`EngineStats` instrumentation record;
 * :mod:`repro.engine.core` — the :class:`NaiveEngine` / :class:`SemiNaiveEngine`
   strategies behind ``Program.evaluate(engine=...)`` and the CLI's
@@ -42,7 +38,6 @@ from repro.engine.core import (
 from repro.engine.delta import BodyDecomposition, DeltaPosition, decompose, new_set_elements
 from repro.engine.dependency import DependencyGraph, Stratum, access_paths
 from repro.engine.indexes import IndexStore, MatchIndex, element_keys
-from repro.engine.matching import match_body
 from repro.engine.stats import EngineStats
 
 __all__ = [
@@ -61,6 +56,5 @@ __all__ = [
     "create_engine",
     "decompose",
     "element_keys",
-    "match_body",
     "new_set_elements",
 ]

@@ -46,6 +46,7 @@ from repro.calculus.fixpoint import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_MAX_NODES,
     ClosureResult,
+    _as_ruleset,
     check_guards,
     close,
 )
@@ -70,14 +71,6 @@ class EngineResult(ClosureResult):
     """A closure result carrying the engine's instrumentation record."""
 
     stats: EngineStats = field(default_factory=EngineStats)
-
-
-def _as_ruleset(rules: Union[Rule, RuleSet, Sequence[Rule]]) -> RuleSet:
-    if isinstance(rules, RuleSet):
-        return rules
-    if isinstance(rules, Rule):
-        return RuleSet([rules])
-    return RuleSet(rules)
 
 
 def _infer_run_shapes(rules: Tuple[Rule, ...], database: ComplexObject, enabled: bool):
@@ -118,7 +111,6 @@ class NaiveEngine:
         allow_bottom: bool = False,
         use_shapes: bool = True,
         deadline=None,
-        executor: Optional[str] = None,
     ):
         self.rules = _as_ruleset(rules)
         self.max_iterations = max_iterations
@@ -126,9 +118,6 @@ class NaiveEngine:
         self.max_depth = max_depth
         self.allow_bottom = allow_bottom
         self.deadline = deadline
-        #: Physical executor forwarded to every match: "vector", "scalar" or
-        #: None for the repro.plan.execute default.
-        self.executor = executor
         # The shape matcher assumes the strict semantics (a ⊥ binding kills
         # the row); the literal ``allow_bottom`` semantics evaluates unpruned.
         self.use_shapes = use_shapes and not allow_bottom
@@ -154,12 +143,7 @@ class NaiveEngine:
 
         def apply_plans(current: ComplexObject) -> ComplexObject:
             return union_all(
-                apply_rule_plan(
-                    node,
-                    current,
-                    allow_bottom=self.allow_bottom,
-                    executor=self.executor,
-                )
+                apply_rule_plan(node, current, allow_bottom=self.allow_bottom)
                 for node in nodes
             )
 
@@ -212,7 +196,6 @@ class SemiNaiveEngine:
         use_indexes: bool = True,
         use_shapes: bool = True,
         deadline=None,
-        executor: Optional[str] = None,
     ):
         self.rules = _as_ruleset(rules)
         self.max_iterations = max_iterations
@@ -220,12 +203,8 @@ class SemiNaiveEngine:
         self.max_depth = max_depth
         self.allow_bottom = allow_bottom
         self.deadline = deadline
-        #: Physical executor forwarded to every match: "vector", "scalar" or
-        #: None for the repro.plan.execute default.  Semi-naive frontiers run
-        #: through it batch-at-a-time — each delta round is one batch.
-        self.executor = executor
         # Index narrowing is only sound under the strict semantics (see
-        # repro.engine.matching); the literal semantics falls back to scans.
+        # repro.plan.execute); the literal semantics falls back to scans.
         self.use_indexes = use_indexes and not allow_bottom
         # Same gate for shape pruning: the abstract matcher models the strict
         # semantics, where a ⊥ binding kills the row.
@@ -441,7 +420,6 @@ class SemiNaiveEngine:
                 indexes=indexes,
                 stats=stats,
                 allow_bottom=self.allow_bottom,
-                executor=self.executor,
             )
         heads = [substitution.apply(rule.head) for substitution in substitutions]
         stats.subobjects_derived += len(heads)
@@ -500,7 +478,6 @@ class SemiNaiveEngine:
                     delta_elements=fresh,
                     indexes=indexes,
                     stats=stats,
-                    executor=self.executor,
                 )
                 for substitution in substitutions:
                     if substitution in seen:
@@ -523,8 +500,8 @@ def create_engine(name: str, rules: Union[Rule, RuleSet, Sequence[Rule]], **opti
     """Instantiate the engine registered under ``name``.
 
     ``options`` are forwarded to the engine constructor (the divergence
-    guards, ``allow_bottom``, ``executor`` and engine-specific switches such
-    as ``use_indexes``).
+    guards, ``allow_bottom`` and engine-specific switches such as
+    ``use_indexes``).
     """
     try:
         engine_class = ENGINES[name]

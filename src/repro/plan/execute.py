@@ -1,10 +1,12 @@
 """The physical executor: run a :class:`BodyPlan` against a database object.
 
-This is the one matching loop every evaluation path now shares — the naive
-and semi-naive engines, ``Program.query``, the store's query/find pushdowns
-and EXPLAIN all call :func:`match_plan`.  It mirrors the derivation-maximal
-enumeration of :mod:`repro.calculus.matching` exactly (cross-checked by the
-engine and plan test suites), with three additions:
+This is the one matching loop every evaluation path shares — the naive and
+semi-naive engines, ``Program.query``, the store's query/find pushdowns and
+EXPLAIN all call :func:`match_plan`.  Its oracle is the derivation-maximal
+enumeration of :func:`repro.calculus.matching.match_all` (Definition 4.2):
+on a source-ordered plan the two return the same list, on a cost-ordered one
+the same set (``tests/test_exec_properties.py``).  On top of the definition
+it adds:
 
 * **Leaf ordering.**  The body's leaves are executed in the optimizer's
   order.  Because the result is the meet-product over the leaves'
@@ -31,7 +33,6 @@ leaf, reproducing the recursive matcher's behaviour for those cases.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -44,7 +45,7 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.core.errors import ParameterError
+from repro.core.errors import ComplexObjectError, ParameterError
 from repro.core.lattice import intersection, union_all
 from repro.core.objects import (
     BOTTOM,
@@ -70,23 +71,10 @@ __all__ = [
 _ROOT = Path(())
 _EMPTY = Substitution()
 
-#: Environment override for the default executor ("vector" or "scalar").
-_EXECUTOR_ENV = "REPRO_EXECUTOR"
-
 #: Streaming chunk-size cap: expansion ramps 1, 2, 4, ... up to this, so the
 #: first row still walks one alternative per leaf while a draining consumer
 #: amortises per-operator dispatch over whole chunks.
 DEFAULT_BATCH_SIZE = 64
-
-
-def _executor_mode(executor: Optional[str]) -> str:
-    if executor is None:
-        executor = os.environ.get(_EXECUTOR_ENV) or "vector"
-    if executor not in ("vector", "scalar"):
-        raise ValueError(
-            f"unknown executor {executor!r} (expected 'vector' or 'scalar')"
-        )
-    return executor
 
 
 def match_plan(
@@ -100,7 +88,6 @@ def match_plan(
     allow_bottom: bool = False,
     record: Optional[dict] = None,
     deadline=None,
-    executor: Optional[str] = None,
 ) -> List[Substitution]:
     """Deduplicated derivation-maximal substitutions of the plan's body.
 
@@ -112,13 +99,6 @@ def match_plan(
     per-leaf cardinalities for EXPLAIN.  ``deadline`` — a
     :class:`repro.fault.Deadline` — is checked once per operator batch,
     raising :class:`~repro.core.errors.QueryTimeout` when spent.
-
-    ``executor`` selects the physical strategy: ``"vector"`` (the default;
-    batch-at-a-time with compiled leaf predicates) or ``"scalar"`` (the
-    binding-at-a-time reference implementation, kept as the benchmark
-    baseline and equivalence oracle).  The ``REPRO_EXECUTOR`` environment
-    variable overrides the default.  Both enumerate the identical
-    substitutions in the identical order.
     """
     if stats is None:
         from repro.engine.stats import EngineStats
@@ -133,7 +113,6 @@ def match_plan(
             if record.get("timed", False):
                 record["wall_ns"] = 0
         return []
-    mode = _executor_mode(executor)
     # EXPLAIN ANALYZE: a record created with {"timed": True} additionally
     # collects wall time — per scan leaf (``by_leaf_ns``, filled by the
     # executor) and for the whole match (``wall_ns``).  Plain records keep
@@ -142,36 +121,20 @@ def match_plan(
     timed = record is not None and record.get("timed", False)
     if timed:
         start_ns = time.perf_counter_ns()
-    effective_indexes = indexes if not allow_bottom else None
-    if mode == "scalar":
-        results = _run_scalar(
-            plan, target, position, delta_elements, effective_indexes,
-            stats, record, deadline, allow_bottom,
-        )
-    else:
-        vector = _VectorExecutor(
-            position=position,
-            delta_elements=delta_elements,
-            indexes=effective_indexes,
-            stats=stats,
-            record=record,
-            deadline=deadline,
-            drop_bottom=not allow_bottom,
-        )
-        try:
-            layout, batch = vector.run_batch(plan, target)
-            results = _finalize_rows(layout, batch, allow_bottom)
-        except _LayoutMismatch:
-            # Defensive only: binding layouts are formula-determined (see
-            # _VectorExecutor), so a mismatch means an internal invariant
-            # broke — fall back to the scalar oracle rather than mis-align
-            # columns.
-            results = _run_scalar(
-                plan, target, position, delta_elements, effective_indexes,
-                stats, record, deadline, allow_bottom,
-            )
-        finally:
-            vector.flush_metrics()
+    executor = _Executor(
+        position=position,
+        delta_elements=delta_elements,
+        indexes=indexes if not allow_bottom else None,
+        stats=stats,
+        record=record,
+        deadline=deadline,
+        drop_bottom=not allow_bottom,
+    )
+    try:
+        layout, batch = executor.run_batch(plan, target)
+        results = _finalize_rows(layout, batch, allow_bottom)
+    finally:
+        executor.flush_metrics()
     stats.substitutions += len(results)
     if record is not None:
         record["rows"] = len(results)
@@ -190,7 +153,6 @@ def iter_match_plan(
     stats=None,
     allow_bottom: bool = False,
     deadline=None,
-    executor: Optional[str] = None,
     batch_size: Optional[int] = None,
 ) -> Iterator[Substitution]:
     """Stream the substitutions of :func:`match_plan` lazily, one at a time.
@@ -203,14 +165,25 @@ def iter_match_plan(
     streaming, where first-row latency matters and a consumer may stop
     early (``.one()``) without paying for the rest of the result.
 
-    Under the (default) vector executor the walk drains chunks whose size
-    ramps 1, 2, 4, ... up to ``batch_size`` (:data:`DEFAULT_BATCH_SIZE`
-    unless given): the first chunk carries one partial — first-row latency
-    stays that of the scalar depth-first walk — while the tail of a large
-    result is processed batch-at-a-time.  ``batch_size=1`` degenerates to
-    the scalar one-partial-at-a-time schedule.  Deadlines are checked once
-    per chunk rather than once per row.
+    The walk drains chunks whose size ramps 1, 2, 4, ... up to
+    ``batch_size`` (:data:`DEFAULT_BATCH_SIZE` unless given; anything but a
+    positive ``int`` raises :class:`ValueError` at the first ``next()``):
+    the first chunk carries one partial, so the first row costs one
+    depth-first path, while the tail of a large result is processed
+    batch-at-a-time.  ``batch_size=1`` is the degenerate
+    one-partial-at-a-time schedule.  Deadlines are checked once per chunk
+    rather than once per row.
     """
+    if batch_size is None:
+        batch_size = DEFAULT_BATCH_SIZE
+    elif (
+        not isinstance(batch_size, int)
+        or isinstance(batch_size, bool)
+        or batch_size < 1
+    ):
+        raise ValueError(
+            f"batch_size must be a positive integer, got {batch_size!r}"
+        )
     if stats is None:
         from repro.engine.stats import EngineStats
 
@@ -218,48 +191,27 @@ def iter_match_plan(
     if plan.pruned is not None:
         # Statically proved empty: stream nothing.
         return
-    mode = _executor_mode(executor)
-    effective_indexes = indexes if not allow_bottom else None
-    if mode == "scalar":
-        yield from _stream_scalar(
-            plan, target, position, delta_elements, effective_indexes,
-            stats, deadline, allow_bottom, skip_unique=0,
-        )
-        return
-    vector = _VectorExecutor(
+    executor = _Executor(
         position=position,
         delta_elements=delta_elements,
-        indexes=effective_indexes,
+        indexes=indexes if not allow_bottom else None,
         stats=stats,
         record=None,
         deadline=deadline,
         drop_bottom=not allow_bottom,
     )
-    if batch_size is None or batch_size < 1:
-        batch_size = DEFAULT_BATCH_SIZE
     finalizer: Optional[_RowFinalizer] = None
-    emitted = 0
     try:
-        for row in vector.stream_batches(plan, target, batch_size):
+        for row in executor.stream_batches(plan, target, batch_size):
             if finalizer is None:
-                finalizer = _RowFinalizer(vector.final_layout, allow_bottom)
+                finalizer = _RowFinalizer(executor.final_layout, allow_bottom)
             substitution = finalizer.emit(row)
             if substitution is None:
                 continue
-            emitted += 1
             stats.substitutions += 1
             yield substitution
-    except _LayoutMismatch:
-        # Defensive only (layouts are formula-determined): re-run on the
-        # scalar oracle, skipping the unique rows already yielded — the two
-        # executors enumerate identical sequences, so the first ``emitted``
-        # unique candidates are exactly what the consumer has seen.
-        yield from _stream_scalar(
-            plan, target, position, delta_elements, effective_indexes,
-            stats, deadline, allow_bottom, skip_unique=emitted,
-        )
     finally:
-        vector.flush_metrics()
+        executor.flush_metrics()
 
 
 def interpret_plan(
@@ -271,7 +223,6 @@ def interpret_plan(
     indexes=None,
     record: Optional[dict] = None,
     deadline=None,
-    executor: Optional[str] = None,
 ) -> ComplexObject:
     """``E(O)`` through the plan pipeline: union of the matching instantiations.
 
@@ -285,7 +236,6 @@ def interpret_plan(
         allow_bottom=allow_bottom,
         record=record,
         deadline=deadline,
-        executor=executor,
     )
     instantiations = [substitution.apply(plan.body) for substitution in substitutions]
     return union_all(dict.fromkeys(instantiations))
@@ -298,7 +248,6 @@ def apply_rule_plan(
     indexes=None,
     stats=None,
     allow_bottom: bool = False,
-    executor: Optional[str] = None,
 ) -> ComplexObject:
     """``r(O)`` of Definition 4.4 through the plan pipeline.
 
@@ -313,7 +262,6 @@ def apply_rule_plan(
             indexes=indexes,
             stats=stats,
             allow_bottom=allow_bottom,
-            executor=executor,
         )
     heads = [substitution.apply(node.rule.head) for substitution in substitutions]
     if stats is not None:
@@ -321,79 +269,22 @@ def apply_rule_plan(
     return union_all(dict.fromkeys(heads))
 
 
-def _has_bottom_binding(substitution: Substitution) -> bool:
-    # ⊥ is a singleton, so the bottom test is an identity check.
-    return any(value is BOTTOM for _, value in substitution.items())
-
-
-class _LayoutMismatch(Exception):
-    """Internal: one leaf instance produced two different binding layouts.
+class _LayoutMismatch(ComplexObjectError):
+    """One leaf instance produced two different binding layouts.
 
     Layouts are formula-determined (every alternative of one element formula
     binds the same variables in the same deterministic order — compiled
     matchers build their dicts in walk order, interpreted matches in sorted
-    order), so this is a broken-invariant signal, not a reachable state; the
-    callers fall back to the scalar executor rather than mis-align columns.
+    order), so this is a broken-invariant signal, not a reachable state: it
+    propagates to the caller of :func:`match_plan` / :func:`iter_match_plan`
+    rather than letting columns mis-align.
     """
 
-
-def _run_scalar(
-    plan, target, position, delta_elements, indexes, stats, record, deadline,
-    allow_bottom,
-) -> List[Substitution]:
-    """The binding-at-a-time reference pipeline behind ``executor="scalar"``."""
-    runner = _Executor(
-        position=position,
-        delta_elements=delta_elements,
-        indexes=indexes,
-        stats=stats,
-        record=record,
-        deadline=deadline,
-    )
-    candidates = runner.run(plan, target)
-    seen = set()
-    results: List[Substitution] = []
-    for candidate in candidates:
-        if not allow_bottom and _has_bottom_binding(candidate):
-            continue
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        results.append(candidate)
-    return results
-
-
-def _stream_scalar(
-    plan, target, position, delta_elements, indexes, stats, deadline,
-    allow_bottom, skip_unique: int,
-) -> Iterator[Substitution]:
-    """Scalar streaming pipeline; ``skip_unique`` resumes after a fallback."""
-    runner = _Executor(
-        position=position,
-        delta_elements=delta_elements,
-        indexes=indexes,
-        stats=stats,
-        record=None,
-        deadline=deadline,
-    )
-    seen = set()
-    skipped = 0
-    for candidate in runner.stream(plan, target):
-        if deadline is not None:
-            deadline.check(
-                "streaming plan execution",
-                partial_explain=lambda: _timeout_explain(plan, len(seen)),
-            )
-        if not allow_bottom and _has_bottom_binding(candidate):
-            continue
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        if skipped < skip_unique:
-            skipped += 1
-            continue
-        stats.substitutions += 1
-        yield candidate
+    def __init__(self, leaf: str, expected: Tuple[str, ...], got: Tuple[str, ...]):
+        super().__init__(
+            f"internal error: leaf {leaf} bound {got} where its other"
+            f" alternatives bound {expected}"
+        )
 
 
 class _RowFinalizer:
@@ -519,10 +410,10 @@ def _merge_rows(
     partials: List[tuple], alternatives: List[tuple], new_indices, overlap,
     drop: bool, out: List[tuple],
 ) -> None:
-    """Cross-merge a batch with a shared alternatives list, in scalar order.
+    """Cross-merge a batch with a shared alternatives list.
 
-    Partials outer, alternatives inner — the enumeration order both
-    executors pin (dropped ⊥ rows leave the survivors' relative order
+    Partials outer, alternatives inner — the enumeration order of
+    ``match_all`` (dropped ⊥ rows leave the survivors' relative order
     untouched).  Disjoint layouts (no shared variables — the seed batch,
     chained leaves over fresh variables) reduce to C-level tuple concats.
     """
@@ -571,137 +462,218 @@ class _Instance:
         self.alternatives = alternatives
 
 
+class _ScanState:
+    """Per-run cached state of one scan-leaf instance.
+
+    Everything here is computed at most once per instance per run and shared
+    by every batch (and, in streaming mode, every chunk) that reaches it.
+    """
+
+    __slots__ = (
+        "matcher",
+        "key_positions",
+        "single_position",
+        "probe_cache",
+        "base_rows",
+        "alt_layout",
+        "merge",
+    )
+
+    def __init__(self):
+        self.matcher = None
+        #: (key path, partial-layout column) for each *bound* dynamic key.
+        self.key_positions: Tuple[Tuple[object, int], ...] = ()
+        self.single_position: Optional[int] = None
+        #: id-of-bound-value(s) -> matched alternative rows.
+        self.probe_cache: Dict[object, List[tuple]] = {}
+        #: Matched rows every partial shares: over the static probe's hits,
+        #: else (lazily; also the dynamic-probe fallback) the full witness list.
+        self.base_rows: Optional[List[tuple]] = None
+        #: The one binding layout every alternatives list of this leaf has.
+        self.alt_layout: Optional[Tuple[str, ...]] = None
+        #: Cached :func:`_merge_plan` of (input layout, alt layout).
+        self.merge: Optional[tuple] = None
+
+
 class _Executor:
-    """One match run; carries restriction, indexes, counters and the recorder."""
+    """One match run, batch-at-a-time: operators exchange columnar row batches.
 
-    __slots__ = ("position", "delta_elements", "indexes", "stats", "record", "deadline")
+    A batch is ``(layout, rows)``: one names tuple plus plain value tuples,
+    one per partial substitution, aligned to it.  The layout is a property of
+    the *pipeline position*, not the row — every alternative of one element
+    formula binds the same variables in the same deterministic order
+    (compiled matchers build dicts in formula walk order, interpreted matches
+    in sorted order, ⊤ short-circuits in the same order as regular matches) —
+    so each operator computes one :func:`_merge_plan` and then meets rows
+    with C-level tuple concats plus an ``is`` check per shared column.
 
-    def __init__(self, position, delta_elements, indexes, stats, record, deadline=None):
+    * each leaf's witnesses are matched **once per batch** and the resulting
+      rows shared across partials; dynamic index probes are cached per
+      distinct bound key value (identity-keyed — interning made ``==`` an
+      ``is``), so a frontier binding the same join key a thousand times pays
+      one probe and one witness-match pass;
+    * leaf predicates compiled by
+      :func:`repro.plan.compile.compile_element_matcher` answer witness
+      tests as single closure calls; non-compilable elements (nested sets,
+      parameters) fall back to the interpreted matcher;
+    * deadlines are checked once per operator batch, not once per tuple;
+    * final rows materialise into :class:`Substitution` objects only after
+      identity-keyed dedup (:class:`_RowFinalizer`).
+
+    The enumeration order is partials outer, alternatives inner, instances
+    in (rank, arrival) order — on a source-ordered plan exactly the list
+    :func:`repro.calculus.matching.match_all` returns, which
+    ``tests/test_exec_properties.py`` pins.
+
+    Batch/row counts accumulate in plain instance fields and fold into the
+    ``exec.*`` metrics in one :meth:`flush_metrics` call per match.
+    """
+
+    __slots__ = (
+        "position",
+        "delta_elements",
+        "indexes",
+        "stats",
+        "record",
+        "deadline",
+        "drop_bottom",
+        "final_layout",
+        "_batches",
+        "_batch_rows",
+        "_compiled_hits",
+    )
+
+    def __init__(
+        self, position, delta_elements, indexes, stats, record, deadline, drop_bottom
+    ):
         self.position = position
         self.delta_elements = delta_elements
         self.indexes = indexes
         self.stats = stats
         self.record = record
         self.deadline = deadline
+        #: Strict semantics (``allow_bottom=False``): rows acquiring a ⊥
+        #: binding are dropped at the operator that creates them instead of
+        #: at the finalizer — ⊥ never recovers, so only rows the strict
+        #: filter would discard anyway disappear (EXPLAIN's per-leaf actuals
+        #: therefore count *surviving* rows).
+        self.drop_bottom = drop_bottom
+        self._batches = 0
+        self._batch_rows: List[int] = []
+        self._compiled_hits = 0
+        #: Layout of the rows :meth:`stream_batches` yields; set before the
+        #: first yield.
+        self.final_layout: Tuple[str, ...] = ()
 
-    # -- top level --------------------------------------------------------------------
-    def run(self, plan: BodyPlan, target: ComplexObject) -> List[Substitution]:
-        leaves = {leaf_key(leaf): (rank, leaf) for rank, leaf in enumerate(plan.leaves)}
-        instances: List[_Instance] = []
-        if not self._flatten(plan.body, target, _ROOT, leaves, instances):
-            return []
-        # Stable sort: optimizer rank first, arrival order as the tiebreak;
-        # collapsed subtrees (⊤ on the spine) carry rank -1 and run first.
-        instances.sort(key=lambda instance: (instance.rank, instance.order))
+    # -- top level ----------------------------------------------------------------------
+    def run_batch(
+        self, plan: BodyPlan, target: ComplexObject
+    ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """The whole meet-product as one breadth-first batch pipeline."""
+        instances = self._instances(plan, target)
+        if instances is None:
+            return (), []
 
         actuals: Optional[Dict[Tuple, int]] = None
+        leaf_batches: Optional[Dict[Tuple, list]] = None
         leaf_ns: Optional[Dict[Tuple, int]] = None
         if self.record is not None:
             actuals = {}
             self.record["by_leaf"] = actuals
+            leaf_batches = {}
+            self.record["by_leaf_batches"] = leaf_batches
             if self.record.get("timed", False):
                 leaf_ns = {}
                 self.record["by_leaf_ns"] = leaf_ns
 
-        partials: List[Substitution] = [_EMPTY]
+        state: Dict[object, object] = {}
+        layout: Tuple[str, ...] = ()
+        rows: List[tuple] = [()]
         for step, instance in enumerate(instances):
             if self.deadline is not None:
                 self.deadline.check(
                     "plan execution",
                     partial_explain=lambda: _timeout_explain(
-                        plan, f"instance {step} of {len(instances)},"
-                        f" {len(partials)} partial substitutions"
+                        plan, f"batch {step} of {len(instances)},"
+                        f" {len(rows)} partial substitutions"
                     ),
                 )
             if leaf_ns is not None:
                 step_start = time.perf_counter_ns()
-            if instance.spec is None:
-                alternatives = instance.alternatives
-                partials = [
-                    partial.meet(candidate)
-                    for partial in partials
-                    for candidate in alternatives
-                ]
-            else:
-                partials = self._scan_step(instance, partials)
+            layout, rows = self._step(instance, layout, rows, state)
             if actuals is not None and instance.spec is not None:
-                actuals[leaf_key(instance.spec)] = len(partials)
+                key = leaf_key(instance.spec)
+                actuals[key] = len(rows)
+                entry = leaf_batches.setdefault(key, [0, 0])
+                entry[0] += 1
+                entry[1] += len(rows)
                 if leaf_ns is not None:
-                    key = leaf_key(instance.spec)
                     leaf_ns[key] = leaf_ns.get(key, 0) + (
                         time.perf_counter_ns() - step_start
                     )
-            if not partials:
-                return []
-        return partials
+            if not rows:
+                return layout, []
+        return layout, rows
 
-    def stream(self, plan: BodyPlan, target: ComplexObject) -> Iterator[Substitution]:
-        """Depth-first enumeration of the meet-product, leftmost leaf outermost.
+    def stream_batches(
+        self, plan: BodyPlan, target: ComplexObject, batch_size: int
+    ) -> Iterator[tuple]:
+        """Depth-first chunked enumeration: :meth:`run_batch` order, lazily.
 
-        The breadth-first :meth:`run` expands partials instance by instance
-        with the existing-partials loop outermost, so its final list is in
-        lexicographic order over the instances' alternative lists with the
-        first instance most significant — exactly the order a depth-first
-        walk with the first instance outermost produces.  The two therefore
-        enumerate the same candidates in the same order; ``stream`` just
-        yields them as they complete.
+        Chunks ramp 1, 2, 4, ... up to ``batch_size`` at every depth, so the
+        leftmost path to the first row runs on single-partial chunks while
+        bulk drains run on full ones.  Scan state (probes, matched
+        alternatives, merge plans) lives in ``state`` across chunks —
+        revisiting an instance with a later chunk re-uses every earlier
+        probe and match.  Yields rows of :attr:`final_layout`.
         """
+        instances = self._instances(plan, target)
+        if instances is None:
+            return
+        state: Dict[object, object] = {}
+        total = len(instances)
+
+        def descend(
+            depth: int, layout: Tuple[str, ...], chunk: List[tuple]
+        ) -> Iterator[tuple]:
+            if depth == total:
+                self.final_layout = layout
+                yield from chunk
+                return
+            instance = instances[depth]
+            if self.deadline is not None:
+                self.deadline.check(
+                    "streaming plan execution",
+                    partial_explain=lambda: _timeout_explain(
+                        plan, f"depth {depth}, chunk of {len(chunk)}"
+                    ),
+                )
+            merged_layout, merged = self._step(instance, layout, chunk, state)
+            start = 0
+            size = 1
+            while start < len(merged):
+                end = min(start + size, len(merged))
+                yield from descend(depth + 1, merged_layout, merged[start:end])
+                start = end
+                if size < batch_size:
+                    size = min(size * 2, batch_size)
+
+        yield from descend(0, (), [()])
+
+    # -- runtime flattening -------------------------------------------------------------
+    def _instances(
+        self, plan: BodyPlan, target: ComplexObject
+    ) -> Optional[List[_Instance]]:
+        """The run's leaf instances in execution order; ``None``: no match."""
         leaves = {leaf_key(leaf): (rank, leaf) for rank, leaf in enumerate(plan.leaves)}
         instances: List[_Instance] = []
         if not self._flatten(plan.body, target, _ROOT, leaves, instances):
-            return
+            return None
+        # Stable sort: optimizer rank first, arrival order as the tiebreak;
+        # collapsed subtrees (⊤ on the spine) carry rank -1 and run first.
         instances.sort(key=lambda instance: (instance.rank, instance.order))
-        # Per-instance scan preparation (static probe + fallback witness
-        # alternatives) is computed lazily on first visit and shared across
-        # every partial that reaches the instance, matching run()'s
-        # once-per-instance probe accounting.
-        preparations: Dict[int, list] = {}
+        return instances
 
-        def descend(depth: int, partial: Substitution) -> Iterator[Substitution]:
-            if depth == len(instances):
-                yield partial
-                return
-            instance = instances[depth]
-            if instance.spec is None:
-                alternatives = instance.alternatives
-            else:
-                alternatives = self._scan_alternatives(instance, partial, preparations)
-            for alternative in alternatives:
-                yield from descend(depth + 1, partial.meet(alternative))
-
-        yield from descend(0, _EMPTY)
-
-    def _scan_alternatives(
-        self, instance: _Instance, partial: Substitution, preparations: Dict[int, list]
-    ) -> List[Substitution]:
-        """Alternatives of one scan leaf for one partial (index-narrowed)."""
-        preparation = preparations.get(id(instance))
-        if preparation is None:
-            static_keys, dynamic_keys = (), ()
-            if self.indexes is not None and not instance.restricted:
-                static_keys = instance.spec.static_keys
-                dynamic_keys = instance.spec.dynamic_keys
-            static_candidates = None
-            if static_keys:
-                static_candidates = self._probe(
-                    instance.spec.path, static_keys, count_miss=not dynamic_keys
-                )
-            preparation = [dynamic_keys, static_candidates, None]
-            preparations[id(instance)] = preparation
-        dynamic_keys, static_candidates, base_alternatives = preparation
-        narrowed = static_candidates
-        if narrowed is None and dynamic_keys:
-            narrowed = self._probe_dynamic(instance.spec.path, dynamic_keys, partial)
-        if narrowed is None:
-            if base_alternatives is None:
-                base_alternatives = self._alternatives(
-                    instance.spec.element, instance.witnesses
-                )
-                preparation[2] = base_alternatives
-            return base_alternatives
-        return self._alternatives(instance.spec.element, narrowed)
-
-    # -- runtime flattening -------------------------------------------------------------
     def _flatten(
         self,
         node: Formula,
@@ -783,23 +755,161 @@ class _Executor:
             )
         raise TypeError(f"not a formula: {node!r}")
 
-    # -- scan leaves --------------------------------------------------------------------
-    def _scan_step(
-        self, instance: _Instance, partials: List[Substitution]
-    ) -> List[Substitution]:
-        """One meet-product step over a scan leaf, with index narrowing.
+    # -- per-instance operators ---------------------------------------------------------
+    def _step(
+        self,
+        instance: _Instance,
+        layout: Tuple[str, ...],
+        rows: List[tuple],
+        state: Dict[object, object],
+    ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """One operator over one batch, counted for the ``exec.*`` metrics."""
+        if instance.spec is None:
+            layout, rows = self._fixed_step(instance, layout, rows, state)
+        else:
+            layout, rows = self._scan_batch(instance, layout, rows, state)
+        self._batches += 1
+        self._batch_rows.append(len(rows))
+        return layout, rows
 
-        The static probe answers identically for every partial, so the shared
-        preparation in :meth:`_scan_alternatives` attempts it once; dynamic
-        keys depend on the accumulated bindings and are probed per partial.
+    def _fixed_step(
+        self,
+        instance: _Instance,
+        layout: Tuple[str, ...],
+        rows: List[tuple],
+        state: Dict[object, object],
+    ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """Meet a batch with a non-scan instance's fixed alternatives."""
+        entry = state.get(id(instance))
+        if entry is None:
+            alt_layout: Optional[Tuple[str, ...]] = None
+            alt_rows: List[tuple] = []
+            for substitution in instance.alternatives:
+                items = substitution.items()
+                names = tuple(pair[0] for pair in items)
+                if alt_layout is None:
+                    alt_layout = names
+                elif names != alt_layout:
+                    raise _LayoutMismatch(
+                        f"#{instance.order} (fixed alternatives)", alt_layout, names
+                    )
+                alt_rows.append(tuple(pair[1] for pair in items))
+            entry = [alt_layout if alt_layout is not None else (), alt_rows, None]
+            state[id(instance)] = entry
+        alt_layout, alt_rows, merge = entry
+        if not alt_rows:
+            return layout, []
+        if merge is None:
+            merge = _merge_plan(layout, alt_layout)
+            entry[2] = merge
+        merged_layout, new_indices, overlap = merge
+        fresh: List[tuple] = []
+        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
+        return merged_layout, fresh
+
+    def _scan_batch(
+        self,
+        instance: _Instance,
+        layout: Tuple[str, ...],
+        rows: List[tuple],
+        state: Dict[object, object],
+    ) -> Tuple[Tuple[str, ...], List[tuple]]:
+        """One scan leaf over a whole batch of partial rows.
+
+        Static probes and witness matching happen once per instance; dynamic
+        probes once per distinct tuple of bound key values.  Alternative row
+        lists are shared across partials — rows are immutable tuples, so
+        sharing is safe by construction.
         """
-        preparations: Dict[int, list] = {}
-        fresh: List[Substitution] = []
-        for partial in partials:
-            for alternative in self._scan_alternatives(instance, partial, preparations):
-                fresh.append(partial.meet(alternative))
-        return fresh
+        spec = instance.spec
+        scan = state.get(id(instance))
+        if scan is None:
+            scan = _ScanState()
+            static_keys, dynamic_keys = (), ()
+            if self.indexes is not None and not instance.restricted:
+                static_keys = spec.static_keys
+                dynamic_keys = spec.dynamic_keys
+            scan.matcher = compile_element_matcher(spec.element)
+            static_candidates = None
+            if static_keys:
+                static_candidates = self._probe(
+                    spec.path, static_keys, count_miss=not dynamic_keys
+                )
+            if static_candidates is not None:
+                scan.alt_layout, scan.base_rows = self._vector_alternatives(
+                    spec.element, static_candidates, scan.matcher, None
+                )
+            elif dynamic_keys:
+                # A dynamic key is usable only once an earlier leaf bound its
+                # variable; boundness is a property of the layout, i.e. of
+                # the pipeline position, so the usable subset is fixed here.
+                positions = []
+                for key_path, name in dynamic_keys:
+                    if name in layout:
+                        positions.append((key_path, layout.index(name)))
+                scan.key_positions = tuple(positions)
+                if len(positions) == 1:
+                    scan.single_position = positions[0][1]
+            state[id(instance)] = scan
 
+        if scan.key_positions:
+            positions = scan.key_positions
+            single = scan.single_position
+            probe_cache = scan.probe_cache
+            merge = scan.merge
+            new_indices = overlap = None
+            if merge is not None:
+                _, new_indices, overlap = merge
+            fresh: List[tuple] = []
+            for prow in rows:
+                # Interning made equality identity, so the probe cache keys
+                # on the bound values' ids — one probe and one witness-match
+                # pass per distinct key binding in the batch.
+                if single is not None:
+                    probe_key = id(prow[single])
+                else:
+                    probe_key = tuple(id(prow[column]) for _, column in positions)
+                alt_rows = probe_cache.get(probe_key)
+                if alt_rows is None:
+                    narrowed = self._probe_dynamic_row(spec.path, positions, prow)
+                    if narrowed is None:
+                        alt_rows = self._base_rows(instance, scan)
+                    else:
+                        alt_layout, alt_rows = self._vector_alternatives(
+                            spec.element, narrowed, scan.matcher, scan.alt_layout
+                        )
+                        if alt_rows and scan.alt_layout is None:
+                            scan.alt_layout = alt_layout
+                    probe_cache[probe_key] = alt_rows
+                if not alt_rows:
+                    continue
+                if merge is None:
+                    merge = scan.merge = _merge_plan(layout, scan.alt_layout)
+                    _, new_indices, overlap = merge
+                if not overlap:
+                    fresh.extend([prow + arow for arow in alt_rows])
+                else:
+                    drop = self.drop_bottom
+                    for arow in alt_rows:
+                        merged_row = _merge_row(
+                            prow, arow, new_indices, overlap, drop
+                        )
+                        if merged_row is not None:
+                            fresh.append(merged_row)
+            if merge is None:
+                return layout, []
+            return merge[0], fresh
+        alt_rows = self._base_rows(instance, scan)
+        if not alt_rows:
+            return layout, []
+        if scan.merge is None:
+            scan.merge = _merge_plan(layout, scan.alt_layout)
+        merged_layout, new_indices, overlap = scan.merge
+        fresh = []
+        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
+        return merged_layout, fresh
+
+    # -- index probes -------------------------------------------------------------------
     def _probe(self, set_path, keys, *, count_miss: bool):
         for key_path, atom in keys:
             candidates = self.indexes.candidates(set_path, key_path, atom)
@@ -810,12 +920,10 @@ class _Executor:
             self.stats.index_misses += 1
         return None
 
-    def _probe_dynamic(self, set_path, keys, partial: Substitution):
-        for key_path, name in keys:
-            value = partial.get(name)
-            if value is None:
-                continue
-            candidates = self.indexes.candidates(set_path, key_path, value)
+    def _probe_dynamic_row(self, set_path, positions, row: tuple):
+        """Probe the dynamic keys bound in ``row``, first usable key wins."""
+        for key_path, column in positions:
+            candidates = self.indexes.candidates(set_path, key_path, row[column])
             if candidates is not None:
                 self.stats.index_hits += 1
                 return candidates
@@ -823,6 +931,71 @@ class _Executor:
         return None
 
     # -- witnesses ----------------------------------------------------------------------
+    def _base_rows(self, instance: _Instance, scan: _ScanState) -> List[tuple]:
+        """Alternatives over the full witness list, matched lazily once."""
+        if scan.base_rows is None:
+            alt_layout, alt_rows = self._vector_alternatives(
+                instance.spec.element, instance.witnesses, scan.matcher,
+                scan.alt_layout,
+            )
+            if alt_rows and scan.alt_layout is None:
+                scan.alt_layout = alt_layout
+            scan.base_rows = alt_rows
+        return scan.base_rows
+
+    def _vector_alternatives(
+        self, element: Formula, candidates, matcher, expected_layout
+    ) -> Tuple[Optional[Tuple[str, ...]], List[tuple]]:
+        """Match one element formula over a witness list, as (layout, rows).
+
+        The columnar form of :meth:`_alternatives`, including the vanish
+        alternatives for empty candidate lists; compiled matchers answer one
+        closure call per witness, non-compilable elements fall back to the
+        interpreted matcher per witness.  Every row is checked against the
+        leaf's single layout — a mismatch raises :class:`_LayoutMismatch`.
+        """
+        layout = expected_layout
+        alt_rows: List[tuple] = []
+        if matcher is not None:
+            count = len(candidates)
+            self.stats.match_attempts += count
+            self._compiled_hits += count
+            for witness in candidates:
+                bindings = matcher(witness)
+                if bindings is None:
+                    continue
+                names = tuple(bindings)
+                if layout is None:
+                    layout = names
+                elif names != layout:
+                    raise _LayoutMismatch(element.to_text(), layout, names)
+                alt_rows.append(tuple(bindings.values()))
+        else:
+            for witness in candidates:
+                self.stats.match_attempts += 1
+                for substitution in self._match_witness(element, witness):
+                    items = substitution.items()
+                    names = tuple(pair[0] for pair in items)
+                    if layout is None:
+                        layout = names
+                    elif names != layout:
+                        raise _LayoutMismatch(element.to_text(), layout, names)
+                    alt_rows.append(tuple(pair[1] for pair in items))
+        if not alt_rows:
+            if isinstance(element, Variable):
+                vanish_layout = (element.name,)
+                if layout is not None and layout != vanish_layout:
+                    raise _LayoutMismatch(element.to_text(), layout, vanish_layout)
+                if self.drop_bottom:
+                    # The vanish alternative binds ⊥, which the strict filter
+                    # discards at the end — drop it (and the partials it
+                    # would extend) here instead.
+                    return vanish_layout, []
+                return vanish_layout, [(BOTTOM,)]
+            if isinstance(element, Constant) and element.value is BOTTOM:
+                return (), [()]
+        return layout, alt_rows
+
     def _alternatives(
         self, child: Formula, candidates: Tuple[ComplexObject, ...]
     ) -> List[Substitution]:
@@ -891,444 +1064,6 @@ class _Executor:
                 " bind it first (repro.plan.parameters.bind_body_plan)"
             )
         raise TypeError(f"not a formula: {formula!r}")
-
-
-class _ScanState:
-    """Per-run cached state of one scan-leaf instance (vector executor).
-
-    Everything here is computed at most once per instance per run and shared
-    by every batch (and, in streaming mode, every chunk) that reaches it.
-    """
-
-    __slots__ = (
-        "matcher",
-        "static_rows",
-        "key_positions",
-        "single_position",
-        "probe_cache",
-        "base_rows",
-        "alt_layout",
-        "merge",
-    )
-
-    def __init__(self):
-        self.matcher = None
-        #: Matched rows of the static-key probe, or ``None`` (no static hit).
-        self.static_rows: Optional[List[tuple]] = None
-        #: (key path, partial-layout column) for each *bound* dynamic key.
-        self.key_positions: Tuple[Tuple[object, int], ...] = ()
-        self.single_position: Optional[int] = None
-        #: id-of-bound-value(s) -> matched alternative rows.
-        self.probe_cache: Dict[object, List[tuple]] = {}
-        #: Matched rows over the full witness list (lazy; probe fallback).
-        self.base_rows: Optional[List[tuple]] = None
-        #: The one binding layout every alternatives list of this leaf has.
-        self.alt_layout: Optional[Tuple[str, ...]] = None
-        #: Cached :func:`_merge_plan` of (input layout, alt layout).
-        self.merge: Optional[tuple] = None
-
-
-class _VectorExecutor(_Executor):
-    """Batch-at-a-time execution: operators exchange columnar row batches.
-
-    Inherits the runtime flattening, index probing and interpreted witness
-    matching of :class:`_Executor` and replaces the per-partial control flow.
-    A batch is ``(layout, rows)``: one names tuple plus plain value tuples,
-    one per partial substitution, aligned to it.  The layout is a property of
-    the *pipeline position*, not the row — every alternative of one element
-    formula binds the same variables in the same deterministic order
-    (compiled matchers build dicts in formula walk order, interpreted matches
-    in sorted order, ⊤ short-circuits in the same order as regular matches) —
-    so each operator computes one :func:`_merge_plan` and then meets rows
-    with C-level tuple concats plus an ``is`` check per shared column.
-
-    * each leaf's witnesses are matched **once per batch** and the resulting
-      rows shared across partials; dynamic index probes are cached per
-      distinct bound key value (identity-keyed — interning made ``==`` an
-      ``is``), so a frontier binding the same join key a thousand times pays
-      one probe and one witness-match pass;
-    * leaf predicates compiled by
-      :func:`repro.plan.compile.compile_element_matcher` answer witness
-      tests as single closure calls; non-compilable elements (nested sets,
-      parameters) fall back to the interpreted matcher;
-    * deadlines are checked once per operator batch, not once per tuple;
-    * final rows materialise into :class:`Substitution` objects only after
-      identity-keyed dedup (:class:`_RowFinalizer`).
-
-    The enumeration order is bit-identical to the scalar executor's:
-    partials outer, alternatives inner, instances in (rank, arrival) order —
-    pinned by ``tests/test_exec_properties.py`` against both the scalar
-    executor and the calculus oracle.
-
-    Batch/row counts accumulate in plain instance fields and fold into the
-    ``exec.*`` metrics in one :meth:`flush_metrics` call per match.
-    """
-
-    __slots__ = (
-        "_batches",
-        "_batch_rows",
-        "_compiled_hits",
-        "drop_bottom",
-        "final_layout",
-    )
-
-    def __init__(
-        self, position, delta_elements, indexes, stats, record, deadline=None,
-        drop_bottom: bool = True,
-    ):
-        super().__init__(position, delta_elements, indexes, stats, record, deadline)
-        #: Strict semantics (``allow_bottom=False``): rows acquiring a ⊥
-        #: binding are dropped at the operator that creates them instead of
-        #: at the finalizer — ⊥ never recovers, so only rows the strict
-        #: filter would discard anyway disappear (EXPLAIN's per-leaf actuals
-        #: therefore count *surviving* rows).
-        self.drop_bottom = drop_bottom
-        self._batches = 0
-        self._batch_rows: List[int] = []
-        self._compiled_hits = 0
-        #: Layout of the rows :meth:`stream_batches` yields; set before the
-        #: first yield.
-        self.final_layout: Tuple[str, ...] = ()
-
-    # -- top level ----------------------------------------------------------------------
-    def run_batch(
-        self, plan: BodyPlan, target: ComplexObject
-    ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """The whole meet-product as one breadth-first batch pipeline."""
-        leaves = {leaf_key(leaf): (rank, leaf) for rank, leaf in enumerate(plan.leaves)}
-        instances: List[_Instance] = []
-        if not self._flatten(plan.body, target, _ROOT, leaves, instances):
-            return (), []
-        instances.sort(key=lambda instance: (instance.rank, instance.order))
-
-        actuals: Optional[Dict[Tuple, int]] = None
-        leaf_batches: Optional[Dict[Tuple, list]] = None
-        leaf_ns: Optional[Dict[Tuple, int]] = None
-        if self.record is not None:
-            actuals = {}
-            self.record["by_leaf"] = actuals
-            leaf_batches = {}
-            self.record["by_leaf_batches"] = leaf_batches
-            if self.record.get("timed", False):
-                leaf_ns = {}
-                self.record["by_leaf_ns"] = leaf_ns
-
-        state: Dict[object, object] = {}
-        layout: Tuple[str, ...] = ()
-        rows: List[tuple] = [()]
-        for step, instance in enumerate(instances):
-            if self.deadline is not None:
-                self.deadline.check(
-                    "plan execution",
-                    partial_explain=lambda: _timeout_explain(
-                        plan, f"batch {step} of {len(instances)},"
-                        f" {len(rows)} partial substitutions"
-                    ),
-                )
-            if leaf_ns is not None:
-                step_start = time.perf_counter_ns()
-            if instance.spec is None:
-                layout, rows = self._fixed_step(instance, layout, rows, state)
-            else:
-                layout, rows = self._scan_batch(instance, layout, rows, state)
-            self._batches += 1
-            self._batch_rows.append(len(rows))
-            if actuals is not None and instance.spec is not None:
-                key = leaf_key(instance.spec)
-                actuals[key] = len(rows)
-                entry = leaf_batches.setdefault(key, [0, 0])
-                entry[0] += 1
-                entry[1] += len(rows)
-                if leaf_ns is not None:
-                    leaf_ns[key] = leaf_ns.get(key, 0) + (
-                        time.perf_counter_ns() - step_start
-                    )
-            if not rows:
-                return layout, []
-        return layout, rows
-
-    def stream_batches(
-        self, plan: BodyPlan, target: ComplexObject, batch_size: int
-    ) -> Iterator[tuple]:
-        """Depth-first chunked enumeration: scalar order, batch dispatch.
-
-        Chunks ramp 1, 2, 4, ... up to ``batch_size`` at every depth, so the
-        leftmost path to the first row runs on single-partial chunks while
-        bulk drains run on full ones.  Scan state (probes, matched
-        alternatives, merge plans) lives in ``state`` across chunks —
-        revisiting an instance with a later chunk re-uses every earlier
-        probe and match.  Yields rows of :attr:`final_layout`.
-        """
-        leaves = {leaf_key(leaf): (rank, leaf) for rank, leaf in enumerate(plan.leaves)}
-        instances: List[_Instance] = []
-        if not self._flatten(plan.body, target, _ROOT, leaves, instances):
-            return
-        instances.sort(key=lambda instance: (instance.rank, instance.order))
-        state: Dict[object, object] = {}
-        total = len(instances)
-
-        def descend(
-            depth: int, layout: Tuple[str, ...], chunk: List[tuple]
-        ) -> Iterator[tuple]:
-            if depth == total:
-                self.final_layout = layout
-                yield from chunk
-                return
-            instance = instances[depth]
-            if self.deadline is not None:
-                self.deadline.check(
-                    "streaming plan execution",
-                    partial_explain=lambda: _timeout_explain(
-                        plan, f"depth {depth}, chunk of {len(chunk)}"
-                    ),
-                )
-            if instance.spec is None:
-                merged_layout, merged = self._fixed_step(
-                    instance, layout, chunk, state
-                )
-            else:
-                merged_layout, merged = self._scan_batch(
-                    instance, layout, chunk, state
-                )
-            self._batches += 1
-            self._batch_rows.append(len(merged))
-            start = 0
-            size = 1
-            while start < len(merged):
-                end = min(start + size, len(merged))
-                yield from descend(depth + 1, merged_layout, merged[start:end])
-                start = end
-                if size < batch_size:
-                    size = min(size * 2, batch_size)
-
-        yield from descend(0, (), [()])
-
-    # -- per-instance operators ---------------------------------------------------------
-    def _fixed_step(
-        self,
-        instance: _Instance,
-        layout: Tuple[str, ...],
-        rows: List[tuple],
-        state: Dict[object, object],
-    ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """Meet a batch with a non-scan instance's fixed alternatives."""
-        entry = state.get(id(instance))
-        if entry is None:
-            alt_layout: Optional[Tuple[str, ...]] = None
-            alt_rows: List[tuple] = []
-            for substitution in instance.alternatives:
-                items = substitution.items()
-                names = tuple(pair[0] for pair in items)
-                if alt_layout is None:
-                    alt_layout = names
-                elif names != alt_layout:
-                    raise _LayoutMismatch(instance)
-                alt_rows.append(tuple(pair[1] for pair in items))
-            entry = [alt_layout if alt_layout is not None else (), alt_rows, None]
-            state[id(instance)] = entry
-        alt_layout, alt_rows, merge = entry
-        if not alt_rows:
-            return layout, []
-        if merge is None:
-            merge = _merge_plan(layout, alt_layout)
-            entry[2] = merge
-        merged_layout, new_indices, overlap = merge
-        fresh: List[tuple] = []
-        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
-        return merged_layout, fresh
-
-    def _scan_batch(
-        self,
-        instance: _Instance,
-        layout: Tuple[str, ...],
-        rows: List[tuple],
-        state: Dict[object, object],
-    ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """One scan leaf over a whole batch of partial rows.
-
-        Static probes and witness matching happen once per instance; dynamic
-        probes once per distinct tuple of bound key values.  Alternative row
-        lists are shared across partials — rows are immutable tuples, so
-        sharing is safe by construction.
-        """
-        spec = instance.spec
-        scan = state.get(id(instance))
-        if scan is None:
-            scan = _ScanState()
-            static_keys, dynamic_keys = (), ()
-            if self.indexes is not None and not instance.restricted:
-                static_keys = spec.static_keys
-                dynamic_keys = spec.dynamic_keys
-            scan.matcher = compile_element_matcher(spec.element)
-            static_candidates = None
-            if static_keys:
-                static_candidates = self._probe(
-                    spec.path, static_keys, count_miss=not dynamic_keys
-                )
-            if static_candidates is not None:
-                alt_layout, alt_rows = self._vector_alternatives(
-                    spec.element, static_candidates, scan.matcher, None
-                )
-                scan.alt_layout = alt_layout
-                scan.static_rows = alt_rows
-            elif dynamic_keys:
-                # A dynamic key is usable only once an earlier leaf bound its
-                # variable; boundness is a property of the layout, i.e. of
-                # the pipeline position, so the usable subset is fixed here.
-                positions = []
-                for key_path, name in dynamic_keys:
-                    if name in layout:
-                        positions.append((key_path, layout.index(name)))
-                scan.key_positions = tuple(positions)
-                if len(positions) == 1:
-                    scan.single_position = positions[0][1]
-            state[id(instance)] = scan
-
-        matcher = scan.matcher
-        if scan.static_rows is not None:
-            alt_rows = scan.static_rows
-            if not alt_rows:
-                return layout, []
-            if scan.merge is None:
-                scan.merge = _merge_plan(layout, scan.alt_layout)
-            merged_layout, new_indices, overlap = scan.merge
-            fresh: List[tuple] = []
-            _merge_rows(
-                rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh
-            )
-            return merged_layout, fresh
-        if scan.key_positions:
-            positions = scan.key_positions
-            single = scan.single_position
-            probe_cache = scan.probe_cache
-            merge = scan.merge
-            new_indices = overlap = None
-            if merge is not None:
-                _, new_indices, overlap = merge
-            fresh = []
-            for prow in rows:
-                # Interning made equality identity, so the probe cache keys
-                # on the bound values' ids — one probe and one witness-match
-                # pass per distinct key binding in the batch.
-                if single is not None:
-                    probe_key = id(prow[single])
-                else:
-                    probe_key = tuple(id(prow[column]) for _, column in positions)
-                alt_rows = probe_cache.get(probe_key)
-                if alt_rows is None:
-                    narrowed = self._probe_dynamic_row(spec.path, positions, prow)
-                    if narrowed is None:
-                        alt_rows = self._base_rows(instance, scan)
-                    else:
-                        alt_layout, alt_rows = self._vector_alternatives(
-                            spec.element, narrowed, matcher, scan.alt_layout
-                        )
-                        if alt_rows and scan.alt_layout is None:
-                            scan.alt_layout = alt_layout
-                    probe_cache[probe_key] = alt_rows
-                if not alt_rows:
-                    continue
-                if merge is None:
-                    merge = scan.merge = _merge_plan(layout, scan.alt_layout)
-                    _, new_indices, overlap = merge
-                if not overlap:
-                    fresh.extend([prow + arow for arow in alt_rows])
-                else:
-                    drop = self.drop_bottom
-                    for arow in alt_rows:
-                        merged_row = _merge_row(
-                            prow, arow, new_indices, overlap, drop
-                        )
-                        if merged_row is not None:
-                            fresh.append(merged_row)
-            if merge is None:
-                return layout, []
-            return merge[0], fresh
-        alt_rows = self._base_rows(instance, scan)
-        if not alt_rows:
-            return layout, []
-        if scan.merge is None:
-            scan.merge = _merge_plan(layout, scan.alt_layout)
-        merged_layout, new_indices, overlap = scan.merge
-        fresh = []
-        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
-        return merged_layout, fresh
-
-    def _probe_dynamic_row(self, set_path, positions, row: tuple):
-        """:meth:`_Executor._probe_dynamic` over a columnar row."""
-        for key_path, column in positions:
-            candidates = self.indexes.candidates(set_path, key_path, row[column])
-            if candidates is not None:
-                self.stats.index_hits += 1
-                return candidates
-        self.stats.index_misses += 1
-        return None
-
-    def _base_rows(self, instance: _Instance, scan: _ScanState) -> List[tuple]:
-        """Alternatives over the full witness list, matched lazily once."""
-        if scan.base_rows is None:
-            alt_layout, alt_rows = self._vector_alternatives(
-                instance.spec.element, instance.witnesses, scan.matcher,
-                scan.alt_layout,
-            )
-            if alt_rows and scan.alt_layout is None:
-                scan.alt_layout = alt_layout
-            scan.base_rows = alt_rows
-        return scan.base_rows
-
-    def _vector_alternatives(
-        self, element: Formula, candidates, matcher, expected_layout
-    ) -> Tuple[Optional[Tuple[str, ...]], List[tuple]]:
-        """Match one element formula over a witness list, as (layout, rows).
-
-        The columnar mirror of :meth:`_Executor._alternatives`, including the
-        vanish alternatives for empty candidate lists; compiled matchers
-        answer one closure call per witness, non-compilable elements fall
-        back to the interpreted matcher per witness.  Every row is checked
-        against the leaf's single layout — a mismatch (never expected; see
-        :class:`_LayoutMismatch`) aborts to the scalar executor.
-        """
-        layout = expected_layout
-        alt_rows: List[tuple] = []
-        if matcher is not None:
-            count = len(candidates)
-            self.stats.match_attempts += count
-            self._compiled_hits += count
-            for witness in candidates:
-                bindings = matcher(witness)
-                if bindings is None:
-                    continue
-                names = tuple(bindings)
-                if layout is None:
-                    layout = names
-                elif names != layout:
-                    raise _LayoutMismatch(element)
-                alt_rows.append(tuple(bindings.values()))
-        else:
-            for witness in candidates:
-                self.stats.match_attempts += 1
-                for substitution in self._match_witness(element, witness):
-                    items = substitution.items()
-                    names = tuple(pair[0] for pair in items)
-                    if layout is None:
-                        layout = names
-                    elif names != layout:
-                        raise _LayoutMismatch(element)
-                    alt_rows.append(tuple(pair[1] for pair in items))
-        if not alt_rows:
-            if isinstance(element, Variable):
-                vanish_layout = (element.name,)
-                if layout is not None and layout != vanish_layout:
-                    raise _LayoutMismatch(element)
-                if self.drop_bottom:
-                    # The vanish alternative binds ⊥, which the strict filter
-                    # discards at the end — drop it (and the partials it
-                    # would extend) here instead.
-                    return vanish_layout, []
-                return vanish_layout, [(BOTTOM,)]
-            if isinstance(element, Constant) and element.value is BOTTOM:
-                return (), [()]
-        return layout, alt_rows
 
     # -- metrics ------------------------------------------------------------------------
     def flush_metrics(self) -> None:

@@ -12,11 +12,11 @@ EXPLAIN ANALYZE: a record created with ``{"timed": True}`` (see
 additionally carries per-leaf and whole-match wall time
 (``by_leaf_ns``/``wall_ns``), and the renderer prints them next to the
 actual rows — so a leaf that survives few rows but burns the time budget is
-just as visible as a bad cardinality estimate.  The vectorized executor also
-records per-leaf batch counts (``by_leaf_batches``: how many batches the
-operator dispatched and the total rows they carried), rendered as
-``N batches, M rows/batch`` so a leaf that fragments the pipeline into
-tiny batches is visible too.
+just as visible as a bad cardinality estimate.  The executor also records
+per-leaf batch counts (``by_leaf_batches``: how many batches the operator
+dispatched and the total rows they carried), rendered as ``N batches, M
+rows/batch`` so a leaf that fragments the pipeline into tiny batches is
+visible too.
 
 ``Program.explain()``, the CLI's ``run/query --explain`` and the store's
 ``store query --explain`` all render through this module.

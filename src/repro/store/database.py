@@ -427,7 +427,6 @@ class ObjectDatabase:
         against: Optional[str] = None,
         allow_bottom: bool = False,
         analyze: bool = False,
-        executor: Optional[str] = None,
     ) -> str:
         """EXPLAIN for :meth:`query`: the chosen access path with est/actual rows.
 
@@ -435,10 +434,8 @@ class ObjectDatabase:
         executes — both go through :meth:`_choose_access_path` and
         :meth:`_pushdown_plan`, so the notes and the leaf order cannot drift
         from the real access path.  ``analyze=True`` (EXPLAIN ANALYZE)
-        additionally times the execution and prints wall time per plan node —
-        under the vectorized executor also per-leaf batch counts and
-        rows/batch.  ``executor`` (``"vector"``/``"scalar"``) selects the
-        physical strategy to analyze, so the two can be compared on one plan.
+        additionally times the execution and prints wall time per plan node,
+        plus per-leaf batch counts and rows/batch.
         """
         from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
         from repro.plan.explain import render_body_plan
@@ -481,10 +478,7 @@ class ObjectDatabase:
         record: Optional[dict] = None
         if executable:
             record = {"timed": True} if analyze else {}
-            match_plan(
-                plan, target, allow_bottom=allow_bottom, record=record,
-                executor=executor,
-            )
+            match_plan(plan, target, allow_bottom=allow_bottom, record=record)
         rendered = render_body_plan(
             plan, record=record, header=f"query plan: {parsed.to_text()}"
         )

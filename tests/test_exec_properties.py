@@ -1,17 +1,19 @@
-"""Property-based equivalence of the vectorized executor with its oracles.
+"""Property-based equivalence of the executor with the calculus oracle.
 
-The batch-at-a-time executor's contract is exact behavioural identity with
-the binding-at-a-time reference implementation it replaced — not just the
-same substitution *set* but the same *list*, because cursor streaming, LIMIT
-semantics and the engine's round bookkeeping all observe enumeration order:
+The executor's reference is ``repro.calculus.matching.match_all``
+(Definition 4.2), on random bodies × random targets (⊤ witnesses included —
+they exercise the short-circuit layout paths) under both semantics:
 
-* ``match_plan(executor="vector")`` ≡ ``match_plan(executor="scalar")`` ≡
-  the calculus oracle ``match_all``, on random bodies × random targets
-  (⊤ witnesses included — they exercise the short-circuit layout paths),
-  under both semantics and both leaf orders (source and cost-based);
-* ``iter_match_plan`` streams the identical list for every batch size,
-  including the degenerate ``batch_size=1`` schedule;
-* index pushdown (the batch probe cache) changes nothing about the answer.
+* on a **source-ordered** plan ``match_plan`` — and ``iter_match_plan`` on
+  the degenerate ``batch_size=1`` schedule — return ``match_all``'s *list*,
+  not just its set: cursor streaming, LIMIT semantics and the engine's round
+  bookkeeping all observe enumeration order;
+* on a **cost-ordered** plan the answer is the same set, and
+  ``iter_match_plan`` streams exactly the materialised list for every batch
+  size;
+* index pushdown (the batch probe cache) changes nothing about the answer;
+* delta restriction (``position=``/``delta_elements=``) enumerates exactly
+  the matches that a grown database adds to ``E(O)``.
 """
 
 import pytest
@@ -20,8 +22,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import parse_formula, parse_object  # noqa: E402
+from repro.calculus.interpretation import interpret  # noqa: E402
 from repro.calculus.matching import match_all  # noqa: E402
+from repro.core.lattice import union, union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
+from repro.engine.delta import decompose, new_set_elements  # noqa: E402
 from repro.engine.indexes import IndexStore  # noqa: E402
 from repro.engine.stats import EngineStats  # noqa: E402
 from repro.plan import (  # noqa: E402
@@ -82,43 +87,37 @@ def _plan(body, database, optimized):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(BODY_SHAPES),
-    complex_objects(max_depth=3),
-    st.booleans(),
-    st.booleans(),
-)
-def test_vector_equals_scalar_equals_match_all(body_text, database, allow, optimized):
+@given(st.sampled_from(BODY_SHAPES), complex_objects(max_depth=3), st.booleans())
+def test_source_ordered_plan_enumerates_match_all_as_a_list(body_text, database, allow):
     body = parse_formula(body_text)
-    plan = _plan(body, database, optimized)
-    scalar = match_plan(plan, database, allow_bottom=allow, executor="scalar")
-    vector = match_plan(plan, database, allow_bottom=allow, executor="vector")
+    plan = _plan(body, database, optimized=False)
+    expected = match_all(body, database, allow_bottom=allow)
     # Same list, not just same set: enumeration order is part of the contract.
-    assert vector == scalar
-    assert set(vector) == set(match_all(body, database, allow_bottom=allow))
+    assert match_plan(plan, database, allow_bottom=allow) == expected
+    one_partial = iter_match_plan(plan, database, allow_bottom=allow, batch_size=1)
+    assert list(one_partial) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(BODY_SHAPES),
     complex_objects(max_depth=3),
     st.booleans(),
     st.sampled_from(BATCH_SIZES),
 )
-def test_streaming_agrees_for_every_batch_size(body_text, database, allow, batch_size):
+def test_cost_ordered_plan_streams_what_it_materialises(
+    body_text, database, allow, batch_size
+):
     body = parse_formula(body_text)
     plan = _plan(body, database, optimized=True)
     materialised = match_plan(plan, database, allow_bottom=allow)
+    assert set(materialised) == set(match_all(body, database, allow_bottom=allow))
     streamed = list(
         iter_match_plan(
             plan, database, allow_bottom=allow, batch_size=batch_size
         )
     )
     assert streamed == materialised
-    scalar_stream = list(
-        iter_match_plan(plan, database, allow_bottom=allow, executor="scalar")
-    )
-    assert streamed == scalar_stream
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,8 +139,8 @@ def test_streaming_agrees_for_every_batch_size(body_text, database, allow, batch
         max_size=8,
     ),
 )
-def test_index_pushdown_agrees_between_executors(left, right):
-    """The batch probe cache answers exactly what per-partial probing did."""
+def test_index_pushdown_changes_nothing_about_the_answer(left, right):
+    """The batch probe cache answers exactly what scanning does."""
     body = parse_formula("[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]")
     database = parse_object(
         "["
@@ -155,13 +154,60 @@ def test_index_pushdown_agrees_between_executors(left, right):
     indexes.register_body(body)
     indexes.refresh(BOTTOM, database)
     plan = _plan(body, database, optimized=True)
-    with_index_scalar = match_plan(
-        plan, database, indexes=indexes, executor="scalar"
-    )
-    with_index_vector = match_plan(
-        plan, database, indexes=indexes, executor="vector"
-    )
-    without_index = match_plan(plan, database)
-    assert with_index_vector == with_index_scalar
-    assert set(with_index_vector) == set(without_index)
-    assert set(with_index_vector) == set(match_all(body, database))
+    with_index = match_plan(plan, database, indexes=indexes)
+    assert list(iter_match_plan(plan, database, indexes=indexes)) == with_index
+    assert set(with_index) == set(match_plan(plan, database))
+    assert set(with_index) == set(match_all(body, database))
+
+
+DELTA_BODIES = [text for text in BODY_SHAPES if decompose(parse_formula(text)).decomposable]
+
+
+@st.composite
+def _grown_relations(draw):
+    """``(previous, current)``, both ``[r1: {...}, r2: {...}]``, previous ≤ current.
+
+    Element shapes are the ones the bodies really match — ``complex_objects``
+    almost never satisfies a two-leaf body, which would make the delta
+    property vacuous.  No ⊤: a ⊤ on a delta path has no sound delta, and the
+    engine falls back to a full match there.
+    """
+    values = st.integers(min_value=0, max_value=1).map(Atom)
+    names = st.lists(
+        st.fixed_dictionaries({"name": values}).map(TupleObject), max_size=2
+    ).map(SetObject)
+    shapes = {
+        "r1": st.one_of(
+            values,
+            st.fixed_dictionaries({"a": st.one_of(values, names), "b": values}).map(TupleObject),
+            st.fixed_dictionaries({"name": values}).map(TupleObject),
+        ),
+        "r2": st.one_of(
+            values, st.fixed_dictionaries({"c": values, "d": values}).map(TupleObject)
+        ),
+    }
+    previous, current = {}, {}
+    for name, shape in shapes.items():
+        elements = draw(st.lists(shape, min_size=1, max_size=5))
+        old = draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)))
+        current[name] = SetObject(elements)
+        previous[name] = SetObject([e for e, keep in zip(elements, old) if keep])
+    return TupleObject(previous), TupleObject(current)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DELTA_BODIES), _grown_relations(), st.booleans())
+def test_delta_restriction_enumerates_exactly_the_growth(body_text, relations, optimized):
+    """``E(prev) ∪ ⋃ₚ {σ·E | σ uses a new witness at p} = E(cur)`` for prev ≤ cur."""
+    body = parse_formula(body_text)
+    previous, current = relations
+    assert union(previous, current) == current
+    plan = _plan(body, current, optimized)
+    every_match = set(match_all(body, current))
+    pieces = [interpret(body, previous)]
+    for position in decompose(body).positions:
+        fresh = new_set_elements(previous, current, position.path)
+        restricted = match_plan(plan, current, position=position, delta_elements=fresh)
+        assert set(restricted) <= every_match
+        pieces.extend(substitution.apply(body) for substitution in restricted)
+    assert union_all(pieces) == interpret(body, current)

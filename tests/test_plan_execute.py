@@ -11,10 +11,12 @@ mismatches, vanish alternatives, repeated variables); the property suite in
 
 import pytest
 
+import repro
 from repro import parse_formula, parse_object, parse_rule
 from repro.calculus.interpretation import interpret
 from repro.calculus.matching import match_all
 from repro.calculus.rules import Rule
+from repro.core.errors import ComplexObjectError
 from repro.core.objects import BOTTOM
 from repro.engine.delta import decompose
 from repro.engine.indexes import IndexStore
@@ -25,6 +27,7 @@ from repro.plan import (
     compile_body,
     compile_rule,
     interpret_plan,
+    iter_match_plan,
     match_plan,
     optimize_body,
     optimize_rule,
@@ -171,3 +174,40 @@ class TestActualRecording:
         assert record["rows"] == len(results) == 1
         assert len(record["by_leaf"]) == 2
         assert all(rows >= 1 for rows in record["by_leaf"].values())
+
+
+class TestLayoutMismatch:
+    """A leaf binding two layouts is a typed error at the caller, not a re-run."""
+
+    BODY = "[r: {[a: X, b: Y]}]"
+    DB = "[r: {[a: 1, b: 2], [a: 3, b: 4]}]"
+
+    @pytest.mark.parametrize(
+        "run", [match_plan, lambda plan, db: list(iter_match_plan(plan, db))]
+    )
+    def test_forged_matcher_raises_and_metrics_still_flush(self, run, monkeypatch):
+        from repro.obs.metrics import REGISTRY
+        from repro.plan import execute
+
+        def forged(element):
+            orders = iter([("X", "Y"), ("Y", "X")])
+            return lambda witness: {name: witness for name in next(orders)}
+
+        monkeypatch.setattr(execute, "compile_element_matcher", forged)
+        plan = compile_body(parse_formula(self.BODY))
+        hits = REGISTRY.counter("exec.compiled_leaf_hits").value
+        with pytest.raises(ComplexObjectError, match=r"\[a: X, b: Y\]") as caught:
+            run(plan, parse_object(self.DB))
+        assert type(caught.value) is execute._LayoutMismatch
+        assert REGISTRY.counter("exec.compiled_leaf_hits").value == hits + 2
+
+
+@pytest.mark.parametrize("batch_size", [0, -3, True, 2.5, "8"])
+def test_batch_size_must_be_a_positive_int_at_both_layers(batch_size):
+    plan = compile_body(parse_formula("[r: {X}]"))
+    with pytest.raises(ValueError, match="batch_size"):
+        next(iter_match_plan(plan, parse_object("[r: {1}]"), batch_size=batch_size))
+    with repro.connect() as session:
+        session.put("r", parse_object("{1}"))
+        with pytest.raises(repro.ReproError, match="batch_size"):
+            session.execute("[r: {X}]", batch_size=batch_size)

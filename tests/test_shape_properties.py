@@ -10,9 +10,8 @@ held only "usually", pruning would silently drop answers.
 
 **Pruning invariance** — shape-based rule pruning is an optimization, not a
 semantics change: for every drawn workload, both engines with ``use_shapes``
-on and off — and under both physical executors — produce the identical
-closure, and every query over the closure answers identically whether or not
-its plan was pruned.
+on and off produce the identical closure, and every query over the closure
+answers identically whether or not its plan was pruned.
 
 Workloads are drawn from :mod:`repro.workloads` (genealogies and part
 hierarchies) with rule satellites that include shape-dead branches, so the
@@ -101,17 +100,11 @@ def test_every_derived_object_conforms_to_its_summary(program):
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    genealogy_programs(),
-    st.sampled_from(["naive", "seminaive"]),
-    st.sampled_from(["vector", "scalar"]),
-)
-def test_pruning_never_changes_engine_results(program, engine, executor):
+@given(genealogy_programs(), st.sampled_from(["naive", "seminaive"]))
+def test_pruning_never_changes_engine_results(program, engine):
     seed = program.seed()
-    pruned = create_engine(engine, program.rules, executor=executor).run(seed)
-    plain = create_engine(
-        engine, program.rules, executor=executor, use_shapes=False
-    ).run(seed)
+    pruned = create_engine(engine, program.rules).run(seed)
+    plain = create_engine(engine, program.rules, use_shapes=False).run(seed)
     assert pruned.value == plain.value
     assert pruned.converged == plain.converged
 
