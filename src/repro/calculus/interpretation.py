@@ -48,9 +48,7 @@ def interpret(
         substitution.apply(formula)
         for substitution in match_all(formula, database, allow_bottom=allow_bottom)
     ]
-    # Distinct substitutions often produce identical instantiations; folding
-    # the union over the deduplicated list avoids redundant lattice work.
-    return union_all(dict.fromkeys(instantiations))
+    return union_all(instantiations)
 
 
 def matching_instantiations(

@@ -93,10 +93,7 @@ class Rule:
             substitution.apply(self.head)
             for substitution in self.substitutions(database, allow_bottom=allow_bottom)
         ]
-        # Different substitutions frequently instantiate the head to the same
-        # object (e.g. projections); deduplicating before folding the union
-        # keeps rule application linear in the number of *distinct* results.
-        return union_all(dict.fromkeys(contributions))
+        return union_all(contributions)
 
     def __call__(self, database: ComplexObject, *, allow_bottom: bool = False) -> ComplexObject:
         return self.apply(database, allow_bottom=allow_bottom)

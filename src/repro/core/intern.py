@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "intern_node",
@@ -137,7 +137,7 @@ def intern_stats() -> Dict[str, int]:
         "hits": _TABLE.hits,
         "misses": _TABLE.misses,
         "caches": len(_CACHES),
-        "cache_entries": sum(len(cache) for cache in _CACHES),
+        "cache_entries": sum(len(cache) for cache in _CACHES.values()),
     }
 
 
@@ -219,13 +219,22 @@ class IdCache:
         return len(self._table)
 
 
-_CACHES: List[Any] = []
+_CACHES: Dict[str, Any] = {}
 
 
-def register_cache(cache: Any) -> Any:
-    """Register a clearable cache with the global lifecycle hook; returns it."""
-    _CACHES.append(cache)
+def register_cache(cache: Any, name: str) -> Any:
+    """Register a clearable cache with the global lifecycle hook; returns it.
+
+    ``name`` is what the cache is reported under (the ``core.memo.<name>_*``
+    gauges of :mod:`repro.obs.metrics`).
+    """
+    _CACHES[name] = cache
     return cache
+
+
+def memo_tables() -> Dict[str, Any]:
+    """The registered caches by name; each has ``hits``, ``misses`` and ``len``."""
+    return dict(_CACHES)
 
 
 def clear_object_caches() -> None:
@@ -235,5 +244,5 @@ def clear_object_caches() -> None:
     cold-run paths.  The intern table itself is weak-valued and needs no
     clearing: unreferenced objects disappear from it on collection.
     """
-    for cache in _CACHES:
+    for cache in _CACHES.values():
         cache.clear()

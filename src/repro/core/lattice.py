@@ -25,11 +25,25 @@ Theorems 3.4 and 3.5 state that these are exactly the lub and glb of the
 sub-object order; the property-based tests verify the lub/glb laws and the
 standard lattice identities (idempotence, commutativity, associativity,
 absorption) on randomly generated reduced objects.
+
+Joining many objects.  ``r(O)`` of Definition 4.4 is the union of *every*
+instantiated head, which by Theorem 3.4 is one least upper bound of the whole
+family, and :func:`union_all` computes it as one: the operands are gathered
+once, tuples join attribute-wise over all of them, and the elements of all
+set operands go through a single reduction.  A semi-naive round that derives
+``k`` one-element ``[doa: {X}]`` heads therefore makes no sub-object test at
+all (distinct interned atoms are never comparable) and interns two nodes,
+where a pairwise fold built ``k − 1`` intermediate sets and tested ``k²/2``
+pairs of atoms.  The binary set join and the n-ary one share one scan,
+:func:`repro.core.order.maximal_cross`: already-reduced operands are only
+tested against each other, never within, and relational rows only inside
+their discriminator bucket.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Dict, Iterable
 
 from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
@@ -42,14 +56,14 @@ from repro.core.objects import (
     Top,
     TupleObject,
 )
-from repro.core.order import is_subobject
+from repro.core.order import is_subobject, maximal_cross, maximal_unique
 
 # Both operations are commutative, so results for interned operands are
 # memoized under the (smaller id, larger id) pair.  Values are objects, which
 # is why these caches are registered with the global clear hook
 # (repro.core.intern.clear_object_caches) instead of living forever.
-_UNION_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16))
-_MEET_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16))
+_UNION_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16), "union")
+_MEET_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16), "meet")
 
 
 def _memoized_commutative(cache, left, right, structural):
@@ -104,50 +118,17 @@ def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObjec
         return TupleObject(attributes)
     # Definition 3.4(iv): reduced set union.  Both operands are already
     # reduced, so only cross-domination between the two element lists has to
-    # be checked; this avoids the quadratic re-reduction the general
-    # constructor would perform and is what keeps large unions (the hot path
-    # of rule application) affordable.
+    # be checked, never a pair inside one operand.
     if isinstance(left, SetObject) and isinstance(right, SetObject):
-        right_elements = right.elements
-        left_elements = left.elements
-        interned = left._iid is not None and right._iid is not None
-        kept = []
-        # Interned operands are reduced and their elements canonical, so an
-        # element both sides hold (the same instance) is kept, and no *other*
-        # element of either side dominates or is dominated by it: only the
-        # elements one side holds alone need sub-object tests, O(n + dL·dR)
-        # instead of O(n²) when two versions of one large set are joined.
-        # A one-element operand is a linear scan already, and the engine
-        # folds thousands of those — the partition would only tax them.
-        if interned and len(left_elements) > 1 and len(right_elements) > 1:
-            right_ids = set(map(id, right_elements))
-            kept = [e for e in left_elements if id(e) in right_ids]
-            if kept:
-                shared = set(map(id, kept))
-                left_elements = [e for e in left_elements if id(e) not in shared]
-                right_elements = [e for e in right_elements if id(e) not in shared]
-        kept.extend(
-            element
-            for element in left_elements
-            if not any(is_subobject(element, other) for other in right_elements)
-        )
-        kept.extend(
-            other
-            for other in right_elements
-            if not any(
-                is_subobject(other, element) and not is_subobject(element, other)
-                for element in left_elements
-            )
-        )
-        # The cross-filter leaves no structural duplicates (an element present
-        # on both sides survives only through the right operand), so the
-        # dedup-free constructor applies.  Hash-consing the result is only
-        # sound when both operands are interned (hence reduced, hence the
-        # kept list is reduced); raw non-reduced operands can leave mutually
-        # dominating elements in `kept` and must stay un-interned.
-        if interned:
-            return SetObject._from_reduced(kept)
-        return SetObject._build(kept)
+        if left._iid is not None and right._iid is not None:
+            return SetObject._from_reduced(_join_reduced(left.elements, right.elements))
+        # Raw operands may be non-reduced (Example 3.2): the survivors can
+        # still dominate each other, so the result must stay un-interned.
+        # Right first: of a mutually dominating pair the right element stays.
+        # A raw ⊤ element absorbs every other and a raw ⊥ beside another
+        # element is dropped, as in every scan of `order._survivors`.
+        elements = list(dict.fromkeys(right.elements + left.elements))
+        return SetObject._build(maximal_cross(elements[: len(right)], elements[len(right) :]))
     # Definition 3.4(v): incompatible kinds.
     return TOP
 
@@ -189,19 +170,101 @@ def _intersection_structural(left: ComplexObject, right: ComplexObject) -> Compl
     return BOTTOM
 
 
-def union_all(objects: Iterable[ComplexObject]) -> ComplexObject:
-    """Fold :func:`union` over ``objects``; the union of nothing is ⊥.
+def _join_reduced(left, right):
+    """Elements of the reduced union of two interned sets' element lists.
 
-    The empty case follows from ⊥ being the least element: the lub of the
-    empty set of objects is the bottom of the lattice.
+    Interned operands are reduced and their elements canonical, so an element
+    both sides hold (the same instance) is kept, and no *other* element of
+    either side dominates or is dominated by it: only the elements one side
+    holds alone are scanned, O(n + dL·dR) instead of O(n²) when two versions
+    of one large set are joined.  Among those a distinct atom is comparable
+    with nothing, which the scan knows — so is every atom once the shared
+    ones are out, whatever the operand sizes.
     """
+    right_ids = set(map(id, right))
+    kept = [element for element in left if id(element) in right_ids]
+    if kept:
+        shared = set(map(id, kept))
+        left = [element for element in left if id(element) not in shared]
+        right = [element for element in right if id(element) not in shared]
+    return kept + maximal_cross(left, right)
+
+
+def union_all(objects: Iterable[ComplexObject]) -> ComplexObject:
+    """The least upper bound of ``objects`` (Theorem 3.4); of nothing, ⊥.
+
+    ``objects`` is any iterable, a one-shot generator included: it is
+    consumed lazily and not past the first ⊤ *operand* (⊤ is absorbing); a
+    non-object operand raises ``TypeError``.  A ⊤ that only arises between
+    operands (``[a: 1]`` and ``[a: 2]``) is found by the join, after every
+    operand has been consumed.  One operand is returned as is,
+    two go through the memoised binary :func:`union`.  Interned operands are
+    joined by one n-ary application of Definition 3.4 — ⊥ dropped, duplicates
+    dropped by identity, tuples attribute-wise over all operands at once,
+    sets by one reduction of the gathered elements, distinct atoms or mixed
+    kinds to ⊤ — and the answer is the interned instance a pairwise fold of
+    :func:`union` returns.  From the first raw (un-interned) operand on the
+    join *is* that fold: a raw set may be non-reduced, and a reduction would
+    silently reduce it.
+    """
+    operands: Dict[int, ComplexObject] = {}
+    iterator = iter(objects)
+    for value in iterator:
+        if not isinstance(value, ComplexObject):
+            raise TypeError("lattice operations expect complex objects")
+        if value is TOP:
+            return TOP
+        if value._iid is None:
+            return _union_fold(chain(operands.values(), (value,), iterator))
+        if value is not BOTTOM:
+            operands[value._iid] = value
+    return _join(list(operands.values()))
+
+
+def _union_fold(objects: Iterable[ComplexObject]) -> ComplexObject:
+    """Fold :func:`union` over ``objects``, stopping at ⊤ (the seed join)."""
     result: ComplexObject = BOTTOM
     for value in objects:
         result = union(result, value)
         if result.is_top:
-            # ⊤ is absorbing for union; no later operand can change the result.
             return TOP
     return result
+
+
+def _join(operands):
+    """Definition 3.4 over a list of distinct interned objects, none ⊥ or ⊤."""
+    if len(operands) < 2:
+        return operands[0] if operands else BOTTOM
+    if len(operands) == 2:
+        return union(operands[0], operands[1])
+    kind = type(operands[0])
+    if kind is Atom or any(type(operand) is not kind for operand in operands):
+        return TOP
+    if kind is TupleObject:
+        columns = {}  # attribute name -> its distinct values, by intern id
+        for operand in operands:
+            for name, value in operand.items():
+                columns.setdefault(name, {})[value._iid] = value
+        attributes = {}
+        for name, values in columns.items():
+            joined = attributes[name] = _join(list(values.values()))
+            if joined is TOP:
+                return TOP
+        return TupleObject(attributes)
+    # The largest operand is never reduced again: the others' elements are
+    # gathered and reduced once (atoms without a test, rows by bucket), then
+    # joined to it like any second operand.  Re-reducing everything tests
+    # every pair inside each operand a second time.
+    largest = max(operands, key=len)
+    seen = set(map(id, largest.elements))
+    rest = []
+    for operand in operands:
+        if operand is not largest:
+            for element in operand.elements:
+                if id(element) not in seen:
+                    seen.add(id(element))
+                    rest.append(element)
+    return SetObject._from_reduced(maximal_cross(largest.elements, maximal_unique(rest)))
 
 
 def intersection_all(objects: Iterable[ComplexObject]) -> ComplexObject:

@@ -37,7 +37,8 @@ still hit the cache.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from bisect import bisect_left
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 # Memo table for interned pairs; int keys only, no strong object references.
-_SUBOBJECT_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 17))
+_SUBOBJECT_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 17), "subobject")
 
 # Pairs below this node count recurse directly instead of consulting the memo
 # table: for flat relational rows the structural test is a couple of pointer
@@ -217,8 +218,15 @@ def _cached_depth(value: ComplexObject):
     return depth
 
 
-def _survivors(items: List[ComplexObject], flip: bool) -> List[ComplexObject]:
+def _survivors(
+    items: List[ComplexObject], flip: bool, split: Optional[int] = None
+) -> List[ComplexObject]:
     """Indices-ordered extremal elements of a duplicate-free list.
+
+    ``split`` says the list is two operands laid end to end, ``items[:split]``
+    and ``items[split:]``, and an element is only tested against the other
+    side: reduced operands hold no comparable pair, so the set join of
+    Definition 3.4(iv) is this one scan, row buckets included.
 
     With ``flip=False`` returns the maximal elements (nothing strictly above
     them), with ``flip=True`` the minimal ones.  Elements are bucketed by
@@ -279,6 +287,10 @@ def _survivors(items: List[ComplexObject], flip: bool) -> List[ComplexObject]:
                 value = candidate.get(disc)
                 if isinstance(value, Atom):
                     scan = buckets[value]
+            if split is not None:
+                # Index lists are ascending: the other side is one slice.
+                cut = bisect_left(scan, split)
+                scan = scan[cut:] if index < split else scan[:cut]
             survives = True
             for other_index in scan:
                 if other_index == index:
@@ -342,6 +354,18 @@ def _discriminator_buckets(items, group):
 def maximal_unique(objects: List[ComplexObject]) -> List[ComplexObject]:
     """Maximal elements of an already-deduplicated list (used by reduction)."""
     return _survivors(list(objects), flip=False)
+
+
+def maximal_cross(
+    left: Sequence[ComplexObject], right: Sequence[ComplexObject]
+) -> List[ComplexObject]:
+    """Maximal elements of ``left + right``, testing no pair inside ``left`` or ``right``.
+
+    The join of two reduced sets' elements: neither side holds a comparable
+    pair, so only cross pairs can.  Like :func:`maximal_unique` the input
+    must be duplicate-free across both sides.
+    """
+    return _survivors([*left, *right], flip=False, split=len(left))
 
 
 def maximal_elements(objects: Iterable[ComplexObject]) -> List[ComplexObject]:

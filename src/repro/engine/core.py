@@ -347,6 +347,9 @@ class SemiNaiveEngine:
                         round=round_number,
                         mode="full" if previous is None else "delta",
                     )
+                # Two steps, not one join with ``current`` among the operands:
+                # ``union_all`` stops applying rules at a ⊤ *result of a rule*
+                # either way, so the single call would buy nothing.
                 produced = union_all(
                     self._apply_full(rule, current, plans, indexes, stats)
                     if previous is None
@@ -423,7 +426,7 @@ class SemiNaiveEngine:
             )
         heads = [substitution.apply(rule.head) for substitution in substitutions]
         stats.subobjects_derived += len(heads)
-        return union_all(dict.fromkeys(heads))
+        return union_all(heads)
 
     def _apply_delta(
         self,
@@ -485,7 +488,7 @@ class SemiNaiveEngine:
                     seen.add(substitution)
                     heads.append(substitution.apply(rule.head))
             stats.subobjects_derived += len(heads)
-        return union_all(dict.fromkeys(heads))
+        return union_all(heads)
 
 
 #: Registry of engine names accepted by :func:`create_engine`,

@@ -265,6 +265,18 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "exec.compiled_leaf_hits",
 )
 
+#: Gauges set when a snapshot is taken, from the memo tables' own ``hits`` /
+#: ``misses`` / ``len`` (:func:`repro.core.intern.memo_tables`): what can
+#: silently grow is visible, and nothing is updated on the hot path.
+DECLARED_GAUGES: Tuple[str, ...] = (
+    "core.memo.subobject_entries",
+    "core.memo.subobject_hit_rate",
+    "core.memo.union_entries",
+    "core.memo.union_hit_rate",
+    "core.memo.meet_entries",
+    "core.memo.meet_hit_rate",
+)
+
 DECLARED_HISTOGRAMS: Tuple[str, ...] = (
     "session.query_ns",
     "session.closure_ns",
@@ -294,6 +306,8 @@ class MetricsRegistry:
         if declare:
             for name in DECLARED_COUNTERS:
                 self.counter(name)
+            for name in DECLARED_GAUGES:
+                self.gauge(name)
             for name in DECLARED_HISTOGRAMS:
                 self.histogram(name, _DECLARED_BUCKETS.get(name))
 
@@ -332,8 +346,20 @@ class MetricsRegistry:
                 self.counter(f"engine.{key}").inc(value)
 
     # -- export -------------------------------------------------------------------------
+    def _sample_memo_tables(self) -> None:
+        """Set the ``core.memo.*`` gauges from the process-wide memo tables."""
+        from repro.core.intern import memo_tables
+
+        for name, table in memo_tables().items():
+            lookups = table.hits + table.misses
+            self.gauge(f"core.memo.{name}_entries").set(len(table))
+            self.gauge(f"core.memo.{name}_hit_rate").set(
+                table.hits / lookups if lookups else 0.0
+            )
+
     def snapshot(self) -> dict:
         """Every metric as one plain-JSON mapping (stable key order)."""
+        self._sample_memo_tables()
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
@@ -356,6 +382,8 @@ class MetricsRegistry:
             self._histograms.clear()
         for name in DECLARED_COUNTERS:
             self.counter(name)
+        for name in DECLARED_GAUGES:
+            self.gauge(name)
         for name in DECLARED_HISTOGRAMS:
             self.histogram(name, _DECLARED_BUCKETS.get(name))
 

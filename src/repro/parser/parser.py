@@ -73,7 +73,10 @@ def parse_object(text: str) -> ComplexObject:
     """
     parser = _Parser(text, allow_variables=False)
     formula = parser.parse_single_term()
-    return _to_object(formula)
+    try:
+        return _to_object(formula)
+    except RecursionError:
+        raise parser.too_deep() from None
 
 
 def parse_formula(text: str) -> Formula:
@@ -145,12 +148,38 @@ class _Parser:
             )
 
     # -- grammar ------------------------------------------------------------------
+    # The descent recurses once per nesting level, so hostile nesting runs the
+    # interpreter out of stack.  The two grammar entries (and parse_object's
+    # conversion) turn that into the typed error; nothing is counted per token.
+    def too_deep(self) -> ParseError:
+        """The error for input nested deeper than the recursive descent can go."""
+        depth = deepest = position = 0
+        for token in self.tokens:
+            if token.type in (TokenType.LBRACKET, TokenType.LBRACE):
+                depth += 1
+                if depth > deepest:
+                    deepest, position = depth, token.position
+            elif token.type in (TokenType.RBRACKET, TokenType.RBRACE):
+                depth -= 1
+        return ParseError(
+            f"input is nested {deepest} levels deep, too deep to parse", self.text, position
+        )
+
     def parse_single_term(self) -> Formula:
-        term = self.parse_term()
+        try:
+            term = self.parse_term()
+        except RecursionError:
+            raise self.too_deep() from None
         self.expect_end()
         return term
 
     def parse_clause(self, require_period: bool) -> Rule:
+        try:
+            return self._parse_clause(require_period)
+        except RecursionError:
+            raise self.too_deep() from None
+
+    def _parse_clause(self, require_period: bool) -> Rule:
         start_token = self.peek()
         head = self.parse_term()
         body: Optional[Formula] = None

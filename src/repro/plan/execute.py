@@ -238,7 +238,7 @@ def interpret_plan(
         deadline=deadline,
     )
     instantiations = [substitution.apply(plan.body) for substitution in substitutions]
-    return union_all(dict.fromkeys(instantiations))
+    return union_all(instantiations)
 
 
 def apply_rule_plan(
@@ -266,7 +266,7 @@ def apply_rule_plan(
     heads = [substitution.apply(node.rule.head) for substitution in substitutions]
     if stats is not None:
         stats.subobjects_derived += len(heads)
-    return union_all(dict.fromkeys(heads))
+    return union_all(heads)
 
 
 class _LayoutMismatch(ComplexObjectError):

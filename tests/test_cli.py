@@ -33,6 +33,16 @@ class TestParseCommand:
         assert code == 1
         assert "error:" in output
 
+    def test_hostile_nesting_is_one_error_line(self):
+        deep = "[a: " * 3000 + "1" + "]" * 3000
+        for argv in (("parse", deep), ("query", deep, "-d", "[a: 1]")):
+            code, output = run_cli(*argv)
+            assert code == 1
+            assert output.splitlines() == [
+                "error: input is nested 3000 levels deep, too deep to parse"
+                " at line 1, column 11997"
+            ]
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "object.co"
         path.write_text("[name: peter]", encoding="utf-8")

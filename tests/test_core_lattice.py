@@ -10,7 +10,7 @@ from repro.core.lattice import (
     union,
     union_all,
 )
-from repro.core.objects import BOTTOM, TOP
+from repro.core.objects import BOTTOM, TOP, SetObject
 from repro.core.order import is_subobject
 
 
@@ -103,6 +103,45 @@ class TestFolds:
 
     def test_union_all_short_circuits_on_top(self):
         assert union_all([obj(1), obj(2), obj(3)]) is TOP
+
+    def test_union_all_of_one_operand_is_that_operand(self):
+        only = obj({"a": [1, 2]})
+        assert union_all([only]) is only
+        assert union_all(iter([BOTTOM, only, only, BOTTOM])) is only
+
+    def test_union_all_consumes_a_generator_lazily_and_not_past_top(self):
+        consumed = []
+
+        def operands():
+            for value in (obj([1]), obj([2]), TOP, obj([3])):
+                consumed.append(value)
+                yield value
+
+        assert union_all(operands()) is TOP
+        assert consumed == [obj([1]), obj([2]), TOP]
+
+    @pytest.mark.parametrize("operands", [[1], [obj([1]), "x"], [obj([1]), obj([2]), None]])
+    def test_union_all_rejects_a_non_object_operand(self, operands):
+        with pytest.raises(TypeError):
+            union_all(operands)
+
+    def test_union_all_finds_a_conflict_between_operands_after_consuming_them(self):
+        # Only a ⊤ *operand* ends the join early; the pairwise fold stopped at
+        # the first ⊤ partial result (after two of these three).
+        consumed = []
+
+        def operands():
+            for value in (obj({"a": 1}), obj({"a": 2}), obj({"a": 3})):
+                consumed.append(value)
+                yield value
+
+        assert union_all(operands()) is TOP
+        assert len(consumed) == 3
+
+    def test_raw_set_union_absorbs_a_top_element_and_drops_bottom(self):
+        # Raw sets may hold ⊤ and ⊥; their join treats them as a reduction does.
+        assert union(obj([1]), SetObject.raw([obj(2), TOP])).elements == (TOP,)
+        assert union(SetObject.raw([BOTTOM, obj(1)]), obj([])).elements == (obj(1),)
 
 
 class TestLatticeLaws:

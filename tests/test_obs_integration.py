@@ -336,6 +336,26 @@ def test_snapshot_covers_engine_cache_index_and_wal():
     json.dumps(document)
 
 
+def test_memo_tables_are_gauges_sampled_at_snapshot_time():
+    from repro.obs.metrics import DECLARED_GAUGES
+
+    repro.clear_object_caches()
+    left = repro.parse_object("[r1: {[name: ada], [name: bob]}]")
+    right = repro.parse_object("[r1: {[name: cy]}]")
+    joined = repro.union(left, right)
+    cold = repro.obs.snapshot()["gauges"]
+    assert repro.union(right, left) is joined
+    warm = repro.obs.snapshot()["gauges"]
+    assert {name for name in warm if name.startswith("core.memo.")} == set(DECLARED_GAUGES)
+    assert cold["core.memo.union_entries"] == warm["core.memo.union_entries"] >= 1
+    assert warm["core.memo.union_hit_rate"] > cold["core.memo.union_hit_rate"]
+    repro.clear_object_caches()
+    cleared = repro.obs.snapshot()["gauges"]
+    for table in ("subobject", "union", "meet"):
+        assert cleared[f"core.memo.{table}_entries"] == 0
+        assert 0.0 <= cleared[f"core.memo.{table}_hit_rate"] <= 1.0
+
+
 # -- CLI surfaces ------------------------------------------------------------------------
 
 

@@ -154,3 +154,46 @@ class TestParseParameters:
     def test_program_rejects_parameters(self):
         with pytest.raises(ParseError):
             parse_program("[doa: {$seed}].")
+
+
+class TestHostileNesting:
+    """ROADMAP 4(c): nesting the descent cannot follow is a typed error."""
+
+    DEEP = "[a: " * 3000 + "1" + "]" * 3000
+
+    @pytest.mark.parametrize(
+        "parse, text, depth",
+        [
+            pytest.param(parse_object, DEEP, 3000, id="object-tuples"),
+            pytest.param(parse_object, "{" * 3000 + "}" * 3000, 3000, id="object-sets"),
+            # Parses, but is too deep to convert to an object.
+            pytest.param(parse_object, "{" * 400 + "}" * 400, 400, id="object-conversion"),
+            pytest.param(parse_formula, DEEP.replace("1", "X"), 3000, id="formula"),
+            pytest.param(
+                parse_rule, f"[p: {{X}}] :- {DEEP.replace('1', 'X')}", 3000, id="rule"
+            ),
+            pytest.param(parse_program, f"[p: {{1}}].\n{DEEP}.", 3000, id="program"),
+        ],
+    )
+    def test_raises_parse_error_naming_the_depth_and_where(self, parse, text, depth):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        error = caught.value
+        assert f"nested {depth} levels deep" in str(error)
+        assert f"line {text.count(chr(10)) + 1}, column" in str(error)
+        # The position is the innermost opening bracket.
+        assert text[error.position] in "[{" and text[error.position + 1] not in "[{"
+        assert not isinstance(error.__cause__, RecursionError)
+
+    def test_four_hundred_levels_still_parse(self):
+        assert parse_object("[a: " * 400 + "1" + "]" * 400).kind == "tuple"
+        assert parse_formula("{" * 400 + "X" + "}" * 400).variables() == frozenset({"X"})
+
+    def test_a_session_survives_a_hostile_query(self):
+        import repro
+
+        with repro.connect() as session:
+            session.put("r", parse_object("{[a: 1]}"))
+            with pytest.raises(repro.ReproError, match="too deep to parse"):
+                session.prepare(self.DEEP)
+            assert session.query("[r: {[a: X]}]") == parse_object("[r: {[a: 1]}]")

@@ -5,17 +5,35 @@ and together they must satisfy the standard lattice identities on the space of
 reduced objects.
 """
 
+import functools
 from unittest import mock
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, strategies as st
 
-from tests.conftest import complex_objects
+from tests.conftest import atoms, complex_objects, flat_tuple_objects
 
-from repro.core import lattice
+import repro
+from repro.calculus.fixpoint import close as oracle_close
+from repro.core import order
 from repro.core.enumeration import all_subobjects
-from repro.core.lattice import intersection, is_lattice_consistent, union
+from repro.core.intern import clear_object_caches, intern_stats
+from repro.core.lattice import intersection, is_lattice_consistent, union, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
+from repro.workloads import make_genealogy
+
+
+def fold(operands):
+    """The pairwise join ``union_all`` replaced: its oracle."""
+    return functools.reduce(union, operands, BOTTOM)
+
+
+def counted_subobject_tests():
+    """Count every sub-object test, the recursive ones included."""
+    return mock.patch.object(
+        order, "_is_subobject_inner", wraps=order._is_subobject_inner
+    )
 
 
 class TestTheorem34Union:
@@ -124,9 +142,183 @@ class TestSetUnionPartition:
         rows = [row(number, "old") for number in range(500)]
         before = SetObject(rows)
         after = SetObject(rows[1:] + [row(0, "old", "new")])
-        with mock.patch.object(
-            lattice, "is_subobject", wraps=lattice.is_subobject
-        ) as counted:
+        with counted_subobject_tests() as counted:
             joined = union(before, after)
         assert joined is after
         assert counted.call_count < 2_000
+
+
+def comparable_elements():
+    """Atoms, rows and sets over so few values that many pairs are comparable."""
+    small = st.integers(min_value=0, max_value=2).map(Atom)
+    rows = st.dictionaries(st.sampled_from(("a", "b", "c")), small, max_size=3).map(TupleObject)
+    return st.one_of(small, rows, st.lists(small, max_size=3).map(SetObject))
+
+
+def set_operands():
+    """Sets of atoms, rows and nested sets, overlapping and dominating each other."""
+    sets = st.lists(comparable_elements(), max_size=4).map(SetObject)
+    relations = st.lists(flat_tuple_objects(), max_size=4).map(SetObject)
+    return st.one_of(st.lists(sets, max_size=8), st.lists(relations, max_size=8))
+
+
+def tuple_operands():
+    """Tuples that share attributes and join, and ones an attribute collapses to ⊤."""
+    sets = st.lists(comparable_elements(), max_size=4).map(SetObject)
+    set_valued = st.dictionaries(st.sampled_from(("a", "b")), sets, max_size=2)
+    any_valued = st.dictionaries(
+        st.sampled_from(("a", "b", "c")), complex_objects(max_depth=2), max_size=3
+    )
+    return st.one_of(
+        st.lists(set_valued.map(TupleObject), max_size=8),
+        st.lists(any_valued.map(TupleObject), max_size=8),
+    )
+
+
+def operand_lists():
+    """0–8 interned operands: one kind, distinct atoms, or mixed kinds."""
+    return st.one_of(
+        set_operands(),
+        tuple_operands(),
+        st.lists(atoms(), max_size=8),
+        st.lists(complex_objects(), max_size=8),
+    )
+
+
+def _weakened(element):
+    """A strict sub-object of ``element`` where it has one, else ``element``."""
+    if isinstance(element, TupleObject) and len(element):
+        return element.without(element.attributes[0])
+    if isinstance(element, SetObject) and len(element):
+        return element.discard(element.elements[0])
+    return element
+
+
+def raw_twin(value):
+    """An un-interned rebuild of ``value``; a set gains sub-objects of its own
+    elements, which makes it non-reduced (Example 3.2)."""
+    if isinstance(value, SetObject):
+        return SetObject.raw(value.elements + tuple(map(_weakened, value.elements)))
+    if isinstance(value, TupleObject):
+        return TupleObject.raw({**value.as_dict(), "padding": BOTTOM})
+    return value
+
+
+def raw_element_lists():
+    """Elements for a raw set, ⊤ and ⊥ among them (no constructor admits those)."""
+    return st.lists(
+        st.one_of(comparable_elements(), st.sampled_from((TOP, BOTTOM))), max_size=4
+    )
+
+
+class TestUnionAllIsTheFold:
+    """``union_all`` is one n-ary Definition 3.4; the pairwise fold is its oracle."""
+
+    @pytest.mark.parametrize("family", [set_operands, tuple_operands, operand_lists])
+    def test_interned_operands_join_to_the_instance_the_fold_returns(self, family):
+        @given(family(), st.randoms(use_true_random=False))
+        def check(operands, rng):
+            joined = union_all(operands)
+            assert joined is fold(operands)
+            # Invariant under permutation and duplication, one-shot iterators included.
+            shuffled = operands + rng.choices(operands, k=3) if operands else []
+            rng.shuffle(shuffled)
+            assert union_all(iter(shuffled)) is joined
+
+        check()
+
+    @given(operand_lists(), complex_objects(max_depth=2))
+    def test_the_join_is_the_least_upper_bound(self, operands, candidate):
+        joined = union_all(operands)
+        assert all(is_subobject(operand, joined) for operand in operands)
+        if all(is_subobject(operand, candidate) for operand in operands):
+            assert is_subobject(joined, candidate)
+
+    @given(
+        st.one_of(set_operands(), tuple_operands()),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_raw_and_mixed_operands_keep_the_fold(self, operands, as_raw):
+        mixed = [raw_twin(operand) if raw else operand for operand, raw in zip(operands, as_raw)]
+        assert union_all(mixed) == fold(mixed)
+
+    @given(raw_element_lists(), raw_element_lists())
+    def test_raw_top_and_bottom_elements_join_as_a_reduction_treats_them(self, left, right):
+        # ⊤ absorbs the set and ⊥ beside another element goes, as in a reduction.
+        raw_left, raw_right = SetObject.raw(left), SetObject.raw(right)
+        assume(raw_left != raw_right)  # equal operands are returned as they are
+        joined = union(raw_left, raw_right)
+        if TOP in left + right:
+            assert joined.elements == (TOP,)
+        elif all(element is BOTTOM for element in left + right):
+            assert joined.elements == (BOTTOM,)
+        else:
+            proper = [[e for e in side if e is not BOTTOM] for side in (left, right)]
+            assert joined == union(*map(SetObject.raw, proper))
+
+
+class TestJoinsStayLinear:
+    """Call-count ceilings: the quadratic paths must not come back."""
+
+    def test_singleton_heads_join_without_testing_distinct_atoms(self):
+        heads = [TupleObject({"doa": SetObject([Atom(f"p{i}")])}) for i in range(500)]
+        clear_object_caches()
+        misses = intern_stats()["misses"]
+        with counted_subobject_tests() as counted:
+            joined = union_all(heads)
+        assert len(joined.get("doa")) == 500
+        assert counted.call_count <= 100  # the fold: 249 500
+        assert intern_stats()["misses"] - misses <= 10  # the fold: 998
+
+    def test_a_large_operand_is_not_reduced_again(self):
+        def pair(tag, number):
+            return SetObject([Atom(f"{tag}{number}"), Atom(f"{tag}'{number}")])
+
+        large = SetObject([pair("a", number) for number in range(1000)])
+        small = [SetObject([pair(tag, 0)]) for tag in "xyz"]
+        clear_object_caches()
+        with counted_subobject_tests() as counted:
+            expected = fold([large] + small)
+        ceiling = 2 * counted.call_count
+        clear_object_caches()
+        with counted_subobject_tests() as counted:
+            assert union_all([large] + small) is expected
+        assert counted.call_count <= ceiling
+
+    def test_disjoint_relations_join_through_the_row_buckets(self):
+        relations = [
+            SetObject(
+                [TupleObject({"key": Atom(1000 * r + i), "value": Atom(i)}) for i in range(250)]
+            )
+            for r in range(4)
+        ]
+        clear_object_caches()
+        with counted_subobject_tests() as counted:
+            expected = fold(relations)
+        ceiling = counted.call_count
+        clear_object_caches()
+        with counted_subobject_tests() as counted:
+            assert union_all(relations) is expected
+        assert len(expected) == 1000
+        assert counted.call_count <= ceiling <= 1_000  # pairwise scans: 750 000
+
+    def test_a_cold_genealogy_closure_joins_its_heads_in_one_reduction(self):
+        tree = make_genealogy(5, 3)
+        rules = (
+            "[doa: {%s}]. [doa: {X}] :- "
+            "[family: {[name: Y, children: {[name: X]}]}, doa: {Y}]." % tree.root
+        )
+        clear_object_caches()
+        with counted_subobject_tests() as counted, repro.connect() as session:
+            session.put("family", tree.family_object.get("family"))
+            session.register(rules)
+            result = session.close()
+        assert counted.call_count < 5_000  # the fold: 132 132
+        assert result.value is oracle_close(tree.family_object, repro.parse_program(rules)).value
+        # The same facts derived, joined differently: the counters of the fold.
+        stats = result.stats
+        assert (stats.iterations, stats.match_attempts, stats.subobjects_derived) == (
+            5,
+            1091,
+            363,
+        )
