@@ -23,6 +23,7 @@ the machine-readable ``BENCH_core.json``.
 import pytest
 
 from repro import Program
+from repro.calculus.fixpoint import close
 from repro.core import Atom, ComplexObject, SetObject, TupleObject, intern_stats
 from repro.core.order import clear_order_cache, is_subobject, maximal_elements
 from repro.workloads import make_genealogy
@@ -164,13 +165,15 @@ def test_set_reduction_seed_baseline(benchmark, count):
 
 # -- engine sweep ---------------------------------------------------------------------
 @pytest.mark.benchmark(group="B12-closure")
-@pytest.mark.parametrize("engine", ["naive", "seminaive"])
-def test_recursive_closure_sweep(benchmark, engine):
+@pytest.mark.parametrize("arm", ["oracle", "seminaive"])
+def test_recursive_closure_sweep(benchmark, arm):
     program = make_closure_program()
-    expected = program.evaluate(engine="naive").value
+    expected = close(program.seed(), program.rules).value
 
     def run():
-        return program.evaluate(engine=engine).value
+        if arm == "oracle":
+            return close(program.seed(), program.rules).value
+        return program.evaluate().value
 
     assert run() == expected
     benchmark(run)

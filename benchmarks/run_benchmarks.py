@@ -57,6 +57,7 @@ def _median_ns(func, *, repeats: int, number: int) -> float:
 
 
 def run_suite(smoke: bool) -> dict:
+    from repro.calculus.fixpoint import close
     from repro.core import intern_stats, clear_object_caches
     from repro.core.depth import node_count
     from repro.core.objects import SetObject
@@ -108,16 +109,16 @@ def run_suite(smoke: bool) -> dict:
 
     # Recursive-closure engine sweep (the PR-1 headline workload).
     program = bench.make_closure_program(3 if smoke else 5, 2)
-    closure_nodes = node_count(program.evaluate(engine="seminaive").value)
+    closure_nodes = node_count(program.evaluate().value)
     record(
         "closure_seminaive",
-        lambda: program.evaluate(engine="seminaive"),
+        lambda: program.evaluate(),
         number=3,
         objects=closure_nodes,
     )
     record(
-        "closure_naive",
-        lambda: program.evaluate(engine="naive"),
+        "closure_oracle",
+        lambda: close(program.seed(), program.rules),
         number=3,
         objects=closure_nodes,
     )

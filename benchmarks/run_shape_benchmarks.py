@@ -97,7 +97,7 @@ def _median_ns(func, *, repeats: int) -> float:
 
 
 def run_suite(smoke: bool) -> dict:
-    from repro.engine import create_engine
+    from repro.engine import SemiNaiveEngine
     from repro.lint.shapes import infer_shapes
 
     nodes = 16 if smoke else 32
@@ -111,9 +111,7 @@ def run_suite(smoke: bool) -> dict:
         # evaluate is the whole cost being compared.  The inference cache is
         # cleared so the pruned side pays for its own analysis every time.
         infer_shapes.cache_clear()
-        return create_engine(
-            "seminaive", program.rules, use_shapes=use_shapes
-        ).run(seed)
+        return SemiNaiveEngine(program.rules, use_shapes=use_shapes).run(seed)
 
     pruned_result = evaluate(True)
     plain_result = evaluate(False)

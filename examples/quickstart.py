@@ -122,11 +122,9 @@ def demo_divergence() -> None:
     program = Program.from_source(
         "[list: {1}]. [list: {[head: 1, tail: X]}] :- [list: {X}]."
     )
-    for report in program.diagnostics():
-        if report.warnings:
-            print(f"  static analysis: {report.rule}")
-            for warning in report.warnings:
-                print(f"    warning: {warning}")
+    for diagnostic in program.lint().diagnostics:
+        if diagnostic.is_warning:
+            print(f"  static analysis: {diagnostic.render()}")
     try:
         program.evaluate(max_iterations=30)
     except DivergenceError as error:

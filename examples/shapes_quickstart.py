@@ -12,7 +12,7 @@ bounds), then answers questions no per-rule check can — is this region
    regions, contradictory variables, shape-impossible parameters);
 2. the plan optimizer — provably-empty bodies are marked pruned, and shape
    cardinality bounds back up missing statistics;
-3. the engines — statically-empty rules leave the fixpoint loop entirely.
+3. the engine — statically-empty rules leave the fixpoint loop entirely.
 
 Run with::
 
@@ -21,7 +21,7 @@ Run with::
 
 import repro
 from repro import lint
-from repro.engine import create_engine
+from repro.engine import SemiNaiveEngine
 from repro.lint.shapes import infer_shapes
 
 
@@ -67,12 +67,10 @@ def main() -> None:
         if "shape " in line or "pruned" in line or line.startswith(("rule", "stratum")):
             print(f"  {line}")
 
-    banner("4. The engines skip statically-empty rules in every round")
-    result = create_engine("seminaive", program.rules).run(program.seed())
+    banner("4. The engine skips statically-empty rules in every round")
+    result = SemiNaiveEngine(program.rules).run(program.seed())
     print(f"  {result.stats.summary()}")
-    baseline = create_engine(
-        "seminaive", program.rules, use_shapes=False
-    ).run(program.seed())
+    baseline = SemiNaiveEngine(program.rules, use_shapes=False).run(program.seed())
     print(f"  identical closure without pruning: {result.value == baseline.value}")
 
     banner("5. Prepared queries refute shape-impossible parameter values")

@@ -10,15 +10,16 @@ substrates needed to evaluate it:
   (Section 4);
 * :mod:`repro.api` — the public query surface: :func:`repro.connect` opens a
   :class:`Session` (in-memory or WAL-backed) with prepared, parameterized,
-  streaming queries and version-keyed plan caches — the one execution path
-  the legacy entry points now delegate to;
+  streaming queries and version-keyed plan caches — the one way in to the
+  optimised stack below;
 * :mod:`repro.plan` — the query pipeline every evaluator compiles through:
   a logical plan IR, attribute-path statistics, a cost-based optimizer
   (join reordering, index pushdown) and the EXPLAIN facility behind
   ``Program.explain()``;
-* :mod:`repro.engine` — the pluggable evaluation engine: rule stratification,
-  semi-naive delta-driven closure and match indexes behind
-  ``Program.evaluate(engine="seminaive")``, executing plan IR;
+* :mod:`repro.engine` — the closure engine: rule stratification, semi-naive
+  delta-driven closure and match indexes behind ``Session.close()`` and
+  ``Program.evaluate()``, executing plan IR (:func:`repro.close` is its
+  paper-literal oracle);
 * :mod:`repro.parser` — the paper's concrete syntax;
 * :mod:`repro.relational` — a first-normal-form relational engine and an NF²
   (nested relational) extension used as baselines;
@@ -101,18 +102,12 @@ from repro.calculus import (
     close,
     closure_series,
     formula,
+    interpret,
     match,
     param,
     var,
 )
-from repro.engine import (
-    ENGINES,
-    EngineResult,
-    EngineStats,
-    NaiveEngine,
-    SemiNaiveEngine,
-    create_engine,
-)
+from repro.engine import EngineResult, EngineStats, SemiNaiveEngine
 from repro.parser import parse_formula, parse_object, parse_program, parse_rule, pretty
 
 # The observability subsystem: tracing, metrics, EXPLAIN ANALYZE support.
@@ -126,17 +121,9 @@ from repro import obs
 from repro import lint
 from repro.core.errors import LintError, UnboundVariableError
 
-# The session facade is the public query surface; ``interpret`` is its
-# deprecation shim for the pre-session free function (same semantics, one
-# execution path).
-from repro.api import (
-    Cursor,
-    PreparedQuery,
-    ReproError,
-    Session,
-    connect,
-    interpret,
-)
+# The session facade is the public query surface; ``interpret`` (imported
+# from the calculus above) is Definition 4.2 literally — its oracle.
+from repro.api import Cursor, PreparedQuery, ReproError, Session, connect
 
 __version__ = "1.2.0"
 
@@ -151,13 +138,11 @@ __all__ = [
     "Constant",
     "Cursor",
     "DivergenceError",
-    "ENGINES",
     "EngineResult",
     "EngineStats",
     "Formula",
     "LintError",
     "LockTimeout",
-    "NaiveEngine",
     "Parameter",
     "ParameterError",
     "ParseError",
@@ -188,7 +173,6 @@ __all__ = [
     "close",
     "closure_series",
     "connect",
-    "create_engine",
     "depth",
     "formula",
     "intern_stats",

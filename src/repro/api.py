@@ -1,12 +1,11 @@
 """repro.api — the public query surface: sessions, prepared queries, cursors.
 
 The paper defines one semantics — ``E(O)`` (Definition 4.2), ``r(O)``
-(Definition 4.4) and the closure ``R*(O)`` (Definition 4.6) — but the library
-historically exposed it through four disjoint call surfaces (the
-``interpret``/``apply_rule`` free functions, :class:`repro.calculus.Program`,
-:meth:`repro.store.ObjectDatabase.query` and the CLI), each parsing and
-planning from scratch on every call.  This module is the single facade the
-others now delegate to, shaped like a classic database client API:
+(Definition 4.4) and the closure ``R*(O)`` (Definition 4.6).  This module is
+the one way to evaluate it through the optimised stack (the calculus-level
+definitions — :func:`repro.calculus.interpretation.interpret`,
+:func:`repro.calculus.fixpoint.close` — stay beside it as the oracles tests
+compare against), shaped like a classic database client API:
 
 * :func:`connect` opens a :class:`Session` over an in-memory store
   (``connect()``) or a durable WAL-backed store (``connect(path)``);
@@ -45,7 +44,6 @@ Quick use::
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict, deque
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -65,7 +63,7 @@ from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula, bind_parameters, formula as to_formula
-from repro.engine import SemiNaiveEngine, create_engine
+from repro.engine import SemiNaiveEngine
 from repro.engine.stats import EngineStats
 from repro.fault.deadline import Deadline
 from repro.obs import trace as _trace
@@ -85,7 +83,6 @@ __all__ = [
     "ReproError",
     "Session",
     "connect",
-    "interpret",
 ]
 
 #: The one exception type a caller needs: every error raised by the library
@@ -98,7 +95,7 @@ ReproError = ComplexObjectError
 _CACHE_LIMIT = 512
 
 #: Keyword options `execute`/`query`/`explain`/`prepare` accept: the target
-#: selectors, the semantics flag, and the closure engine/guards forwarded to
+#: selectors, the semantics flag, and the closure guards forwarded to
 #: :meth:`Session.close` when ``on_closure`` is set.  Anything else is a
 #: typo and is rejected, mirroring the strict ``$parameter`` policy.
 _QUERY_OPTIONS = frozenset(
@@ -106,7 +103,6 @@ _QUERY_OPTIONS = frozenset(
         "against",
         "on_closure",
         "allow_bottom",
-        "engine",
         "max_iterations",
         "max_nodes",
         "max_depth",
@@ -117,9 +113,7 @@ _QUERY_OPTIONS = frozenset(
 
 #: Options that configure the execution itself rather than closure guards;
 #: everything else in an options dict is forwarded to :meth:`Session.close`.
-_NON_GUARD_OPTIONS = (
-    "against", "on_closure", "allow_bottom", "engine", "timeout_ms", "batch_size",
-)
+_NON_GUARD_OPTIONS = ("against", "on_closure", "allow_bottom", "timeout_ms", "batch_size")
 
 #: What remains: the divergence guards :meth:`Session.close` accepts.
 _GUARD_OPTIONS = _QUERY_OPTIONS.difference(_NON_GUARD_OPTIONS)
@@ -138,7 +132,6 @@ def connect(
     path: Optional[str] = None,
     *,
     rules=(),
-    default_engine: str = "seminaive",
     slow_query_ms: Optional[float] = None,
     lock_timeout: Optional[float] = None,
 ) -> "Session":
@@ -156,7 +149,6 @@ def connect(
     return Session(
         path,
         rules=rules,
-        default_engine=default_engine,
         slow_query_ms=slow_query_ms,
         lock_timeout=lock_timeout,
     )
@@ -167,8 +159,7 @@ class Session:
 
     A session owns (or wraps) an :class:`~repro.store.ObjectDatabase` and
     funnels **every** evaluation path — prepared queries, ad-hoc queries,
-    rule closures, the CLI, and the legacy ``interpret`` / ``Program.query``
-    / ``ObjectDatabase.query`` entry points — through one pipeline::
+    rule closures and the CLI — through one pipeline::
 
         parse → compile (cached) → optimize (cached on store version)
               → bind $parameters → stream
@@ -190,7 +181,6 @@ class Session:
         database: Optional[ObjectDatabase] = None,
         rules=(),
         seed=None,
-        default_engine: str = "seminaive",
         slow_query_ms: Optional[float] = None,
         lock_timeout: Optional[float] = None,
     ):
@@ -201,7 +191,6 @@ class Session:
             storage = FileStorage(path) if path is not None else MemoryStorage()
             self._db = ObjectDatabase(storage, lock_timeout=lock_timeout)
             self._owns_db = True
-        self._default_engine = default_engine
         self._rules: List[Rule] = []
         self._rules_version = 0
         self._seed: ComplexObject = BOTTOM
@@ -243,9 +232,9 @@ class Session:
     def over_object(cls, value, rules=()) -> "Session":
         """An in-memory session whose database *is* one complex object.
 
-        This is how the CLI (and the legacy ``interpret`` shim) evaluate
-        against an inline object: the object seeds the session and queries
-        run against it directly, no store writes involved.
+        This is how the CLI evaluates against an inline object: the object
+        seeds the session and queries run against it directly, no store
+        writes involved.
         """
         return cls(seed=value, rules=rules)
 
@@ -339,7 +328,7 @@ class Session:
         ``$name`` parameter slots) or a :class:`Formula`.  ``options`` fix
         the execution target for every run of the prepared query — the same
         keywords :meth:`execute` takes (``against=``, ``on_closure=``,
-        ``allow_bottom=``, ``engine=`` and closure guards).
+        ``allow_bottom=`` and closure guards).
 
         ``lint`` runs :func:`repro.lint.lint_query` over the parsed formula:
         ``"warn"`` (the default) attaches the findings as
@@ -419,7 +408,7 @@ class Session:
             registered rules (computed through :meth:`close`, hence cached);
         ``allow_bottom=True``
             the literal Definition 4.2 semantics (keep ⊥ bindings);
-        ``engine=`` and guards (``max_iterations=``...)
+        guards (``max_iterations=``, ``max_nodes=``, ``max_depth=``)
             forwarded to :meth:`close` when ``on_closure`` is set;
         ``timeout_ms=``
             a cooperative wall-clock deadline over the whole execution
@@ -462,9 +451,7 @@ class Session:
         )
 
     # -- closures -----------------------------------------------------------------------
-    def close(
-        self, *, engine: Optional[str] = None, deadline=None, **guards
-    ) -> ClosureResult:
+    def close(self, *, deadline=None, **guards) -> ClosureResult:
         """The closure of the database under the registered rules (cached).
 
         This is the paper's ``R*(O)`` (Definition 4.6) — *not* a resource
@@ -475,14 +462,18 @@ class Session:
         A commit makes the cached closure stale but not useless.  While the
         rules are unchanged and the database only *grew* in the sub-object
         order (``old ∪ new == new`` — any mix of ``put``, ``transact`` and
-        ``seed_object`` that loses nothing), the ``seminaive`` engine resumes
-        from the cached closure and runs delta rounds over the new elements
-        only: sound because rule application is monotone (Lemma 4.1) and the
-        cached closure is closed, so a match without a new set witness
-        derives nothing new.  A retraction, a :meth:`register` or
-        ``engine="naive"`` recomputes from scratch.  ``iterations`` and
-        ``stats`` of the result then describe the work of this evaluation
-        (the delta), not of the whole closure.
+        ``seed_object`` that loses nothing), the engine resumes from the
+        cached closure and runs delta rounds over the new elements only:
+        sound because rule application is monotone (Lemma 4.1) and the cached
+        closure is closed, so a match without a new set witness derives
+        nothing new.  A retraction or a :meth:`register` recomputes from
+        scratch.  ``iterations`` and ``stats`` of the result then describe
+        the work of this evaluation (the delta), not of the whole closure.
+
+        ``iterations`` and the ``max_iterations`` guard count the engine's
+        rounds summed over recursive strata (see
+        :meth:`repro.calculus.Program.evaluate`), not the global rounds of
+        the oracle :func:`repro.calculus.fixpoint.close`.
 
         ``deadline`` — a :class:`repro.fault.Deadline` — bounds the
         evaluation (checked at engine round boundaries; raises
@@ -495,8 +486,7 @@ class Session:
         unknown = set(guards) - _GUARD_OPTIONS
         if unknown:
             raise TypeError(f"close() got unexpected option(s) {sorted(unknown)}")
-        chosen = engine if engine is not None else self._default_engine
-        key = (chosen, tuple(sorted(guards.items())))
+        key = tuple(sorted(guards.items()))
         entry = self._closure_cache.get(key)
         version = self.version
         if entry is not None and entry[0] == version:
@@ -519,22 +509,16 @@ class Session:
             resume = {}
             if entry is not None:
                 (_, _, old_rules), old_seed, evaluator, old_result = entry
-                if (
-                    old_rules == self._rules_version
-                    and isinstance(evaluator, SemiNaiveEngine)
-                    and union(old_seed, seed) == seed
-                ):
+                if old_rules == self._rules_version and union(old_seed, seed) == seed:
                     resume = {"previous": old_result.value}
                     evaluator.deadline = deadline
                     self._counters["closure_maintained"] += 1
                     _METRICS.counter("session.closure_cache.maintained").inc()
             if not resume:
-                evaluator = create_engine(
-                    chosen, program.rules, deadline=deadline, **guards
-                )
+                evaluator = SemiNaiveEngine(program.rules, deadline=deadline, **guards)
             if span.enabled:
                 span.set(
-                    engine=chosen,
+                    engine=evaluator.name,
                     rules=len(self._rules),
                     mode="delta" if resume else "full",
                 )
@@ -542,7 +526,7 @@ class Session:
         _METRICS.histogram("session.closure_ns").observe(
             time.perf_counter_ns() - start_ns
         )
-        self._last_closure_stats = getattr(result, "stats", None)
+        self._last_closure_stats = result.stats
         self._closure_cache[key] = (version, seed, evaluator, result)
         while len(self._closure_cache) > _CACHE_LIMIT:
             self._closure_cache.popitem(last=False)
@@ -669,7 +653,7 @@ class Session:
 
         A seeded session over an empty store *is* its seed — in particular ⊥
         when seeded with ⊥ (the paper's empty database), never the empty
-        store's ``[]`` snapshot, so the legacy ``interpret(f, BOTTOM)`` /
+        store's ``[]`` snapshot, so the oracle's ``interpret(f, BOTTOM)`` /
         ``Program(database=BOTTOM)`` semantics are preserved exactly.
         """
         if self._seeded:
@@ -724,9 +708,7 @@ class Session:
                 for name, value in options.items()
                 if name not in _NON_GUARD_OPTIONS
             }
-            result = self.close(
-                engine=options.get("engine"), deadline=deadline, **guards
-            )
+            result = self.close(deadline=deadline, **guards)
             return ("closure",), result.value
         return ("seed",), self._base_object()
 
@@ -842,8 +824,7 @@ class Session:
         if store_mode:
             # Store-backed whole-database execution: the store's access-path
             # selection (root-attribute pushdown, index ⊥-short-circuit) and
-            # access counters, exactly as ``ObjectDatabase.query`` always
-            # decided.  The refutation probe always reads a binding of the
+            # access counters.  The refutation probe always reads a binding of the
             # *parameterized* compiled plan (cached-optimized when available,
             # else the compile-memoized source order — leaf order is
             # irrelevant to refutation), so no bound formula is ever
@@ -1210,22 +1191,3 @@ class Cursor:
     def __repr__(self) -> str:
         return f"<Cursor {len(self._matches)} matches streamed>"
 
-
-def interpret(
-    formula, database: ComplexObject, *, allow_bottom: bool = False
-) -> ComplexObject:
-    """Deprecated shim: ``E(O)`` through the session pipeline.
-
-    ``repro.interpret`` predates sessions; it now routes through
-    :class:`Session` so there is exactly one execution path.  New code
-    should use ``repro.connect()`` and :meth:`Session.query` (which also
-    caches plans across calls — this shim cannot).  The calculus-level
-    baseline lives on as :func:`repro.calculus.interpretation.interpret`.
-    """
-    warnings.warn(
-        "repro.interpret() is deprecated; use repro.connect() and"
-        " Session.query()/Session.execute() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Session.over_object(database).query(formula, allow_bottom=allow_bottom)

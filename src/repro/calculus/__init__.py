@@ -12,8 +12,6 @@
   (Definition 4.6, Theorem 4.1), with divergence guards for programs with no
   finite closure (Example 4.6).
 * :mod:`repro.calculus.program` -- a small facade bundling facts and rules.
-* :mod:`repro.calculus.safety` -- deprecated; static diagnostics now live in
-  :mod:`repro.lint` (exact legacy API in :mod:`repro.lint.legacy`).
 """
 
 from repro.calculus.fixpoint import ClosureResult, close, closure_series
@@ -42,14 +40,11 @@ __all__ = [
     "Parameter",
     "Program",
     "Rule",
-    "RuleDiagnostics",
     "RuleSet",
     "SetFormula",
     "Substitution",
     "TupleFormula",
     "Variable",
-    "analyze_rule",
-    "analyze_rules",
     "apply_rule",
     "apply_rules",
     "bind_parameters",
@@ -62,18 +57,3 @@ __all__ = [
     "param",
     "var",
 ]
-
-#: Legacy analyzer names re-exported lazily (PEP 562): resolving them pulls
-#: in :mod:`repro.lint` (which builds on the engine and plan layers), and the
-#: calculus package must stay importable without either.
-_LEGACY_ANALYZER_NAMES = frozenset(
-    {"RuleDiagnostics", "analyze_rule", "analyze_rules"}
-)
-
-
-def __getattr__(name):
-    if name in _LEGACY_ANALYZER_NAMES:
-        from repro.lint import legacy
-
-        return getattr(legacy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

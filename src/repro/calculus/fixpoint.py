@@ -96,7 +96,6 @@ def close(
     max_depth: Union[int, float] = DEFAULT_MAX_DEPTH,
     inflationary: bool = True,
     allow_bottom: bool = False,
-    apply=None,
     deadline=None,
 ) -> ClosureResult:
     """Compute the closure of ``database`` under ``rules`` (Definition 4.6).
@@ -106,12 +105,6 @@ def close(
     (``On = R(On-1)``) is iterated instead; in that mode convergence means the
     series reaches an object with ``R(O) = O``.  ``allow_bottom`` selects the
     literal matching semantics (see :mod:`repro.calculus.matching`).
-
-    ``apply`` overrides how one round computes ``R(O)``: a callable from the
-    current object to the rule set's joint production.  The default is the
-    baseline :meth:`RuleSet.apply`; the naive engine passes a plan-compiled
-    applier (see :mod:`repro.plan`), which computes the same union, so the
-    series — and therefore the result and the guard behaviour — is identical.
 
     ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
     iteration; on expiry the evaluation raises
@@ -123,10 +116,6 @@ def close(
     Example 4.6.
     """
     ruleset = _as_ruleset(rules)
-    if apply is None:
-        def apply(value):
-            return ruleset.apply(value, allow_bottom=allow_bottom)
-
     current = database
     for iteration in range(1, max_iterations + 1):
         if deadline is not None:
@@ -134,7 +123,7 @@ def close(
                 f"fixpoint iteration {iteration} ({len(ruleset)} rules)",
                 partial=current,
             )
-        produced = apply(current)
+        produced = ruleset.apply(current, allow_bottom=allow_bottom)
         next_value = union(current, produced) if inflationary else produced
         if next_value == current:
             return ClosureResult(value=current, iterations=iteration - 1)
@@ -142,7 +131,7 @@ def close(
         current = next_value
     # One extra check: the last computed object may already be closed even if
     # the loop ran out of iterations exactly at the fixpoint.
-    if is_subobject(apply(current), current):
+    if is_subobject(ruleset.apply(current, allow_bottom=allow_bottom), current):
         return ClosureResult(value=current, iterations=max_iterations)
     raise DivergenceError(
         f"closure did not converge within {max_iterations} iterations",
@@ -184,7 +173,7 @@ def check_guards(
 ) -> None:
     """Raise :class:`DivergenceError` when ``value`` exceeds the size guards.
 
-    Shared by :func:`close` and the engines of :mod:`repro.engine`; only
+    Shared by :func:`close` and the engine of :mod:`repro.engine`; only
     called on values produced by a growing step, never on a converged result
     (see the module docstring on guard ordering).
     """

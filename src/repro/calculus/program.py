@@ -9,8 +9,6 @@ workflow:
 * rules derive new structure;
 * :meth:`Program.evaluate` computes the closure of the seed object under the
   rules with the divergence guards of :mod:`repro.calculus.fixpoint`;
-* :meth:`Program.query` interprets a formula against the evaluated closure,
-  compiled and cost-ordered through the plan pipeline of :mod:`repro.plan`;
 * :meth:`Program.explain` pretty-prints the optimized plan with estimated
   and actual cardinalities (the EXPLAIN facility, also reachable through the
   CLI's ``run --explain`` / ``query --explain``).
@@ -100,16 +98,6 @@ class Program:
         return Program(combined, database=self._database)
 
     # -- analysis -----------------------------------------------------------------
-    def diagnostics(self):
-        """Legacy per-rule diagnostics (see :mod:`repro.lint.legacy`).
-
-        Kept for compatibility; :meth:`lint` is the full analyzer with
-        stable codes, locations and plan-level findings.
-        """
-        from repro.lint.legacy import analyze_rules
-
-        return analyze_rules(list(self._facts) + list(self._rules))
-
     def lint(self, query=None, *, statistics=None, use_database: bool = True):
         """Run the whole-program static analyzer (:mod:`repro.lint`).
 
@@ -145,7 +133,6 @@ class Program:
     def evaluate(
         self,
         *,
-        engine: str = "naive",
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         max_nodes: int = DEFAULT_MAX_NODES,
         max_depth=DEFAULT_MAX_DEPTH,
@@ -153,24 +140,24 @@ class Program:
     ) -> ClosureResult:
         """Compute the closure of the seeded database under the rules.
 
-        ``engine`` selects the evaluation strategy (see :mod:`repro.engine`):
-        ``"naive"`` (the default) iterates the full rule set against the full
-        database each round exactly as :func:`repro.calculus.fixpoint.close`
-        does; ``"seminaive"`` uses the stratified, delta-driven, indexed
-        engine.  Both strategies compute the same closure and return an
+        Runs :class:`repro.engine.SemiNaiveEngine` — the same value as the
+        oracle :func:`repro.calculus.fixpoint.close` — and returns an
         :class:`repro.engine.EngineResult` (a :class:`ClosureResult` whose
-        ``stats`` attribute records the work performed).  ``deadline`` — a
-        :class:`repro.fault.Deadline` — bounds the evaluation: the engines
-        check it at round boundaries and raise
+        ``stats`` attribute records the work performed).  ``iterations`` and
+        the ``max_iterations`` budget count rounds summed over recursive
+        strata, not global rounds: two independent depth-8 recursions report
+        16 iterations (and need ``max_iterations=18``, one confirming round
+        each) where the oracle reports 8.  ``deadline`` — a
+        :class:`repro.fault.Deadline` — bounds the evaluation: the engine
+        checks it at round boundaries and raises
         :class:`~repro.core.errors.QueryTimeout` with the partial closure
         attached.
         """
         # Deferred import: the calculus package must stay importable without
         # the engine subsystem (which itself builds on the calculus).
-        from repro.engine import create_engine
+        from repro.engine import SemiNaiveEngine
 
-        evaluator = create_engine(
-            engine,
+        evaluator = SemiNaiveEngine(
             self._rules,
             max_iterations=max_iterations,
             max_nodes=max_nodes,
@@ -178,33 +165,6 @@ class Program:
             deadline=deadline,
         )
         return evaluator.run(self.seed())
-
-    def query(self, query_formula, **guards) -> ComplexObject:
-        """Deprecated shim: evaluate the program and query the closure.
-
-        Delegates to the session facade (:mod:`repro.api`) so there is
-        exactly one execution path; new code should hold a
-        :class:`repro.api.Session`, register the rules once, and query the
-        (cached) closure through it — which also makes repeated queries skip
-        re-evaluation and re-planning, something this per-call shim cannot.
-        The answer is the same substitution set, and therefore the same
-        object, as the baseline
-        :func:`repro.calculus.interpretation.interpret` against the closure.
-        """
-        import warnings
-
-        warnings.warn(
-            "Program.query() is deprecated; use repro.api.Session"
-            " (session.register(rules); session.query(..., on_closure=True))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api import Session
-
-        engine = guards.pop("engine", "naive")
-        return Session.over_program(self).query(
-            to_formula(query_formula), on_closure=True, engine=engine, **guards
-        )
 
     def explain(
         self,
@@ -219,7 +179,7 @@ class Program:
         statistics of the seeded database, and renders the stratified plan
         with each leaf's estimated cardinality and access path.  With
         ``analyze=True`` (the default) the program is also evaluated
-        (``guards`` are forwarded to :meth:`evaluate`, including ``engine=``)
+        (``guards`` are forwarded to :meth:`evaluate`)
         and each rule's plan is re-executed once against the closure so the
         rendering shows **actual** cardinalities and per-leaf wall time next
         to the estimates (EXPLAIN ANALYZE); the optional ``query_formula`` is
@@ -241,7 +201,7 @@ class Program:
         statistics = DatabaseStatistics.collect(seed)
         # Closed-world inference over the seeded database: the rendering
         # shows each leaf's inferred element shape and marks the bodies the
-        # analysis proved empty (the same proof the engines prune on).
+        # analysis proved empty (the same proof the engine prunes on).
         shapes = infer_shapes(tuple(self._rules), seed)
         plan = optimize_program(compile_program(self._rules), statistics, shapes)
 

@@ -17,10 +17,9 @@ Subcommands
 ``apply``     apply a single rule once to a database object (Definition 4.4).
 ``run``       evaluate a program (facts + rules) to its closure and optionally
               interpret a query against the result (Example 4.5 end to end).
-              ``--engine seminaive`` selects the stratified, delta-driven,
-              indexed engine of :mod:`repro.engine`; ``--stats`` prints its
-              instrumentation record (including per-rule full-matching
-              fallbacks); ``--explain`` prints the optimized program plan.
+              ``--stats`` prints the engine's instrumentation record
+              (including per-rule full-matching fallbacks); ``--explain``
+              prints the optimized program plan.
 ``lint``      whole-program static analysis (:mod:`repro.lint`): stable
               ``RLxxx`` diagnostics with severities, clause locations and fix
               hints, the stratification report, and plan-level findings.
@@ -29,8 +28,6 @@ Subcommands
               dead-rule analysis; ``--format json`` emits the machine
               report; ``--suppress RLxxx`` (or ``N:RLxxx``) drops findings.
               Exits 1 on errors — and on warnings too under ``--strict``.
-``check``     run the legacy static rule diagnostics over a program
-              (superseded by ``lint``).
 ``store``     operate on a durable, WAL-backed object store: ``--db-path``
               opens (or creates) a :class:`repro.store.storage.FileStorage`
               log, and the actions ``put``/``get``/``delete``/``names``/
@@ -74,10 +71,8 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import ReproError, Session, connect
-from repro.lint.legacy import analyze_rules
 from repro.core.errors import ParameterError
 from repro.core.objects import BOTTOM, ComplexObject
-from repro.engine import ENGINES
 from repro.parser import parse_formula, parse_object, parse_program, parse_rule
 from repro.parser.printer import pretty
 
@@ -160,13 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iterations", type=int, default=200, help="divergence guard (iterations)"
     )
     run_command.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="naive",
-        help="evaluation strategy (default: naive; seminaive is the"
-        " stratified, delta-driven, indexed engine)",
-    )
-    run_command.add_argument(
         "--stats",
         action="store_true",
         help="print the engine's instrumentation record as a comment line",
@@ -211,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop a diagnostic code everywhere, or for clause N only"
         " (repeatable)",
     )
-
-    check_command = subcommands.add_parser(
-        "check", help="legacy static diagnostics over a program (see: lint)"
-    )
-    check_command.add_argument("program", help="program text, or @file")
 
     store_command = subcommands.add_parser(
         "store", help="operate on a durable (write-ahead-log) object store"
@@ -267,6 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _stats_line(result) -> str:
+    """The ``run --stats`` comment line for one closure result."""
+    return f"% engine seminaive: {result.stats.summary()}"
 
 
 def _run_lint(arguments, stream) -> int:
@@ -407,20 +395,12 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
         elif arguments.command == "run":
             session = Session.over_object(_load_database(arguments.database))
             session.register(parse_program(_read_source(arguments.program)))
-            guards = {
-                "engine": arguments.engine,
-                "max_iterations": arguments.max_iterations,
-            }
+            guards = {"max_iterations": arguments.max_iterations}
             if arguments.explain:
                 if arguments.stats:
                     # --stats composes with --explain: the instrumentation
                     # line is printed before the plan rather than dropped.
-                    stats_result = session.close(**guards)
-                    print(
-                        f"% engine {arguments.engine}:"
-                        f" {stats_result.stats.summary()}",
-                        file=stream,
-                    )
+                    print(_stats_line(session.close(**guards)), file=stream)
                 query = (
                     parse_formula(_read_source(arguments.query))
                     if arguments.query
@@ -431,15 +411,7 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
             result = session.close(**guards)
             print(f"% closure reached after {result.iterations} iterations", file=stream)
             if arguments.stats:
-                stats = getattr(result, "stats", None)
-                if stats is None:
-                    print(
-                        f"% engine {arguments.engine}: no instrumentation"
-                        " (the naive engine reports iterations only)",
-                        file=stream,
-                    )
-                else:
-                    print(f"% engine {arguments.engine}: {stats.summary()}", file=stream)
+                print(_stats_line(result), file=stream)
             if arguments.query:
                 # The closure is cached on the session, so this re-uses the
                 # evaluation above rather than running the program again.
@@ -467,16 +439,6 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
             print(
                 json.dumps(obs.snapshot(), indent=2, sort_keys=True), file=stream
             )
-        elif arguments.command == "check":
-            rules = parse_program(_read_source(arguments.program))
-            reports = analyze_rules(rules)
-            for report in reports:
-                status = "fact" if report.is_fact else (
-                    "MAY DIVERGE" if report.may_diverge else "ok"
-                )
-                print(f"{status:12s} {report.rule.to_text()}", file=stream)
-                for warning in report.warnings:
-                    print(f"             warning: {warning}", file=stream)
     except ReproError as error:
         # One catch covers the whole library surface (parse, plan, parameter,
         # schema, store, divergence): a single line, no traceback, exit 1.

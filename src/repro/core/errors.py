@@ -29,6 +29,15 @@ class NormalizationError(ComplexObjectError, ValueError):
     """
 
 
+class NestingError(ComplexObjectError, RecursionError):
+    """An object is nested too deeply for a recursive operation to finish.
+
+    Raised in place of a raw :class:`RecursionError` by the printing entry
+    points (``ComplexObject.to_text``, :func:`repro.parser.printer.pretty`);
+    the message names the nesting depth.
+    """
+
+
 class DivergenceError(ComplexObjectError, RuntimeError):
     """A fixpoint computation exceeded its resource guards.
 
@@ -149,7 +158,7 @@ class QueryTimeout(ComplexObjectError, TimeoutError):
     """A cooperative query deadline expired before evaluation finished.
 
     Raised by :meth:`repro.api.Session.execute` (and everything downstream:
-    the plan executor between instance steps, the engines between fixpoint
+    the plan executor between instance steps, the engine between fixpoint
     rounds) when called with ``timeout_ms=``.  Carries how far evaluation
     got: ``elapsed_ms``/``timeout_ms``, the ``partial_explain`` rendering of
     the in-flight plan or engine state, and — for closure evaluations — the

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
 from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
-from repro.core.errors import NormalizationError
+from repro.core.errors import NestingError, NormalizationError
 
 __all__ = [
     "ComplexObject",
@@ -178,7 +178,16 @@ class ComplexObject:
         """Render the object in the paper's concrete syntax.
 
         The rendering round-trips through :func:`repro.parser.parse_object`.
+        An object nested too deeply to render recursively raises
+        :class:`~repro.core.errors.NestingError` (guarded here, at the entry
+        point, like the parser: the per-node ``_text`` calls pay nothing).
         """
+        try:
+            return self._text()
+        except RecursionError:
+            raise too_deep_to_print(self) from None
+
+    def _text(self) -> str:
         raise NotImplementedError
 
 
@@ -214,7 +223,7 @@ class Top(ComplexObject):
     def _compute_key(self):
         return (_RANK_TOP,)
 
-    def to_text(self) -> str:
+    def _text(self) -> str:
         return "top"
 
 
@@ -242,7 +251,7 @@ class Bottom(ComplexObject):
     def _compute_key(self):
         return (_RANK_BOTTOM,)
 
-    def to_text(self) -> str:
+    def _text(self) -> str:
         return "bottom"
 
 
@@ -296,7 +305,7 @@ class Atom(ComplexObject):
     def _compute_key(self):
         return (_RANK_ATOM,) + atom_key(self.value)
 
-    def to_text(self) -> str:
+    def _text(self) -> str:
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
         if isinstance(self.value, str):
@@ -451,8 +460,8 @@ class TupleObject(ComplexObject):
     def _compute_hash(self) -> int:
         return hash((_RANK_TUPLE, tuple((name, hash(value)) for name, value in self._attrs)))
 
-    def to_text(self) -> str:
-        inner = ", ".join(f"{name}: {value.to_text()}" for name, value in self._attrs)
+    def _text(self) -> str:
+        inner = ", ".join(f"{name}: {value._text()}" for name, value in self._attrs)
         return f"[{inner}]"
 
 
@@ -588,9 +597,28 @@ class SetObject(ComplexObject):
     def _compute_hash(self) -> int:
         return hash((_RANK_SET, tuple(map(hash, self._elements))))
 
-    def to_text(self) -> str:
-        inner = ", ".join(element.to_text() for element in self._elements)
+    def _text(self) -> str:
+        inner = ", ".join(element._text() for element in self._elements)
         return "{" + inner + "}"
+
+
+def _children(node: ComplexObject) -> Iterable[ComplexObject]:
+    if isinstance(node, TupleObject):
+        return [item for _, item in node._attrs]
+    return node._elements if isinstance(node, SetObject) else ()
+
+
+def too_deep_to_print(value: ComplexObject) -> NestingError:
+    """The error for an object whose rendering overflowed the call stack.
+
+    Counts the container levels breadth-first, so building the message never
+    recurses into the object that just proved too deep for that.
+    """
+    levels, frontier = -1, [value]
+    while frontier:
+        levels += 1
+        frontier = [child for node in frontier for child in _children(node)]
+    return NestingError(f"object is nested {levels} levels deep, too deep to print")
 
 
 def _check_attribute(name: str, value: object) -> None:

@@ -1,9 +1,9 @@
-"""repro.engine — a pluggable evaluation engine for calculus rule sets.
+"""repro.engine — the closure engine for calculus rule sets.
 
-The naive fixpoint of :mod:`repro.calculus.fixpoint` re-matches every rule
-body against the entire database on every round.  This subsystem brings the
-evaluation technology the flat Datalog layer already enjoys to the
-complex-object calculus itself:
+The fixpoint of :mod:`repro.calculus.fixpoint` — the paper's definition, and
+this engine's oracle — re-matches every rule body against the entire
+database on every round.  This subsystem brings the evaluation technology
+the flat Datalog layer already enjoys to the complex-object calculus itself:
 
 * :mod:`repro.engine.dependency` — a rule dependency graph whose
   strongly-connected components, in topological order, are the scheduler's
@@ -15,33 +15,25 @@ complex-object calculus itself:
   attribute paths of body formulae, maintained incrementally as the closure
   grows;
 * :mod:`repro.engine.stats` — the :class:`EngineStats` instrumentation record;
-* :mod:`repro.engine.core` — the :class:`NaiveEngine` / :class:`SemiNaiveEngine`
-  strategies behind ``Program.evaluate(engine=...)`` and the CLI's
-  ``--engine`` flag.
+* :mod:`repro.engine.core` — :class:`SemiNaiveEngine`, the one engine behind
+  ``Session.close()``, ``Program.evaluate()``, ``close_under`` and the CLI.
 
 Quick use::
 
     from repro import Program
 
     program = Program.from_source(source, database=db)
-    result = program.evaluate(engine="seminaive")
+    result = program.evaluate()
     print(result.stats.summary())
 """
 
-from repro.engine.core import (
-    ENGINES,
-    EngineResult,
-    NaiveEngine,
-    SemiNaiveEngine,
-    create_engine,
-)
+from repro.engine.core import EngineResult, SemiNaiveEngine, create_engine
 from repro.engine.delta import BodyDecomposition, DeltaPosition, decompose, new_set_elements
 from repro.engine.dependency import DependencyGraph, Stratum, access_paths
 from repro.engine.indexes import IndexStore, MatchIndex, element_keys
 from repro.engine.stats import EngineStats
 
 __all__ = [
-    "ENGINES",
     "BodyDecomposition",
     "DeltaPosition",
     "DependencyGraph",
@@ -49,7 +41,6 @@ __all__ = [
     "EngineStats",
     "IndexStore",
     "MatchIndex",
-    "NaiveEngine",
     "SemiNaiveEngine",
     "Stratum",
     "access_paths",

@@ -1,35 +1,33 @@
-"""The evaluation engines: naive baseline and semi-naive indexed closure.
+"""The closure engine: stratified, semi-naive, indexed.
 
-Both engines compute the closure of Definition 4.6 — the least object above
-the input closed under the rule set — and report it as an
+:class:`SemiNaiveEngine` computes the closure of Definition 4.6 — the least
+object above the input closed under the rule set — and reports it as an
 :class:`EngineResult`, a :class:`~repro.calculus.fixpoint.ClosureResult`
-extended with :class:`~repro.engine.stats.EngineStats`.  Both now evaluate
-rule bodies through the shared plan pipeline of :mod:`repro.plan`: each body
-compiles once into a logical plan, the cost-based optimizer orders its leaves
-against statistics of the database being closed, and the physical executor
-runs it — the engine's historical delta restriction and match indexes are the
-executor's physical operators.
+extended with :class:`~repro.engine.stats.EngineStats`.  Its oracle is
+:func:`repro.calculus.fixpoint.close`, the paper's series iterated literally
+over :meth:`RuleSet.apply`, which shares no plan code with it.
 
-* :class:`NaiveEngine` iterates :func:`repro.calculus.fixpoint.close` with a
-  plan-compiled applier: every round re-matches every rule against the whole
-  database (the literal reading of Theorem 4.1's series, made inflationary),
-  each body executed as an optimized plan without indexes.
-
-* :class:`SemiNaiveEngine` is the subsystem this package exists for.  It
-  stratifies the rule set along its dependency graph
-  (:mod:`repro.engine.dependency`), applies non-recursive strata once, and
-  iterates each recursive stratum with delta-restricted plan execution
-  (:mod:`repro.engine.delta`) accelerated by incrementally maintained match
-  indexes (:mod:`repro.engine.indexes`).  Rules whose bodies cannot be
-  delta-decomposed, and evaluations under the literal ``allow_bottom``
-  semantics, fall back to full matching for correctness — each such fallback
-  is counted per rule in the stats record so silent de-optimizations stay
-  visible.
+The engine stratifies the rule set along its dependency graph
+(:mod:`repro.engine.dependency`), applies non-recursive strata once, and
+iterates each recursive stratum with delta-restricted plan execution
+(:mod:`repro.engine.delta`) accelerated by incrementally maintained match
+indexes (:mod:`repro.engine.indexes`).  Rule bodies run through the plan
+pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
+cost-based optimizer orders its leaves against statistics of the database
+being closed, and the physical executor runs it.  Rules whose bodies cannot
+be delta-decomposed, and evaluations under the literal ``allow_bottom``
+semantics, fall back to full matching for correctness — each such fallback
+is counted per rule in the stats record so silent de-optimizations stay
+visible.
 
 Divergent programs raise the same
-:class:`~repro.core.errors.DivergenceError` as the naive fixpoint, with the
-partial result attached; the iteration budget is charged per recursive-stratum
-round so that stratification alone can never trip it.
+:class:`~repro.core.errors.DivergenceError` as the oracle, with the partial
+result attached.  ``iterations`` (growing rounds) and the ``max_iterations``
+budget (every round of a recursive stratum, its confirming last one
+included) are *summed over strata*: non-recursive strata are free, so
+stratification alone can never trip the budget, but two independent
+recursions each pay their own rounds where the oracle's global rounds
+advance both at once.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.calculus.fixpoint import (
     ClosureResult,
     _as_ruleset,
     check_guards,
-    close,
 )
 from repro.calculus.rules import Rule, RuleSet
 from repro.engine.delta import BodyDecomposition, decompose, new_set_elements
@@ -57,13 +54,13 @@ from repro.engine.indexes import IndexStore
 from repro.engine.stats import EngineStats
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan.compile import compile_body, compile_rule
-from repro.plan.execute import apply_rule_plan, match_plan
+from repro.plan.compile import compile_body
+from repro.plan.execute import match_plan
 from repro.plan.ir import BodyPlan
-from repro.plan.optimize import optimize_body, optimize_rule
+from repro.plan.optimize import optimize_body
 from repro.plan.statistics import DatabaseStatistics
 
-__all__ = ["EngineResult", "NaiveEngine", "SemiNaiveEngine", "create_engine", "ENGINES"]
+__all__ = ["EngineResult", "SemiNaiveEngine", "create_engine"]
 
 
 @dataclass(frozen=True)
@@ -87,97 +84,6 @@ def _infer_run_shapes(rules: Tuple[Rule, ...], database: ComplexObject, enabled:
     from repro.lint.shapes import infer_shapes
 
     return infer_shapes(tuple(rules), database)
-
-
-class NaiveEngine:
-    """The baseline strategy: :func:`close`'s series over plan-compiled rules.
-
-    The iteration discipline — the inflationary series, convergence test,
-    guard ordering and final closed-check — is exactly :func:`close`'s; only
-    the per-round ``R(O)`` is computed by executing each rule's optimized
-    plan, which produces the identical union (see :mod:`repro.plan.ir` on
-    order independence).
-    """
-
-    name = "naive"
-
-    def __init__(
-        self,
-        rules: Union[Rule, RuleSet, Sequence[Rule]],
-        *,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        max_nodes: int = DEFAULT_MAX_NODES,
-        max_depth: Union[int, float] = DEFAULT_MAX_DEPTH,
-        allow_bottom: bool = False,
-        use_shapes: bool = True,
-        deadline=None,
-    ):
-        self.rules = _as_ruleset(rules)
-        self.max_iterations = max_iterations
-        self.max_nodes = max_nodes
-        self.max_depth = max_depth
-        self.allow_bottom = allow_bottom
-        self.deadline = deadline
-        # The shape matcher assumes the strict semantics (a ⊥ binding kills
-        # the row); the literal ``allow_bottom`` semantics evaluates unpruned.
-        self.use_shapes = use_shapes and not allow_bottom
-        self._nodes = [compile_rule(rule) for rule in self.rules]
-
-    def run(self, database: ComplexObject) -> EngineResult:
-        statistics = DatabaseStatistics.collect(database)
-        shapes = _infer_run_shapes(self.rules.rules, database, self.use_shapes)
-        statistics.shapes = shapes
-        nodes = [optimize_rule(node, statistics, shapes) for node in self._nodes]
-        rules_pruned = sum(
-            1
-            for node in nodes
-            if node.body_plan is not None and node.body_plan.pruned is not None
-        )
-        # Statically-empty rules leave the per-round loop entirely: their
-        # zero contribution is proved once, not re-checked every round.
-        nodes = [
-            node
-            for node in nodes
-            if node.body_plan is None or node.body_plan.pruned is None
-        ]
-
-        def apply_plans(current: ComplexObject) -> ComplexObject:
-            return union_all(
-                apply_rule_plan(node, current, allow_bottom=self.allow_bottom)
-                for node in nodes
-            )
-
-        with _trace.span("engine.run") as span:
-            result = close(
-                database,
-                self.rules,
-                max_iterations=self.max_iterations,
-                max_nodes=self.max_nodes,
-                max_depth=self.max_depth,
-                allow_bottom=self.allow_bottom,
-                apply=apply_plans,
-                deadline=self.deadline,
-            )
-            if span.enabled:
-                span.set(engine=self.name, iterations=result.iterations)
-        # close() applies the full rule set once per growing round plus one
-        # confirming round, every application a full match of every rule
-        # (minus the ones the shape analysis removed up front).
-        applications = result.iterations + 1 if len(self.rules) else 0
-        stats = EngineStats(
-            iterations=result.iterations,
-            strata=1 if len(self.rules) else 0,
-            recursive_strata=1 if len(self.rules) else 0,
-            full_matches=applications * len(nodes),
-            rules_pruned=rules_pruned,
-        )
-        _METRICS.record_engine_run(stats)
-        return EngineResult(
-            value=result.value,
-            iterations=result.iterations,
-            converged=result.converged,
-            stats=stats,
-        )
 
 
 class SemiNaiveEngine:
@@ -362,8 +268,9 @@ class SemiNaiveEngine:
             round_ns.observe(time.perf_counter_ns() - round_start)
             if next_value == current:
                 return current
-            # Like close(), ``iterations`` counts growing applications only, so
-            # the two engines report comparable numbers for the same program.
+            # ``iterations`` counts growing rounds only, summed over strata:
+            # comparable with close()'s count for one recursion, larger for
+            # independent ones, which close() advances in the same round.
             stats.iterations += 1
             check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
             if indexes is not None:
@@ -491,24 +398,10 @@ class SemiNaiveEngine:
         return union_all(heads)
 
 
-#: Registry of engine names accepted by :func:`create_engine`,
-#: ``Program.evaluate`` and the command line.
-ENGINES = {
-    NaiveEngine.name: NaiveEngine,
-    SemiNaiveEngine.name: SemiNaiveEngine,
-}
-
-
 def create_engine(name: str, rules: Union[Rule, RuleSet, Sequence[Rule]], **options):
-    """Instantiate the engine registered under ``name``.
-
-    ``options`` are forwarded to the engine constructor (the divergence
-    guards, ``allow_bottom`` and engine-specific switches such as
-    ``use_indexes``).
-    """
-    try:
-        engine_class = ENGINES[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise ValueError(f"unknown engine {name!r} (expected one of: {known})") from None
-    return engine_class(rules, **options)
+    """``SemiNaiveEngine(rules, **options)`` under the name ``"seminaive"``."""
+    # Vestigial: the one caller is the frozen probe benchmarks/e2e/layers.py;
+    # ROADMAP item 1 deletes that probe and this function with it.
+    if name != SemiNaiveEngine.name:
+        raise ValueError(f"unknown engine {name!r} (expected one of: seminaive)")
+    return SemiNaiveEngine(rules, **options)

@@ -7,8 +7,9 @@ yield points:
 
 * the physical executor between plan instance steps
   (:func:`repro.plan.execute.match_plan`) and the streaming cursor per row;
-* the engines between fixpoint rounds (:meth:`SemiNaiveEngine._charge`,
-  :func:`repro.calculus.fixpoint.close` per iteration).
+* the engine and its oracle between fixpoint rounds
+  (:meth:`SemiNaiveEngine._charge`, :func:`repro.calculus.fixpoint.close`
+  per iteration).
 
 ``check`` raises :class:`~repro.core.errors.QueryTimeout` carrying the
 elapsed time and whatever partial context the call site supplies — a plan
@@ -72,7 +73,7 @@ class Deadline:
         call sites never pay for a rendering that is not needed); it must
         describe work already done — it is never allowed to re-execute the
         query.  ``partial`` attaches a partially-computed value (the
-        engines' in-flight closure).
+        engine's in-flight closure).
         """
         if time.perf_counter_ns() < self._deadline_ns:
             return

@@ -21,9 +21,6 @@ Every finding carries a stable ``RLxxx`` code, a severity, the offending
 clause's location, and a one-line fix hint (:data:`CODES` is the registry).
 Surfaces: the ``repro lint`` CLI subcommand, ``Session.prepare(lint=...)``,
 ``Program.lint()``, and the ``lint.*`` counters in :mod:`repro.obs`.
-
-:mod:`repro.calculus.safety` is subsumed: its exact legacy API lives on in
-:mod:`repro.lint.legacy` and the old module is a deprecation shim.
 """
 
 from repro.lint.analyzer import check_containment, lint_query, lint_rules, lint_source
@@ -36,7 +33,6 @@ from repro.lint.diagnostics import (
     LintReport,
     WARNING,
 )
-from repro.lint.legacy import RuleDiagnostics, analyze_rule, analyze_rules
 
 __all__ = [
     "CODES",
@@ -45,10 +41,7 @@ __all__ = [
     "ERROR",
     "INFO",
     "LintReport",
-    "RuleDiagnostics",
     "WARNING",
-    "analyze_rule",
-    "analyze_rules",
     "check_containment",
     "lint_query",
     "lint_rules",

@@ -10,9 +10,8 @@ dependency relation (:class:`repro.engine.dependency.DependencyGraph` — rule
   (Example 4.6: ``[list: {[head: 1, tail: X]}] :- [list: {X}]``).  A rule
   that re-embeds a variable more deeply in the head than the body found it
   *grows structure*; growing structure on a dependency cycle may diverge.
-  Unlike the legacy :mod:`repro.calculus.safety` heuristic (top-level
-  attribute overlap), recursion here is graph recursion: the rule sits on an
-  SCC cycle or depends on itself;
+  Recursion here is graph recursion: the rule sits on an SCC cycle or
+  depends on itself;
 * **duplicates** (``RL004``) — structural rule equality, flagged on the later
   occurrence;
 * **dead rules** (``RL005``) — relative to a query head: a rule is *live*
@@ -56,7 +55,7 @@ def variable_depths(formula: Formula) -> Dict[str, int]:
     """Map each variable to its maximum nesting depth within ``formula``.
 
     The formula itself is at depth 0; each tuple attribute or set element adds
-    one level.  (Shared with the legacy analyzer, which re-exports it.)
+    one level.
     """
     depths: Dict[str, int] = {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.core.builder import obj
-from repro.core.objects import ComplexObject, SetObject, TupleObject
+from repro.core.objects import ComplexObject, SetObject, TupleObject, too_deep_to_print
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, SetFormula, TupleFormula
 
@@ -48,7 +48,14 @@ def pretty(value, indent: int = 2, max_width: int = 60) -> str:
         return "\n".join(pretty(rule, indent, max_width) for rule in value)
     if not isinstance(value, (ComplexObject, Formula)):
         value = obj(value)
-    return _pretty_node(value, indent, max_width, level=0)
+    try:
+        return _pretty_node(value, indent, max_width, level=0)
+    except RecursionError:
+        # Also a NestingError from a to_text() further down, which only
+        # measured the sub-object it was asked to render.
+        if isinstance(value, ComplexObject):
+            raise too_deep_to_print(value) from None
+        raise
 
 
 def _pretty_node(value, indent: int, max_width: int, level: int) -> str:

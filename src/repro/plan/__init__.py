@@ -35,7 +35,7 @@ Quick use::
 """
 
 from repro.plan.compile import compile_body, compile_program, compile_rule
-from repro.plan.execute import apply_rule_plan, interpret_plan, iter_match_plan, match_plan
+from repro.plan.execute import interpret_plan, iter_match_plan, match_plan
 from repro.plan.explain import render_body_plan, render_program_plan, render_rule_node
 from repro.plan.ir import (
     BindLeaf,
@@ -69,7 +69,6 @@ __all__ = [
     "RuleNode",
     "ScanLeaf",
     "StratumNode",
-    "apply_rule_plan",
     "bind_body_plan",
     "compile_body",
     "compile_program",

@@ -15,9 +15,8 @@ recursively by the executor, exactly as the baseline matcher does.
 
 ``compile_rule`` wraps the body plan with the head projection;
 ``compile_program`` schedules a rule set into strata using the engine's
-dependency graph, producing the :class:`ProgramPlan` that every evaluator —
-naive, semi-naive, algebraic, store-side — now shares.  Compilation is pure
-and cached on the (immutable, hashable) formula.
+dependency graph, producing the :class:`ProgramPlan` EXPLAIN renders.
+Compilation is pure and cached on the (immutable, hashable) formula.
 """
 
 from __future__ import annotations
@@ -325,8 +324,8 @@ def compile_program(rules: Union[RuleSet, Sequence[Rule]]) -> ProgramPlan:
     """Schedule ``rules`` into strata and compile every rule.
 
     Strata come from :class:`repro.engine.dependency.DependencyGraph` — the
-    same producers-first SCC order the semi-naive engine iterates — so one
-    plan serves naive evaluation, semi-naive evaluation and EXPLAIN alike.
+    same producers-first SCC order the semi-naive engine iterates — so
+    EXPLAIN shows the strata the engine runs.
     """
     from repro.engine.dependency import DependencyGraph
 

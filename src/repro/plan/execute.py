@@ -1,8 +1,7 @@
 """The physical executor: run a :class:`BodyPlan` against a database object.
 
-This is the one matching loop every evaluation path shares — the naive and
-semi-naive engines, ``Program.query``, the store's query/find pushdowns and
-EXPLAIN all call :func:`match_plan`.  Its oracle is the derivation-maximal
+This is the one matching loop every evaluation path shares — the engine,
+sessions (store pushdowns included) and EXPLAIN all call :func:`match_plan`.  Its oracle is the derivation-maximal
 enumeration of :func:`repro.calculus.matching.match_all` (Definition 4.2):
 on a source-ordered plan the two return the same list, on a cost-ordered one
 the same set (``tests/test_exec_properties.py``).  On top of the definition
@@ -58,13 +57,12 @@ from repro.core.objects import (
 from repro.core.order import is_subobject
 from repro.store.paths import Path
 from repro.plan.compile import compile_element_matcher
-from repro.plan.ir import BodyPlan, RuleNode, ScanLeaf, leaf_key
+from repro.plan.ir import BodyPlan, ScanLeaf, leaf_key
 
 __all__ = [
     "match_plan",
     "iter_match_plan",
     "interpret_plan",
-    "apply_rule_plan",
     "DEFAULT_BATCH_SIZE",
 ]
 
@@ -239,34 +237,6 @@ def interpret_plan(
     )
     instantiations = [substitution.apply(plan.body) for substitution in substitutions]
     return union_all(instantiations)
-
-
-def apply_rule_plan(
-    node: RuleNode,
-    target: ComplexObject,
-    *,
-    indexes=None,
-    stats=None,
-    allow_bottom: bool = False,
-) -> ComplexObject:
-    """``r(O)`` of Definition 4.4 through the plan pipeline.
-
-    Agrees with :meth:`repro.calculus.rules.Rule.apply`.
-    """
-    if node.body_plan is None:
-        substitutions: List[Substitution] = [_EMPTY]
-    else:
-        substitutions = match_plan(
-            node.body_plan,
-            target,
-            indexes=indexes,
-            stats=stats,
-            allow_bottom=allow_bottom,
-        )
-    heads = [substitution.apply(node.rule.head) for substitution in substitutions]
-    if stats is not None:
-        stats.subobjects_derived += len(heads)
-    return union_all(heads)
 
 
 class _LayoutMismatch(ComplexObjectError):

@@ -6,13 +6,12 @@ storage engine, with:
 * calculus queries: formulae evaluate against one stored object (or against
   the whole database seen as a single tuple object, exactly the paper's "the
   entire database can be modeled by a single object") through the session
-  facade of :mod:`repro.api` — :meth:`ObjectDatabase.query` is its
-  deprecation shim — with the store contributing the access-path decisions:
-  root-attribute and indexed-path selections are pushed into the store
-  instead of materialising the snapshot (``--explain`` on the CLI shows the
-  plan), and :meth:`ObjectDatabase.apply_rules` / :meth:`close_under`
-  evaluate rules and closures in place (the latter through the plan-compiled
-  engines);
+  facade of :mod:`repro.api` (``Session(database=db).query(...)``), with the
+  store contributing the access-path decisions: root-attribute and
+  indexed-path selections are pushed into the store instead of materialising
+  the snapshot (``--explain`` on the CLI shows the plan), and
+  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under` evaluate rules and
+  closures in place (the latter through the plan-compiled engine);
 * pattern search across objects: :meth:`find` returns the names of the stored
   objects of which a pattern is a sub-object, prefiltering through every
   path index the pattern pins (``access_stats`` counts prefilters vs scans);
@@ -43,7 +42,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
 from repro.core.order import is_subobject
-from repro.calculus.fixpoint import ClosureResult, close
+from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, TupleFormula
 from repro.schema.check import check_object
@@ -95,11 +94,6 @@ class ObjectDatabase:
         self._top_names = {
             name for name, value in self._storage.items() if value.is_top
         }
-        # Lazily-created repro.api.Session the deprecated query() shim routes
-        # through (so every evaluation shares one pipeline and plan cache).
-        # Sessions are single-threaded while the database must stay safe for
-        # concurrent use, so the facade is per thread.
-        self._facade_sessions = threading.local()
 
     # -- basic CRUD -----------------------------------------------------------------
     def put(self, name: str, value) -> ComplexObject:
@@ -288,7 +282,7 @@ class ObjectDatabase:
     # -- queries --------------------------------------------------------------------------
     @property
     def access_stats(self) -> Dict[str, int]:
-        """Counters of index pushdowns vs full scans (a copy; see ``query``/``find``)."""
+        """Counters of index pushdowns vs full scans (a copy; see ``find``)."""
         with self._stats_lock:
             return dict(self._access_stats)
 
@@ -296,49 +290,6 @@ class ObjectDatabase:
         with self._stats_lock:
             self._access_stats[counter] += 1
         _METRICS.counter(f"store.index.{counter}").inc()
-
-    def _facade(self):
-        """This thread's lazily-created :class:`repro.api.Session` over the database."""
-        session = getattr(self._facade_sessions, "session", None)
-        if session is None:
-            from repro.api import Session
-
-            session = Session(database=self)
-            self._facade_sessions.session = session
-        return session
-
-    def query(
-        self,
-        formula,
-        *,
-        against: Optional[str] = None,
-        allow_bottom: bool = False,
-    ) -> ComplexObject:
-        """Deprecated shim: interpret a formula against one object or the database.
-
-        Delegates to the session facade (:mod:`repro.api`), which makes the
-        same access-path decisions this method always made — root-attribute
-        pushdown, :class:`PathIndex` ⊥-short-circuit, full-snapshot fallback
-        (see :meth:`_choose_access_path`) — and additionally caches the
-        optimized plan keyed on :attr:`version`, so repeated queries skip
-        re-planning.  New code should hold a session
-        (``repro.api.Session(database=db)`` or :func:`repro.connect`) and
-        use :meth:`~repro.api.Session.query` /
-        :meth:`~repro.api.Session.execute` directly — the latter also
-        streams.  The answer is identical to interpreting against the full
-        :meth:`as_object`, which the property suite pins.
-        """
-        import warnings
-
-        warnings.warn(
-            "ObjectDatabase.query() is deprecated; use repro.api.Session.query()"
-            " (repro.connect(path) or Session(database=db))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._facade().query(
-            formula, against=against, allow_bottom=allow_bottom
-        )
 
     def _choose_access_path(self, parsed: Formula, allow_bottom: bool, plan=None):
         """One locked decision pass shared by the session facade and EXPLAIN.
@@ -377,7 +328,7 @@ class ObjectDatabase:
 
     @staticmethod
     def _pushdown_plan(parsed: Formula, target: ComplexObject):
-        """The plan :meth:`query` executes against a pushed-down target.
+        """The plan :meth:`explain_query` renders for a pushed-down target.
 
         Reordering only pays off with several scans to order; a
         single-relation query skips the statistics walk entirely.
@@ -428,14 +379,13 @@ class ObjectDatabase:
         allow_bottom: bool = False,
         analyze: bool = False,
     ) -> str:
-        """EXPLAIN for :meth:`query`: the chosen access path with est/actual rows.
+        """EXPLAIN for a session query: the chosen access path with est/actual rows.
 
-        Renders exactly the plan a :meth:`query` call with the same arguments
-        executes — both go through :meth:`_choose_access_path` and
-        :meth:`_pushdown_plan`, so the notes and the leaf order cannot drift
-        from the real access path.  ``analyze=True`` (EXPLAIN ANALYZE)
-        additionally times the execution and prints wall time per plan node,
-        plus per-leaf batch counts and rows/batch.
+        Describes the access path :meth:`repro.api.Session.query` takes with
+        the same arguments — both go through :meth:`_choose_access_path`, so
+        the notes cannot drift from the real access path.  ``analyze=True``
+        (EXPLAIN ANALYZE) additionally times the execution and prints wall
+        time per plan node, plus per-leaf batch counts and rows/batch.
         """
         from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
         from repro.plan.explain import render_body_plan
@@ -455,7 +405,7 @@ class ObjectDatabase:
                 target = self.as_object()
                 notes.append(f"target: full snapshot ({reason})")
             elif kind == "refuted":
-                # query() answers ⊥ straight from the index — it reads no
+                # The session answers ⊥ straight from the index — it reads no
                 # stored objects and executes no plan, so neither does the
                 # analysis; the plan is shown with estimates only.
                 target = TupleObject(restricted)
@@ -578,26 +528,22 @@ class ObjectDatabase:
         *,
         against: Optional[str] = None,
         store_as: Optional[str] = None,
-        engine: Optional[str] = "seminaive",
         **guards,
     ) -> ClosureResult:
         """Compute the closure (Definition 4.6) and optionally store the result.
 
-        Evaluation routes through the plan-compiled engines of
-        :mod:`repro.engine` (``engine="seminaive"`` by default — stratified,
-        delta-driven and index-accelerated; ``"naive"`` iterates the full rule
-        set each round).  Pass ``engine=None``, or any keyword only
-        :func:`repro.calculus.fixpoint.close` understands (``inflationary``),
-        to fall back to the baseline fixpoint.  All engines compute the same
-        closure and raise the same :class:`DivergenceError` on divergence.
+        Evaluation runs :class:`repro.engine.SemiNaiveEngine` (stratified,
+        delta-driven and index-accelerated); ``guards`` are its divergence
+        guards and ``allow_bottom``.  The paper-literal series — including
+        the non-inflationary one — is the oracle
+        ``repro.calculus.fixpoint.close(db.as_object(), rules, ...)``, which
+        computes the same closure and raises the same
+        :class:`DivergenceError` on divergence.
         """
-        target = self.as_object() if against is None else self._require(against)
-        if engine is None or "inflationary" in guards:
-            result = close(target, rules, **guards)
-        else:
-            from repro.engine import create_engine
+        from repro.engine import SemiNaiveEngine
 
-            result = create_engine(engine, rules, **guards).run(target)
+        target = self.as_object() if against is None else self._require(against)
+        result = SemiNaiveEngine(rules, **guards).run(target)
         if store_as is not None:
             self.put(store_as, result.value)
         return result
@@ -743,7 +689,6 @@ class ObjectDatabase:
         their *values* (lattice results) and entries accumulate across a
         store's lifetime; teardown is the natural point to release them.
         """
-        self._facade_sessions = threading.local()
         self._storage.close()  # invariant: unlocked-ok — teardown is single-threaded by contract
         from repro.core.intern import clear_object_caches
 

@@ -5,7 +5,7 @@ through sets, see :func:`repro.store.paths.iter_paths`) to the names of the
 stored objects containing them.  The :class:`ObjectDatabase` consults its
 indexes before falling back to a scan when answering ``find`` queries, and
 the query planner pushes static selections into them to short-circuit
-whole-database queries (see :meth:`repro.store.ObjectDatabase.query`);
+whole-database queries (see :meth:`repro.store.ObjectDatabase.explain_query`);
 ``benchmarks/run_plan_benchmarks.py`` measures that pushdown.
 
 Maintenance is O(keys-of-the-object), not O(index): alongside the inverted

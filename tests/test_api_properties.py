@@ -4,15 +4,13 @@ Two contracts from the API redesign, pinned over generated inputs:
 
 * **streaming ≡ materialization** — folding a :class:`repro.api.Cursor`'s
   lazy stream equals the materialized ``E(O)`` of the calculus baseline
-  (:func:`repro.calculus.interpretation.interpret`) and of ``Program.query``
-  on closure-backed targets, for random objects and body shapes;
+  (:func:`repro.calculus.interpretation.interpret`) — against the oracle
+  closure on closure-backed targets — for random objects and body shapes;
 * **parameters ≡ substituted constants** — executing a prepared query with
   ``$name`` bindings equals re-parsing the source with the values spliced in
   as constants, i.e. late binding changes when planning happens, never what
   is computed.
 """
-
-import warnings
 
 import pytest
 
@@ -133,7 +131,8 @@ def test_prepared_reuse_never_drifts_across_bindings(database, template, rounds)
     generations=st.integers(min_value=0, max_value=2),
     fanout=st.integers(min_value=1, max_value=2),
 )
-def test_closure_query_equals_program_query(generations, fanout):
+def test_closure_query_equals_the_oracles(generations, fanout):
+    from repro.calculus.fixpoint import close as oracle
     from repro.workloads import make_genealogy
 
     rules = (
@@ -143,14 +142,10 @@ def test_closure_query_equals_program_query(generations, fanout):
     tree = make_genealogy(generations, fanout)
     query = parse_formula("[doa: X]")
     session = Session.over_object(tree.family_object, rules=rules)
-    via_session = session.query(query, on_closure=True, engine="naive")
+    via_session = session.query(query, on_closure=True)
     program = Program.from_source(rules, database=tree.family_object)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        via_program = program.query(query)
-    assert via_session == via_program
     assert via_session == baseline_interpret(
-        query, program.evaluate(engine="naive").value
+        query, oracle(program.seed(), program.rules).value
     )
 
 

@@ -9,11 +9,9 @@ Covers the public contract of :func:`repro.connect` / :class:`Session`:
 * cursors stream lazily, in the materialized executor's order, with
   ``one()`` / ``all()`` / ``bindings()`` / ``explain()`` terminals;
 * rule registration and version-cached closures;
-* the legacy entry points (``repro.interpret``, ``Program.query``,
-  ``ObjectDatabase.query``) delegate here, warning but agreeing.
+* what the removed entry points (``Program.query``, ``ObjectDatabase.query``,
+  the ``engine=`` option) did is reached through a session.
 """
-
-import warnings
 
 import pytest
 
@@ -113,6 +111,16 @@ class TestPreparedQueries:
         with pytest.raises(ReproError, match="option"):
             session.prepare("[r1: {[name: X]}]", allow_botom=True)
 
+    def test_the_removed_engine_option_is_rejected_like_any_typo(self, session):
+        with pytest.raises(ReproError, match=r"\['engine'\].*valid options.*'on_closure'"):
+            session.query("X", engine="naive")
+        with pytest.raises(TypeError, match="engine"):
+            session.close(engine="naive")
+        # The rejection happens before anything runs: the session stays usable.
+        assert session.query("[r1: {[name: peter, age: A]}]") == parse_object(
+            "[r1: {[name: peter, age: 25]}]"
+        )
+
     def test_prepared_explain_names_the_plan(self, session):
         prepared = session.prepare("[r1: {[name: $who, age: A]}]")
         rendered = prepared.explain(who="peter")
@@ -209,9 +217,9 @@ class TestRulesAndClosures:
         with connect(rules=self.RULES) as session:
             # The stored name joins the whole-database object the rules close.
             session.put("family", parse_object(self.FAMILY)["family"])
-            result = session.close(engine="seminaive")
+            result = session.close()
             assert "jacob" in result.value.to_text()
-            again = session.close(engine="seminaive")
+            again = session.close()
             assert again is result  # cached: same version, same guards
             info = session.cache_info()
             assert info["closure_hits"] == 1 and info["closure_misses"] == 1
@@ -230,8 +238,8 @@ class TestRulesAndClosures:
 
     def test_query_on_closure_reuses_the_cached_evaluation(self):
         session = Session.over_object(parse_object(self.FAMILY), rules=self.RULES)
-        session.close(engine="seminaive")
-        answer = session.query("[doa: X]", on_closure=True, engine="seminaive")
+        session.close()
+        answer = session.query("[doa: X]", on_closure=True)
         assert answer == parse_object("[doa: {abraham, isaac, jacob}]")
         info = session.cache_info()
         assert info["closure_misses"] == 1 and info["closure_hits"] == 1
@@ -242,7 +250,7 @@ class TestRulesAndClosures:
         from repro.parser import parse_rule
 
         session.register(parse_rule("[names: {X}] :- [family: {[name: X]}]."))
-        closure = session.close(engine="naive").value
+        closure = session.close().value
         assert "names" in closure.to_text()
 
     def test_close_is_the_paper_closure_not_a_resource_release(self):
@@ -296,7 +304,7 @@ class TestClosureMaintenance:
             program = session.program()
             assert closure == calculus_close(program.seed(), program.rules).value
 
-    def test_retraction_register_and_naive_recompute(self):
+    def test_retraction_and_register_recompute(self):
         with self._session() as session:
             session.put("family", parse_object("{[name: abraham]}"))  # lost isaac
             assert session.close().value["doa"] == parse_object("{abraham}")
@@ -304,10 +312,6 @@ class TestClosureMaintenance:
             session.close()
             session.register("[names: {X}] :- [family: {[name: X]}].")
             session.close()
-            assert session.cache_info()["closure_maintained"] == 0
-        with self._session(default_engine="naive") as session:
-            session.put("family", parse_object(self.GROWN))
-            assert session.close().value["doa"] == self.DESCENDANTS
             assert session.cache_info()["closure_maintained"] == 0
 
     def test_guard_tripped_by_resumed_growth_evicts_the_base(self):
@@ -350,14 +354,9 @@ class TestBottomSemantics:
         session = Session.over_object(BOTTOM)
         assert session.query("X") is BOTTOM
 
-    def test_interpret_shim_on_bottom_matches_the_baseline(self):
-        query = parse_formula("X")
-        with pytest.warns(DeprecationWarning):
-            assert repro.interpret(query, BOTTOM) == baseline_interpret(query, BOTTOM)
-
     def test_closure_over_bottom_database_is_facts_only(self):
         session = Session.over_object(BOTTOM, rules="[doa: {abraham}].")
-        result = session.close(engine="naive")
+        result = session.close()
         assert result.value == parse_object("[doa: {abraham}]")
         assert not result.value.is_top
 
@@ -426,7 +425,7 @@ class TestCacheEviction:
             )
             assert session.cache_info()["plan_hits"] >= 5
 
-    def test_shim_facade_is_per_thread(self):
+    def test_one_session_per_thread_over_a_shared_database(self):
         import threading
 
         from repro.store.database import ObjectDatabase
@@ -438,10 +437,9 @@ class TestCacheEviction:
 
         def worker():
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    for _ in range(20):
-                        assert database.query("[r1: {[a: X]}]") == expected
+                session = Session(database=database)
+                for _ in range(20):
+                    assert session.query("[r1: {[a: X]}]") == expected
             except Exception as error:  # pragma: no cover - failure evidence
                 errors.append(error)
 
@@ -453,44 +451,27 @@ class TestCacheEviction:
         assert not errors
 
 
-class TestLegacyShims:
-    def test_interpret_shim_warns_and_agrees(self):
-        database = parse_object("[r1: {[a: 1, b: x], [a: 2, b: y]}]")
-        query = parse_formula("[r1: {[a: X, b: x]}]")
-        with pytest.warns(DeprecationWarning):
-            shimmed = repro.interpret(query, database)
-        assert shimmed == baseline_interpret(query, database)
-
-    def test_program_query_shim_warns_and_agrees(self):
+class TestSessionReplacesTheRemovedEntryPoints:
+    def test_program_closure_query(self):
         program = repro.Program.from_source(
             TestRulesAndClosures.RULES,
             database=parse_object(TestRulesAndClosures.FAMILY),
         )
-        with pytest.warns(DeprecationWarning):
-            answer = program.query(parse_formula("[doa: X]"))
+        answer = Session.over_program(program).query(
+            parse_formula("[doa: X]"), on_closure=True
+        )
         assert answer == parse_object("[doa: {abraham, isaac, jacob}]")
 
-    def test_object_database_query_shim_warns_and_agrees(self):
+    def test_session_over_an_existing_database_agrees_and_caches_its_plan(self):
         from repro.store.database import ObjectDatabase
 
         database = ObjectDatabase()
         database.put("r1", parse_object(PEOPLE))
         query = parse_formula("[r1: {[name: X]}]")
-        with pytest.warns(DeprecationWarning):
-            shimmed = database.query(query)
-        assert shimmed == baseline_interpret(query, database.as_object())
-
-    def test_shimmed_database_query_reuses_one_facade_session(self):
-        from repro.store.database import ObjectDatabase
-
-        database = ObjectDatabase()
-        database.put("r1", parse_object(PEOPLE))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            database.query("[r1: {[name: X]}]")
-            database.query("[r1: {[name: X]}]")
-        facade = database._facade()
-        assert facade.cache_info()["plan_hits"] >= 1
+        session = Session(database=database)
+        assert session.query(query) == baseline_interpret(query, database.as_object())
+        session.query(query)
+        assert session.cache_info()["plan_hits"] >= 1
 
 
 class TestParameterSyntax:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Program, parse_formula, parse_object, parse_rule
+from repro import Program, Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.core.errors import DivergenceError
 from repro.core.objects import BOTTOM
@@ -59,7 +59,8 @@ class TestEvaluation:
             "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].",
             database=genealogy_small.family_object,
         )
-        result = program.query(parse_formula("[doa: X]"))
+        session = Session.over_program(program)
+        result = session.query(parse_formula("[doa: X]"), on_closure=True)
         assert len(result.get("doa")) == len(genealogy_small.expected_descendants)
 
     def test_query_accepts_python_literals(self):
@@ -68,7 +69,9 @@ class TestEvaluation:
         program = Program(
             [parse_rule("[out: {X}] :- [r1: {X}]")], database=parse_object("[r1: {1, 2}]")
         )
-        result = program.query({"out": var("Out")})
+        result = Session.over_program(program).query(
+            {"out": var("Out")}, on_closure=True
+        )
         assert result == parse_object("[out: {1, 2}]")
 
     def test_divergence_propagates(self):
@@ -76,9 +79,9 @@ class TestEvaluation:
         with pytest.raises(DivergenceError):
             program.evaluate(max_iterations=20)
 
-    def test_diagnostics(self):
+    def test_lint_flags_the_diverging_rule(self):
         program = Program.from_source(
             "[list: {1}]. [list: {[head: 1, tail: X]}] :- [list: {X}]."
         )
-        reports = program.diagnostics()
-        assert any(report.may_diverge for report in reports)
+        codes = {diagnostic.code for diagnostic in program.lint().diagnostics}
+        assert "RL003" in codes

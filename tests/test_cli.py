@@ -43,6 +43,14 @@ class TestParseCommand:
                 " at line 1, column 11997"
             ]
 
+    def test_printing_a_hostile_nesting_is_one_error_line(self):
+        # 400 levels parse but cannot be rendered recursively.
+        code, output = run_cli("parse", "[a: " * 400 + "1" + "]" * 400)
+        assert code == 1
+        assert output.splitlines() == [
+            "error: object is nested 400 levels deep, too deep to print"
+        ]
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "object.co"
         path.write_text("[name: peter]", encoding="utf-8")
@@ -87,7 +95,7 @@ class TestQueryAndApply:
         assert "[a: 2" not in output
 
 
-class TestRunAndCheck:
+class TestRunAndLint:
     PROGRAM = (
         "[doa: {abraham}].\n"
         "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].\n"
@@ -120,69 +128,58 @@ class TestRunAndCheck:
         assert code == 1
         assert "error:" in output
 
-    def test_check_flags_divergent_rules(self):
+    def test_lint_flags_divergent_rules(self):
         code, output = run_cli(
-            "check", "[list: {1}]. [list: {[head: 1, tail: X]}] :- [list: {X}]."
+            "lint", "[list: {1}]. [list: {[head: 1, tail: X]}] :- [list: {X}]."
         )
         assert code == 0
-        assert "MAY DIVERGE" in output
-        assert "fact" in output
+        assert "RL003" in output
 
-    def test_check_clean_program(self):
-        code, output = run_cli("check", self.PROGRAM)
+    def test_lint_clean_program(self):
+        code, output = run_cli("lint", self.PROGRAM)
         assert code == 0
-        assert "MAY DIVERGE" not in output
+        assert "RL003" not in output
 
-class TestEngineSelection:
-    PROGRAM = TestRunAndCheck.PROGRAM
-    FAMILY = TestRunAndCheck.FAMILY
+    def test_removed_check_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("check", self.PROGRAM)
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_run_seminaive_matches_naive_output(self):
-        code_naive, naive = run_cli("run", self.PROGRAM, "--database", self.FAMILY)
-        code_semi, semi = run_cli(
-            "run", self.PROGRAM, "--database", self.FAMILY, "--engine", "seminaive"
-        )
-        assert code_naive == code_semi == 0
-        # Same closure; only the iteration-count comment line may differ.
-        strip = lambda text: [l for l in text.splitlines() if not l.startswith("%")]
-        assert strip(naive) == strip(semi)
 
-    def test_stats_line_for_seminaive(self):
-        code, output = run_cli(
-            "run",
-            self.PROGRAM,
-            "--database",
-            self.FAMILY,
-            "--engine",
-            "seminaive",
-            "--stats",
-        )
+class TestEngineStats:
+    PROGRAM = TestRunAndLint.PROGRAM
+    FAMILY = TestRunAndLint.FAMILY
+
+    def test_run_prints_the_oracle_closure(self):
+        from repro import Program, parse_object
+        from repro.calculus.fixpoint import close
+
+        code, output = run_cli("run", self.PROGRAM, "--database", self.FAMILY)
         assert code == 0
-        assert "% engine seminaive:" in output
-        assert "strata" in output
+        printed = "\n".join(l for l in output.splitlines() if not l.startswith("%"))
+        program = Program.from_source(self.PROGRAM, database=parse_object(self.FAMILY))
+        assert parse_object(printed) == close(program.seed(), program.rules).value
 
-    def test_stats_line_for_naive_engine(self):
+    def test_stats_line(self):
         code, output = run_cli(
             "run", self.PROGRAM, "--database", self.FAMILY, "--stats"
         )
         assert code == 0
-        assert "% engine naive:" in output
-
-    def test_divergent_program_fails_gracefully_with_seminaive(self):
-        code, output = run_cli(
-            "run",
-            "[list: {1}]. [list: {[head: 1, tail: X]}] :- [list: {X}].",
-            "--engine",
-            "seminaive",
-            "--max-iterations",
-            "20",
+        (line,) = [l for l in output.splitlines() if l.startswith("% engine")]
+        assert line.startswith("% engine seminaive: ") and "strata" in line
+        # --stats composes with --explain: the same line precedes the plan.
+        code, explained = run_cli(
+            "run", self.PROGRAM, "--database", self.FAMILY, "--stats", "--explain"
         )
-        assert code == 1
-        assert "error:" in output
+        assert code == 0
+        assert explained.splitlines()[0] == line
 
-    def test_unknown_engine_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            run_cli("run", self.PROGRAM, "--engine", "quantum")
+    def test_removed_engine_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", self.PROGRAM, "--engine", "naive")
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestParameters:

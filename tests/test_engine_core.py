@@ -1,14 +1,15 @@
-"""End-to-end tests for the evaluation engines (repro.engine.core)."""
+"""End-to-end tests for the closure engine (repro.engine.core)."""
 
 import pytest
 
-from repro import Program, parse_object, parse_program, parse_rule
+from repro import Program, Session, parse_formula, parse_object, parse_program, parse_rule
 from repro.core.errors import DivergenceError
 from repro.core.objects import TOP
 from repro.core.order import is_subobject
 from repro.calculus.fixpoint import close
+from repro.calculus.interpretation import interpret
 from repro.calculus.rules import RuleSet
-from repro.engine import EngineResult, NaiveEngine, SemiNaiveEngine, create_engine
+from repro.engine import EngineResult, SemiNaiveEngine, create_engine
 
 DESCENDANTS = """
 [doa: {abraham}].
@@ -25,9 +26,8 @@ class TestAgreementWithClose:
 
     def test_descendants_example_45(self, genealogy_small):
         program = Program.from_source(DESCENDANTS, database=genealogy_small.family_object)
-        naive = program.evaluate()
-        semi = program.evaluate(engine="seminaive")
-        assert semi.value == naive.value
+        semi = program.evaluate()
+        assert semi.value == close(program.seed(), program.rules).value
         names = {element.value for element in semi.value.get("doa")}
         assert names == set(genealogy_small.expected_descendants)
 
@@ -133,9 +133,47 @@ class TestDivergence:
         with pytest.raises(DivergenceError):
             seminaive(self.LISTS, self.SEED, max_depth=10)
 
-    def test_naive_engine_raises_identically(self):
+    def test_oracle_raises_identically(self):
         with pytest.raises(DivergenceError):
-            NaiveEngine(self.LISTS, max_iterations=25).run(self.SEED)
+            close(self.SEED, self.LISTS, max_iterations=25)
+
+
+class TestIterationBudget:
+    """``iterations`` / ``max_iterations`` are summed over recursive strata."""
+
+    # Two independent depth-8 chains: a1 → … → a9 and b1 → … → b9.
+    SOURCE = (
+        "[ra: {a1}]. [rb: {b1}].\n"
+        "[ra: {Y}] :- [ea: {[s: X, t: Y]}, ra: {X}].\n"
+        "[rb: {Y}] :- [eb: {[s: X, t: Y]}, rb: {X}].\n"
+    )
+    EDGES = parse_object(
+        "[%s]"
+        % ", ".join(
+            "e%s: {%s}"
+            % (c, ", ".join(f"[s: {c}{i}, t: {c}{i + 1}]" for i in range(1, 9)))
+            for c in "ab"
+        )
+    )
+
+    def program(self):
+        return Program.from_source(self.SOURCE, database=self.EDGES)
+
+    def test_independent_recursions_each_pay_their_own_rounds(self):
+        program = self.program()
+        oracle = close(program.seed(), program.rules)
+        assert oracle.iterations == 8  # global rounds advance both chains
+        assert program.evaluate().iterations == 16
+
+    def test_budget_counts_each_stratum_s_confirming_round(self):
+        program = self.program()
+        with pytest.raises(DivergenceError) as info:
+            program.evaluate(max_iterations=16)
+        # The first chain finished inside the budget; the second did not.
+        partial = info.value.partial
+        assert {len(partial.get("ra")), len(partial.get("rb"))} == {9, 8}
+        converged = program.evaluate(max_iterations=18)
+        assert converged.value == close(program.seed(), program.rules).value
 
 
 class TestResume:
@@ -182,44 +220,33 @@ class TestResume:
 
 
 class TestEngineInterface:
-    def test_create_engine_registry(self):
+    def test_create_engine_builds_the_one_engine(self):
         engine = create_engine("seminaive", [parse_rule("[b: {X}] :- [a: {X}]")])
         assert isinstance(engine, SemiNaiveEngine)
-        engine = create_engine("naive", [parse_rule("[b: {X}] :- [a: {X}]")])
-        assert isinstance(engine, NaiveEngine)
 
-    def test_create_engine_unknown_name(self):
+    @pytest.mark.parametrize("name", ["naive", "quantum"])
+    def test_create_engine_unknown_name(self, name):
         with pytest.raises(ValueError, match="unknown engine"):
-            create_engine("quantum", [])
-
-    def test_program_evaluate_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Program.from_source("[a: {1}].").evaluate(engine="quantum")
+            create_engine(name, [])
 
     def test_engine_result_is_a_closure_result(self, genealogy_small):
         program = Program.from_source(DESCENDANTS, database=genealogy_small.family_object)
-        result = program.evaluate(engine="seminaive")
+        result = program.evaluate()
         assert isinstance(result, EngineResult)
         assert result.converged
         assert is_subobject(genealogy_small.family_object, result.value)
 
-    def test_naive_engine_wraps_close(self, genealogy_small):
+    def test_query_on_the_engine_closure_matches_the_oracles(self, genealogy_small):
         program = Program.from_source(DESCENDANTS, database=genealogy_small.family_object)
-        direct = program.evaluate()
-        wrapped = NaiveEngine(program.rules).run(program.seed())
-        assert wrapped.value == direct.value
-        assert wrapped.iterations == direct.iterations
-
-    def test_query_through_seminaive_engine(self, genealogy_small):
-        program = Program.from_source(DESCENDANTS, database=genealogy_small.family_object)
-        answer = program.query("[doa: X]", engine="seminaive")
-        assert answer == program.query("[doa: X]")
+        answer = Session.over_program(program).query("[doa: X]", on_closure=True)
+        closure = close(program.seed(), program.rules).value
+        assert answer == interpret(parse_formula("[doa: X]"), closure)
 
 
 class TestStats:
     def test_descendants_stats(self, genealogy_small):
         program = Program.from_source(DESCENDANTS, database=genealogy_small.family_object)
-        result = program.evaluate(engine="seminaive")
+        result = program.evaluate()
         stats = result.stats
         assert stats.iterations == result.iterations > 0
         assert stats.strata >= 1
@@ -243,7 +270,7 @@ class TestStats:
 
         tree = make_genealogy(5, 2)
         program = Program.from_source(DESCENDANTS, database=tree.family_object)
-        semi = program.evaluate(engine="seminaive")
+        semi = program.evaluate()
         people = len(tree.people)
         rounds = semi.iterations
         assert semi.stats.match_attempts < rounds * people

@@ -24,7 +24,7 @@ PROGRAM = """
 def evaluate(generations=3):
     tree = make_genealogy(generations, 2)
     program = Program.from_source(PROGRAM, database=tree.family_object)
-    return program.evaluate(engine="seminaive")
+    return program.evaluate()
 
 
 class TestFallbackCounters:
@@ -42,9 +42,7 @@ class TestFallbackCounters:
             "[doa: {abraham}]."
             "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
         )
-        result = Program.from_source(source, database=tree.family_object).evaluate(
-            engine="seminaive"
-        )
+        result = Program.from_source(source, database=tree.family_object).evaluate()
         assert result.stats.full_match_fallbacks == 0
         assert result.stats.fallback_rules == {}
 
@@ -86,8 +84,6 @@ class TestCliStatsSurface:
                 f"@{program_file}",
                 "--database",
                 "[family: {[name: abraham, children: {[name: isaac]}]}]",
-                "--engine",
-                "seminaive",
                 "--stats",
             ],
             output=stream,

@@ -8,7 +8,7 @@ on every generated genealogy.
 
 import pytest
 
-from repro import Program, parse_formula
+from repro import Program, Session, parse_formula
 from repro.datalog import DatalogEngine
 from repro.relational.algebra import equijoin, project, rename, union as relation_union
 from repro.relational.relation import Relation
@@ -44,7 +44,9 @@ class TestThreeEnginesAgree:
         program = Program.from_source(DESCENDANTS_SOURCE, database=tree.family_object)
         calculus_answer = {
             element.value
-            for element in program.query(parse_formula("[doa: X]")).get("doa")
+            for element in Session.over_program(program)
+            .query(parse_formula("[doa: X]"), on_closure=True)
+            .get("doa")
         }
 
         datalog_answer = {

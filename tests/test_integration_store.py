@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import parse_formula, parse_object, parse_rule
+from repro import Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.algebra.translate import translate_rule
 from repro.schema.inference import infer_type
@@ -64,7 +64,7 @@ class TestDocumentStoreWorkflow:
 
     def test_keyword_query_via_calculus(self, documents_db):
         database, collection = documents_db
-        result = database.query(
+        result = Session(database=database).query(
             "[docs: {[title: X, sections: {[keywords: {lattice}]}]}]", against="library"
         )
         titles = set()
@@ -103,4 +103,5 @@ class TestCalculusAlgebraStoreAgreement:
         database.put("r1", workload.as_object.get("r1"))
         database.put("r2", workload.as_object.get("r2"))
         query = parse_formula("[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]")
-        assert database.query(query) == interpret(query, database.as_object())
+        answer = Session(database=database).query(query)
+        assert answer == interpret(query, database.as_object())

@@ -6,7 +6,14 @@ import pytest
 
 from repro import Program, parse_formula, parse_program, parse_rule
 from repro.calculus.rules import Rule
-from repro.calculus.terms import Constant, Parameter, SetFormula, TupleFormula, var
+from repro.calculus.terms import (
+    Constant,
+    Parameter,
+    SetFormula,
+    TupleFormula,
+    formula,
+    var,
+)
 from repro.core import BOTTOM, TOP
 from repro.lint import (
     CODES,
@@ -17,6 +24,7 @@ from repro.lint import (
     lint_rules,
     lint_source,
 )
+from repro.lint.graph import variable_depths
 from repro.obs import metrics
 
 
@@ -80,6 +88,32 @@ class TestDivergence:
         )
         assert "RL003" not in codes_of(report)
         assert "RL002" not in codes_of(report)
+
+
+    def test_facts_and_plain_joins_are_clean(self):
+        report = lint_source(
+            "[doa: {abraham}].\n"
+            "[r: {[a: X, d: Z]}] :- [r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]."
+        )
+        assert not {"RL002", "RL003"} & set(codes_of(report))
+
+
+class TestVariableDepths:
+    """The nesting-depth measure behind the RL002/RL003 growth test."""
+
+    def test_flat_variable(self):
+        assert variable_depths(var("X")) == {"X": 0}
+
+    def test_nesting_levels_counted(self):
+        depths = variable_depths(formula({"r": [{"a": var("X")}], "s": var("Y")}))
+        assert depths == {"X": 3, "Y": 1}
+
+    def test_deepest_occurrence_wins(self):
+        depths = variable_depths(formula({"a": var("X"), "b": [var("X")]}))
+        assert depths["X"] == 2
+
+    def test_constants_contribute_nothing(self):
+        assert variable_depths(formula({"a": 1, "b": [2, 3]})) == {}
 
 
 class TestDuplicatesAndDeadRules:

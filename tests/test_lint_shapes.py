@@ -1,7 +1,7 @@
 """Unit tests for the shape-inference subsystem (:mod:`repro.lint.shapes`).
 
 The subsystem has three consumers — the RL2xx lint family, the optimizer's
-pruning/cardinality hooks, and the engines' per-stratum rule skipping — and
+pruning/cardinality hooks, and the engine's per-stratum rule skipping — and
 each is pinned here against small hand-checked programs.  Soundness over
 random workloads lives in ``tests/test_shape_properties.py``; end-to-end
 diagnostics are pinned program-by-program in ``tests/lint_corpus/``.
@@ -13,7 +13,8 @@ from repro import parse_formula, parse_object, parse_program
 from repro.api import LintError, Session
 from repro.calculus.program import Program
 from repro.core.builder import obj
-from repro.engine import create_engine
+from repro.calculus.fixpoint import close
+from repro.engine import SemiNaiveEngine
 from repro.lint import lint_query, lint_source
 from repro.lint.shapes import (
     ABSENT,
@@ -101,7 +102,7 @@ class TestInference:
     def test_program_database_shape_covers_derivations(self):
         program = Program.from_source(CLOSURE)
         shapes = infer_shapes(rules_of(CLOSURE))
-        closure = program.evaluate(engine="seminaive").value
+        closure = program.evaluate().value
         assert shapes.grounded
         assert admits(shapes.database, closure)
 
@@ -218,13 +219,12 @@ class TestPlanIntegration:
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("name", ["naive", "seminaive"])
-    def test_engines_prune_dead_rules_without_changing_results(self, name):
+    def test_engine_prunes_dead_rules_without_changing_results(self):
         program = Program.from_source(CLOSURE)
         seed = program.seed()
-        pruned = create_engine(name, program.rules).run(seed)
-        baseline = create_engine(name, program.rules, use_shapes=False).run(seed)
-        assert pruned.value == baseline.value
+        pruned = SemiNaiveEngine(program.rules).run(seed)
+        baseline = SemiNaiveEngine(program.rules, use_shapes=False).run(seed)
+        assert pruned.value == baseline.value == close(seed, program.rules).value
         assert pruned.stats.rules_pruned == 1
         assert baseline.stats.rules_pruned == 0
         assert "pruned by shape analysis" in pruned.stats.summary()
@@ -233,7 +233,7 @@ class TestEngineIntegration:
         # The abstract matcher models the strict (⊥-dropping) semantics
         # only; the literal Definition 4.2 semantics must not prune.
         program = Program.from_source(CLOSURE)
-        engine = create_engine("seminaive", program.rules, allow_bottom=True)
+        engine = SemiNaiveEngine(program.rules, allow_bottom=True)
         result = engine.run(program.seed())
         assert result.stats.rules_pruned == 0
 

@@ -12,6 +12,7 @@ from repro import (
     BOTTOM,
     TOP,
     Program,
+    Session,
     interpret,
     intersection,
     is_subobject,
@@ -303,7 +304,9 @@ class TestExample45:
             "}]"
         )
         program = Program.from_source(self.SOURCE, database=family)
-        result = program.query(parse_formula("[doa: X]"))
+        result = Session.over_program(program).query(
+            parse_formula("[doa: X]"), on_closure=True
+        )
         names = {element.value for element in result.get("doa")}
         # terah and nahor are not descendants of abraham.
         assert names == {"abraham", "isaac", "ishmael", "jacob", "esau", "joseph", "juda"}
@@ -345,7 +348,7 @@ class TestExample46:
         assert sizes[-1] > sizes[0]
 
     def test_static_analysis_flags_the_rule(self):
-        from repro.calculus.safety import analyze_rule
+        from repro.lint import lint_rules
 
         rule = parse_rule("[list: {[head: 1, tail: X]}] :- [list: {X}]")
-        assert analyze_rule(rule).may_diverge
+        assert "RL003" in {d.code for d in lint_rules([rule]).diagnostics}

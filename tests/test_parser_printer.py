@@ -1,7 +1,10 @@
 """Unit tests for pretty printing (repro.parser.printer)."""
 
-from repro import parse_object, parse_rule
+import pytest
+
+from repro import ReproError, parse_object, parse_rule
 from repro.core.builder import obj
+from repro.core.errors import NestingError
 from repro.parser.printer import pretty, to_source
 
 
@@ -51,3 +54,26 @@ class TestPretty:
         value = parse_object("{[name: a, age: 1], [name: b, age: 2], [name: c, age: 3]}")
         rendered = pretty(value, max_width=20)
         assert parse_object(rendered) == value
+
+
+def nested(levels):
+    return parse_object("[a: " * levels + "1" + "]" * levels)
+
+
+ENTRY_POINTS = [lambda value: value.to_text(), pretty, to_source]
+ENTRY_POINT_IDS = ["to_text", "pretty", "to_source"]
+
+
+class TestHostileNesting:
+    """Printing an object that parsed but is too deep to render is a typed error."""
+
+    @pytest.mark.parametrize("render", ENTRY_POINTS, ids=ENTRY_POINT_IDS)
+    def test_too_deep_is_a_typed_error_naming_the_depth(self, render):
+        with pytest.raises(NestingError, match="nested 400 levels deep") as info:
+            render(nested(400))
+        assert isinstance(info.value, ReproError)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    @pytest.mark.parametrize("render", ENTRY_POINTS, ids=ENTRY_POINT_IDS)
+    def test_a_300_deep_object_still_prints(self, render):
+        assert parse_object(render(nested(300))) == nested(300)

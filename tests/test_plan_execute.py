@@ -18,19 +18,17 @@ from repro.calculus.matching import match_all
 from repro.calculus.rules import Rule
 from repro.core.errors import ComplexObjectError
 from repro.core.objects import BOTTOM
+from repro.engine import SemiNaiveEngine
 from repro.engine.delta import decompose
 from repro.engine.indexes import IndexStore
 from repro.engine.stats import EngineStats
 from repro.plan import (
     DatabaseStatistics,
-    apply_rule_plan,
     compile_body,
-    compile_rule,
     interpret_plan,
     iter_match_plan,
     match_plan,
     optimize_body,
-    optimize_rule,
 )
 
 CASES = [
@@ -148,20 +146,24 @@ class TestIndexes:
 
 
 class TestRuleApplication:
-    def test_apply_rule_plan_matches_rule_apply(self):
+    """One full engine round is ``r(O)`` of Definition 4.4, joined onto ``O``."""
+
+    def test_one_full_round_matches_rule_apply(self):
         rule = parse_rule(
             "[j: {[a: X, d: Z]}] :- [r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]"
         )
         database = parse_object(
             "[r1: {[a: 1, b: x], [a: 3, b: x]}, r2: {[c: x, d: 10]}]"
         )
-        node = optimize_rule(compile_rule(rule), DatabaseStatistics.collect(database))
-        assert apply_rule_plan(node, database) == rule.apply(database)
+        result = SemiNaiveEngine([rule]).run(database)
+        assert result.stats.full_matches == 1
+        assert result.value == repro.union(database, rule.apply(database))
 
-    def test_fact_nodes_emit_their_head(self):
+    def test_a_fact_emits_its_head_on_bottom(self):
         fact = Rule(parse_formula("[doa: {abraham}]"))
-        node = compile_rule(fact)
-        assert apply_rule_plan(node, BOTTOM) == fact.apply(BOTTOM)
+        result = SemiNaiveEngine([fact]).run(BOTTOM)
+        assert result.stats.full_matches == 1
+        assert result.value == fact.apply(BOTTOM)
 
 
 class TestActualRecording:

@@ -2,7 +2,7 @@
 
 import io
 
-from repro import Program, parse_formula, parse_object
+from repro import Program, Session, parse_formula, parse_object
 from repro.cli import main
 from repro.store.database import ObjectDatabase
 from repro.workloads import make_genealogy
@@ -40,17 +40,24 @@ class TestProgramExplain:
         assert "query plan:" in text
         assert "[doa: X]" in text
 
-    def test_explain_forwards_engine_guards(self):
+    def test_explain_forwards_guards(self):
+        import pytest
+        from repro.core.errors import DivergenceError
+
         tree = make_genealogy(2, 2)
         program = Program.from_source(DESCENDANTS, database=tree.family_object)
-        assert "program plan:" in program.explain(engine="seminaive")
+        assert "program plan:" in program.explain(max_iterations=50)
+        with pytest.raises(DivergenceError):
+            program.explain(max_iterations=1)
 
     def test_query_routes_through_plans_and_agrees_with_interpret(self):
         from repro.calculus.interpretation import interpret
 
         tree = make_genealogy(3, 2)
         program = Program.from_source(DESCENDANTS, database=tree.family_object)
-        answer = program.query(parse_formula("[doa: X]"))
+        answer = Session.over_program(program).query(
+            parse_formula("[doa: X]"), on_closure=True
+        )
         closure = program.evaluate()
         assert answer == interpret(parse_formula("[doa: X]"), closure.value)
 
@@ -83,8 +90,6 @@ class TestCliExplain:
             "--database",
             "[family: {[name: abraham, children: {[name: isaac]}]}]",
             "--explain",
-            "--engine",
-            "seminaive",
         )
         assert code == 0
         assert "program plan:" in text

@@ -162,10 +162,10 @@ class TestClosurePreservation:
         raw_program = Program.from_source(
             DESCENDANTS_RULES, database=raw_twin(tree.family_object)
         )
-        expected = interned_program.evaluate(engine="naive").value
-        assert raw_program.evaluate(engine="naive").value == expected
-        assert interned_program.evaluate(engine="seminaive").value == expected
-        assert raw_program.evaluate(engine="seminaive").value == expected
+        expected = close(interned_program.seed(), interned_program.rules).value
+        assert close(raw_program.seed(), raw_program.rules).value == expected
+        assert interned_program.evaluate().value == expected
+        assert raw_program.evaluate().value == expected
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(min_value=1, max_value=3))

@@ -6,8 +6,16 @@ breaking change this test turns into a tier-1 failure instead of a silent
 downstream surprise.
 """
 
+import inspect
+
+import pytest
+
 import repro
 import repro.api
+import repro.calculus.fixpoint
+import repro.calculus.interpretation
+import repro.engine
+from repro.store.database import ObjectDatabase
 
 
 REPRO_ALL = [
@@ -21,13 +29,11 @@ REPRO_ALL = [
     "Constant",
     "Cursor",
     "DivergenceError",
-    "ENGINES",
     "EngineResult",
     "EngineStats",
     "Formula",
     "LintError",
     "LockTimeout",
-    "NaiveEngine",
     "Parameter",
     "ParameterError",
     "ParseError",
@@ -58,7 +64,6 @@ REPRO_ALL = [
     "close",
     "closure_series",
     "connect",
-    "create_engine",
     "depth",
     "formula",
     "intern_stats",
@@ -100,7 +105,6 @@ API_ALL = [
     "ReproError",
     "Session",
     "connect",
-    "interpret",
 ]
 
 
@@ -130,3 +134,28 @@ def test_session_facade_identities():
     assert repro.connect is repro.api.connect
     assert repro.ReproError is repro.api.ReproError
     assert repro.ReproError is repro.ComplexObjectError
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        repro.Program.evaluate,
+        repro.Session.__init__,
+        repro.Session.close,
+        repro.connect,
+        ObjectDatabase.close_under,
+    ],
+    ids=lambda function: function.__qualname__,
+)
+def test_no_entry_point_selects_an_engine(function):
+    parameters = inspect.signature(function).parameters
+    assert not {"engine", "default_engine"} & set(parameters)
+
+
+def test_one_engine_and_its_oracles():
+    assert "apply" not in inspect.signature(repro.calculus.fixpoint.close).parameters
+    assert not {"NaiveEngine", "ENGINES"} & set(repro.engine.__all__)
+    assert repro.interpret is repro.calculus.interpretation.interpret
+    assert repro.close is repro.calculus.fixpoint.close
+    with pytest.raises(TypeError, match="engine"):
+        repro.Program([]).evaluate(engine="naive")

@@ -9,8 +9,8 @@ computed.  This is the soundness invariant every consumer leans on; if it
 held only "usually", pruning would silently drop answers.
 
 **Pruning invariance** — shape-based rule pruning is an optimization, not a
-semantics change: for every drawn workload, both engines with ``use_shapes``
-on and off produce the identical closure, and every query over the closure
+semantics change: for every drawn workload, the engine with ``use_shapes``
+on and off produces the oracle's closure, and every query over the closure
 answers identically whether or not its plan was pruned.
 
 Workloads are drawn from :mod:`repro.workloads` (genealogies and part
@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import Program, parse_formula  # noqa: E402
 from repro.core.objects import BOTTOM  # noqa: E402
-from repro.engine import create_engine  # noqa: E402
+from repro.calculus.fixpoint import close  # noqa: E402
+from repro.engine import SemiNaiveEngine  # noqa: E402
 from repro.lint.shapes import admits, infer_shapes  # noqa: E402
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
@@ -74,14 +75,14 @@ def test_every_derived_object_conforms_to_its_summary(program):
     """Open- and closed-world ``D̂*`` both admit the concrete closure."""
     seed = program.seed()
     rules = tuple(program.facts) + tuple(program.rules)
-    closure = program.evaluate(engine="seminaive").value
+    closure = program.evaluate().value
 
     # Open-world inference summarises what the program itself can derive —
     # regions an *external* seed would populate are modelled by the ANY
     # fallback at lookup time, not by the database summary.  So the
     # open-world claim is over the facts-only closure.
     open_world = infer_shapes(rules)
-    bare_closure = Program(rules).evaluate(engine="seminaive").value
+    bare_closure = Program(rules).evaluate().value
     assert open_world.grounded
     assert admits(open_world.database, bare_closure)
 
@@ -100,19 +101,19 @@ def test_every_derived_object_conforms_to_its_summary(program):
 
 
 @settings(max_examples=20, deadline=None)
-@given(genealogy_programs(), st.sampled_from(["naive", "seminaive"]))
-def test_pruning_never_changes_engine_results(program, engine):
+@given(genealogy_programs())
+def test_pruning_never_changes_engine_results(program):
     seed = program.seed()
-    pruned = create_engine(engine, program.rules).run(seed)
-    plain = create_engine(engine, program.rules, use_shapes=False).run(seed)
-    assert pruned.value == plain.value
+    pruned = SemiNaiveEngine(program.rules).run(seed)
+    plain = SemiNaiveEngine(program.rules, use_shapes=False).run(seed)
+    assert pruned.value == plain.value == close(seed, program.rules).value
     assert pruned.converged == plain.converged
 
 
 @settings(max_examples=20, deadline=None)
 @given(genealogy_programs(), st.sampled_from(QUERIES))
 def test_pruned_query_plans_answer_identically(program, query):
-    closure = program.evaluate(engine="seminaive").value
+    closure = program.evaluate().value
     statistics = DatabaseStatistics.collect(closure)
     shapes = infer_shapes(tuple(program.rules), closure)
     formula = parse_formula(query)

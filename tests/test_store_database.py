@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import parse_formula, parse_object, parse_rule
+from repro import Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.core.errors import SchemaError, StoreError
 from repro.schema.types import integer, set_type, string, tuple_type
@@ -57,15 +57,17 @@ class TestCrud:
 
 class TestQueries:
     def test_query_against_one_object(self, database):
-        result = database.query("{[name: X, age: 25]}", against="people")
+        result = Session(database=database).query("{[name: X, age: 25]}", against="people")
         assert result == parse_object("{[name: peter, age: 25]}")
 
     def test_query_against_whole_database(self, database):
-        result = database.query("[people: {[name: X]}]")
+        result = Session(database=database).query("[people: {[name: X]}]")
         assert result == parse_object("[people: {[name: peter], [name: john]}]")
 
     def test_query_accepts_formula_objects(self, database):
-        result = database.query(parse_formula("{[age: X]}"), against="people")
+        result = Session(database=database).query(
+            parse_formula("{[age: X]}"), against="people"
+        )
         assert len(result) == 2
 
     def test_find_scans_without_index(self, database):
@@ -98,7 +100,7 @@ class TestMissingAgainst:
 
     def test_query_missing_against(self, database):
         with pytest.raises(StoreError):
-            database.query("{[name: X]}", against="missing")
+            Session(database=database).query("{[name: X]}", against="missing")
 
     def test_apply_rules_missing_against(self, database):
         rule = parse_rule("[minors: {X}] :- [people: {[name: X, age: 7]}]")

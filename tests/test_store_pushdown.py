@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro import is_subobject, parse_formula, parse_object
-# The oracle must stay independent of the session pipeline the store's
-# query shim routes through, so it is the calculus baseline interpret.
+from repro import Session, is_subobject, parse_formula, parse_object
+# The oracle must stay independent of the session pipeline under test, so
+# it is the calculus baseline interpret.
 from repro.calculus.interpretation import interpret
 from repro.core.objects import BOTTOM
 from repro.store.database import ObjectDatabase
 from repro.store.index import PathIndex
+
+
+def ask(database, formula, **options):
+    """The answer of a fresh session over ``database`` (no cached plan)."""
+    return Session(database=database).query(formula, **options)
 
 
 @pytest.fixture
@@ -31,7 +36,7 @@ def populated():
 class TestQueryPushdown:
     def test_tuple_query_counts_a_root_pushdown(self, populated):
         before = populated.access_stats["query_root_pushdowns"]
-        populated.query("[family: [family: {[name: X]}]]")
+        ask(populated, "[family: [family: {[name: X]}]]")
         assert populated.access_stats["query_root_pushdowns"] == before + 1
 
     def test_pushdown_answer_equals_full_snapshot_interpretation(self, populated):
@@ -42,17 +47,17 @@ class TestQueryPushdown:
             "[obj1: [num: N], obj2: [num: M]]",
         ):
             query = parse_formula(source)
-            assert populated.query(query) == interpret(query, populated.as_object())
+            assert ask(populated, query) == interpret(query, populated.as_object())
 
     def test_non_tuple_query_falls_back_to_the_snapshot(self, populated):
         before = populated.access_stats["query_scans"]
         query = parse_formula("X")
-        assert populated.query(query) == interpret(query, populated.as_object())
+        assert ask(populated, query) == interpret(query, populated.as_object())
         assert populated.access_stats["query_scans"] == before + 1
 
     def test_allow_bottom_pushdown_agrees(self, populated):
         query = parse_formula("[family: [family: {[name: X, kids: {K}]}]]")
-        assert populated.query(query, allow_bottom=True) == interpret(
+        assert ask(populated, query, allow_bottom=True) == interpret(
             query, populated.as_object(), allow_bottom=True
         )
 
@@ -61,17 +66,17 @@ class TestQueryPushdown:
         # never mentions; the pushdown must fall back to the snapshot path.
         populated.put("anything", parse_object("top"))
         query = parse_formula("[family: [family: {[name: X]}]]")
-        assert populated.query(query) == interpret(query, populated.as_object())
-        assert populated.query(query).is_top
+        assert ask(populated, query) == interpret(query, populated.as_object())
+        assert ask(populated, query).is_top
         # Removing the ⊤ value re-enables the pushdown.
         populated.remove("anything")
         before = populated.access_stats["query_root_pushdowns"]
-        assert populated.query(query) == interpret(query, populated.as_object())
+        assert ask(populated, query) == interpret(query, populated.as_object())
         assert populated.access_stats["query_root_pushdowns"] == before + 1
 
     def test_against_still_targets_one_object(self, populated):
         query = parse_formula("[family: {[name: X]}]")
-        assert populated.query(query, against="family") == interpret(
+        assert ask(populated, query, against="family") == interpret(
             query, populated["family"]
         )
 
@@ -80,27 +85,27 @@ class TestIndexShortCircuit:
     def test_absent_atom_answers_bottom_from_the_index(self, populated):
         populated.create_index("family.name")
         before = populated.access_stats["query_index_shortcircuits"]
-        result = populated.query("[family: [family: {[name: nobody, kids: K]}]]")
+        result = ask(populated, "[family: [family: {[name: nobody, kids: K]}]]")
         assert result is BOTTOM
         assert populated.access_stats["query_index_shortcircuits"] == before + 1
 
     def test_present_atom_is_not_shortcircuited(self, populated):
         populated.create_index("family.name")
-        result = populated.query("[family: [family: {[name: abraham, kids: K]}]]")
+        result = ask(populated, "[family: [family: {[name: abraham, kids: K]}]]")
         assert not result.is_bottom
 
     def test_shortcircuit_agrees_with_interpretation(self, populated):
         populated.create_index("family.name")
         query = parse_formula("[family: [family: {[name: nobody]}]]")
-        assert populated.query(query) == interpret(query, populated.as_object())
+        assert ask(populated, query) == interpret(query, populated.as_object())
 
     def test_top_at_indexed_path_is_wildcarded_not_missed(self, populated):
         populated.create_index("family.name")
         populated.put("weird", parse_object("[family: {[name: top, kids: {x}]}]"))
         query = parse_formula("[weird: [family: {[name: anyname]}]]")
         # ⊤ dominates any name, so the index must not refute this query.
-        assert populated.query(query) == interpret(query, populated.as_object())
-        assert not populated.query(query).is_bottom
+        assert ask(populated, query) == interpret(query, populated.as_object())
+        assert not ask(populated, query).is_bottom
 
 
 class TestFindPrefilter:
@@ -176,7 +181,7 @@ class TestPathIndexWildcards:
         assert "both" in index.lookup(parse_object("[a: 1, b: 2]"))
 
 
-class TestCloseUnderEngines:
+class TestCloseUnder:
     RULES = "[doa: {abraham}]. [doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
 
     def make_db(self):
@@ -186,24 +191,24 @@ class TestCloseUnderEngines:
         database.put("family_tree", make_genealogy(3, 2).family_object)
         return database
 
-    def test_engines_and_baseline_agree(self):
+    def test_engine_and_oracle_agree(self):
         from repro import parse_program
-        from repro.calculus.rules import RuleSet
+        from repro.calculus.fixpoint import close
 
-        rules = RuleSet([r for r in parse_program(self.RULES)if not r.is_fact])
-        seminaive = self.make_db().close_under(rules, against="family_tree")
-        naive = self.make_db().close_under(rules, against="family_tree", engine="naive")
-        baseline = self.make_db().close_under(rules, against="family_tree", engine=None)
-        assert seminaive.value == naive.value == baseline.value
-        assert seminaive.converged
-
-    def test_inflationary_guard_falls_back_to_close(self):
-        from repro import parse_program
-        from repro.calculus.rules import RuleSet
-
-        rules = RuleSet([r for r in parse_program(self.RULES) if not r.is_fact])
         database = self.make_db()
-        result = database.close_under(
-            rules, against="family_tree", inflationary=True
-        )
+        rules = parse_program(self.RULES)
+        result = database.close_under(rules, against="family_tree")
         assert result.converged
+        assert result.value == close(database["family_tree"], rules).value
+
+    def test_oracle_only_keywords_are_not_sniffed(self):
+        from repro import parse_program
+
+        with pytest.raises(TypeError, match="inflationary"):
+            self.make_db().close_under(
+                parse_program(self.RULES), against="family_tree", inflationary=True
+            )
+        with pytest.raises(TypeError, match="engine"):
+            self.make_db().close_under(
+                parse_program(self.RULES), against="family_tree", engine=None
+            )
