@@ -58,11 +58,11 @@ from repro.core.errors import (
     StoreError,
 )
 from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject, TupleObject
+from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
-from repro.calculus.terms import Formula, bind_parameters, formula as to_formula
+from repro.calculus.terms import Formula, formula as to_formula
 from repro.engine import SemiNaiveEngine
 from repro.engine.stats import EngineStats
 from repro.fault.deadline import Deadline
@@ -164,11 +164,14 @@ class Session:
         parse → compile (cached) → optimize (cached on store version)
               → bind $parameters → stream
 
-    Plans and closures are cached keyed on the store's ``version`` counter
-    (plus the session's own seed/rule revisions), so a commit invalidates
-    exactly the entries whose statistics went stale, and re-executing a
-    :class:`PreparedQuery` on an unchanged store skips parse and optimize
-    entirely (watch ``cache_info()["plan_hits"]``).
+    Target selection, the plan cache and parameter binding are one private
+    step (:meth:`_resolve`) shared by execution and EXPLAIN, so EXPLAIN
+    renders the plan that runs.  Plans and closures are cached keyed on the
+    store's ``version`` counter (plus the session's own seed/rule
+    revisions), so a commit invalidates exactly the entries whose statistics
+    went stale, and re-executing a :class:`PreparedQuery` on an unchanged
+    store skips parse and optimize entirely (watch
+    ``cache_info()["plan_hits"]``).
 
     Sessions are **not** thread-safe; the underlying database is.  Use one
     session per thread over a shared database.
@@ -416,11 +419,60 @@ class Session:
             :class:`QueryTimeout` carrying the elapsed time and a partial
             EXPLAIN of the work already done.
         """
+        link = None
         if isinstance(query, PreparedQuery):
-            merged = dict(query.options)
-            merged.update(options)
-            return self._execute(query.formula, dict(params or {}), **merged)
-        return self._execute(self._as_formula(query), dict(params or {}), **options)
+            # Options fixed at prepare time are defaults; the span links back
+            # to the prepare that built the query.
+            options = {**query.options, **options}
+            query, link = query.formula, query.trace_id
+        formula = self._as_formula(query)
+        _check_options(options)
+        start_ns = time.perf_counter_ns()
+        _METRICS.counter("session.queries").inc()
+        run_stats = EngineStats()
+        span = _trace.span("session.execute")
+        with span:
+            trace_id = None
+            if span.enabled:
+                span.set(query=formula.to_text())
+                if link is not None:
+                    span.set(prepared_from=link)
+                trace_id = span.trace_id
+            values = self._convert_params(formula, params or {})
+            timeout_ms = options.get("timeout_ms")
+            if timeout_ms is not None and not (
+                isinstance(timeout_ms, (int, float)) and timeout_ms > 0
+            ):
+                raise ReproError(
+                    f"timeout_ms must be a positive number, got {timeout_ms!r}"
+                )
+            deadline = Deadline.start(timeout_ms) if timeout_ms is not None else None
+            batch_size = options.get("batch_size")
+            if batch_size is not None and not (
+                isinstance(batch_size, int)
+                and not isinstance(batch_size, bool)
+                and batch_size > 0
+            ):
+                raise ReproError(
+                    f"batch_size must be a positive integer, got {batch_size!r}"
+                )
+            access, notes, target, plan = self._resolve(
+                formula, values, options, deadline=deadline
+            )
+            if span.enabled:
+                span.set(access=access)
+            return Cursor(
+                plan,
+                target,
+                allow_bottom=options.get("allow_bottom", False),
+                notes=notes,
+                stats=run_stats,
+                on_finish=self._query_finisher(
+                    formula, values, run_stats, start_ns, trace_id
+                ),
+                deadline=deadline,
+                batch_size=batch_size,
+            )
 
     def query(self, query, params: Optional[Mapping] = None, **options) -> ComplexObject:
         """Run a query and materialize the full answer — ``E(O)`` of Definition 4.2."""
@@ -436,18 +488,22 @@ class Session:
     ) -> str:
         """EXPLAIN for :meth:`execute`: the chosen access path and plan.
 
-        ``analyze=True`` is EXPLAIN ANALYZE: the plan is also executed and
-        the rendering shows the **actual** rows and wall time per plan node
-        next to the optimizer's estimates.
+        Renders the plan :meth:`execute` runs with the same arguments — both
+        take it from the one resolve-and-plan step and its plan cache — with
+        the actual rows per plan node from one run of it.  ``analyze=True``
+        is EXPLAIN ANALYZE: the run is timed and the rendering adds wall
+        time per plan node next to the optimizer's estimates.  EXPLAIN never
+        moves the store's ``access_stats``.
         """
         if isinstance(query, PreparedQuery):
-            merged = dict(query.options)
-            merged.update(options)
-            return self._explain(
-                query.formula, dict(params or {}), analyze=analyze, **merged
-            )
-        return self._explain(
-            self._as_formula(query), dict(params or {}), analyze=analyze, **options
+            options = {**query.options, **options}
+            query = query.formula
+        formula = self._as_formula(query)
+        _check_options(options)
+        values = self._convert_params(formula, params or {})
+        _, notes, target, plan = self._resolve(formula, values, options, counted=False)
+        return _render_explain(
+            notes, plan, target, options.get("allow_bottom", False), analyze
         )
 
     # -- closures -----------------------------------------------------------------------
@@ -662,55 +718,98 @@ class Session:
             return union(self._db.as_object(), self._seed)
         return self._db.as_object()
 
-    def _plan_for(self, formula: Formula, mode: Tuple, target: ComplexObject):
-        """The optimized plan for ``formula``, cached on the session version.
+    def _resolve(self, formula, values, options, *, deadline=None, counted=True):
+        """The one resolve-and-plan step behind execute, EXPLAIN and cursors.
 
-        Compilation is already memoized on the formula; what this cache
-        saves is the statistics walk plus the cost-based reordering — the
-        expensive per-execution work a :class:`PreparedQuery` exists to skip.
+        Options and bound ``$parameter`` values in, ``(access, notes, target,
+        plan)`` out: ``access`` names the path taken (``against`` one stored
+        object, the cached ``closure``, the ``seed``-ed object, or the
+        store's ``pushdown`` / ``snapshot`` / ``refuted`` decision), ``notes``
+        are the lines EXPLAIN prints for it, ``target`` is the object the
+        plan runs against — ``None`` when a path index refuted the query,
+        which then runs nothing — and ``plan`` is the bound plan out of the
+        session's one plan cache.  A :class:`Cursor` executes exactly this
+        ``(target, plan)`` and EXPLAIN renders it.
+
+        ``deadline`` bounds an ``on_closure`` evaluation (usually the
+        expensive part of such a query); ``counted=False`` is EXPLAIN, which
+        must not move the store's ``access_stats``.
         """
-        from repro.plan import DatabaseStatistics, compile_body, optimize_body
+        from repro.plan import bind_body_plan, compile_body
 
-        cached = self._cached_plan(formula, mode)
-        if cached is not None:
-            return cached
-        self._counters["plan_misses"] += 1
-        _METRICS.counter("session.plan_cache.misses").inc()
-        plan = optimize_body(compile_body(formula), DatabaseStatistics.collect(target))
-        self._plan_cache[(formula, mode)] = (self.version, plan)
-        self._plan_cache.move_to_end((formula, mode))
-        while len(self._plan_cache) > _CACHE_LIMIT:
-            self._plan_cache.popitem(last=False)
-            self._counters["plan_evictions"] += 1
-            _METRICS.counter("session.plan_cache.evictions").inc()
-        return plan
-
-    def _resolve_target(self, bound: Formula, options: dict, deadline=None):
-        """Pick the execution target for a non-store execution.
-
-        Returns ``(mode, target)`` where ``mode`` keys the plan cache:
-        ``against`` targets one stored object, ``closure`` the (cached)
-        closure under the registered rules, and the fallback is the seeded
-        whole-database object.  Store-backed whole-database executions take
-        the access-path machinery in :meth:`_execute` instead.  ``deadline``
-        bounds an ``on_closure`` evaluation (the closure is usually the
-        expensive part of a closure-backed query).
-        """
+        allow_bottom = bool(options.get("allow_bottom", False))
         against = options.get("against")
+        notes: List[str] = []
         if against is not None:
-            value = self._db.get(against)
-            if value is None:
+            target = self._db.get(against)
+            if target is None:
                 raise StoreError(f"no object stored under {against!r}")
-            return ("against", against), value
-        if options.get("on_closure"):
+            mode: Tuple = ("against", against)
+            notes.append(f"target: stored object {against!r}")
+        elif options.get("on_closure"):
             guards = {
                 name: value
                 for name, value in options.items()
                 if name not in _NON_GUARD_OPTIONS
             }
-            result = self.close(deadline=deadline, **guards)
-            return ("closure",), result.value
-        return ("seed",), self._base_object()
+            target = self.close(deadline=deadline, **guards).value
+            mode = ("closure",)
+        elif self._seeded:
+            target = self._base_object()
+            # Strict matching over the seeded object plans with closed-world
+            # shapes (see _plan_for), so the semantics flag keys the plan.
+            mode = ("seed", allow_bottom)
+        else:
+            # Store-backed whole-database execution.  The store's refutation
+            # probe reads a binding of the *parameterized* compiled plan
+            # (cached-optimized when available, else the compile-memoized
+            # source order — leaf order is irrelevant to refutation), so no
+            # bound formula is ever compiled: distinct parameter values,
+            # refuted or not, cannot churn the global compile cache.
+            cached = self._cached_plan(formula, ("db",))
+            plan = bind_body_plan(
+                cached if cached is not None else compile_body(formula), values
+            )
+            access, note, target = self._db.access_path(
+                formula, plan.leaves, allow_bottom=allow_bottom, counted=counted
+            )
+            if target is not None and cached is None:
+                plan = bind_body_plan(self._plan_for(formula, ("db",), target), values)
+            return access, [note], target, plan
+        plan = self._cached_plan(formula, mode)
+        if plan is None:
+            plan = self._plan_for(formula, mode, target)
+        return mode[0], notes, target, bind_body_plan(plan, values)
+
+    def _plan_for(self, formula: Formula, mode: Tuple, target: ComplexObject):
+        """Optimize ``formula`` for ``target`` and cache it on the session version.
+
+        Runs on a plan-cache miss only.  Compilation is already memoized on
+        the formula; what the cache saves is the statistics walk plus the
+        cost-based reordering — the expensive per-execution work a
+        :class:`PreparedQuery` exists to skip.
+        """
+        from repro.plan import DatabaseStatistics, compile_body, optimize_body
+
+        self._counters["plan_misses"] += 1
+        _METRICS.counter("session.plan_cache.misses").inc()
+        shapes = None
+        if mode == ("seed", False):
+            # Closed-world shape inference over the actual seeded object: a
+            # provably-empty body is pruned (the executor answers it without
+            # scanning) and EXPLAIN shows each leaf's inferred element shape.
+            from repro.lint.shapes import infer_shapes
+
+            shapes = infer_shapes(tuple(self._rules), target)
+        plan = optimize_body(
+            compile_body(formula), DatabaseStatistics.collect(target), shapes
+        )
+        self._plan_cache[(formula, mode)] = (self.version, plan)
+        while len(self._plan_cache) > _CACHE_LIMIT:
+            self._plan_cache.popitem(last=False)
+            self._counters["plan_evictions"] += 1
+            _METRICS.counter("session.plan_cache.evictions").inc()
+        return plan
 
     def _cached_plan(self, formula: Formula, mode: Tuple):
         """The still-valid cached plan for ``(formula, mode)``, or ``None``."""
@@ -762,164 +861,25 @@ class Session:
 
         return finish
 
-    def _execute(
-        self,
-        formula: Formula,
-        params: Mapping,
-        _link: Optional[str] = None,
-        **options,
-    ) -> "Cursor":
-        _check_options(options)
-        start_ns = time.perf_counter_ns()
-        _METRICS.counter("session.queries").inc()
-        run_stats = EngineStats()
-        span = _trace.span("session.execute")
-        with span:
-            trace_id = None
-            if span.enabled:
-                span.set(query=formula.to_text())
-                if _link is not None:
-                    span.set(prepared_from=_link)
-                trace_id = span.trace_id
-            values = self._convert_params(formula, params)
-            bound = bind_parameters(formula, values) if values else formula
-            allow_bottom = options.get("allow_bottom", False)
-            timeout_ms = options.get("timeout_ms")
-            if timeout_ms is not None and not (
-                isinstance(timeout_ms, (int, float)) and timeout_ms > 0
-            ):
-                raise ReproError(
-                    f"timeout_ms must be a positive number, got {timeout_ms!r}"
-                )
-            deadline = Deadline.start(timeout_ms) if timeout_ms is not None else None
-            batch_size = options.get("batch_size")
-            if batch_size is not None and not (
-                isinstance(batch_size, int)
-                and not isinstance(batch_size, bool)
-                and batch_size > 0
-            ):
-                raise ReproError(
-                    f"batch_size must be a positive integer, got {batch_size!r}"
-                )
-            explain = lambda: self._explain(formula, params, **options)
-            on_finish = self._query_finisher(
-                formula, values, run_stats, start_ns, trace_id
-            )
-            return self._build_cursor(
-                formula, values, bound, allow_bottom, explain, run_stats,
-                on_finish, span, options, deadline, batch_size,
-            )
 
-    def _build_cursor(
-        self, formula, values, bound, allow_bottom, explain, run_stats,
-        on_finish, span, options, deadline=None, batch_size=None,
-    ) -> "Cursor":
-        from repro.plan import bind_body_plan
+def _render_explain(notes, plan, target, allow_bottom: bool, analyze: bool) -> str:
+    """EXPLAIN (ANALYZE) of one resolved ``(notes, plan, target)``.
 
-        store_mode = (
-            not self._seeded
-            and options.get("against") is None
-            and not options.get("on_closure")
+    The plan is run once, apart from any cursor's stream, to collect actual
+    rows (and times under ``analyze``); a refuted query (``target is None``)
+    runs nothing and shows the unexecuted plan.
+    """
+    from repro.plan.explain import execution_record, render_body_plan
+
+    record = None
+    if target is not None:
+        record = execution_record(
+            plan, target, allow_bottom=allow_bottom, timed=analyze
         )
-        if store_mode:
-            # Store-backed whole-database execution: the store's access-path
-            # selection (root-attribute pushdown, index ⊥-short-circuit) and
-            # access counters.  The refutation probe always reads a binding of the
-            # *parameterized* compiled plan (cached-optimized when available,
-            # else the compile-memoized source order — leaf order is
-            # irrelevant to refutation), so no bound formula is ever
-            # compiled: distinct parameter values, refuted or not, cannot
-            # churn the global compile cache.
-            from repro.plan import compile_body
-
-            cached = self._cached_plan(formula, ("db",))
-            probe_plan = bind_body_plan(
-                cached if cached is not None else compile_body(formula), values
-            )
-            kind, _, restricted, _ = self._db._choose_access_path(
-                bound, allow_bottom, plan=probe_plan
-            )
-            if kind == "refuted":
-                self._db._bump("query_index_shortcircuits")
-                if span.enabled:
-                    span.set(access="index-short-circuit")
-                return Cursor(
-                    None, None, allow_bottom=allow_bottom, explain=explain,
-                    stats=run_stats, on_finish=on_finish, deadline=deadline,
-                    batch_size=batch_size,
-                )
-            if kind == "pushdown":
-                self._db._bump("query_root_pushdowns")
-                target: ComplexObject = TupleObject(restricted)
-            else:
-                self._db._bump("query_scans")
-                target = self._db.as_object()
-            if span.enabled:
-                span.set(access=kind)
-            if cached is not None:
-                bound_plan = probe_plan
-            else:
-                bound_plan = bind_body_plan(
-                    self._plan_for(formula, ("db",), target), values
-                )
-            return Cursor(
-                bound_plan, target, allow_bottom=allow_bottom, explain=explain,
-                stats=run_stats, on_finish=on_finish, deadline=deadline,
-                batch_size=batch_size,
-            )
-
-        mode, target = self._resolve_target(bound, options, deadline=deadline)
-        if span.enabled:
-            span.set(access=mode[0])
-        plan = self._plan_for(formula, mode, target)
-        return Cursor(
-            bind_body_plan(plan, values),
-            target,
-            allow_bottom=allow_bottom,
-            explain=explain,
-            stats=run_stats,
-            on_finish=on_finish,
-            deadline=deadline,
-            batch_size=batch_size,
-        )
-
-    def _explain(
-        self, formula: Formula, params: Mapping, analyze: bool = False, **options
-    ) -> str:
-        from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
-        from repro.plan.explain import render_body_plan
-
-        _check_options(options)
-        values = self._convert_params(formula, params)
-        bound = bind_parameters(formula, values) if values else formula
-        allow_bottom = options.get("allow_bottom", False)
-        against = options.get("against")
-        if not self._seeded and not options.get("on_closure"):
-            # Store-backed targets: the store's EXPLAIN already renders the
-            # access-path decision (pushdown / short-circuit / snapshot) this
-            # session's execution takes, through the same decision code.
-            return self._db.explain_query(
-                bound, against=against, allow_bottom=allow_bottom, analyze=analyze
-            )
-        mode, target = self._resolve_target(bound, options)
-        if target is None:  # pragma: no cover - seeded sessions never refute
-            target = BOTTOM
-        shapes = None
-        if not allow_bottom:
-            # Closed-world shape inference over the actual target: the
-            # rendering annotates each leaf with its inferred element shape
-            # and marks provably-empty bodies as pruned.
-            from repro.lint.shapes import infer_shapes
-
-            shapes = infer_shapes(tuple(self._rules), target)
-        plan = optimize_body(
-            compile_body(bound), DatabaseStatistics.collect(target), shapes
-        )
-        record: dict = {"timed": True} if analyze else {}
-        match_plan(plan, target, allow_bottom=allow_bottom, record=record)
-        return render_body_plan(
-            plan, record=record, header=f"query plan: {bound.to_text()}"
-        )
+    rendered = render_body_plan(
+        plan, record=record, header=f"query plan: {plan.body.to_text()}"
+    )
+    return "\n".join([*notes, rendered])
 
 
 class PreparedQuery:
@@ -1025,9 +985,7 @@ class PreparedQuery:
         merged = dict(params or {})
         merged.update(kwparams)
         self._check_shapes(merged)
-        return self._session._execute(
-            self.formula, merged, _link=self.trace_id, **self.options
-        )
+        return self._session.execute(self, merged)
 
     def one(self, params: Optional[Mapping] = None, **kwparams) -> ComplexObject:
         """First matching instantiation (⊥ when nothing matches)."""
@@ -1043,9 +1001,7 @@ class PreparedQuery:
         """EXPLAIN of one execution (``analyze=True`` for EXPLAIN ANALYZE)."""
         merged = dict(params or {})
         merged.update(kwparams)
-        return self._session._explain(
-            self.formula, merged, analyze=analyze, **self.options
-        )
+        return self._session.explain(self, merged, analyze=analyze)
 
     def __repr__(self) -> str:
         names = ", ".join(sorted(self.parameters)) or "none"
@@ -1065,7 +1021,8 @@ class Cursor:
       cursor ever produced participates, so ``all()`` after partial
       iteration still returns the complete answer);
     * :meth:`bindings` — the raw variable :class:`Substitution` stream;
-    * :meth:`explain` — the plan this cursor executes.
+    * :meth:`explain` — the plan this cursor executes, against the target it
+      was resolved to (later commits do not change the rendering).
 
     A cursor is single-pass: it consumes its substitution stream once,
     shared by all of the above.  Re-execute the prepared query for a fresh
@@ -1078,22 +1035,25 @@ class Cursor:
         target: Optional[ComplexObject],
         *,
         allow_bottom: bool = False,
-        explain=None,
+        notes=(),
         stats=None,
         on_finish=None,
         deadline=None,
         batch_size: Optional[int] = None,
     ):
+        # What Session._resolve decided: the bound plan, the object it runs
+        # against (``None``: a path index refuted the query, nothing runs)
+        # and the access-path lines EXPLAIN prints above the plan.
         self._plan = plan
         self._target = target
+        self._notes = tuple(notes)
         self._allow_bottom = allow_bottom
-        self._explain_thunk = explain
         self._stats = stats
         self._on_finish = on_finish
         self._deadline = deadline
         self._finished = False
         self._started = False
-        if plan is None:
+        if target is None:
             self._substitutions: Iterator[Substitution] = iter(())
         else:
             from repro.plan import iter_match_plan
@@ -1155,7 +1115,7 @@ class Cursor:
     def all(self) -> ComplexObject:
         """Drain the stream and union every match: ``E(O)`` (⊥ when empty)."""
         if self._result is None:
-            if not self._started and self._plan is not None:
+            if not self._started and self._target is not None:
                 # Nothing consumed yet: the batch executor computes the same
                 # union without the per-row generator machinery (the common
                 # ``Session.query`` path).  The stream is left exhausted,
@@ -1184,9 +1144,9 @@ class Cursor:
 
     def explain(self) -> str:
         """Render the plan (and access path) behind this cursor."""
-        if self._explain_thunk is None:
-            raise ReproError("this cursor carries no explain context")
-        return self._explain_thunk()
+        return _render_explain(
+            self._notes, self._plan, self._target, self._allow_bottom, analyze=False
+        )
 
     def __repr__(self) -> str:
         return f"<Cursor {len(self._matches)} matches streamed>"

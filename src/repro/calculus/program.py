@@ -189,11 +189,14 @@ class Program:
             DatabaseStatistics,
             compile_body,
             compile_program,
-            match_plan,
             optimize_body,
             optimize_program,
         )
-        from repro.plan.explain import render_body_plan, render_program_plan
+        from repro.plan.explain import (
+            execution_record,
+            render_body_plan,
+            render_program_plan,
+        )
 
         from repro.lint.shapes import infer_shapes
 
@@ -212,13 +215,11 @@ class Program:
             result = self.evaluate(**guards)
             closure_value = result.value
             iterations = result.iterations
-            rule_records = {}
-            for node in plan.rule_nodes():
-                if node.body_plan is None:
-                    continue
-                record: dict = {"timed": True}
-                match_plan(node.body_plan, closure_value, record=record)
-                rule_records[node.rule] = record
+            rule_records = {
+                node.rule: execution_record(node.body_plan, closure_value, timed=True)
+                for node in plan.rule_nodes()
+                if node.body_plan is not None
+            }
 
         sections = [
             render_program_plan(
@@ -233,14 +234,14 @@ class Program:
                 DatabaseStatistics.collect(target),
                 infer_shapes(tuple(self._rules), target),
             )
-            record = None
-            if analyze:
-                record = {"timed": True}
-                match_plan(query_plan, target, record=record)
             sections.append(
                 render_body_plan(
                     query_plan,
-                    record=record,
+                    record=(
+                        execution_record(query_plan, target, timed=True)
+                        if analyze
+                        else None
+                    ),
                     header=f"query plan: {parsed.to_text()}",
                 )
             )

@@ -133,7 +133,7 @@ class Substitution:
                 mapping[name] = value
             elif existing is not value:
                 # On interned objects equal bindings are identical, so the
-                # identity check above skips the (memoized) lattice meet for
+                # identity check above skips the lattice meet for
                 # the overwhelmingly common agreeing-occurrences case.
                 mapping[name] = intersection(existing, value)
         return Substitution(mapping)

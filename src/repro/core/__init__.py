@@ -15,8 +15,7 @@ This package implements Sections 2 and 3 of the paper:
   sub-object lattice of a finite object, used by tests and the brute-force
   calculus oracle.
 * :mod:`repro.core.intern` -- hash-consing of normalized objects: O(1)
-  equality/hashing and the id-keyed memo caches behind the order and lattice
-  operations.
+  equality/hashing and the id-keyed memo cache behind the sub-object order.
 """
 
 from repro.core.atoms import AtomValue, is_atom_value

@@ -11,10 +11,10 @@ properties the paper's algorithms lean on constantly:
   instance, so ``==`` degenerates to a pointer comparison;
 * **cached O(1) hashing** — the structural hash is computed once per distinct
   structure (from the children's cached hashes, not by re-walking the tree);
-* **identity-keyed memo tables** — the sub-object, union and intersection
-  caches key on ``(intern id, intern id)`` pairs of small ints instead of on
-  the objects themselves, so the caches hold **no strong references** to
-  objects and can be cleared wholesale.
+* **identity-keyed memo tables** — the sub-object cache keys on ``(intern
+  id, intern id)`` pairs of small ints instead of on the objects themselves,
+  so it holds **no strong references** to objects and can be cleared
+  wholesale.
 
 Intern ids are assigned from a monotonically increasing counter and are never
 reused, which is what makes id-keyed caches safe: a stale entry for a
@@ -47,7 +47,6 @@ __all__ = [
     "fingerprint",
     "intern_stats",
     "IdPairCache",
-    "IdCache",
     "register_cache",
     "clear_object_caches",
 ]
@@ -159,8 +158,6 @@ class IdPairCache:
 
     __slots__ = ("_table", "maxsize", "hits", "misses")
 
-    _MISSING = object()
-
     def __init__(self, maxsize: int = 1 << 17):
         self._table: Dict[Tuple[int, int], Any] = {}
         self.maxsize = maxsize
@@ -188,37 +185,6 @@ class IdPairCache:
         return len(self._table)
 
 
-class IdCache:
-    """A bounded memo table keyed by a single intern id."""
-
-    __slots__ = ("_table", "maxsize", "hits", "misses")
-
-    def __init__(self, maxsize: int = 1 << 16):
-        self._table: Dict[int, Any] = {}
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: int) -> Any:
-        value = self._table.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key: int, value: Any) -> None:
-        if len(self._table) >= self.maxsize:
-            self._table.clear()
-        self._table[key] = value
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
 _CACHES: Dict[str, Any] = {}
 
 
@@ -238,7 +204,7 @@ def memo_tables() -> Dict[str, Any]:
 
 
 def clear_object_caches() -> None:
-    """Clear every registered id-keyed memo table (order, lattice, ...).
+    """Clear every registered id-keyed memo table (the sub-object order's).
 
     The hook for store teardown (``ObjectDatabase.close``) and for benchmark
     cold-run paths.  The intern table itself is weak-valued and needs no

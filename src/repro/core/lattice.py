@@ -45,7 +45,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable
 
-from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
     BOTTOM,
     TOP,
@@ -57,28 +56,6 @@ from repro.core.objects import (
     TupleObject,
 )
 from repro.core.order import is_subobject, maximal_cross, maximal_unique
-
-# Both operations are commutative, so results for interned operands are
-# memoized under the (smaller id, larger id) pair.  Values are objects, which
-# is why these caches are registered with the global clear hook
-# (repro.core.intern.clear_object_caches) instead of living forever.
-_UNION_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16), "union")
-_MEET_CACHE: IdPairCache = register_cache(IdPairCache(maxsize=1 << 16), "meet")
-
-
-def _memoized_commutative(cache, left, right, structural):
-    """Memoize a commutative lattice operation on interned operand pairs."""
-    lid = left._iid
-    rid = right._iid
-    if lid is None or rid is None:
-        return structural(left, right)
-    if lid > rid:
-        lid, rid = rid, lid
-    cached = cache.get(lid, rid)
-    if cached is None:
-        cached = structural(left, right)
-        cache.put(lid, rid, cached)
-    return cached
 
 __all__ = [
     "union",
@@ -104,7 +81,7 @@ def union(left: ComplexObject, right: ComplexObject) -> ComplexObject:
     # Definition 3.4(ii): distinct atoms are jointly inconsistent.
     if isinstance(left, Atom) and isinstance(right, Atom):
         return left if left == right else TOP
-    return _memoized_commutative(_UNION_CACHE, left, right, _union_structural)
+    return _union_structural(left, right)
 
 
 def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObject:
@@ -148,7 +125,7 @@ def intersection(left: ComplexObject, right: ComplexObject) -> ComplexObject:
     # Definition 3.5(ii).
     if isinstance(left, Atom) and isinstance(right, Atom):
         return left if left == right else BOTTOM
-    return _memoized_commutative(_MEET_CACHE, left, right, _intersection_structural)
+    return _intersection_structural(left, right)
 
 
 def _intersection_structural(left: ComplexObject, right: ComplexObject) -> ComplexObject:
@@ -198,7 +175,7 @@ def union_all(objects: Iterable[ComplexObject]) -> ComplexObject:
     non-object operand raises ``TypeError``.  A ⊤ that only arises between
     operands (``[a: 1]`` and ``[a: 2]``) is found by the join, after every
     operand has been consumed.  One operand is returned as is,
-    two go through the memoised binary :func:`union`.  Interned operands are
+    two go through the binary :func:`union`.  Interned operands are
     joined by one n-ary application of Definition 3.4 — ⊥ dropped, duplicates
     dropped by identity, tuples attribute-wise over all operands at once,
     sets by one reduction of the gathered elements, distinct atoms or mixed

@@ -27,8 +27,8 @@ counterexamples (Example 3.2) and the equality axioms themselves
 
 Normalized objects are **hash-consed** through :mod:`repro.core.intern`: the
 default constructors return the one canonical instance per distinct structure,
-so ``==`` on them is an identity check and ``hash`` a cached int, and every
-memo table above (sub-object order, lattice, reduction) can key on intern ids.
+so ``==`` on them is an identity check and ``hash`` a cached int, and the
+sub-object order's memo table can key on intern ids.
 Raw objects are never interned and keep full structural semantics.
 """
 

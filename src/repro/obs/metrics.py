@@ -271,10 +271,6 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
 DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_entries",
     "core.memo.subobject_hit_rate",
-    "core.memo.union_entries",
-    "core.memo.union_hit_rate",
-    "core.memo.meet_entries",
-    "core.memo.meet_hit_rate",
 )
 
 DECLARED_HISTOGRAMS: Tuple[str, ...] = (

@@ -344,7 +344,7 @@ def _merge_row(
     The row-level mirror of :meth:`Substitution.meet`: on interned objects
     equal bindings are identical, so the common agreeing-occurrences case is
     an ``is`` check per shared column and a tuple concat; a disagreeing
-    column rebuilds the row with the (memoized) lattice meet.
+    column rebuilds the row with the lattice meet.
 
     ``drop`` is the strict-semantics early filter (``allow_bottom=False``):
     a ⊥ binding can never recover — every later meet of ⊥ stays ⊥ — so a row

@@ -18,18 +18,35 @@ dispatched and the total rows they carried), rendered as ``N batches, M
 rows/batch`` so a leaf that fragments the pipeline into tiny batches is
 visible too.
 
-``Program.explain()``, the CLI's ``run/query --explain`` and the store's
-``store query --explain`` all render through this module.
+``Program.explain()`` and ``Session.explain()`` / ``Cursor.explain()`` — hence
+the CLI's ``run/query --explain`` and ``store query --explain`` — all collect
+their actuals with :func:`execution_record` and render through this module.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core.objects import ComplexObject
 from repro.obs.trace import format_ns
+from repro.plan.execute import match_plan
 from repro.plan.ir import BodyPlan, ProgramPlan, RuleNode, leaf_key
 
-__all__ = ["render_body_plan", "render_rule_node", "render_program_plan"]
+__all__ = ["execution_record", "render_body_plan", "render_rule_node", "render_program_plan"]
+
+
+def execution_record(
+    plan: BodyPlan, target: ComplexObject, *, allow_bottom: bool = False, timed: bool = False
+) -> dict:
+    """Execute ``plan`` against ``target`` once and return its actuals.
+
+    The record the ``render_*`` functions take: rows surviving each leaf,
+    batches dispatched and the substitution count — plus per-leaf and total
+    wall time when ``timed`` (EXPLAIN ANALYZE).
+    """
+    record: dict = {"timed": True} if timed else {}
+    match_plan(plan, target, allow_bottom=allow_bottom, record=record)
+    return record
 
 
 def _leaf_lines(plan: BodyPlan, record: Optional[dict], indent: str) -> list:

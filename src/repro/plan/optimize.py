@@ -19,7 +19,7 @@ Each placed leaf also records its **access path** — the index probe the
 executor should attempt first — which is how selection and attribute-path
 pushdown reach :class:`repro.engine.IndexStore` (during evaluation) and
 :class:`repro.store.PathIndex` (store-side, see
-:meth:`repro.store.ObjectDatabase.explain_query`).  Without statistics the same
+:meth:`repro.store.ObjectDatabase.access_path`).  Without statistics the same
 greedy pass runs on defaults, which still orders static-key probes before
 bare scans — the heuristic the algebra lowering uses at translation time.
 

@@ -157,19 +157,14 @@ def frame_record(record: dict) -> str:
     return _canonical(framed) + "\n"
 
 
-def parse_record(line: str, *, require_commit_checksum: bool = False) -> dict:
+def parse_record(line: str) -> dict:
     """Parse one log line back into a record, verifying its checksum.
 
-    Records without a checksum field are accepted (the pre-WAL log format
-    never carried one); records *with* one must match, else the bytes were
-    damaged after the commit and the log is corrupt rather than torn.
-
-    ``require_commit_checksum=True`` tightens the legacy allowance to the
-    legacy record shapes only: a ``commit`` record (which
-    :func:`frame_record` has always checksummed) with no ``crc`` field is
-    rejected as corruption.  The WAL replayer and the offline verifier pass
-    this flag, closing the hole where in-place damage to the checksum
-    field's *name* would demote a commit to an unchecked legacy record.
+    Every record :func:`frame_record` writes carries a checksum, so a
+    complete line without one — or with one that does not match — was not
+    written by a commit, or was damaged after it: the log is corrupt rather
+    than torn.  (This also covers in-place damage to the checksum field's
+    *name*, which must not demote a commit to an unchecked record.)
     """
     try:
         record = json.loads(line)
@@ -178,16 +173,15 @@ def parse_record(line: str, *, require_commit_checksum: bool = False) -> dict:
     if not isinstance(record, dict):
         raise StoreError(f"malformed log record (not an object): {record!r}")
     checksum = record.pop(_CHECKSUM, None)
-    if checksum is not None:
-        expected = zlib.crc32(_canonical(record).encode("utf-8")) & 0xFFFFFFFF
-        if checksum != expected:
-            raise StoreError(
-                f"log record failed its checksum (stored {checksum}, computed {expected})"
-            )
-    elif require_commit_checksum and record.get("op") == "commit":
+    if checksum is None:
         raise StoreError(
-            "commit record carries no checksum (commit records are always"
-            " framed with one; the bytes were damaged in place)"
+            "log record carries no checksum (records are always framed with"
+            " one; the line was not written by a commit, or was damaged in place)"
+        )
+    expected = zlib.crc32(_canonical(record).encode("utf-8")) & 0xFFFFFFFF
+    if checksum != expected:
+        raise StoreError(
+            f"log record failed its checksum (stored {checksum}, computed {expected})"
         )
     return record
 

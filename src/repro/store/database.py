@@ -6,12 +6,14 @@ storage engine, with:
 * calculus queries: formulae evaluate against one stored object (or against
   the whole database seen as a single tuple object, exactly the paper's "the
   entire database can be modeled by a single object") through the session
-  facade of :mod:`repro.api` (``Session(database=db).query(...)``), with the
-  store contributing the access-path decisions: root-attribute and
-  indexed-path selections are pushed into the store instead of materialising
-  the snapshot (``--explain`` on the CLI shows the plan), and
-  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under` evaluate rules and
-  closures in place (the latter through the plan-compiled engine);
+  facade of :mod:`repro.api` (``Session(database=db).query(...)``).  The
+  session plans; the store contributes the access-path decision
+  (:meth:`ObjectDatabase.access_path`): root-attribute and indexed-path
+  selections are pushed into the store instead of materialising the snapshot
+  (``Session.explain`` / ``--explain`` on the CLI print the decision above
+  the plan).  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under`
+  evaluate rules and closures in place (the latter through the plan-compiled
+  engine);
 * pattern search across objects: :meth:`find` returns the names of the stored
   objects of which a pattern is a sub-object, prefiltering through every
   path index the pattern pins (``access_stats`` counts prefilters vs scans);
@@ -55,6 +57,13 @@ from repro.store.storage import MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
 
 __all__ = ["ObjectDatabase"]
+
+#: The ``access_stats`` counter each :meth:`ObjectDatabase.access_path` kind moves.
+_ACCESS_COUNTERS = {
+    "refuted": "query_index_shortcircuits",
+    "pushdown": "query_root_pushdowns",
+    "snapshot": "query_scans",
+}
 
 
 class ObjectDatabase:
@@ -291,72 +300,73 @@ class ObjectDatabase:
             self._access_stats[counter] += 1
         _METRICS.counter(f"store.index.{counter}").inc()
 
-    def _choose_access_path(self, parsed: Formula, allow_bottom: bool, plan=None):
-        """One locked decision pass shared by the session facade and EXPLAIN.
+    def access_path(
+        self, formula: Formula, leaves, *, allow_bottom: bool = False, counted: bool = True
+    ) -> Tuple[str, str, Optional[ComplexObject]]:
+        """The access path of one whole-database query: one locked decision.
 
-        Returns ``(kind, reason, restricted, total)``: ``kind`` is
-        ``"refuted"`` (an index proves ⊥), ``"pushdown"`` (read only the
-        mentioned root attributes — ``restricted`` holds them) or
-        ``"snapshot"`` (interpret against the full :meth:`as_object`, with
-        ``reason`` saying why); ``total`` is the stored-object count at
-        decision time.  ``plan``, when given, is a compiled (bound)
-        :class:`~repro.plan.ir.BodyPlan` for ``parsed`` whose leaves the
-        refutation check reads instead of re-compiling the formula — how a
-        prepared query's cached plan avoids per-binding compilation.
-        Keeping the decision in one place guarantees EXPLAIN describes
-        exactly the access path a query takes.
+        Returns ``(kind, note, target)``.  ``kind`` is ``"refuted"`` (a path
+        index proves the answer is ⊥: ``target`` is ``None`` and nothing is
+        read), ``"pushdown"`` (``target`` holds only the root attributes the
+        formula mentions) or ``"snapshot"`` (``target`` is the full database
+        object, ``note`` saying why); ``note`` is the line EXPLAIN prints for
+        the decision.  ``leaves`` are the leaves of the query's compiled,
+        parameter-bound :class:`~repro.plan.ir.BodyPlan` — planning is the
+        caller's job (:class:`repro.api.Session`), the store only reads their
+        static keys against its indexes.  The decision and the target come
+        from one consistent state, and every ``counted`` call moves exactly
+        one ``access_stats`` counter (an EXPLAIN passes ``counted=False``).
         """
         with self._lock.read_locked():
-            total = len(self._storage.names())
-            if not isinstance(parsed, TupleFormula):
-                return "snapshot", "formula is not tuple-shaped", None, total
-            if self._top_names:
-                return (
-                    "snapshot",
-                    "a stored value is ⊤, which collapses the database object",
-                    None,
-                    total,
+            if isinstance(formula, TupleFormula) and not self._top_names:
+                if not allow_bottom and self._index_refutes(leaves):
+                    decision = (
+                        "refuted",
+                        "index short-circuit: a path index refutes the query;"
+                        " answers ⊥ without reading or interpreting",
+                        None,
+                    )
+                else:
+                    read = {
+                        name: value
+                        for name in formula.attributes
+                        if (value := self._storage.read(name)) is not None
+                    }
+                    decision = (
+                        "pushdown",
+                        f"target: root-attribute pushdown reads {len(read)}"
+                        f" of {len(self._storage.names())} stored objects",
+                        TupleObject(read),
+                    )
+            else:
+                reason = (
+                    "a stored value is ⊤, which collapses the database object"
+                    if isinstance(formula, TupleFormula)
+                    else "formula is not tuple-shaped"
                 )
-            restricted: Dict[str, ComplexObject] = {}
-            for name in parsed.attributes:
-                value = self._storage.read(name)
-                if value is not None:
-                    restricted[name] = value
-            if not allow_bottom and self._index_refutes(parsed, plan=plan):
-                return "refuted", "a path index refutes the query", restricted, total
-            return "pushdown", "", restricted, total
+                decision = (
+                    "snapshot",
+                    f"target: full snapshot ({reason})",
+                    TupleObject(dict(self._storage.items())),
+                )
+        if counted:
+            self._bump(_ACCESS_COUNTERS[decision[0]])
+        return decision
 
-    @staticmethod
-    def _pushdown_plan(parsed: Formula, target: ComplexObject):
-        """The plan :meth:`explain_query` renders for a pushed-down target.
-
-        Reordering only pays off with several scans to order; a
-        single-relation query skips the statistics walk entirely.
-        """
-        from repro.plan import DatabaseStatistics, ScanLeaf, compile_body, optimize_body
-
-        plan = compile_body(parsed)
-        if sum(1 for leaf in plan.leaves if isinstance(leaf, ScanLeaf)) > 1:
-            plan = optimize_body(plan, DatabaseStatistics.collect(target))
-        return plan
-
-    def _index_refutes(self, parsed: "TupleFormula", plan=None) -> bool:
+    def _index_refutes(self, leaves) -> bool:
         """``True`` when a path index proves the whole-database query answers ⊥.
 
-        Looks for a scan leaf of the compiled plan (or of the supplied
-        ``plan``, sparing a compile) that pins a ground atom at an indexed
-        path under one root attribute; if the index (wildcards included)
-        maps that atom to no stored name — or not to the leaf's root
-        attribute — the leaf has no witness, its element formula cannot
-        vanish (vanishing needs a bare variable or a ⊥ constant, which carry
-        no static key), and the conjunction is empty.  Callers hold the read
-        lock.
+        Looks for a scan leaf that pins a ground atom at an indexed path
+        under one root attribute; if the index (wildcards included) maps that
+        atom to no stored name — or not to the leaf's root attribute — the
+        leaf has no witness, its element formula cannot vanish (vanishing
+        needs a bare variable or a ⊥ constant, which carry no static key),
+        and the conjunction is empty.  Callers hold the read lock.
         """
         if not self._indexes:
             return False
-        from repro.plan import ScanLeaf, compile_body
+        from repro.plan.ir import ScanLeaf
 
-        leaves = plan.leaves if plan is not None else compile_body(parsed).leaves
         for leaf in leaves:
             if not isinstance(leaf, ScanLeaf) or not leaf.static_keys:
                 continue
@@ -370,69 +380,6 @@ class ObjectDatabase:
                 if root not in index.lookup(atom):
                     return True
         return False
-
-    def explain_query(
-        self,
-        formula,
-        *,
-        against: Optional[str] = None,
-        allow_bottom: bool = False,
-        analyze: bool = False,
-    ) -> str:
-        """EXPLAIN for a session query: the chosen access path with est/actual rows.
-
-        Describes the access path :meth:`repro.api.Session.query` takes with
-        the same arguments — both go through :meth:`_choose_access_path`, so
-        the notes cannot drift from the real access path.  ``analyze=True``
-        (EXPLAIN ANALYZE) additionally times the execution and prints wall
-        time per plan node, plus per-leaf batch counts and rows/batch.
-        """
-        from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
-        from repro.plan.explain import render_body_plan
-
-        parsed = self._as_formula(formula)
-        notes: List[str] = []
-        plan = None
-        executable = True
-        if against is not None:
-            target = self._require(against)
-            notes.append(f"target: stored object {against!r}")
-        else:
-            kind, reason, restricted, total = self._choose_access_path(
-                parsed, allow_bottom
-            )
-            if kind == "snapshot":
-                target = self.as_object()
-                notes.append(f"target: full snapshot ({reason})")
-            elif kind == "refuted":
-                # The session answers ⊥ straight from the index — it reads no
-                # stored objects and executes no plan, so neither does the
-                # analysis; the plan is shown with estimates only.
-                target = TupleObject(restricted)
-                plan = self._pushdown_plan(parsed, target)
-                executable = False
-                notes.append(
-                    "index short-circuit: a path index refutes the query;"
-                    " answers ⊥ without reading or interpreting"
-                    " (plan shown with estimates only)"
-                )
-            else:
-                target = TupleObject(restricted)
-                notes.append(
-                    f"target: root-attribute pushdown reads {len(restricted)}"
-                    f" of {total} stored objects"
-                )
-                plan = self._pushdown_plan(parsed, target)
-        if plan is None:
-            plan = optimize_body(compile_body(parsed), DatabaseStatistics.collect(target))
-        record: Optional[dict] = None
-        if executable:
-            record = {"timed": True} if analyze else {}
-            match_plan(plan, target, allow_bottom=allow_bottom, record=record)
-        rendered = render_body_plan(
-            plan, record=record, header=f"query plan: {parsed.to_text()}"
-        )
-        return "\n".join(notes + [rendered])
 
     def find(
         self, pattern: ComplexObject, *, path: Optional[Union[Path, str]] = None
@@ -670,24 +617,12 @@ class ObjectDatabase:
             raise StoreError(f"no object stored under {name!r}")
         return value
 
-    @staticmethod
-    def _as_formula(formula) -> Formula:
-        if isinstance(formula, Formula):
-            return formula
-        if isinstance(formula, str):
-            from repro.parser import parse_formula
-
-            return parse_formula(formula)
-        from repro.calculus.terms import formula as to_formula
-
-        return to_formula(formula)
-
     def close(self) -> None:
         """Close the underlying storage engine and drop the object memo caches.
 
-        The order/lattice caches key on intern ids and never pin objects, but
-        their *values* (lattice results) and entries accumulate across a
-        store's lifetime; teardown is the natural point to release them.
+        The sub-object memo keys on intern ids and never pins objects, but its
+        entries accumulate across a store's lifetime; teardown is the natural
+        point to release them.
         """
         self._storage.close()  # invariant: unlocked-ok — teardown is single-threaded by contract
         from repro.core.intern import clear_object_caches

@@ -4,8 +4,9 @@ A :class:`PathIndex` maps the values found at one attribute path (descending
 through sets, see :func:`repro.store.paths.iter_paths`) to the names of the
 stored objects containing them.  The :class:`ObjectDatabase` consults its
 indexes before falling back to a scan when answering ``find`` queries, and
-the query planner pushes static selections into them to short-circuit
-whole-database queries (see :meth:`repro.store.ObjectDatabase.explain_query`);
+the static selections of a session query's plan leaves are probed against
+them to short-circuit whole-database queries (see
+:meth:`repro.store.ObjectDatabase.access_path`);
 ``benchmarks/run_plan_benchmarks.py`` measures that pushdown.
 
 Maintenance is O(keys-of-the-object), not O(index): alongside the inverted

@@ -136,27 +136,19 @@ def decode_record_changes(record: dict, line_number: int) -> Dict[str, Optional[
     (:mod:`repro.store.verify`).
     """
     operation = record.get("op")
-    if operation == "commit":
-        writes = record.get("writes")
-        if not isinstance(writes, dict):
-            raise StoreError(
-                f"corrupt commit record (missing writes) at line {line_number}"
-            )
-        changes: Dict[str, Optional[ComplexObject]] = {}
-        for name, data in writes.items():
-            changes[name] = None if data is None else decode_json(data)
-        return changes
-    # Legacy per-change records from the pre-WAL format.
-    name = record.get("name")
-    if not isinstance(name, str):
-        raise StoreError(f"corrupt record (missing name) at line {line_number}")
-    if operation == "write":
-        return {name: decode_json(record.get("data"))}
-    if operation == "delete":
-        return {name: None}
-    raise StoreError(
-        f"corrupt record (unknown op {operation!r}) at line {line_number}"
-    )
+    if operation != "commit":
+        raise StoreError(
+            f"corrupt record (unknown op {operation!r}) at line {line_number}"
+        )
+    writes = record.get("writes")
+    if not isinstance(writes, dict):
+        raise StoreError(
+            f"corrupt commit record (missing writes) at line {line_number}"
+        )
+    return {
+        name: None if data is None else decode_json(data)
+        for name, data in writes.items()
+    }
 
 
 class FileStorage(StorageEngine):
@@ -164,8 +156,8 @@ class FileStorage(StorageEngine):
 
     Each committed batch is one line: ``{"op": "commit", "writes": {name:
     encoded-object-or-null, ...}, "crc": ...}`` (``null`` deletes the name).
-    The legacy per-change records ``{"op": "write"|"delete", ...}`` written
-    by earlier versions are still replayed, so old logs open unchanged.
+    That is the only record shape: a complete line of any other, or without
+    a matching ``crc``, is corruption.
 
     Recovery discipline on open:
 
@@ -235,9 +227,7 @@ class FileStorage(StorageEngine):
             for line_number, raw_line in enumerate(raw.split(b"\n")[:-1], start=1):
                 if raw_line.strip():
                     try:
-                        record = parse_record(
-                            raw_line.decode("utf-8"), require_commit_checksum=True
-                        )
+                        record = parse_record(raw_line.decode("utf-8"))
                         changes = decode_record_changes(record, line_number)
                     except UnicodeDecodeError as error:
                         self._corrupt(

@@ -32,8 +32,7 @@ def verify_wal(path: str) -> Dict[str, Any]:
           "size_bytes": ...,      # its size (0 when absent)
           "exists": ...,          # False: an absent log is an empty store
           "records": ...,         # intact records replayable before damage
-          "commits": ...,         # of those, checksummed commit records
-          "legacy_records": ...,  # of those, pre-WAL per-change records
+          "commits": ...,         # the same count: commits are the only records
           "objects": ...,         # live names after replaying the prefix
           "torn_tail_bytes": ..., # unterminated final line (crash mid-append)
           "corrupt_records": [{"line": ..., "error": ...}, ...],
@@ -53,7 +52,6 @@ def verify_wal(path: str) -> Dict[str, Any]:
         "exists": os.path.exists(path),
         "records": 0,
         "commits": 0,
-        "legacy_records": 0,
         "objects": 0,
         "torn_tail_bytes": 0,
         "corrupt_records": [],
@@ -81,9 +79,7 @@ def verify_wal(path: str) -> Dict[str, Any]:
             if not raw_line.strip():
                 continue
             try:
-                record = parse_record(
-                    raw_line.decode("utf-8"), require_commit_checksum=True
-                )
+                record = parse_record(raw_line.decode("utf-8"))
                 changes = decode_record_changes(record, line_number)
             except UnicodeDecodeError as error:
                 report["corrupt_records"].append(
@@ -96,10 +92,7 @@ def verify_wal(path: str) -> Dict[str, Any]:
                 )
                 break
             report["records"] += 1
-            if record.get("op") == "commit":
-                report["commits"] += 1
-            else:
-                report["legacy_records"] += 1
+            report["commits"] += 1
             for name, value in changes.items():
                 if value is None:
                     live.pop(name, None)

@@ -32,7 +32,6 @@ from repro.core import (
     reduce_object,
     union,
 )
-from repro.core.lattice import _MEET_CACHE, _UNION_CACHE
 from repro.core.order import _SUBOBJECT_CACHE
 from repro.store.database import ObjectDatabase
 
@@ -197,13 +196,9 @@ class TestCacheLifecycle:
         left = obj({"a": [{"x": i, "y": [i, i + 1]} for i in range(4)]})
         right = obj({"a": [{"x": i, "y": [i, i + 1]} for i in range(5)]})
         assert is_subobject(left, right)
-        union(left, right)
         assert len(_SUBOBJECT_CACHE) > 0
-        assert len(_UNION_CACHE) > 0
         clear_object_caches()
         assert len(_SUBOBJECT_CACHE) == 0
-        assert len(_UNION_CACHE) == 0
-        assert len(_MEET_CACHE) == 0
 
     def test_store_teardown_clears_caches(self):
         database = ObjectDatabase()

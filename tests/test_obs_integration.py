@@ -340,20 +340,20 @@ def test_memo_tables_are_gauges_sampled_at_snapshot_time():
     from repro.obs.metrics import DECLARED_GAUGES
 
     repro.clear_object_caches()
-    left = repro.parse_object("[r1: {[name: ada], [name: bob]}]")
-    right = repro.parse_object("[r1: {[name: cy]}]")
-    joined = repro.union(left, right)
+    # Big enough to clear the small-pair gate that bypasses the memo.
+    left = repro.obj({"a": [{"x": i, "y": [i, i + 1]} for i in range(4)]})
+    right = repro.obj({"a": [{"x": i, "y": [i, i + 1]} for i in range(5)]})
+    assert repro.is_subobject(left, right)
     cold = repro.obs.snapshot()["gauges"]
-    assert repro.union(right, left) is joined
+    assert repro.is_subobject(left, right)
     warm = repro.obs.snapshot()["gauges"]
     assert {name for name in warm if name.startswith("core.memo.")} == set(DECLARED_GAUGES)
-    assert cold["core.memo.union_entries"] == warm["core.memo.union_entries"] >= 1
-    assert warm["core.memo.union_hit_rate"] > cold["core.memo.union_hit_rate"]
+    assert cold["core.memo.subobject_entries"] == warm["core.memo.subobject_entries"] >= 1
+    assert warm["core.memo.subobject_hit_rate"] > cold["core.memo.subobject_hit_rate"]
     repro.clear_object_caches()
     cleared = repro.obs.snapshot()["gauges"]
-    for table in ("subobject", "union", "meet"):
-        assert cleared[f"core.memo.{table}_entries"] == 0
-        assert 0.0 <= cleared[f"core.memo.{table}_hit_rate"] <= 1.0
+    assert cleared["core.memo.subobject_entries"] == 0
+    assert 0.0 <= cleared["core.memo.subobject_hit_rate"] <= 1.0
 
 
 # -- CLI surfaces ------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""EXPLAIN coverage: Program.explain, the CLI flags and the store's explain."""
+"""EXPLAIN coverage: Program.explain, the CLI flags and Session/Cursor.explain."""
 
 import io
 
-from repro import Program, Session, parse_formula, parse_object
+import pytest
+
+from repro import BOTTOM, TOP, Program, Session, interpret, parse_formula, parse_object
 from repro.cli import main
+from repro.plan.explain import execution_record, render_body_plan
 from repro.store.database import ObjectDatabase
 from repro.workloads import make_genealogy
 
@@ -114,27 +117,212 @@ class TestCliExplain:
 
 
 class TestStoreExplain:
-    def test_explain_query_notes_the_access_path(self):
+    """The store-backed session's EXPLAIN: the access-path note, then the plan."""
+
+    def test_explain_notes_the_access_path(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))
         database.put("other", parse_object("[x: 1]"))
-        text = database.explain_query(parse_formula("[family: [family: {[name: X]}]]"))
+        text = Session(database=database).explain("[family: [family: {[name: X]}]]")
         assert "reads 1 of 2 stored objects" in text
         assert "query plan:" in text
 
-    def test_explain_query_reports_index_shortcircuit(self):
+    def test_explain_reports_index_shortcircuit(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))
         database.create_index("family.name")
-        text = database.explain_query(
-            parse_formula("[family: [family: {[name: nobody, kids: K]}]]")
+        text = Session(database=database).explain(
+            "[family: [family: {[name: nobody, kids: K]}]]"
         )
         assert "index short-circuit" in text
+        # Nothing ran, so the plan carries no actuals.
+        assert "actual" not in text
 
-    def test_explain_query_against_one_object(self):
+    def test_explain_against_one_object(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))
-        text = database.explain_query(
-            parse_formula("[family: {[name: X]}]"), against="family"
+        text = Session(database=database).explain(
+            "[family: {[name: X]}]", against="family"
         )
         assert "stored object 'family'" in text
+
+
+def _plan_section(text):
+    """An EXPLAIN rendering without its access-path notes."""
+    lines = text.splitlines()
+    return "\n".join(lines[next(i for i, l in enumerate(lines) if l.startswith("query plan:")):])
+
+
+def _store_session():
+    session = Session()
+    session.put("r1", parse_object("{[name: peter, age: 25], [name: mary, age: 2]}"))
+    session.put("r2", parse_object("{[who: peter, town: paris]}"))
+    return session
+
+
+def _indexed_session():
+    session = _store_session()
+    session.database.create_index("name")
+    return session
+
+
+def _top_session():
+    session = _store_session()
+    session.put("everything", TOP)
+    return session
+
+
+def _closure_session():
+    return Session.over_program(
+        Program.from_source(DESCENDANTS, database=make_genealogy(2, 2).family_object)
+    )
+
+
+def _seeded_session():
+    return Session.over_object(
+        parse_object("[r1: {[name: peter, age: 25], [name: mary, age: 2]}]")
+    )
+
+
+#: One query per resolution mode: (session factory, query, params, options,
+#: the access-path note EXPLAIN must print, or None when the mode has none).
+MODES = {
+    "pushdown": (_store_session, "[r1: {[name: X, age: 2]}]", {}, {}, "pushdown"),
+    "pushdown-param": (
+        _store_session, "[r1: {[name: $who, age: A]}]", {"who": "mary"}, {}, "pushdown",
+    ),
+    "pushdown-join": (
+        _store_session, "[r1: {[name: X, age: A]}, r2: {[who: X, town: T]}]", {}, {},
+        "pushdown",
+    ),
+    "snapshot-top": (_top_session, "[r1: {[name: X]}]", {}, {}, "full snapshot"),
+    "snapshot-shape": (_store_session, "X", {}, {}, "full snapshot"),
+    "refuted": (
+        _indexed_session, "[r1: {[name: nobody, age: A]}]", {}, {}, "index short-circuit",
+    ),
+    "refuted-param": (
+        _indexed_session, "[r1: {[name: $who, age: A]}]", {"who": "nobody"}, {},
+        "index short-circuit",
+    ),
+    "against": (
+        _store_session, "{[name: X, age: A]}", {}, {"against": "r1"}, "stored object 'r1'",
+    ),
+    "against-param": (
+        _store_session, "{[name: $who, age: A]}", {"who": "peter"}, {"against": "r1"},
+        "stored object 'r1'",
+    ),
+    "closure": (_closure_session, "[doa: {X}]", {}, {"on_closure": True}, None),
+    "closure-param": (
+        _closure_session, "[doa: {$who}]", {"who": "abraham"}, {"on_closure": True}, None,
+    ),
+    "seeded": (_seeded_session, "[r1: {[name: X, age: 2]}]", {}, {}, None),
+    "seeded-param": (_seeded_session, "[r1: {[name: $who]}]", {"who": "mary"}, {}, None),
+    "seeded-pruned": (_seeded_session, "[r1: {[town: T]}]", {}, {}, None),
+    "seeded-literal": (
+        _seeded_session, "[r1: {[town: T]}]", {}, {"allow_bottom": True}, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+class TestExplainRendersThePlanThatRuns:
+    """Execute and EXPLAIN share one resolve-and-plan step (and its cache)."""
+
+    def test_explain_is_the_rendering_of_the_cursors_plan(self, mode):
+        make, query, params, options, note = MODES[mode]
+        session = make()
+        cursor = session.execute(query, params, **options)
+        misses = session.cache_info()["plan_misses"]
+        text = session.explain(query, params, **options)
+        assert session.cache_info()["plan_misses"] == misses
+        record = None
+        if cursor._target is not None:
+            record = execution_record(
+                cursor._plan,
+                cursor._target,
+                allow_bottom=options.get("allow_bottom", False),
+            )
+        assert _plan_section(text) == render_body_plan(
+            cursor._plan,
+            record=record,
+            header=f"query plan: {cursor._plan.body.to_text()}",
+        )
+        if note is None:
+            assert text == _plan_section(text)
+        else:
+            assert note in text.splitlines()[0]
+        assert cursor.explain() == text
+        # ... and the plan EXPLAIN describes computes the oracle's answer.
+        target = cursor._target
+        if target is not None:
+            bound = cursor._plan.body
+            assert cursor.all() == interpret(
+                bound, target, allow_bottom=options.get("allow_bottom", False)
+            )
+        else:
+            assert cursor.all() is BOTTOM
+
+    def test_explain_first_then_execute_hits_the_plan_it_cached(self, mode):
+        make, query, params, options, _ = MODES[mode]
+        session = make()
+        text = session.explain(query, params, **options)
+        misses = session.cache_info()["plan_misses"]
+        cursor = session.execute(query, params, **options)
+        assert session.cache_info()["plan_misses"] == misses
+        assert cursor.explain() == text
+
+
+class TestCursorExplainIsStable:
+    def test_cursor_explain_survives_a_commit_that_changes_the_answer(self):
+        session = _store_session()
+        query = "[r1: {[name: X, age: A]}]"
+        cursor = session.execute(query)
+        before = cursor.explain()
+        assert "=> 2 substitutions (actual)" in before
+        session.put("r1", parse_object("{[name: peter, age: 25]}"))
+        assert cursor.explain() == before
+        # The cursor also still streams the answer it was resolved to ...
+        assert len(list(cursor)) == 2
+        # ... while a fresh EXPLAIN describes the store as it is now.
+        assert "=> 1 substitutions (actual)" in session.explain(query)
+
+    def test_refuted_cursor_explain_survives_dropping_the_index(self):
+        session = _indexed_session()
+        cursor = session.execute("[r1: {[name: nobody, age: A]}]")
+        before = cursor.explain()
+        session.database.drop_index("name")
+        assert cursor.explain() == before
+        assert cursor.all() is BOTTOM
+
+
+class TestAccessStatsCountExecutions:
+    @pytest.mark.parametrize(
+        "mode, counter",
+        [
+            ("pushdown", "query_root_pushdowns"),
+            ("pushdown-param", "query_root_pushdowns"),
+            ("snapshot-top", "query_scans"),
+            ("snapshot-shape", "query_scans"),
+            ("refuted", "query_index_shortcircuits"),
+            ("refuted-param", "query_index_shortcircuits"),
+        ],
+    )
+    def test_explain_counts_nothing_and_execute_counts_one(self, mode, counter):
+        make, query, params, options, _ = MODES[mode]
+        session = make()
+        start = session.database.access_stats
+        session.explain(query, params, **options)
+        session.explain(query, params, analyze=True, **options)
+        assert session.database.access_stats == start
+        cursor = session.execute(query, params, **options)
+        cursor.explain()
+        cursor.all()
+        moved = session.database.access_stats
+        assert moved[counter] == start[counter] + 1
+        assert sum(moved.values()) == sum(start.values()) + 1
+
+    def test_targets_outside_the_store_decision_count_nothing(self):
+        session = _store_session()
+        start = session.database.access_stats
+        session.query("{[name: X]}", against="r1")
+        assert session.database.access_stats == start

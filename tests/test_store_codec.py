@@ -94,12 +94,17 @@ class TestRecordFraming:
         with pytest.raises(StoreError):
             parse_record(line.replace('"commit"', '"COMMIT"'))
 
-    def test_records_without_checksum_are_accepted(self):
-        # The pre-WAL log format never carried a checksum.
-        assert parse_record('{"op": "write", "name": "x"}') == {
-            "op": "write",
-            "name": "x",
-        }
+    def test_records_without_checksum_are_rejected(self):
+        # Every framed record carries a checksum; a line without one (the
+        # pre-WAL per-change shape, or a commit whose ``crc`` key was
+        # damaged) is corruption, whatever its ``op``.
+        for line in (
+            '{"op": "write", "name": "x"}',
+            '{"op": "delete", "name": "x"}',
+            '{"op": "commit", "writes": {}}',
+        ):
+            with pytest.raises(StoreError, match="no checksum"):
+                parse_record(line)
 
     def test_malformed_lines_rejected(self):
         with pytest.raises(StoreError):

@@ -91,10 +91,12 @@ class TestFileStorage:
             FileStorage(path, on_corruption="raise")
 
     def test_unknown_record_op_reported(self, tmp_path):
+        from repro.store.codec import frame_record
+
         path = str(tmp_path / "store.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"op": "truncate", "name": "x"}) + "\n")
-        with pytest.raises(StoreError):
+            handle.write(frame_record({"op": "truncate", "name": "x"}))
+        with pytest.raises(StoreError, match="unknown op 'truncate'"):
             FileStorage(path, on_corruption="raise")
 
     def test_missing_name_reported(self, tmp_path):
@@ -201,18 +203,49 @@ class TestWriteAheadLog:
         with pytest.raises(StoreError):
             FileStorage(path, on_corruption="raise")
 
-    def test_legacy_per_change_records_still_replay(self, tmp_path):
-        from repro.store.codec import encode_json
+    def test_pre_wal_per_change_records_are_corruption(self, tmp_path, capsys):
+        # An unchecksummed {"op": "delete", ...} line used to replay as a
+        # valid commit; it is now what any other unframed line is.
+        from repro.cli import main
+        from repro.store.codec import encode_json, frame_record
 
         path = str(tmp_path / "store.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"op": "write", "name": "x", "data": encode_json(obj(1))}) + "\n")
-            handle.write(json.dumps({"op": "write", "name": "y", "data": encode_json(obj(2))}) + "\n")
-            handle.write(json.dumps({"op": "delete", "name": "y"}) + "\n")
         storage = FileStorage(path)
-        assert storage.read("x") == obj(1)
-        assert storage.read("y") is None
+        storage.write("x", obj(1))
         storage.close()
+        intact = os.path.getsize(path)
+        legacy = (
+            json.dumps({"op": "write", "name": "y", "data": encode_json(obj(2))})
+            + "\n"
+            + json.dumps({"op": "delete", "name": "x"})
+            + "\n"
+        )
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(legacy)
+
+        assert main(["store", "--db-path", path, "verify"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["records"] == report["commits"] == 1
+        assert report["corrupt_records"][0]["line"] == 2
+        assert "no checksum" in report["corrupt_records"][0]["error"]
+        with pytest.raises(StoreError, match="line 2.*no checksum"):
+            FileStorage(path, on_corruption="raise")
+        assert os.path.getsize(path) == intact + len(legacy)  # nothing touched
+
+        storage = FileStorage(path)  # the default policy: quarantine
+        assert storage.names() == ("x",)
+        assert storage.read("x") == obj(1)
+        assert storage.quarantined_records == 2
+        storage.close()
+        assert os.path.getsize(path) == intact
+        with open(storage.quarantine_path, encoding="utf-8") as sidecar:
+            assert sidecar.read() == legacy
+
+        # A checksum does not bring the shape back: only commits replay.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(frame_record({"op": "delete", "name": "x"}))
+        with pytest.raises(StoreError, match="unknown op 'delete'"):
+            FileStorage(path, on_corruption="raise")
 
     def test_non_utf8_log_is_corruption_not_a_crash(self, tmp_path):
         path = str(tmp_path / "store.wal")

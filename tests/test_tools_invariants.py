@@ -23,6 +23,9 @@ class TestCurrentTreeIsClean:
     def test_lock_discipline(self):
         assert check_invariants.check_lock_discipline() == []
 
+    def test_store_planning(self):
+        assert check_invariants.check_store_planning() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -46,3 +49,27 @@ class TestRegistryParsing:
         sites = check_invariants._fired_points()
         assert set(sites) == set(check_invariants._registered_points()[0])
         assert all(sites.values())
+
+
+class TestStorePlanningInvariant:
+    def test_a_seeded_violation_is_reported_per_import(self, tmp_path):
+        (tmp_path / "clean.py").write_text(
+            "from repro.plan.ir import ScanLeaf\n"
+            "import repro.plan.ir\n"
+            "from repro.planets import compile_body\n"
+            "from repro.store.paths import Path\n"
+        )
+        (tmp_path / "planner.py").write_text(
+            "from repro.plan import ScanLeaf, compile_body\n"
+            "import repro.plan\n"
+            "def pushdown_plan(parsed, target):\n"
+            "    from repro.plan.statistics import DatabaseStatistics\n"
+            "    from ..plan.optimize import optimize_body\n"
+        )
+        violations = sorted(check_invariants.check_store_planning(tmp_path))
+        assert [violation.split(": ")[0].rsplit("/", 1)[1] for violation in violations] == [
+            "planner.py:1", "planner.py:1", "planner.py:2", "planner.py:4", "planner.py:5",
+        ]
+        assert "repro.plan.compile_body" in violations[1]
+        assert "repro.plan.optimize" in violations[4]
+        assert all("clean.py" not in violation for violation in violations)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Four invariants that matter for correctness but that no unit test can pin
+Five invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -38,6 +38,14 @@ Four invariants that matter for correctness but that no unit test can pin
     (their contract is "callers hold the lock"); a public-method exception
     (e.g. teardown, which is single-threaded by contract) carries the pragma
     ``# invariant: unlocked-ok``.
+
+``store-planning``
+    Planning lives in one place (``Session._resolve`` in :mod:`repro.api`):
+    the store decides access paths from the plan leaves it is handed and
+    never compiles, collects statistics or optimizes.  So no module under
+    ``src/repro/store/`` may import anything from :mod:`repro.plan` except
+    names of the IR module, ``repro.plan.ir`` — at module level or deferred
+    inside a function.
 
 Run from the repository root::
 
@@ -78,7 +86,10 @@ def _parse(path: Path) -> Tuple[ast.Module, List[str]]:
 
 
 def _relative(path: Path) -> str:
-    return str(path.relative_to(REPO_ROOT))
+    try:
+        return str(path.relative_to(REPO_ROOT))
+    except ValueError:  # a tree outside the repository (the checker's own tests)
+        return str(path)
 
 
 # -- invariant 1: raw constructors stay inside repro.core --------------------------------
@@ -329,6 +340,40 @@ def check_lock_discipline() -> List[str]:
     return violations
 
 
+# -- invariant 5: the store imports only IR types from repro.plan -------------------------
+
+PLAN_PACKAGE = "repro.plan"
+PLAN_IR_MODULE = "repro.plan.ir"
+
+
+def check_store_planning(store_root: Path = SRC_ROOT / "store") -> List[str]:
+    violations: List[str] = []
+    for path in _python_sources(store_root):
+        tree, _ = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                # ``from ..plan.x import y`` inside repro/store/ is repro.plan.x.
+                imported = [f"repro.{module}" if node.level == 2 else module]
+                if imported == [PLAN_PACKAGE]:
+                    imported = [f"{PLAN_PACKAGE}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in imported:
+                if name != PLAN_PACKAGE and not name.startswith(PLAN_PACKAGE + "."):
+                    continue
+                if name == PLAN_IR_MODULE:
+                    continue
+                violations.append(
+                    f"{_relative(path)}:{node.lineno}: the store imports {name} —"
+                    f" only {PLAN_IR_MODULE} names may cross from {PLAN_PACKAGE}"
+                    f" into repro.store (planning belongs to Session._resolve)"
+                )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -338,6 +383,7 @@ def main() -> int:
         ("fault-points", check_fault_points),
         ("diagnostic-codes", check_diagnostic_codes),
         ("lock-discipline", check_lock_discipline),
+        ("store-planning", check_store_planning),
     )
     failures = 0
     for name, check in checks:
