@@ -64,6 +64,7 @@ from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula, formula as to_formula
 from repro.engine import SemiNaiveEngine
+from repro.engine.indexes import TargetIndexes
 from repro.engine.stats import EngineStats
 from repro.fault.deadline import Deadline
 from repro.obs import trace as _trace
@@ -171,7 +172,11 @@ class Session:
     revisions), so a commit invalidates exactly the entries whose statistics
     went stale, and re-executing a :class:`PreparedQuery` on an unchanged
     store skips parse and optimize entirely (watch
-    ``cache_info()["plan_hits"]``).
+    ``cache_info()["plan_hits"]``).  Each resolved target also gets one
+    index store (:class:`~repro.engine.indexes.TargetIndexes`) that lives as
+    long as the version does: a bound ``$parameter`` or an already-bound
+    join variable probes it at every scan leaf, and a bucket is built the
+    first time it is probed.
 
     Sessions are **not** thread-safe; the underlying database is.  Use one
     session per thread over a shared database.
@@ -209,6 +214,10 @@ class Session:
         # same diagnostics without re-running the analysis (the ≤1.10x
         # prepare budget benchmarks/run_lint_benchmarks.py pins).
         self._lint_reports: "OrderedDict[Tuple, object]" = OrderedDict()
+        # Index stores of the targets resolved at ``_indexes_version``, keyed
+        # on target identity (each store holds its target, pinning the id).
+        self._indexes: Dict[int, TargetIndexes] = {}
+        self._indexes_version: Optional[Tuple[int, int, int]] = None
         self._counters = {
             "plan_hits": 0,
             "plan_misses": 0,
@@ -456,7 +465,7 @@ class Session:
                 raise ReproError(
                     f"batch_size must be a positive integer, got {batch_size!r}"
                 )
-            access, notes, target, plan = self._resolve(
+            access, notes, target, plan, indexes = self._resolve(
                 formula, values, options, deadline=deadline
             )
             if span.enabled:
@@ -464,6 +473,7 @@ class Session:
             return Cursor(
                 plan,
                 target,
+                indexes,
                 allow_bottom=options.get("allow_bottom", False),
                 notes=notes,
                 stats=run_stats,
@@ -490,10 +500,12 @@ class Session:
 
         Renders the plan :meth:`execute` runs with the same arguments — both
         take it from the one resolve-and-plan step and its plan cache — with
-        the actual rows per plan node from one run of it.  ``analyze=True``
-        is EXPLAIN ANALYZE: the run is timed and the rendering adds wall
-        time per plan node next to the optimizer's estimates.  EXPLAIN never
-        moves the store's ``access_stats``.
+        the actual rows per plan node from one run of it, probing the same
+        index store, so each scan leaf shows the access it really got
+        (``probed ... → n candidates`` / ``scanned n``) beside the estimate.
+        ``analyze=True`` is EXPLAIN ANALYZE: the run is timed and the
+        rendering adds wall time per plan node next to the optimizer's
+        estimates.  EXPLAIN never moves the store's ``access_stats``.
         """
         if isinstance(query, PreparedQuery):
             options = {**query.options, **options}
@@ -501,9 +513,11 @@ class Session:
         formula = self._as_formula(query)
         _check_options(options)
         values = self._convert_params(formula, params or {})
-        _, notes, target, plan = self._resolve(formula, values, options, counted=False)
+        _, notes, target, plan, indexes = self._resolve(
+            formula, values, options, counted=False
+        )
         return _render_explain(
-            notes, plan, target, options.get("allow_bottom", False), analyze
+            notes, plan, target, indexes, options.get("allow_bottom", False), analyze
         )
 
     # -- closures -----------------------------------------------------------------------
@@ -632,12 +646,14 @@ class Session:
         two reads are always meaningful.  ``closure_maintained`` counts the
         closure invalidations :meth:`close` resumed from the stale closure
         instead of recomputing (each is also a miss).  ``plans_cached`` /
-        ``closures_cached`` are the current cache sizes (gauges, not
-        counters).
+        ``closures_cached`` / ``indexes_cached`` are the current cache sizes
+        (gauges, not counters) — the last one counts the ``(set path, key
+        path)`` bucket tables probes have built since the last version change.
         """
         info = dict(self._counters)
         info["plans_cached"] = len(self._plan_cache)
         info["closures_cached"] = len(self._closure_cache)
+        info["indexes_cached"] = self._index_entries()
         return info
 
     def stats(self) -> Dict[str, Optional[EngineStats]]:
@@ -670,6 +686,7 @@ class Session:
         """Release the session: drop caches and close an owned store."""
         self._plan_cache.clear()
         self._closure_cache.clear()
+        self._indexes.clear()
         if self._owns_db:
             self._db.close()
 
@@ -722,14 +739,16 @@ class Session:
         """The one resolve-and-plan step behind execute, EXPLAIN and cursors.
 
         Options and bound ``$parameter`` values in, ``(access, notes, target,
-        plan)`` out: ``access`` names the path taken (``against`` one stored
-        object, the cached ``closure``, the ``seed``-ed object, or the
-        store's ``pushdown`` / ``snapshot`` / ``refuted`` decision), ``notes``
+        plan, indexes)`` out: ``access`` names the path taken (``against``
+        one stored object, the cached ``closure``, the ``seed``-ed object, or
+        the store's ``pushdown`` / ``snapshot`` / ``refuted`` decision), ``notes``
         are the lines EXPLAIN prints for it, ``target`` is the object the
         plan runs against — ``None`` when a path index refuted the query,
-        which then runs nothing — and ``plan`` is the bound plan out of the
-        session's one plan cache.  A :class:`Cursor` executes exactly this
-        ``(target, plan)`` and EXPLAIN renders it.
+        which then runs nothing — ``plan`` is the bound plan out of the
+        session's one plan cache, and ``indexes`` is the target's index
+        store (:meth:`_indexes_for`), which the plan's scan leaves probe.  A
+        :class:`Cursor` executes exactly this ``(target, plan, indexes)``
+        and EXPLAIN renders it.
 
         ``deadline`` bounds an ``on_closure`` evaluation (usually the
         expensive part of such a query); ``counted=False`` is EXPLAIN, which
@@ -775,11 +794,52 @@ class Session:
             )
             if target is not None and cached is None:
                 plan = bind_body_plan(self._plan_for(formula, ("db",), target), values)
-            return access, [note], target, plan
+            return access, [note], target, plan, self._indexes_for(target)
         plan = self._cached_plan(formula, mode)
         if plan is None:
             plan = self._plan_for(formula, mode, target)
-        return mode[0], notes, target, bind_body_plan(plan, values)
+        return (
+            mode[0], notes, target, bind_body_plan(plan, values),
+            self._indexes_for(target),
+        )
+
+    def _indexes_for(self, target: Optional[ComplexObject]) -> Optional[TargetIndexes]:
+        """The index store of ``target``: one per target per session version.
+
+        Targets are immutable, so a store is never refreshed — it is dropped,
+        with every other one, at the first resolve after the version moved
+        (the point where stale plans go too).  A live cursor keeps its own
+        reference, exactly as it keeps its target.
+        """
+        if target is None:
+            return None
+        version = self.version
+        if self._indexes_version != version:
+            self._indexes.clear()
+            self._indexes_version = version
+            _METRICS.gauge("session.index.entries").set(0)
+        indexes = self._indexes.get(id(target))
+        if indexes is None:
+            indexes = self._indexes[id(target)] = TargetIndexes(
+                target, self._index_build
+            )
+        return indexes
+
+    def _index_entries(self) -> int:
+        return sum(indexes.entries for indexes in self._indexes.values())
+
+    def _index_build(self, set_path, key_path, elements: int):
+        """Count one first-probe bucket build; returns the span it runs under."""
+        _METRICS.counter("session.index.builds").inc()
+        _METRICS.gauge("session.index.entries").set(self._index_entries())
+        span = _trace.span("session.index.build")
+        if span.enabled:
+            span.set(
+                set_path=str(set_path) or "<root>",
+                key_path=str(key_path) or "<element>",
+                elements=elements,
+            )
+        return span
 
     def _plan_for(self, formula: Formula, mode: Tuple, target: ComplexObject):
         """Optimize ``formula`` for ``target`` and cache it on the session version.
@@ -839,6 +899,8 @@ class Session:
             elapsed_ns = time.perf_counter_ns() - start_ns
             self._last_query_stats = run_stats
             _METRICS.histogram("session.query_ns").observe(elapsed_ns)
+            if run_stats.index_hits:
+                _METRICS.counter("session.index.probes").inc(run_stats.index_hits)
             threshold = self._slow_query_ms
             if threshold is None or elapsed_ns < threshold * 1e6:
                 return
@@ -862,19 +924,22 @@ class Session:
         return finish
 
 
-def _render_explain(notes, plan, target, allow_bottom: bool, analyze: bool) -> str:
-    """EXPLAIN (ANALYZE) of one resolved ``(notes, plan, target)``.
+def _render_explain(
+    notes, plan, target, indexes, allow_bottom: bool, analyze: bool
+) -> str:
+    """EXPLAIN (ANALYZE) of one resolved ``(notes, plan, target, indexes)``.
 
-    The plan is run once, apart from any cursor's stream, to collect actual
-    rows (and times under ``analyze``); a refuted query (``target is None``)
-    runs nothing and shows the unexecuted plan.
+    The plan is run once, apart from any cursor's stream but probing the
+    same index store, to collect actual rows and accesses (and times under
+    ``analyze``); a refuted query (``target is None``) runs nothing and
+    shows the unexecuted plan.
     """
     from repro.plan.explain import execution_record, render_body_plan
 
     record = None
     if target is not None:
         record = execution_record(
-            plan, target, allow_bottom=allow_bottom, timed=analyze
+            plan, target, indexes=indexes, allow_bottom=allow_bottom, timed=analyze
         )
     rendered = render_body_plan(
         plan, record=record, header=f"query plan: {plan.body.to_text()}"
@@ -1021,8 +1086,9 @@ class Cursor:
       cursor ever produced participates, so ``all()`` after partial
       iteration still returns the complete answer);
     * :meth:`bindings` — the raw variable :class:`Substitution` stream;
-    * :meth:`explain` — the plan this cursor executes, against the target it
-      was resolved to (later commits do not change the rendering).
+    * :meth:`explain` — the plan this cursor executes, against the target and
+      index store it was resolved to (later commits do not change the
+      rendering).
 
     A cursor is single-pass: it consumes its substitution stream once,
     shared by all of the above.  Re-execute the prepared query for a fresh
@@ -1033,6 +1099,7 @@ class Cursor:
         self,
         plan,
         target: Optional[ComplexObject],
+        indexes: Optional[TargetIndexes],
         *,
         allow_bottom: bool = False,
         notes=(),
@@ -1042,10 +1109,13 @@ class Cursor:
         batch_size: Optional[int] = None,
     ):
         # What Session._resolve decided: the bound plan, the object it runs
-        # against (``None``: a path index refuted the query, nothing runs)
-        # and the access-path lines EXPLAIN prints above the plan.
+        # against (``None``: a path index refuted the query, nothing runs),
+        # the index store its scan leaves probe (the cursor's own reference:
+        # it outlives the session's when a commit intervenes, like the
+        # target) and the access-path lines EXPLAIN prints above the plan.
         self._plan = plan
         self._target = target
+        self._indexes = indexes
         self._notes = tuple(notes)
         self._allow_bottom = allow_bottom
         self._stats = stats
@@ -1062,11 +1132,14 @@ class Cursor:
             # ramp (repro.plan.execute.DEFAULT_BATCH_SIZE when None);
             # ``batch_size=1`` degenerates to one-partial-at-a-time.
             self._substitutions = iter_match_plan(
-                plan, target, allow_bottom=allow_bottom, stats=stats,
-                deadline=deadline, batch_size=batch_size,
+                plan, target, indexes=indexes, allow_bottom=allow_bottom,
+                stats=stats, deadline=deadline, batch_size=batch_size,
             )
         self._seen = set()
         self._matches: List[ComplexObject] = []
+        # Substitutions :meth:`bindings` handed out and nobody has asked to
+        # see instantiated yet.
+        self._deferred: List[Substitution] = []
         self._result: Optional[ComplexObject] = None
 
     def _finish(self, rows: Optional[int] = None) -> None:
@@ -1075,7 +1148,25 @@ class Cursor:
             return
         self._finished = True
         if self._on_finish is not None:
-            self._on_finish(len(self._matches) if rows is None else rows)
+            if rows is None:
+                rows = len(self._matches) + len(self._deferred)
+            self._on_finish(rows)
+
+    def _remember(self, substitution: Substitution) -> Optional[ComplexObject]:
+        """Instantiate the body; the match if it is new, ``None`` if seen."""
+        instantiation = substitution.apply(self._plan.body)
+        if instantiation in self._seen:
+            return None
+        self._seen.add(instantiation)
+        self._matches.append(instantiation)
+        return instantiation
+
+    def _absorb_deferred(self) -> None:
+        """Instantiate what :meth:`bindings` streamed, in stream order."""
+        if self._deferred:
+            deferred, self._deferred = self._deferred, []
+            for substitution in deferred:
+                self._remember(substitution)
 
     # -- streaming --------------------------------------------------------------------
     def __iter__(self) -> "Cursor":
@@ -1083,24 +1174,24 @@ class Cursor:
 
     def __next__(self) -> ComplexObject:
         self._started = True
+        self._absorb_deferred()
         for substitution in self._substitutions:
-            instantiation = substitution.apply(self._plan.body)
-            if instantiation in self._seen:
-                continue
-            self._seen.add(instantiation)
-            self._matches.append(instantiation)
-            return instantiation
+            instantiation = self._remember(substitution)
+            if instantiation is not None:
+                return instantiation
         self._finish()
         raise StopIteration
 
     def bindings(self) -> Iterator[Substitution]:
-        """Stream the raw substitutions (each still counts toward :meth:`all`)."""
+        """Stream the raw substitutions (each still counts toward :meth:`all`).
+
+        Nothing is instantiated per row: the substitutions are kept, and the
+        body is instantiated (and deduplicated) only if :meth:`all` or
+        iteration asks for matches later.
+        """
         self._started = True
         for substitution in self._substitutions:
-            instantiation = substitution.apply(self._plan.body)
-            if instantiation not in self._seen:
-                self._seen.add(instantiation)
-                self._matches.append(instantiation)
+            self._deferred.append(substitution)
             yield substitution
         self._finish()
 
@@ -1125,6 +1216,7 @@ class Cursor:
                 self._result = interpret_plan(
                     self._plan,
                     self._target,
+                    indexes=self._indexes,
                     allow_bottom=self._allow_bottom,
                     stats=self._stats,
                     deadline=self._deadline,
@@ -1145,9 +1237,11 @@ class Cursor:
     def explain(self) -> str:
         """Render the plan (and access path) behind this cursor."""
         return _render_explain(
-            self._notes, self._plan, self._target, self._allow_bottom, analyze=False
+            self._notes, self._plan, self._target, self._indexes,
+            self._allow_bottom, analyze=False,
         )
 
     def __repr__(self) -> str:
-        return f"<Cursor {len(self._matches)} matches streamed>"
+        streamed = len(self._matches) + len(self._deferred)
+        return f"<Cursor {streamed} matches streamed>"
 

@@ -181,9 +181,10 @@ class Program:
         ``analyze=True`` (the default) the program is also evaluated
         (``guards`` are forwarded to :meth:`evaluate`)
         and each rule's plan is re-executed once against the closure so the
-        rendering shows **actual** cardinalities and per-leaf wall time next
-        to the estimates (EXPLAIN ANALYZE); the optional ``query_formula`` is
-        planned and analyzed the same way.
+        rendering shows **actual** cardinalities, accesses and per-leaf wall
+        time next to the estimates (EXPLAIN ANALYZE) — probing an index store
+        over the closure, as the engine's own rounds probe theirs; the
+        optional ``query_formula`` is planned and analyzed the same way.
         """
         from repro.plan import (
             DatabaseStatistics,
@@ -198,6 +199,7 @@ class Program:
             render_program_plan,
         )
 
+        from repro.engine.indexes import TargetIndexes
         from repro.lint.shapes import infer_shapes
 
         seed = self.seed()
@@ -211,12 +213,16 @@ class Program:
         iterations = None
         rule_records = None
         closure_value = None
+        indexes = None
         if analyze:
             result = self.evaluate(**guards)
             closure_value = result.value
             iterations = result.iterations
+            indexes = TargetIndexes(closure_value)
             rule_records = {
-                node.rule: execution_record(node.body_plan, closure_value, timed=True)
+                node.rule: execution_record(
+                    node.body_plan, closure_value, indexes=indexes, timed=True
+                )
                 for node in plan.rule_nodes()
                 if node.body_plan is not None
             }
@@ -238,7 +244,7 @@ class Program:
                 render_body_plan(
                     query_plan,
                     record=(
-                        execution_record(query_plan, target, timed=True)
+                        execution_record(query_plan, target, indexes=indexes, timed=True)
                         if analyze
                         else None
                     ),

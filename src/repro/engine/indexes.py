@@ -29,15 +29,17 @@ element, and a long-lived session cannot grow without bound).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula, Variable
+from repro.core.intern import is_interned
 from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
 from repro.engine.delta import navigate, new_set_elements
 from repro.engine.stats import EngineStats
+from repro.obs.trace import NULL_SPAN
 from repro.store.paths import Path
 
-__all__ = ["MatchIndex", "IndexStore", "element_keys", "ElementKey"]
+__all__ = ["MatchIndex", "IndexStore", "TargetIndexes", "element_keys", "ElementKey"]
 
 _ROOT = Path(())
 
@@ -130,21 +132,49 @@ class MatchIndex:
         for bucket in self._buckets.values():
             bucket.clear()
 
+    def build(self, key_path: Path, elements: Iterable[ComplexObject]) -> None:
+        """Register ``key_path`` and bucket ``elements`` at it, in one pass.
+
+        The build-at-first-probe policy of :class:`TargetIndexes`: the set is
+        immutable and handed over whole, so there is no ``_seen`` bookkeeping
+        (``len()`` keeps counting incrementally added elements only) and the
+        pass costs no more than one scan of the same elements — which a
+        session pays once per fresh closure, so the root path, where an
+        element is its own key and alone in its bucket, skips the per-element
+        call.
+        """
+        bucket: Dict[Atom, List[ComplexObject]]
+        if not key_path.steps:
+            bucket = {
+                element: [element] for element in elements if isinstance(element, Atom)
+            }
+        else:
+            bucket = {}
+            for element in elements:
+                key = _atom_at(element, key_path)
+                if key is not None:
+                    bucket.setdefault(key, []).append(element)
+        self.key_paths += (key_path,)
+        self._buckets[key_path] = bucket
+
     # -- queries --------------------------------------------------------------------
     def candidates(
         self, key_path: Path, key: ComplexObject
-    ) -> Optional[Tuple[ComplexObject, ...]]:
+    ) -> Optional[Sequence[ComplexObject]]:
         """Elements whose value at ``key_path`` is the atom ``key``.
 
         ``None`` when this index cannot answer (unregistered path or non-atom
-        key); the empty tuple is a definitive "nothing can match".
+        key); the empty tuple is a definitive "nothing can match".  A hit is
+        the stored bucket itself, not a copy — probes sit on the per-row path
+        of every join — so callers only iterate and measure it, never mutate
+        it or keep it across a :meth:`add`.
         """
         if not isinstance(key, Atom):
             return None
         bucket = self._buckets.get(key_path)
         if bucket is None:
             return None
-        return tuple(bucket.get(key, ()))
+        return bucket.get(key, ())
 
 
 class IndexStore:
@@ -208,9 +238,61 @@ class IndexStore:
 
     def candidates(
         self, set_path: Path, key_path: Path, key: ComplexObject
-    ) -> Optional[Tuple[ComplexObject, ...]]:
+    ) -> Optional[Sequence[ComplexObject]]:
         """Delegate to the index at ``set_path``; ``None`` when it cannot answer."""
         index = self._indexes.get(set_path)
         if index is None:
             return None
         return index.candidates(key_path, key)
+
+
+class TargetIndexes:
+    """The match indexes of one immutable query target, built when first probed.
+
+    Same ``candidates`` contract as :class:`IndexStore`, no registration and
+    no refresh: the first atom-keyed probe of a ``(set path, key path)``
+    buckets that set in one pass, a leaf that never probes builds nothing,
+    and whatever cannot be indexed answers ``None`` so the executor scans — a
+    non-atom key, a path that holds no set, or a set that is not interned (a
+    raw set may hold ⊤ below an element, which matches every atom and which
+    no bucket would list).
+
+    ``on_build(set_path, key_path, elements)`` returns the context manager a
+    build runs under; the session counts and traces its builds through it.
+    """
+
+    __slots__ = ("target", "entries", "_indexes", "_on_build")
+
+    def __init__(self, target: ComplexObject, on_build=None):
+        #: Held strongly: the session keys its stores on the target's identity.
+        self.target = target
+        #: ``(set path, key path)`` bucket tables built so far.
+        self.entries = 0
+        self._indexes: Dict[Path, Optional[MatchIndex]] = {}
+        self._on_build = on_build
+
+    def candidates(
+        self, set_path: Path, key_path: Path, key: ComplexObject
+    ) -> Optional[Sequence[ComplexObject]]:
+        """Elements of the set at ``set_path`` carrying atom ``key`` at ``key_path``."""
+        try:
+            index = self._indexes[set_path]
+        except KeyError:
+            node = navigate(self.target, set_path)
+            indexable = isinstance(node, SetObject) and is_interned(node)
+            index = self._indexes[set_path] = (
+                MatchIndex(set_path, ()) if indexable else None
+            )
+        if index is None:
+            return None
+        found = index.candidates(key_path, key)
+        if found is None and isinstance(key, Atom):
+            elements = navigate(self.target, set_path).elements
+            self.entries += 1
+            span = NULL_SPAN
+            if self._on_build is not None:
+                span = self._on_build(set_path, key_path, len(elements))
+            with span:
+                index.build(key_path, elements)
+            found = index.candidates(key_path, key)
+        return found

@@ -228,6 +228,10 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "session.closure_cache.evictions",
     "session.closure_cache.invalidations",
     "session.closure_cache.maintained",
+    # session index stores — first-probe bucket builds, and the probes an
+    # index answered (folded in from a query's stats when its cursor ends)
+    "session.index.builds",
+    "session.index.probes",
     # store — commits, conflicts, and the access-path counters that mirror
     # ObjectDatabase.access_stats
     "store.commits",
@@ -265,12 +269,16 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "exec.compiled_leaf_hits",
 )
 
-#: Gauges set when a snapshot is taken, from the memo tables' own ``hits`` /
-#: ``misses`` / ``len`` (:func:`repro.core.intern.memo_tables`): what can
-#: silently grow is visible, and nothing is updated on the hot path.
+#: The ``core.memo.*`` gauges are set when a snapshot is taken, from the memo
+#: tables' own ``hits`` / ``misses`` / ``len``
+#: (:func:`repro.core.intern.memo_tables`): what can silently grow is visible,
+#: and nothing is updated on the hot path.  ``session.index.entries`` is set
+#: by the session that last built or dropped index buckets: the ``(set path,
+#: key path)`` tables it holds for its current version.
 DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_entries",
     "core.memo.subobject_hit_rate",
+    "session.index.entries",
 )
 
 DECLARED_HISTOGRAMS: Tuple[str, ...] = (

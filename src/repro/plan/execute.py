@@ -93,10 +93,12 @@ def match_plan(
     target (restricted to the new-witness subset when ``position`` — a
     :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is an
     :class:`repro.engine.indexes.IndexStore` (or anything with its
-    ``candidates`` method); ``record``, when given, is filled with actual
-    per-leaf cardinalities for EXPLAIN.  ``deadline`` — a
-    :class:`repro.fault.Deadline` — is checked once per operator batch,
-    raising :class:`~repro.core.errors.QueryTimeout` when spent.
+    ``candidates`` method — sessions pass a
+    :class:`~repro.engine.indexes.TargetIndexes`); ``record``, when given, is
+    filled with actual per-leaf cardinalities and accesses for EXPLAIN.
+    ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
+    operator batch, raising :class:`~repro.core.errors.QueryTimeout` when
+    spent.
     """
     if stats is None:
         from repro.engine.stats import EngineStats
@@ -552,6 +554,7 @@ class _Executor:
             self.record["by_leaf"] = actuals
             leaf_batches = {}
             self.record["by_leaf_batches"] = leaf_batches
+            self.record["by_leaf_access"] = {}
             if self.record.get("timed", False):
                 leaf_ns = {}
                 self.record["by_leaf_ns"] = leaf_ns
@@ -803,7 +806,7 @@ class _Executor:
             static_candidates = None
             if static_keys:
                 static_candidates = self._probe(
-                    spec.path, static_keys, count_miss=not dynamic_keys
+                    spec, static_keys, count_miss=not dynamic_keys
                 )
             if static_candidates is not None:
                 scan.alt_layout, scan.base_rows = self._vector_alternatives(
@@ -841,7 +844,7 @@ class _Executor:
                     probe_key = tuple(id(prow[column]) for _, column in positions)
                 alt_rows = probe_cache.get(probe_key)
                 if alt_rows is None:
-                    narrowed = self._probe_dynamic_row(spec.path, positions, prow)
+                    narrowed = self._probe_dynamic_row(spec, positions, prow)
                     if narrowed is None:
                         alt_rows = self._base_rows(instance, scan)
                     else:
@@ -880,30 +883,55 @@ class _Executor:
         return merged_layout, fresh
 
     # -- index probes -------------------------------------------------------------------
-    def _probe(self, set_path, keys, *, count_miss: bool):
+    def _probe(self, spec: ScanLeaf, keys, *, count_miss: bool):
         for key_path, atom in keys:
-            candidates = self.indexes.candidates(set_path, key_path, atom)
+            candidates = self.indexes.candidates(spec.path, key_path, atom)
             if candidates is not None:
                 self.stats.index_hits += 1
+                if self.record is not None:
+                    self._note_access(spec, len(candidates), probed=key_path)
                 return candidates
         if count_miss:
             self.stats.index_misses += 1
         return None
 
-    def _probe_dynamic_row(self, set_path, positions, row: tuple):
+    def _probe_dynamic_row(self, spec: ScanLeaf, positions, row: tuple):
         """Probe the dynamic keys bound in ``row``, first usable key wins."""
         for key_path, column in positions:
-            candidates = self.indexes.candidates(set_path, key_path, row[column])
+            candidates = self.indexes.candidates(spec.path, key_path, row[column])
             if candidates is not None:
                 self.stats.index_hits += 1
+                if self.record is not None:
+                    self._note_access(spec, len(candidates), probed=key_path)
                 return candidates
         self.stats.index_misses += 1
         return None
+
+    def _note_access(self, spec: ScanLeaf, examined: int, probed=None) -> None:
+        """EXPLAIN's actual access of one leaf: what it examined, and how.
+
+        ``record["by_leaf_access"]`` maps the leaf to ``[key, probes,
+        candidates, scanned]``: the (first) ``probed`` key path, the probes an
+        index answered and the candidates they returned, and the elements
+        full scans went through (a note without ``probed``).
+        """
+        entry = self.record["by_leaf_access"].setdefault(
+            leaf_key(spec), [None, 0, 0, 0]
+        )
+        if probed is None:
+            entry[3] += examined
+        else:
+            if entry[0] is None:
+                entry[0] = str(probed) or "<element>"
+            entry[1] += 1
+            entry[2] += examined
 
     # -- witnesses ----------------------------------------------------------------------
     def _base_rows(self, instance: _Instance, scan: _ScanState) -> List[tuple]:
         """Alternatives over the full witness list, matched lazily once."""
         if scan.base_rows is None:
+            if self.record is not None:
+                self._note_access(instance.spec, len(instance.witnesses))
             alt_layout, alt_rows = self._vector_alternatives(
                 instance.spec.element, instance.witnesses, scan.matcher,
                 scan.alt_layout,

@@ -16,7 +16,10 @@ just as visible as a bad cardinality estimate.  The executor also records
 per-leaf batch counts (``by_leaf_batches``: how many batches the operator
 dispatched and the total rows they carried), rendered as ``N batches, M
 rows/batch`` so a leaf that fragments the pipeline into tiny batches is
-visible too.
+visible too, and each scan leaf's actual access (``by_leaf_access``),
+rendered as ``probed <key path> → N candidates`` and/or ``scanned N`` next to
+the estimate's ``via index ...`` — an index the optimizer counted on and the
+run did not get shows as a scan.
 
 ``Program.explain()`` and ``Session.explain()`` / ``Cursor.explain()`` — hence
 the CLI's ``run/query --explain`` and ``store query --explain`` — all collect
@@ -36,16 +39,24 @@ __all__ = ["execution_record", "render_body_plan", "render_rule_node", "render_p
 
 
 def execution_record(
-    plan: BodyPlan, target: ComplexObject, *, allow_bottom: bool = False, timed: bool = False
+    plan: BodyPlan,
+    target: ComplexObject,
+    *,
+    indexes=None,
+    allow_bottom: bool = False,
+    timed: bool = False,
 ) -> dict:
     """Execute ``plan`` against ``target`` once and return its actuals.
 
     The record the ``render_*`` functions take: rows surviving each leaf,
-    batches dispatched and the substitution count — plus per-leaf and total
-    wall time when ``timed`` (EXPLAIN ANALYZE).
+    what each scan leaf examined and how (probing ``indexes``, the store the
+    real run probes), batches dispatched and the substitution count — plus
+    per-leaf and total wall time when ``timed`` (EXPLAIN ANALYZE).
     """
     record: dict = {"timed": True} if timed else {}
-    match_plan(plan, target, allow_bottom=allow_bottom, record=record)
+    match_plan(
+        plan, target, indexes=indexes, allow_bottom=allow_bottom, record=record
+    )
     return record
 
 
@@ -56,6 +67,7 @@ def _leaf_lines(plan: BodyPlan, record: Optional[dict], indent: str) -> list:
     actuals: Dict = (record or {}).get("by_leaf", {})
     batches: Dict = (record or {}).get("by_leaf_batches", {})
     timings: Dict = (record or {}).get("by_leaf_ns", {})
+    accesses: Dict = (record or {}).get("by_leaf_access", {})
     for position, (leaf, estimate) in enumerate(
         zip(plan.leaves, plan.estimates or (None,) * len(plan.leaves)), start=1
     ):
@@ -68,6 +80,14 @@ def _leaf_lines(plan: BodyPlan, record: Optional[dict], indent: str) -> list:
         actual = actuals.get(leaf_key(leaf))
         if actual is not None:
             notes.append(f"actual {actual}")
+        access = accesses.get(leaf_key(leaf))
+        if access is not None:
+            key, probes, candidates, scanned = access
+            if probes:
+                times = f" in {probes} probes" if probes > 1 else ""
+                notes.append(f"probed {key} → {candidates} candidates{times}")
+            if scanned:
+                notes.append(f"scanned {scanned}")
         dispatched = batches.get(leaf_key(leaf))
         if dispatched is not None:
             count, total_rows = dispatched

@@ -11,7 +11,8 @@ they exercise the short-circuit layout paths) under both semantics:
 * on a **cost-ordered** plan the answer is the same set, and
   ``iter_match_plan`` streams exactly the materialised list for every batch
   size;
-* index pushdown (the batch probe cache) changes nothing about the answer;
+* index pushdown (the batch probe cache) changes nothing about the answer —
+  nor, with the sessions' build-at-first-probe store, about its order;
 * delta restriction (``position=``/``delta_elements=``) enumerates exactly
   the matches that a grown database adds to ``E(O)``.
 """
@@ -27,7 +28,7 @@ from repro.calculus.matching import match_all  # noqa: E402
 from repro.core.lattice import union, union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
 from repro.engine.delta import decompose, new_set_elements  # noqa: E402
-from repro.engine.indexes import IndexStore  # noqa: E402
+from repro.engine.indexes import IndexStore, TargetIndexes  # noqa: E402
 from repro.engine.stats import EngineStats  # noqa: E402
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
@@ -211,3 +212,25 @@ def test_delta_restriction_enumerates_exactly_the_growth(body_text, relations, o
         assert set(restricted) <= every_match
         pieces.extend(substitution.apply(body) for substitution in restricted)
     assert union_all(pieces) == interpret(body, current)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(BODY_SHAPES),
+    # Arbitrary objects for the odd shapes, relations the bodies really join on
+    # for the probes that answer.
+    st.one_of(complex_objects(max_depth=3), _grown_relations().map(lambda pair: pair[1])),
+    st.booleans(),
+)
+def test_probing_a_target_index_keeps_the_source_ordered_list(body_text, database, allow):
+    """Buckets list a set's elements in set order, so narrowing keeps ``match_all``'s list."""
+    body = parse_formula(body_text)
+    plan = _plan(body, database, optimized=False)
+    expected = match_all(body, database, allow_bottom=allow)
+    indexes = TargetIndexes(database)
+    for _ in range(2):  # the probe that builds, then the probes that reuse
+        assert match_plan(plan, database, indexes=indexes, allow_bottom=allow) == expected
+        streamed = iter_match_plan(
+            plan, database, indexes=indexes, allow_bottom=allow, batch_size=1
+        )
+        assert list(streamed) == expected

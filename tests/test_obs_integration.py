@@ -347,7 +347,9 @@ def test_memo_tables_are_gauges_sampled_at_snapshot_time():
     cold = repro.obs.snapshot()["gauges"]
     assert repro.is_subobject(left, right)
     warm = repro.obs.snapshot()["gauges"]
-    assert {name for name in warm if name.startswith("core.memo.")} == set(DECLARED_GAUGES)
+    assert {name for name in warm if name.startswith("core.memo.")} == {
+        name for name in DECLARED_GAUGES if name.startswith("core.memo.")
+    }
     assert cold["core.memo.subobject_entries"] == warm["core.memo.subobject_entries"] >= 1
     assert warm["core.memo.subobject_hit_rate"] > cold["core.memo.subobject_hit_rate"]
     repro.clear_object_caches()

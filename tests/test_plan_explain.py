@@ -240,6 +240,7 @@ class TestExplainRendersThePlanThatRuns:
             record = execution_record(
                 cursor._plan,
                 cursor._target,
+                indexes=cursor._indexes,
                 allow_bottom=options.get("allow_bottom", False),
             )
         assert _plan_section(text) == render_body_plan(
@@ -270,6 +271,40 @@ class TestExplainRendersThePlanThatRuns:
         cursor = session.execute(query, params, **options)
         assert session.cache_info()["plan_misses"] == misses
         assert cursor.explain() == text
+
+
+class TestExplainShowsTheActualAccess:
+    """Each scan leaf prints what the run examined beside the estimate."""
+
+    QUERY = "[r1: {[name: $who, age: A]}]"
+
+    def test_a_bound_parameter_is_probed_and_an_unkeyed_leaf_scanned(self):
+        session = _store_session()
+        text = session.explain(self.QUERY, {"who": "mary"})
+        assert "via index name=$who (param), actual 1, probed name → 1 candidates" in text
+        assert "scanned" not in text
+        assert "scanned 2" in session.explain("[r1: {[name: X, age: A]}]")
+
+    def test_a_join_variable_is_probed_once_per_distinct_key(self):
+        session = _store_session()
+        session.put("r2", parse_object("{[who: peter, town: paris], [who: mary, town: rome]}"))
+        text = session.explain("[r1: {[name: X, age: A]}, r2: {[who: X, town: T]}]")
+        assert "probed who → 2 candidates in 2 probes" in text
+
+    def test_a_non_atom_parameter_and_the_literal_semantics_scan(self):
+        session = _store_session()
+        assert "scanned 2" in session.explain(self.QUERY, {"who": [1, 2]})
+        literal = session.explain(self.QUERY, {"who": "mary"}, allow_bottom=True)
+        assert "scanned 2" in literal and "probed" not in literal
+        assert session.cache_info()["indexes_cached"] == 0
+
+    def test_explain_runs_what_the_cursor_runs(self):
+        session = _store_session()
+        cursor = session.execute(self.QUERY, {"who": "mary"})
+        assert "probed name → 1 candidates" in cursor.explain()
+        cursor.all()
+        stats = session.stats()["query"]
+        assert (stats.match_attempts, stats.index_hits) == (1, 1)
 
 
 class TestCursorExplainIsStable:
