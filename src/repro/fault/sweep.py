@@ -95,15 +95,28 @@ def default_workload(batches: int = 8) -> List[Dict[str, Optional[ComplexObject]
     Batch *k* writes (or rewrites) a name from a small rotating pool; every
     fifth batch also deletes the previously-written name, and every third
     batch commits two names at once, so recovery has to preserve versions,
-    deletions and multi-write atomicity — not just blind appends.
+    deletions and multi-write atomicity — not just blind appends.  Every
+    batch also carries the next version of ``ledger``, a tuple holding a
+    growing set: two rows inserted, one replaced, one removed, in turn, and a
+    counter overwritten — small changes to a larger object, which the log
+    holds as *edits* beside the batch's whole writes and deletes.
     """
     workload: List[Dict[str, Optional[ComplexObject]]] = []
+    rows = [obj({"id": n, "tag": f"t{n}"}) for n in range(6)]
     for k in range(1, batches + 1):
         batch: Dict[str, Optional[ComplexObject]] = {f"o{k % 4}": obj([k, k * k])}
         if k % 3 == 0:
             batch[f"extra{k % 2}"] = obj({f"v{k}"})
         if k % 5 == 0:
             batch[f"o{(k - 1) % 4}"] = None
+        if k > 1:
+            if k % 3 != 1:
+                rows.pop(0)
+            if k % 3 != 0:
+                rows.append(obj({"id": 10 * k, "tag": f"t{k}"}))
+            if k % 3 == 1:
+                rows.append(obj({"id": 10 * k + 1, "tag": f"u{k}"}))
+        batch["ledger"] = obj({"batches": k, "rows": set(rows)})
         workload.append(batch)
     return workload
 

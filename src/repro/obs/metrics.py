@@ -249,6 +249,11 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "store.wal.recoveries",
     "store.wal.records_replayed",
     "store.wal.torn_bytes_dropped",
+    # ... and what a commit logged per name written: the object's image, or
+    # its edit against the version held; edit entries folded in by recovery
+    "store.wal.image_records",
+    "store.wal.edit_records",
+    "store.wal.edits_replayed",
     # locks — contended acquisitions (wait time in the histograms below)
     "store.lock.read_contended",
     "store.lock.write_contended",

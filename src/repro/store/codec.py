@@ -148,13 +148,16 @@ def frame_record(record: dict) -> str:
 
     The checksum is CRC-32 over the canonical JSON of the record *without*
     the checksum field, so :func:`parse_record` can recompute and compare it.
+    The record is serialized once: ``"crc"`` sorts before every key a commit
+    carries (``edits``, ``op``, ``writes``), so splicing it in front of the
+    checksummed text *is* the canonical form of the framed record.
     """
     if _CHECKSUM in record:
         raise StoreError(f"record already carries a {_CHECKSUM!r} field: {record!r}")
-    checksum = zlib.crc32(_canonical(record).encode("utf-8")) & 0xFFFFFFFF
-    framed = dict(record)
-    framed[_CHECKSUM] = checksum
-    return _canonical(framed) + "\n"
+    body = _canonical(record)
+    checksum = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    tail = "," + body[1:] if record else "}"
+    return f'{{"{_CHECKSUM}":{checksum}{tail}\n'
 
 
 def parse_record(line: str) -> dict:

@@ -25,12 +25,13 @@ Concurrency discipline
 ----------------------
 The database is safe for concurrent use from multiple threads.  All reads run
 under the shared side of an :class:`~repro.store.locks.RWLock`; every commit
-— a single ``put``/``remove`` as much as a transaction batch — validates all
-schemas and encodes everything *first*, then takes the exclusive side once to
-conflict-check, apply to storage (one WAL append + fsync for
-:class:`~repro.store.storage.FileStorage`), and maintain the indexes.
-Readers therefore only ever observe fully-committed states, and a failed
-commit leaves the database untouched by construction.
+— a single ``put``/``remove`` as much as a transaction batch — takes the
+exclusive side once and does everything decisive under it
+(:meth:`ObjectDatabase.commit_batch`): validate all schemas, conflict-check,
+apply to storage — which encodes the whole batch before it touches anything
+(one WAL append + fsync for :class:`~repro.store.storage.FileStorage`) — and
+maintain the indexes.  Readers therefore only ever observe fully-committed
+states, and a failed commit leaves the database untouched by construction.
 """
 
 from __future__ import annotations

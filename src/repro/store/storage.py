@@ -10,8 +10,12 @@ Two engines implement the same interface (:class:`StorageEngine`):
   On open, the log is replayed to rebuild the current state; an unterminated
   final line is a *torn tail* left by a crash mid-append and is truncated
   away, while a complete record that fails to parse or fails its checksum is
-  reported as corruption.  ``compact()`` rewrites the log with just the live
-  versions.
+  reported as corruption.  A commit logs, per name, the smaller of the
+  object's image and its edit against the version already held
+  (:func:`repro.store.updates.diff_object`); :class:`LogReplay` folds the
+  edits back in, for recovery and for ``repro store verify`` alike.
+  ``compact()`` is the checkpoint: it rewrites the log with just the live
+  versions, images only.
 
 The unit of atomicity is :meth:`StorageEngine.apply_batch`: a mapping from
 names to new values (``None`` meaning delete) that is applied all-or-nothing.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.errors import StoreError
 from repro.core.objects import ComplexObject
@@ -33,8 +37,9 @@ from repro.fault.injection import InjectedFault, SimulatedCrash
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.store.codec import decode_json, encode_json, frame_record, parse_record
+from repro.store.updates import _EditFold, _UnreducedEdits, diff_object
 
-__all__ = ["StorageEngine", "MemoryStorage", "FileStorage", "decode_record_changes"]
+__all__ = ["StorageEngine", "MemoryStorage", "FileStorage", "LogReplay"]
 
 
 class StorageEngine:
@@ -127,37 +132,156 @@ class MemoryStorage(StorageEngine):
         return tuple(sorted(self._objects))
 
 
-def decode_record_changes(record: dict, line_number: int) -> Dict[str, Optional[ComplexObject]]:
-    """Decode one replayed WAL record into a ``name → object-or-None`` map.
+def _encode_edit(edit: dict) -> dict:
+    if "put" in edit:
+        return {"at": list(edit["at"]), "put": encode_json(edit["put"])}
+    sides = {key: [encode_json(element) for element in edit[key]] for key in ("add", "del")}
+    return {"at": list(edit["at"]), **sides}
 
-    Raises :class:`StoreError` for any shape problem **before** anything is
-    applied, so a malformed record can never be half-replayed.  Shared by
-    :class:`FileStorage` recovery and the offline verifier
-    (:mod:`repro.store.verify`).
+
+def _decode_edit(entry: object) -> dict:
+    """One logged edit back in :func:`~repro.store.updates.diff_object`'s form."""
+    if isinstance(entry, dict):
+        at, keys = entry.get("at"), entry.keys() - {"at"}
+        if isinstance(at, list) and all(isinstance(step, str) and step for step in at):
+            if keys == {"put"}:
+                return {"at": tuple(at), "put": decode_json(entry["put"])}
+            if keys == {"add", "del"} and all(isinstance(entry[key], list) for key in keys):
+                sides = {key: [decode_json(element) for element in entry[key]] for key in keys}
+                return {"at": tuple(at), **sides}
+    raise StoreError(f"malformed edit: {entry!r}")
+
+
+class LogReplay:
+    """The one reader of commit records: a log folded back into its objects.
+
+    Recovery (:class:`FileStorage`) and the offline verifier
+    (:mod:`repro.store.verify`) both go through :meth:`of`, so what one
+    accepts the other does.  :meth:`apply` decodes and validates a whole
+    record against the state replayed so far **before** changing any of it —
+    a malformed record can never be half-replayed.  Images replace a name;
+    edits are folded per ``(name, set path)`` and each edited set is rebuilt
+    once — when a ``put`` or an image overwrites it, or in :meth:`finish` —
+    not once per record, so replay costs what the log holds.
     """
-    operation = record.get("op")
-    if operation != "commit":
-        raise StoreError(
-            f"corrupt record (unknown op {operation!r}) at line {line_number}"
-        )
-    writes = record.get("writes")
-    if not isinstance(writes, dict):
-        raise StoreError(
-            f"corrupt commit record (missing writes) at line {line_number}"
-        )
-    return {
-        name: None if data is None else decode_json(data)
-        for name, data in writes.items()
-    }
+
+    def __init__(self):
+        #: name → object; complete once :meth:`finish` has run.
+        self.objects: Dict[str, ComplexObject] = {}
+        self._folds: Dict[str, _EditFold] = {}
+        #: Records applied, and how many of them carried an image / an edit.
+        self.records = self.images = self.edits = 0
+        #: Edit entries folded in, and sets built from them (once each).
+        self.edits_replayed = self.sets_rebuilt = 0
+
+    @classmethod
+    def of(cls, raw: bytes) -> Tuple["LogReplay", Optional[Tuple[int, int, str]]]:
+        """Replay ``raw`` (whole lines) up to its first corrupt record.
+
+        Returns the finished replay of the intact prefix and ``None`` or the
+        ``(byte offset, line number, reason)`` of the record that ends it.
+        """
+        corruption = None
+        while True:
+            replay = cls()
+            found = replay._scan(raw)
+            if found is None:
+                return replay, corruption
+            # Replay the prefix alone: a set that did not come out reduced is
+            # charged to the last record folded into it, and the records
+            # after that one were applied before the rebuild could say so.
+            corruption = found
+            raw = raw[: found[0]]
+
+    def _scan(self, raw: bytes) -> Optional[Tuple[int, int, str]]:
+        starts: List[int] = []
+        offset = line_number = 0
+        try:
+            # ``raw`` is empty or newline-terminated, so the final split
+            # element is always the empty tail.
+            for line_number, raw_line in enumerate(raw.split(b"\n")[:-1], start=1):
+                starts.append(offset)
+                offset += len(raw_line) + 1
+                if raw_line.strip():
+                    self.apply(parse_record(raw_line.decode("utf-8")), line_number)
+            self.finish()
+        except UnicodeDecodeError as error:
+            reason = f"not valid UTF-8 ({error})"
+        except _UnreducedEdits as error:
+            line_number, reason = error.since, str(error)
+        except (StoreError, ValueError, TypeError) as error:
+            # The last two: what decoding a checksummed but ill-typed image
+            # raises until the codec's errors are typed (ROADMAP 6(c)).
+            reason = str(error)
+        else:
+            return None
+        return starts[line_number - 1], line_number, reason
+
+    def apply(self, record: dict, line_number: int) -> None:
+        """Replay one parsed record; a :class:`StoreError` leaves the state as it was."""
+        operation = record.get("op")
+        if operation != "commit":
+            raise StoreError(
+                f"corrupt record (unknown op {operation!r}) at line {line_number}"
+            )
+        writes, edits = record.get("writes"), record.get("edits", {})
+        if not isinstance(writes, dict) or not isinstance(edits, dict):
+            raise StoreError(
+                f"corrupt commit record (missing writes) at line {line_number}"
+            )
+        images = {
+            name: None if data is None else decode_json(data)
+            for name, data in writes.items()
+        }
+        staged = []
+        for name, entries in edits.items():
+            if name in images or name not in self.objects or not isinstance(entries, list):
+                raise StoreError(
+                    f"corrupt commit record (edits of {name!r}, which the record"
+                    f" also writes whole or nothing stores) at line {line_number}"
+                )
+            fold = self._folds.get(name) or _EditFold(self.objects[name])
+            decoded = [_decode_edit(entry) for entry in entries]
+            staged.append((name, fold, fold.stage(decoded), len(decoded)))
+        for name in [name for name in images if name in self._folds]:
+            # The proof that its edits were sound, before the image buries them.
+            self._rebuild(name)
+        # Decoded and valid as a whole: nothing below can fail.
+        for name, value in images.items():
+            if value is None:
+                self.objects.pop(name, None)
+            else:
+                self.objects[name] = value
+        for name, fold, checked, count in staged:
+            fold.commit(checked, line_number)
+            self._folds[name] = fold
+            self.edits_replayed += count
+        self.records += 1
+        self.images += any(value is not None for value in images.values())
+        self.edits += bool(edits)
+
+    def _rebuild(self, name: str) -> None:
+        fold = self._folds.pop(name, None)
+        if fold is not None:
+            self.objects[name] = fold.rebuild()
+            self.sets_rebuilt += fold.rebuilt
+
+    def finish(self) -> None:
+        """Rebuild every set still folded; :attr:`objects` is whole afterwards."""
+        for name in list(self._folds):
+            self._rebuild(name)
 
 
 class FileStorage(StorageEngine):
     """A write-ahead-log storage engine over one append-only file.
 
     Each committed batch is one line: ``{"op": "commit", "writes": {name:
-    encoded-object-or-null, ...}, "crc": ...}`` (``null`` deletes the name).
-    That is the only record shape: a complete line of any other, or without
-    a matching ``crc``, is corruption.
+    encoded-object-or-null, ...}, "edits": {name: [edit, ...]}, "crc": ...}``
+    (``null`` deletes the name; ``edits`` only when some name's edit against
+    the version held is smaller than its image — see :meth:`apply_batch`).
+    That is the only record shape: a complete line of any other, without a
+    matching ``crc``, or whose edits do not describe the object they name,
+    is corruption.
 
     Recovery discipline on open:
 
@@ -209,7 +333,6 @@ class FileStorage(StorageEngine):
     def _replay(self) -> None:
         if not os.path.exists(self.path):
             return
-        replayed = 0
         with _trace.span("store.wal.recovery") as span:
             with open(self.path, "rb") as handle:
                 raw = handle.read()
@@ -221,38 +344,22 @@ class FileStorage(StorageEngine):
                     handle.truncate(boundary)
                     handle.flush()
                     os.fsync(handle.fileno())
-            offset = 0
-            # ``raw`` is empty or newline-terminated here, so the final split
-            # element is always the empty tail.
-            for line_number, raw_line in enumerate(raw.split(b"\n")[:-1], start=1):
-                if raw_line.strip():
-                    try:
-                        record = parse_record(raw_line.decode("utf-8"))
-                        changes = decode_record_changes(record, line_number)
-                    except UnicodeDecodeError as error:
-                        self._corrupt(
-                            raw, offset, line_number, f"not valid UTF-8 ({error})"
-                        )
-                        break
-                    except StoreError as error:
-                        self._corrupt(raw, offset, line_number, str(error))
-                        break
-                    for name, value in changes.items():
-                        if value is None:
-                            self._objects.pop(name, None)
-                        else:
-                            self._objects[name] = value
-                    replayed += 1
-                offset += len(raw_line) + 1
+            replay, corruption = LogReplay.of(raw)
+            if corruption is not None:
+                self._corrupt(raw, *corruption)
+            self._objects = replay.objects
             if span.enabled:
                 span.set(
                     path=self.path,
-                    records=replayed,
+                    records=replay.records,
+                    edits=replay.edits_replayed,
+                    sets_rebuilt=replay.sets_rebuilt,
                     torn_bytes=self.torn_bytes_dropped,
                     quarantined_records=self.quarantined_records,
                 )
         _METRICS.counter("store.wal.recoveries").inc()
-        _METRICS.counter("store.wal.records_replayed").inc(replayed)
+        _METRICS.counter("store.wal.records_replayed").inc(replay.records)
+        _METRICS.counter("store.wal.edits_replayed").inc(replay.edits_replayed)
         _METRICS.counter("store.wal.torn_bytes_dropped").inc(self.torn_bytes_dropped)
 
     def _corrupt(self, raw: bytes, offset: int, line_number: int, reason: str) -> None:
@@ -368,14 +475,31 @@ class FileStorage(StorageEngine):
         _check_batch(changes)
         if not changes:
             return
-        # Encode and frame the whole commit before touching the log or the
-        # in-memory state: an encoding failure leaves both untouched, and the
-        # single append + fsync makes the batch one durability point.
-        writes = {
-            name: None if value is None else encode_json(value)
-            for name, value in changes.items()
-        }
-        self._append(frame_record({"op": "commit", "writes": writes}))
+        # Per name, the edit against the version held when it names fewer
+        # nodes than the image, the image otherwise.  Encode and frame the
+        # whole commit before touching the log or the in-memory state: an
+        # encoding failure leaves both untouched, and the single append +
+        # fsync makes the batch one durability point.
+        writes, edits = {}, {}
+        for name, value in changes.items():
+            edit = None if value is None else diff_object(self._objects.get(name), value)
+            if edit is None:
+                writes[name] = None if value is None else encode_json(value)
+            else:
+                edits[name] = [_encode_edit(entry) for entry in edit]
+        record = {"op": "commit", "writes": writes}
+        if edits:
+            record["edits"] = edits
+        self._append(frame_record(record))
+        images = sum(data is not None for data in writes.values())
+        _METRICS.counter("store.wal.image_records").inc(images)
+        _METRICS.counter("store.wal.edit_records").inc(len(edits))
+        # The commit span is the caller's (ObjectDatabase.commit_batch); only
+        # the engine knows which form each name took.
+        tracer = _trace.current_tracer()
+        commit = tracer.active() if tracer is not None else None
+        if commit is not None and commit.name == "store.commit":
+            commit.set(images=images, edits=len(edits))
         for name, value in changes.items():
             if value is None:
                 self._objects.pop(name, None)
@@ -391,7 +515,10 @@ class FileStorage(StorageEngine):
         return tuple(sorted(self._objects))
 
     def compact(self) -> None:
-        """Rewrite the log keeping only the latest version of each object."""
+        """Rewrite the log keeping only the latest version of each object.
+
+        The checkpoint: one image per name, no edits.
+        """
         temporary = self.path + ".compact"
         with open(temporary, "w", encoding="utf-8") as handle:
             for name in sorted(self._objects):

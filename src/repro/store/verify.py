@@ -16,8 +16,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict
 
-from repro.store.codec import parse_record
-from repro.store.storage import decode_record_changes
+from repro.store.storage import LogReplay
 
 __all__ = ["verify_wal"]
 
@@ -33,6 +32,8 @@ def verify_wal(path: str) -> Dict[str, Any]:
           "exists": ...,          # False: an absent log is an empty store
           "records": ...,         # intact records replayable before damage
           "commits": ...,         # the same count: commits are the only records
+          "images": ...,          # of those, records carrying a whole image
+          "edits": ...,           # ... and records carrying an edit
           "objects": ...,         # live names after replaying the prefix
           "torn_tail_bytes": ..., # unterminated final line (crash mid-append)
           "corrupt_records": [{"line": ..., "error": ...}, ...],
@@ -43,7 +44,9 @@ def verify_wal(path: str) -> Dict[str, Any]:
     A torn tail and a quarantine sidecar are *damage* (``clean`` is
     ``False``) but not corruption: recovery handles both losslessly.  A
     corrupt record means in-place damage that quarantine-on-open would move
-    aside; everything after it is unreachable and is not counted.
+    aside; everything after it is unreachable and is not counted.  The
+    replay is recovery's own (:class:`~repro.store.storage.LogReplay`), so the
+    record this reports is the record an open would quarantine.
     """
     quarantine_path = path + ".quarantine"
     report: Dict[str, Any] = {
@@ -52,6 +55,8 @@ def verify_wal(path: str) -> Dict[str, Any]:
         "exists": os.path.exists(path),
         "records": 0,
         "commits": 0,
+        "images": 0,
+        "edits": 0,
         "objects": 0,
         "torn_tail_bytes": 0,
         "corrupt_records": [],
@@ -66,7 +71,6 @@ def verify_wal(path: str) -> Dict[str, Any]:
         },
         "clean": True,
     }
-    live: Dict[str, bool] = {}
     if report["exists"]:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -75,30 +79,13 @@ def verify_wal(path: str) -> Dict[str, Any]:
             boundary = raw.rfind(b"\n") + 1
             report["torn_tail_bytes"] = len(raw) - boundary
             raw = raw[:boundary]
-        for line_number, raw_line in enumerate(raw.split(b"\n")[:-1], start=1):
-            if not raw_line.strip():
-                continue
-            try:
-                record = parse_record(raw_line.decode("utf-8"))
-                changes = decode_record_changes(record, line_number)
-            except UnicodeDecodeError as error:
-                report["corrupt_records"].append(
-                    {"line": line_number, "error": f"not valid UTF-8 ({error})"}
-                )
-                break
-            except Exception as error:  # StoreError: parse/checksum/shape
-                report["corrupt_records"].append(
-                    {"line": line_number, "error": str(error)}
-                )
-                break
-            report["records"] += 1
-            report["commits"] += 1
-            for name, value in changes.items():
-                if value is None:
-                    live.pop(name, None)
-                else:
-                    live[name] = True
-    report["objects"] = len(live)
+        replay, corruption = LogReplay.of(raw)
+        if corruption is not None:
+            _, line_number, reason = corruption
+            report["corrupt_records"].append({"line": line_number, "error": reason})
+        report["records"] = report["commits"] = replay.records
+        report["images"], report["edits"] = replay.images, replay.edits
+        report["objects"] = len(replay.objects)
     report["clean"] = (
         not report["corrupt_records"]
         and report["torn_tail_bytes"] == 0

@@ -365,6 +365,20 @@ class TestStoreVerify:
         assert report["commits"] == 1
         assert report["objects"] == 1
 
+    def test_report_counts_records_carrying_images_and_edits(self, tmp_path):
+        db_path = str(tmp_path / "db.wal")
+        run_cli("store", "--db-path", db_path, "put", "n", "{1, 2, 3, 4, 5, 6}")
+        run_cli("store", "--db-path", db_path, "put", "n", "{1, 2, 3, 4, 5, 6, 7}")
+        run_cli("store", "--db-path", db_path, "put", "other", "[a: 1]")
+        code, output = run_cli("store", "--db-path", db_path, "verify")
+        report = self._report(output)
+        assert code == 0 and report["clean"] is True
+        assert (report["records"], report["images"], report["edits"]) == (3, 2, 1)
+        assert report["objects"] == 2
+        run_cli("store", "--db-path", db_path, "compact")
+        report = self._report(run_cli("store", "--db-path", db_path, "verify")[1])
+        assert (report["records"], report["images"], report["edits"]) == (2, 2, 0)
+
     def test_absent_log_is_a_clean_empty_store(self, tmp_path):
         code, output = run_cli(
             "store", "--db-path", str(tmp_path / "missing.wal"), "verify"

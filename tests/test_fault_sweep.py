@@ -23,6 +23,28 @@ class TestWorkload:
         assert any(None in batch.values() for batch in batches)
         assert any(len(batch) > 1 for batch in batches)
 
+    def test_workload_logs_edits_beside_whole_writes_and_deletes(self, tmp_path):
+        """Every commit after the first edits the growing set — and the sweep cuts it."""
+        import json
+
+        from repro.fault.sweep import _build_log
+
+        batches = default_workload(5)
+        sizes = [len(batch["ledger"].get("rows")) for batch in batches]
+        assert sizes[-1] > sizes[0]
+        path = str(tmp_path / "edits.wal")
+        _build_log(path, batches, len(batches))
+        records = [json.loads(line) for line in open(path, encoding="utf-8")]
+        assert "edits" not in records[0] and "ledger" in records[0]["writes"]
+        kinds = set()
+        for record in records[1:]:
+            assert record["writes"], "an edit rides with a whole write in every batch"
+            put, rows = record["edits"]["ledger"]
+            assert put["at"] == ["batches"] and rows["at"] == ["rows"]
+            kinds.add((bool(rows["add"]), bool(rows["del"])))
+        assert kinds == {(True, False), (False, True), (True, True)}
+        assert None in records[-1]["writes"].values()
+
 
 class TestCrashSweep:
     def test_small_workload_passes(self, tmp_path):

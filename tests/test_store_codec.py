@@ -115,3 +115,22 @@ class TestRecordFraming:
     def test_refuses_to_frame_a_record_with_a_checksum(self):
         with pytest.raises(StoreError):
             frame_record({"op": "commit", "crc": 1})
+
+    def test_the_line_is_the_canonical_form_of_the_framed_record(self):
+        """One serialisation, the same bytes as dumping record-plus-``crc`` again."""
+        import json
+        import zlib
+
+        def twice(record):
+            body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            framed = dict(record, crc=zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF)
+            return json.dumps(framed, sort_keys=True, separators=(",", ":")) + "\n"
+
+        for record in (
+            {},
+            {"op": "commit", "writes": {}},
+            {"op": "commit", "writes": {"é\n": encode_json(obj({"a": [1, "x"]})), "y": None}},
+            {"op": "commit", "writes": {}, "edits": {"x": [{"at": [], "add": [], "del": []}]}},
+        ):
+            assert frame_record(record) == twice(record)
+            assert parse_record(frame_record(record)) == record
