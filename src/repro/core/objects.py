@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core import intern as _intern
 from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
@@ -476,7 +476,8 @@ class SetObject(ComplexObject):
     equality coincides with the paper's set equality.
     """
 
-    __slots__ = ("_elements",)
+    # ``_index`` (repro.core.order._set_index) is set only on sets add/discard use.
+    __slots__ = ("_elements", "_index")
     kind = "set"
     _rank = _RANK_SET
 
@@ -561,6 +562,24 @@ class SetObject(ComplexObject):
         object.__setattr__(instance, "_size", size)
         return instance
 
+    @classmethod
+    def _from_derived(cls, ordered, ids, depth, size, index) -> "SetObject":
+        """Intern a set ``add`` / ``discard`` derived, with its key, fingerprint
+        and domination index (kept by an intern hit that has its own)."""
+
+        def build():
+            instance = ComplexObject.__new__(cls)
+            _init_cache(instance)
+            object.__setattr__(instance, "_elements", ordered)
+            object.__setattr__(instance, "_depth", depth)
+            object.__setattr__(instance, "_size", size)
+            return instance
+
+        result = _intern.intern_node(("s", ids), build)
+        if index is not None and getattr(result, "_index", None) is None:
+            object.__setattr__(result, "_index", index)
+        return result
+
     # -- collection-style access ---------------------------------------------------
     @property
     def elements(self) -> Tuple[ComplexObject, ...]:
@@ -574,16 +593,32 @@ class SetObject(ComplexObject):
         return len(self._elements)
 
     def __contains__(self, element: object) -> bool:
-        return isinstance(element, ComplexObject) and any(
-            element == member for member in self._elements
-        )
+        if not isinstance(element, ComplexObject):
+            return False
+        if self._iid is not None and element._iid is not None:
+            at = _position(self._elements, element.sort_key())
+            return at < len(self._elements) and self._elements[at] is element
+        return any(element == member for member in self._elements)
+
+    def _incremental(self, element: object) -> bool:
+        """Interned operands other than ⊥ / ⊤: ``add`` / ``discard`` derive from this
+        set (:mod:`repro.core.order`); the reducing constructor is their oracle."""
+        return self._iid is not None and getattr(element, "_iid", None) not in (None, 0, 1)
 
     def add(self, element: ComplexObject) -> "SetObject":
         """Return a new set with ``element`` added (and the result re-reduced)."""
+        if self._incremental(element):
+            from repro.core.order import _grown
+
+            return _grown(self, element)
         return SetObject(self._elements + (element,))
 
     def discard(self, element: ComplexObject) -> "SetObject":
         """Return a new set without ``element`` (no error if absent)."""
+        if self._incremental(element):
+            from repro.core.order import _shrunk
+
+            return _shrunk(self, element)
         remaining = [e for e in self._elements if e != element]
         if self._iid is not None:
             # Removing an element keeps the remaining ones distinct and
@@ -600,6 +635,21 @@ class SetObject(ComplexObject):
     def _text(self) -> str:
         inner = ", ".join(element._text() for element in self._elements)
         return "{" + inner + "}"
+
+
+def _position(elements: Sequence[ComplexObject], key) -> int:
+    """Where ``key`` sorts among canonically ordered ``elements``.
+
+    A bisect-left by hand: :mod:`bisect` takes ``key=`` only from Python 3.10.
+    """
+    low, high = 0, len(elements)
+    while low < high:
+        middle = (low + high) // 2
+        if elements[middle].sort_key() < key:
+            low = middle + 1
+        else:
+            high = middle
+    return low
 
 
 def _children(node: ComplexObject) -> Iterable[ComplexObject]:

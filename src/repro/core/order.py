@@ -37,18 +37,21 @@ still hit the cache.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, List, Optional, Sequence
+from bisect import bisect_left, insort
+from itertools import chain
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
     _RANK_TUPLE,
+    BOTTOM,
     Atom,
     Bottom,
     ComplexObject,
     SetObject,
     Top,
     TupleObject,
+    _position,
 )
 
 __all__ = [
@@ -349,6 +352,131 @@ def _discriminator_buckets(items, group):
         if len(buckets) > best_score:
             best_score, best_name, best_buckets = len(buckets), name, buckets
     return best_name, best_buckets
+
+
+class _SetIndex(NamedTuple):
+    """Where an interned set keeps what may dominate, or be dominated by, a newcomer.
+
+    Tuples by the atom they carry at ``disc`` (picked as
+    :func:`_discriminator_buckets` picks it: a dominator carries the same atom
+    wherever the dominated tuple carries one), the tuples with no atom there,
+    and the set elements; distinct atoms are incomparable.  With no
+    discriminating attribute ``disc`` is ``None`` and every tuple is
+    atom-less (``get(None)`` is ⊥).  ``ids`` is the sorted intern-id tuple
+    that is the set's intern key.
+    """
+
+    disc: Optional[str]
+    buckets: Dict[Atom, tuple]
+    atomless: tuple
+    sets: tuple
+    ids: Tuple[int, ...]
+
+
+def _set_index(value: SetObject) -> _SetIndex:
+    """The set's index, built at first use and cached on it (a race builds it twice)."""
+    index = getattr(value, "_index", None)
+    if index is None:
+        tuples = [e for e in value._elements if isinstance(e, TupleObject)]
+        disc, found = _discriminator_buckets(tuples, range(len(tuples)))
+        index = _SetIndex(
+            disc,
+            {atom: tuple(tuples[i] for i in at) for atom, at in (found or {}).items()},
+            tuple(t for t in tuples if not isinstance(t.get(disc), Atom)),
+            tuple(e for e in value._elements if isinstance(e, SetObject)),
+            tuple(sorted(e._iid for e in value._elements)),
+        )
+        object.__setattr__(value, "_index", index)
+    return index
+
+
+def _neighbours(index: _SetIndex, element: ComplexObject):
+    """The held elements that may dominate ``element``, and those it may dominate."""
+    if isinstance(element, SetObject):
+        return index.sets, index.sets
+    value = element.get(index.disc)
+    if isinstance(value, Atom):
+        bucket = index.buckets.get(value, ())
+        return bucket, bucket + index.atomless
+    if value is BOTTOM:  # a tuple carrying an atom there may still dominate it
+        return chain(index.atomless, *index.buckets.values()), index.atomless
+    return index.atomless, index.atomless
+
+
+def _grown(value: SetObject, element: ComplexObject) -> SetObject:
+    """``SetObject(value.elements + (element,))`` for interned operands other than ⊥ / ⊤.
+
+    Only ``element``'s neighbours are tested, each pair behind the depth /
+    width fingerprint prune of :func:`_is_subobject_inner`.  ``value`` is
+    reduced, so if a held element dominates ``element``, ``element``
+    dominates none and the answer is ``value``; otherwise what it dominates
+    leaves.
+    """
+    if element in value:
+        return value
+    index = _set_index(value)
+    if isinstance(element, Atom):
+        return _spliced(value, index, element, ())
+    above, below = _neighbours(index, element)
+    if any(_is_subobject_inner(element, other) for other in above):
+        return value
+    gone = [other for other in below if _is_subobject_inner(other, element)]
+    return _spliced(value, index, element, gone)
+
+
+def _shrunk(value: SetObject, element: ComplexObject) -> SetObject:
+    """``value`` without ``element``, for interned operands other than ⊥ / ⊤."""
+    if element not in value:
+        return value
+    return _spliced(value, _set_index(value), None, (element,))
+
+
+def _spliced(value: SetObject, index: _SetIndex, added, removed) -> SetObject:
+    """``value`` less ``removed`` plus ``added`` (or ``None``), interned with the
+    key, fingerprint and index derived from ``value``'s."""
+    ordered, ids, size, depth = list(value._elements), list(index.ids), value._size, value._depth
+    for old in removed:
+        del ordered[_position(ordered, old.sort_key())]
+        del ids[bisect_left(ids, old._iid)]
+        size -= old._size
+    if added is not None:
+        ordered.insert(_position(ordered, added.sort_key()), added)
+        insort(ids, added._iid)
+        size += added._size
+        depth = max(depth, 1 + added._depth)
+    if any(1 + old._depth == value._depth for old in removed):  # a deepest one left
+        depth = 1 + max((e._depth for e in ordered), default=1)
+    ids = tuple(ids)
+    child = _child_index(index, ids, added, removed)
+    return SetObject._from_derived(tuple(ordered), ids, depth, size, child)
+
+
+def _child_index(index: _SetIndex, ids, added, removed) -> Optional[_SetIndex]:
+    """``index`` once ``removed`` left and ``added`` joined: the bucket dict is
+    copied shallowly and only the touched groups are replaced.  A tuple joining
+    a set with no discriminator leaves the child to pick one at its first use."""
+    disc, buckets, atomless, sets, _ = index
+    if disc is None and isinstance(added, TupleObject):
+        return None
+    buckets = dict(buckets)
+    changes = [(old, False) for old in removed]
+    if added is not None:
+        changes.append((added, True))
+    for element, joins in changes:
+        atom = element.get(disc) if isinstance(element, TupleObject) else None
+        if isinstance(atom, Atom):
+            bucket = _edited(buckets.pop(atom, ()), element, joins)
+            if bucket:
+                buckets[atom] = bucket
+        elif isinstance(element, TupleObject):
+            atomless = _edited(atomless, element, joins)
+        elif isinstance(element, SetObject):
+            sets = _edited(sets, element, joins)
+    return _SetIndex(disc, buckets, atomless, sets, ids)
+
+
+def _edited(group: tuple, element: ComplexObject, joins: bool) -> tuple:
+    return group + (element,) if joins else tuple(e for e in group if e is not element)
 
 
 def maximal_unique(objects: List[ComplexObject]) -> List[ComplexObject]:

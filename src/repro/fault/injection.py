@@ -309,8 +309,12 @@ def parse_spec(text: str) -> FaultSpec:
                 raise StoreError(
                     f"malformed fault spec {text!r}: bad setting {assignment!r}"
                 )
-            number = float(value) if key in ("probability", "delay_ms") else int(value)
-            settings[key] = number
+            try:
+                settings[key] = float(value) if key in ("probability", "delay_ms") else int(value)
+            except ValueError:
+                raise StoreError(
+                    f"malformed fault spec {text!r}: setting {key!r} is not a number: {value!r}"
+                ) from None
     return FaultSpec(point=point, mode=mode, **settings)
 
 
@@ -320,13 +324,25 @@ def install_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[Fault
     ``REPRO_FAULTS`` holds ``;``-separated spec strings; an empty or absent
     variable installs nothing.  Called once at import, so ``REPRO_FAULTS=...
     python -m repro ...`` activates injection for the whole process.
+    Either one malformed is a :class:`StoreError` naming it — a point outside
+    :data:`KNOWN_POINTS` included: nothing fires it, so the run would test nothing.
     """
     env = os.environ if environ is None else environ
     raw = env.get("REPRO_FAULTS", "").strip()
     if not raw:
         return None
     specs = [parse_spec(chunk) for chunk in raw.split(";") if chunk.strip()]
-    seed = int(env.get("REPRO_FAULT_SEED", "0"))
+    for spec in specs:
+        if spec.point not in KNOWN_POINTS:
+            raise StoreError(
+                f"REPRO_FAULTS names unknown injection point {spec.point!r}"
+                f" (known points: {', '.join(sorted(KNOWN_POINTS))})"
+            )
+    seed_text = env.get("REPRO_FAULT_SEED", "0")
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise StoreError(f"REPRO_FAULT_SEED must be an integer, got {seed_text!r}") from None
     return install(FaultInjector(specs, seed=seed))
 
 

@@ -10,6 +10,7 @@ from repro.fault import injection
 from repro.fault.injection import (
     FaultInjector,
     FaultSpec,
+    KNOWN_POINTS,
     SimulatedCrash,
     TornWrite,
     active_injector,
@@ -138,19 +139,50 @@ class TestInstallation:
 
     def test_install_from_env(self):
         injector = install_from_env(
-            {"REPRO_FAULTS": "p:fail:times=1;q:delay:delay_ms=0", "REPRO_FAULT_SEED": "9"}
+            {
+                "REPRO_FAULTS": "store.wal.fsync:fail:times=1;store.lock.read_held:delay:delay_ms=0",
+                "REPRO_FAULT_SEED": "9",
+            }
         )
         try:
             assert injector.seed == 9
             with pytest.raises(InjectedFault):
-                injection.fire("p")
-            assert injection.fire("q") is None  # delay of 0ms: just returns
+                injection.fire("store.wal.fsync")
+            assert injection.fire("store.lock.read_held") is None  # delay of 0ms: just returns
         finally:
             uninstall()
 
     def test_empty_env_installs_nothing(self):
         assert install_from_env({}) is None
         assert active_injector() is None
+
+    def test_env_with_an_unknown_point_fails_fast(self):
+        # A typo would otherwise arm a point nothing fires: a chaos run testing nothing.
+        with pytest.raises(StoreError) as raised:
+            install_from_env({"REPRO_FAULTS": "store.wal.append:crash;store.wal.fsnc:fail"})
+        message = str(raised.value)
+        assert "REPRO_FAULTS" in message and "'store.wal.fsnc'" in message
+        assert all(point in message for point in KNOWN_POINTS)
+        assert active_injector() is None
+        # Programmatic specs keep accepting any point.
+        with inject("p:fail"):
+            with pytest.raises(InjectedFault):
+                injection.fire("p")
+
+    def test_env_with_a_non_integer_seed_fails_fast(self):
+        with pytest.raises(StoreError, match="REPRO_FAULT_SEED.*'abc'"):
+            install_from_env({"REPRO_FAULTS": "store.wal.fsync:fail", "REPRO_FAULT_SEED": "abc"})
+        assert active_injector() is None
+
+    @pytest.mark.parametrize(
+        "text, setting",
+        [("store.wal.fsync:fail:after=x", "after"), ("p:delay:delay_ms=soon", "delay_ms")],
+    )
+    def test_a_non_numeric_setting_is_a_store_error_naming_it(self, text, setting):
+        with pytest.raises(StoreError, match=f"setting '{setting}'"):
+            parse_spec(text)
+        with pytest.raises(StoreError, match=f"setting '{setting}'"):
+            install_from_env({"REPRO_FAULTS": text})
 
 
 class TestStoreWiring:

@@ -9,19 +9,21 @@ import functools
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tests.conftest import atoms, complex_objects, flat_tuple_objects
 
 import repro
 from repro.calculus.fixpoint import close as oracle_close
 from repro.core import order
+from repro.core.depth import depth, node_count
 from repro.core.enumeration import all_subobjects
+from repro.core.errors import NormalizationError
 from repro.core.intern import clear_object_caches, intern_stats
 from repro.core.lattice import intersection, is_lattice_consistent, union, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
-from repro.workloads import make_genealogy
+from repro.workloads import make_document_collection, make_genealogy
 
 
 def fold(operands):
@@ -322,3 +324,170 @@ class TestJoinsStayLinear:
             1091,
             363,
         )
+
+
+def small_sets():
+    """Sets of up to three of the atoms 0, 1, 2: the empty set included."""
+    return st.lists(st.integers(min_value=0, max_value=2).map(Atom), max_size=3).map(SetObject)
+
+
+def keyed_rows():
+    """Rows keyed by one of two atoms: same-key rows join, set-valued attributes and all."""
+    return st.fixed_dictionaries(
+        {"k": st.integers(min_value=0, max_value=1).map(Atom)},
+        optional={"s": small_sets(), "t": small_sets()},
+    ).map(TupleObject)
+
+
+def chain_elements():
+    """Keyed rows, rows whose key is absent, an atom or a set, atoms, nested sets."""
+    rows = st.dictionaries(
+        st.sampled_from(("k", "a", "s")),
+        st.one_of(st.integers(min_value=0, max_value=2).map(Atom), small_sets()),
+        max_size=3,
+    ).map(TupleObject)
+    return st.one_of(
+        keyed_rows(),
+        rows,
+        comparable_elements(),
+        small_sets().map(lambda s: SetObject([s])),
+        complex_objects(2),
+    )
+
+
+def start_sets():
+    """Interned sets: relations, nested sets, atoms, mixed kinds, the empty set."""
+    families = (chain_elements(), keyed_rows(), small_sets(), flat_tuple_objects())
+    return st.one_of(*(st.lists(family, max_size=12).map(SetObject) for family in families))
+
+
+def _cover(first, held):
+    """The join of the held elements of ``first``'s kind and key, which
+    dominates each of them; ``first`` itself where that join is ⊤."""
+    key = first.get("k") if isinstance(first, TupleObject) else None
+    joined = union_all(
+        e for e in held if type(e) is type(first) and (key is None or e.get("k") is key)
+    )
+    return first if joined is TOP else joined
+
+
+def _weakened_keeping_key(element):
+    """A strict sub-object of a row that keeps its first attribute (its bucket)."""
+    if isinstance(element, TupleObject) and len(element) > 1:
+        return element.without(element.attributes[-1])
+    return _weakened(element)
+
+
+def operand_for(held):
+    """A fresh element, a held one, one a held one dominates, or one dominating held ones."""
+    options = [chain_elements()]
+    if held:
+        pick = st.sampled_from(held)
+        options += [
+            pick,
+            pick.map(_weakened),
+            pick.map(_weakened_keeping_key),
+            pick.map(lambda first: _cover(first, held)),
+        ]
+    return st.one_of(options)
+
+
+def assert_fingerprint_and_membership(result, probes):
+    twin = SetObject.raw(result.elements)
+    assert (result._depth, result._size) == (depth(twin), node_count(twin))
+    for probe in probes:
+        assert (probe in result) == any(probe == member for member in result)
+
+
+class TestIncrementalAddDiscard:
+    """``add`` / ``discard`` on interned operands derive the child from the
+    parent's domination index; the reducing constructor is their oracle."""
+
+    @settings(max_examples=100)
+    @given(start_sets(), st.data())
+    def test_chains_are_the_constructor(self, current, data):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            element = data.draw(operand_for(current.elements))
+            if data.draw(st.booleans()):
+                result = current.add(element)
+                assert result is SetObject(current.elements + (element,))
+            else:
+                result = current.discard(element)
+                assert result is SetObject([x for x in current if x is not element])
+            if not isinstance(result, SetObject):  # an added ⊤
+                return
+            assert_fingerprint_and_membership(result, [element, data.draw(chain_elements())])
+            current = result
+
+    @given(start_sets())
+    def test_top_bottom_raw_and_foreign_operands_keep_their_answers(self, value):
+        assert value.add(BOTTOM) is value and value.discard(BOTTOM) is value
+        assert value.add(TOP) is TOP and value.discard(TOP) is value
+        assert BOTTOM not in value and TOP not in value and 3 not in value
+        with pytest.raises(NormalizationError):
+            value.add(3)
+        assert value.discard(3) is value
+        for held in value.elements:
+            if isinstance(held, TupleObject):
+                twin = TupleObject.raw(held.as_dict())  # a structurally equal raw element
+                assert twin in value
+                assert value.add(twin) is value
+                assert value.discard(twin) is SetObject([x for x in value if x is not held])
+        raw = SetObject.raw(value.elements)
+        for element in value.elements[:2]:
+            assert raw.add(element) == SetObject(value.elements)
+            assert element in raw and raw.discard(element) == value.discard(element)
+
+
+def incomparable_rows(n):
+    """``[g: i mod 20, s: {i}]``: pairwise incomparable, in buckets of n/20 per ``g``."""
+    return [TupleObject({"g": Atom(i % 20), "s": SetObject([Atom(i)])}) for i in range(n)]
+
+
+def counted_survivor_scans():
+    return mock.patch.object(order, "_survivors", wraps=order._survivors)
+
+
+class TestSetsGrowInTheirBucket:
+    """Exact counters: one insert tests its own bucket, not the whole set."""
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_one_insert_tests_one_bucket(self, n):
+        rows = incomparable_rows(n)
+        held = SetObject(rows)
+        new = TupleObject({"g": Atom(0), "s": SetObject([Atom(n)])})
+        with counted_subobject_tests() as tests, counted_survivor_scans() as scans:
+            grown = held.add(new)
+        # Two scans of the n/20-row bucket (dominators, then dominated), four
+        # calls per pair; the from-scratch constructor makes 7 360 / 793 600.
+        assert tests.call_count == 8 * (n // 20)
+        assert scans.call_count == 0
+        assert len(grown) == n + 1 and new in grown
+        assert grown is SetObject._from_reduced(rows + [new])
+
+    def test_a_unique_title_document_insert_scans_nothing(self):
+        library = make_document_collection(200, 2, 3, rng=5).get("docs")
+        library.add(TupleObject({"title": Atom("warm")}))  # builds the index
+        document = TupleObject(
+            {"title": Atom("fresh"), "author": Atom("mary"), "sections": SetObject()}
+        )
+        with counted_subobject_tests() as tests, counted_survivor_scans() as scans:
+            grown = library.add(document)
+        assert (tests.call_count, scans.call_count) == (0, 0)
+        assert grown is SetObject(library.elements + (document,))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_an_insert_removes_exactly_what_it_dominates(self, k):
+        rows = incomparable_rows(200)
+        held = SetObject(rows)
+        covered = [rows[20 * j] for j in range(k)]  # k rows of the g = 0 bucket
+        extra = Atom(-1)  # so that no held row equals the newcomer
+        new = TupleObject(
+            {"g": Atom(0), "s": SetObject([extra, *(row.get("s").elements[0] for row in covered)])}
+        )
+        grown = held.add(new)
+        assert set(held.elements) - set(grown.elements) == set(covered)
+        assert len(grown) == 200 - k + 1
+        assert grown is SetObject(held.elements + (new,))
+        assert grown.add(covered[0]) is grown  # dominated now: nothing changes
+        assert grown.discard(new) is SetObject(x for x in grown if x is not new)
