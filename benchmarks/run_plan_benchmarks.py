@@ -60,8 +60,8 @@ def run_suite(smoke: bool) -> dict:
     from repro.api import Session
     from repro.calculus.interpretation import interpret
     from repro.core.objects import BOTTOM
-    from repro.engine.indexes import IndexStore
-    from repro.engine.stats import EngineStats
+    from repro.plan.indexes import IndexStore
+    from repro.plan.stats import EngineStats
     from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
     from repro.store.database import ObjectDatabase
 

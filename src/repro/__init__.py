@@ -12,6 +12,8 @@ substrates needed to evaluate it:
   :class:`Session` (in-memory or WAL-backed) with prepared, parameterized,
   streaming queries and version-keyed plan caches — the one way in to the
   optimised stack below;
+* :mod:`repro.program` — :class:`Program`, facts and rules over one database
+  object, evaluated, linted and explained through the same stack;
 * :mod:`repro.plan` — the query pipeline every evaluator compiles through:
   a logical plan IR, attribute-path statistics, a cost-based optimizer
   (join reordering, index pushdown) and the EXPLAIN facility behind
@@ -89,7 +91,6 @@ from repro.calculus import (
     Constant,
     Formula,
     Parameter,
-    Program,
     Rule,
     RuleSet,
     SetFormula,
@@ -124,6 +125,7 @@ from repro.core.errors import LintError, UnboundVariableError
 # The session facade is the public query surface; ``interpret`` (imported
 # from the calculus above) is Definition 4.2 literally — its oracle.
 from repro.api import Cursor, PreparedQuery, ReproError, Session, connect
+from repro.program import Program
 
 __version__ = "1.2.0"
 

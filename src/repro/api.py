@@ -64,13 +64,27 @@ from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula, formula as to_formula
 from repro.engine import SemiNaiveEngine
-from repro.engine.indexes import TargetIndexes
-from repro.engine.stats import EngineStats
 from repro.fault.deadline import Deadline
+from repro.lint import lint_query
+from repro.lint.diagnostics import new_diagnostic
+from repro.lint.shapes import infer_shapes, maybe_subobject
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.parser import parse_formula, parse_program
+from repro.plan import (
+    DatabaseStatistics,
+    bind_body_plan,
+    compile_body,
+    interpret_plan,
+    iter_match_plan,
+    optimize_body,
+)
+from repro.plan.explain import execution_record, render_body_plan
+from repro.plan.indexes import TargetIndexes
+from repro.plan.parameters import validate_parameters
+from repro.plan.stats import EngineStats
 from repro.store.database import ObjectDatabase
-from repro.store.retry import RetryPolicy
+from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import FileStorage, MemoryStorage
 
 __all__ = [
@@ -173,7 +187,7 @@ class Session:
     went stale, and re-executing a :class:`PreparedQuery` on an unchanged
     store skips parse and optimize entirely (watch
     ``cache_info()["plan_hits"]``).  Each resolved target also gets one
-    index store (:class:`~repro.engine.indexes.TargetIndexes`) that lives as
+    index store (:class:`~repro.plan.indexes.TargetIndexes`) that lives as
     long as the version does: a bound ``$parameter`` or an already-bound
     join variable probes it at every scan leaf, and a bucket is built the
     first time it is probed.
@@ -252,7 +266,7 @@ class Session:
 
     @classmethod
     def over_program(cls, program) -> "Session":
-        """An in-memory session seeded from a :class:`~repro.calculus.Program`."""
+        """An in-memory session seeded from a :class:`~repro.program.Program`."""
         session = cls()
         session._rules = list(program.facts) + list(program.rules)
         session._seed = program.database
@@ -307,8 +321,6 @@ class Session:
     def register(self, rules) -> "Session":
         """Register rules/facts (source text, Rule(s) or a RuleSet) for :meth:`close`."""
         if isinstance(rules, str):
-            from repro.parser import parse_program
-
             parsed = parse_program(rules)
         elif isinstance(rules, Rule):
             parsed = [rules]
@@ -328,7 +340,8 @@ class Session:
 
     def program(self):
         """The registered rules and the current database as a :class:`Program`."""
-        from repro.calculus.program import Program
+        # Same layer, deferred one way: repro.program builds on Session.
+        from repro.program import Program
 
         return Program(self._rules, database=self._base_object())
 
@@ -363,8 +376,6 @@ class Session:
                 lint_key = (source, self._rules_version)
                 entry = self._lint_reports.get(lint_key)
                 if entry is None:
-                    from repro.lint import lint_query
-
                     report = lint_query(parsed, rules=self._rules)
                     # Also record the inferred shape of every ``$parameter``
                     # slot — the join of every object derivable at its
@@ -375,8 +386,6 @@ class Session:
                     # slots with.
                     slots: Tuple = ()
                     if parsed.parameters():
-                        from repro.lint.shapes import infer_shapes
-
                         shapes = infer_shapes(tuple(self._rules))
                         if shapes.grounded:
                             slots = tuple(
@@ -542,7 +551,7 @@ class Session:
 
         ``iterations`` and the ``max_iterations`` guard count the engine's
         rounds summed over recursive strata (see
-        :meth:`repro.calculus.Program.evaluate`), not the global rounds of
+        :meth:`repro.program.Program.evaluate`), not the global rounds of
         the oracle :func:`repro.calculus.fixpoint.close`.
 
         ``deadline`` — a :class:`repro.fault.Deadline` — bounds the
@@ -627,8 +636,6 @@ class Session:
         the final :class:`ConflictError`; any other exception aborts the
         transaction and propagates immediately.
         """
-        from repro.store.retry import DEFAULT_POLICY
-
         def attempt():
             with self._db.transaction() as txn:
                 return work(txn)
@@ -659,7 +666,7 @@ class Session:
     def stats(self) -> Dict[str, Optional[EngineStats]]:
         """The engine stats of the session's most recent executions.
 
-        ``"query"`` is the :class:`~repro.engine.stats.EngineStats` record of
+        ``"query"`` is the :class:`~repro.plan.stats.EngineStats` record of
         the last fully-consumed query cursor (match attempts, index hits,
         substitutions...); ``"closure"`` is the record of the last closure
         evaluation (``result.stats`` of the engine run — after a maintained
@@ -709,14 +716,10 @@ class Session:
         if isinstance(query, Formula):
             return query
         if isinstance(query, str):
-            from repro.parser import parse_formula
-
             return parse_formula(query)
         return to_formula(query)
 
     def _convert_params(self, formula: Formula, params: Mapping) -> Dict[str, ComplexObject]:
-        from repro.plan.parameters import validate_parameters
-
         provided = {name: obj(value) for name, value in params.items()}
         validate_parameters(formula.parameters(), provided)
         return provided
@@ -754,8 +757,6 @@ class Session:
         expensive part of such a query); ``counted=False`` is EXPLAIN, which
         must not move the store's ``access_stats``.
         """
-        from repro.plan import bind_body_plan, compile_body
-
         allow_bottom = bool(options.get("allow_bottom", False))
         against = options.get("against")
         notes: List[str] = []
@@ -849,8 +850,6 @@ class Session:
         cost-based reordering — the expensive per-execution work a
         :class:`PreparedQuery` exists to skip.
         """
-        from repro.plan import DatabaseStatistics, compile_body, optimize_body
-
         self._counters["plan_misses"] += 1
         _METRICS.counter("session.plan_cache.misses").inc()
         shapes = None
@@ -858,8 +857,6 @@ class Session:
             # Closed-world shape inference over the actual seeded object: a
             # provably-empty body is pruned (the executor answers it without
             # scanning) and EXPLAIN shows each leaf's inferred element shape.
-            from repro.lint.shapes import infer_shapes
-
             shapes = infer_shapes(tuple(self._rules), target)
         plan = optimize_body(
             compile_body(formula), DatabaseStatistics.collect(target), shapes
@@ -934,8 +931,6 @@ def _render_explain(
     ``analyze``); a refuted query (``target is None``) runs nothing and
     shows the unexecuted plan.
     """
-    from repro.plan.explain import execution_record, render_body_plan
-
     record = None
     if target is not None:
         record = execution_record(
@@ -1009,9 +1004,6 @@ class PreparedQuery:
         """Refute shape-impossible parameter bindings (RL204) at bind time."""
         if not self._param_shapes:
             return
-        from repro.lint.diagnostics import new_diagnostic
-        from repro.lint.shapes import maybe_subobject
-
         findings = []
         for name, slot in self._param_shapes:
             if name not in merged:
@@ -1126,8 +1118,6 @@ class Cursor:
         if target is None:
             self._substitutions: Iterator[Substitution] = iter(())
         else:
-            from repro.plan import iter_match_plan
-
             # ``batch_size`` tunes the vector executor's streaming chunk
             # ramp (repro.plan.execute.DEFAULT_BATCH_SIZE when None);
             # ``batch_size=1`` degenerates to one-partial-at-a-time.
@@ -1211,8 +1201,6 @@ class Cursor:
                 # union without the per-row generator machinery (the common
                 # ``Session.query`` path).  The stream is left exhausted,
                 # exactly as a drain would.
-                from repro.plan import interpret_plan
-
                 self._result = interpret_plan(
                     self._plan,
                     self._target,

@@ -11,13 +11,13 @@
 * :mod:`repro.calculus.fixpoint` -- closure of an object under a rule set
   (Definition 4.6, Theorem 4.1), with divergence guards for programs with no
   finite closure (Example 4.6).
-* :mod:`repro.calculus.program` -- a small facade bundling facts and rules.
+* :mod:`repro.calculus.dependency` -- the rule dependency graph and its
+  strata (strongly-connected components, producers first).
 """
 
 from repro.calculus.fixpoint import ClosureResult, close, closure_series
 from repro.calculus.interpretation import interpret, interpret_bruteforce
 from repro.calculus.matching import match
-from repro.calculus.program import Program
 from repro.calculus.rules import Rule, RuleSet, apply_rule, apply_rules
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import (
@@ -38,7 +38,6 @@ __all__ = [
     "Constant",
     "Formula",
     "Parameter",
-    "Program",
     "Rule",
     "RuleSet",
     "SetFormula",

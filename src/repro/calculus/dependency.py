@@ -10,7 +10,7 @@ The engine instead orders rules by a conservative dependency relation:
   ``r2`` reads.
 
 Paths are sequences of tuple-attribute names (reusing
-:class:`repro.store.paths.Path`).  Both the read and the write analysis stop
+:class:`repro.core.paths.Path`).  Both the read and the write analysis stop
 at the first *access point* along a branch — a variable, a constant, or a set
 formula — because from there on the affected region is the whole subtree:
 
@@ -45,7 +45,7 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = ["Stratum", "DependencyGraph", "access_paths"]
 

@@ -262,9 +262,10 @@ def _run_lint(arguments, stream) -> int:
     import json
 
     from repro.lint import lint_source
-    from repro.plan.statistics import DatabaseStatistics
 
-    statistics = None
+    # A database serves both consumers: profiled, it gives the plan-level
+    # findings (RL3xx) real cardinalities, and it closes the world for the
+    # shape analysis (RL2xx).
     database = None
     if arguments.db_path:
         session = connect(arguments.db_path)
@@ -274,18 +275,12 @@ def _run_lint(arguments, stream) -> int:
             session.shutdown()
     elif arguments.database:
         database = _load_database(arguments.database)
-    if database is not None:
-        # The profiled object serves both consumers: real cardinalities for
-        # the plan-level findings (RL3xx) and a closed world for the shape
-        # analysis (RL2xx).
-        statistics = DatabaseStatistics.collect(database)
     query = (
         parse_formula(_read_source(arguments.query)) if arguments.query else None
     )
     report = lint_source(
         _read_source(arguments.program),
         query=query,
-        statistics=statistics,
         database=database,
     )
     if arguments.suppress:

@@ -16,6 +16,8 @@ This package implements Sections 2 and 3 of the paper:
   calculus oracle.
 * :mod:`repro.core.intern` -- hash-consing of normalized objects: O(1)
   equality/hashing and the id-keyed memo cache behind the sub-object order.
+* :mod:`repro.core.paths` -- attribute paths and navigation into nested
+  objects, shared by the planner, the engine and the store.
 """
 
 from repro.core.atoms import AtomValue, is_atom_value

@@ -4,16 +4,19 @@ A :class:`Path` is a sequence of attribute names, written ``"family.children"``
 in text form.  Paths address tuple attributes only; set elements are not
 individually addressable (they have no names), but :func:`iter_paths` descends
 *through* sets so an index over the path ``"r1.name"`` sees the ``name``
-attribute of every element of the set stored at ``r1``.
+attribute of every element of the set stored at ``r1``.  :func:`navigate`
+does not: it follows tuple attributes only, which is how plans and the
+closure engine address a set itself, and :func:`new_set_elements` is the
+per-round delta of the set found that way.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
 
-__all__ = ["Path", "get_path", "has_path", "iter_paths"]
+__all__ = ["Path", "get_path", "has_path", "iter_paths", "navigate", "new_set_elements"]
 
 
 class Path:
@@ -120,3 +123,44 @@ def iter_paths(value: ComplexObject, prefix: Path = None) -> Iterator[Tuple[Path
     elif isinstance(value, SetObject):
         for element in value:
             yield from iter_paths(element, current_prefix)
+
+
+def navigate(value: ComplexObject, path: Path) -> ComplexObject:
+    """Follow tuple attributes only; ⊥ when a step cannot be taken, ⊤ sticky.
+
+    Unlike :func:`get_path` this does *not* descend through sets — plan and
+    delta paths address the sets themselves.
+    """
+    current = value
+    for step in path:
+        if current.is_top:
+            return current
+        if isinstance(current, TupleObject):
+            current = current.get(step)
+        else:
+            return BOTTOM
+    return current
+
+
+def new_set_elements(
+    previous: ComplexObject, current: ComplexObject, path: Path
+) -> Optional[Tuple[ComplexObject, ...]]:
+    """Elements of the set at ``path`` in ``current`` that are new since ``previous``.
+
+    Returns ``None`` when no sound delta exists (⊤ reached along the path —
+    matching against ⊤ manufactures bindings without witnesses), and the empty
+    tuple when the path holds nothing matchable.  A previously absent set
+    makes every current element new.
+    """
+    now = navigate(current, path)
+    if now.is_top:
+        return None
+    if not isinstance(now, SetObject):
+        return ()
+    before = navigate(previous, path)
+    if before.is_top:  # pragma: no cover - previous ≤ current rules this out
+        return None
+    if not isinstance(before, SetObject):
+        return now.elements
+    old = set(before.elements)
+    return tuple(element for element in now.elements if element not in old)

@@ -3,15 +3,15 @@
 :class:`SemiNaiveEngine` computes the closure of Definition 4.6 — the least
 object above the input closed under the rule set — and reports it as an
 :class:`EngineResult`, a :class:`~repro.calculus.fixpoint.ClosureResult`
-extended with :class:`~repro.engine.stats.EngineStats`.  Its oracle is
+extended with :class:`~repro.plan.stats.EngineStats`.  Its oracle is
 :func:`repro.calculus.fixpoint.close`, the paper's series iterated literally
 over :meth:`RuleSet.apply`, which shares no plan code with it.
 
 The engine stratifies the rule set along its dependency graph
-(:mod:`repro.engine.dependency`), applies non-recursive strata once, and
+(:mod:`repro.calculus.dependency`), applies non-recursive strata once, and
 iterates each recursive stratum with delta-restricted plan execution
 (:mod:`repro.engine.delta`) accelerated by incrementally maintained match
-indexes (:mod:`repro.engine.indexes`).  Rule bodies run through the plan
+indexes (:mod:`repro.plan.indexes`).  Rule bodies run through the plan
 pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
 cost-based optimizer orders its leaves against statistics of the database
 being closed, and the physical executor runs it.  Rules whose bodies cannot
@@ -47,18 +47,20 @@ from repro.calculus.fixpoint import (
     _as_ruleset,
     check_guards,
 )
+from repro.calculus.dependency import DependencyGraph, Stratum
 from repro.calculus.rules import Rule, RuleSet
-from repro.engine.delta import BodyDecomposition, decompose, new_set_elements
-from repro.engine.dependency import DependencyGraph, Stratum
-from repro.engine.indexes import IndexStore
-from repro.engine.stats import EngineStats
+from repro.core.paths import new_set_elements
+from repro.engine.delta import BodyDecomposition, decompose
+from repro.lint.shapes import infer_shapes
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.plan.compile import compile_body
 from repro.plan.execute import match_plan
+from repro.plan.indexes import IndexStore
 from repro.plan.ir import BodyPlan
 from repro.plan.optimize import optimize_body
 from repro.plan.statistics import DatabaseStatistics
+from repro.plan.stats import EngineStats
 
 __all__ = ["EngineResult", "SemiNaiveEngine", "create_engine"]
 
@@ -68,22 +70,6 @@ class EngineResult(ClosureResult):
     """A closure result carrying the engine's instrumentation record."""
 
     stats: EngineStats = field(default_factory=EngineStats)
-
-
-def _infer_run_shapes(rules: Tuple[Rule, ...], database: ComplexObject, enabled: bool):
-    """Grounded shape inference for one engine run (``None`` when disabled).
-
-    The engine closes the *actual* database, so inference runs closed-world:
-    the proofs behind pruning are relative to exactly the object about to be
-    scanned, which is what makes compile-time deletion of empty branches
-    sound.  Lazy import: the engine must stay importable without dragging the
-    whole lint package in at module-import time.
-    """
-    if not enabled:
-        return None
-    from repro.lint.shapes import infer_shapes
-
-    return infer_shapes(tuple(rules), database)
 
 
 class SemiNaiveEngine:
@@ -162,16 +148,7 @@ class SemiNaiveEngine:
                 indexes.refresh(previous, current)
         else:
             previous = None
-            # Plans ordered against the statistics of the database being
-            # closed (ordering is a pure cost decision, so a resumed run
-            # keeps them: a stale order stays correct, just less optimized).
-            statistics = DatabaseStatistics.collect(database)
-            shapes = _infer_run_shapes(self.rules.rules, database, self.use_shapes)
-            statistics.shapes = shapes
-            plans = {
-                rule: optimize_body(plan, statistics, shapes)
-                for rule, plan in self._body_plans.items()
-            }
+            plans = self.plan(database)
             stats.rules_pruned = sum(
                 1 for plan in plans.values() if plan.pruned is not None
             )
@@ -214,6 +191,25 @@ class SemiNaiveEngine:
         return EngineResult(
             value=current, iterations=stats.iterations, converged=True, stats=stats
         )
+
+    def plan(self, database: ComplexObject) -> Dict[Rule, BodyPlan]:
+        """Each rule body's plan for a from-scratch run over ``database``.
+
+        Leaves are ordered against the statistics of the database being
+        closed (ordering is a pure cost decision, so a resumed run keeps
+        them: a stale order stays correct, just less optimized).  Shape
+        inference runs closed-world over the same object, so the proofs
+        behind pruning are relative to exactly what is about to be scanned.
+        :meth:`run` executes these plans and ``Program.explain`` renders
+        them.
+        """
+        statistics = DatabaseStatistics.collect(database)
+        shapes = infer_shapes(self.rules.rules, database) if self.use_shapes else None
+        statistics.shapes = shapes
+        return {
+            rule: optimize_body(plan, statistics, shapes)
+            for rule, plan in self._body_plans.items()
+        }
 
     # -- strata -----------------------------------------------------------------------
     def _close_stratum(

@@ -39,15 +39,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula
-from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
-from repro.store.paths import Path
+from repro.core.paths import Path
 
-__all__ = [
-    "DeltaPosition",
-    "BodyDecomposition",
-    "decompose",
-    "new_set_elements",
-]
+__all__ = ["DeltaPosition", "BodyDecomposition", "decompose"]
 
 _ROOT = Path(())
 
@@ -112,44 +106,3 @@ def decompose(body: Optional[Formula]) -> BodyDecomposition:
     if not walk(body, _ROOT):
         return _NOT_DECOMPOSABLE
     return BodyDecomposition(decomposable=True, positions=tuple(positions))
-
-
-def navigate(value: ComplexObject, path: Path) -> ComplexObject:
-    """Follow tuple attributes only; ⊥ when a step cannot be taken, ⊤ sticky.
-
-    Unlike :func:`repro.store.paths.get_path` this does *not* descend through
-    sets — the engine's delta paths address the sets themselves.
-    """
-    current = value
-    for step in path:
-        if current.is_top:
-            return current
-        if isinstance(current, TupleObject):
-            current = current.get(step)
-        else:
-            return BOTTOM
-    return current
-
-
-def new_set_elements(
-    previous: ComplexObject, current: ComplexObject, path: Path
-) -> Optional[Tuple[ComplexObject, ...]]:
-    """Elements of the set at ``path`` in ``current`` that are new since ``previous``.
-
-    Returns ``None`` when no sound delta exists (⊤ reached along the path —
-    matching against ⊤ manufactures bindings without witnesses), and the empty
-    tuple when the path holds nothing matchable.  A previously absent set
-    makes every current element new.
-    """
-    now = navigate(current, path)
-    if now.is_top:
-        return None
-    if not isinstance(now, SetObject):
-        return ()
-    before = navigate(previous, path)
-    if before.is_top:  # pragma: no cover - previous ≤ current rules this out
-        return None
-    if not isinstance(before, SetObject):
-        return now.elements
-    old = set(before.elements)
-    return tuple(element for element in now.elements if element not in old)

@@ -25,9 +25,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.calculus.dependency import DependencyGraph
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, formula as to_formula
-from repro.engine.dependency import DependencyGraph
 from repro.lint.diagnostics import Diagnostic, LintReport, finish_report
 from repro.lint.formulas import check_query_formula, check_rule_formulas
 from repro.lint.graph import (
@@ -44,6 +44,7 @@ from repro.lint.shapes import (
     infer_shapes,
 )
 from repro.obs import metrics
+from repro.parser import parse_formula, parse_program
 from repro.plan.statistics import DatabaseStatistics
 
 __all__ = ["lint_rules", "lint_source", "lint_query", "check_containment"]
@@ -83,14 +84,15 @@ def lint_rules(
     enables the RL303 missing-path check and cost-accurate orderings;
     ``database`` (a complex object) closes the world for the shape pass —
     RL2xx findings then describe the program *against that database* rather
-    than against its own facts alone; ``params`` (a name → value mapping)
+    than against its own facts alone — and, without ``statistics``, is
+    profiled for the plan checks; ``params`` (a name → value mapping)
     enables the RL204 shape-impossible-binding check on the query.
     """
     program = _as_rules(rules)
     if isinstance(query, str):
-        from repro.parser import parse_formula
-
         query = parse_formula(query)
+    if statistics is None and database is not None:
+        statistics = DatabaseStatistics.collect(database)
 
     graph = DependencyGraph(program)
     findings: List[Diagnostic] = []
@@ -129,8 +131,6 @@ def lint_source(
     params=None,
 ) -> LintReport:
     """Parse program source and lint it; findings carry line/column spans."""
-    from repro.parser import parse_program
-
     return lint_rules(
         parse_program(text),
         query=query,
@@ -156,8 +156,6 @@ def lint_query(
     the values about to be bound).
     """
     if isinstance(query, str):
-        from repro.parser import parse_formula
-
         query = parse_formula(query)
     if statistics is None:
         # The statistics-free pass is a pure function of (query, rules) —
@@ -225,8 +223,6 @@ def _query_report(query: Formula, rules: Tuple[Rule, ...]) -> LintReport:
 def _containment_formula(value) -> Formula:
     """Coerce a head/body argument: source text parses, the rest converts."""
     if isinstance(value, str):
-        from repro.parser import parse_formula
-
         return parse_formula(value)
     return to_formula(value)
 

@@ -1,7 +1,7 @@
 """Program-graph analyses: recursion, divergence, duplicates, reachability.
 
 These analyses look at a program as a whole through the engine's own
-dependency relation (:class:`repro.engine.dependency.DependencyGraph` — rule
+dependency relation (:class:`repro.calculus.dependency.DependencyGraph` — rule
 ``r2`` depends on ``r1`` when something ``r1``'s head writes may change what
 ``r2``'s body reads):
 
@@ -38,7 +38,7 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.engine.dependency import DependencyGraph, access_paths, paths_interact
+from repro.calculus.dependency import DependencyGraph, access_paths, paths_interact
 from repro.lint.diagnostics import Diagnostic, new_diagnostic
 
 __all__ = [

@@ -23,20 +23,21 @@ maintains:
 
 Statistics are optional by design: ``Session.prepare(lint="warn")`` lints
 with ``statistics=None`` (collecting them walks the whole database, which
-would blow the prepare budget), while ``repro lint --db-path`` and
-``Program.lint(database=...)`` pass a profile and get RL303 and better
-orderings.
+would blow the prepare budget), while ``lint_rules`` handed a database —
+``repro lint --db-path`` / ``--database`` and ``Program.lint()`` — profiles
+it and gets RL303 and better orderings.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
+from repro.calculus.dependency import access_paths, paths_interact
 from repro.calculus.rules import Rule
 from repro.calculus.terms import Formula
 from repro.core import BOTTOM
 from repro.core.objects import SetObject, TupleObject
-from repro.engine.dependency import access_paths, paths_interact
+from repro.core.paths import Path
 from repro.lint.diagnostics import Diagnostic, new_diagnostic
 from repro.plan.compile import compile_body
 from repro.plan.ir import BindLeaf, BodyPlan, ScanLeaf
@@ -118,8 +119,6 @@ def _written_paths(rules: Sequence[Rule]):
     covers programs linted against a store profile that has not seen the
     program's facts.
     """
-    from repro.store.paths import Path
-
     paths = set()
     for rule in rules:
         if rule.is_fact:

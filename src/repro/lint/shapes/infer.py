@@ -1,7 +1,7 @@
 """Whole-program shape inference: the stratified SCC fixpoint.
 
 The analysis runs the program's dependency graph (the engine's own
-:class:`~repro.engine.dependency.DependencyGraph`) producers-first and
+:class:`~repro.calculus.dependency.DependencyGraph`) producers-first and
 computes, per rule, an abstract contribution shape, and for the program a
 database shape ``D̂`` over-approximating every value the closure passes
 through:
@@ -54,7 +54,7 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.core.objects import BOTTOM, ComplexObject
-from repro.engine.dependency import DependencyGraph, paths_interact
+from repro.calculus.dependency import DependencyGraph, paths_interact
 from repro.lint.shapes.domain import (
     ABSENT,
     ANY,
@@ -72,7 +72,7 @@ from repro.lint.shapes.domain import (
     truncate,
     widen,
 )
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = [
     "BodyAbstract",

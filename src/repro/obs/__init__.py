@@ -1,7 +1,7 @@
 """repro.obs — unified tracing, metrics and EXPLAIN ANALYZE support.
 
 Before this subsystem existed, instrumentation was fragmented: the engine
-kept per-run counters in :class:`~repro.engine.stats.EngineStats`, the store
+kept per-run counters in :class:`~repro.plan.stats.EngineStats`, the store
 kept access-path counters in ``ObjectDatabase.access_stats``, the session
 kept cache counters in ``Session.cache_info()`` — three disjoint records
 with no timings, no latency distributions and no way to correlate the work

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` (:data:`REGISTRY`) absorbs the instrumentation
 that used to be scattered across ad-hoc per-object records —
-:class:`repro.engine.stats.EngineStats`,
+:class:`repro.plan.stats.EngineStats`,
 :attr:`repro.store.database.ObjectDatabase.access_stats`, the session plan
 cache's hit/miss counters — plus the telemetry none of them carried: WAL
 bytes/fsyncs, commit/conflict counts, lock wait time and query latency
@@ -348,7 +348,7 @@ class MetricsRegistry:
 
     # -- bulk absorption ----------------------------------------------------------------
     def record_engine_run(self, stats) -> None:
-        """Fold one :class:`~repro.engine.stats.EngineStats` into the registry."""
+        """Fold one :class:`~repro.plan.stats.EngineStats` into the registry."""
         self.counter("engine.runs").inc()
         for key, value in stats.as_dict().items():
             if value:

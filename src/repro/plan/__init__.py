@@ -8,7 +8,7 @@ matching loop and no shared cost model.  ``repro.plan`` replaces them with one
 compiled path:
 
 * :mod:`repro.plan.ir` — the logical plan IR: scan / pattern-match / bind /
-  join / project / union / fixpoint nodes, with the order-independence
+  select / check leaves of one body plan, with the order-independence
   argument that makes join reordering sound;
 * :mod:`repro.plan.compile` — the rule-body compiler (formula → plan),
   cached on the immutable formula;
@@ -17,10 +17,15 @@ compiled path:
 * :mod:`repro.plan.optimize` — the cost-based optimizer: greedy join
   reordering with bound-variable awareness, cross-product penalties and
   index access-path selection;
+* :mod:`repro.plan.indexes` — the match indexes scan leaves probe (one
+  bucket structure, maintained per round by the engine or built at first
+  probe by a session);
 * :mod:`repro.plan.execute` — the physical executor shared by every
-  evaluator, with index pushdown and semi-naive delta restriction;
+  evaluator, with index pushdown and semi-naive delta restriction, counting
+  its work in :class:`~repro.plan.stats.EngineStats`;
 * :mod:`repro.plan.explain` — the EXPLAIN renderer (estimated vs. actual
-  cardinalities) behind ``Program.explain()`` and the CLI ``--explain`` flags.
+  cardinalities) behind ``Program.explain()``, ``Session.explain()`` and the
+  CLI ``--explain`` flags.
 
 Quick use::
 
@@ -34,9 +39,9 @@ Quick use::
     substitutions = match_plan(plan, database_object)
 """
 
-from repro.plan.compile import compile_body, compile_program, compile_rule
+from repro.plan.compile import compile_body
 from repro.plan.execute import interpret_plan, iter_match_plan, match_plan
-from repro.plan.explain import render_body_plan, render_program_plan, render_rule_node
+from repro.plan.explain import render_body_plan, render_program_plan
 from repro.plan.ir import (
     BindLeaf,
     BodyPlan,
@@ -45,13 +50,10 @@ from repro.plan.ir import (
     Leaf,
     LeafEstimate,
     ParamLeaf,
-    ProgramPlan,
-    RuleNode,
     ScanLeaf,
-    StratumNode,
     leaf_key,
 )
-from repro.plan.optimize import estimate_leaf, optimize_body, optimize_program, optimize_rule
+from repro.plan.optimize import estimate_leaf, optimize_body
 from repro.plan.parameters import bind_body_plan
 from repro.plan.statistics import DEFAULT_CARDINALITY, DatabaseStatistics
 
@@ -65,23 +67,15 @@ __all__ = [
     "Leaf",
     "LeafEstimate",
     "ParamLeaf",
-    "ProgramPlan",
-    "RuleNode",
     "ScanLeaf",
-    "StratumNode",
     "bind_body_plan",
     "compile_body",
-    "compile_program",
-    "compile_rule",
     "estimate_leaf",
     "interpret_plan",
     "iter_match_plan",
     "leaf_key",
     "match_plan",
     "optimize_body",
-    "optimize_program",
-    "optimize_rule",
     "render_body_plan",
     "render_program_plan",
-    "render_rule_node",
 ]

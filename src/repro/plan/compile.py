@@ -6,25 +6,20 @@ in :mod:`repro.plan.ir`:
 
 * each element of a set formula on the spine becomes a :class:`ScanLeaf`
   carrying its usable index keys (static ground atoms and dynamic variables,
-  via :func:`repro.engine.indexes.element_keys`);
+  via :func:`repro.plan.indexes.element_keys`);
 * a spine variable becomes a :class:`BindLeaf`, a spine constant a
   :class:`ConstLeaf`, an empty tuple/set formula a :class:`CheckLeaf`.
 
 Everything *below* a set element belongs to the witness and is matched
 recursively by the executor, exactly as the baseline matcher does.
-
-``compile_rule`` wraps the body plan with the head projection;
-``compile_program`` schedules a rule set into strata using the engine's
-dependency graph, producing the :class:`ProgramPlan` EXPLAIN renders.
 Compilation is pure and cached on the (immutable, hashable) formula.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence, Union
+from typing import List
 
-from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import (
     Constant,
     Formula,
@@ -36,25 +31,13 @@ from repro.calculus.terms import (
 from repro.core.lattice import intersection
 from repro.core.objects import TOP, Atom, TupleObject
 from repro.core.order import is_subobject
-from repro.store.paths import Path
-from repro.plan.ir import (
-    BindLeaf,
-    BodyPlan,
-    CheckLeaf,
-    ConstLeaf,
-    Leaf,
-    ParamLeaf,
-    ProgramPlan,
-    RuleNode,
-    ScanLeaf,
-    StratumNode,
-)
+from repro.core.paths import Path
+from repro.plan.indexes import element_keys
+from repro.plan.ir import BindLeaf, BodyPlan, CheckLeaf, ConstLeaf, Leaf, ParamLeaf, ScanLeaf
 
 __all__ = [
     "compile_body",
     "compile_element_matcher",
-    "compile_rule",
-    "compile_program",
     "parameter_keys",
     "split_element_keys",
 ]
@@ -232,11 +215,6 @@ def split_element_keys(element: Formula):
     single source of this classification — the executor reuses the tuples
     stored on each :class:`ScanLeaf` rather than re-deriving them.
     """
-    # Import deferred: repro.plan must be importable before repro.engine
-    # finishes initialising (the engine matcher itself compiles through this
-    # module).
-    from repro.engine.indexes import element_keys
-
     static = []
     dynamic = []
     for key_path, key in element_keys(element):
@@ -250,7 +228,7 @@ def split_element_keys(element: Formula):
 def parameter_keys(element: Formula):
     """(key path, parameter name) pairs an element formula pins with ``$slots``.
 
-    Mirrors :func:`repro.engine.indexes.element_keys` (tuple-attribute paths
+    Mirrors :func:`repro.plan.indexes.element_keys` (tuple-attribute paths
     only, nothing below a nested set formula) for :class:`Parameter` nodes —
     the keys that become static equality probes once the parameter is bound.
     """
@@ -311,31 +289,3 @@ def compile_body(body: Formula) -> BodyPlan:
 
     walk(body, _ROOT)
     return BodyPlan(body=body, leaves=tuple(leaves))
-
-
-def compile_rule(rule: Rule) -> RuleNode:
-    """Compile one rule into a :class:`RuleNode` (facts carry no body plan)."""
-    if rule.body is None:
-        return RuleNode(rule=rule, body_plan=None)
-    return RuleNode(rule=rule, body_plan=compile_body(rule.body))
-
-
-def compile_program(rules: Union[RuleSet, Sequence[Rule]]) -> ProgramPlan:
-    """Schedule ``rules`` into strata and compile every rule.
-
-    Strata come from :class:`repro.engine.dependency.DependencyGraph` — the
-    same producers-first SCC order the semi-naive engine iterates — so
-    EXPLAIN shows the strata the engine runs.
-    """
-    from repro.engine.dependency import DependencyGraph
-
-    ruleset = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    strata: List[StratumNode] = []
-    for stratum in DependencyGraph(ruleset.rules).strata():
-        strata.append(
-            StratumNode(
-                rules=tuple(compile_rule(rule) for rule in stratum.rules),
-                recursive=stratum.recursive,
-            )
-        )
-    return ProgramPlan(strata=tuple(strata))

@@ -55,9 +55,11 @@ from repro.core.objects import (
     TupleObject,
 )
 from repro.core.order import is_subobject
-from repro.store.paths import Path
+from repro.core.paths import Path
+from repro.obs.metrics import REGISTRY, ROWS_PER_BATCH_BUCKETS
 from repro.plan.compile import compile_element_matcher
 from repro.plan.ir import BodyPlan, ScanLeaf, leaf_key
+from repro.plan.stats import EngineStats
 
 __all__ = [
     "match_plan",
@@ -92,17 +94,15 @@ def match_plan(
     Agrees with :func:`repro.calculus.matching.match_all` on every body and
     target (restricted to the new-witness subset when ``position`` — a
     :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is an
-    :class:`repro.engine.indexes.IndexStore` (or anything with its
+    :class:`repro.plan.indexes.IndexStore` (or anything with its
     ``candidates`` method — sessions pass a
-    :class:`~repro.engine.indexes.TargetIndexes`); ``record``, when given, is
+    :class:`~repro.plan.indexes.TargetIndexes`); ``record``, when given, is
     filled with actual per-leaf cardinalities and accesses for EXPLAIN.
     ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
     operator batch, raising :class:`~repro.core.errors.QueryTimeout` when
     spent.
     """
     if stats is None:
-        from repro.engine.stats import EngineStats
-
         stats = EngineStats()
     if plan.pruned is not None:
         # The shape analysis proved this body can never produce a row; the
@@ -185,8 +185,6 @@ def iter_match_plan(
             f"batch_size must be a positive integer, got {batch_size!r}"
         )
     if stats is None:
-        from repro.engine.stats import EngineStats
-
         stats = EngineStats()
     if plan.pruned is not None:
         # Statically proved empty: stream nothing.
@@ -1072,8 +1070,6 @@ class _Executor:
         """
         if not self._batches and not self._compiled_hits:
             return
-        from repro.obs.metrics import REGISTRY, ROWS_PER_BATCH_BUCKETS
-
         REGISTRY.counter("exec.batches").inc(self._batches)
         if self._compiled_hits:
             REGISTRY.counter("exec.compiled_leaf_hits").inc(self._compiled_hits)

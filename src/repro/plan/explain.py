@@ -21,21 +21,26 @@ rendered as ``probed <key path> → N candidates`` and/or ``scanned N`` next to
 the estimate's ``via index ...`` — an index the optimizer counted on and the
 run did not get shows as a scan.
 
-``Program.explain()`` and ``Session.explain()`` / ``Cursor.explain()`` — hence
-the CLI's ``run/query --explain`` and ``store query --explain`` — all collect
-their actuals with :func:`execution_record` and render through this module.
+``Program.explain()`` renders the closure engine's own rule plans
+(``SemiNaiveEngine.plan``) with :func:`render_program_plan`, and
+``Session.explain()`` / ``Cursor.explain()`` the plan a cursor runs with
+:func:`render_body_plan` — hence the CLI's ``run/query --explain`` and
+``store query --explain``; all collect their actuals with
+:func:`execution_record`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
+from repro.calculus.dependency import Stratum
+from repro.calculus.rules import Rule
 from repro.core.objects import ComplexObject
 from repro.obs.trace import format_ns
 from repro.plan.execute import match_plan
-from repro.plan.ir import BodyPlan, ProgramPlan, RuleNode, leaf_key
+from repro.plan.ir import BodyPlan, leaf_key
 
-__all__ = ["execution_record", "render_body_plan", "render_rule_node", "render_program_plan"]
+__all__ = ["execution_record", "render_body_plan", "render_program_plan"]
 
 
 def execution_record(
@@ -121,42 +126,35 @@ def render_body_plan(
     return "\n".join(lines)
 
 
-def render_rule_node(
-    node: RuleNode, *, record: Optional[dict] = None, indent: str = ""
-) -> str:
-    """Render one planned rule: the head projection over its body plan."""
-    lines = [f"{indent}rule {node.rule.to_text()}"]
-    if node.body_plan is None:
-        lines.append(f"{indent}  emit ground head (fact)")
-        return "\n".join(lines)
-    lines.append(f"{indent}  project {node.rule.head.to_text()}")
-    lines.extend(_leaf_lines(node.body_plan, record, indent + "    "))
-    return "\n".join(lines)
-
-
 def render_program_plan(
-    plan: ProgramPlan,
+    strata: Sequence[Stratum],
+    plans: Mapping[Rule, BodyPlan],
     *,
     iterations: Optional[int] = None,
     rule_records: Optional[Dict] = None,
 ) -> str:
-    """Render a whole program plan, stratum by stratum.
+    """Render a program's rule plans, stratum by stratum.
 
-    ``rule_records`` maps a :class:`~repro.calculus.rules.Rule` to the
-    execution record collected for it; ``iterations`` is the fixpoint's
-    actual round count when the program has been evaluated.
+    ``plans`` maps each rule with a body to its plan (facts have none);
+    ``rule_records`` maps a rule to the execution record collected for it;
+    ``iterations`` is the fixpoint's actual round count when the program has
+    been evaluated.
     """
-    recursive = sum(1 for stratum in plan.strata if stratum.recursive)
-    lines = [f"program plan: {len(plan.strata)} strata ({recursive} recursive)"]
-    for number, stratum in enumerate(plan.strata, start=1):
+    recursive = sum(1 for stratum in strata if stratum.recursive)
+    lines = [f"program plan: {len(strata)} strata ({recursive} recursive)"]
+    for number, stratum in enumerate(strata, start=1):
         if stratum.recursive:
             note = f", {iterations} iterations total" if iterations is not None else ""
             lines.append(f"stratum {number}: fixpoint (iterate to closure{note})")
         else:
             lines.append(f"stratum {number}: apply once")
-        for node in stratum.rules:
-            record = None
-            if rule_records is not None:
-                record = rule_records.get(node.rule)
-            lines.append(render_rule_node(node, record=record, indent="  "))
+        for rule in stratum.rules:
+            lines.append(f"  rule {rule.to_text()}")
+            plan = plans.get(rule)
+            if plan is None:
+                lines.append("    emit ground head (fact)")
+                continue
+            lines.append(f"    project {rule.head.to_text()}")
+            record = rule_records.get(rule) if rule_records is not None else None
+            lines.extend(_leaf_lines(plan, record, "      "))
     return "\n".join(lines)

@@ -12,7 +12,7 @@ constructors collapse such objects), so equality on the atom is the complete
 candidate condition.
 
 A :class:`MatchIndex` therefore buckets the elements of the set at one
-attribute path (a :class:`repro.store.paths.Path`, as in the persistent
+attribute path (a :class:`repro.core.paths.Path`, as in the persistent
 store's ``PathIndex``) by the atom found at each registered key path inside
 the element.  Unlike ``store.PathIndex`` it is maintained *incrementally
 during evaluation*: after every round the :class:`IndexStore` feeds it just
@@ -34,10 +34,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula, Variable
 from repro.core.intern import is_interned
 from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
-from repro.engine.delta import navigate, new_set_elements
-from repro.engine.stats import EngineStats
+from repro.core.paths import Path, navigate, new_set_elements
 from repro.obs.trace import NULL_SPAN
-from repro.store.paths import Path
+from repro.plan.stats import EngineStats
 
 __all__ = ["MatchIndex", "IndexStore", "TargetIndexes", "element_keys", "ElementKey"]
 

@@ -22,23 +22,21 @@ lets the vectorized executor (:mod:`repro.plan.execute`) dispatch each leaf
 once per *batch* of partial substitutions rather than once per partial: the
 meet-product over whole frontiers is the same set either way.
 
-Rules wrap a body plan with the head to instantiate (:class:`RuleNode`, the
-project node); strata group rules into apply-once unions or fixpoint loops
-(:class:`StratumNode`, the union / fixpoint nodes); a whole program is a
-:class:`ProgramPlan`.  The same IR is what :mod:`repro.plan.explain` renders,
-what :mod:`repro.plan.execute` runs, and what :mod:`repro.algebra.translate`
-lowers to algebra expressions.
+A rule's plan is its body plan: the closure engine instantiates the head
+over each row and schedules rules by the strata of
+:mod:`repro.calculus.dependency`.  The same IR is what :mod:`repro.plan.explain`
+renders, what :mod:`repro.plan.execute` runs, and what
+:mod:`repro.algebra.translate` lowers to algebra expressions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Tuple
 
-from repro.calculus.rules import Rule
 from repro.calculus.terms import Formula
 from repro.core.objects import Atom, ComplexObject
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = [
     "Leaf",
@@ -49,9 +47,6 @@ __all__ = [
     "ParamLeaf",
     "LeafEstimate",
     "BodyPlan",
-    "RuleNode",
-    "StratumNode",
-    "ProgramPlan",
     "leaf_key",
 ]
 
@@ -187,41 +182,6 @@ class BodyPlan:
         inner = ", ".join(leaf.describe() for leaf in self.leaves)
         kind = "join" if len(self.leaves) > 1 else "match"
         return f"{kind}({inner})"
-
-
-@dataclass(frozen=True)
-class RuleNode:
-    """One planned rule: instantiate ``rule.head`` over the body plan's rows."""
-
-    rule: Rule
-    body_plan: Optional[BodyPlan]  # None for facts
-
-    @property
-    def is_fact(self) -> bool:
-        return self.body_plan is None
-
-    def describe(self) -> str:
-        if self.body_plan is None:
-            return f"emit {self.rule.head.to_text()}"
-        return f"project {self.rule.head.to_text()} over {self.body_plan.describe()}"
-
-
-@dataclass(frozen=True)
-class StratumNode:
-    """A scheduling stratum: a union of rules, iterated when ``recursive``."""
-
-    rules: Tuple[RuleNode, ...]
-    recursive: bool
-
-
-@dataclass(frozen=True)
-class ProgramPlan:
-    """A whole program: strata in topological (producers-first) order."""
-
-    strata: Tuple[StratumNode, ...]
-
-    def rule_nodes(self) -> Tuple[RuleNode, ...]:
-        return tuple(node for stratum in self.strata for node in stratum.rules)
 
 
 def leaf_key(leaf: Leaf) -> Tuple[Tuple[str, ...], int]:

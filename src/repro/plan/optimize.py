@@ -17,7 +17,7 @@ the running partial-substitution count small:
 
 Each placed leaf also records its **access path** — the index probe the
 executor should attempt first — which is how selection and attribute-path
-pushdown reach :class:`repro.engine.IndexStore` (during evaluation) and
+pushdown reach :class:`repro.plan.indexes.IndexStore` (during evaluation) and
 :class:`repro.store.PathIndex` (store-side, see
 :meth:`repro.store.ObjectDatabase.access_path`).  Without statistics the same
 greedy pass runs on defaults, which still orders static-key probes before
@@ -34,21 +34,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.plan.ir import (
-    BindLeaf,
-    BodyPlan,
-    CheckLeaf,
-    Leaf,
-    LeafEstimate,
-    ParamLeaf,
-    ProgramPlan,
-    RuleNode,
-    ScanLeaf,
-    StratumNode,
-)
+from repro.plan.ir import BindLeaf, BodyPlan, CheckLeaf, Leaf, LeafEstimate, ParamLeaf, ScanLeaf
 from repro.plan.statistics import DatabaseStatistics
 
-__all__ = ["optimize_body", "optimize_rule", "optimize_program", "estimate_leaf"]
+__all__ = ["optimize_body", "estimate_leaf"]
 
 #: Multiplier applied to a scan leaf sharing no variable with the bound set —
 #: a cross product is never *wrong* (the meet-product absorbs it) but almost
@@ -180,35 +169,3 @@ def _annotate_shape(leaf: Leaf, estimate: LeafEstimate, shapes) -> LeafEstimate:
     element = shapes.scan_element(leaf.path)
     description = "empty" if element is None else element.describe()
     return LeafEstimate(rows=estimate.rows, access=estimate.access, shape=description)
-
-
-def optimize_rule(
-    node: RuleNode,
-    statistics: Optional[DatabaseStatistics] = None,
-    shapes=None,
-) -> RuleNode:
-    """Optimize one rule node (facts pass through unchanged)."""
-    if node.body_plan is None:
-        return node
-    return RuleNode(
-        rule=node.rule, body_plan=optimize_body(node.body_plan, statistics, shapes)
-    )
-
-
-def optimize_program(
-    plan: ProgramPlan,
-    statistics: Optional[DatabaseStatistics] = None,
-    shapes=None,
-) -> ProgramPlan:
-    """Optimize every rule of a program plan."""
-    return ProgramPlan(
-        strata=tuple(
-            StratumNode(
-                rules=tuple(
-                    optimize_rule(node, statistics, shapes) for node in stratum.rules
-                ),
-                recursive=stratum.recursive,
-            )
-            for stratum in plan.strata
-        )
-    )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
 from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = ["DatabaseStatistics", "DEFAULT_CARDINALITY"]
 
@@ -67,7 +67,7 @@ class DatabaseStatistics:
                     walk_element(element, path, _ROOT)
 
         def walk_element(value: ComplexObject, set_path: Path, key_path: Path) -> None:
-            # Mirror repro.engine.indexes.element_keys: key paths descend
+            # Mirror repro.plan.indexes.element_keys: key paths descend
             # through the element's tuple attributes only.
             if isinstance(value, Atom):
                 bucket = distinct.setdefault((set_path, key_path), set())

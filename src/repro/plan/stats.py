@@ -1,12 +1,13 @@
-"""Instrumentation for the evaluation engine.
+"""Instrumentation for plan execution and the closure engine.
 
-Every engine run fills an :class:`EngineStats` record so benchmarks, the CLI
-and tests can see *why* a strategy was fast or slow: how many rounds ran, how
-many formula-against-witness match attempts were made, how often a match index
-answered a lookup, and how much the scheduler could avoid re-iterating.
+Every engine run and every query cursor fills an :class:`EngineStats` record
+so benchmarks, the CLI and tests can see *why* a strategy was fast or slow:
+how many rounds ran, how many formula-against-witness match attempts were
+made, how often a match index answered a lookup, and how much the scheduler
+could avoid re-iterating.
 
-The record is deliberately a plain mutable dataclass of counters — the engine
-increments fields directly on its hot path, and :meth:`EngineStats.as_dict`
+The record is deliberately a plain mutable dataclass of counters — the
+executor increments fields directly on its hot path, and :meth:`EngineStats.as_dict`
 snapshots them for reporting.
 """
 

@@ -9,9 +9,9 @@ workflow:
 * rules derive new structure;
 * :meth:`Program.evaluate` computes the closure of the seed object under the
   rules with the divergence guards of :mod:`repro.calculus.fixpoint`;
-* :meth:`Program.explain` pretty-prints the optimized plan with estimated
-  and actual cardinalities (the EXPLAIN facility, also reachable through the
-  CLI's ``run --explain`` / ``query --explain``).
+* :meth:`Program.explain` pretty-prints the engine's rule plans with
+  estimated and actual cardinalities (the EXPLAIN facility, also reachable
+  through the CLI's ``run --explain``).
 
 Programs can be built from Python structures or parsed from the paper's
 concrete syntax via :meth:`Program.from_source` (which delegates to
@@ -20,10 +20,9 @@ concrete syntax via :meth:`Program.from_source` (which delegates to
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
-from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject
+from repro.api import Session
 from repro.calculus.fixpoint import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_ITERATIONS,
@@ -31,7 +30,13 @@ from repro.calculus.fixpoint import (
     ClosureResult,
 )
 from repro.calculus.rules import Rule, RuleSet
-from repro.calculus.terms import Formula, formula as to_formula
+from repro.core.lattice import union, union_all
+from repro.core.objects import BOTTOM, ComplexObject
+from repro.engine import SemiNaiveEngine
+from repro.lint import lint_rules
+from repro.parser import parse_program
+from repro.plan.explain import execution_record, render_program_plan
+from repro.plan.indexes import TargetIndexes
 
 __all__ = ["Program"]
 
@@ -65,11 +70,7 @@ class Program:
         """Parse a program written in the paper's concrete syntax.
 
         Each clause ends with a period; clauses without ``:-`` are facts.
-        The import is deferred so the calculus package does not depend on the
-        parser package at import time.
         """
-        from repro.parser import parse_program
-
         return cls(parse_program(source), database=database)
 
     # -- accessors ----------------------------------------------------------------
@@ -98,30 +99,19 @@ class Program:
         return Program(combined, database=self._database)
 
     # -- analysis -----------------------------------------------------------------
-    def lint(self, query=None, *, statistics=None, use_database: bool = True):
+    def lint(self, query=None):
         """Run the whole-program static analyzer (:mod:`repro.lint`).
 
         ``query`` (a formula or source text) enables the dead-rule analysis
-        relative to that query's reads.  ``statistics`` overrides the cost
-        model; by default the seeded database is profiled (disable with
-        ``use_database=False``) so plan-level findings (RL3xx) see real
-        cardinalities.  Returns a :class:`repro.lint.LintReport`.
+        relative to that query's reads.  A seed other than ⊥ is the
+        analyzer's database: profiled, so plan-level findings (RL3xx) see
+        real cardinalities.  Returns a :class:`repro.lint.LintReport`.
         """
-        from repro.lint import lint_rules
-        from repro.plan import DatabaseStatistics
-
-        database = None
-        if use_database:
-            seed = self.seed()
-            if seed is not BOTTOM:
-                database = seed
-                if statistics is None:
-                    statistics = DatabaseStatistics.collect(seed)
+        seed = self.seed()
         return lint_rules(
             list(self._facts) + list(self._rules),
             query=query,
-            statistics=statistics,
-            database=database,
+            database=seed if seed is not BOTTOM else None,
         )
 
     # -- evaluation ---------------------------------------------------------------
@@ -153,10 +143,6 @@ class Program:
         :class:`~repro.core.errors.QueryTimeout` with the partial closure
         attached.
         """
-        # Deferred import: the calculus package must stay importable without
-        # the engine subsystem (which itself builds on the calculus).
-        from repro.engine import SemiNaiveEngine
-
         evaluator = SemiNaiveEngine(
             self._rules,
             max_iterations=max_iterations,
@@ -173,83 +159,42 @@ class Program:
         analyze: bool = True,
         **guards,
     ) -> str:
-        """Pretty-print the optimized evaluation plan (the EXPLAIN facility).
+        """Pretty-print the evaluation plans (the EXPLAIN facility).
 
-        Compiles every rule through :mod:`repro.plan`, optimizes against
-        statistics of the seeded database, and renders the stratified plan
-        with each leaf's estimated cardinality and access path.  With
-        ``analyze=True`` (the default) the program is also evaluated
-        (``guards`` are forwarded to :meth:`evaluate`)
-        and each rule's plan is re-executed once against the closure so the
-        rendering shows **actual** cardinalities, accesses and per-leaf wall
-        time next to the estimates (EXPLAIN ANALYZE) — probing an index store
-        over the closure, as the engine's own rounds probe theirs; the
-        optional ``query_formula`` is planned and analyzed the same way.
+        The rule section renders the plans the engine itself runs
+        (:meth:`SemiNaiveEngine.plan` over the seeded database: strata, each
+        leaf's estimated cardinality, access path and inferred shape, bodies
+        the shape analysis proved empty).  With ``analyze=True`` (the
+        default) the program is also closed (``guards`` are the divergence
+        guards of :meth:`Session.close`) and each rule's plan is re-executed
+        once against the closure, probing an index store over it as the
+        engine's own rounds probe theirs, so the rendering shows **actual**
+        cardinalities, accesses and per-leaf wall time next to the estimates
+        (EXPLAIN ANALYZE).  The optional ``query_formula`` (a formula or
+        source text) is rendered by :meth:`Session.explain` on the closure —
+        the target the query runs against, computed even without
+        ``analyze``.
         """
-        from repro.plan import (
-            DatabaseStatistics,
-            compile_body,
-            compile_program,
-            optimize_body,
-            optimize_program,
-        )
-        from repro.plan.explain import (
-            execution_record,
-            render_body_plan,
-            render_program_plan,
-        )
-
-        from repro.engine.indexes import TargetIndexes
-        from repro.lint.shapes import infer_shapes
-
-        seed = self.seed()
-        statistics = DatabaseStatistics.collect(seed)
-        # Closed-world inference over the seeded database: the rendering
-        # shows each leaf's inferred element shape and marks the bodies the
-        # analysis proved empty (the same proof the engine prunes on).
-        shapes = infer_shapes(tuple(self._rules), seed)
-        plan = optimize_program(compile_program(self._rules), statistics, shapes)
-
-        iterations = None
-        rule_records = None
-        closure_value = None
-        indexes = None
+        engine = SemiNaiveEngine(self._rules)
+        plans = engine.plan(self.seed())
+        session = Session.over_program(self)
+        iterations = rule_records = None
         if analyze:
-            result = self.evaluate(**guards)
-            closure_value = result.value
-            iterations = result.iterations
-            indexes = TargetIndexes(closure_value)
+            closure = session.close(**guards)
+            indexes = TargetIndexes(closure.value)
+            iterations = closure.iterations
             rule_records = {
-                node.rule: execution_record(
-                    node.body_plan, closure_value, indexes=indexes, timed=True
-                )
-                for node in plan.rule_nodes()
-                if node.body_plan is not None
+                rule: execution_record(plan, closure.value, indexes=indexes, timed=True)
+                for rule, plan in plans.items()
             }
-
         sections = [
             render_program_plan(
-                plan, iterations=iterations, rule_records=rule_records
+                engine.graph.strata(), plans, iterations=iterations, rule_records=rule_records
             )
         ]
         if query_formula is not None:
-            parsed = to_formula(query_formula)
-            target = closure_value if closure_value is not None else seed
-            query_plan = optimize_body(
-                compile_body(parsed),
-                DatabaseStatistics.collect(target),
-                infer_shapes(tuple(self._rules), target),
-            )
             sections.append(
-                render_body_plan(
-                    query_plan,
-                    record=(
-                        execution_record(query_plan, target, indexes=indexes, timed=True)
-                        if analyze
-                        else None
-                    ),
-                    header=f"query plan: {parsed.to_text()}",
-                )
+                session.explain(query_formula, on_closure=True, analyze=analyze, **guards)
             )
         return "\n".join(sections)
 

@@ -7,9 +7,9 @@ substrate so the calculus can be used as an actual database system:
 
 * :mod:`repro.store.codec` — serialization of complex objects to/from a plain
   JSON-compatible form and the concrete text syntax;
-* :mod:`repro.store.paths` + :mod:`repro.store.updates` — attribute-path
-  navigation and functional update primitives (assign, insert, remove) that
-  always return new objects;
+* :mod:`repro.store.updates` — functional update primitives (assign,
+  insert, remove) at attribute paths (:mod:`repro.core.paths`) that always
+  return new objects;
 * :mod:`repro.store.storage` — in-memory and write-ahead-log file-backed
   storage engines with group commit and torn-tail crash recovery;
 * :mod:`repro.store.index` — path indexes over stored collections to
@@ -36,7 +36,6 @@ from repro.store.codec import (
 from repro.store.database import ObjectDatabase
 from repro.store.index import PathIndex
 from repro.store.locks import RWLock
-from repro.store.paths import Path, get_path, has_path, iter_paths
 from repro.store.storage import FileStorage, MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
 from repro.store.updates import (
@@ -51,7 +50,6 @@ __all__ = [
     "FileStorage",
     "MemoryStorage",
     "ObjectDatabase",
-    "Path",
     "PathIndex",
     "RWLock",
     "StorageEngine",
@@ -62,11 +60,8 @@ __all__ = [
     "encode_json",
     "frame_record",
     "from_json_text",
-    "get_path",
     "parse_record",
-    "has_path",
     "insert_element",
-    "iter_paths",
     "loads_object",
     "merge_object",
     "remove_element",

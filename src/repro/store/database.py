@@ -40,22 +40,27 @@ import threading
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import ConflictError, SchemaError, StoreError, TransactionError
-from repro.obs import trace as _trace
-from repro.obs.metrics import REGISTRY as _METRICS
-from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
-from repro.core.order import is_subobject
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, TupleFormula
+from repro.core.builder import obj
+from repro.core.errors import ConflictError, SchemaError, StoreError, TransactionError
+from repro.core.intern import clear_object_caches
+from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
+from repro.core.order import is_subobject
+from repro.core.paths import Path, get_path
+from repro.engine import SemiNaiveEngine
+from repro.obs import trace as _trace
+from repro.obs.metrics import REGISTRY as _METRICS
+from repro.plan.ir import ScanLeaf
 from repro.schema.check import check_object
 from repro.schema.types import SchemaType
 from repro.store.index import PathIndex
 from repro.store.locks import RWLock
-from repro.store.paths import Path
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
+from repro.store.updates import assign_path, insert_element, merge_object, remove_element
 
 __all__ = ["ObjectDatabase"]
 
@@ -108,8 +113,6 @@ class ObjectDatabase:
     # -- basic CRUD -----------------------------------------------------------------
     def put(self, name: str, value) -> ComplexObject:
         """Store an object (plain Python values are converted) under ``name``."""
-        from repro.core.builder import obj
-
         converted = obj(value)
         self.commit_batch({name: converted})
         return converted
@@ -366,8 +369,6 @@ class ObjectDatabase:
         """
         if not self._indexes:
             return False
-        from repro.plan.ir import ScanLeaf
-
         for leaf in leaves:
             if not isinstance(leaf, ScanLeaf) or not leaf.static_keys:
                 continue
@@ -402,8 +403,6 @@ class ObjectDatabase:
                 key = str(path if isinstance(path, Path) else Path(path))
                 index = self._indexes.get(key)
                 if index is not None:
-                    from repro.store.paths import get_path
-
                     located = get_path(pattern, key)
                     values = (
                         located.elements if isinstance(located, SetObject) else [located]
@@ -439,8 +438,6 @@ class ObjectDatabase:
         prefilter; the final sub-object check still runs.  ``None`` means no
         index constrained the pattern.  Callers hold the read lock.
         """
-        from repro.store.paths import get_path
-
         narrowed: Optional[set] = None
         for index in self._indexes.values():
             located = get_path(pattern, index.path)
@@ -488,8 +485,6 @@ class ObjectDatabase:
         computes the same closure and raises the same
         :class:`DivergenceError` on divergence.
         """
-        from repro.engine import SemiNaiveEngine
-
         target = self.as_object() if against is None else self._require(against)
         result = SemiNaiveEngine(rules, **guards).run(target)
         if store_as is not None:
@@ -531,9 +526,6 @@ class ObjectDatabase:
         retry: Optional[RetryPolicy] = None,
     ) -> ComplexObject:
         """Assign ``value`` at ``path`` inside the object stored under ``name``."""
-        from repro.core.builder import obj
-        from repro.store.updates import assign_path
-
         converted = obj(value)
         return self._read_modify_write(
             name,
@@ -551,9 +543,6 @@ class ObjectDatabase:
         retry: Optional[RetryPolicy] = None,
     ) -> ComplexObject:
         """Insert ``element`` into the set at ``path`` inside ``name``."""
-        from repro.core.builder import obj
-        from repro.store.updates import insert_element
-
         converted = obj(element)
         return self._read_modify_write(
             name,
@@ -571,9 +560,6 @@ class ObjectDatabase:
         retry: Optional[RetryPolicy] = None,
     ) -> ComplexObject:
         """Remove ``element`` from the set at ``path`` inside ``name``."""
-        from repro.core.builder import obj
-        from repro.store.updates import remove_element
-
         converted = obj(element)
         return self._read_modify_write(
             name,
@@ -586,9 +572,6 @@ class ObjectDatabase:
         self, name: str, other, *, retry: Optional[RetryPolicy] = None
     ) -> ComplexObject:
         """Lattice-union ``other`` into the object stored under ``name``."""
-        from repro.core.builder import obj
-        from repro.store.updates import merge_object
-
         converted = obj(other)
         return self._read_modify_write(
             name,
@@ -626,8 +609,6 @@ class ObjectDatabase:
         point to release them.
         """
         self._storage.close()  # invariant: unlocked-ok — teardown is single-threaded by contract
-        from repro.core.intern import clear_object_caches
-
         clear_object_caches()
 
     def __repr__(self) -> str:

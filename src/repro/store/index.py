@@ -1,7 +1,7 @@
 """Path indexes: accelerate pattern selections over stored collections.
 
 A :class:`PathIndex` maps the values found at one attribute path (descending
-through sets, see :func:`repro.store.paths.iter_paths`) to the names of the
+through sets, see :func:`repro.core.paths.iter_paths`) to the names of the
 stored objects containing them.  The :class:`ObjectDatabase` consults its
 indexes before falling back to a scan when answering ``find`` queries, and
 the static selections of a session query's plan leaves are probed against
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Set, Tuple, Union
 
 from repro.core.objects import ComplexObject, SetObject, TupleObject
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = ["PathIndex"]
 
@@ -89,7 +89,7 @@ class PathIndex:
     ) -> bool:
         """Gather the values at the path into ``keys``; ``True`` marks a wildcard.
 
-        Follows the same traversal as :func:`repro.store.paths.get_path`
+        Follows the same traversal as :func:`repro.core.paths.get_path`
         (tuple attributes consume steps, sets are descended transparently)
         but keeps every collected value instead of folding them into a
         normalized set — set reduction would absorb dominated keys — and

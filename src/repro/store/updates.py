@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import StoreError
 from repro.core.lattice import union
 from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 __all__ = [
     "assign_path",

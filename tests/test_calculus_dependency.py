@@ -1,9 +1,9 @@
-"""Unit tests for the scheduler's rule dependency graph (repro.engine.dependency)."""
+"""Unit tests for the scheduler's rule dependency graph (repro.calculus.dependency)."""
 
 from repro import parse_program, parse_rule
-from repro.engine.dependency import DependencyGraph, access_paths, paths_interact
+from repro.calculus.dependency import DependencyGraph, access_paths, paths_interact
 from repro.calculus.terms import formula, var
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 
 class TestAccessPaths:

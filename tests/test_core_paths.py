@@ -1,11 +1,11 @@
-"""Unit tests for attribute paths (repro.store.paths)."""
+"""Unit tests for attribute paths (repro.core.paths)."""
 
 import pytest
 
 from repro import parse_object
 from repro.core.builder import obj
-from repro.core.objects import BOTTOM
-from repro.store.paths import Path, get_path, has_path, iter_paths
+from repro.core.objects import BOTTOM, TOP
+from repro.core.paths import Path, get_path, has_path, iter_paths, navigate, new_set_elements
 
 
 class TestPath:
@@ -83,3 +83,57 @@ class TestIterPaths:
 
     def test_atoms_have_no_paths(self):
         assert list(iter_paths(obj(5))) == []
+
+
+class TestNavigate:
+    DB = parse_object("[a: [b: {1, 2}], c: 5]")
+
+    def test_tuple_steps(self):
+        assert navigate(self.DB, Path("a.b")) == parse_object("{1, 2}")
+
+    def test_missing_attribute_is_bottom(self):
+        assert navigate(self.DB, Path("a.z")) is BOTTOM
+
+    def test_step_through_non_tuple_is_bottom(self):
+        assert navigate(self.DB, Path("c.z")) is BOTTOM
+
+    def test_top_is_sticky(self):
+        assert navigate(TOP, Path("a.b")) is TOP
+
+    def test_does_not_descend_through_sets(self):
+        # Unlike get_path, elements are not traversed.
+        db = parse_object("[r: {[name: 1]}]")
+        assert navigate(db, Path("r.name")) is BOTTOM
+
+
+class TestNewSetElements:
+    def test_growth(self):
+        before = parse_object("[doa: {1, 2}]")
+        after = parse_object("[doa: {1, 2, 3}]")
+        assert new_set_elements(before, after, Path("doa")) == (parse_object("3"),)
+
+    def test_no_growth(self):
+        db = parse_object("[doa: {1, 2}]")
+        assert new_set_elements(db, db, Path("doa")) == ()
+
+    def test_previously_absent_set_is_all_new(self):
+        before = parse_object("[other: {9}]")
+        after = parse_object("[other: {9}, doa: {1, 2}]")
+        fresh = new_set_elements(before, after, Path("doa"))
+        assert set(fresh) == {parse_object("1"), parse_object("2")}
+
+    def test_absorbed_elements_count_as_new(self):
+        # {[a:1]} grows to {[a:1, b:2]}: reduction replaced the old element,
+        # so the absorbing element is new.
+        before = parse_object("[r: {[a: 1]}]")
+        after = parse_object("[r: {[a: 1, b: 2]}]")
+        assert new_set_elements(before, after, Path("r")) == (
+            parse_object("[a: 1, b: 2]"),
+        )
+
+    def test_non_set_at_path_is_empty(self):
+        db = parse_object("[r: 5]")
+        assert new_set_elements(BOTTOM, db, Path("r")) == ()
+
+    def test_top_is_unsound(self):
+        assert new_set_elements(BOTTOM, TOP, Path("r")) is None

@@ -6,7 +6,7 @@ from repro import Program, parse_program, parse_object
 from repro.calculus.rules import Rule, RuleSet
 from repro.cli import main
 from repro.engine import SemiNaiveEngine
-from repro.engine.stats import EngineStats
+from repro.plan.stats import EngineStats
 from repro.workloads import make_genealogy
 
 # ``seen: S`` reads the whole seen subtree through a bare spine variable, so

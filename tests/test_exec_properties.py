@@ -27,9 +27,10 @@ from repro.calculus.interpretation import interpret  # noqa: E402
 from repro.calculus.matching import match_all  # noqa: E402
 from repro.core.lattice import union, union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
-from repro.engine.delta import decompose, new_set_elements  # noqa: E402
-from repro.engine.indexes import IndexStore, TargetIndexes  # noqa: E402
-from repro.engine.stats import EngineStats  # noqa: E402
+from repro.core.paths import new_set_elements  # noqa: E402
+from repro.engine.delta import decompose  # noqa: E402
+from repro.plan.indexes import IndexStore, TargetIndexes  # noqa: E402
+from repro.plan.stats import EngineStats  # noqa: E402
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
     compile_body,

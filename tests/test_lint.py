@@ -226,7 +226,7 @@ class TestProgramFacade:
         )
         report = program.lint()
         assert "RL303" in codes_of(report)
-        offline = program.lint(use_database=False)
+        offline = lint_rules(list(program.facts) + list(program.rules))
         assert "RL303" not in codes_of(offline)
 
     def test_strata_are_reported(self):
@@ -235,7 +235,7 @@ class TestProgramFacade:
             "[anc: {[of: X, is: Z]}] :-"
             " [anc: {[of: X, is: Y]}, parent: {[of: Y, is: Z]}].\n"
         )
-        report = program.lint(use_database=False)
+        report = lint_rules(list(program.facts) + list(program.rules))
         assert any(stratum["recursive"] for stratum in report.strata)
         flattened = sorted(i for s in report.strata for i in s["rules"])
         assert flattened == [1, 2]

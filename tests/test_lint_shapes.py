@@ -11,7 +11,7 @@ import pytest
 
 from repro import parse_formula, parse_object, parse_program
 from repro.api import LintError, Session
-from repro.calculus.program import Program
+from repro.program import Program
 from repro.core.builder import obj
 from repro.calculus.fixpoint import close
 from repro.engine import SemiNaiveEngine
@@ -33,7 +33,7 @@ from repro.lint.shapes import (
 from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
 from repro.plan.explain import render_body_plan
 from repro.plan.statistics import DEFAULT_CARDINALITY
-from repro.store.paths import Path
+from repro.core.paths import Path
 
 CHAIN = """
 [r1: {[a: 1]}].

@@ -275,7 +275,7 @@ def test_registry_reset_zeroes_but_keeps_declared_names():
 
 
 def test_record_engine_run_folds_stats():
-    from repro.engine.stats import EngineStats
+    from repro.plan.stats import EngineStats
 
     registry = MetricsRegistry()
     stats = EngineStats(iterations=3, substitutions=5, strata=1)

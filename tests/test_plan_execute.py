@@ -20,8 +20,8 @@ from repro.core.errors import ComplexObjectError
 from repro.core.objects import BOTTOM
 from repro.engine import SemiNaiveEngine
 from repro.engine.delta import decompose
-from repro.engine.indexes import IndexStore
-from repro.engine.stats import EngineStats
+from repro.plan.indexes import IndexStore
+from repro.plan.stats import EngineStats
 from repro.plan import (
     DatabaseStatistics,
     compile_body,
@@ -86,7 +86,7 @@ class TestDeltaRestriction:
         database = parse_object(self.DB)
         plan = optimize_body(compile_body(body))
         full = set(match_plan(plan, database))
-        from repro.engine.delta import navigate
+        from repro.core.paths import navigate
 
         recovered = set()
         for position in decompose(body).positions:

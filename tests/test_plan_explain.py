@@ -4,9 +4,18 @@ import io
 
 import pytest
 
-from repro import BOTTOM, TOP, Program, Session, interpret, parse_formula, parse_object
+from repro import (
+    BOTTOM,
+    TOP,
+    Program,
+    SemiNaiveEngine,
+    Session,
+    interpret,
+    parse_formula,
+    parse_object,
+)
 from repro.cli import main
-from repro.plan.explain import execution_record, render_body_plan
+from repro.plan.explain import execution_record, render_body_plan, render_program_plan
 from repro.store.database import ObjectDatabase
 from repro.workloads import make_genealogy
 
@@ -14,6 +23,12 @@ DESCENDANTS = """
 [doa: {abraham}].
 [doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].
 [names: {Y}] :- [family: {[name: Y]}].
+"""
+
+ANCESTORS = """
+[parent: {[of: a, is: b], [of: b, is: c]}].
+[anc: {[of: X, is: Y]}] :- [parent: {[of: X, is: Y]}].
+[anc: {[of: X, is: Z]}] :- [anc: {[of: X, is: Y]}, parent: {[of: Y, is: Z]}].
 """
 
 
@@ -42,6 +57,30 @@ class TestProgramExplain:
         text = program.explain(parse_formula("[doa: X]"))
         assert "query plan:" in text
         assert "[doa: X]" in text
+
+    def test_rule_section_renders_the_engines_own_plans(self):
+        # Example 4.5 over a generated family tree.
+        program = Program.from_source(DESCENDANTS, database=make_genealogy(3, 2).family_object)
+        engine = SemiNaiveEngine(program.rules)
+        expected = render_program_plan(engine.graph.strata(), engine.plan(program.seed()))
+        assert program.explain(analyze=False) == expected
+
+    def test_query_source_text_is_parsed(self):
+        program = Program.from_source(ANCESTORS)
+        text = program.explain("[anc: {[of: a, is: W]}]", analyze=False)
+        assert text == program.explain(parse_formula("[anc: {[of: a, is: W]}]"), analyze=False)
+        assert "query plan: [anc: {[is: W, of: a]}]" in text
+        assert "pruned" not in text
+        # Planned and run against the closure, where the query has its 2 rows.
+        assert text.endswith("=> 2 substitutions (actual)")
+
+    def test_query_section_is_the_sessions_explain_on_the_closure(self):
+        program = Program.from_source(ANCESTORS)
+        text = program.explain("[anc: {[of: a, is: W]}]", analyze=False)
+        session_text = Session.over_program(program).explain(
+            "[anc: {[of: a, is: W]}]", on_closure=True
+        )
+        assert text.endswith("\n" + session_text)
 
     def test_explain_forwards_guards(self):
         import pytest

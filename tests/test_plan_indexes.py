@@ -1,10 +1,10 @@
-"""Unit tests for match indexes (repro.engine.indexes)."""
+"""Unit tests for match indexes (repro.plan.indexes)."""
 
 from repro import parse_object, parse_rule
 from repro.calculus.terms import Constant, formula, var
 from repro.core.objects import Atom, BOTTOM, TOP, SetObject, TupleObject
-from repro.engine.indexes import IndexStore, MatchIndex, TargetIndexes, element_keys
-from repro.store.paths import Path
+from repro.plan.indexes import IndexStore, MatchIndex, TargetIndexes, element_keys
+from repro.core.paths import Path
 
 
 class TestElementKeys:

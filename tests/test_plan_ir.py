@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import parse_formula, parse_object, parse_rule
-from repro.store.paths import Path
+from repro import parse_formula, parse_object
+from repro.core.paths import Path
 from repro.plan import (
     BindLeaf,
     BodyPlan,
@@ -12,8 +12,6 @@ from repro.plan import (
     DatabaseStatistics,
     ScanLeaf,
     compile_body,
-    compile_program,
-    compile_rule,
     estimate_leaf,
     leaf_key,
     optimize_body,
@@ -61,19 +59,6 @@ class TestCompileBody:
     def test_compilation_is_cached_on_the_formula(self):
         body = parse_formula("[r1: {[a: X]}]")
         assert compile_body(body) is compile_body(body)
-
-    def test_compile_rule_and_program(self):
-        fact = parse_rule("[doa: {abraham}].")
-        rule = parse_rule(
-            "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]"
-        )
-        assert compile_rule(fact).body_plan is None
-        node = compile_rule(rule)
-        assert node.body_plan is not None and len(node.body_plan.leaves) == 2
-        program = compile_program([rule])
-        assert len(program.strata) == 1
-        assert program.strata[0].recursive
-        assert program.rule_nodes()[0].rule == rule
 
 
 class TestStatistics:

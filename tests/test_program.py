@@ -1,4 +1,4 @@
-"""Unit tests for the Program facade (repro.calculus.program)."""
+"""Unit tests for the Program facade (repro.program)."""
 
 import pytest
 

@@ -26,6 +26,9 @@ class TestCurrentTreeIsClean:
     def test_store_planning(self):
         assert check_invariants.check_store_planning() == []
 
+    def test_layering(self):
+        assert check_invariants.check_layering() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -35,6 +38,7 @@ class TestCurrentTreeIsClean:
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "invariant raw-constructors: ok" in completed.stdout
+        assert "invariant layering: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -57,7 +61,7 @@ class TestStorePlanningInvariant:
             "from repro.plan.ir import ScanLeaf\n"
             "import repro.plan.ir\n"
             "from repro.planets import compile_body\n"
-            "from repro.store.paths import Path\n"
+            "from repro.core.paths import Path\n"
         )
         (tmp_path / "planner.py").write_text(
             "from repro.plan import ScanLeaf, compile_body\n"
@@ -73,3 +77,50 @@ class TestStorePlanningInvariant:
         assert "repro.plan.compile_body" in violations[1]
         assert "repro.plan.optimize" in violations[4]
         assert all("clean.py" not in violation for violation in violations)
+
+
+def _package(tmp_path, files):
+    """A throwaway ``repro`` package tree holding ``files`` (path → source)."""
+    root = tmp_path / "repro"
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    for directory in [root, *(path for path in root.rglob("*") if path.is_dir())]:
+        (directory / "__init__.py").touch()
+    return root
+
+
+class TestLayeringInvariant:
+    def test_a_module_level_upward_import_is_flagged(self, tmp_path):
+        root = _package(tmp_path, {
+            "plan/compile.py": "from repro.engine.indexes import element_keys\n",
+            "engine/indexes.py": "",
+        })
+        [violation] = check_invariants.check_layering(root)
+        assert "plan/compile.py:1:" in violation
+        assert "imports repro.engine.indexes" in violation
+
+    def test_a_deferred_upward_import_is_flagged(self, tmp_path):
+        root = _package(tmp_path, {
+            "calculus/program.py": (
+                "def evaluate(rules):\n"
+                "    from repro.engine import SemiNaiveEngine\n"
+                "    return SemiNaiveEngine(rules)\n"
+            ),
+            "engine/__init__.py": "",
+        })
+        [violation] = check_invariants.check_layering(root)
+        assert "calculus/program.py:2:" in violation
+        assert "imports repro.engine" in violation
+
+    def test_same_layer_and_downward_imports_pass(self, tmp_path):
+        root = _package(tmp_path, {
+            "api.py": "from repro.core.paths import Path\n",
+            "program.py": "from repro.api import Session\nfrom repro.plan import ir\n",
+            "plan/execute.py": "from .ir import BodyPlan\nfrom repro.plan.stats import EngineStats\n",
+            "plan/ir.py": "",
+            "plan/stats.py": "",
+            "core/paths.py": "",
+        })
+        assert check_invariants.check_layering(root) == []

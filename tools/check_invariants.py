@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Five invariants that matter for correctness but that no unit test can pin
+Six invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -47,6 +47,18 @@ Five invariants that matter for correctness but that no unit test can pin
     names of the IR module, ``repro.plan.ir`` — at module level or deferred
     inside a function.
 
+``layering``
+    The package graph is the pipeline: every module of ``src/repro/``
+    belongs to one layer of :data:`LAYERS` and imports only from its own
+    layer or an earlier one — at module level or deferred inside a
+    function, so no deferred import can hide a cycle.  The order is
+    ``core`` → ``obs`` / ``fault`` (injection, deadline) → ``calculus`` →
+    ``parser`` → ``plan`` → ``lint`` → ``engine`` → ``schema`` → ``store``
+    → ``api`` + ``program`` → ``cli`` / ``fault.sweep`` / ``__main__`` /
+    ``repro/__init__``.  The :data:`LEAVES` (``relational``, ``datalog``,
+    ``algebra``, ``workloads``) may import anything, and only the top layer
+    may import them.  There is no pragma.
+
 Run from the repository root::
 
     python tools/check_invariants.py
@@ -62,7 +74,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -374,6 +386,111 @@ def check_store_planning(store_root: Path = SRC_ROOT / "store") -> List[str]:
     return violations
 
 
+# -- invariant 6: imports run down the layer order --------------------------------------
+
+#: The pipeline, bottom first: module-name prefixes below ``repro.`` per
+#: layer.  The longest matching prefix decides (``fault.sweep`` sits at the
+#: top, the rest of ``fault`` beside ``obs``); ``""`` is ``repro/__init__``.
+LAYERS: Tuple[Tuple[str, ...], ...] = (
+    ("core",),
+    ("obs", "fault"),
+    ("calculus",),
+    ("parser",),
+    ("plan",),
+    ("lint",),
+    ("engine",),
+    ("schema",),
+    ("store",),
+    ("api", "program"),
+    ("cli", "fault.sweep", "__main__", ""),
+)
+
+#: Packages outside the line: they may import any layer, and only the top
+#: layer may import them.
+LEAVES = frozenset({"relational", "datalog", "algebra", "workloads"})
+
+_TOP = len(LAYERS) - 1
+_LEAF = -1
+
+
+def _module_name(path: Path, package_root: Path) -> str:
+    """``repro.plan.ir`` for ``<root>/plan/ir.py``, ``repro`` for the root package."""
+    parts = list(path.relative_to(package_root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join([package_root.name, *parts])
+
+
+def _layer(module: str, package: str) -> Optional[int]:
+    """The layer index of ``module``, :data:`_LEAF` for a leaf, ``None`` if unplaced."""
+    local = module[len(package) + 1:] if module != package else ""
+    if local.split(".")[0] in LEAVES:
+        return _LEAF
+    best: Optional[Tuple[int, int]] = None
+    for index, prefixes in enumerate(LAYERS):
+        for prefix in prefixes:
+            matches = local == prefix or (prefix != "" and local.startswith(prefix + "."))
+            if matches and (best is None or len(prefix) > best[0]):
+                best = (len(prefix), index)
+    return None if best is None else best[1]
+
+
+def _imported_modules(node: ast.AST, module: str, is_package: bool, root: Path) -> List[str]:
+    """The ``repro`` modules one import statement loads (``from pkg import mod`` → ``pkg.mod``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        anchor = module.split(".")
+        if not is_package:
+            anchor = anchor[:-1]
+        anchor = anchor[: len(anchor) - node.level + 1]
+        base = ".".join(anchor + ([base] if base else []))
+    found = []
+    for alias in node.names:
+        candidate = root.parent.joinpath(*f"{base}.{alias.name}".split("."))
+        is_module = candidate.with_suffix(".py").is_file() or (candidate / "__init__.py").is_file()
+        found.append(f"{base}.{alias.name}" if is_module else base)
+    return list(dict.fromkeys(found))
+
+
+def check_layering(package_root: Path = SRC_ROOT) -> List[str]:
+    package = package_root.name
+    violations: List[str] = []
+    for path in _python_sources(package_root):
+        module = _module_name(path, package_root)
+        layer = _layer(module, package)
+        if layer is None:
+            violations.append(
+                f"{_relative(path)}:1: {module} belongs to no layer — add it to"
+                f" LAYERS or LEAVES in tools/check_invariants.py"
+            )
+            continue
+        if layer == _LEAF:
+            continue
+        tree, _ = _parse(path)
+        for node in ast.walk(tree):
+            imported = _imported_modules(node, module, path.name == "__init__.py", package_root)
+            for target in imported:
+                if target != package and not target.startswith(package + "."):
+                    continue
+                target_layer = _layer(target, package)
+                if target_layer is None:
+                    continue  # reported once, at the unplaced module itself
+                if target_layer == _LEAF and layer != _TOP:
+                    why = "a leaf only the top layer may import (see LEAVES)"
+                elif target_layer != _LEAF and target_layer > layer:
+                    why = "which comes later in the layer order (see LAYERS)"
+                else:
+                    continue
+                violations.append(
+                    f"{_relative(path)}:{node.lineno}: {module} imports {target}, {why}"
+                )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -384,6 +501,7 @@ def main() -> int:
         ("diagnostic-codes", check_diagnostic_codes),
         ("lock-discipline", check_lock_discipline),
         ("store-planning", check_store_planning),
+        ("layering", check_layering),
     )
     failures = 0
     for name, check in checks:
