@@ -8,8 +8,9 @@ binding.  This walkthrough shows the knobs and the instrumentation:
 1. the executor vs its oracle — on a source-ordered plan ``match_plan``
    returns the very list ``repro.calculus.matching.match_all``
    (Definition 4.2, read literally) does, order included;
-2. the compiled-leaf cache — hot leaf predicates compile to closures once
-   per formula (``compile_element_matcher.cache_info()`` shows reuse across
+2. the compiled-leaf cache — every scan leaf's element formula, nested sets
+   included, compiles to one matcher closure once per formula
+   (``compile_element_matcher.cache_info()`` shows reuse across
    prepared-query re-executions);
 3. ``batch_size`` tuning — streaming cursors ramp chunk sizes 1, 2, 4, …
    up to ``batch_size``, trading first-row latency against bulk throughput;

@@ -10,15 +10,16 @@ in :mod:`repro.plan.ir`:
 * a spine variable becomes a :class:`BindLeaf`, a spine constant a
   :class:`ConstLeaf`, an empty tuple/set formula a :class:`CheckLeaf`.
 
-Everything *below* a set element belongs to the witness and is matched
-recursively by the executor, exactly as the baseline matcher does.
+Everything *below* a set element belongs to the witness and is matched by
+the closure :func:`compile_element_matcher` builds for that element — the
+one witness matcher, with :mod:`repro.calculus.matching` as its oracle.
 Compilation is pure and cached on the (immutable, hashable) formula.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.calculus.terms import (
     Constant,
@@ -28,8 +29,9 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
+from repro.core.errors import ParameterError
 from repro.core.lattice import intersection
-from repro.core.objects import TOP, Atom, TupleObject
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
 from repro.plan.indexes import element_keys
@@ -44,167 +46,269 @@ __all__ = [
 
 _ROOT = Path(())
 
-#: The shared "matches, binds nothing" answer of compiled predicates.
-#: Returned dicts are read-only by contract — callers copy before merging.
-_NO_BINDINGS: dict = {}
-
 
 @lru_cache(maxsize=4096)  # cached per element formula, shared across plans
 def compile_element_matcher(element: Formula):
-    """Compile one scan-leaf element formula into a closure, or ``None``.
+    """Compile one scan-leaf element formula into ``(layout, match)``.
 
-    The closure takes a single witness object and returns its derivation-
-    maximal binding as a plain dict (``None`` for a non-match) — byte-for-byte
-    the answer ``_Executor._match_witness`` computes by interpretation, for
-    the formula shapes where that answer is always zero-or-one substitutions:
+    ``match(witness, out)`` appends to ``out`` one value row per
+    derivation-maximal substitution of ``element`` against ``witness`` —
+    exactly the substitutions ``repro.calculus.matching._match`` enumerates,
+    in its order, duplicates and ⊥ bindings included (the executor's strict
+    filter drops those).  Every row is aligned to ``layout``: the element's
+    variables in first-occurrence walk order.
 
     * a :class:`Variable` binds the witness;
     * a :class:`Constant` is a subobject test (identity fast path first,
       since interned equal objects are identical);
-    * a :class:`TupleFormula` whose children all compile merges the child
-      bindings, intersecting (lattice glb) on repeated variables.
+    * a :class:`TupleFormula` is the running product of its attributes'
+      alternatives, a :class:`SetFormula` that of its elements' alternatives
+      over the witness's elements (or their vanish row when there are none);
+      shared variables meet through :func:`_merge_rows`.  A flat tuple of
+      distinct variables and constants takes :func:`_compile_flat_tuple`;
+    * a ⊤ witness gives one all-⊤ row at every level;
+    * a :class:`Parameter` raises :class:`ParameterError`: bind it first.
 
-    :class:`SetFormula` elements (nested alternative structure — genuinely
-    multi-valued) and :class:`Parameter` elements (must be bound before
-    execution) return ``None``: the executor falls back to interpretation.
-
-    ⊤ witnesses short-circuit at every level to the subtree's variables all
-    bound to ⊤, mirroring the interpreter's dominance rule.  The cache is
-    keyed on the (interned, hashable) formula, so prepared-plan re-execution
-    pays zero recompilation; ``compile_element_matcher.cache_info()`` exposes
-    the hit counts.
+    The cache is keyed on the formula, so prepared-plan re-execution pays
+    zero recompilation; ``compile_element_matcher.cache_info()`` exposes the
+    hit counts.  Formula equality ignores set-element order, so two spellings
+    of one set formula share the first one's enumeration order, as they share
+    one :func:`compile_body` plan.
     """
+    return _compile(element)
+
+
+def _compile(element: Formula):
     if isinstance(element, Variable):
-        name = element.name
-
-        def match_variable(witness, _name=name):
-            return {_name: witness}
-
-        return match_variable
+        return (element.name,), _match_variable
     if isinstance(element, Constant):
         value = element.value
 
-        def match_constant(witness, _value=value):
+        def match_constant(witness, out, _value=value):
             if _value is witness or is_subobject(_value, witness):
-                return _NO_BINDINGS
-            return None
+                out.append(())
 
-        return match_constant
+        return (), match_constant
     if isinstance(element, TupleFormula):
         flat = _compile_flat_tuple(element)
         if flat is not None:
             return flat
-        children = []
-        for name, child in element.items():
-            child_matcher = compile_element_matcher(child)
-            if child_matcher is None:
-                return None
-            children.append((name, child_matcher))
-        matchers = tuple(children)
-        # ⊤ bindings in first-occurrence walk order — the same insertion
-        # order the child-merge path below produces — so every binding dict
-        # a matcher emits for one formula shares one layout (the columnar
-        # executor keys merge plans on it).
-        top_bindings = {name: TOP for name in _ordered_variables(element)}
+        return _compile_product(element.items(), TupleObject)
+    if isinstance(element, SetFormula):
+        return _compile_product([(None, child) for child in element.elements], SetObject)
+    if isinstance(element, Parameter):
+        raise ParameterError(
+            f"cannot execute a plan with unbound parameter ${element.name};"
+            " bind it first (repro.plan.parameters.bind_body_plan)"
+        )
+    raise TypeError(f"not a formula: {element!r}")
 
-        def match_tuple(witness, _matchers=matchers, _top=top_bindings):
-            if witness is TOP:
-                return _top
-            if not isinstance(witness, TupleObject):
-                return None
-            bindings = None
-            for name, matcher in _matchers:
-                child_bindings = matcher(witness.get(name))
-                if child_bindings is None:
-                    return None
-                if child_bindings:
-                    if bindings is None:
-                        bindings = dict(child_bindings)
-                    else:
-                        for var, value in child_bindings.items():
-                            existing = bindings.get(var)
-                            if existing is None:
-                                bindings[var] = value
-                            elif existing is not value:
-                                bindings[var] = intersection(existing, value)
-            return bindings if bindings is not None else _NO_BINDINGS
 
-        return match_tuple
+def _match_variable(witness, out):
+    out.append((witness,))
+
+
+def _compile_product(children, kind):
+    """Meet the children's alternatives left to right, partials outer.
+
+    ``children`` are ``(attribute, formula)`` pairs of a tuple formula, or
+    ``(None, formula)`` for the elements of a set formula, whose alternatives
+    range over every element of the witness, else take the vanish row —
+    ``matching._set_element_alternatives``.  The merge plans are fixed here,
+    so a match is the running product of ``matching._match`` row for row.
+    """
+    layout: Tuple[str, ...] = ()
+    steps = []
+    for name, child in children:
+        child_layout, match = _compile(child)
+        layout, new_indices, overlap = _merge_plan(layout, child_layout)
+        steps.append((name, match, _vanish_row(child), new_indices, overlap))
+
+    def match_product(witness, out, _steps=tuple(steps), _top=(TOP,) * len(layout)):
+        if witness is TOP:
+            out.append(_top)
+            return
+        if not isinstance(witness, kind):
+            return
+        partials = [()]
+        for name, match, vanish, new_indices, overlap in _steps:
+            alternatives: List[tuple] = []
+            if name is not None:
+                match(witness.get(name), alternatives)
+            else:
+                for element in witness.elements:
+                    match(element, alternatives)
+                if not alternatives and vanish is not None:
+                    alternatives.append(vanish)
+            if not alternatives:
+                return
+            merged: List[tuple] = []
+            _merge_rows(partials, alternatives, new_indices, overlap, False, merged)
+            partials = merged
+        out.extend(partials)
+
+    return layout, match_product
+
+
+def _vanish_row(element: Formula) -> Optional[tuple]:
+    """The row of an element formula that vanishes from a witness-less set.
+
+    A bare variable binds ⊥, the ⊥ constant binds nothing; any other element
+    formula cannot vanish (``None``).
+    """
+    if isinstance(element, Variable):
+        return (BOTTOM,)
+    if isinstance(element, Constant) and element.value is BOTTOM:
+        return ()
     return None
 
 
-def _ordered_variables(element: Formula):
-    """Variable names of ``element`` in first-occurrence depth-first order.
-
-    ``Formula.variables()`` returns an unordered set; compiled matchers need
-    the deterministic walk order their binding dicts are built in, so that the
-    ⊤ short-circuit produces the same dict layout as a regular match.
-    """
-    ordered: List[str] = []
-    seen = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Variable):
-            if node.name not in seen:
-                seen.add(node.name)
-                ordered.append(node.name)
-        elif isinstance(node, TupleFormula):
-            for _, child in node.items():
-                walk(child)
-        elif isinstance(node, SetFormula):
-            for child in node.elements:
-                walk(child)
-
-    walk(element)
-    return ordered
-
-
 def _compile_flat_tuple(element: TupleFormula):
-    """The dominant relational shape, specialised: one dict build per witness.
+    """The dominant relational shape, specialised: one row build per witness.
 
     A depth-1 tuple of distinct variables and ground constants — e.g.
-    ``[src: X, dst: Y]`` or ``[z: Z, tag: t0]`` — needs no per-child binding
-    dicts and no merge loop: run the constant subobject checks, then build
-    the variable bindings in a single comprehension.  Repeated variables or
-    nested structure fall back to the generic compiled walk (``None`` here).
+    ``[src: X, dst: Y]`` or ``[z: Z, tag: t0]`` — has at most one match and
+    needs no product: run the constant subobject checks, then read the
+    variables' attributes into one row.  Repeated variables or nested
+    structure take the general product (``None`` here).
     """
     checks = []
-    binds = []
-    seen_names = set()
+    attributes = []
+    layout: List[str] = []
     for name, child in element.items():
         if isinstance(child, Variable):
-            if child.name in seen_names:
+            if child.name in layout:
                 return None
-            seen_names.add(child.name)
-            binds.append((name, child.name))
+            layout.append(child.name)
+            attributes.append(name)
         elif isinstance(child, Constant):
             checks.append((name, child.value))
         else:
             return None
-    constant_checks = tuple(checks)
-    variable_binds = tuple(binds)
-    top_bindings = {variable: TOP for _, variable in variable_binds}
 
     def match_flat(
         witness,
-        _checks=constant_checks,
-        _binds=variable_binds,
-        _top=top_bindings,
+        out,
+        _checks=tuple(checks),
+        _attributes=tuple(attributes),
+        _top=(TOP,) * len(layout),
     ):
         if witness is TOP:
-            return _top
+            out.append(_top)
+            return
         if not isinstance(witness, TupleObject):
-            return None
+            return
         get = witness.get
         for attribute, value in _checks:
             found = get(attribute)
             if value is not found and not is_subobject(value, found):
-                return None
-        if not _binds:
-            return _NO_BINDINGS
-        return {variable: get(attribute) for attribute, variable in _binds}
+                return
+        # Built at its exact size: tuple(map(...)) allocates ten slots and
+        # shrinks them, which counts every row toward the next garbage
+        # collection (twice the collections on a wide scan).
+        out.append(tuple(list(map(get, _attributes))))
 
-    return match_flat
+    return tuple(layout), match_flat
+
+
+def _merge_plan(
+    partial_layout: Tuple[str, ...], alt_layout: Tuple[str, ...]
+) -> tuple:
+    """How to meet rows of ``partial_layout`` with rows of ``alt_layout``.
+
+    Returns ``(merged_layout, new_indices, overlap)``: alternative columns
+    not yet in the partial layout are appended (``new_indices``, in
+    alternative order, so a disjoint merge is a plain tuple concat);
+    ``overlap`` pairs each shared variable's partial column with its
+    alternative column for the per-row meet.  Layouts are fixed when an
+    element compiles, so a plan is computed once per pipeline position.
+    """
+    positions = {name: index for index, name in enumerate(partial_layout)}
+    new_indices: List[int] = []
+    overlap: List[Tuple[int, int]] = []
+    for alt_index, name in enumerate(alt_layout):
+        partial_index = positions.get(name)
+        if partial_index is None:
+            new_indices.append(alt_index)
+        else:
+            overlap.append((partial_index, alt_index))
+    merged_layout = partial_layout + tuple(
+        alt_layout[index] for index in new_indices
+    )
+    return merged_layout, tuple(new_indices), tuple(overlap)
+
+
+def _merge_row(
+    prow: tuple, arow: tuple, new_indices, overlap, drop: bool
+) -> Optional[tuple]:
+    """Meet one partial row with one alternative row (shared columns glb).
+
+    The row-level mirror of :meth:`Substitution.meet`: on interned objects
+    equal bindings are identical, so the common agreeing-occurrences case is
+    an ``is`` check per shared column and a tuple concat; a disagreeing
+    column rebuilds the row with the lattice meet.
+
+    ``drop`` is the executor's strict-semantics early filter
+    (``allow_bottom=False``): a ⊥ binding can never recover — every later
+    meet of ⊥ stays ⊥ — so a row whose shared column meets to ⊥ is returned
+    as ``None`` here instead of being carried to the finalizer.  Distinct
+    atoms always meet to ⊥, which turns the dominant mismatched-join-key case
+    into two type checks.  Matching inside a witness passes ``False``.
+    """
+    for partial_index, alt_index in overlap:
+        existing = prow[partial_index]
+        value = arow[alt_index]
+        if existing is not value:
+            if drop and type(existing) is Atom and type(value) is Atom:
+                return None
+            merged = list(prow)
+            for partial_index, alt_index in overlap:
+                value = arow[alt_index]
+                existing = merged[partial_index]
+                if existing is not value:
+                    met = intersection(existing, value)
+                    if drop and met is BOTTOM:
+                        return None
+                    merged[partial_index] = met
+            merged.extend(arow[index] for index in new_indices)
+            return tuple(merged)
+    if not new_indices:
+        return prow
+    if len(new_indices) == 1:
+        return prow + (arow[new_indices[0]],)
+    return prow + tuple([arow[index] for index in new_indices])
+
+
+def _merge_rows(
+    partials: List[tuple], alternatives: List[tuple], new_indices, overlap,
+    drop: bool, out: List[tuple],
+) -> None:
+    """Cross-merge partial rows with a shared alternatives list into ``out``.
+
+    Partials outer, alternatives inner — the enumeration order of
+    ``matching._match`` (dropped ⊥ rows leave the survivors' relative order
+    untouched).  Disjoint layouts (no shared variables — the seed batch,
+    chained leaves over fresh variables, a product's first child) reduce to
+    C-level tuple concats.  The executor's operators and the compiled
+    products inside a witness both meet rows here.
+    """
+    if not overlap:
+        if len(alternatives) == 1:
+            arow = alternatives[0]
+            if arow:
+                out.extend([prow + arow for prow in partials])
+            else:
+                out.extend(partials)
+            return
+        for prow in partials:
+            out.extend([prow + arow for arow in alternatives])
+        return
+    append = out.append
+    for prow in partials:
+        for arow in alternatives:
+            merged = _merge_row(prow, arow, new_indices, overlap, drop)
+            if merged is not None:
+                append(merged)
 
 
 def split_element_keys(element: Formula):

@@ -25,9 +25,13 @@ it adds:
   witness list (the semi-naive frontier), identified by its
   ``(path, element_index)`` position exactly as in :mod:`repro.engine.delta`.
 
+Below a scan leaf the executor matches nothing itself: each candidate
+witness is one call of the element's compiled matcher
+(:func:`repro.plan.compile.compile_element_matcher`), nested sets included.
+
 Runtime shape anomalies — ⊤ on the spine, a tuple formula over a non-tuple
 value — collapse the affected subtree into a single constant-alternative
-leaf, reproducing the recursive matcher's behaviour for those cases.
+leaf, reproducing the oracle's behaviour for those cases.
 """
 
 from __future__ import annotations
@@ -44,20 +48,19 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.core.errors import ComplexObjectError, ParameterError
-from repro.core.lattice import intersection, union_all
-from repro.core.objects import (
-    BOTTOM,
-    TOP,
-    Atom,
-    ComplexObject,
-    SetObject,
-    TupleObject,
-)
+from repro.core.errors import ParameterError
+from repro.core.lattice import union_all
+from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
 from repro.obs.metrics import REGISTRY, ROWS_PER_BATCH_BUCKETS
-from repro.plan.compile import compile_element_matcher
+from repro.plan.compile import (
+    _merge_plan,
+    _merge_row,
+    _merge_rows,
+    _vanish_row,
+    compile_element_matcher,
+)
 from repro.plan.ir import BodyPlan, ScanLeaf, leaf_key
 from repro.plan.stats import EngineStats
 
@@ -69,7 +72,6 @@ __all__ = [
 ]
 
 _ROOT = Path(())
-_EMPTY = Substitution()
 
 #: Streaming chunk-size cap: expansion ramps 1, 2, 4, ... up to this, so the
 #: first row still walks one alternative per leaf while a draining consumer
@@ -239,24 +241,6 @@ def interpret_plan(
     return union_all(instantiations)
 
 
-class _LayoutMismatch(ComplexObjectError):
-    """One leaf instance produced two different binding layouts.
-
-    Layouts are formula-determined (every alternative of one element formula
-    binds the same variables in the same deterministic order — compiled
-    matchers build their dicts in walk order, interpreted matches in sorted
-    order), so this is a broken-invariant signal, not a reachable state: it
-    propagates to the caller of :func:`match_plan` / :func:`iter_match_plan`
-    rather than letting columns mis-align.
-    """
-
-    def __init__(self, leaf: str, expected: Tuple[str, ...], got: Tuple[str, ...]):
-        super().__init__(
-            f"internal error: leaf {leaf} bound {got} where its other"
-            f" alternatives bound {expected}"
-        )
-
-
 class _RowFinalizer:
     """Deduplicate final value rows into Substitutions, first-wins order.
 
@@ -309,103 +293,6 @@ def _finalize_rows(
     return results
 
 
-def _merge_plan(
-    partial_layout: Tuple[str, ...], alt_layout: Tuple[str, ...]
-) -> tuple:
-    """How to meet rows of ``partial_layout`` with rows of ``alt_layout``.
-
-    Returns ``(merged_layout, new_indices, overlap)``: alternative columns
-    not yet in the partial layout are appended (``new_indices``, in
-    alternative order, so a disjoint merge is a plain tuple concat);
-    ``overlap`` pairs each shared variable's partial column with its
-    alternative column for the per-row meet.  Computed once per (instance,
-    input layout) — layouts are constant across a run's batches.
-    """
-    positions = {name: index for index, name in enumerate(partial_layout)}
-    new_indices: List[int] = []
-    overlap: List[Tuple[int, int]] = []
-    for alt_index, name in enumerate(alt_layout):
-        partial_index = positions.get(name)
-        if partial_index is None:
-            new_indices.append(alt_index)
-        else:
-            overlap.append((partial_index, alt_index))
-    merged_layout = partial_layout + tuple(
-        alt_layout[index] for index in new_indices
-    )
-    return merged_layout, tuple(new_indices), tuple(overlap)
-
-
-def _merge_row(
-    prow: tuple, arow: tuple, new_indices, overlap, drop: bool
-) -> Optional[tuple]:
-    """Meet one partial row with one alternative row (shared columns glb).
-
-    The row-level mirror of :meth:`Substitution.meet`: on interned objects
-    equal bindings are identical, so the common agreeing-occurrences case is
-    an ``is`` check per shared column and a tuple concat; a disagreeing
-    column rebuilds the row with the lattice meet.
-
-    ``drop`` is the strict-semantics early filter (``allow_bottom=False``):
-    a ⊥ binding can never recover — every later meet of ⊥ stays ⊥ — so a row
-    whose shared column meets to ⊥ is returned as ``None`` here instead of
-    being carried to the finalizer.  Distinct atoms always meet to ⊥, which
-    turns the dominant mismatched-join-key case into two type checks.
-    """
-    for partial_index, alt_index in overlap:
-        existing = prow[partial_index]
-        value = arow[alt_index]
-        if existing is not value:
-            if drop and type(existing) is Atom and type(value) is Atom:
-                return None
-            merged = list(prow)
-            for partial_index, alt_index in overlap:
-                value = arow[alt_index]
-                existing = merged[partial_index]
-                if existing is not value:
-                    met = intersection(existing, value)
-                    if drop and met is BOTTOM:
-                        return None
-                    merged[partial_index] = met
-            merged.extend(arow[index] for index in new_indices)
-            return tuple(merged)
-    if not new_indices:
-        return prow
-    if len(new_indices) == 1:
-        return prow + (arow[new_indices[0]],)
-    return prow + tuple([arow[index] for index in new_indices])
-
-
-def _merge_rows(
-    partials: List[tuple], alternatives: List[tuple], new_indices, overlap,
-    drop: bool, out: List[tuple],
-) -> None:
-    """Cross-merge a batch with a shared alternatives list.
-
-    Partials outer, alternatives inner — the enumeration order of
-    ``match_all`` (dropped ⊥ rows leave the survivors' relative order
-    untouched).  Disjoint layouts (no shared variables — the seed batch,
-    chained leaves over fresh variables) reduce to C-level tuple concats.
-    """
-    if not overlap:
-        if len(alternatives) == 1:
-            arow = alternatives[0]
-            if arow:
-                out.extend([prow + arow for prow in partials])
-            else:
-                out.extend(partials)
-            return
-        for prow in partials:
-            out.extend([prow + arow for arow in alternatives])
-        return
-    append = out.append
-    for prow in partials:
-        for arow in alternatives:
-            merged = _merge_row(prow, arow, new_indices, overlap, drop)
-            if merged is not None:
-                append(merged)
-
-
 def _timeout_explain(plan: BodyPlan, progress) -> str:
     """The partial EXPLAIN attached to a :class:`QueryTimeout`.
 
@@ -419,17 +306,20 @@ def _timeout_explain(plan: BodyPlan, progress) -> str:
 
 
 class _Instance:
-    """One runtime leaf: either fixed alternatives or a scan with witnesses."""
+    """One runtime leaf: either fixed ``(layout, rows)`` or a scan with witnesses."""
 
-    __slots__ = ("rank", "order", "spec", "witnesses", "restricted", "alternatives")
+    __slots__ = ("rank", "order", "spec", "witnesses", "restricted", "layout", "rows")
 
-    def __init__(self, rank, order, spec=None, witnesses=None, restricted=False, alternatives=None):
+    def __init__(
+        self, rank, order, spec=None, witnesses=None, restricted=False, layout=(), rows=None
+    ):
         self.rank = rank
         self.order = order
         self.spec = spec
         self.witnesses = witnesses
         self.restricted = restricted
-        self.alternatives = alternatives
+        self.layout = layout
+        self.rows = rows
 
 
 class _ScanState:
@@ -441,16 +331,18 @@ class _ScanState:
 
     __slots__ = (
         "matcher",
+        "merge",
         "key_positions",
         "single_position",
         "probe_cache",
         "base_rows",
-        "alt_layout",
-        "merge",
     )
 
-    def __init__(self):
-        self.matcher = None
+    def __init__(self, matcher, merge):
+        #: The leaf's ``match(witness, out)`` (:func:`compile_element_matcher`).
+        self.matcher = matcher
+        #: :func:`_merge_plan` of (input layout, the matcher's layout).
+        self.merge = merge
         #: (key path, partial-layout column) for each *bound* dynamic key.
         self.key_positions: Tuple[Tuple[object, int], ...] = ()
         self.single_position: Optional[int] = None
@@ -459,10 +351,6 @@ class _ScanState:
         #: Matched rows every partial shares: over the static probe's hits,
         #: else (lazily; also the dynamic-probe fallback) the full witness list.
         self.base_rows: Optional[List[tuple]] = None
-        #: The one binding layout every alternatives list of this leaf has.
-        self.alt_layout: Optional[Tuple[str, ...]] = None
-        #: Cached :func:`_merge_plan` of (input layout, alt layout).
-        self.merge: Optional[tuple] = None
 
 
 class _Executor:
@@ -470,22 +358,19 @@ class _Executor:
 
     A batch is ``(layout, rows)``: one names tuple plus plain value tuples,
     one per partial substitution, aligned to it.  The layout is a property of
-    the *pipeline position*, not the row — every alternative of one element
-    formula binds the same variables in the same deterministic order
-    (compiled matchers build dicts in formula walk order, interpreted matches
-    in sorted order, ⊤ short-circuits in the same order as regular matches) —
-    so each operator computes one :func:`_merge_plan` and then meets rows
-    with C-level tuple concats plus an ``is`` check per shared column.
+    the *pipeline position*, not the row — an element formula's layout is
+    fixed when it compiles — so each operator computes one
+    :func:`_merge_plan` and then meets rows with C-level tuple concats plus
+    an ``is`` check per shared column.
 
     * each leaf's witnesses are matched **once per batch** and the resulting
       rows shared across partials; dynamic index probes are cached per
       distinct bound key value (identity-keyed — interning made ``==`` an
       ``is``), so a frontier binding the same join key a thousand times pays
       one probe and one witness-match pass;
-    * leaf predicates compiled by
-      :func:`repro.plan.compile.compile_element_matcher` answer witness
-      tests as single closure calls; non-compilable elements (nested sets,
-      parameters) fall back to the interpreted matcher;
+    * every scan leaf's element formula, nested sets included, is compiled
+      by :func:`repro.plan.compile.compile_element_matcher`: one closure
+      call per witness appends that witness's rows;
     * deadlines are checked once per operator batch, not once per tuple;
     * final rows materialise into :class:`Substitution` objects only after
       identity-keyed dedup (:class:`_RowFinalizer`).
@@ -656,15 +541,10 @@ class _Executor:
         """Collect runtime leaf instances; ``False`` means a definite non-match."""
         if target is TOP:
             # ⊤ dominates every instantiation: the whole subtree contributes a
-            # single alternative binding its variables to ⊤.
+            # single row binding its variables to ⊤.
+            names = tuple(sorted(node.variables()))
             out.append(
-                _Instance(
-                    rank=-1,
-                    order=len(out),
-                    alternatives=[
-                        Substitution({name: TOP for name in node.variables()})
-                    ],
-                )
+                _Instance(rank=-1, order=len(out), layout=names, rows=[(TOP,) * len(names)])
             )
             return True
         rank, _ = leaves.get((path.steps, -1), (-1, None))
@@ -705,18 +585,14 @@ class _Executor:
             return True
         if isinstance(node, Variable):
             out.append(
-                _Instance(
-                    rank=rank,
-                    order=len(out),
-                    alternatives=[Substitution({node.name: target})],
-                )
+                _Instance(rank=rank, order=len(out), layout=(node.name,), rows=[(target,)])
             )
             return True
         if isinstance(node, Constant):
             # Identity fast path first: interned constants hit their exact
             # witness by pointer comparison.
             if node.value is target or is_subobject(node.value, target):
-                out.append(_Instance(rank=rank, order=len(out), alternatives=[_EMPTY]))
+                out.append(_Instance(rank=rank, order=len(out), rows=[()]))
                 return True
             return False
         if isinstance(node, Parameter):
@@ -750,32 +626,13 @@ class _Executor:
         rows: List[tuple],
         state: Dict[object, object],
     ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """Meet a batch with a non-scan instance's fixed alternatives."""
-        entry = state.get(id(instance))
-        if entry is None:
-            alt_layout: Optional[Tuple[str, ...]] = None
-            alt_rows: List[tuple] = []
-            for substitution in instance.alternatives:
-                items = substitution.items()
-                names = tuple(pair[0] for pair in items)
-                if alt_layout is None:
-                    alt_layout = names
-                elif names != alt_layout:
-                    raise _LayoutMismatch(
-                        f"#{instance.order} (fixed alternatives)", alt_layout, names
-                    )
-                alt_rows.append(tuple(pair[1] for pair in items))
-            entry = [alt_layout if alt_layout is not None else (), alt_rows, None]
-            state[id(instance)] = entry
-        alt_layout, alt_rows, merge = entry
-        if not alt_rows:
-            return layout, []
+        """Meet a batch with a non-scan instance's fixed rows."""
+        merge = state.get(id(instance))
         if merge is None:
-            merge = _merge_plan(layout, alt_layout)
-            entry[2] = merge
+            merge = state[id(instance)] = _merge_plan(layout, instance.layout)
         merged_layout, new_indices, overlap = merge
         fresh: List[tuple] = []
-        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
+        _merge_rows(rows, instance.rows, new_indices, overlap, self.drop_bottom, fresh)
         return merged_layout, fresh
 
     def _scan_batch(
@@ -795,20 +652,20 @@ class _Executor:
         spec = instance.spec
         scan = state.get(id(instance))
         if scan is None:
-            scan = _ScanState()
+            alt_layout, matcher = compile_element_matcher(spec.element)
+            scan = _ScanState(matcher, _merge_plan(layout, alt_layout))
             static_keys, dynamic_keys = (), ()
             if self.indexes is not None and not instance.restricted:
                 static_keys = spec.static_keys
                 dynamic_keys = spec.dynamic_keys
-            scan.matcher = compile_element_matcher(spec.element)
             static_candidates = None
             if static_keys:
                 static_candidates = self._probe(
                     spec, static_keys, count_miss=not dynamic_keys
                 )
             if static_candidates is not None:
-                scan.alt_layout, scan.base_rows = self._vector_alternatives(
-                    spec.element, static_candidates, scan.matcher, None
+                scan.base_rows = self._vector_alternatives(
+                    spec.element, static_candidates, matcher
                 )
             elif dynamic_keys:
                 # A dynamic key is usable only once an earlier leaf bound its
@@ -823,15 +680,12 @@ class _Executor:
                     scan.single_position = positions[0][1]
             state[id(instance)] = scan
 
+        merged_layout, new_indices, overlap = scan.merge
+        fresh: List[tuple] = []
         if scan.key_positions:
             positions = scan.key_positions
             single = scan.single_position
             probe_cache = scan.probe_cache
-            merge = scan.merge
-            new_indices = overlap = None
-            if merge is not None:
-                _, new_indices, overlap = merge
-            fresh: List[tuple] = []
             for prow in rows:
                 # Interning made equality identity, so the probe cache keys
                 # on the bound values' ids — one probe and one witness-match
@@ -846,17 +700,12 @@ class _Executor:
                     if narrowed is None:
                         alt_rows = self._base_rows(instance, scan)
                     else:
-                        alt_layout, alt_rows = self._vector_alternatives(
-                            spec.element, narrowed, scan.matcher, scan.alt_layout
+                        alt_rows = self._vector_alternatives(
+                            spec.element, narrowed, scan.matcher
                         )
-                        if alt_rows and scan.alt_layout is None:
-                            scan.alt_layout = alt_layout
                     probe_cache[probe_key] = alt_rows
                 if not alt_rows:
                     continue
-                if merge is None:
-                    merge = scan.merge = _merge_plan(layout, scan.alt_layout)
-                    _, new_indices, overlap = merge
                 if not overlap:
                     fresh.extend([prow + arow for arow in alt_rows])
                 else:
@@ -867,17 +716,10 @@ class _Executor:
                         )
                         if merged_row is not None:
                             fresh.append(merged_row)
-            if merge is None:
-                return layout, []
-            return merge[0], fresh
+            return merged_layout, fresh
         alt_rows = self._base_rows(instance, scan)
-        if not alt_rows:
-            return layout, []
-        if scan.merge is None:
-            scan.merge = _merge_plan(layout, scan.alt_layout)
-        merged_layout, new_indices, overlap = scan.merge
-        fresh = []
-        _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
+        if alt_rows:
+            _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
         return merged_layout, fresh
 
     # -- index probes -------------------------------------------------------------------
@@ -930,136 +772,34 @@ class _Executor:
         if scan.base_rows is None:
             if self.record is not None:
                 self._note_access(instance.spec, len(instance.witnesses))
-            alt_layout, alt_rows = self._vector_alternatives(
-                instance.spec.element, instance.witnesses, scan.matcher,
-                scan.alt_layout,
+            scan.base_rows = self._vector_alternatives(
+                instance.spec.element, instance.witnesses, scan.matcher
             )
-            if alt_rows and scan.alt_layout is None:
-                scan.alt_layout = alt_layout
-            scan.base_rows = alt_rows
         return scan.base_rows
 
     def _vector_alternatives(
-        self, element: Formula, candidates, matcher, expected_layout
-    ) -> Tuple[Optional[Tuple[str, ...]], List[tuple]]:
-        """Match one element formula over a witness list, as (layout, rows).
+        self, element: Formula, candidates, matcher
+    ) -> List[tuple]:
+        """Match one element formula over a witness list: its alternative rows.
 
-        The columnar form of :meth:`_alternatives`, including the vanish
-        alternatives for empty candidate lists; compiled matchers answer one
-        closure call per witness, non-compilable elements fall back to the
-        interpreted matcher per witness.  Every row is checked against the
-        leaf's single layout — a mismatch raises :class:`_LayoutMismatch`.
+        One match attempt per candidate witness, each one closure call; an
+        empty answer takes the element's vanish row, as
+        ``matching._set_element_alternatives`` does.
         """
-        layout = expected_layout
+        count = len(candidates)
+        self.stats.match_attempts += count
+        self._compiled_hits += count
         alt_rows: List[tuple] = []
-        if matcher is not None:
-            count = len(candidates)
-            self.stats.match_attempts += count
-            self._compiled_hits += count
-            for witness in candidates:
-                bindings = matcher(witness)
-                if bindings is None:
-                    continue
-                names = tuple(bindings)
-                if layout is None:
-                    layout = names
-                elif names != layout:
-                    raise _LayoutMismatch(element.to_text(), layout, names)
-                alt_rows.append(tuple(bindings.values()))
-        else:
-            for witness in candidates:
-                self.stats.match_attempts += 1
-                for substitution in self._match_witness(element, witness):
-                    items = substitution.items()
-                    names = tuple(pair[0] for pair in items)
-                    if layout is None:
-                        layout = names
-                    elif names != layout:
-                        raise _LayoutMismatch(element.to_text(), layout, names)
-                    alt_rows.append(tuple(pair[1] for pair in items))
+        for witness in candidates:
+            matcher(witness, alt_rows)
         if not alt_rows:
-            if isinstance(element, Variable):
-                vanish_layout = (element.name,)
-                if layout is not None and layout != vanish_layout:
-                    raise _LayoutMismatch(element.to_text(), layout, vanish_layout)
-                if self.drop_bottom:
-                    # The vanish alternative binds ⊥, which the strict filter
-                    # discards at the end — drop it (and the partials it
-                    # would extend) here instead.
-                    return vanish_layout, []
-                return vanish_layout, [(BOTTOM,)]
-            if isinstance(element, Constant) and element.value is BOTTOM:
-                return (), [()]
-        return layout, alt_rows
-
-    def _alternatives(
-        self, child: Formula, candidates: Tuple[ComplexObject, ...]
-    ) -> List[Substitution]:
-        """Alternatives for one element formula over an explicit witness list.
-
-        Includes the *vanish* alternative for witness-less bare variables and
-        ``bottom`` constants, mirroring
-        ``matching._set_element_alternatives``.  Under the strict semantics
-        the variable case is filtered out at the end, so a narrowed candidate
-        list can only suppress substitutions the filter would discard anyway.
-        """
-        alternatives: List[Substitution] = []
-        for element in candidates:
-            self.stats.match_attempts += 1
-            alternatives.extend(self._match_witness(child, element))
-        if not alternatives:
-            if isinstance(child, Variable):
-                alternatives.append(Substitution({child.name: BOTTOM}))
-            elif isinstance(child, Constant) and child.value is BOTTOM:
-                alternatives.append(_EMPTY)
-        return alternatives
-
-    def _match_witness(
-        self, formula: Formula, target: ComplexObject
-    ) -> List[Substitution]:
-        """Derivation-maximal matching *inside* a witness (no narrowing)."""
-        if target is TOP:
-            return [Substitution({name: TOP for name in formula.variables()})]
-        if isinstance(formula, Variable):
-            return [Substitution({formula.name: target})]
-        if isinstance(formula, Constant):
-            if formula.value is target or is_subobject(formula.value, target):
-                return [_EMPTY]
-            return []
-        if isinstance(formula, TupleFormula):
-            if not isinstance(target, TupleObject):
-                return []
-            partials: List[Substitution] = [_EMPTY]
-            for name, child in formula.items():
-                alternatives = self._match_witness(child, target.get(name))
-                if not alternatives:
-                    return []
-                partials = [
-                    partial.meet(candidate)
-                    for partial in partials
-                    for candidate in alternatives
-                ]
-            return partials
-        if isinstance(formula, SetFormula):
-            if not isinstance(target, SetObject):
-                return []
-            partials = [_EMPTY]
-            for child in formula.elements:
-                alternatives = self._alternatives(child, target.elements)
-                if not alternatives:
-                    return []
-                partials = [
-                    partial.meet(candidate)
-                    for partial in partials
-                    for candidate in alternatives
-                ]
-            return partials
-        if isinstance(formula, Parameter):
-            raise ParameterError(
-                f"cannot execute a plan with unbound parameter ${formula.name};"
-                " bind it first (repro.plan.parameters.bind_body_plan)"
-            )
-        raise TypeError(f"not a formula: {formula!r}")
+            vanish = _vanish_row(element)
+            # A bare variable's vanish row binds ⊥, which the strict filter
+            # discards at the end — drop it (and the partials it would
+            # extend) here instead.
+            if vanish is not None and not (vanish and self.drop_bottom):
+                alt_rows.append(vanish)
+        return alt_rows
 
     # -- metrics ------------------------------------------------------------------------
     def flush_metrics(self) -> None:

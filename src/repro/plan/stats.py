@@ -40,7 +40,9 @@ class EngineStats:
         recursive stratum, non-recursive rules, and correctness fallbacks for
         bodies that cannot be delta-decomposed).
     match_attempts:
-        Individual (element formula, witness element) match trials.
+        Candidate witnesses handed to a scan leaf's compiled matcher: one per
+        (scan leaf, candidate witness), whatever the element's shape — the
+        elements of a witness's nested sets are matched inside that attempt.
     substitutions:
         Derivation-maximal substitutions found across all rule evaluations.
     subobjects_derived:

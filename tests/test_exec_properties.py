@@ -14,7 +14,10 @@ they exercise the short-circuit layout paths) under both semantics:
 * index pushdown (the batch probe cache) changes nothing about the answer —
   nor, with the sessions' build-at-first-probe store, about its order;
 * delta restriction (``position=``/``delta_elements=``) enumerates exactly
-  the matches that a grown database adds to ``E(O)``.
+  the matches that a grown database adds to ``E(O)``;
+* below the plan, the one witness matcher
+  (:func:`repro.plan.compile.compile_element_matcher`) emits, for any element
+  formula and witness, the rows of the oracle's ``_match`` in its order.
 """
 
 import pytest
@@ -24,7 +27,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import parse_formula, parse_object  # noqa: E402
 from repro.calculus.interpretation import interpret  # noqa: E402
-from repro.calculus.matching import match_all  # noqa: E402
+from repro.calculus.matching import _match, match_all  # noqa: E402
+from repro.calculus.terms import (  # noqa: E402
+    Constant,
+    SetFormula,
+    TupleFormula,
+    Variable,
+)
+from repro.core.errors import ParameterError  # noqa: E402
 from repro.core.lattice import union, union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
 from repro.core.paths import new_set_elements  # noqa: E402
@@ -37,13 +47,14 @@ from repro.plan import (  # noqa: E402
     match_plan,
     optimize_body,
 )
+from repro.plan.compile import compile_element_matcher  # noqa: E402
 from repro.plan.execute import iter_match_plan  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "d", "r1", "r2", "name")
 
 #: Body shapes chosen to hit every executor path: flat compiled tuples,
 #: repeated variables (the intersection merge), nested set formulae (the
-#: interpreted fallback), spine variables, multi-element scans, and the
+#: compiled nested product), spine variables, multi-element scans, and the
 #: vanish alternative (⊥ inside a set formula).
 BODY_SHAPES = [
     "[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]",
@@ -235,3 +246,81 @@ def test_probing_a_target_index_keeps_the_source_ordered_list(body_text, databas
             plan, database, indexes=indexes, allow_bottom=allow, batch_size=1
         )
         assert list(streamed) == expected
+
+
+#: Element-formula leaves, mostly variables: three names make repeats
+#: across levels — the meet on a shared column — common.
+_LEAF_FORMULAS = (
+    [Variable(name) for name in ("X", "Y", "Z", "X", "Y", "Z")]
+    + [Constant(value) for value in (BOTTOM, TOP, Atom(1), Atom("x"))]
+)
+
+
+def element_formulas(max_depth: int = 3):
+    """Element formulae up to ``max_depth``: tuples, nested sets, leaves.
+
+    Leaves are mostly variables, else constants (⊤ and ⊥ included); tuples
+    and sets may be empty (``[]`` / ``{}``).
+    """
+    leaves = st.sampled_from(_LEAF_FORMULAS)
+    if max_depth <= 1:
+        return leaves
+    children = element_formulas(max_depth - 1)
+    tuples = st.dictionaries(
+        st.sampled_from(("a", "b", "name")), children, max_size=3
+    ).map(TupleFormula)
+    sets = st.lists(children, max_size=3).map(SetFormula)
+    return st.one_of(sets, tuples, leaves)
+
+
+@st.composite
+def witnesses_for(draw, element):
+    """A witness shaped after ``element``, so that most draws match something.
+
+    One node in ten is ⊤ or an arbitrary object (kind mismatches
+    included); set witnesses may be empty or hold up to four elements shaped
+    after any of the formula's elements.
+    """
+    kind = draw(st.sampled_from(("shaped",) * 18 + ("top", "any")))
+    if kind == "top":
+        return TOP
+    if kind == "any":
+        return draw(complex_objects(max_depth=2))
+    if isinstance(element, Variable):
+        # Few distinct values: shared variables meet both equal and unequal.
+        return draw(st.sampled_from((Atom(1), Atom(2), SetObject([Atom(1), Atom(2)]))))
+    if isinstance(element, Constant):
+        return draw(st.sampled_from((element.value, Atom(1))))
+    if isinstance(element, TupleFormula):
+        return TupleObject(
+            {name: draw(witnesses_for(child)) for name, child in element.items()}
+        )
+    if not len(element):
+        return SetObject(draw(st.lists(_atoms(), max_size=2)))
+    shapes = st.sampled_from(element.elements).flatmap(witnesses_for)
+    size = draw(st.sampled_from((2, 3, 0, 1, 4)))
+    return SetObject(draw(st.lists(shapes, min_size=size, max_size=size)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(element_formulas().flatmap(lambda element: st.tuples(st.just(element), witnesses_for(element))))
+def test_compiled_matcher_emits_the_oracle_rows_in_order(case):
+    """Rows aligned to the layout are ``_match``'s bindings, as a list.
+
+    The uncached compiler is called: the cache keys on formula equality,
+    which ignores set-element order, so a reordered spelling would reuse
+    another's enumeration order.
+    """
+    element, witness = case
+    layout, match = compile_element_matcher.__wrapped__(element)
+    assert len(set(layout)) == len(layout)
+    assert set(layout) == element.variables()
+    rows = []
+    match(witness, rows)
+    expected = [substitution.as_dict() for substitution in _match(element, witness)]
+    assert [dict(zip(layout, row)) for row in rows] == expected
+
+
+def test_an_unbound_parameter_does_not_compile():
+    with pytest.raises(ParameterError, match=r"\$p"):
+        compile_element_matcher(parse_formula("[a: $p]"))
