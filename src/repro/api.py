@@ -19,9 +19,9 @@ compare against), shaped like a classic database client API:
   ``cursor.one()``) instead of materialising the full answer, with
   ``cursor.all()`` folding the stream into the classic ``E(O)`` union and
   ``cursor.explain()`` rendering the plan;
-* :meth:`Session.register` + :meth:`Session.close` evaluate rule closures
-  through the same cache; every cache invalidates automatically when the
-  underlying store commits (its ``version`` counter bumps).
+* :meth:`Session.register` + :meth:`Session.close` evaluate rule closures;
+  plans, index stores and closures belong to one snapshot of the session
+  ``version``, replaced whole when a commit (or seed/rule edit) moves it.
 
 Sessions are cheap, single-threaded handles; the underlying
 :class:`~repro.store.ObjectDatabase` remains safe for concurrent use, so the
@@ -169,28 +169,49 @@ def connect(
     )
 
 
+class _Snapshot:
+    """What a session derived from one :attr:`Session.version` of its database.
+
+    The paper evaluates everything against one object ``O`` (Section 4):
+    ``plans`` (LRU on ``(formula, mode)``), ``indexes`` (one store per
+    target identity; the store pins its target, hence the id) and
+    ``closures`` (LRU on the guards; ``(rule revision, seed, evaluator,
+    result)``).  ``bases`` holds older versions' closures that
+    :meth:`Session.close` may resume from.
+    """
+
+    __slots__ = ("version", "plans", "indexes", "closures", "bases")
+
+    def __init__(self, version: Optional[Tuple[int, int, int]], bases: Dict[Tuple, Tuple]):
+        self.version = version
+        self.plans: "OrderedDict[Tuple, object]" = OrderedDict()
+        self.indexes: Dict[int, TargetIndexes] = {}
+        self.closures: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self.bases = bases
+
+
 class Session:
-    """One connection: a store, a rule set, and version-keyed plan caches.
+    """One connection: a store, a rule set, and a per-version snapshot.
 
     A session owns (or wraps) an :class:`~repro.store.ObjectDatabase` and
     funnels **every** evaluation path — prepared queries, ad-hoc queries,
     rule closures and the CLI — through one pipeline::
 
-        parse → compile (cached) → optimize (cached on store version)
+        parse → compile (cached) → optimize (cached per version)
               → bind $parameters → stream
 
     Target selection, the plan cache and parameter binding are one private
     step (:meth:`_resolve`) shared by execution and EXPLAIN, so EXPLAIN
-    renders the plan that runs.  Plans and closures are cached keyed on the
-    store's ``version`` counter (plus the session's own seed/rule
-    revisions), so a commit invalidates exactly the entries whose statistics
-    went stale, and re-executing a :class:`PreparedQuery` on an unchanged
-    store skips parse and optimize entirely (watch
-    ``cache_info()["plan_hits"]``).  Each resolved target also gets one
-    index store (:class:`~repro.plan.indexes.TargetIndexes`) that lives as
-    long as the version does: a bound ``$parameter`` or an already-bound
-    join variable probes it at every scan leaf, and a bucket is built the
-    first time it is probed.
+    renders the plan that runs.  Plans, index stores and closures live in
+    one snapshot of the session :attr:`version` (store commits plus the
+    session's own seed/rule revisions), which :meth:`_current` reads once
+    per call and replaces whole when it moved.  So re-executing a
+    :class:`PreparedQuery` on an unchanged store skips parse and optimize
+    entirely (watch ``cache_info()["plan_hits"]``).  Each resolved target
+    gets one index store (:class:`~repro.plan.indexes.TargetIndexes`) per
+    version: a bound ``$parameter`` or an already-bound join variable
+    probes it at every scan leaf, and a bucket is built the first time it
+    is probed.
 
     Sessions are **not** thread-safe; the underlying database is.  Use one
     session per thread over a shared database.
@@ -221,17 +242,12 @@ class Session:
         # unseeded sessions evaluate against the store.
         self._seeded = False
         self._seed_version = 0
-        self._plan_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._closure_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._snapshot = _Snapshot(None, {})
         # Prepare-time lint reports, keyed on (source text, rules version):
         # reports are frozen, so re-preparing the same query re-attaches the
         # same diagnostics without re-running the analysis (the ≤1.10x
         # prepare budget benchmarks/run_lint_benchmarks.py pins).
         self._lint_reports: "OrderedDict[Tuple, object]" = OrderedDict()
-        # Index stores of the targets resolved at ``_indexes_version``, keyed
-        # on target identity (each store holds its target, pinning the id).
-        self._indexes: Dict[int, TargetIndexes] = {}
-        self._indexes_version: Optional[Tuple[int, int, int]] = None
         self._counters = {
             "plan_hits": 0,
             "plan_misses": 0,
@@ -566,19 +582,19 @@ class Session:
         if unknown:
             raise TypeError(f"close() got unexpected option(s) {sorted(unknown)}")
         key = tuple(sorted(guards.items()))
-        entry = self._closure_cache.get(key)
-        version = self.version
-        if entry is not None and entry[0] == version:
+        snapshot = self._current()
+        entry = snapshot.closures.get(key)
+        if entry is not None:
             self._counters["closure_hits"] += 1
             _METRICS.counter("session.closure_cache.hits").inc()
-            self._closure_cache.move_to_end(key)
+            snapshot.closures.move_to_end(key)
             return entry[3]
+        # A resumed run mutates the base's indexes: the base is gone until
+        # the run completes, so an aborted one leaves none.
+        entry = snapshot.bases.pop(key, None)
         if entry is not None:
             self._counters["closure_invalidations"] += 1
             _METRICS.counter("session.closure_cache.invalidations").inc()
-            # A resumed run mutates the entry's indexes: the entry is gone
-            # until the run completes, so an aborted one leaves no base.
-            del self._closure_cache[key]
         self._counters["closure_misses"] += 1
         _METRICS.counter("session.closure_cache.misses").inc()
         start_ns = time.perf_counter_ns()
@@ -587,7 +603,7 @@ class Session:
             seed = program.seed()
             resume = {}
             if entry is not None:
-                (_, _, old_rules), old_seed, evaluator, old_result = entry
+                old_rules, old_seed, evaluator, old_result = entry
                 if old_rules == self._rules_version and union(old_seed, seed) == seed:
                     resume = {"previous": old_result.value}
                     evaluator.deadline = deadline
@@ -606,9 +622,10 @@ class Session:
             time.perf_counter_ns() - start_ns
         )
         self._last_closure_stats = result.stats
-        self._closure_cache[key] = (version, seed, evaluator, result)
-        while len(self._closure_cache) > _CACHE_LIMIT:
-            self._closure_cache.popitem(last=False)
+        snapshot.closures[key] = (self._rules_version, seed, evaluator, result)
+        while len(snapshot.closures) + len(snapshot.bases) > _CACHE_LIMIT:
+            oldest = snapshot.bases or snapshot.closures
+            del oldest[next(iter(oldest))]
             self._counters["closure_evictions"] += 1
             _METRICS.counter("session.closure_cache.evictions").inc()
         return result
@@ -650,16 +667,20 @@ class Session:
         and misses are never reset when entries are evicted or invalidated;
         those events have their own monotonic counters (``plan_evictions``,
         ``plan_invalidations`` and the closure equivalents) so deltas between
-        two reads are always meaningful.  ``closure_maintained`` counts the
-        closure invalidations :meth:`close` resumed from the stale closure
-        instead of recomputing (each is also a miss).  ``plans_cached`` /
-        ``closures_cached`` / ``indexes_cached`` are the current cache sizes
-        (gauges, not counters) — the last one counts the ``(set path, key
-        path)`` bucket tables probes have built since the last version change.
+        two reads are always meaningful.  ``plan_invalidations`` counts the
+        plans dropped when the :attr:`version` moved, asked for again or
+        not; ``closure_maintained`` counts the closure invalidations
+        :meth:`close` resumed from an older version's closure instead of
+        recomputing (each is also a miss).  ``plans_cached`` /
+        ``closures_cached`` / ``indexes_cached`` are gauges: the current
+        version's plans, the closures kept (older ones included, as resume
+        bases) and the ``(set path, key path)`` bucket tables probes have
+        built at the current version.
         """
+        snapshot = self._current()
         info = dict(self._counters)
-        info["plans_cached"] = len(self._plan_cache)
-        info["closures_cached"] = len(self._closure_cache)
+        info["plans_cached"] = len(snapshot.plans)
+        info["closures_cached"] = len(snapshot.closures) + len(snapshot.bases)
         info["indexes_cached"] = self._index_entries()
         return info
 
@@ -691,9 +712,7 @@ class Session:
     # -- lifecycle ------------------------------------------------------------------------
     def shutdown(self) -> None:
         """Release the session: drop caches and close an owned store."""
-        self._plan_cache.clear()
-        self._closure_cache.clear()
-        self._indexes.clear()
+        self._snapshot = _Snapshot(None, {})
         if self._owns_db:
             self._db.close()
 
@@ -707,7 +726,7 @@ class Session:
         backend = "wal" if isinstance(self._db._storage, FileStorage) else "memory"
         return (
             f"<Session {backend} store, {len(self._db)} objects,"
-            f" {len(self._rules)} rules, {len(self._plan_cache)} cached plans>"
+            f" {len(self._rules)} rules, {len(self._snapshot.plans)} cached plans>"
         )
 
     # -- internals ------------------------------------------------------------------------
@@ -757,6 +776,7 @@ class Session:
         expensive part of such a query); ``counted=False`` is EXPLAIN, which
         must not move the store's ``access_stats``.
         """
+        snapshot = self._current()
         allow_bottom = bool(options.get("allow_bottom", False))
         against = options.get("against")
         notes: List[str] = []
@@ -786,7 +806,7 @@ class Session:
             # source order — leaf order is irrelevant to refutation), so no
             # bound formula is ever compiled: distinct parameter values,
             # refuted or not, cannot churn the global compile cache.
-            cached = self._cached_plan(formula, ("db",))
+            cached = self._cached_plan(snapshot, formula, ("db",))
             plan = bind_body_plan(
                 cached if cached is not None else compile_body(formula), values
             )
@@ -794,40 +814,54 @@ class Session:
                 formula, plan.leaves, allow_bottom=allow_bottom, counted=counted
             )
             if target is not None and cached is None:
-                plan = bind_body_plan(self._plan_for(formula, ("db",), target), values)
-            return access, [note], target, plan, self._indexes_for(target)
-        plan = self._cached_plan(formula, mode)
+                plan = bind_body_plan(self._plan_for(snapshot, formula, ("db",), target), values)
+            return access, [note], target, plan, self._indexes_for(snapshot, target)
+        plan = self._cached_plan(snapshot, formula, mode)
         if plan is None:
-            plan = self._plan_for(formula, mode, target)
+            plan = self._plan_for(snapshot, formula, mode, target)
         return (
             mode[0], notes, target, bind_body_plan(plan, values),
-            self._indexes_for(target),
+            self._indexes_for(snapshot, target),
         )
 
-    def _indexes_for(self, target: Optional[ComplexObject]) -> Optional[TargetIndexes]:
-        """The index store of ``target``: one per target per session version.
+    def _current(self) -> "_Snapshot":
+        """The snapshot of the current :attr:`version` — the one place it is read.
 
-        Targets are immutable, so a store is never refreshed — it is dropped,
-        with every other one, at the first resolve after the version moved
-        (the point where stale plans go too).  A live cursor keeps its own
-        reference, exactly as it keeps its target.
+        When the version moved, the old snapshot is replaced in one
+        transition: its plans count as invalidated, its index stores go, and
+        its closures become bases :meth:`close` may resume from.  Callers
+        take the snapshot before reading any target, so what they derive
+        from a target a racing commit made newer is filed under the older
+        version and dropped by the next call.
+        """
+        version = self.version
+        snapshot = self._snapshot
+        if snapshot.version != version:
+            dropped = len(snapshot.plans)
+            self._counters["plan_invalidations"] += dropped
+            _METRICS.counter("session.plan_cache.invalidations").inc(dropped)
+            _METRICS.gauge("session.index.entries").set(0)
+            snapshot = self._snapshot = _Snapshot(version, {**snapshot.bases, **snapshot.closures})
+        return snapshot
+
+    def _indexes_for(self, snapshot: "_Snapshot", target) -> Optional[TargetIndexes]:
+        """The index store of ``target`` in ``snapshot``: one per target per version.
+
+        Targets are immutable, so a store is never refreshed — it goes with
+        its snapshot.  A live cursor keeps its own reference, exactly as it
+        keeps its target.
         """
         if target is None:
             return None
-        version = self.version
-        if self._indexes_version != version:
-            self._indexes.clear()
-            self._indexes_version = version
-            _METRICS.gauge("session.index.entries").set(0)
-        indexes = self._indexes.get(id(target))
+        indexes = snapshot.indexes.get(id(target))
         if indexes is None:
-            indexes = self._indexes[id(target)] = TargetIndexes(
+            indexes = snapshot.indexes[id(target)] = TargetIndexes(
                 target, self._index_build
             )
         return indexes
 
     def _index_entries(self) -> int:
-        return sum(indexes.entries for indexes in self._indexes.values())
+        return sum(indexes.entries for indexes in self._snapshot.indexes.values())
 
     def _index_build(self, set_path, key_path, elements: int):
         """Count one first-probe bucket build; returns the span it runs under."""
@@ -842,8 +876,8 @@ class Session:
             )
         return span
 
-    def _plan_for(self, formula: Formula, mode: Tuple, target: ComplexObject):
-        """Optimize ``formula`` for ``target`` and cache it on the session version.
+    def _plan_for(self, snapshot: "_Snapshot", formula: Formula, mode: Tuple, target):
+        """Optimize ``formula`` for ``target`` and cache it in ``snapshot``.
 
         Runs on a plan-cache miss only.  Compilation is already memoized on
         the formula; what the cache saves is the statistics walk plus the
@@ -861,28 +895,21 @@ class Session:
         plan = optimize_body(
             compile_body(formula), DatabaseStatistics.collect(target), shapes
         )
-        self._plan_cache[(formula, mode)] = (self.version, plan)
-        while len(self._plan_cache) > _CACHE_LIMIT:
-            self._plan_cache.popitem(last=False)
+        snapshot.plans[(formula, mode)] = plan
+        while len(snapshot.plans) > _CACHE_LIMIT:
+            snapshot.plans.popitem(last=False)
             self._counters["plan_evictions"] += 1
             _METRICS.counter("session.plan_cache.evictions").inc()
         return plan
 
-    def _cached_plan(self, formula: Formula, mode: Tuple):
-        """The still-valid cached plan for ``(formula, mode)``, or ``None``."""
-        entry = self._plan_cache.get((formula, mode))
-        if entry is not None and entry[0] == self.version:
+    def _cached_plan(self, snapshot: "_Snapshot", formula: Formula, mode: Tuple):
+        """The plan ``snapshot`` holds for ``(formula, mode)``, or ``None``."""
+        plan = snapshot.plans.get((formula, mode))
+        if plan is not None:
             self._counters["plan_hits"] += 1
             _METRICS.counter("session.plan_cache.hits").inc()
-            self._plan_cache.move_to_end((formula, mode))
-            return entry[1]
-        if entry is not None:
-            # A commit (or seed/rule edit) outdated this entry; drop it now
-            # so one stale plan counts exactly one invalidation.
-            del self._plan_cache[(formula, mode)]
-            self._counters["plan_invalidations"] += 1
-            _METRICS.counter("session.plan_cache.invalidations").inc()
-        return None
+            snapshot.plans.move_to_end((formula, mode))
+        return plan
 
     def _query_finisher(self, formula, values, run_stats, start_ns, trace_id):
         """The callback a :class:`Cursor` fires once, when fully consumed.

@@ -451,6 +451,81 @@ class TestCacheEviction:
         assert not errors
 
 
+class TestOneSnapshotPerVersion:
+    """Plans, index stores and closures belong to one read of the version."""
+
+    def test_a_commit_racing_the_target_read_does_not_pin_a_stale_plan(self):
+        from repro.store.database import ObjectDatabase
+
+        class RacingDatabase(ObjectDatabase):
+            """Commits once, right after handing out a snapshot — a writer
+            on another thread landing between the target and version reads."""
+
+            armed = False
+
+            def as_object(self):
+                value = super().as_object()
+                if self.armed:
+                    self.armed = False
+                    self.put("r", parse_object("{[a: 1], [a: 2]}"))
+                return value
+
+        database = RacingDatabase()
+        database.put("r", parse_object("{[a: 1]}"))
+        session = Session(database=database, seed=parse_object("[s: 0]"))
+        database.armed = True
+        query = "[r: {[a: 2]}]"
+        assert session.query(query) is BOTTOM  # planned against {[a: 1]}
+        fresh = Session(database=database, seed=parse_object("[s: 0]"))
+        assert fresh.query(query) == parse_object("[r: {[a: 2]}]")
+        assert session.query(query) == fresh.query(query)
+        assert "pruned by shape analysis" not in session.explain(query)
+
+    def test_a_scripted_session_pins_every_counter(self):
+        session = Session()
+        session.put("r1", parse_object("{[name: peter, age: 25], [name: john, age: 7]}"))
+        session.put("family", parse_object("{[name: abraham], [name: isaac]}"))
+        session.register("[doa: {X}] :- [family: {[name: X]}].")
+        ages = session.prepare("[r1: {[name: $who, age: A]}]")
+
+        def four():
+            ages.execute(who="peter").all()
+            ages.execute(who="john").all()
+            session.query("[family: {[name: X]}]")
+            session.explain("[r1: {[name: X]}]")
+            session.close()
+
+        four()
+        session.close()
+        session.query("[doa: {X}]", on_closure=True)
+        session.query("{[name: X, age: 7]}", against="r1")
+        session.put("family", parse_object("{[name: abraham], [name: isaac], [name: jacob]}"))
+        four()
+        session.seed_object(parse_object("[extra: 1]"))
+        session.query("[family: {[name: X]}]")
+        session.register("[old: {X}] :- [r1: {[name: X, age: 25]}].")
+        session.close()
+        session.query("[family: {[name: X]}]")
+        assert session.cache_info() == {
+            "plan_hits": 2,
+            "plan_misses": 10,
+            "plan_evictions": 0,
+            # Every plan the commit, the seed edit and the second register
+            # dropped (5 + 3 + 1), asked for again or not.
+            "plan_invalidations": 9,
+            "closure_hits": 2,
+            "closure_misses": 3,
+            "closure_invalidations": 2,
+            "closure_maintained": 1,
+            "closure_evictions": 0,
+            "prepared_queries": 1,
+            # The current version's plans only: the final query's.
+            "plans_cached": 1,
+            "closures_cached": 1,
+            "indexes_cached": 0,
+        }
+
+
 class TestSessionReplacesTheRemovedEntryPoints:
     def test_program_closure_query(self):
         program = repro.Program.from_source(

@@ -29,6 +29,9 @@ class TestCurrentTreeIsClean:
     def test_layering(self):
         assert check_invariants.check_layering() == []
 
+    def test_session_version(self):
+        assert check_invariants.check_session_version() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -39,6 +42,7 @@ class TestCurrentTreeIsClean:
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "invariant raw-constructors: ok" in completed.stdout
         assert "invariant layering: ok" in completed.stdout
+        assert "invariant session-version: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -124,3 +128,62 @@ class TestLayeringInvariant:
             "core/paths.py": "",
         })
         assert check_invariants.check_layering(root) == []
+
+
+#: A session that versions each cache on its own: four version reads outside
+#: the two allowed methods, the shape of a plan / closure / index cache that
+#: each check their own staleness.
+SELF_VERSIONING_SESSION = """\
+class Session:
+    @property
+    def version(self):
+        return (self._db.version, self._seed_version, self._rules_version)
+
+    def _current(self):
+        version = self.version
+        return self._snapshot if self._snapshot.version == version else None
+
+    def close(self):
+        version = self.version
+        return self._closure_cache.get(version)
+
+    def _indexes_for(self, target):
+        if self._indexes_version != self.version:
+            self._indexes.clear()
+
+    def _plan_for(self, formula, plan):
+        self._plan_cache[formula] = (self.version, plan)
+
+    def _cached_plan(self, formula):
+        entry = self._plan_cache.get(formula)
+        return entry if entry is not None and entry[0] == self.version else None
+
+
+class _Snapshot:
+    def __init__(self, version):
+        self.version = version
+
+
+def stale(session, snapshot):
+    return snapshot.version != session.version
+"""
+
+
+class TestSessionVersionInvariant:
+    def test_each_self_versioned_cache_is_one_violation(self, tmp_path):
+        path = tmp_path / "api.py"
+        path.write_text(SELF_VERSIONING_SESSION)
+        violations = check_invariants.check_session_version(path)
+        lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
+        assert lines == [11, 15, 19, 23]
+
+    def test_the_database_version_counts_too(self, tmp_path):
+        path = tmp_path / "api.py"
+        path.write_text(
+            "class Session:\n"
+            "    def put(self, name, value):\n"
+            "        before = self._db.version\n"
+            "        self._db.put(name, value)\n"
+        )
+        [violation] = check_invariants.check_session_version(path)
+        assert ":3:" in violation

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Six invariants that matter for correctness but that no unit test can pin
+Seven invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -58,6 +58,14 @@ Six invariants that matter for correctness but that no unit test can pin
     ``repro/__init__``.  The :data:`LEAVES` (``relational``, ``datalog``,
     ``algebra``, ``workloads``) may import anything, and only the top layer
     may import them.  There is no pragma.
+
+``session-version``
+    A session derives its plans, index stores and closures from one version
+    of its database (:class:`repro.api._Snapshot`), so in ``repro/api.py``
+    ``self.version`` and ``self._db.version`` may be read only inside
+    ``Session.version`` and ``Session._current`` — every other method takes
+    the snapshot from ``_current()`` once, before it reads any target.
+    There is no pragma.
 
 Run from the repository root::
 
@@ -491,6 +499,43 @@ def check_layering(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
+# -- invariant 7: the session reads its version in one place ------------------------------
+
+#: The :class:`repro.api.Session` methods that may read ``self.version`` /
+#: ``self._db.version``: the property itself and the snapshot transition.
+VERSION_READERS = frozenset({"version", "_current"})
+
+
+def _is_version_read(node: ast.AST) -> bool:
+    if not (
+        isinstance(node, ast.Attribute)
+        and node.attr == "version"
+        and isinstance(node.ctx, ast.Load)
+    ):
+        return False
+    owner = node.value
+    if isinstance(owner, ast.Attribute) and owner.attr == "_db":
+        owner = owner.value
+    return isinstance(owner, ast.Name) and owner.id == "self"
+
+
+def check_session_version(path: Path = SRC_ROOT / "api.py") -> List[str]:
+    tree, _ = _parse(path)
+    allowed: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Session":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name in VERSION_READERS:
+                    allowed.update(id(inner) for inner in ast.walk(method))
+    return [
+        f"{_relative(path)}:{node.lineno}: reads the session version outside"
+        f" Session.version / Session._current (take the snapshot from"
+        f" self._current() once per call, before any target is read)"
+        for node in ast.walk(tree)
+        if _is_version_read(node) and id(node) not in allowed
+    ]
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -502,6 +547,7 @@ def main() -> int:
         ("lock-discipline", check_lock_discipline),
         ("store-planning", check_store_planning),
         ("layering", check_layering),
+        ("session-version", check_session_version),
     )
     failures = 0
     for name, check in checks:
