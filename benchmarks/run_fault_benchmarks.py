@@ -226,25 +226,25 @@ def _bench_retry_latency(smoke: bool, results: dict) -> None:
 def _bench_lock_timeout(smoke: bool, results: dict) -> dict:
     """A bounded acquisition against a held lock must fail on time."""
     from repro.core.errors import LockTimeout
-    from repro.store.locks import RWLock
+    from repro.store.locks import WriteLock
 
     bound_s = 0.01
     attempts = 3 if smoke else 10
-    lock = RWLock()
-    lock.acquire_write()
+    lock = WriteLock()
+    lock.acquire()
     overshoots = []
     try:
         for _ in range(attempts):
             start = time.perf_counter_ns()
             try:
-                lock.acquire_read(timeout=bound_s)
+                lock.acquire(timeout=bound_s)
             except LockTimeout:
                 pass
             else:  # pragma: no cover - the lock is held; acquisition is a bug
-                raise AssertionError("acquire_read succeeded against a held lock")
+                raise AssertionError("acquire succeeded against a held lock")
             overshoots.append((time.perf_counter_ns() - start) / 1e9 / bound_s)
     finally:
-        lock.release_write()
+        lock.release()
     worst = max(overshoots)
     outcome = {
         "bound_ms": bound_s * 1000,

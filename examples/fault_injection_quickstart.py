@@ -17,8 +17,8 @@ hardened with.  Everything here is off by default and nearly free when off
    open, keeping the longest intact prefix instead of refusing to start;
 4. bounded conflict retry — ``Session.transact`` re-runs a read-modify-write
    under a jittered-backoff ``RetryPolicy`` when another writer wins;
-5. lock timeouts — ``RWLock.acquire_*(timeout=...)`` raises ``LockTimeout``
-   instead of hanging;
+5. lock timeouts — ``WriteLock.acquire(timeout=...)`` (the store's writer
+   mutex) raises ``LockTimeout`` instead of hanging;
 6. query deadlines — ``execute(..., timeout_ms=...)`` raises ``QueryTimeout``
    with the partial closure and a plan rendering attached.
 
@@ -40,7 +40,7 @@ import repro
 from repro import obj
 from repro.core.errors import InjectedFault, LockTimeout, QueryTimeout
 from repro.fault import SimulatedCrash, inject
-from repro.store.locks import RWLock
+from repro.store.locks import WriteLock
 from repro.store.retry import RetryPolicy
 from repro.store.storage import FileStorage
 
@@ -120,14 +120,14 @@ def main() -> None:
         print(f"conflicts retried so far (process-wide): {retries}")
 
     banner("5. Lock timeouts: bounded waits instead of hangs")
-    lock = RWLock()
-    lock.acquire_write()
+    lock = WriteLock()
+    lock.acquire()
     try:
-        lock.acquire_read(timeout=0.05)
+        lock.acquire(timeout=0.05)
     except LockTimeout as error:
-        print(f"reader gave up on time: {error}")
+        print(f"second writer gave up on time: {error}")
     finally:
-        lock.release_write()
+        lock.release()
 
     banner("6. Query deadlines: QueryTimeout with the partial work attached")
     with repro.connect() as session:

@@ -158,8 +158,10 @@ def connect(
     a rule program (source text or :class:`~repro.calculus.rules.Rule`
     objects) for :meth:`Session.close`.  ``slow_query_ms`` arms the
     session's slow-query log (see :meth:`Session.slow_queries`).
-    ``lock_timeout`` (seconds) bounds every store lock acquisition,
-    raising :class:`LockTimeout` instead of hanging past it.
+    ``lock_timeout`` (seconds) bounds every wait for the store's writer
+    mutex — commits and the reads that consult path indexes — raising
+    :class:`LockTimeout` instead of hanging past it; other reads take no
+    lock.
     """
     return Session(
         path,
@@ -173,16 +175,18 @@ class _Snapshot:
     """What a session derived from one :attr:`Session.version` of its database.
 
     The paper evaluates everything against one object ``O`` (Section 4):
-    ``plans`` (LRU on ``(formula, mode)``), ``indexes`` (one store per
-    target identity; the store pins its target, hence the id) and
-    ``closures`` (LRU on the guards; ``(rule revision, seed, evaluator,
-    result)``).  ``bases`` holds older versions' closures that
-    :meth:`Session.close` may resume from.
+    ``state`` is the one committed store state the version was read from
+    (every target of the snapshot is read from it), ``plans`` (LRU on
+    ``(formula, mode)``), ``indexes`` (one store per target identity; the
+    store pins its target, hence the id) and ``closures`` (LRU on the
+    guards; ``(rule revision, seed, evaluator, result)``).  ``bases`` holds
+    older versions' closures that :meth:`Session.close` may resume from.
     """
 
-    __slots__ = ("version", "plans", "indexes", "closures", "bases")
+    __slots__ = ("state", "version", "plans", "indexes", "closures", "bases")
 
-    def __init__(self, version: Optional[Tuple[int, int, int]], bases: Dict[Tuple, Tuple]):
+    def __init__(self, state, version: Optional[Tuple[int, int, int]], bases: Dict[Tuple, Tuple]):
+        self.state = state
         self.version = version
         self.plans: "OrderedDict[Tuple, object]" = OrderedDict()
         self.indexes: Dict[int, TargetIndexes] = {}
@@ -214,7 +218,8 @@ class Session:
     is probed.
 
     Sessions are **not** thread-safe; the underlying database is.  Use one
-    session per thread over a shared database.
+    session per thread over a shared database.  ``lock_timeout`` (seconds)
+    bounds the waits for the store's writer mutex, as in :func:`connect`.
     """
 
     def __init__(
@@ -242,7 +247,7 @@ class Session:
         # unseeded sessions evaluate against the store.
         self._seeded = False
         self._seed_version = 0
-        self._snapshot = _Snapshot(None, {})
+        self._snapshot = _Snapshot(None, None, {})
         # Prepare-time lint reports, keyed on (source text, rules version):
         # reports are frozen, so re-preparing the same query re-attaches the
         # same diagnostics without re-running the analysis (the ≤1.10x
@@ -356,10 +361,13 @@ class Session:
 
     def program(self):
         """The registered rules and the current database as a :class:`Program`."""
+        return self._program(self._current())
+
+    def _program(self, snapshot: "_Snapshot"):
         # Same layer, deferred one way: repro.program builds on Session.
         from repro.program import Program
 
-        return Program(self._rules, database=self._base_object())
+        return Program(self._rules, database=self._base_object(snapshot))
 
     # -- the query pipeline --------------------------------------------------------------
     def prepare(self, query, *, lint: str = "warn", **options) -> "PreparedQuery":
@@ -599,7 +607,7 @@ class Session:
         _METRICS.counter("session.closure_cache.misses").inc()
         start_ns = time.perf_counter_ns()
         with _trace.span("session.close") as span:
-            program = self.program()
+            program = self._program(snapshot)
             seed = program.seed()
             resume = {}
             if entry is not None:
@@ -712,7 +720,7 @@ class Session:
     # -- lifecycle ------------------------------------------------------------------------
     def shutdown(self) -> None:
         """Release the session: drop caches and close an owned store."""
-        self._snapshot = _Snapshot(None, {})
+        self._snapshot = _Snapshot(None, None, {})
         if self._owns_db:
             self._db.close()
 
@@ -725,7 +733,7 @@ class Session:
     def __repr__(self) -> str:
         backend = "wal" if isinstance(self._db._storage, FileStorage) else "memory"
         return (
-            f"<Session {backend} store, {len(self._db)} objects,"
+            f"<Session {backend} store, {len(self._db.names())} objects,"
             f" {len(self._rules)} rules, {len(self._snapshot.plans)} cached plans>"
         )
 
@@ -743,19 +751,20 @@ class Session:
         validate_parameters(formula.parameters(), provided)
         return provided
 
-    def _base_object(self) -> ComplexObject:
-        """The whole database as one object: stored names joined with the seed.
+    def _base_object(self, snapshot: "_Snapshot") -> ComplexObject:
+        """The whole database as one object: ``snapshot``'s state joined with the seed.
 
         A seeded session over an empty store *is* its seed — in particular ⊥
         when seeded with ⊥ (the paper's empty database), never the empty
         store's ``[]`` snapshot, so the oracle's ``interpret(f, BOTTOM)`` /
         ``Program(database=BOTTOM)`` semantics are preserved exactly.
         """
+        state = snapshot.state
         if self._seeded:
-            if len(self._db) == 0:
+            if len(state) == 0:
                 return self._seed
-            return union(self._db.as_object(), self._seed)
-        return self._db.as_object()
+            return union(state.as_object(), self._seed)
+        return state.as_object()
 
     def _resolve(self, formula, values, options, *, deadline=None, counted=True):
         """The one resolve-and-plan step behind execute, EXPLAIN and cursors.
@@ -781,7 +790,7 @@ class Session:
         against = options.get("against")
         notes: List[str] = []
         if against is not None:
-            target = self._db.get(against)
+            target = snapshot.state.get(against)
             if target is None:
                 raise StoreError(f"no object stored under {against!r}")
             mode: Tuple = ("against", against)
@@ -795,7 +804,7 @@ class Session:
             target = self.close(deadline=deadline, **guards).value
             mode = ("closure",)
         elif self._seeded:
-            target = self._base_object()
+            target = self._base_object(snapshot)
             # Strict matching over the seeded object plans with closed-world
             # shapes (see _plan_for), so the semantics flag keys the plan.
             mode = ("seed", allow_bottom)
@@ -811,7 +820,8 @@ class Session:
                 cached if cached is not None else compile_body(formula), values
             )
             access, note, target = self._db.access_path(
-                formula, plan.leaves, allow_bottom=allow_bottom, counted=counted
+                formula, plan.leaves, state=snapshot.state,
+                allow_bottom=allow_bottom, counted=counted,
             )
             if target is not None and cached is None:
                 plan = bind_body_plan(self._plan_for(snapshot, formula, ("db",), target), values)
@@ -827,21 +837,26 @@ class Session:
     def _current(self) -> "_Snapshot":
         """The snapshot of the current :attr:`version` — the one place it is read.
 
-        When the version moved, the old snapshot is replaced in one
-        transition: its plans count as invalidated, its index stores go, and
-        its closures become bases :meth:`close` may resume from.  Callers
-        take the snapshot before reading any target, so what they derive
-        from a target a racing commit made newer is filed under the older
-        version and dropped by the next call.
+        One call takes one committed store state (``ObjectDatabase.state``);
+        the version is read from it and the snapshot keeps it, so every
+        target a call reads — ``against``, the whole-database object, the
+        store's access path — comes from the same commit as the version,
+        whatever commits land meanwhile.  When the version moved, the old
+        snapshot is replaced in one transition: its plans count as
+        invalidated, its index stores go, and its closures become bases
+        :meth:`close` may resume from.
         """
-        version = self.version
+        state = self._db.state()
+        version = (state.version, self._seed_version, self._rules_version)
         snapshot = self._snapshot
         if snapshot.version != version:
             dropped = len(snapshot.plans)
             self._counters["plan_invalidations"] += dropped
             _METRICS.counter("session.plan_cache.invalidations").inc(dropped)
             _METRICS.gauge("session.index.entries").set(0)
-            snapshot = self._snapshot = _Snapshot(version, {**snapshot.bases, **snapshot.closures})
+            snapshot = self._snapshot = _Snapshot(
+                state, version, {**snapshot.bases, **snapshot.closures}
+            )
         return snapshot
 
     def _indexes_for(self, snapshot: "_Snapshot", target) -> Optional[TargetIndexes]:

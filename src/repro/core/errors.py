@@ -145,12 +145,13 @@ class ConflictError(TransactionError):
 
 
 class LockTimeout(StoreError):
-    """A lock was not acquired within the caller's deadline.
+    """The store's writer mutex was not acquired within the caller's deadline.
 
-    Raised by :meth:`repro.store.locks.RWLock.acquire_read` /
-    :meth:`~repro.store.locks.RWLock.acquire_write` when called with
-    ``timeout=`` and the lock stayed contended past the deadline — the
-    graceful-degradation alternative to blocking forever.
+    Raised by :meth:`repro.store.locks.WriteLock.acquire` when called with
+    ``timeout=`` (or armed with ``connect(lock_timeout=...)``) and another
+    writer held the lock past the deadline — the graceful-degradation
+    alternative to blocking forever.  Only commits and the reads that
+    consult path indexes wait for the mutex; other reads take no lock.
     """
 
 

@@ -5,8 +5,8 @@ with:
 
 * :mod:`repro.fault.injection` — seeded, deterministic fault injection:
   named injection points wired through the store (``store.wal.open``,
-  ``store.wal.append``, ``store.wal.fsync``, ``store.lock.write_held``,
-  ``store.lock.read_held``) fire failures, simulated crashes, torn writes or
+  ``store.wal.append``, ``store.wal.fsync``, ``store.lock.write_held``)
+  fire failures, simulated crashes, torn writes or
   artificial delays according to installed :class:`FaultSpec` rules.
   Installation is a context manager (:func:`inject`) or the ``REPRO_FAULTS``
   environment variable; with nothing installed every call site is one global

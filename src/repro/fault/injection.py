@@ -79,7 +79,6 @@ KNOWN_POINTS = frozenset(
         "store.wal.open",
         "store.wal.append",
         "store.wal.fsync",
-        "store.lock.read_held",
         "store.lock.write_held",
     }
 )

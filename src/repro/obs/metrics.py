@@ -255,7 +255,6 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "store.wal.edit_records",
     "store.wal.edits_replayed",
     # locks — contended acquisitions (wait time in the histograms below)
-    "store.lock.read_contended",
     "store.lock.write_contended",
     "store.lock.timeouts",
     # graceful degradation — conflict retries, quarantined corruption,
@@ -291,7 +290,6 @@ DECLARED_HISTOGRAMS: Tuple[str, ...] = (
     "session.closure_ns",
     "store.commit_ns",
     "store.wal.append_ns",
-    "store.lock.read_wait_ns",
     "store.lock.write_wait_ns",
     "engine.round_ns",
     "exec.rows_per_batch",

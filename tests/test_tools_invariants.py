@@ -83,6 +83,54 @@ class TestStorePlanningInvariant:
         assert all("clean.py" not in violation for violation in violations)
 
 
+#: An ObjectDatabase that breaks each leg of the lock discipline once: two
+#: state reads in a public method (twice), a state assignment outside the
+#: commit's lock block and one in a private helper, an unlocked storage touch.
+RACY_DATABASE = """\
+class ObjectDatabase:
+    def __init__(self, storage):
+        self._storage = storage
+        self._state = None
+
+    def get(self, name):
+        return self._state.get(name)
+
+    def items(self):
+        return [(name, self._state.get(name)) for name in self._state.names()]
+
+    def __len__(self):
+        state = self._state
+        return len(state) if state is self._state else 0
+
+    def commit_batch(self, changes):
+        with self._lock:
+            self._state = self._state.following(changes)
+        self._state = None
+
+    def compact(self):
+        self._storage.compact()
+
+    def find(self, pattern):
+        with self._lock:
+            return [name for name in self._indexes]
+
+    def _rebuild(self):
+        self._state = self._state.following({})
+"""
+
+
+class TestLockDisciplineInvariant:
+    def test_each_seeded_violation_is_reported(self, tmp_path):
+        path = tmp_path / "database.py"
+        path.write_text(RACY_DATABASE)
+        violations = check_invariants.check_lock_discipline(path)
+        lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
+        assert lines == [10, 14, 19, 22, 29]
+        assert sum("more than once" in violation for violation in violations) == 2
+        assert sum("assigns self._state" in violation for violation in violations) == 2
+        assert sum("self._storage" in violation for violation in violations) == 1
+
+
 def _package(tmp_path, files):
     """A throwaway ``repro`` package tree holding ``files`` (path → source)."""
     root = tmp_path / "repro"
@@ -169,7 +217,33 @@ def stale(session, snapshot):
 """
 
 
+#: A session that reads targets from the store instead of from its snapshot's
+#: state: three state reads outside ``_current``.
+TARGET_READING_SESSION = """\
+class Session:
+    def _current(self):
+        state = self._db.state()
+        return state
+
+    def _base_object(self):
+        if len(self._db) == 0:
+            return None
+        return self._db.as_object()
+
+    def _resolve(self, against):
+        target = self._db.get(against)
+        return self._db.state().get(against), target
+"""
+
+
 class TestSessionVersionInvariant:
+    def test_every_way_of_taking_the_store_state_is_one_violation(self, tmp_path):
+        path = tmp_path / "api.py"
+        path.write_text(TARGET_READING_SESSION)
+        violations = check_invariants.check_session_version(path)
+        lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
+        assert lines == [7, 9, 13]
+
     def test_each_self_versioned_cache_is_one_violation(self, tmp_path):
         path = tmp_path / "api.py"
         path.write_text(SELF_VERSIONING_SESSION)

@@ -31,13 +31,16 @@ Seven invariants that matter for correctness but that no unit test can pin
     only.
 
 ``lock-discipline``
-    Public methods of :class:`repro.store.ObjectDatabase` may only touch the
-    lock-protected state (``_storage``, ``_version``, ``_indexes``,
-    ``_schemas``, ``_top_names``) inside a ``with self._lock.read_locked()``
-    or ``with self._lock.write_locked()`` block.  Private helpers are exempt
-    (their contract is "callers hold the lock"); a public-method exception
-    (e.g. teardown, which is single-threaded by contract) carries the pragma
-    ``# invariant: unlocked-ok``.
+    :class:`repro.store.ObjectDatabase` publishes one immutable state per
+    commit.  So a public method (dunders included, ``__init__`` excepted)
+    reads ``self._state`` at most once — two reads could see two commits —
+    and ``self._state`` is assigned only in ``__init__`` and inside
+    ``commit_batch``'s ``with self._lock:`` block.  What commits still
+    mutate in place (``_storage``, ``_indexes``, ``_schemas``) is touched by
+    public methods only inside ``with self._lock:``.  Private helpers are
+    exempt from the last rule (their contract is "callers hold the lock");
+    a public-method exception (e.g. teardown, which is single-threaded by
+    contract) carries the pragma ``# invariant: unlocked-ok``.
 
 ``store-planning``
     Planning lives in one place (``Session._resolve`` in :mod:`repro.api`):
@@ -60,11 +63,13 @@ Seven invariants that matter for correctness but that no unit test can pin
     may import them.  There is no pragma.
 
 ``session-version``
-    A session derives its plans, index stores and closures from one version
-    of its database (:class:`repro.api._Snapshot`), so in ``repro/api.py``
-    ``self.version`` and ``self._db.version`` may be read only inside
-    ``Session.version`` and ``Session._current`` — every other method takes
-    the snapshot from ``_current()`` once, before it reads any target.
+    A session derives its plans, index stores, closures and targets from one
+    committed state of its database (:class:`repro.api._Snapshot`), so in
+    ``repro/api.py`` the store's state is taken — ``self._db.state()``,
+    ``self.version`` / ``self._db.version``, ``self._db.as_object()``,
+    ``len(self._db)`` — only inside ``Session.version`` and
+    ``Session._current``; every other method takes the snapshot from
+    ``_current()`` once and reads its targets from ``snapshot.state``.
     There is no pragma.
 
 Run from the repository root::
@@ -90,10 +95,11 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 ALLOW_RAW_PRAGMA = "invariant: allow-raw"
 UNLOCKED_OK_PRAGMA = "invariant: unlocked-ok"
 
-#: ObjectDatabase attributes guarded by ``self._lock``.
-PROTECTED_ATTRIBUTES = frozenset(
-    {"_storage", "_version", "_indexes", "_schemas", "_top_names"}
-)
+#: ObjectDatabase attributes commits mutate in place, guarded by ``self._lock``.
+PROTECTED_ATTRIBUTES = frozenset({"_storage", "_indexes", "_schemas"})
+
+#: The ObjectDatabase attribute holding the published, immutable state.
+STATE_ATTRIBUTE = "_state"
 
 
 def _python_sources(root: Path) -> Iterator[Path]:
@@ -302,61 +308,64 @@ def check_diagnostic_codes() -> List[str]:
 # -- invariant 4: ObjectDatabase lock discipline -----------------------------------------
 
 
-def _is_lock_with(node: ast.With) -> bool:
-    for item in node.items:
-        expr = item.context_expr
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in ("read_locked", "write_locked")
-            and isinstance(expr.func.value, ast.Attribute)
-            and expr.func.value.attr == "_lock"
-            and isinstance(expr.func.value.value, ast.Name)
-            and expr.func.value.value.id == "self"
-        ):
-            return True
-    return False
-
-
-def _unlocked_protected_accesses(
-    node: ast.AST, locked: bool
-) -> Iterator[ast.Attribute]:
-    if isinstance(node, ast.With) and _is_lock_with(node):
-        locked = True
-    if (
+def _is_self_attribute(node: ast.AST, name: str) -> bool:
+    return (
         isinstance(node, ast.Attribute)
-        and node.attr in PROTECTED_ATTRIBUTES
+        and node.attr == name
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
-        and not locked
-    ):
-        yield node
+    )
+
+
+def _is_lock_with(node: ast.AST) -> bool:
+    return isinstance(node, ast.With) and any(
+        _is_self_attribute(item.context_expr, "_lock") for item in node.items
+    )
+
+
+def _attribute_uses(node: ast.AST, locked: bool = False) -> Iterator[Tuple[ast.Attribute, bool]]:
+    """Every ``self.<attr>`` below ``node``, with whether it sits under ``with self._lock:``."""
+    locked = locked or _is_lock_with(node)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+        yield node, locked
     for child in ast.iter_child_nodes(node):
-        yield from _unlocked_protected_accesses(child, locked)
+        yield from _attribute_uses(child, locked)
 
 
-def check_lock_discipline() -> List[str]:
-    path = SRC_ROOT / "store" / "database.py"
+def check_lock_discipline(path: Path = SRC_ROOT / "store" / "database.py") -> List[str]:
     tree, lines = _parse(path)
     violations: List[str] = []
+
+    def report(node: ast.AST, method: str, message: str) -> None:
+        violations.append(f"{_relative(path)}:{node.lineno}: ObjectDatabase.{method} {message}")
+
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ClassDef) and node.name == "ObjectDatabase"):
             continue
         for method in node.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if method.name.startswith("_"):
-                continue  # private helpers: "callers hold the lock"
-            for access in _unlocked_protected_accesses(method, locked=False):
-                line = lines[access.lineno - 1] if access.lineno <= len(lines) else ""
-                if UNLOCKED_OK_PRAGMA in line:
-                    continue
-                violations.append(
-                    f"{_relative(path)}:{access.lineno}: ObjectDatabase."
-                    f"{method.name} touches self.{access.attr} outside"
-                    f" `with self._lock.read_locked()/write_locked()` (add the"
-                    f" lock, or `# {UNLOCKED_OK_PRAGMA}` with a justification)"
-                )
+            name = method.name
+            public = not name.startswith("_") or (name.endswith("__") and name != "__init__")
+            state_reads = []
+            for access, locked in _attribute_uses(method):
+                if access.attr == STATE_ATTRIBUTE and isinstance(access.ctx, ast.Load):
+                    state_reads.append(access)
+                elif access.attr == STATE_ATTRIBUTE:
+                    if not (name == "__init__" or (name == "commit_batch" and locked)):
+                        report(access, name, "assigns self._state outside __init__ and"
+                               " commit_batch's `with self._lock:` block (a state is"
+                               " published once, by the commit that built it)")
+                elif public and access.attr in PROTECTED_ATTRIBUTES and not locked:
+                    line = lines[access.lineno - 1] if access.lineno <= len(lines) else ""
+                    if UNLOCKED_OK_PRAGMA not in line:
+                        report(access, name, f"touches self.{access.attr} outside"
+                               f" `with self._lock:` (add the lock, or"
+                               f" `# {UNLOCKED_OK_PRAGMA}` with a justification)")
+            if public:
+                for access in state_reads[1:]:
+                    report(access, name, "reads self._state more than once (two reads"
+                           " can see two commits: take it once into a local)")
     return violations
 
 
@@ -501,22 +510,25 @@ def check_layering(package_root: Path = SRC_ROOT) -> List[str]:
 
 # -- invariant 7: the session reads its version in one place ------------------------------
 
-#: The :class:`repro.api.Session` methods that may read ``self.version`` /
-#: ``self._db.version``: the property itself and the snapshot transition.
+#: The :class:`repro.api.Session` methods that may take the store's state:
+#: the version property itself and the snapshot transition.
 VERSION_READERS = frozenset({"version", "_current"})
 
 
 def _is_version_read(node: ast.AST) -> bool:
-    if not (
-        isinstance(node, ast.Attribute)
-        and node.attr == "version"
-        and isinstance(node.ctx, ast.Load)
-    ):
+    """``self.version``, ``self._db.version`` / ``.state`` / ``.as_object``, ``len(self._db)``."""
+    if isinstance(node, ast.Call):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "len"
+            and len(node.args) == 1
+            and _is_self_attribute(node.args[0], "_db")
+        )
+    if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
         return False
-    owner = node.value
-    if isinstance(owner, ast.Attribute) and owner.attr == "_db":
-        owner = owner.value
-    return isinstance(owner, ast.Name) and owner.id == "self"
+    if _is_self_attribute(node.value, "_db"):
+        return node.attr in ("version", "state", "as_object")
+    return node.attr == "version" and isinstance(node.value, ast.Name) and node.value.id == "self"
 
 
 def check_session_version(path: Path = SRC_ROOT / "api.py") -> List[str]:
@@ -528,9 +540,9 @@ def check_session_version(path: Path = SRC_ROOT / "api.py") -> List[str]:
                 if isinstance(method, ast.FunctionDef) and method.name in VERSION_READERS:
                     allowed.update(id(inner) for inner in ast.walk(method))
     return [
-        f"{_relative(path)}:{node.lineno}: reads the session version outside"
+        f"{_relative(path)}:{node.lineno}: takes the store's state outside"
         f" Session.version / Session._current (take the snapshot from"
-        f" self._current() once per call, before any target is read)"
+        f" self._current() once per call and read targets from snapshot.state)"
         for node in ast.walk(tree)
         if _is_version_read(node) and id(node) not in allowed
     ]
