@@ -326,7 +326,7 @@ def _is_lock_with(node: ast.AST) -> bool:
 def _attribute_uses(node: ast.AST, locked: bool = False) -> Iterator[Tuple[ast.Attribute, bool]]:
     """Every ``self.<attr>`` below ``node``, with whether it sits under ``with self._lock:``."""
     locked = locked or _is_lock_with(node)
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+    if isinstance(node, ast.Attribute) and _is_self_attribute(node, node.attr):
         yield node, locked
     for child in ast.iter_child_nodes(node):
         yield from _attribute_uses(child, locked)
