@@ -139,9 +139,9 @@ def test_wal_recovery(benchmark, count, tmp_path):
     seeding.close()
 
     def run():
-        storage = FileStorage(path)
-        names = storage.names()
-        storage.close()
+        database = ObjectDatabase(FileStorage(path))
+        names = database.names()
+        database.close()
         return names
 
     assert len(benchmark(run)) == count

@@ -124,9 +124,9 @@ def run_suite(smoke: bool) -> dict:
         seeding.close()
 
         def recover():
-            storage = FileStorage(recovery_path)
-            names = storage.names()
-            storage.close()
+            database = ObjectDatabase(FileStorage(recovery_path))
+            names = database.names()
+            database.close()
             return len(names)
 
         assert recover() == recovery_objects

@@ -100,7 +100,7 @@ def main() -> None:
     print(f"\nTransactional metadata written: {store['catalog']}")
 
     store.close()
-    print("Store closed; the JSON log can be reopened with FileStorage(path).")
+    print("Store closed; the JSON log can be reopened with ObjectDatabase(FileStorage(path)).")
 
 
 if __name__ == "__main__":

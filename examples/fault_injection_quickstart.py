@@ -40,9 +40,9 @@ import repro
 from repro import obj
 from repro.core.errors import InjectedFault, LockTimeout, QueryTimeout
 from repro.fault import SimulatedCrash, inject
+from repro.store import FileStorage, ObjectDatabase
 from repro.store.locks import WriteLock
 from repro.store.retry import RetryPolicy
-from repro.store.storage import FileStorage
 
 
 def banner(title: str) -> None:
@@ -57,29 +57,29 @@ def main() -> None:
     path = os.path.join(scratch, "demo.wal")
 
     banner("1. Injected fsync failure: the append self-heals")
-    storage = FileStorage(path)
-    storage.write("committed", obj({"v": 1}))
+    database = ObjectDatabase(FileStorage(path))
+    database.put("committed", obj({"v": 1}))
     with inject("store.wal.fsync:fail:times=1"):
         try:
-            storage.write("lost", obj({"v": 2}))
+            database.put("lost", obj({"v": 2}))
         except InjectedFault as error:
             print(f"append failed as injected: {error}")
-    print(f"log untouched, store still usable: names = {storage.names()}")
-    storage.write("after", obj({"v": 3}))
-    print(f"next commit lands cleanly:        names = {storage.names()}")
-    storage.close()
+    print(f"log untouched, store still usable: names = {database.names()}")
+    database.put("after", obj({"v": 3}))
+    print(f"next commit lands cleanly:        names = {database.names()}")
+    database.close()
 
     banner("2. Simulated crash mid-append: recovery truncates the torn tail")
-    storage = FileStorage(path)
+    database = ObjectDatabase(FileStorage(path))
     size_before = os.path.getsize(path)
     with inject("store.wal.append:torn_crash", seed=7):
         try:
-            storage.write("in_flight", obj({"v": 4}))
+            database.put("in_flight", obj({"v": 4}))
         except SimulatedCrash:
             print("the process 'died' with a partial record on disk")
-    storage.close()
+    database.close()
     print(f"torn bytes on disk: {os.path.getsize(path) - size_before}")
-    recovered = FileStorage(path)
+    recovered = ObjectDatabase(FileStorage(path))
     print(f"recovery truncated back to the commit boundary: {recovered.names()}")
     recovered.close()
 
@@ -89,11 +89,12 @@ def main() -> None:
     lines[1] = lines[1].replace('"commit"', '"COMMIT"')  # flip bytes in record 2
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
-    recovered = FileStorage(path)  # on_corruption="quarantine" is the default
+    log = FileStorage(path)
+    recovered = ObjectDatabase(log)
     print(f"intact prefix:        {recovered.names()}")
     print(
-        f"quarantined: {recovered.quarantined_records} records,"
-        f" {recovered.quarantined_bytes} bytes -> {recovered.quarantine_path}"
+        f"quarantined: {log.quarantined_records} records,"
+        f" {log.quarantined_bytes} bytes -> {log.quarantine_path}"
     )
     recovered.close()
     print("offline check (read-only): python -m repro store --db-path ... verify")

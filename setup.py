@@ -18,7 +18,7 @@ setup(
     ),
     author="Reproduction Authors",
     license="MIT",
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=[],

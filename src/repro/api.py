@@ -85,7 +85,7 @@ from repro.plan.parameters import validate_parameters
 from repro.plan.stats import EngineStats
 from repro.store.database import ObjectDatabase
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
-from repro.store.storage import FileStorage, MemoryStorage
+from repro.store.storage import FileStorage
 
 __all__ = [
     "ConflictError",
@@ -236,7 +236,7 @@ class Session:
             self._db = database
             self._owns_db = False
         else:
-            storage = FileStorage(path) if path is not None else MemoryStorage()
+            storage = FileStorage(path) if path is not None else None
             self._db = ObjectDatabase(storage, lock_timeout=lock_timeout)
             self._owns_db = True
         self._rules: List[Rule] = []
@@ -731,7 +731,7 @@ class Session:
         self.shutdown()
 
     def __repr__(self) -> str:
-        backend = "wal" if isinstance(self._db._storage, FileStorage) else "memory"
+        backend = "memory" if self._db._storage is None else "wal"
         return (
             f"<Session {backend} store, {len(self._db.names())} objects,"
             f" {len(self._rules)} rules, {len(self._snapshot.plans)} cached plans>"

@@ -29,9 +29,10 @@ Subcommands
               report; ``--suppress RLxxx`` (or ``N:RLxxx``) drops findings.
               Exits 1 on errors — and on warnings too under ``--strict``.
 ``store``     operate on a durable, WAL-backed object store: ``--db-path``
-              opens (or creates) a :class:`repro.store.storage.FileStorage`
-              log, and the actions ``put``/``get``/``delete``/``names``/
-              ``query``/``compact`` run against it, each commit fsynced;
+              opens (or creates) a store over its write-ahead log
+              (:class:`repro.store.storage.FileStorage`), and the actions
+              ``put``/``get``/``delete``/``names``/``query``/``compact``
+              run against it, each commit fsynced;
               ``query`` accepts ``--param`` bindings, and ``--explain`` shows
               the plan and the store access path (root-attribute pushdown /
               index short-circuit).  ``verify`` is different: it checks the

@@ -35,8 +35,8 @@ Raw objects are never interned and keep full structural semantics.
 from __future__ import annotations
 
 import math
-
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
 from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
@@ -596,7 +596,7 @@ class SetObject(ComplexObject):
         if not isinstance(element, ComplexObject):
             return False
         if self._iid is not None and element._iid is not None:
-            at = _position(self._elements, element.sort_key())
+            at = bisect_left(self._elements, element.sort_key(), key=ComplexObject.sort_key)
             return at < len(self._elements) and self._elements[at] is element
         return any(element == member for member in self._elements)
 
@@ -635,21 +635,6 @@ class SetObject(ComplexObject):
     def _text(self) -> str:
         inner = ", ".join(element._text() for element in self._elements)
         return "{" + inner + "}"
-
-
-def _position(elements: Sequence[ComplexObject], key) -> int:
-    """Where ``key`` sorts among canonically ordered ``elements``.
-
-    A bisect-left by hand: :mod:`bisect` takes ``key=`` only from Python 3.10.
-    """
-    low, high = 0, len(elements)
-    while low < high:
-        middle = (low + high) // 2
-        if elements[middle].sort_key() < key:
-            low = middle + 1
-        else:
-            high = middle
-    return low
 
 
 def _children(node: ComplexObject) -> Iterable[ComplexObject]:

@@ -51,7 +51,6 @@ from repro.core.objects import (
     SetObject,
     Top,
     TupleObject,
-    _position,
 )
 
 __all__ = [
@@ -436,11 +435,11 @@ def _spliced(value: SetObject, index: _SetIndex, added, removed) -> SetObject:
     key, fingerprint and index derived from ``value``'s."""
     ordered, ids, size, depth = list(value._elements), list(index.ids), value._size, value._depth
     for old in removed:
-        del ordered[_position(ordered, old.sort_key())]
+        del ordered[bisect_left(ordered, old.sort_key(), key=ComplexObject.sort_key)]
         del ids[bisect_left(ids, old._iid)]
         size -= old._size
     if added is not None:
-        ordered.insert(_position(ordered, added.sort_key()), added)
+        ordered.insert(bisect_left(ordered, added.sort_key(), key=ComplexObject.sort_key), added)
         insort(ids, added._iid)
         size += added._size
         depth = max(depth, 1 + added._depth)

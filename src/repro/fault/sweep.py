@@ -1,7 +1,8 @@
 """Crash-consistency sweep: crash everywhere, assert prefix recovery.
 
 The harness drives a deterministic scripted workload of committed batches
-against :class:`repro.store.storage.FileStorage` and simulates a crash at
+against an :class:`repro.store.database.ObjectDatabase` over a
+:class:`repro.store.storage.FileStorage` log and simulates a crash at
 every interesting boundary of every commit:
 
 ``before_append``
@@ -43,6 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.builder import obj
 from repro.core.objects import ComplexObject
 from repro.fault.injection import FaultSpec, SimulatedCrash, inject
+from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 
 __all__ = [
@@ -142,23 +144,23 @@ def _expected_states(workload: Sequence[Batch]) -> List[Dict[str, ComplexObject]
 
 
 def _recovered_state(path: str) -> Dict[str, ComplexObject]:
-    storage = FileStorage(path)
+    database = ObjectDatabase(FileStorage(path))
     try:
-        return dict(storage.items())
+        return database.snapshot()
     finally:
-        storage.close()
+        database.close()
 
 
 def _build_log(path: str, workload: Sequence[Batch], upto: int) -> None:
     """Write a fresh log containing commits ``1..upto`` of the workload."""
     if os.path.exists(path):
         os.remove(path)
-    storage = FileStorage(path)
+    database = ObjectDatabase(FileStorage(path))
     try:
         for batch in workload[:upto]:
-            storage.apply_batch(batch)
+            database.commit_batch(batch)
     finally:
-        storage.close()
+        database.close()
 
 
 def run_crash_sweep(
@@ -180,16 +182,16 @@ def run_crash_sweep(
             for boundary in BOUNDARIES:
                 report.cases += 1
                 _build_log(path, workload, k - 1)
-                storage = FileStorage(path)
+                database = ObjectDatabase(FileStorage(path))
                 crashed = False
                 try:
                     with inject(_BOUNDARY_SPECS[boundary], seed=seed + k):
                         try:
-                            storage.apply_batch(workload[k - 1])
+                            database.commit_batch(workload[k - 1])
                         except SimulatedCrash:
                             crashed = True
                 finally:
-                    storage.close()
+                    database.close()
                 if not crashed:
                     report.failures.append(
                         f"commit {k} {boundary}: expected a simulated crash"

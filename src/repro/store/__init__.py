@@ -10,8 +10,8 @@ substrate so the calculus can be used as an actual database system:
 * :mod:`repro.store.updates` — functional update primitives (assign,
   insert, remove) at attribute paths (:mod:`repro.core.paths`) that always
   return new objects;
-* :mod:`repro.store.storage` — in-memory and write-ahead-log file-backed
-  storage engines with group commit and torn-tail crash recovery;
+* :mod:`repro.store.storage` — the write-ahead log that makes commits
+  durable: group commit, torn-tail crash recovery and quarantine;
 * :mod:`repro.store.index` — path indexes over stored collections to
   accelerate pattern selections, with O(keys) maintenance via a reverse map;
 * :mod:`repro.store.locks` — the writer mutex that serialises commits; readers
@@ -19,8 +19,9 @@ substrate so the calculus can be used as an actual database system:
 * :mod:`repro.store.transactions` — atomic multi-statement transactions with
   validate-before-apply commit and optimistic snapshot validation;
 * :mod:`repro.store.database` — the :class:`~repro.store.database.ObjectDatabase`
-  facade tying everything together: named roots, calculus queries, rule
-  closure, schema enforcement and updates.
+  facade tying everything together: the one ``name → object`` map (published
+  as one immutable state per commit), calculus queries, rule closure, schema
+  enforcement and updates.
 """
 
 from repro.store.codec import (
@@ -36,7 +37,7 @@ from repro.store.codec import (
 from repro.store.database import ObjectDatabase
 from repro.store.index import PathIndex
 from repro.store.locks import WriteLock
-from repro.store.storage import FileStorage, MemoryStorage, StorageEngine
+from repro.store.storage import FileStorage
 from repro.store.transactions import Transaction
 from repro.store.updates import (
     assign_path,
@@ -48,10 +49,8 @@ from repro.store.updates import (
 
 __all__ = [
     "FileStorage",
-    "MemoryStorage",
     "ObjectDatabase",
     "PathIndex",
-    "StorageEngine",
     "Transaction",
     "WriteLock",
     "assign_path",

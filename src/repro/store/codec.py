@@ -167,21 +167,26 @@ def parse_record(line: str) -> dict:
     complete line without one — or with one that does not match — was not
     written by a commit, or was damaged after it: the log is corrupt rather
     than torn.  (This also covers in-place damage to the checksum field's
-    *name*, which must not demote a commit to an unchecked record.)
+    *name*, which must not demote a commit to an unchecked record.)  A line
+    nested too deeply to parse is malformed like any other.
     """
     try:
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise StoreError(f"malformed log record (not an object): {record!r}")
+        checksum = record.pop(_CHECKSUM, None)
+        if checksum is None:
+            raise StoreError(
+                "log record carries no checksum (records are always framed with"
+                " one; the line was not written by a commit, or was damaged in place)"
+            )
+        # Re-serialising recurses as deep as parsing did, and can fail where
+        # parsing just did not.
+        expected = zlib.crc32(_canonical(record).encode("utf-8")) & 0xFFFFFFFF
     except json.JSONDecodeError as error:
         raise StoreError(f"malformed log record: {error}") from error
-    if not isinstance(record, dict):
-        raise StoreError(f"malformed log record (not an object): {record!r}")
-    checksum = record.pop(_CHECKSUM, None)
-    if checksum is None:
-        raise StoreError(
-            "log record carries no checksum (records are always framed with"
-            " one; the line was not written by a commit, or was damaged in place)"
-        )
-    expected = zlib.crc32(_canonical(record).encode("utf-8")) & 0xFFFFFFFF
+    except RecursionError:
+        raise StoreError("malformed log record: nested too deeply to parse") from None
     if checksum != expected:
         raise StoreError(
             f"log record failed its checksum (stored {checksum}, computed {expected})"

@@ -1,7 +1,8 @@
 """The :class:`ObjectDatabase` facade.
 
-An object database is a named collection of complex objects on top of a
-storage engine, with:
+An object database is a named collection of complex objects — in memory,
+or durable over a write-ahead log (:class:`~repro.store.storage.FileStorage`)
+— with:
 
 * calculus queries: formulae evaluate against one stored object (or against
   the whole database seen as a single tuple object, exactly the paper's "the
@@ -26,13 +27,15 @@ Concurrency discipline
 The database is safe for concurrent use from multiple threads.  Every commit
 takes the :class:`~repro.store.locks.WriteLock` once and does everything
 decisive under it (:meth:`ObjectDatabase.commit_batch`): validate schemas,
-conflict-check, apply to storage (one WAL append + fsync), maintain the
+conflict-check, log the batch (one WAL append + fsync), maintain the
 indexes, and publish the next :class:`_State` with one attribute assignment.
 A published state never changes, so readers take no lock: each read takes
 ``self._state`` once, and :meth:`ObjectDatabase.state` hands out one state
 to read many times.  A failed commit publishes nothing.  Reads of what a
 commit mutates in place — path index contents, the schema and index
-registries — take the writer mutex.  Storage is read once, at open.
+registries — take the writer mutex.  The published state is the store's
+only ``name → object`` map: the log hands its replayed objects over once, at
+open, and keeps none.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from repro.schema.types import SchemaType
 from repro.store.index import PathIndex
 from repro.store.locks import WriteLock
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
-from repro.store.storage import MemoryStorage, StorageEngine
+from repro.store.storage import FileStorage
 from repro.store.transactions import Transaction
 from repro.store.updates import assign_path, insert_element, merge_object, remove_element
 
@@ -147,23 +150,35 @@ class _State:
         return self._object
 
 
+def _check_batch(changes: Mapping[str, Optional[ComplexObject]]) -> None:
+    for name, value in changes.items():
+        if not isinstance(name, str):
+            raise StoreError(f"object names must be strings, got {type(name).__name__}")
+        if value is not None and not isinstance(value, ComplexObject):
+            raise StoreError(
+                f"only complex objects can be stored, got {type(value).__name__}"
+            )
+
+
 class ObjectDatabase:
     """A named collection of complex objects with queries, indexes and updates."""
 
     def __init__(
         self,
-        storage: Optional[StorageEngine] = None,
+        storage: Optional[FileStorage] = None,
         *,
         lock_timeout: Optional[float] = None,
     ):
-        self._storage = storage if storage is not None else MemoryStorage()
+        # ``None``: an in-memory store, whose commits are logged nowhere.
+        self._storage = storage
         self._indexes: Dict[str, PathIndex] = {}
         self._schemas: Dict[str, SchemaType] = {}
         # ``lock_timeout`` (seconds) bounds every acquisition of the writer
         # mutex: past it, commits and index-consulting reads raise
         # LockTimeout instead of hanging.
         self._lock = WriteLock(default_timeout=lock_timeout)
-        self._state = _State().following(dict(self._storage.items()))  # version 0
+        recovered = {} if storage is None else storage.recovered()
+        self._state = _State().following(recovered)  # version 0
         # Access-path counters: how often queries/finds used an index or
         # pushdown instead of scanning the snapshot (see ``access_stats``).
         # Lock-free readers bump them concurrently, so they go through their
@@ -238,8 +253,10 @@ class ObjectDatabase:
 
         The all-or-nothing discipline every commit goes through:
 
-        The writer mutex is taken once and everything decisive happens
-        under it, in order:
+        Names must be strings and values complex objects: anything else
+        raises :class:`StoreError` before the writer mutex is taken.  The
+        mutex is taken once and everything decisive happens under it, in
+        order:
 
         1. every written value is schema-checked against the schemas in force
            *at commit time* (checking outside the lock would race a
@@ -250,9 +267,9 @@ class ObjectDatabase:
            mismatch raises :class:`ConflictError` (the retryable
            :class:`TransactionError` subclass) and applies nothing
            (first committer wins);
-        3. storage applies the batch as one unit (one WAL append + fsync for
-           file-backed engines), the path indexes are maintained, and the
-           next state is published.
+        3. the log appends the batch as one record (one WAL append + fsync;
+           an in-memory store has no log), the path indexes are maintained,
+           and the next state is published.
 
         Deletes of names that are already absent are dropped from the batch;
         a batch that ends up empty applies nothing and bumps no version.
@@ -262,6 +279,7 @@ class ObjectDatabase:
             if span.enabled:
                 span.set(names=len(changes), guarded=expected is not None)
             try:
+                _check_batch(changes)
                 with self._lock:
                     state = self._state
                     for name, value in changes.items():
@@ -289,7 +307,8 @@ class ObjectDatabase:
                         if value is not None or name in state
                     }
                     if effective:
-                        self._storage.apply_batch(effective)
+                        if self._storage is not None:
+                            self._storage.apply_batch(effective, state)
                         for index in self._indexes.values():
                             for name, value in effective.items():
                                 if value is None:
@@ -663,12 +682,11 @@ class ObjectDatabase:
 
     # -- maintenance -----------------------------------------------------------------------
     def compact(self) -> None:
-        """Compact the storage engine's log (engines without one reject this)."""
-        compact = getattr(self._storage, "compact", None)  # invariant: unlocked-ok — binds the method; the call runs under the writer mutex below
-        if compact is None:
-            raise StoreError("the storage engine does not support compaction")
+        """Rewrite the write-ahead log from the current state (in-memory stores have none)."""
         with self._lock:
-            compact()
+            if self._storage is None:
+                raise StoreError("an in-memory store has no log to compact")
+            self._storage.compact(self._state.items())
 
     # -- helpers ---------------------------------------------------------------------------
     def _require(self, name: str) -> ComplexObject:
@@ -678,13 +696,15 @@ class ObjectDatabase:
         return value
 
     def close(self) -> None:
-        """Close the underlying storage engine and drop the object memo caches.
+        """Close the write-ahead log (if any) and drop the object memo caches.
 
         The sub-object memo keys on intern ids and never pins objects, but its
         entries accumulate across a store's lifetime; teardown is the natural
         point to release them.
         """
-        self._storage.close()  # invariant: unlocked-ok — teardown is single-threaded by contract
+        storage = self._storage  # invariant: unlocked-ok — teardown is single-threaded by contract
+        if storage is not None:
+            storage.close()
         clear_object_caches()
 
     def __repr__(self) -> str:

@@ -1,34 +1,26 @@
-"""Storage engines: where named objects physically live.
+"""The write-ahead log: how committed objects survive the process.
 
-Two engines implement the same interface (:class:`StorageEngine`):
-
-* :class:`MemoryStorage` — a plain dictionary; the default for tests,
-  examples and benchmarks;
-* :class:`FileStorage` — a **write-ahead log**: every commit is appended as a
-  single checksummed record (see :func:`repro.store.codec.frame_record`) and
-  fsynced once, whether it carries one write or a whole transaction's batch.
-  On open, the log is replayed to rebuild the current state; an unterminated
-  final line is a *torn tail* left by a crash mid-append and is truncated
-  away, while a complete record that fails to parse or fails its checksum is
-  reported as corruption.  A commit logs, per name, the smaller of the
-  object's image and its edit against the version already held
-  (:func:`repro.store.updates.diff_object`); :class:`LogReplay` folds the
-  edits back in, for recovery and for ``repro store verify`` alike.
-  ``compact()`` is the checkpoint: it rewrites the log with just the live
-  versions, images only.
-
-The unit of atomicity is :meth:`StorageEngine.apply_batch`: a mapping from
-names to new values (``None`` meaning delete) that is applied all-or-nothing.
-``write``/``delete`` are single-change conveniences over it.  Everything
-smarter (indexes, transactions, schema checks, locking, queries) lives above
-the engines in :class:`repro.store.database.ObjectDatabase`.
+:class:`FileStorage` holds no objects.  The store's one ``name → object``
+map is the state :class:`repro.store.database.ObjectDatabase` publishes per
+commit; the log only makes each commit durable.  A commit is appended as a
+single checksummed record (see :func:`repro.store.codec.frame_record`) and
+fsynced once, whether it carries one write or a whole transaction's batch.
+On open, the log is replayed and its objects are handed to the database
+once; an unterminated final line is a *torn tail* left by a crash
+mid-append and is truncated away, while a complete record that fails to
+parse or fails its checksum is corruption and is quarantined.  A commit
+logs, per name, the smaller of the object's image and its edit against the
+version the database held (:func:`repro.store.updates.diff_object`);
+:class:`LogReplay` folds the edits back in, for recovery and for ``repro
+store verify`` alike.  ``compact(items)`` is the checkpoint: it rewrites the
+log from the database's state, images only.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import StoreError
 from repro.core.objects import ComplexObject
@@ -39,97 +31,7 @@ from repro.obs.metrics import REGISTRY as _METRICS
 from repro.store.codec import decode_json, encode_json, frame_record, parse_record
 from repro.store.updates import _EditFold, _UnreducedEdits, diff_object
 
-__all__ = ["StorageEngine", "MemoryStorage", "FileStorage", "LogReplay"]
-
-
-class StorageEngine:
-    """Interface of a storage engine: a named map of complex objects."""
-
-    def read(self, name: str) -> Optional[ComplexObject]:
-        """Return the object stored under ``name``, or ``None`` when absent."""
-        raise NotImplementedError
-
-    def write(self, name: str, value: ComplexObject) -> None:
-        """Store ``value`` under ``name``, replacing any previous version."""
-        raise NotImplementedError
-
-    def delete(self, name: str) -> None:
-        """Remove ``name`` (no error when absent)."""
-        raise NotImplementedError
-
-    def apply_batch(self, changes: Mapping[str, Optional[ComplexObject]]) -> None:
-        """Apply a group of changes atomically and (if durable) in one fsync.
-
-        ``changes`` maps names to their new values; ``None`` deletes the
-        name.  Either every change lands or none does — engines must validate
-        and encode the whole batch before mutating any state.
-
-        The default applies the batch change-by-change through ``write`` /
-        ``delete`` so engines written against the original interface keep
-        working — but that fallback is only atomic when the individual
-        operations cannot fail part-way (it validates the whole batch up
-        front to make that true for well-typed values).  Engines with a real
-        commit point (like :class:`FileStorage`) must override it.
-        """
-        _check_batch(changes)
-        for name, value in changes.items():
-            if value is None:
-                self.delete(name)
-            else:
-                self.write(name, value)
-
-    def names(self) -> Tuple[str, ...]:
-        """The names currently stored, sorted."""
-        raise NotImplementedError
-
-    def items(self) -> Iterator[Tuple[str, ComplexObject]]:
-        """Iterate over ``(name, object)`` pairs in name order."""
-        for name in self.names():
-            value = self.read(name)
-            if value is not None:
-                yield name, value
-
-    def close(self) -> None:
-        """Release any resources (files); the default does nothing."""
-
-
-def _check_batch(changes: Mapping[str, Optional[ComplexObject]]) -> None:
-    for name, value in changes.items():
-        if not isinstance(name, str):
-            raise StoreError(f"object names must be strings, got {type(name).__name__}")
-        if value is not None and not isinstance(value, ComplexObject):
-            raise StoreError(
-                f"only complex objects can be stored, got {type(value).__name__}"
-            )
-
-
-class MemoryStorage(StorageEngine):
-    """An in-memory storage engine backed by a dictionary."""
-
-    def __init__(self):
-        self._objects: Dict[str, ComplexObject] = {}
-
-    def read(self, name: str) -> Optional[ComplexObject]:
-        return self._objects.get(name)
-
-    def write(self, name: str, value: ComplexObject) -> None:
-        self.apply_batch({name: value})
-
-    def delete(self, name: str) -> None:
-        self.apply_batch({name: None})
-
-    def apply_batch(self, changes: Mapping[str, Optional[ComplexObject]]) -> None:
-        _check_batch(changes)
-        # Validation above is the only thing that can raise; the loop below
-        # cannot fail part-way, so the batch is all-or-nothing.
-        for name, value in changes.items():
-            if value is None:
-                self._objects.pop(name, None)
-            else:
-                self._objects[name] = value
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._objects))
+__all__ = ["FileStorage", "LogReplay"]
 
 
 def _encode_edit(edit: dict) -> dict:
@@ -272,8 +174,8 @@ class LogReplay:
             self._rebuild(name)
 
 
-class FileStorage(StorageEngine):
-    """A write-ahead-log storage engine over one append-only file.
+class FileStorage:
+    """The write-ahead log of a store: one append-only file.
 
     Each committed batch is one line: ``{"op": "commit", "writes": {name:
     encoded-object-or-null, ...}, "edits": {name: [edit, ...]}, "crc": ...}``
@@ -289,50 +191,50 @@ class FileStorage(StorageEngine):
       happened mid-append, the commit never completed, and the tail is
       truncated off so the next append starts at a record boundary;
     * a newline-terminated record that fails to parse, fails its checksum, or
-      has an unknown shape is **corruption**.  The default
-      (``on_corruption="quarantine"``) moves the corrupt record *and
+      has an unknown shape is **corruption**: the corrupt record *and
       everything after it* — replaying past a gap would break prefix
-      consistency — verbatim into the ``<path>.quarantine`` sidecar,
-      truncates the log back to the last intact record, and reports the
-      damage on :attr:`quarantined_records` / :attr:`quarantined_bytes` (and
-      the ``store.wal.quarantined_*`` metrics), so the store opens with the
-      longest intact prefix and no committed byte is silently discarded.
-      ``on_corruption="raise"`` keeps the strict historical behaviour:
-      :class:`StoreError` on open, nothing touched.
+      consistency — move verbatim into the ``<path>.quarantine`` sidecar,
+      the log is truncated back to the last intact record, and the damage is
+      reported on :attr:`quarantined_records` / :attr:`quarantined_bytes`
+      (and the ``store.wal.quarantined_*`` metrics), so the store opens with
+      the longest intact prefix and no committed byte is silently discarded.
+      :func:`repro.store.verify.verify_wal` names the record without moving
+      it.
+
+    The replayed objects wait for :meth:`recovered`, which hands them over
+    once, to the database that opens the log.
 
     Failed appends self-heal: if the append or its fsync raises (a real
     ``OSError`` or an injected fault), the log is truncated back to the
     record boundary before the attempt so a partial line can never corrupt
     the commits that follow; only when that healing itself fails does the
-    engine mark itself failed and reject further writes.
+    log mark itself failed and reject further writes.
     """
 
-    def __init__(self, path: str, *, on_corruption: str = "quarantine"):
-        if on_corruption not in ("quarantine", "raise"):
-            raise StoreError(
-                f"unknown on_corruption mode {on_corruption!r}"
-                " (expected 'quarantine' or 'raise')"
-            )
+    def __init__(self, path: str):
         self.path = path
         self.quarantine_path = path + ".quarantine"
-        self._on_corruption = on_corruption
-        self._objects: Dict[str, ComplexObject] = {}
         self.torn_bytes_dropped = 0
         self.quarantined_records = 0
         self.quarantined_bytes = 0
         self._failed = False
         if _fault.ACTIVE is not None:
             _fault.fire("store.wal.open")
-        self._replay()
-        # Open for appending only after a successful replay so a corrupt log
-        # is reported before any new data is appended to it.
+        self._recovered: Optional[Dict[str, ComplexObject]] = self._replay()
         self._handle = open(self.path, "a", encoding="utf-8")
         self._size = os.path.getsize(self.path)
 
+    def recovered(self) -> Dict[str, ComplexObject]:
+        """The objects replayed on open: handed over once, then forgotten."""
+        objects, self._recovered = self._recovered, None
+        if objects is None:
+            raise StoreError(f"storage log {self.path!r} is already open in a database")
+        return objects
+
     # -- log handling ------------------------------------------------------------
-    def _replay(self) -> None:
+    def _replay(self) -> Dict[str, ComplexObject]:
         if not os.path.exists(self.path):
-            return
+            return {}
         with _trace.span("store.wal.recovery") as span:
             with open(self.path, "rb") as handle:
                 raw = handle.read()
@@ -346,8 +248,7 @@ class FileStorage(StorageEngine):
                     os.fsync(handle.fileno())
             replay, corruption = LogReplay.of(raw)
             if corruption is not None:
-                self._corrupt(raw, *corruption)
-            self._objects = replay.objects
+                self._quarantine(raw, corruption[0])
             if span.enabled:
                 span.set(
                     path=self.path,
@@ -361,12 +262,10 @@ class FileStorage(StorageEngine):
         _METRICS.counter("store.wal.records_replayed").inc(replay.records)
         _METRICS.counter("store.wal.edits_replayed").inc(replay.edits_replayed)
         _METRICS.counter("store.wal.torn_bytes_dropped").inc(self.torn_bytes_dropped)
+        return replay.objects
 
-    def _corrupt(self, raw: bytes, offset: int, line_number: int, reason: str) -> None:
-        """Handle a corrupt record at ``offset``: quarantine or raise."""
-        message = f"corrupt storage log {self.path!r} at line {line_number}: {reason}"
-        if self._on_corruption == "raise":
-            raise StoreError(message)
+    def _quarantine(self, raw: bytes, offset: int) -> None:
+        """Move the corrupt record at ``offset`` and all after it to the sidecar."""
         blob = raw[offset:]
         records = sum(1 for chunk in blob.split(b"\n") if chunk.strip())
         with open(self.quarantine_path, "ab") as sidecar:
@@ -443,7 +342,7 @@ class FileStorage(StorageEngine):
     def _heal(self, offset: int) -> None:
         """Truncate a failed append back to the last good record boundary.
 
-        Best-effort: when the healing itself fails the engine marks itself
+        Best-effort: when the healing itself fails the log marks itself
         failed and rejects further appends (the on-disk prefix up to
         ``offset`` stays valid either way — recovery re-truncates a torn
         tail on the next open).
@@ -464,76 +363,59 @@ class FileStorage(StorageEngine):
         except OSError:
             self._failed = True
 
-    # -- StorageEngine interface ----------------------------------------------------
-    def read(self, name: str) -> Optional[ComplexObject]:
-        return self._objects.get(name)
+    # -- the commit path ------------------------------------------------------------
+    def apply_batch(self, changes: Mapping[str, Optional[ComplexObject]], held) -> None:
+        """Append ``changes`` (name → value, ``None`` deletes) as one fsynced record.
 
-    def write(self, name: str, value: ComplexObject) -> None:
-        self.apply_batch({name: value})
-
-    def apply_batch(self, changes: Mapping[str, Optional[ComplexObject]]) -> None:
-        _check_batch(changes)
-        if not changes:
-            return
-        # Per name, the edit against the version held when it names fewer
-        # nodes than the image, the image otherwise.  Encode and frame the
-        # whole commit before touching the log or the in-memory state: an
-        # encoding failure leaves both untouched, and the single append +
-        # fsync makes the batch one durability point.
+        ``held`` is the state the commit was validated against (a
+        :class:`repro.store.database._State`): a name logs its edit against
+        ``held``'s version when that names fewer nodes than its image, the
+        image otherwise.  The whole record is encoded and framed before the
+        log is touched, so a failure — a value nested too deeply to encode
+        included — leaves the log as it was.
+        """
         writes, edits = {}, {}
-        for name, value in changes.items():
-            edit = None if value is None else diff_object(self._objects.get(name), value)
-            if edit is None:
-                writes[name] = None if value is None else encode_json(value)
-            else:
-                edits[name] = [_encode_edit(entry) for entry in edit]
-        record = {"op": "commit", "writes": writes}
-        if edits:
-            record["edits"] = edits
-        self._append(frame_record(record))
+        try:
+            for name, value in changes.items():
+                edit = None if value is None else diff_object(held.get(name), value)
+                if edit is None:
+                    writes[name] = None if value is None else encode_json(value)
+                else:
+                    edits[name] = [_encode_edit(entry) for entry in edit]
+            record = {"op": "commit", "writes": writes}
+            if edits:
+                record["edits"] = edits
+            line = frame_record(record)
+        except RecursionError:
+            written = ", ".join(repr(name) for name, value in changes.items() if value is not None)
+            raise StoreError(f"cannot log {written}: nested too deeply to encode") from None
+        self._append(line)
         images = sum(data is not None for data in writes.values())
         _METRICS.counter("store.wal.image_records").inc(images)
         _METRICS.counter("store.wal.edit_records").inc(len(edits))
         # The commit span is the caller's (ObjectDatabase.commit_batch); only
-        # the engine knows which form each name took.
+        # the log knows which form each name took.
         tracer = _trace.current_tracer()
         commit = tracer.active() if tracer is not None else None
         if commit is not None and commit.name == "store.commit":
             commit.set(images=images, edits=len(edits))
-        for name, value in changes.items():
-            if value is None:
-                self._objects.pop(name, None)
-            else:
-                self._objects[name] = value
 
-    def delete(self, name: str) -> None:
-        # Skip the log append when the name is absent; nothing to undo.
-        if name in self._objects:
-            self.apply_batch({name: None})
+    def compact(self, items: Iterable[Tuple[str, ComplexObject]]) -> None:
+        """Rewrite the log as one image record per ``(name, object)`` of ``items``.
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._objects))
-
-    def compact(self) -> None:
-        """Rewrite the log keeping only the latest version of each object.
-
-        The checkpoint: one image per name, no edits.
+        The checkpoint: the database passes its current state's items.
         """
         temporary = self.path + ".compact"
         with open(temporary, "w", encoding="utf-8") as handle:
-            for name in sorted(self._objects):
-                record = {
-                    "op": "commit",
-                    "writes": {name: encode_json(self._objects[name])},
-                }
-                handle.write(frame_record(record))
+            for name, value in items:
+                handle.write(frame_record({"op": "commit", "writes": {name: encode_json(value)}}))
             handle.flush()
             os.fsync(handle.fileno())
         self._handle.close()
         os.replace(temporary, self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._size = os.path.getsize(self.path)
-        # A full rewrite from the in-memory state recovers a failed engine.
+        # A full rewrite from the database's state recovers a failed log.
         self._failed = False
 
     def close(self) -> None:

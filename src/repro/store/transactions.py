@@ -4,9 +4,9 @@ A :class:`Transaction` buffers writes and deletes against a snapshot of the
 database and applies them atomically on :meth:`commit` — genuinely
 all-or-nothing: every schema is validated and every change staged *before*
 anything touches storage, and the batch then lands under the database's
-writer mutex as one storage commit (a single WAL append + fsync on a
-file-backed engine).  A commit that fails — schema violation, conflict,
-storage error — leaves the database exactly as it was.
+writer mutex as one commit (a single WAL append + fsync on a durable
+store).  A commit that fails — schema violation, conflict, storage error —
+leaves the database exactly as it was.
 
 Reads inside the transaction see its own uncommitted writes first, then one
 committed state of the database (:meth:`ObjectDatabase.state`), taken at the

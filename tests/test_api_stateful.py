@@ -1,17 +1,29 @@
-"""A state machine over whole in-memory sessions, checked against the oracles.
+"""A state machine over whole sessions, checked against the oracles.
 
-Each step drives one :func:`repro.connect` session — store writes, seed
-edits, rule registration, prepared and ad-hoc queries, closures, and
-cursors opened before later commits and drained after them — and a model
-that is nothing but a dict of stored objects, a seed and a rule list.  The
-model answers with the calculus definitions alone
+Each step drives one :func:`repro.connect` session — store writes,
+two-name transactions, set inserts and discards, seed edits, rule
+registration, prepared and ad-hoc queries, closures, and cursors opened
+before later commits and drained after them — and a model that is nothing
+but a dict of stored objects, a seed and a rule list.  The model answers
+with the calculus definitions alone
 (:func:`repro.calculus.interpretation.interpret`,
 :func:`repro.calculus.fixpoint.close`), so every plan cache, index store and
 resumed closure the session keeps must be invisible in its answers.
 
-Invariants: every answer equals the model's; a held cursor answers from the
-version it was opened on; every ``cache_info()`` counter is monotone.
+:class:`WalSessionMachine` runs the same rules over ``repro.connect(path)``
+and adds the write-ahead log's own moves: compaction, shutdown and reopen,
+and a ``put`` cut by a torn crash, after which the reopened store must hold
+what it held before that put.
+
+Invariants: every answer equals the model's; every stored object is the
+model's object itself (``is``), after a reopen too; a held cursor answers
+from the version it was opened on; every ``cache_info()`` counter is
+monotone.
 """
+
+import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -30,7 +42,8 @@ from repro.calculus.fixpoint import close as oracle_close  # noqa: E402
 from repro.calculus.interpretation import interpret  # noqa: E402
 from repro.core.errors import StoreError  # noqa: E402
 from repro.core.lattice import union  # noqa: E402
-from repro.core.objects import TupleObject  # noqa: E402
+from repro.core.objects import SetObject, TupleObject  # noqa: E402
+from repro.fault.injection import FaultSpec, SimulatedCrash, inject  # noqa: E402
 from repro.parser import parse_program  # noqa: E402
 
 NAMES = ("r1", "r2")
@@ -58,7 +71,8 @@ AGAINST = "{[a: $x, b: B]}"
 GAUGES = frozenset({"plans_cached", "closures_cached", "indexes_cached"})
 
 atoms = st.integers(min_value=0, max_value=2)
-rows = st.frozensets(st.tuples(atoms, atoms), max_size=4)
+pairs_of_atoms = st.tuples(atoms, atoms)
+rows = st.frozensets(pairs_of_atoms, max_size=4)
 
 
 def _set_text(pairs) -> str:
@@ -77,7 +91,7 @@ def _params(template: str, x: int):
 class SessionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.session = repro.connect()
+        self.session = self.open()
         self.prepared = {}
         self.cursors = []
         self.last_info = self.session.cache_info()
@@ -85,6 +99,9 @@ class SessionMachine(RuleBasedStateMachine):
         self.stored = {}
         self.seed = None
         self.rules = []
+
+    def open(self):
+        return repro.connect()
 
     def teardown(self):
         self.session.shutdown()
@@ -111,6 +128,36 @@ class SessionMachine(RuleBasedStateMachine):
     def remove(self, name):
         self.session.remove(name)
         self.stored.pop(name, None)
+
+    @rule(first=rows, second=rows)
+    def transact(self, first, second):
+        """Write both names in one transaction."""
+        values = dict(zip(NAMES, (parse_object(_set_text(pairs)) for pairs in (first, second))))
+
+        def work(txn):
+            for name, value in values.items():
+                txn.put(name, value)
+
+        self.session.transact(work)
+        self.stored.update(values)
+
+    @rule(name=st.sampled_from(NAMES), pair=pairs_of_atoms, add=st.booleans())
+    def edit_set(self, name, pair, add):
+        """Insert into or discard from a stored set through ``session.database``."""
+        element = parse_object(_set_text([pair])).elements[0]
+        database = self.session.database
+        edit = database.insert if add else database.discard
+        if name not in self.stored:
+            with pytest.raises(StoreError):
+                edit(name, "", element)
+            return
+        edit(name, "", element)
+        old = self.stored[name]
+        self.stored[name] = (
+            SetObject(list(old) + [element])
+            if add
+            else SetObject([each for each in old if each is not element])
+        )
 
     @rule(attribute=st.sampled_from(("s", "r1")), pairs=rows)
     def seed_object(self, attribute, pairs):
@@ -169,6 +216,12 @@ class SessionMachine(RuleBasedStateMachine):
 
     # -- invariants -----------------------------------------------------------------------
     @invariant()
+    def stored_objects_are_the_models(self):
+        assert self.session.names() == tuple(sorted(self.stored))
+        for name, value in self.stored.items():
+            assert self.session.get(name) is value, name
+
+    @invariant()
     def counters_are_monotone(self):
         info = self.session.cache_info()
         for key, value in info.items():
@@ -184,3 +237,55 @@ SessionMachine.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestSessionMachine = SessionMachine.TestCase
+
+
+class WalSessionMachine(SessionMachine):
+    """The session machine over a write-ahead-logged store, reopened at will."""
+
+    def __init__(self):
+        self.directory = tempfile.mkdtemp(prefix="repro-stateful-")
+        super().__init__()
+
+    def open(self):
+        return repro.connect(os.path.join(self.directory, "store.wal"))
+
+    def teardown(self):
+        super().teardown()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def reopen(self):
+        """A new session on the same log: the model's rules and seed come back."""
+        self.session.shutdown()
+        self.session = self.open()
+        if self.rules:
+            self.session.register(self.rules)
+        if self.seed is not None:
+            self.session.seed_object(self.seed)
+        self.prepared = {}
+        self.cursors = []
+        self.last_info = self.session.cache_info()
+
+    @rule()
+    def compact(self):
+        self.session.compact()
+
+    @rule()
+    def shutdown_and_reopen(self):
+        self.reopen()
+
+    @rule(name=st.sampled_from(NAMES), pairs=rows)
+    def crash_mid_put(self, name, pairs):
+        """A ``put`` whose append is torn by a crash never happened."""
+        with inject(FaultSpec("store.wal.append", mode="torn_crash")):
+            with pytest.raises(SimulatedCrash):
+                self.session.put(name, parse_object(_set_text(pairs)))
+        self.reopen()
+
+
+WalSessionMachine.TestCase.settings = settings(
+    max_examples=50,
+    stateful_step_count=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestWalSessionMachine = WalSessionMachine.TestCase

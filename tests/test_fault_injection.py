@@ -19,6 +19,7 @@ from repro.fault.injection import (
     parse_spec,
     uninstall,
 )
+from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 
 
@@ -196,67 +197,67 @@ class TestInstallation:
 
 
 class TestStoreWiring:
-    """The injection points actually wired through FileStorage."""
+    """The injection points actually wired through the write-ahead log."""
 
     def test_fsync_failure_heals_and_store_stays_usable(self, tmp_path):
         path = str(tmp_path / "db.wal")
-        storage = FileStorage(path)
-        storage.write("before", obj(1))
+        database = ObjectDatabase(FileStorage(path))
+        database.put("before", obj(1))
         size = os.path.getsize(path)
         with inject("store.wal.fsync:fail:times=1"):
             with pytest.raises(InjectedFault):
-                storage.write("lost", obj(2))
+                database.put("lost", obj(2))
         # Healing truncated the failed append; nothing half-written remains.
         assert os.path.getsize(path) == size
-        assert storage.read("lost") is None
-        storage.write("after", obj(3))
-        storage.close()
-        reloaded = FileStorage(path)
+        assert database.get("lost") is None
+        database.put("after", obj(3))
+        database.close()
+        reloaded = ObjectDatabase(FileStorage(path))
         assert reloaded.names() == ("after", "before")
         reloaded.close()
 
     def test_torn_append_failure_heals(self, tmp_path):
         path = str(tmp_path / "db.wal")
-        storage = FileStorage(path)
-        storage.write("before", obj(1))
+        database = ObjectDatabase(FileStorage(path))
+        database.put("before", obj(1))
         size = os.path.getsize(path)
         with inject("store.wal.append:torn:times=1"):
             with pytest.raises(InjectedFault):
-                storage.write("lost", obj(2))
+                database.put("lost", obj(2))
         assert os.path.getsize(path) == size
-        storage.write("after", obj(3))
-        storage.close()
+        database.put("after", obj(3))
+        database.close()
 
     def test_crash_poisons_instance_and_recovery_truncates(self, tmp_path):
         path = str(tmp_path / "db.wal")
-        storage = FileStorage(path)
-        storage.write("before", obj(1))
+        database = ObjectDatabase(FileStorage(path))
+        database.put("before", obj(1))
         size = os.path.getsize(path)
         with inject("store.wal.append:torn_crash:times=1"):
             with pytest.raises(SimulatedCrash):
-                storage.write("lost", obj(2))
+                database.put("lost", obj(2))
         # The dead process appends nothing further...
         with pytest.raises(StoreError):
-            storage.write("after", obj(3))
-        storage.close()
+            database.put("after", obj(3))
+        database.close()
         # ...and recovery truncates the torn tail back to the last commit.
-        recovered = FileStorage(path)
+        recovered = ObjectDatabase(FileStorage(path))
         assert recovered.names() == ("before",)
         assert os.path.getsize(path) == size
-        recovered.write("after", obj(3))
+        recovered.put("after", obj(3))
         recovered.close()
 
     def test_compact_recovers_a_failed_engine(self, tmp_path):
         path = str(tmp_path / "db.wal")
-        storage = FileStorage(path)
-        storage.write("keep", obj(1))
+        database = ObjectDatabase(FileStorage(path))
+        database.put("keep", obj(1))
         with inject("store.wal.append:torn_crash:times=1"):
             with pytest.raises(SimulatedCrash):
-                storage.write("lost", obj(2))
-        storage.compact()
-        storage.write("after", obj(3))
-        assert storage.names() == ("after", "keep")
-        storage.close()
+                database.put("lost", obj(2))
+        database.compact()
+        database.put("after", obj(3))
+        assert database.names() == ("after", "keep")
+        database.close()
 
     def test_open_failure_fires_before_replay(self, tmp_path):
         path = str(tmp_path / "db.wal")

@@ -138,6 +138,19 @@ class TestBatchCommit:
         database.remove("missing")
         assert database.version == before
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"people": obj(1), "bad": "not-an-object"}, {"people": obj(1), 7: obj(1)}],
+        ids=["value", "name"],
+    )
+    def test_a_batch_with_a_non_object_or_a_non_string_name_changes_nothing(
+        self, database, bad
+    ):
+        before = (database.version, database.snapshot())
+        with pytest.raises(StoreError):
+            database.commit_batch(bad)
+        assert (database.version, database.snapshot()) == before
+
     def test_compact_requires_a_compactable_engine(self, database):
         with pytest.raises(StoreError):
             database.compact()

@@ -29,6 +29,23 @@ from repro.store.verify import verify_wal
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "images_only.wal")
 
 
+def _reopen(path):
+    """The store over the log at ``path``, which must replay without quarantine."""
+    assert not verify_wal(path)["corrupt_records"]
+    log = FileStorage(path)
+    assert log.quarantined_records == 0
+    return ObjectDatabase(log)
+
+
+def _stored(path):
+    """What a clean reopen of the log at ``path`` holds, name → object."""
+    database = _reopen(path)
+    try:
+        return database.snapshot()
+    finally:
+        database.close()
+
+
 def _records(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
@@ -88,7 +105,7 @@ class TestRoundTrip:
                 assert all("edits" not in record for record in _records(path))
             elif kind == "reopen":
                 database.close()
-                database = ObjectDatabase(FileStorage(path, on_corruption="raise"))
+                database = _reopen(path)
             elif name in model:
                 if kind == "insert":
                     model[name] = database.insert(name, "rows", argument)
@@ -105,16 +122,15 @@ class TestRoundTrip:
             assert dict(database.items()) == model
         database.close()
         assert verify_wal(path)["clean"]
-        reopened = FileStorage(path, on_corruption="raise")
-        assert {name: value for name, value in reopened.items()} == model
-        assert all(reopened.read(name) is value for name, value in model.items())
+        reopened = _reopen(path)
+        assert dict(reopened.items()) == model
+        assert all(reopened.get(name) is value for name, value in model.items())
         reopened.compact()
         reopened.close()
         assert all(set(record) == {"op", "writes", "crc"} for record in _records(path))
-        checkpoint = FileStorage(path, on_corruption="raise")
-        assert all(checkpoint.read(name) is value for name, value in model.items())
-        assert checkpoint.names() == tuple(sorted(model))
-        checkpoint.close()
+        checkpoint = _stored(path)
+        assert all(checkpoint[name] is value for name, value in model.items())
+        assert sorted(checkpoint) == sorted(model)
 
     def test_every_way_in_reaches_the_same_edit(self, tmp_path):
         """``txn.put`` of a rebuilt value, the helpers and a plain overwrite: one mechanism."""
@@ -138,9 +154,7 @@ class TestRoundTrip:
         assert [entry["at"] for record in rest for entry in record["edits"]["library"]] == [
             ["docs"], ["docs"], ["docs"], ["owner"], ["docs"], ["owner"],
         ]
-        reopened = FileStorage(path)
-        assert reopened.read("library") is expected
-        reopened.close()
+        assert _stored(path)["library"] is expected
 
 
 # -- (c) a log written before edits existed ---------------------------------------------------
@@ -158,11 +172,9 @@ class TestImagesOnlyLog:
         shutil.copy(FIXTURE, path)
         before = open(path, "rb").read()
         assert all(set(record) == {"op", "writes", "crc"} for record in _records(path))
-        storage = FileStorage(path, on_corruption="raise")
-        assert {name: value.to_text() for name, value in storage.items()} == {
+        assert {name: value.to_text() for name, value in _stored(path).items()} == {
             name: parse_object(text).to_text() for name, text in self.EXPECTED.items()
         }
-        storage.close()
         assert open(path, "rb").read() == before
         report = verify_wal(path)
         assert report["clean"] and (report["records"], report["images"], report["edits"]) == (5, 5, 0)
@@ -170,13 +182,13 @@ class TestImagesOnlyLog:
     def test_and_takes_edits_from_here_on(self, tmp_path):
         path = str(tmp_path / "old.wal")
         shutil.copy(FIXTURE, path)
-        storage = FileStorage(path)
-        storage.write("n", parse_object("{2, 3, 4, 5}"))
-        storage.close()
+        database = ObjectDatabase(FileStorage(path))
+        database.put("n", parse_object("{2, 3, 4, 5}"))
+        database.close()
         assert _records(path)[-1]["edits"] == {
             "n": [{"at": [], "add": [encode_json(obj(5))], "del": []}]
         }
-        assert FileStorage(path).read("n") is parse_object("{2, 3, 4, 5}")
+        assert _stored(path)["n"] is parse_object("{2, 3, 4, 5}")
 
 
 # -- (d) corruption is all-or-nothing ---------------------------------------------------------
@@ -226,12 +238,11 @@ class TestCorruptEdits:
     @staticmethod
     def _log(path, bad):
         """Four records: an image, a good edit, ``bad``, and a commit after it."""
-        storage = FileStorage(path)
-        storage.write("library", _library(6))
-        storage.write("library", insert_element(storage.read("library"), "docs", _document(50)))
-        intact = storage.read("library")
+        database = ObjectDatabase(FileStorage(path))
+        database.put("library", _library(6))
+        intact = database.insert("library", "docs", _document(50))
         size = os.path.getsize(path)
-        storage.close()
+        database.close()
         after = {"op": "commit", "writes": {"later": encode_json(obj(1))}}
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(frame_record(bad) + frame_record(after))
@@ -246,14 +257,12 @@ class TestCorruptEdits:
         report = verify_wal(path)
         assert [damage["line"] for damage in report["corrupt_records"]] == [3]
         assert (report["records"], report["images"], report["edits"], report["objects"]) == (2, 1, 1, 1)
-
-        with pytest.raises(StoreError, match="line 3"):
-            FileStorage(path, on_corruption="raise")
         assert os.path.getsize(path) == whole and not os.path.exists(path + ".quarantine")
 
-        recovered = FileStorage(path)
-        assert recovered.names() == ("library",) and recovered.read("library") is intact
-        assert recovered.quarantined_records == 2
+        log = FileStorage(path)
+        recovered = ObjectDatabase(log)
+        assert recovered.names() == ("library",) and recovered.get("library") is intact
+        assert (log.quarantined_records, log.quarantined_bytes) == (2, whole - size)
         assert os.path.getsize(path) == size
         assert os.path.getsize(path + ".quarantine") == whole - size
         recovered.close()
@@ -261,31 +270,31 @@ class TestCorruptEdits:
     def test_an_unreduced_fold_is_charged_to_the_last_record_that_leaves_it_so(self, tmp_path):
         """A sound edit after the bad one does not move the line reported."""
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        storage.write("library", _library(6))
+        database = ObjectDatabase(FileStorage(path))
+        intact = database.put("library", _library(6))
         size = os.path.getsize(path)
-        intact = storage.read("library")
-        storage.close()
+        database.close()
         sound = _edit_record(at=["docs"], add=[_document(70)], **{"del": []})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(frame_record(BAD_RECORDS["unreduced"]) + frame_record(sound))
         assert verify_wal(path)["corrupt_records"][0]["line"] == 2
-        recovered = FileStorage(path)
-        assert recovered.read("library") is intact and recovered.quarantined_records == 2
+        log = FileStorage(path)
+        recovered = ObjectDatabase(log)
+        assert recovered.get("library") is intact and log.quarantined_records == 2
         assert os.path.getsize(path) == size
         recovered.close()
 
     def test_a_later_del_can_complete_an_add(self, tmp_path):
         """The proof is taken where the set is rebuilt, not per record."""
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        storage.write("library", _library(6))
-        storage.close()
+        database = ObjectDatabase(FileStorage(path))
+        database.put("library", _library(6))
+        database.close()
         completes = _edit_record(at=["docs"], add=[], **{"del": [_document(0)]})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(frame_record(BAD_RECORDS["unreduced"]) + frame_record(completes))
         assert verify_wal(path)["clean"]
-        docs = FileStorage(path, on_corruption="raise").read("library").get("docs")
+        docs = _stored(path)["library"].get("docs")
         assert len(docs) == 6 and _document(0).replace(extra=Atom(1)) in docs
 
     def test_replay_validates_a_record_before_applying_any_of_it(self):
@@ -308,14 +317,13 @@ class TestCorruptEdits:
 class TestExactCounts:
     def test_a_path_insert_logs_the_document_not_the_library(self, tmp_path):
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        library = _library(200)
-        storage.write("library", library)
+        database = ObjectDatabase(FileStorage(path))
+        library = database.put("library", _library(200))
         image = os.path.getsize(path)
         document = _document(1000)
-        storage.write("library", insert_element(library, "docs", document))
+        database.put("library", insert_element(library, "docs", document))
         appended = os.path.getsize(path) - image
-        storage.close()
+        database.close()
         assert appended < 2 * len(to_json_text(document)) < image / 50
         assert sorted(_records(path)[-1]["edits"]) == ["library"]
 
@@ -337,33 +345,31 @@ class TestExactCounts:
             )
 
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        storage.write("k1", record(1))
+        database = ObjectDatabase(FileStorage(path))
+        database.put("k1", record(1))
         for serial in range(2, 30):
             before = os.path.getsize(path)
             value = record(serial)
-            storage.write("k1", value)
+            database.put("k1", value)
             parent = frame_record({"op": "commit", "writes": {"k1": encode_json(value)}})
             assert os.path.getsize(path) - before == len(parent)
-        storage.close()
+        database.close()
         assert open(path, encoding="utf-8").read().endswith(parent)
 
     def test_reopening_costs_one_rebuild_per_edited_set(self, tmp_path):
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        library = _library(40)
-        storage.write("library", library)
+        database = ObjectDatabase(FileStorage(path))
+        library = database.put("library", _library(40))
         for index in range(25):
-            library = insert_element(library, "docs", _document(100 + index))
-            storage.write("library", library)
-        storage.close()
+            library = database.insert("library", "docs", _document(100 + index))
+        database.close()
         tracer = obs.enable_tracing()
         before = obs.snapshot()["counters"]["store.wal.edits_replayed"]
         try:
-            reopened = FileStorage(path)
+            reopened = ObjectDatabase(FileStorage(path))
         finally:
             obs.disable_tracing()
-        assert reopened.read("library") is library
+        assert reopened.get("library") is library
         recovery = [root for root in tracer.traces() if root.name == "store.wal.recovery"][-1]
         assert (recovery.attrs["records"], recovery.attrs["edits"], recovery.attrs["sets_rebuilt"]) == (26, 25, 1)
         assert obs.snapshot()["counters"]["store.wal.edits_replayed"] - before == 25
@@ -376,19 +382,18 @@ class TestExactCounts:
 class TestFailureAndObservability:
     def test_a_failed_append_of_an_edit_heals_and_changes_nothing(self, tmp_path):
         path = str(tmp_path / "store.wal")
-        storage = FileStorage(path)
-        library = _library(20)
-        storage.write("library", library)
+        database = ObjectDatabase(FileStorage(path))
+        library = database.put("library", _library(20))
         size = os.path.getsize(path)
         grown = insert_element(library, "docs", _document(99))
         with inject("store.wal.append:fail"):
             with pytest.raises(InjectedFault):
-                storage.write("library", grown)
-        assert storage.read("library") is library and os.path.getsize(path) == size
-        storage.write("library", grown)
-        storage.close()
+                database.put("library", grown)
+        assert database.get("library") is library and os.path.getsize(path) == size
+        database.put("library", grown)
+        database.close()
         assert len(_records(path)) == 2 and "edits" in _records(path)[1]
-        assert FileStorage(path, on_corruption="raise").read("library") is grown
+        assert _stored(path)["library"] is grown
 
     def test_a_mixed_batch_moves_both_counters_and_the_commit_span(self, tmp_path):
         database = ObjectDatabase(FileStorage(str(tmp_path / "store.wal")))
