@@ -2,9 +2,10 @@
 
 Each step drives one :func:`repro.connect` session — store writes,
 two-name transactions, set inserts and discards, seed edits, rule
-registration, prepared and ad-hoc queries, closures, and cursors opened
-before later commits and drained after them — and a model that is nothing
-but a dict of stored objects, a seed and a rule list.  The model answers
+registration, prepared and ad-hoc queries, closures, and whole-database,
+closure and ``against=`` cursors opened before later commits, partly
+consumed through ``bindings()`` and drained after them — and a model that
+is nothing but a dict of stored objects, a seed and a rule list.  The model answers
 with the calculus definitions alone
 (:func:`repro.calculus.interpretation.interpret`,
 :func:`repro.calculus.fixpoint.close`), so every plan cache, index store and
@@ -18,9 +19,12 @@ what it held before that put.
 Invariants: every answer equals the model's; every stored object is the
 model's object itself (``is``), after a reopen too; a held cursor answers
 from the version it was opened on; every ``cache_info()`` counter is
-monotone.
+monotone; and each ``close()`` moves the counter of its mode — a hit when
+the session version is the last closure's, a maintained miss when the rules
+are the same and the database only grew since, a plain miss otherwise.
 """
 
+import itertools
 import os
 import shutil
 import tempfile
@@ -70,6 +74,15 @@ AGAINST = "{[a: $x, b: B]}"
 
 GAUGES = frozenset({"plans_cached", "closures_cached", "indexes_cached"})
 
+#: The ``cache_info()`` counters a ``close()`` may move.
+CLOSURE_COUNTERS = (
+    "closure_hits",
+    "closure_misses",
+    "closure_invalidations",
+    "closure_maintained",
+    "closure_evictions",
+)
+
 atoms = st.integers(min_value=0, max_value=2)
 pairs_of_atoms = st.tuples(atoms, atoms)
 rows = st.frozensets(pairs_of_atoms, max_size=4)
@@ -99,6 +112,9 @@ class SessionMachine(RuleBasedStateMachine):
         self.stored = {}
         self.seed = None
         self.rules = []
+        # What the last closure was computed over: (session version, rule
+        # count, O), or None before the session's first closure.
+        self.last_closure = None
 
     def open(self):
         return repro.connect()
@@ -116,6 +132,10 @@ class SessionMachine(RuleBasedStateMachine):
 
     def closure(self):
         return oracle_close(self.database(), self.rules).value
+
+    def closed(self):
+        """Record that the session just computed (or reused) its closure."""
+        self.last_closure = (self.session.version, len(self.rules), self.database())
 
     # -- writes ---------------------------------------------------------------------------
     @rule(name=st.sampled_from(NAMES), pairs=rows)
@@ -193,20 +213,72 @@ class SessionMachine(RuleBasedStateMachine):
 
     @rule()
     def close(self):
+        """The closure is the oracle's, and the counter of its mode moved."""
+        before = self.session.cache_info()
+        version, database = self.session.version, self.database()
         assert self.session.close().value == self.closure()
+        after = self.session.cache_info()
+        moved = {key for key in CLOSURE_COUNTERS if after[key] != before[key]}
+        last = self.last_closure
+        if last is not None and last[0] == version:
+            assert moved == {"closure_hits"}
+        elif (
+            last is not None
+            and last[1] == len(self.rules)
+            and union(last[2], database) == database
+        ):
+            assert moved == {"closure_misses", "closure_invalidations", "closure_maintained"}
+        else:
+            assert "closure_misses" in moved
+            assert not moved & {"closure_hits", "closure_maintained"}
+        self.closed()
 
     @rule(template=st.sampled_from(CLOSURE_QUERIES), x=atoms)
     def execute_on_closure(self, template, x):
         answer = self.session.execute(template, _params(template, x), on_closure=True).all()
+        self.closed()
         assert answer == interpret(_bound(template, x), self.closure())
 
-    @rule(template=st.sampled_from(QUERIES), x=atoms, take=st.booleans())
-    def open_cursor(self, template, x, take):
-        """Open a cursor now (maybe take its first row); it is drained later."""
-        cursor = self._prepared(template).execute(_params(template, x))
+    @rule(
+        kind=st.sampled_from(("database", "closure", "against")),
+        pick=st.integers(min_value=0, max_value=3),
+        x=atoms,
+        take=st.booleans(),
+    )
+    def open_cursor(self, kind, pick, x, take):
+        """Open a cursor now (maybe take its first row); it is drained later.
+
+        ``kind`` picks the target: the whole database, its closure
+        (``on_closure=True``) or one stored object (``against=``).
+        """
+        if kind == "against":
+            name = NAMES[pick % len(NAMES)]
+            template, options = AGAINST, {"against": name}
+            if name not in self.stored:
+                with pytest.raises(StoreError):
+                    self._prepared(template, **options).execute(x=x)
+                return
+            over = self.stored[name]
+        elif kind == "closure":
+            template, options = CLOSURE_QUERIES[pick % len(CLOSURE_QUERIES)], {"on_closure": True}
+            over = self.closure()
+        else:
+            template, options = QUERIES[pick % len(QUERIES)], {}
+            over = self.database()
+        cursor = self._prepared(template, **options).execute(_params(template, x))
+        if kind == "closure":
+            self.closed()
         if take:
             cursor.one()
-        self.cursors.append((cursor, interpret(_bound(template, x), self.database())))
+        self.cursors.append((cursor, interpret(_bound(template, x), over)))
+
+    @precondition(lambda self: self.cursors)
+    @rule(which=st.integers(min_value=0, max_value=3), count=st.integers(min_value=1, max_value=2))
+    def consume_bindings(self, which, count):
+        """Take a few raw substitutions off a held cursor; it is drained later."""
+        cursor, _ = self.cursors[which % len(self.cursors)]
+        for _ in itertools.islice(cursor.bindings(), count):
+            pass
 
     @precondition(lambda self: self.cursors)
     @rule()
@@ -264,6 +336,7 @@ class WalSessionMachine(SessionMachine):
         self.prepared = {}
         self.cursors = []
         self.last_info = self.session.cache_info()
+        self.last_closure = None
 
     @rule()
     def compact(self):
