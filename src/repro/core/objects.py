@@ -185,7 +185,7 @@ class ComplexObject:
         try:
             return self._text()
         except RecursionError:
-            raise too_deep_to_print(self) from None
+            raise too_deep(self) from None
 
     def _text(self) -> str:
         raise NotImplementedError
@@ -643,8 +643,8 @@ def _children(node: ComplexObject) -> Iterable[ComplexObject]:
     return node._elements if isinstance(node, SetObject) else ()
 
 
-def too_deep_to_print(value: ComplexObject) -> NestingError:
-    """The error for an object whose rendering overflowed the call stack.
+def too_deep(value: ComplexObject, to: str = "print") -> NestingError:
+    """The error for an object whose walk (to print, plan, close...) overflowed the stack.
 
     Counts the container levels breadth-first, so building the message never
     recurses into the object that just proved too deep for that.
@@ -653,7 +653,7 @@ def too_deep_to_print(value: ComplexObject) -> NestingError:
     while frontier:
         levels += 1
         frontier = [child for node in frontier for child in _children(node)]
-    return NestingError(f"object is nested {levels} levels deep, too deep to print")
+    return NestingError(f"object is nested {levels} levels deep, too deep to {to}")
 
 
 def _check_attribute(name: str, value: object) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.core.builder import obj
-from repro.core.objects import ComplexObject, SetObject, TupleObject, too_deep_to_print
+from repro.core.objects import ComplexObject, SetObject, TupleObject, too_deep
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, SetFormula, TupleFormula
 
@@ -54,7 +54,7 @@ def pretty(value, indent: int = 2, max_width: int = 60) -> str:
         # Also a NestingError from a to_text() further down, which only
         # measured the sub-object it was asked to render.
         if isinstance(value, ComplexObject):
-            raise too_deep_to_print(value) from None
+            raise too_deep(value) from None
         raise
 
 

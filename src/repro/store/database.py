@@ -7,8 +7,8 @@ or durable over a write-ahead log (:class:`~repro.store.storage.FileStorage`)
 * calculus queries: formulae evaluate against one stored object (or against
   the whole database seen as a single tuple object, exactly the paper's "the
   entire database can be modeled by a single object") through the session
-  facade of :mod:`repro.api` (``Session(database=db).query(...)``).  The
-  session plans; the store contributes the access-path decision
+  facade of :mod:`repro.api.session` (``Session(database=db).query(...)``).
+  The session plans; the store contributes the access-path decision
   (:meth:`ObjectDatabase.access_path`): root-attribute and indexed-path
   selections are pushed into the store instead of materialising the snapshot
   (``Session.explain`` / ``--explain`` on the CLI print the decision above
@@ -408,7 +408,7 @@ class ObjectDatabase:
         object, ``note`` saying why); ``note`` is the line EXPLAIN prints for
         the decision.  ``leaves`` are the leaves of the query's compiled,
         parameter-bound :class:`~repro.plan.ir.BodyPlan` — planning is the
-        caller's job (:class:`repro.api.Session`), the store only reads their
+        caller's job (:mod:`repro.api.session`), the store only reads their
         static keys against its indexes.  ``state`` is the state the caller
         already holds (default: the current one); the decision and the
         target come from it, and the path indexes are consulted only while

@@ -19,8 +19,8 @@ import repro
 from repro import ParameterError, ReproError, Session, connect, parse_formula, parse_object
 from repro.calculus.fixpoint import close as calculus_close
 from repro.calculus.interpretation import interpret as baseline_interpret
-from repro.core.errors import ComplexObjectError, StoreError
-from repro.core.objects import BOTTOM
+from repro.core.errors import ComplexObjectError, NestingError, StoreError
+from repro.core.objects import BOTTOM, Atom, TupleObject
 
 
 PEOPLE = "{[name: peter, age: 25], [name: john, age: 7], [name: mary, age: 13]}"
@@ -379,9 +379,9 @@ class TestBottomSemantics:
 
 class TestCacheEviction:
     def test_lru_keeps_the_hot_prepared_plan_under_churn(self, monkeypatch):
-        import repro.api as api
+        import repro.api.snapshot as snapshot
 
-        monkeypatch.setattr(api, "_CACHE_LIMIT", 4)
+        monkeypatch.setattr(snapshot, "_CACHE_LIMIT", 4)
         session = Session.over_object(parse_object("[r1: {[a: 1]}]"))
         hot = session.prepare("[r1: {[a: $x]}]")
         hot.execute(x=1).all()
@@ -564,6 +564,57 @@ class TestOneSnapshotPerVersion:
             "closures_cached": 1,
             "indexes_cached": 0,
         }
+
+
+def _chain(depth: int):
+    """``[a: [a: ... 1]]``, ``depth`` tuples deep: too deep to walk recursively."""
+    value = Atom(1)
+    for _ in range(depth):
+        value = TupleObject({"a": value})
+    return value
+
+
+class TestNestingErrors:
+    """Session entry points name a too-deep object's depth, and cache nothing for it."""
+
+    def test_close_over_a_deep_stored_object(self):
+        session = Session()
+        session.put("r", parse_object("{1}"))
+        session.put("x", _chain(3))
+        session.register("[u: {X}] :- [r: {X}].")
+        session.close()
+        # A replacement, not growth: the engine plans the whole database.
+        session.put("x", _chain(900))
+        with pytest.raises(NestingError, match="nested 901 levels deep, too deep to close"):
+            session.close()
+        with pytest.raises(NestingError, match="nested 901 levels deep"):
+            session.query("[u: X]", on_closure=True)
+        # Neither the failed closures nor the base they started from is kept.
+        assert session.cache_info()["closures_cached"] == 0
+        session.remove("x")
+        assert session.close().value == parse_object("[r: {1}, u: {1}]")
+        assert session.cache_info()["closure_maintained"] == 0
+
+    def test_a_query_on_a_deeply_seeded_session(self):
+        session = Session(seed=_chain(900))
+        with pytest.raises(NestingError, match="nested 900 levels deep, too deep to plan"):
+            session.query("[x: X]")
+        with pytest.raises(NestingError, match="nested 900 levels deep"):
+            session.prepare("[x: X]").all()
+        with pytest.raises(NestingError, match="nested 900 levels deep"):
+            session.explain("[x: X]")
+        info = session.cache_info()
+        assert (info["plan_misses"], info["plans_cached"]) == (3, 0)
+
+    def test_a_query_over_a_deep_store(self):
+        session = Session()
+        session.put("x", _chain(3000))
+        for call in (session.query, session.explain, session.execute):
+            with pytest.raises(NestingError, match="nested 3001 levels deep, too deep to plan"):
+                call("[x: X]")
+        assert session.cache_info()["plans_cached"] == 0
+        session.put("x", _chain(3))
+        assert session.query("[x: X]") == TupleObject({"x": _chain(3)})
 
 
 class TestSessionReplacesTheRemovedEntryPoints:

@@ -8,6 +8,7 @@ CLI ``stats`` / ``--explain-analyze`` surfaces.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ import repro.api
 from repro.cli import main
 from repro.core.errors import TransactionError
 from repro.obs import trace
+from repro.obs import metrics
 from repro.obs.metrics import REGISTRY
 
 
@@ -58,6 +60,23 @@ def test_plan_cache_counters_mirror_cache_info():
     assert _counter("session.plan_cache.hits") - hits_before == info["plan_hits"]
 
 
+def test_the_readme_cache_info_table_is_complete():
+    """One README row per ``cache_info()`` key, each registry name a declared one."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| `cache_info()` key"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    # indexes_cached is documented in the session index table above it.
+    assert {row[0] for row in rows} == set(repro.Session().cache_info()) - {"indexes_cached"}
+    declared = {*metrics.DECLARED_COUNTERS, *metrics.DECLARED_GAUGES, *metrics.DECLARED_HISTOGRAMS}
+    named = {row[1] for row in rows} - {"—"}
+    assert len(named) == 10 and named <= declared
+
+
 def test_commit_invalidates_and_counts_the_stale_plan():
     with repro.connect() as session:
         session.put("r1", repro.parse_object("{[name: ada]}"))
@@ -70,7 +89,7 @@ def test_commit_invalidates_and_counts_the_stale_plan():
 
 
 def test_cache_evictions_are_counted_and_cumulative(monkeypatch):
-    monkeypatch.setattr(repro.api, "_CACHE_LIMIT", 2)
+    monkeypatch.setattr(repro.api.snapshot, "_CACHE_LIMIT", 2)
     with repro.connect() as session:
         session.put("r1", repro.parse_object("{[name: ada]}"))
         for attribute in ("a", "b", "c", "d"):

@@ -237,27 +237,40 @@ class Session:
 
 
 class TestSessionVersionInvariant:
+    @staticmethod
+    def _check(tmp_path, files):
+        """Check a throwaway ``repro/api/`` package holding ``files``."""
+        return check_invariants.check_session_version(_package(tmp_path, files) / "api")
+
     def test_every_way_of_taking_the_store_state_is_one_violation(self, tmp_path):
-        path = tmp_path / "api.py"
-        path.write_text(TARGET_READING_SESSION)
-        violations = check_invariants.check_session_version(path)
+        violations = self._check(tmp_path, {"api/session.py": TARGET_READING_SESSION})
         lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
         assert lines == [7, 9, 13]
 
     def test_each_self_versioned_cache_is_one_violation(self, tmp_path):
-        path = tmp_path / "api.py"
-        path.write_text(SELF_VERSIONING_SESSION)
-        violations = check_invariants.check_session_version(path)
+        violations = self._check(tmp_path, {"api/session.py": SELF_VERSIONING_SESSION})
         lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
         assert lines == [11, 15, 19, 23]
 
     def test_the_database_version_counts_too(self, tmp_path):
-        path = tmp_path / "api.py"
-        path.write_text(
-            "class Session:\n"
-            "    def put(self, name, value):\n"
-            "        before = self._db.version\n"
-            "        self._db.put(name, value)\n"
-        )
-        [violation] = check_invariants.check_session_version(path)
+        [violation] = self._check(tmp_path, {
+            "api/session.py": (
+                "class Session:\n"
+                "    def put(self, name, value):\n"
+                "        before = self._db.version\n"
+                "        self._db.put(name, value)\n"
+            ),
+        })
         assert ":3:" in violation
+
+    def test_every_module_of_the_package_is_scanned(self, tmp_path):
+        """A snapshot that reads the store itself splits a call across two commits."""
+        [violation] = self._check(tmp_path, {
+            "api/session.py": "class Session:\n    def _current(self):\n        return self._db.state()\n",
+            "api/snapshot.py": (
+                "class Snapshot:\n"
+                "    def base(self):\n"
+                "        return self._db.state().as_object()\n"
+            ),
+        })
+        assert "api/snapshot.py:3:" in violation

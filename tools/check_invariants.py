@@ -43,7 +43,9 @@ Seven invariants that matter for correctness but that no unit test can pin
     contract) carries the pragma ``# invariant: unlocked-ok``.
 
 ``store-planning``
-    Planning lives in one place (``Session._resolve`` in :mod:`repro.api`):
+    Planning lives in one place (``Session._resolve`` in
+    :mod:`repro.api.session`, planning through
+    :class:`repro.api.snapshot.Snapshot`):
     the store decides access paths from the plan leaves it is handed and
     never compiles, collects statistics or optimizes.  So no module under
     ``src/repro/store/`` may import anything from :mod:`repro.plan` except
@@ -64,13 +66,13 @@ Seven invariants that matter for correctness but that no unit test can pin
 
 ``session-version``
     A session derives its plans, index stores, closures and targets from one
-    committed state of its database (:class:`repro.api._Snapshot`), so in
-    ``repro/api.py`` the store's state is taken — ``self._db.state()``,
-    ``self.version`` / ``self._db.version``, ``self._db.as_object()``,
-    ``len(self._db)`` — only inside ``Session.version`` and
-    ``Session._current``; every other method takes the snapshot from
-    ``_current()`` once and reads its targets from ``snapshot.state``.
-    There is no pragma.
+    committed state of its database (:class:`repro.api.snapshot.Snapshot`),
+    so in every module of ``repro/api/`` the store's state is taken —
+    ``self._db.state()``, ``self.version`` / ``self._db.version``,
+    ``self._db.as_object()``, ``len(self._db)`` — only inside
+    ``Session.version`` and ``Session._current``; every other method takes
+    the snapshot from ``_current()`` once and reads its targets from
+    ``snapshot.state``.  There is no pragma.
 
 Run from the repository root::
 
@@ -510,7 +512,7 @@ def check_layering(package_root: Path = SRC_ROOT) -> List[str]:
 
 # -- invariant 7: the session reads its version in one place ------------------------------
 
-#: The :class:`repro.api.Session` methods that may take the store's state:
+#: The :class:`repro.api.session.Session` methods that may take the store's state:
 #: the version property itself and the snapshot transition.
 VERSION_READERS = frozenset({"version", "_current"})
 
@@ -531,21 +533,24 @@ def _is_version_read(node: ast.AST) -> bool:
     return node.attr == "version" and isinstance(node.value, ast.Name) and node.value.id == "self"
 
 
-def check_session_version(path: Path = SRC_ROOT / "api.py") -> List[str]:
-    tree, _ = _parse(path)
-    allowed: Set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "Session":
-            for method in node.body:
-                if isinstance(method, ast.FunctionDef) and method.name in VERSION_READERS:
-                    allowed.update(id(inner) for inner in ast.walk(method))
-    return [
-        f"{_relative(path)}:{node.lineno}: takes the store's state outside"
-        f" Session.version / Session._current (take the snapshot from"
-        f" self._current() once per call and read targets from snapshot.state)"
-        for node in ast.walk(tree)
-        if _is_version_read(node) and id(node) not in allowed
-    ]
+def check_session_version(api_root: Path = SRC_ROOT / "api") -> List[str]:
+    violations: List[str] = []
+    for path in _python_sources(api_root):
+        tree, _ = _parse(path)
+        allowed: Set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Session":
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and method.name in VERSION_READERS:
+                        allowed.update(id(inner) for inner in ast.walk(method))
+        violations.extend(
+            f"{_relative(path)}:{node.lineno}: takes the store's state outside"
+            f" Session.version / Session._current (take the snapshot from"
+            f" self._current() once per call and read targets from snapshot.state)"
+            for node in ast.walk(tree)
+            if _is_version_read(node) and id(node) not in allowed
+        )
+    return violations
 
 
 # -- entry point -------------------------------------------------------------------------
