@@ -60,10 +60,8 @@ _GUARD_OPTIONS = _QUERY_OPTIONS.difference(_NON_GUARD_OPTIONS)
 def _check_options(options: Mapping) -> None:
     unknown = set(options) - _QUERY_OPTIONS
     if unknown:
-        raise ReproError(
-            f"unknown query option(s) {sorted(unknown)}; valid options:"
-            f" {sorted(_QUERY_OPTIONS)}"
-        )
+        valid = sorted(_QUERY_OPTIONS)
+        raise ReproError(f"unknown query option(s) {sorted(unknown)}; valid options: {valid}")
 
 
 def connect(
@@ -372,9 +370,7 @@ class Session:
                 resolved,
                 allow_bottom=options.get("allow_bottom", False),
                 stats=run_stats,
-                on_finish=self._query_finisher(
-                    formula, values, run_stats, start_ns, trace_id
-                ),
+                on_finish=self._query_finisher(formula, values, run_stats, start_ns, trace_id),
                 deadline=deadline,
                 batch_size=batch_size,
             )

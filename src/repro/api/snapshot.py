@@ -12,7 +12,8 @@ level up: from engine rounds to commits.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.lattice import union
 from repro.core.objects import ComplexObject, too_deep
@@ -51,6 +52,24 @@ class _Counters(dict):
         _METRICS.counter(_COUNTER_METRICS[key]).inc(n)
 
 
+def _index_build(built: List[int], set_path, key_path, elements: int):
+    """Count one first-probe bucket build; returns the span it runs under.
+
+    Takes the snapshot's build count, not the snapshot: with no cycle through
+    its index stores, a replaced snapshot is freed at once."""
+    built[0] += 1
+    _METRICS.counter("session.index.builds").inc()
+    _METRICS.gauge("session.index.entries").set(built[0])
+    span = _trace.span("session.index.build")
+    if span.enabled:
+        span.set(
+            set_path=str(set_path) or "<root>",
+            key_path=str(key_path) or "<element>",
+            elements=elements,
+        )
+    return span
+
+
 class Snapshot:
     """What a session derived from one :attr:`~repro.api.Session.version`.
 
@@ -64,7 +83,7 @@ class Snapshot:
 
     __slots__ = (
         "state", "version", "seed", "rules", "_counters", "_base", "_plans", "_indexes",
-        "_closures", "_bases",
+        "_built", "_closures", "_bases",
     )
 
     def __init__(self, state, version, seed, rules, counters: _Counters, bases=None):
@@ -76,6 +95,7 @@ class Snapshot:
         self._base: Optional[ComplexObject] = None
         self._plans: "OrderedDict[Tuple, object]" = OrderedDict()
         self._indexes: Dict[int, TargetIndexes] = {}
+        self._built = [0]  # bucket tables the index stores built
         self._closures: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._bases: Dict[Tuple, Tuple] = bases or {}
 
@@ -92,7 +112,7 @@ class Snapshot:
         return {
             "plans_cached": len(self._plans),
             "closures_cached": len(self._closures) + len(self._bases),
-            "indexes_cached": self._index_entries(),
+            "indexes_cached": self._built[0],
         }
 
     def base(self) -> ComplexObject:
@@ -155,24 +175,9 @@ class Snapshot:
             return None
         indexes = self._indexes.get(id(target))
         if indexes is None:
-            indexes = self._indexes[id(target)] = TargetIndexes(target, self._index_build)
+            on_build = partial(_index_build, self._built)
+            indexes = self._indexes[id(target)] = TargetIndexes(target, on_build)
         return indexes
-
-    def _index_entries(self) -> int:
-        return sum(indexes.entries for indexes in self._indexes.values())
-
-    def _index_build(self, set_path, key_path, elements: int):
-        """Count one first-probe bucket build; returns the span it runs under."""
-        _METRICS.counter("session.index.builds").inc()
-        _METRICS.gauge("session.index.entries").set(self._index_entries())
-        span = _trace.span("session.index.build")
-        if span.enabled:
-            span.set(
-                set_path=str(set_path) or "<root>",
-                key_path=str(key_path) or "<element>",
-                elements=elements,
-            )
-        return span
 
     # -- closures -----------------------------------------------------------------------
     def closure(self, key: Tuple) -> Optional[ClosureResult]:
