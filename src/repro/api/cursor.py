@@ -25,6 +25,7 @@ from repro.lint.shapes import maybe_subobject
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.plan import interpret_plan, iter_match_plan
 from repro.plan.explain import execution_record, render_body_plan
+from repro.plan.ir import BodyPlan
 from repro.api.snapshot import Snapshot
 
 
@@ -41,7 +42,7 @@ class _Resolved(NamedTuple):
     access: str
     notes: Tuple[str, ...]
     target: Optional[ComplexObject]
-    plan: object
+    plan: BodyPlan
 
 
 def _render_explain(resolved: _Resolved, allow_bottom: bool, analyze: bool) -> str:

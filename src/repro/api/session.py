@@ -136,7 +136,7 @@ class Session:
         # unseeded sessions (``None``) evaluate against the store.
         self._seed: Optional[ComplexObject] = None
         self._seed_version = 0
-        self._counters = _Counters.fromkeys(_COUNTER_METRICS, 0)
+        self._counters = _Counters(dict.fromkeys(_COUNTER_METRICS, 0))
         self._snapshot = Snapshot(None, None, None, (), self._counters)
         # Prepare-time lint reports, keyed on (source text, rules version):
         # reports are frozen, so re-preparing the same query re-attaches the
@@ -445,19 +445,19 @@ class Session:
     def _close(self, snapshot: Snapshot, deadline, guards) -> ClosureResult:
         """:meth:`close` against ``snapshot`` (``_resolve`` passes its own)."""
         key = tuple(sorted(guards.items()))
-        result = snapshot.closure(key)
-        if result is not None:
-            return result
+        cached = snapshot.closure(key)
+        if cached is not None:
+            return cached
         self._counters.count("closure_misses")
         start_ns = time.perf_counter_ns()
         with _trace.span("session.close") as span:
             program = self._program(snapshot)
             seed = program.seed()
             try:
+                resume = {}
                 resumed = snapshot.resume(key, self._rules_version, seed)
                 if resumed is None:
                     evaluator = SemiNaiveEngine(program.rules, deadline=deadline, **guards)
-                    resume = {}
                 else:
                     evaluator, previous = resumed
                     evaluator.deadline = deadline

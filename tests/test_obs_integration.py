@@ -16,8 +16,7 @@ import repro
 import repro.api
 from repro.cli import main
 from repro.core.errors import TransactionError
-from repro.obs import trace
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.obs.metrics import REGISTRY
 
 
