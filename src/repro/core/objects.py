@@ -185,7 +185,7 @@ class ComplexObject:
         try:
             return self._text()
         except RecursionError:
-            raise too_deep(self) from None
+            raise too_deep(self, "print") from None
 
     def _text(self) -> str:
         raise NotImplementedError
@@ -643,7 +643,7 @@ def _children(node: ComplexObject) -> Iterable[ComplexObject]:
     return node._elements if isinstance(node, SetObject) else ()
 
 
-def too_deep(value: ComplexObject, to: str = "print") -> NestingError:
+def too_deep(value: ComplexObject, to: str) -> NestingError:
     """The error for an object whose walk (to print, plan, close...) overflowed the stack.
 
     Counts the container levels breadth-first, so building the message never

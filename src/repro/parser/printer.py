@@ -54,7 +54,7 @@ def pretty(value, indent: int = 2, max_width: int = 60) -> str:
         # Also a NestingError from a to_text() further down, which only
         # measured the sub-object it was asked to render.
         if isinstance(value, ComplexObject):
-            raise too_deep(value) from None
+            raise too_deep(value, "print") from None
         raise
 
 
