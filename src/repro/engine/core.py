@@ -14,7 +14,8 @@ iterates each recursive stratum with delta-restricted plan execution
 indexes (:mod:`repro.plan.indexes`).  Rule bodies run through the plan
 pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
 cost-based optimizer orders its leaves against statistics of the database
-being closed, and the physical executor runs it.  Rules whose bodies cannot
+being closed, and the physical executor runs it; each head compiles once
+into the projection that joins it over the executor's rows.  Rules whose bodies cannot
 be delta-decomposed, and evaluations under the literal ``allow_bottom``
 semantics, fall back to full matching for correctness — each such fallback
 is counted per rule in the stats record so silent de-optimizations stay
@@ -54,8 +55,8 @@ from repro.engine.delta import BodyDecomposition, decompose
 from repro.lint.shapes import infer_shapes
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan.compile import compile_body
-from repro.plan.execute import match_plan
+from repro.plan.compile import compile_body, compile_projection
+from repro.plan.execute import match_rows
 from repro.plan.indexes import IndexStore
 from repro.plan.ir import BodyPlan
 from repro.plan.optimize import optimize_body
@@ -110,6 +111,11 @@ class SemiNaiveEngine:
             rule: compile_body(rule.body)
             for rule in self.rules
             if rule.body is not None
+        }
+        # Match rows bind the body's variables, sorted; a fact has one empty row.
+        self._projections = {
+            rule: compile_projection(rule.head, tuple(sorted(rule.variables())))
+            for rule in self.rules
         }
         #: (closure, plans, indexes) of the last completed run — what a
         #: ``run(database, previous=closure)`` resumes from.
@@ -317,19 +323,24 @@ class SemiNaiveEngine:
     ) -> ComplexObject:
         """One full (non-delta) application of a rule, ``r(O)`` of Definition 4.4."""
         stats.full_matches += 1
-        if rule.body is None:
-            substitutions = rule.substitutions(database)
-        else:
-            substitutions = match_plan(
+        rows: List[tuple] = [()]
+        if rule.body is not None:
+            _, rows = match_rows(
                 plans[rule],
                 database,
                 indexes=indexes,
                 stats=stats,
                 allow_bottom=self.allow_bottom,
             )
-        heads = [substitution.apply(rule.head) for substitution in substitutions]
-        stats.subobjects_derived += len(heads)
-        return union_all(heads)
+        return self._project(rule, rows, stats)
+
+    def _project(self, rule: Rule, rows: List[tuple], stats: EngineStats) -> ComplexObject:
+        """The rule's head joined over its match rows (the ``engine.head`` span)."""
+        stats.subobjects_derived += len(rows)
+        with _trace.span("engine.head") as span:
+            if span.enabled:
+                span.set(rows=len(rows))
+            return self._projections[rule](rows)
 
     def _apply_delta(
         self,
@@ -371,13 +382,12 @@ class SemiNaiveEngine:
                     rule=rule.to_text(),
                     delta=sum(len(fresh) for fresh in deltas.values()),
                 )
-            seen = set()
-            heads: List[ComplexObject] = []
+            rows: Dict[tuple, tuple] = {}  # deduplicated across positions by identity
             for position in decomposition.positions:
                 fresh = deltas[position.path]
                 if not fresh:
                     continue
-                substitutions = match_plan(
+                _, batch = match_rows(
                     plans[rule],
                     current,
                     position=position,
@@ -385,13 +395,8 @@ class SemiNaiveEngine:
                     indexes=indexes,
                     stats=stats,
                 )
-                for substitution in substitutions:
-                    if substitution in seen:
-                        continue
-                    seen.add(substitution)
-                    heads.append(substitution.apply(rule.head))
-            stats.subobjects_derived += len(heads)
-        return union_all(heads)
+                rows.update({tuple(map(id, row)): row for row in batch})
+            return self._project(rule, list(rows.values()), stats)
 
 
 def create_engine(name: str, rules: Union[Rule, RuleSet, Sequence[Rule]], **options):

@@ -27,7 +27,7 @@ performance loss, never a correctness one.
 
 Each delta round's frontier (the new witnesses of one position) reaches the
 executor as the ``delta_elements`` of a single :func:`repro.plan.execute.
-match_plan` call, so a whole semi-naive frontier flows through the plan as
+match_rows` call, so a whole semi-naive frontier flows through the plan as
 **one batch**: the restricted scan leaf emits every new witness's
 alternatives at once and the meet-product joins them against the other
 leaves frontier-at-a-time rather than witness-at-a-time.

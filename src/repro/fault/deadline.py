@@ -6,7 +6,7 @@ spend unbounded time each call :meth:`Deadline.check` at their natural
 yield points:
 
 * the physical executor between plan instance steps
-  (:func:`repro.plan.execute.match_plan`) and the streaming cursor per row;
+  (:func:`repro.plan.execute.match_rows`) and the streaming cursor per row;
 * the engine and its oracle between fixpoint rounds
   (:meth:`SemiNaiveEngine._charge`, :func:`repro.calculus.fixpoint.close`
   per iteration).

@@ -13,12 +13,14 @@ in :mod:`repro.plan.ir`:
 Everything *below* a set element belongs to the witness and is matched by
 the closure :func:`compile_element_matcher` builds for that element — the
 one witness matcher, with :mod:`repro.calculus.matching` as its oracle.
-Compilation is pure and cached on the (immutable, hashable) formula.
+Both are pure and cached on the (immutable, hashable) formula.  A head goes
+the other way, into the join of its instantiations: :func:`compile_projection`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.calculus.terms import (
@@ -30,9 +32,9 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.core.errors import ParameterError
-from repro.core.lattice import intersection
+from repro.core.lattice import _join, intersection, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
-from repro.core.order import is_subobject
+from repro.core.order import is_subobject, maximal_unique
 from repro.core.paths import Path
 from repro.plan.indexes import element_keys
 from repro.plan.ir import BindLeaf, BodyPlan, CheckLeaf, ConstLeaf, Leaf, ParamLeaf, ScanLeaf
@@ -40,6 +42,7 @@ from repro.plan.ir import BindLeaf, BodyPlan, CheckLeaf, ConstLeaf, Leaf, ParamL
 __all__ = [
     "compile_body",
     "compile_element_matcher",
+    "compile_projection",
     "parameter_keys",
     "split_element_keys",
 ]
@@ -96,12 +99,16 @@ def _compile(element: Formula):
         return _compile_product(element.items(), TupleObject)
     if isinstance(element, SetFormula):
         return _compile_product([(None, child) for child in element.elements], SetObject)
-    if isinstance(element, Parameter):
+    _reject(element)
+
+
+def _reject(node: Formula):
+    if isinstance(node, Parameter):
         raise ParameterError(
-            f"cannot execute a plan with unbound parameter ${element.name};"
+            f"cannot execute a plan with unbound parameter ${node.name};"
             " bind it first (repro.plan.parameters.bind_body_plan)"
         )
-    raise TypeError(f"not a formula: {element!r}")
+    raise TypeError(f"not a formula: {node!r}")
 
 
 def _match_variable(witness, out):
@@ -309,6 +316,79 @@ def _merge_rows(
             merged = _merge_row(prow, arow, new_indices, overlap, drop)
             if merged is not None:
                 append(merged)
+
+
+class _RawValue(Exception):
+    """A raw (un-interned) value reached a column join: the per-row fold decides."""
+
+
+def compile_projection(formula: Formula, names: Tuple[str, ...]):
+    """Compile a head (or query body) into ``project(rows)``, its ``r(O)``.
+
+    Each row binds ``names`` by position (:func:`repro.plan.execute.match_rows`).
+    ``project(rows)`` is ``union_all`` of the per-row instantiations — the
+    same interned instance — joined column-wise, as the lub distributes over
+    the constructors (Definition 3.4): a tuple spine joins attribute by
+    attribute, a set reduces the elements of all rows once (each built per
+    row by closures indexed by column), a variable joins its column and a
+    constant is itself.  No rows give ⊥; a raw value in a row takes the fold.
+    Not cached: a bound query body differs with every parameter value.
+    """
+    columns = {name: index for index, name in enumerate(names)}
+    join = _compile_join(formula, columns)
+
+    def project(rows):
+        try:
+            return join(rows) if rows else BOTTOM
+        except _RawValue:
+            build = _compile_builder(formula, columns)
+            return union_all(build(row) for row in rows)
+
+    return project
+
+
+def _compile_builder(node: Formula, columns):
+    """``build(row)``: the instantiation of ``node`` under one row (⊥ unbound)."""
+    if isinstance(node, Variable):
+        index = columns.get(node.name)
+        return (lambda row: BOTTOM) if index is None else itemgetter(index)
+    if isinstance(node, Constant):
+        return lambda row, _value=node.value: _value
+    if isinstance(node, TupleFormula):
+        items = tuple((name, _compile_builder(child, columns)) for name, child in node.items())
+        return lambda row: TupleObject({name: build(row) for name, build in items})
+    if isinstance(node, SetFormula):
+        elements = tuple(_compile_builder(child, columns) for child in node.elements)
+        return lambda row: SetObject(build(row) for build in elements)
+    _reject(node)
+
+
+def _compile_join(node: Formula, columns):
+    """``join(rows)``: the lub of ``node``'s instantiations over a non-empty batch."""
+    if isinstance(node, (Variable, SetFormula)):
+        is_set = isinstance(node, SetFormula)
+        gathered = node.elements if is_set else (node,)
+        builders = tuple(_compile_builder(child, columns) for child in gathered)
+
+        def join_gathered(rows):
+            # Distinct by intern id: a raw value has none, ⊤ absorbs, ⊥ drops.
+            values = {value._iid: value for build in builders for value in map(build, rows)}
+            if None in values:
+                raise _RawValue
+            if TOP._iid in values:
+                return TOP
+            values.pop(BOTTOM._iid, None)
+            if is_set:
+                return SetObject._from_reduced(maximal_unique(list(values.values())))
+            return _join(list(values.values()))
+
+        return join_gathered
+    if isinstance(node, Constant):
+        return lambda rows, _value=node.value: _value
+    if isinstance(node, TupleFormula):
+        items = tuple((name, _compile_join(child, columns)) for name, child in node.items())
+        return lambda rows: TupleObject({name: join(rows) for name, join in items})
+    _reject(node)
 
 
 def split_element_keys(element: Formula):

@@ -1,7 +1,8 @@
 """The physical executor: run a :class:`BodyPlan` against a database object.
 
 This is the one matching loop every evaluation path shares — the engine,
-sessions (store pushdowns included) and EXPLAIN all call :func:`match_plan`.  Its oracle is the derivation-maximal
+sessions (store pushdowns included) and EXPLAIN all call :func:`match_rows`,
+which :func:`match_plan` wraps in substitutions.  Its oracle is the derivation-maximal
 enumeration of :func:`repro.calculus.matching.match_all` (Definition 4.2):
 on a source-ordered plan the two return the same list, on a cost-ordered one
 the same set (``tests/test_exec_properties.py``).  On top of the definition
@@ -37,6 +38,7 @@ leaf, reproducing the oracle's behaviour for those cases.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.calculus.substitution import Substitution
@@ -49,7 +51,6 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.core.errors import ParameterError
-from repro.core.lattice import union_all
 from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
@@ -60,11 +61,13 @@ from repro.plan.compile import (
     _merge_rows,
     _vanish_row,
     compile_element_matcher,
+    compile_projection,
 )
 from repro.plan.ir import BodyPlan, ScanLeaf, leaf_key
 from repro.plan.stats import EngineStats
 
 __all__ = [
+    "match_rows",
     "match_plan",
     "iter_match_plan",
     "interpret_plan",
@@ -79,7 +82,7 @@ _ROOT = Path(())
 DEFAULT_BATCH_SIZE = 64
 
 
-def match_plan(
+def match_rows(
     plan: BodyPlan,
     target: ComplexObject,
     *,
@@ -90,9 +93,10 @@ def match_plan(
     allow_bottom: bool = False,
     record: Optional[dict] = None,
     deadline=None,
-) -> List[Substitution]:
-    """Deduplicated derivation-maximal substitutions of the plan's body.
+) -> Tuple[Tuple[str, ...], List[tuple]]:
+    """Deduplicated derivation-maximal matches of the plan's body: ``(names, rows)``.
 
+    ``names`` is sorted; each row binds it by position, in enumeration order.
     Agrees with :func:`repro.calculus.matching.match_all` on every body and
     target (restricted to the new-witness subset when ``position`` — a
     :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is an
@@ -114,7 +118,7 @@ def match_plan(
             record["rows"] = 0
             if record.get("timed", False):
                 record["wall_ns"] = 0
-        return []
+        return (), []
     # EXPLAIN ANALYZE: a record created with {"timed": True} additionally
     # collects wall time — per scan leaf (``by_leaf_ns``, filled by the
     # executor) and for the whole match (``wall_ns``).  Plain records keep
@@ -134,15 +138,22 @@ def match_plan(
     )
     try:
         layout, batch = executor.run_batch(plan, target)
-        results = _finalize_rows(layout, batch, allow_bottom)
+        finalizer = _RowFinalizer(layout, allow_bottom)
+        rows = [row for row in map(finalizer.emit, batch) if row is not None]
     finally:
         executor.flush_metrics()
-    stats.substitutions += len(results)
+    stats.substitutions += len(rows)
     if record is not None:
-        record["rows"] = len(results)
+        record["rows"] = len(rows)
         if timed:
             record["wall_ns"] = time.perf_counter_ns() - start_ns
-    return results
+    return finalizer.names, rows
+
+
+def match_plan(plan: BodyPlan, target: ComplexObject, **options) -> List[Substitution]:
+    """:func:`match_rows` with each row a :class:`Substitution` (same keywords)."""
+    names, rows = match_rows(plan, target, **options)
+    return [Substitution._from_sorted(tuple(zip(names, row))) for row in rows]
 
 
 def iter_match_plan(
@@ -205,11 +216,11 @@ def iter_match_plan(
         for row in executor.stream_batches(plan, target, batch_size):
             if finalizer is None:
                 finalizer = _RowFinalizer(executor.final_layout, allow_bottom)
-            substitution = finalizer.emit(row)
-            if substitution is None:
+            row = finalizer.emit(row)
+            if row is None:
                 continue
             stats.substitutions += 1
-            yield substitution
+            yield Substitution._from_sorted(tuple(zip(finalizer.names, row)))
     finally:
         executor.flush_metrics()
 
@@ -224,11 +235,12 @@ def interpret_plan(
     record: Optional[dict] = None,
     deadline=None,
 ) -> ComplexObject:
-    """``E(O)`` through the plan pipeline: union of the matching instantiations.
+    """``E(O)`` through the plan pipeline: the body projected over its match rows.
 
-    Agrees with :func:`repro.calculus.interpretation.interpret`.
+    The lub of its instantiations (:func:`~repro.plan.compile.compile_projection`);
+    agrees with :func:`repro.calculus.interpretation.interpret`.
     """
-    substitutions = match_plan(
+    names, rows = match_rows(
         plan,
         target,
         indexes=indexes,
@@ -237,30 +249,30 @@ def interpret_plan(
         record=record,
         deadline=deadline,
     )
-    instantiations = [substitution.apply(plan.body) for substitution in substitutions]
-    return union_all(instantiations)
+    return compile_projection(plan.body, names)(rows)
 
 
 class _RowFinalizer:
-    """Deduplicate final value rows into Substitutions, first-wins order.
+    """Deduplicate final value rows into sorted-name order, first-wins.
 
     Every row of one run shares one layout (the names tuple the pipeline's
     merge plans accumulated), so dedup is a set of id-tuples — interning made
     ``==`` an ``is``, and ``id()`` is a C call where ``__hash__`` is a Python
-    one.  The sort permutation onto ``Substitution``'s canonical name order
-    is computed once per run and replayed onto each unique row.
+    one.  The sort permutation onto the sorted :attr:`names` is computed once
+    per run and replayed onto each unique row (``None``: already sorted).
     """
 
-    __slots__ = ("skip_bottom", "pairs", "seen")
+    __slots__ = ("skip_bottom", "names", "permute", "seen")
 
     def __init__(self, layout: Tuple[str, ...], allow_bottom: bool):
         self.skip_bottom = not allow_bottom
         order = sorted(range(len(layout)), key=layout.__getitem__)
-        self.pairs = tuple((index, layout[index]) for index in order)
+        self.names = tuple(layout[index] for index in order)
+        self.permute = None if self.names == layout else itemgetter(*order)
         self.seen: set = set()
 
-    def emit(self, row: tuple) -> Optional[Substitution]:
-        """The row's Substitution, or ``None`` for duplicates (and ⊥ rows)."""
+    def emit(self, row: tuple) -> Optional[tuple]:
+        """The row in :attr:`names` order, or ``None`` for duplicates (and ⊥ rows)."""
         if self.skip_bottom:
             for value in row:
                 if value is BOTTOM:
@@ -271,26 +283,7 @@ class _RowFinalizer:
         seen.add(key)
         if len(seen) == before:
             return None
-        return Substitution._from_sorted(
-            tuple((name, row[index]) for index, name in self.pairs)
-        )
-
-
-def _finalize_rows(
-    layout: Tuple[str, ...], batch: List[tuple], allow_bottom: bool
-) -> List[Substitution]:
-    """Deduplicate a final row batch, preserving enumeration order."""
-    if not batch:
-        return []
-    finalizer = _RowFinalizer(layout, allow_bottom)
-    emit = finalizer.emit
-    results: List[Substitution] = []
-    append = results.append
-    for row in batch:
-        substitution = emit(row)
-        if substitution is not None:
-            append(substitution)
-    return results
+        return row if self.permute is None else self.permute(row)
 
 
 def _timeout_explain(plan: BodyPlan, progress) -> str:

@@ -4,7 +4,7 @@ The renderer turns the IR of :mod:`repro.plan.ir` into an indented text tree:
 one block per stratum (apply-once vs fixpoint), one block per rule, one line
 per leaf showing the optimizer's **estimated** surviving rows and chosen
 access path, and — when an execution record from
-:func:`repro.plan.execute.match_plan` is supplied — the **actual** rows that
+:func:`repro.plan.execute.match_rows` is supplied — the **actual** rows that
 survived each leaf, so a bad estimate is visible at a glance.
 
 EXPLAIN ANALYZE: a record created with ``{"timed": True}`` (see
@@ -37,7 +37,7 @@ from repro.calculus.dependency import Stratum
 from repro.calculus.rules import Rule
 from repro.core.objects import ComplexObject
 from repro.obs.trace import format_ns
-from repro.plan.execute import match_plan
+from repro.plan.execute import match_rows
 from repro.plan.ir import BodyPlan, leaf_key
 
 __all__ = ["execution_record", "render_body_plan", "render_program_plan"]
@@ -59,7 +59,7 @@ def execution_record(
     per-leaf and total wall time when ``timed`` (EXPLAIN ANALYZE).
     """
     record: dict = {"timed": True} if timed else {}
-    match_plan(
+    match_rows(
         plan, target, indexes=indexes, allow_bottom=allow_bottom, record=record
     )
     return record

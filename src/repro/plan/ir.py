@@ -22,8 +22,9 @@ lets the vectorized executor (:mod:`repro.plan.execute`) dispatch each leaf
 once per *batch* of partial substitutions rather than once per partial: the
 meet-product over whole frontiers is the same set either way.
 
-A rule's plan is its body plan: the closure engine instantiates the head
-over each row and schedules rules by the strata of
+A rule's plan is its body plan: the closure engine joins the head over the
+executor's rows with one compiled projection
+(:func:`repro.plan.compile.compile_projection`) and schedules rules by the strata of
 :mod:`repro.calculus.dependency`.  The same IR is what :mod:`repro.plan.explain`
 renders, what :mod:`repro.plan.execute` runs, and what
 :mod:`repro.algebra.translate` lowers to algebra expressions.

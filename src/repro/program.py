@@ -35,6 +35,7 @@ from repro.core.objects import BOTTOM, ComplexObject
 from repro.engine import SemiNaiveEngine
 from repro.lint import lint_rules
 from repro.parser import parse_program
+from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_program_plan
 from repro.plan.indexes import TargetIndexes
 
@@ -116,8 +117,8 @@ class Program:
 
     # -- evaluation ---------------------------------------------------------------
     def seed(self) -> ComplexObject:
-        """The database joined with every fact's contribution."""
-        contributions = [fact.apply(BOTTOM) for fact in self._facts]
+        """The database joined with every fact's contribution (its head, projected)."""
+        contributions = [compile_projection(fact.head, ())([()]) for fact in self._facts]
         return union(self._database, union_all(contributions))
 
     def evaluate(

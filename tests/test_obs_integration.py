@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.core.errors import TransactionError
 from repro.obs import metrics, trace
 from repro.obs.metrics import REGISTRY
+from repro.workloads import make_genealogy
 
 
 @pytest.fixture
@@ -321,18 +322,38 @@ def test_engine_round_spans_carry_delta_sizes(tracer):
         )
         session.close()
 
-    def spans_named(span, name):
-        found = [span] if span.name == name else []
-        for child in span.children:
-            found.extend(spans_named(child, name))
-        return found
-
     rounds = []
     for root in tracer.traces():
-        rounds.extend(spans_named(root, "engine.round"))
+        rounds.extend(_spans_named(root, "engine.round"))
     assert rounds, "closure evaluation opened no engine.round spans"
     modes = {span.attrs.get("mode") for span in rounds}
     assert "full" in modes and "delta" in modes
+
+
+def test_engine_head_spans_count_every_derived_row(tracer):
+    tree = make_genealogy(5, 3)
+    with repro.connect() as session:
+        session.put("family", tree.family_object.get("family"))
+        session.register(
+            "[doa: {%s}]. [doa: {X}] :- "
+            "[family: {[name: Y, children: {[name: X]}]}, doa: {Y}]." % tree.root
+        )
+        result = session.close()
+    rounds = [span for root in tracer.traces() for span in _spans_named(root, "engine.round")]
+    heads = [
+        (span.attrs["mode"], head.attrs["rows"])
+        for span in rounds
+        for head in _spans_named(span, "engine.head")
+    ]
+    assert {mode for mode, _ in heads} == {"full", "delta"}
+    assert sum(rows for _, rows in heads) == result.stats.subobjects_derived == 363
+
+
+def _spans_named(span, name):
+    found = [span] if span.name == name else []
+    for child in span.children:
+        found.extend(_spans_named(child, name))
+    return found
 
 
 # -- the one-JSON-document contract ------------------------------------------------------

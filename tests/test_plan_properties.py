@@ -8,7 +8,8 @@ The plan pipeline's contract is behavioural identity along every entry point:
 * plan-compiled matching ≡ ``match_all`` on randomized formula/database
   pairs, under both semantics and regardless of leaf order;
 * a session's pushed-down store query and the store's ``find`` ≡
-  interpreting/scanning the full snapshot.
+  interpreting/scanning the full snapshot;
+* a compiled head projection ≡ the join of the per-row instantiations.
 """
 
 import pytest
@@ -28,7 +29,15 @@ from repro.calculus.interpretation import interpret  # noqa: E402
 from repro.calculus.matching import match_all  # noqa: E402
 from repro.calculus.fixpoint import close  # noqa: E402
 from repro.calculus.rules import Rule  # noqa: E402
-from repro.calculus.terms import Constant, formula, var  # noqa: E402
+from repro.calculus.substitution import Substitution, instantiate  # noqa: E402
+from repro.calculus.terms import (  # noqa: E402
+    Constant,
+    SetFormula,
+    TupleFormula,
+    formula,
+    var,
+)
+from repro.core.lattice import union_all  # noqa: E402
 from repro.engine import SemiNaiveEngine  # noqa: E402
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
@@ -36,7 +45,9 @@ from repro.plan import (  # noqa: E402
     match_plan,
     optimize_body,
 )
-from repro.core.objects import Atom, SetObject, TupleObject  # noqa: E402
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
+from repro.plan.compile import compile_projection  # noqa: E402
+from repro.plan.execute import match_rows  # noqa: E402
 from repro.store.database import ObjectDatabase  # noqa: E402
 from repro.workloads import make_genealogy, make_part_hierarchy  # noqa: E402
 
@@ -146,6 +157,10 @@ def test_match_plan_equals_match_all_on_random_objects(body_text, database, allo
     plan = optimize_body(compile_body(body), DatabaseStatistics.collect(database))
     expected = set(match_all(body, database, allow_bottom=allow))
     assert set(match_plan(plan, database, allow_bottom=allow)) == expected
+    # The rows behind them bind every body variable, sorted (what a compiled
+    # head projection is indexed by).
+    names, rows = match_rows(plan, database, allow_bottom=allow)
+    assert not rows or names == tuple(sorted(body.variables()))
 
 
 # A bare-variable body reads the ``out`` its own head writes: a recursive
@@ -221,3 +236,63 @@ def test_store_find_prefilter_equals_full_scan(rows, probe):
         name for name in database.names() if is_subobject(pattern, database[name])
     )
     assert prefiltered == expected
+
+
+# -- compiled head projections --------------------------------------------------------
+
+_ROW_NAMES = ("X", "Y", "Z")
+
+
+def raw_objects():
+    """Un-interned objects: sets left unreduced, tuples keeping their ⊥ attributes."""
+    children = st.one_of(complex_objects(2), st.just(BOTTOM))
+    return st.one_of(
+        st.lists(children, max_size=3).map(SetObject.raw),
+        st.dictionaries(st.sampled_from(("a", "b")), children, max_size=2).map(TupleObject.raw),
+    )
+
+
+def row_values():
+    """What a row may bind: reduced objects, ⊥, ⊤ and raw objects."""
+    return st.one_of(st.just(TOP), st.just(BOTTOM), complex_objects(3), raw_objects())
+
+
+def head_formulas():
+    """Constants (⊤, ⊥ and raw ones too), bound and unbound variables, nested
+    tuple and set formulas."""
+    leaves = st.one_of(
+        st.sampled_from(_ROW_NAMES + ("W",)).map(var),
+        st.one_of(complex_objects(2), st.sampled_from((BOTTOM, TOP)), raw_objects()).map(Constant),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.dictionaries(st.sampled_from("abc"), children, max_size=3).map(TupleFormula),
+            st.lists(children, max_size=3).map(SetFormula),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def row_batches(draw):
+    """Rows over ``_ROW_NAMES`` drawn with repeats, the empty batch included."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return []
+    distinct = draw(st.lists(st.tuples(*(row_values(),) * len(_ROW_NAMES)), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(head_formulas(), row_batches())
+def test_compiled_projection_is_the_join_of_the_instantiations(head, rows):
+    project = compile_projection(head, _ROW_NAMES)
+    expected = union_all(
+        instantiate(head, Substitution(dict(zip(_ROW_NAMES, row)))) for row in rows
+    )
+    answer = project(rows)
+    if expected._iid is None:
+        # A raw answer is never canonical: the fold builds a fresh one per call.
+        assert answer._iid is None and answer == expected
+    else:
+        assert answer is expected

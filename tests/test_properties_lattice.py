@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tests.conftest import atoms, complex_objects, flat_tuple_objects
 
 import repro
+from repro.calculus import substitution
 from repro.calculus.fixpoint import close as oracle_close
 from repro.core import order
 from repro.core.depth import depth, node_count
@@ -305,11 +306,7 @@ class TestJoinsStayLinear:
         assert counted.call_count <= ceiling <= 1_000  # pairwise scans: 750 000
 
     def test_a_cold_genealogy_closure_joins_its_heads_in_one_reduction(self):
-        tree = make_genealogy(5, 3)
-        rules = (
-            "[doa: {%s}]. [doa: {X}] :- "
-            "[family: {[name: Y, children: {[name: X]}]}, doa: {Y}]." % tree.root
-        )
+        tree, rules = _genealogy_descendants()
         clear_object_caches()
         with counted_subobject_tests() as counted, repro.connect() as session:
             session.put("family", tree.family_object.get("family"))
@@ -325,6 +322,34 @@ class TestJoinsStayLinear:
             728,
             363,
         )
+
+    def test_a_cold_genealogy_closure_projects_its_heads_without_instantiating(self):
+        """Each rule's head joins column-wise over its match rows: a set and a
+        tuple interned per rule and round, and not one per-row instantiation."""
+        tree, rules = _genealogy_descendants()
+        clear_object_caches()
+        with repro.connect() as session:
+            session.put("family", tree.family_object.get("family"))
+            session.register(rules)
+            before = intern_stats()
+            with mock.patch.object(
+                substitution, "instantiate", wraps=substitution.instantiate
+            ) as instantiated:
+                session.close()
+            after = intern_stats()
+        lookups = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+        assert lookups <= 40  # one head instantiated and interned per row: 748
+        assert instantiated.call_count == 0  # 1 090
+
+
+def _genealogy_descendants():
+    """Example 4.5 over ``make_genealogy(5, 3)``: the tree and its program text."""
+    tree = make_genealogy(5, 3)
+    rules = (
+        "[doa: {%s}]. [doa: {X}] :- "
+        "[family: {[name: Y, children: {[name: X]}]}, doa: {Y}]." % tree.root
+    )
+    return tree, rules
 
 
 def small_sets():

@@ -32,6 +32,9 @@ class TestCurrentTreeIsClean:
     def test_session_version(self):
         assert check_invariants.check_session_version() == []
 
+    def test_one_projection(self):
+        assert check_invariants.check_one_projection() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -43,6 +46,7 @@ class TestCurrentTreeIsClean:
         assert "invariant raw-constructors: ok" in completed.stdout
         assert "invariant layering: ok" in completed.stdout
         assert "invariant session-version: ok" in completed.stdout
+        assert "invariant one-projection: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -274,3 +278,29 @@ class TestSessionVersionInvariant:
             ),
         })
         assert "api/snapshot.py:3:" in violation
+
+
+class TestOneProjectionInvariant:
+    def test_each_per_row_instantiation_is_one_violation(self, tmp_path):
+        root = _package(tmp_path, {
+            "engine/core.py": (
+                "from repro.calculus.substitution import instantiate\n"
+                "def apply_full(rule, substitutions):\n"
+                "    heads = [s.apply(rule.head) for s in substitutions]\n"
+                "    return [instantiate(rule.head, s) for s in substitutions]\n"
+            ),
+            "plan/execute.py": (
+                "from repro.calculus import substitution\n"
+                "def interpret(body, rows):\n"
+                "    return [substitution.instantiate(body, row) for row in rows]\n"
+            ),
+            "api/cursor.py": "def next_match(s, body):\n    return s.apply(body)\n",
+        })
+        violations = check_invariants.check_one_projection(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == [
+            "engine/core.py:1",
+            "engine/core.py:3",
+            "engine/core.py:4",
+            "plan/execute.py:3",
+        ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Seven invariants that matter for correctness but that no unit test can pin
+Eight invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -73,6 +73,15 @@ Seven invariants that matter for correctness but that no unit test can pin
     ``Session.version`` and ``Session._current``; every other method takes
     the snapshot from ``_current()`` once and reads its targets from
     ``snapshot.state``.  There is no pragma.
+
+``one-projection``
+    A rule head or query body is joined over the executor's rows by one
+    compiled projection (:func:`repro.plan.compile.compile_projection`), so
+    no module under ``src/repro/engine/`` or ``src/repro/plan/`` references
+    ``instantiate`` or calls ``.apply(...)`` (a substitution's
+    instantiation): a per-row instantiation there is a second, slower head
+    path.  The oracle (:mod:`repro.calculus`) and the streaming cursor keep
+    ``instantiate``.  There is no pragma.
 
 Run from the repository root::
 
@@ -553,6 +562,37 @@ def check_session_version(api_root: Path = SRC_ROOT / "api") -> List[str]:
     return violations
 
 
+# -- invariant 8: heads are projected, never instantiated per row ------------------------
+
+PROJECTION_PACKAGES = ("engine", "plan")
+
+
+def check_one_projection(package_root: Path = SRC_ROOT) -> List[str]:
+    violations: List[str] = []
+    for package in PROJECTION_PACKAGES:
+        for path in _python_sources(package_root / package):
+            tree, _ = _parse(path)
+            for node in ast.walk(tree):
+                named = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    named = node.name
+                if named == "instantiate":
+                    what = "references instantiate"
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "apply"
+                ):
+                    what = "instantiates through .apply()"
+                else:
+                    continue
+                violations.append(
+                    f"{_relative(path)}:{node.lineno}: {what} (join heads over the"
+                    f" match rows with repro.plan.compile.compile_projection)"
+                )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -565,6 +605,7 @@ def main() -> int:
         ("store-planning", check_store_planning),
         ("layering", check_layering),
         ("session-version", check_session_version),
+        ("one-projection", check_one_projection),
     )
     failures = 0
     for name, check in checks:
