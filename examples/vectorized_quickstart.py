@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Vectorized execution quickstart: batches, compiled leaves, tuning.
+"""Vectorized execution quickstart: batches, compiled leaves, instrumentation.
 
 The physical executor (:mod:`repro.plan.execute`) processes **batches** of
 partial substitutions per plan operator instead of dispatching once per
-binding.  This walkthrough shows the knobs and the instrumentation:
+binding.  This walkthrough shows the executor and its instrumentation:
 
 1. the executor vs its oracle — on a source-ordered plan ``match_plan``
    returns the very list ``repro.calculus.matching.match_all``
@@ -12,10 +12,8 @@ binding.  This walkthrough shows the knobs and the instrumentation:
    included, compiles to one matcher closure once per formula
    (``compile_element_matcher.cache_info()`` shows reuse across
    prepared-query re-executions);
-3. ``batch_size`` tuning — streaming cursors ramp chunk sizes 1, 2, 4, …
-   up to ``batch_size``, trading first-row latency against bulk throughput;
-4. EXPLAIN ANALYZE — per-leaf batch counts and rows/batch;
-5. the ``exec.*`` metrics in ``repro.obs.snapshot()``.
+3. EXPLAIN ANALYZE — per-leaf batch counts and rows/batch;
+4. the ``exec.*`` metrics in ``repro.obs.snapshot()``.
 
 Run with::
 
@@ -94,29 +92,8 @@ def demo_compiled_leaf_cache() -> None:
               " re-executions pay zero recompilation")
 
 
-def demo_batch_size_tuning() -> None:
-    banner("3. batch_size: first-row latency vs bulk throughput")
-    with build_session() as session:
-        body = "[graph: [a_r: {[x: X, y: Y]}, b_r: {[y: Y, z: Z]}]]"
-        session.execute(body).one()  # warm the plan cache: time execution, not planning
-        for batch_size in (1, 8, 64, 512):
-            start = time.perf_counter_ns()
-            first = session.execute(body, batch_size=batch_size).one()
-            first_ns = time.perf_counter_ns() - start
-
-            start = time.perf_counter_ns()
-            count = sum(1 for _ in session.execute(body, batch_size=batch_size))
-            drain_ns = time.perf_counter_ns() - start
-            print(
-                f"batch_size {batch_size:4d}: first row {first_ns / 1e3:8.1f} µs,"
-                f" drain {count} rows {drain_ns / 1e6:8.2f} ms"
-            )
-        print("-> the ramp starts at one partial regardless, so first-row")
-        print("   latency is flat; larger caps amortize per-operator dispatch")
-
-
 def demo_explain_analyze() -> None:
-    banner("4. EXPLAIN ANALYZE: batches and rows/batch per leaf")
+    banner("3. EXPLAIN ANALYZE: batches and rows/batch per leaf")
     with build_session() as session:
         print(session.explain(
             "[graph: [a_r: {[x: X, y: Y]}, b_r: {[y: Y, z: Z]}]]", analyze=True
@@ -124,7 +101,7 @@ def demo_explain_analyze() -> None:
 
 
 def demo_exec_metrics() -> None:
-    banner("5. exec.* metrics in repro.obs.snapshot()")
+    banner("4. exec.* metrics in repro.obs.snapshot()")
     metrics = snapshot()
     print("exec.batches:           ", metrics["counters"]["exec.batches"])
     print("exec.compiled_leaf_hits:", metrics["counters"]["exec.compiled_leaf_hits"])
@@ -137,6 +114,5 @@ def demo_exec_metrics() -> None:
 if __name__ == "__main__":
     demo_executor_vs_oracle()
     demo_compiled_leaf_cache()
-    demo_batch_size_tuning()
     demo_explain_analyze()
     demo_exec_metrics()

@@ -16,14 +16,14 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.builder import obj
 from repro.core.errors import ComplexObjectError, LintError
-from repro.core.lattice import union_all
 from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula
 from repro.lint.diagnostics import new_diagnostic
 from repro.lint.shapes import maybe_subobject
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan import interpret_plan, iter_match_plan
+from repro.plan import interpret_plan, iter_match_rows
+from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_body_plan
 from repro.plan.ir import BodyPlan
 from repro.api.snapshot import Snapshot
@@ -183,22 +183,25 @@ class Cursor:
     answer is large.  The terminal operations:
 
     * :meth:`one` — the next match, ⊥ when the stream is exhausted;
-    * :meth:`all` — drain and fold into the union ``E(O)`` (every match the
-      cursor ever produced participates, so ``all()`` after partial
+    * :meth:`all` — drain and fold into the union ``E(O)`` (every row the
+      cursor ever consumed participates, so ``all()`` after partial
       iteration still returns the complete answer);
     * :meth:`bindings` — the raw variable :class:`Substitution` stream;
     * :meth:`explain` — the plan this cursor executes, against the target and
       index store it was resolved to (later commits do not change the
       rendering).
 
-    A cursor is single-pass: it consumes its substitution stream once,
-    shared by all of the above.  Re-execute the prepared query for a fresh
-    cursor.
+    A cursor is single-pass: it consumes the executor's row stream
+    (:func:`repro.plan.execute.iter_match_rows`) once, shared by all of the
+    above, and keeps the rows it consumed; a match is the body projected
+    over one row (:func:`~repro.plan.compile.compile_projection`, compiled
+    once per cursor), ``all()`` the projection over every row.  Re-execute
+    the prepared query for a fresh cursor.
     """
 
     def __init__(
         self, resolved: _Resolved, *, allow_bottom: bool = False, stats=None,
-        on_finish=None, deadline=None, batch_size: Optional[int] = None,
+        on_finish=None, deadline=None,
     ):
         # What Session._resolve decided (see _Resolved); the snapshot is the
         # cursor's own reference, so a commit that replaces the session's
@@ -213,48 +216,39 @@ class Cursor:
         self._deadline = deadline
         self._finished = False
         self._started = False
-        if target is None:
-            self._substitutions: Iterator[Substitution] = iter(())
-        else:
-            # ``batch_size`` tunes the vector executor's streaming chunk
-            # ramp (repro.plan.execute.DEFAULT_BATCH_SIZE when None);
-            # ``batch_size=1`` degenerates to one-partial-at-a-time.
-            self._substitutions = iter_match_plan(
-                plan, target, indexes=indexes, allow_bottom=allow_bottom,
-                stats=stats, deadline=deadline, batch_size=batch_size,
-            )
+        self._stream = iter(()) if target is None else iter_match_rows(
+            plan, target, indexes=indexes, allow_bottom=allow_bottom,
+            stats=stats, deadline=deadline,
+        )
+        # Every row consumed so far, and how many of them iteration has
+        # projected into ``_seen`` (the rest came through :meth:`bindings`).
+        self._names: Tuple[str, ...] = ()
+        self._rows: List[tuple] = []
+        self._projected = 0
         self._seen = set()
-        self._matches: List[ComplexObject] = []
-        # Substitutions :meth:`bindings` handed out and nobody has asked to
-        # see instantiated yet.
-        self._deferred: List[Substitution] = []
+        self._project = None
         self._result: Optional[ComplexObject] = None
 
-    def _finish(self, rows: Optional[int] = None) -> None:
+    def _finish(self) -> None:
         """Fire the completion callback exactly once, at stream exhaustion."""
-        if self._finished:
-            return
-        self._finished = True
-        if self._on_finish is not None:
-            if rows is None:
-                rows = len(self._matches) + len(self._deferred)
-            self._on_finish(rows)
+        if not self._finished:
+            self._finished = True
+            if self._on_finish is not None:
+                self._on_finish()
 
-    def _remember(self, substitution: Substitution) -> Optional[ComplexObject]:
-        """Instantiate the body; the match if it is new, ``None`` if seen."""
-        instantiation = substitution.apply(self._plan.body)
-        if instantiation in self._seen:
-            return None
-        self._seen.add(instantiation)
-        self._matches.append(instantiation)
-        return instantiation
+    def _pull(self) -> Optional[tuple]:
+        """Consume the next executor row (``None`` once exhausted)."""
+        for self._names, row in self._stream:
+            self._rows.append(row)
+            return row
+        self._finish()
+        return None
 
-    def _absorb_deferred(self) -> None:
-        """Instantiate what :meth:`bindings` streamed, in stream order."""
-        if self._deferred:
-            deferred, self._deferred = self._deferred, []
-            for substitution in deferred:
-                self._remember(substitution)
+    def _projection(self):
+        """The body's compiled projection over this cursor's rows."""
+        if self._project is None:
+            self._project = compile_projection(self._plan.body, self._names)
+        return self._project
 
     # -- streaming --------------------------------------------------------------------
     def __iter__(self) -> "Cursor":
@@ -262,26 +256,30 @@ class Cursor:
 
     def __next__(self) -> ComplexObject:
         self._started = True
-        self._absorb_deferred()
-        for substitution in self._substitutions:
-            instantiation = self._remember(substitution)
-            if instantiation is not None:
+        rows, seen = self._rows, self._seen
+        if self._projected < len(rows):
+            # What bindings() handed out counts as streamed: never repeat it.
+            project = self._projection()
+            seen.update(project([row]) for row in rows[self._projected:])
+            self._projected = len(rows)
+        while (row := self._pull()) is not None:
+            self._projected += 1
+            instantiation = self._projection()([row])
+            if instantiation not in seen:
+                seen.add(instantiation)
                 return instantiation
-        self._finish()
         raise StopIteration
 
     def bindings(self) -> Iterator[Substitution]:
         """Stream the raw substitutions (each still counts toward :meth:`all`).
 
-        Nothing is instantiated per row: the substitutions are kept, and the
-        body is instantiated (and deduplicated) only if :meth:`all` or
-        iteration asks for matches later.
+        The public boundary where a row becomes a :class:`Substitution`;
+        nothing is projected per row — the rows are kept, and the body is
+        projected only if :meth:`all` or iteration asks for matches later.
         """
         self._started = True
-        for substitution in self._substitutions:
-            self._deferred.append(substitution)
-            yield substitution
-        self._finish()
+        while (row := self._pull()) is not None:
+            yield Substitution._from_sorted(tuple(zip(self._names, row)))
 
     # -- terminals --------------------------------------------------------------------
     def one(self) -> ComplexObject:
@@ -295,23 +293,20 @@ class Cursor:
         """Drain the stream and union every match: ``E(O)`` (⊥ when empty)."""
         if self._result is None:
             if not self._started and self._target is not None:
-                # Nothing consumed yet: the batch executor computes the same
-                # union without the per-row generator machinery (the common
-                # ``Session.query`` path).  The stream is left exhausted,
-                # exactly as a drain would.
+                # Nothing consumed yet: project the whole batch run at once
+                # (the common ``Session.query`` path).  The stream is left
+                # exhausted, exactly as a drain would.
                 self._result = interpret_plan(
                     self._plan, self._target, indexes=self._indexes,
                     allow_bottom=self._allow_bottom, stats=self._stats, deadline=self._deadline,
                 )
-                self._substitutions = iter(())
+                self._stream = iter(())
                 self._started = True
-                # The batch executor skips the per-match list; the stats
-                # record still carries the substitution count.
-                self._finish(rows=self._stats.substitutions if self._stats else None)
+                self._finish()
             else:
-                for _ in self:
+                while self._pull() is not None:
                     pass
-                self._result = union_all(self._matches)
+                self._result = self._projection()(self._rows) if self._rows else BOTTOM
         return self._result
 
     def explain(self) -> str:
@@ -319,6 +314,4 @@ class Cursor:
         return _render_explain(self._resolved, self._allow_bottom, analyze=False)
 
     def __repr__(self) -> str:
-        streamed = len(self._matches) + len(self._deferred)
-        return f"<Cursor {streamed} matches streamed>"
-
+        return f"<Cursor {len(self._rows)} rows streamed>"

@@ -46,12 +46,12 @@ ReproError = ComplexObjectError
 #: typo and is rejected, mirroring the strict ``$parameter`` policy.
 _QUERY_OPTIONS = frozenset({
     "against", "on_closure", "allow_bottom", "max_iterations", "max_nodes", "max_depth",
-    "timeout_ms", "batch_size",
+    "timeout_ms",
 })
 
 #: Options that configure the execution itself rather than closure guards;
 #: everything else in an options dict is forwarded to :meth:`Session.close`.
-_NON_GUARD_OPTIONS = ("against", "on_closure", "allow_bottom", "timeout_ms", "batch_size")
+_NON_GUARD_OPTIONS = ("against", "on_closure", "allow_bottom", "timeout_ms")
 
 #: What remains: the divergence guards :meth:`Session.close` accepts.
 _GUARD_OPTIONS = _QUERY_OPTIONS.difference(_NON_GUARD_OPTIONS)
@@ -358,11 +358,6 @@ class Session:
             ):
                 raise ReproError(f"timeout_ms must be a positive number, got {timeout_ms!r}")
             deadline = Deadline.start(timeout_ms) if timeout_ms is not None else None
-            batch_size = options.get("batch_size")
-            if batch_size is not None and (
-                not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size <= 0
-            ):
-                raise ReproError(f"batch_size must be a positive integer, got {batch_size!r}")
             resolved = self._resolve(formula, values, options, deadline=deadline)
             if span.enabled:
                 span.set(access=resolved.access)
@@ -372,7 +367,6 @@ class Session:
                 stats=run_stats,
                 on_finish=self._query_finisher(formula, values, run_stats, start_ns, trace_id),
                 deadline=deadline,
-                batch_size=batch_size,
             )
 
     def query(self, query, params: Optional[Mapping] = None, **options) -> ComplexObject:
@@ -534,7 +528,8 @@ class Session:
         slow_query_ms=...)``: every query whose total wall time — planning
         through cursor exhaustion — reaches the threshold is recorded with
         its query text, bound parameter values, elapsed milliseconds, row
-        count, and (when tracing is enabled) its trace id and rendered trace.
+        count (the executor's match rows, however the cursor was consumed),
+        and (when tracing is enabled) its trace id and rendered trace.
         The log keeps the 32 most recent entries.
         """
         return list(self._slow_log)
@@ -654,7 +649,7 @@ class Session:
         appends to the slow-query log when the session is armed.
         """
 
-        def finish(rows: int) -> None:
+        def finish() -> None:
             elapsed_ns = time.perf_counter_ns() - start_ns
             self._last_query_stats = run_stats
             _METRICS.histogram("session.query_ns").observe(elapsed_ns)
@@ -668,7 +663,7 @@ class Session:
                 "query": formula.to_text(),
                 "params": {name: value.to_text() for name, value in values.items()},
                 "elapsed_ms": elapsed_ns / 1e6,
-                "rows": rows,
+                "rows": run_stats.substitutions,
                 "trace_id": trace_id,
             }
             tracer = _trace.current_tracer()

@@ -30,17 +30,19 @@ compiled path:
 Quick use::
 
     from repro import Program
-    from repro.plan import compile_body, optimize_body, match_plan
+    from repro.plan import compile_body, optimize_body, match_rows
 
     program = Program.from_source(source, database=db)
     print(program.explain())            # the optimized plan, est vs. actual
 
     plan = optimize_body(compile_body(body_formula))
-    substitutions = match_plan(plan, database_object)
+    names, rows = match_rows(plan, database_object)  # one value per name
 """
 
 from repro.plan.compile import compile_body
-from repro.plan.execute import interpret_plan, iter_match_plan, match_plan
+from repro.plan.execute import (
+    interpret_plan, iter_match_plan, iter_match_rows, match_plan, match_rows,
+)
 from repro.plan.explain import render_body_plan, render_program_plan
 from repro.plan.ir import (
     BindLeaf,
@@ -73,8 +75,10 @@ __all__ = [
     "estimate_leaf",
     "interpret_plan",
     "iter_match_plan",
+    "iter_match_rows",
     "leaf_key",
     "match_plan",
+    "match_rows",
     "optimize_body",
     "render_body_plan",
     "render_program_plan",

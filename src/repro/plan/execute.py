@@ -1,9 +1,11 @@
 """The physical executor: run a :class:`BodyPlan` against a database object.
 
 This is the one matching loop every evaluation path shares — the engine,
-sessions (store pushdowns included) and EXPLAIN all call :func:`match_rows`,
-which :func:`match_plan` wraps in substitutions.  Its oracle is the derivation-maximal
-enumeration of :func:`repro.calculus.matching.match_all` (Definition 4.2):
+sessions (store pushdowns included) and EXPLAIN call :func:`match_rows`, a
+streaming cursor :func:`iter_match_rows`; both hand out value rows, which
+:func:`~repro.plan.compile.compile_projection` joins into answers.  Its
+oracle is the derivation-maximal enumeration of
+:func:`repro.calculus.matching.match_all` (Definition 4.2):
 on a source-ordered plan the two return the same list, on a cost-ordered one
 the same set (``tests/test_exec_properties.py``).  On top of the definition
 it adds:
@@ -68,6 +70,7 @@ from repro.plan.stats import EngineStats
 
 __all__ = [
     "match_rows",
+    "iter_match_rows",
     "match_plan",
     "iter_match_plan",
     "interpret_plan",
@@ -127,15 +130,7 @@ def match_rows(
     timed = record is not None and record.get("timed", False)
     if timed:
         start_ns = time.perf_counter_ns()
-    executor = _Executor(
-        position=position,
-        delta_elements=delta_elements,
-        indexes=indexes if not allow_bottom else None,
-        stats=stats,
-        record=record,
-        deadline=deadline,
-        drop_bottom=not allow_bottom,
-    )
+    executor = _Executor(position, delta_elements, indexes, stats, record, deadline, allow_bottom)
     try:
         layout, batch = executor.run_batch(plan, target)
         finalizer = _RowFinalizer(layout, allow_bottom)
@@ -150,13 +145,7 @@ def match_rows(
     return finalizer.names, rows
 
 
-def match_plan(plan: BodyPlan, target: ComplexObject, **options) -> List[Substitution]:
-    """:func:`match_rows` with each row a :class:`Substitution` (same keywords)."""
-    names, rows = match_rows(plan, target, **options)
-    return [Substitution._from_sorted(tuple(zip(names, row))) for row in rows]
-
-
-def iter_match_plan(
+def iter_match_rows(
     plan: BodyPlan,
     target: ComplexObject,
     *,
@@ -167,12 +156,12 @@ def iter_match_plan(
     allow_bottom: bool = False,
     deadline=None,
     batch_size: Optional[int] = None,
-) -> Iterator[Substitution]:
-    """Stream the substitutions of :func:`match_plan` lazily, one at a time.
+) -> Iterator[Tuple[Tuple[str, ...], tuple]]:
+    """Stream the rows of :func:`match_rows` lazily, as ``(names, row)`` pairs.
 
-    Yields exactly the substitutions — in exactly the order — that
-    :func:`match_plan` would return for the same arguments, but
-    depth-first: the first substitution is produced after walking one
+    Yields exactly the rows — in exactly the order — that :func:`match_rows`
+    returns for the same arguments, each beside the same sorted ``names``
+    tuple, but depth-first: the first row is produced after walking one
     alternative per leaf instead of after materialising the full
     meet-product.  This is the executor behind :class:`repro.api.Cursor`
     streaming, where first-row latency matters and a consumer may stop
@@ -202,15 +191,7 @@ def iter_match_plan(
     if plan.pruned is not None:
         # Statically proved empty: stream nothing.
         return
-    executor = _Executor(
-        position=position,
-        delta_elements=delta_elements,
-        indexes=indexes if not allow_bottom else None,
-        stats=stats,
-        record=None,
-        deadline=deadline,
-        drop_bottom=not allow_bottom,
-    )
+    executor = _Executor(position, delta_elements, indexes, stats, None, deadline, allow_bottom)
     finalizer: Optional[_RowFinalizer] = None
     try:
         for row in executor.stream_batches(plan, target, batch_size):
@@ -220,9 +201,23 @@ def iter_match_plan(
             if row is None:
                 continue
             stats.substitutions += 1
-            yield Substitution._from_sorted(tuple(zip(finalizer.names, row)))
+            yield finalizer.names, row
     finally:
         executor.flush_metrics()
+
+
+# Oracle/test adapters: rows as :class:`Substitution` objects, for the tests and
+# the per-layer probe of ``benchmarks/e2e/layers.py``; no evaluation path calls them.
+def match_plan(plan: BodyPlan, target: ComplexObject, **options) -> List[Substitution]:
+    """:func:`match_rows` with each row a :class:`Substitution` (same keywords)."""
+    names, rows = match_rows(plan, target, **options)
+    return [Substitution._from_sorted(tuple(zip(names, row))) for row in rows]
+
+
+def iter_match_plan(plan: BodyPlan, target: ComplexObject, **options) -> Iterator[Substitution]:
+    """:func:`iter_match_rows` with each row a :class:`Substitution` (same keywords)."""
+    for names, row in iter_match_rows(plan, target, **options):
+        yield Substitution._from_sorted(tuple(zip(names, row)))
 
 
 def interpret_plan(
@@ -365,7 +360,7 @@ class _Executor:
       by :func:`repro.plan.compile.compile_element_matcher`: one closure
       call per witness appends that witness's rows;
     * deadlines are checked once per operator batch, not once per tuple;
-    * final rows materialise into :class:`Substitution` objects only after
+    * final rows leave as plain value tuples, in sorted-name order, after
       identity-keyed dedup (:class:`_RowFinalizer`).
 
     The enumeration order is partials outer, alternatives inner, instances
@@ -392,11 +387,12 @@ class _Executor:
     )
 
     def __init__(
-        self, position, delta_elements, indexes, stats, record, deadline, drop_bottom
+        self, position, delta_elements, indexes, stats, record, deadline, allow_bottom
     ):
         self.position = position
         self.delta_elements = delta_elements
-        self.indexes = indexes
+        # Narrowing drops only ⊥-binding matches, which allow_bottom keeps.
+        self.indexes = None if allow_bottom else indexes
         self.stats = stats
         self.record = record
         self.deadline = deadline
@@ -405,7 +401,7 @@ class _Executor:
         #: at the finalizer — ⊥ never recovers, so only rows the strict
         #: filter would discard anyway disappear (EXPLAIN's per-leaf actuals
         #: therefore count *surviving* rows).
-        self.drop_bottom = drop_bottom
+        self.drop_bottom = not allow_bottom
         self._batches = 0
         self._batch_rows: List[int] = []
         self._compiled_hits = 0

@@ -5,22 +5,26 @@ Two contracts from the API redesign, pinned over generated inputs:
 * **streaming ≡ materialization** — folding a :class:`repro.api.Cursor`'s
   lazy stream equals the materialized ``E(O)`` of the calculus baseline
   (:func:`repro.calculus.interpretation.interpret`) — against the oracle
-  closure on closure-backed targets — for random objects and body shapes;
+  closure on closure-backed targets — for random objects and body shapes,
+  and the stream itself is the deduplicated list of the oracle's
+  instantiations ``σ.apply(body)`` of the cursor's rows;
 * **parameters ≡ substituted constants** — executing a prepared query with
   ``$name`` bindings equals re-parsing the source with the values spliced in
   as constants, i.e. late binding changes when planning happens, never what
   is computed.
 """
 
+from itertools import islice
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro import Program, Session, parse_formula, parse_object  # noqa: E402
 from repro.calculus.interpretation import interpret as baseline_interpret  # noqa: E402
 from repro.core.lattice import union_all  # noqa: E402
-from repro.core.objects import BOTTOM, Atom, SetObject, TupleObject  # noqa: E402
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "r1", "r2", "name")
 
@@ -30,6 +34,7 @@ BODY_SHAPES = [
     "[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]",
     "[r1: {[name: X]}]",
     "[r1: {X}, r2: {X}]",
+    "[r1: {X, Y}]",
     "[r1: {[a: X], [b: Y]}]",
     "[r1: {[a: X, b: X]}]",
     "X",
@@ -55,10 +60,10 @@ def _atoms():
     )
 
 
-def complex_objects(max_depth: int = 3):
+def complex_objects(max_depth: int = 3, top: bool = False):
     if max_depth <= 1:
-        return _atoms()
-    children = complex_objects(max_depth - 1)
+        return st.one_of(_atoms(), st.just(TOP)) if top else _atoms()
+    children = complex_objects(max_depth - 1, top)
     tuples = st.dictionaries(
         st.sampled_from(_ATTRIBUTE_NAMES), children, max_size=3
     ).map(TupleObject)
@@ -74,6 +79,45 @@ def test_streamed_cursor_equals_materialized_interpret(database, shape):
     expected = baseline_interpret(body, database)
     assert union_all(streamed) == expected
     assert session.query(body) == expected
+
+
+def _relations():
+    """Tuples whose ``r1`` / ``r2`` are sets (or ⊤), so the body shapes' scans fire."""
+    element = st.one_of(_atoms(), complex_objects(2, top=True))
+    relation = st.one_of(st.lists(element, min_size=1, max_size=4).map(SetObject), st.just(TOP))
+    return st.fixed_dictionaries({"r1": relation, "r2": relation}).map(TupleObject)
+
+
+@settings(max_examples=200)
+@given(
+    database=st.one_of(_relations(), complex_objects(top=True)),
+    shape=st.sampled_from(BODY_SHAPES),
+    allow_bottom=st.booleans(),
+    prefix=st.integers(min_value=0, max_value=6),
+)
+# Rows (1, 2) and (2, 1) instantiate alike: the prefix's match must not repeat.
+@example(parse_object("[r1: {1, 2}]"), "[r1: {X, Y}]", False, 2)
+def test_cursor_streams_the_deduplicated_oracle_instances(database, shape, allow_bottom, prefix):
+    """The stream is ``σ.apply(body)`` over the cursor's rows, deduplicated, in order.
+
+    A ``bindings()`` prefix counts as streamed: iteration afterwards yields
+    the rest of that list, none of the prefix's instances, and ``all()`` is
+    still the whole ``E(O)``.
+    """
+    body = parse_formula(shape)
+    session = Session.over_object(database)
+
+    def execute():
+        return session.execute(body, allow_bottom=allow_bottom)
+
+    oracle = list(dict.fromkeys(sigma.apply(body) for sigma in execute().bindings()))
+    assert list(execute()) == oracle
+    cursor = execute()
+    consumed = {sigma.apply(body) for sigma in islice(cursor.bindings(), prefix)}
+    rest = list(cursor)
+    assert consumed.isdisjoint(rest)
+    assert rest == [instance for instance in oracle if instance not in consumed]
+    assert cursor.all() == baseline_interpret(body, database, allow_bottom=allow_bottom)
 
 
 @given(

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import BOTTOM, TOP, Session, parse_formula, parse_object
+from repro.api import Cursor
 from repro.calculus.matching import match_all
 from repro.calculus.terms import bind_parameters
 from repro.core.builder import obj
@@ -163,7 +164,7 @@ class TestStaleness:
     def test_a_half_consumed_cursor_drained_after_a_commit_answers_its_own_target(self):
         session = Session()
         session.put("r1", parse_object("{[name: ann, age: 1], [name: ann, age: 2]}"))
-        cursor = session.execute(self.QUERY, {"who": "ann"}, batch_size=1)
+        cursor = session.execute(self.QUERY, {"who": "ann"})
         first = next(cursor)
         session.put("r1", parse_object("{[name: ann, age: 7]}"))
         # A later resolve drops the session's reference; the cursor has its own.
@@ -310,7 +311,7 @@ class TestObservability:
         assert [span.name for span in root.children].count("session.execute") == 2
 
 
-# -- Cursor.bindings() keeps substitutions, instantiates on demand ---------------------------
+# -- Cursor.bindings() keeps rows, projects on demand ---------------------------------------
 
 
 class TestLazyBindings:
@@ -323,29 +324,34 @@ class TestLazyBindings:
         return session
 
     def test_bindings_instantiate_nothing(self, monkeypatch):
-        from repro.calculus.substitution import Substitution
+        """No projection during ``bindings()``; ``all()`` compiles and runs one."""
+        from repro.api import cursor as cursor_module
 
-        calls = []
-        original = Substitution.apply
-        monkeypatch.setattr(
-            Substitution, "apply", lambda self, body: calls.append(1) or original(self, body)
-        )
+        compiled, projected = [], []
+        original = cursor_module.compile_projection
+
+        def spy(formula, names):
+            compiled.append(names)
+            project = original(formula, names)
+            return lambda rows: projected.append(len(rows)) or project(rows)
+
+        monkeypatch.setattr(cursor_module, "compile_projection", spy)
         cursor = self._session().execute(self.QUERY)
         assert len(list(cursor.bindings())) == 3
-        assert calls == []
+        assert compiled == [] and projected == []
         assert cursor.all() == parse_object(f"[r1: {self.PEOPLE}]")
-        assert len(calls) == 3
+        assert compiled == [("A", "X")] and projected == [3]
 
     def test_all_after_partial_bindings_is_the_complete_answer(self):
         session = self._session()
-        cursor = session.execute(self.QUERY, batch_size=1)
+        cursor = session.execute(self.QUERY)
         stream = cursor.bindings()
         first = next(stream)
         assert first["X"] in {Atom("ann"), Atom("bob"), Atom("cy")}
         assert cursor.all() == session.query(self.QUERY)
 
     def test_iteration_after_bindings_does_not_repeat_what_bindings_consumed(self):
-        cursor = self._session().execute(self.QUERY, batch_size=1)
+        cursor = self._session().execute(self.QUERY)
         stream = cursor.bindings()
         consumed = next(stream).apply(parse_formula(self.QUERY))
         rest = list(cursor)
@@ -357,3 +363,20 @@ class TestLazyBindings:
         session.put("r1", parse_object("{[name: ann, age: 1], [name: bob, age: 2]}"))
         list(session.execute(self.QUERY).bindings())
         assert session.slow_queries()[-1]["rows"] == 2
+
+    def test_the_slow_query_rows_are_the_executor_rows_on_every_path(self):
+        """``[r: {X, Y}]`` over ``{1, 2}``: four rows, three distinct matches."""
+        session = Session(slow_query_ms=0)
+        session.put("r", parse_object("{1, 2}"))
+        query = "[r: {X, Y}]"
+        assert len(list(session.execute(query))) == 3
+
+        def one_then_all(cursor):
+            cursor.one()
+            cursor.all()
+
+        for consume in (Cursor.all, lambda cursor: list(cursor.bindings()), list, one_then_all):
+            logged = len(session.slow_queries())
+            consume(session.execute(query))
+            assert len(session.slow_queries()) == logged + 1
+            assert session.slow_queries()[-1]["rows"] == 4

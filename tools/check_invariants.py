@@ -77,11 +77,12 @@ Eight invariants that matter for correctness but that no unit test can pin
 ``one-projection``
     A rule head or query body is joined over the executor's rows by one
     compiled projection (:func:`repro.plan.compile.compile_projection`), so
-    no module under ``src/repro/engine/`` or ``src/repro/plan/`` references
-    ``instantiate`` or calls ``.apply(...)`` (a substitution's
-    instantiation): a per-row instantiation there is a second, slower head
-    path.  The oracle (:mod:`repro.calculus`) and the streaming cursor keep
-    ``instantiate``.  There is no pragma.
+    no module under ``src/repro/engine/``, ``src/repro/plan/`` or
+    ``src/repro/api/`` references ``instantiate`` or calls ``.apply(...)``
+    (a substitution's instantiation): a per-row instantiation there is a
+    second, slower head path — the streaming cursor projects each row too.
+    Only the oracle (:mod:`repro.calculus`) keeps ``instantiate``.  There is
+    no pragma.
 
 Run from the repository root::
 
@@ -564,7 +565,7 @@ def check_session_version(api_root: Path = SRC_ROOT / "api") -> List[str]:
 
 # -- invariant 8: heads are projected, never instantiated per row ------------------------
 
-PROJECTION_PACKAGES = ("engine", "plan")
+PROJECTION_PACKAGES = ("engine", "plan", "api")
 
 
 def check_one_projection(package_root: Path = SRC_ROOT) -> List[str]:
