@@ -35,6 +35,12 @@ substrates needed to evaluate it:
 * :mod:`repro.workloads` — synthetic data generators used by tests, examples
   and benchmarks.
 
+Every export is loaded on first use: ``import repro`` imports no layer,
+and the first ``repro.Session`` (or any other export) imports the module
+that defines it, with the layers below it and nothing above.
+``repro.<subpackage>`` imports that subpackage, so a bare ``import repro``
+followed by ``repro.store.ObjectDatabase`` works too.
+
 Quickstart::
 
     import repro
@@ -48,159 +54,63 @@ Quickstart::
             print(match)
 """
 
-from repro.core import (
-    BOTTOM,
-    TOP,
-    Atom,
-    Bottom,
-    ComplexObject,
-    SetObject,
-    Top,
-    TupleObject,
-    atom,
-    clear_object_caches,
-    depth,
-    intern_stats,
-    intersection,
-    intersection_all,
-    is_interned,
-    is_reduced,
-    is_subobject,
-    obj,
-    objects_equal,
-    reduce_object,
-    set_of,
-    subobject,
-    tup,
-    union,
-    union_all,
-)
-from repro.core.errors import (
-    ComplexObjectError,
-    ConflictError,
-    DivergenceError,
-    LockTimeout,
-    ParameterError,
-    ParseError,
-    QueryTimeout,
-    SchemaError,
-    StoreError,
-)
-from repro.calculus import (
-    ClosureResult,
-    Constant,
-    Formula,
-    Parameter,
-    Rule,
-    RuleSet,
-    SetFormula,
-    Substitution,
-    TupleFormula,
-    Variable,
-    apply_rule,
-    apply_rules,
-    bind_parameters,
-    close,
-    closure_series,
-    formula,
-    interpret,
-    match,
-    param,
-    var,
-)
-from repro.engine import EngineResult, EngineStats, SemiNaiveEngine
-from repro.parser import parse_formula, parse_object, parse_program, parse_rule, pretty
-
-# The observability subsystem: tracing, metrics, EXPLAIN ANALYZE support.
-# Exposed as a namespace (``repro.obs.enable_tracing()``,
-# ``repro.obs.snapshot()``) rather than flattened into the top level.
-from repro import obs
-
-# The static analyzer: whole-program diagnostics with stable RLxxx codes
-# (``repro.lint.lint_source(...)``, ``repro lint`` on the command line).
-# A namespace, like ``repro.obs``.
-from repro import lint
-from repro.core.errors import LintError, UnboundVariableError
-
-# The session facade is the public query surface; ``interpret`` (imported
-# from the calculus above) is Definition 4.2 literally — its oracle.
-from repro.api import Cursor, PreparedQuery, ReproError, Session, connect
-from repro.program import Program
+from importlib import import_module as _import_module
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "Atom",
-    "BOTTOM",
-    "Bottom",
-    "ClosureResult",
-    "ComplexObject",
-    "ComplexObjectError",
-    "ConflictError",
-    "Constant",
-    "Cursor",
-    "DivergenceError",
-    "EngineResult",
-    "EngineStats",
-    "Formula",
-    "LintError",
-    "LockTimeout",
-    "Parameter",
-    "ParameterError",
-    "ParseError",
-    "PreparedQuery",
-    "Program",
-    "QueryTimeout",
-    "ReproError",
-    "Rule",
-    "RuleSet",
-    "SchemaError",
-    "SemiNaiveEngine",
-    "Session",
-    "SetFormula",
-    "SetObject",
-    "StoreError",
-    "Substitution",
-    "TOP",
-    "Top",
-    "TupleFormula",
-    "TupleObject",
-    "UnboundVariableError",
-    "Variable",
-    "apply_rule",
-    "apply_rules",
-    "atom",
-    "bind_parameters",
-    "clear_object_caches",
-    "close",
-    "closure_series",
-    "connect",
-    "depth",
-    "formula",
-    "intern_stats",
-    "interpret",
-    "intersection",
-    "intersection_all",
-    "is_interned",
-    "is_reduced",
-    "is_subobject",
-    "lint",
-    "match",
-    "obj",
-    "objects_equal",
-    "obs",
-    "param",
-    "parse_formula",
-    "parse_object",
-    "parse_program",
-    "parse_rule",
-    "pretty",
-    "reduce_object",
-    "set_of",
-    "subobject",
-    "tup",
-    "union",
-    "union_all",
-    "var",
-    "__version__",
-]
+#: Each defining module and the names ``repro`` re-exports from it; the
+#: ``"repro"`` entry names the subpackages exported as namespaces.
+_EXPORTS = {
+    "repro.core": (
+        "BOTTOM", "TOP", "Atom", "Bottom", "ComplexObject", "SetObject", "Top",
+        "TupleObject", "atom", "clear_object_caches", "depth", "intern_stats",
+        "intersection", "intersection_all", "is_interned", "is_reduced",
+        "is_subobject", "obj", "objects_equal", "reduce_object", "set_of",
+        "subobject", "tup", "union", "union_all",
+    ),
+    "repro.core.errors": (
+        "ComplexObjectError", "ConflictError", "DivergenceError", "LintError",
+        "LockTimeout", "ParameterError", "ParseError", "QueryTimeout",
+        "SchemaError", "StoreError", "UnboundVariableError",
+    ),
+    "repro.calculus": (
+        "ClosureResult", "Constant", "Formula", "Parameter", "Rule", "RuleSet",
+        "SetFormula", "Substitution", "TupleFormula", "Variable", "apply_rule",
+        "apply_rules", "bind_parameters", "close", "closure_series", "formula",
+        "interpret", "match", "param", "var",
+    ),
+    "repro.engine": ("EngineResult", "EngineStats", "SemiNaiveEngine"),
+    "repro.parser": ("parse_formula", "parse_object", "parse_program", "parse_rule", "pretty"),
+    "repro.api": ("Cursor", "PreparedQuery", "ReproError", "Session", "connect"),
+    "repro.program": ("Program",),
+    # Tracing and metrics (``repro.obs.snapshot()``) and the static analyzer
+    # (``repro.lint.lint_source(...)``) are namespaces, not flattened.
+    "repro": ("lint", "obs"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import what ``name`` needs on first access and keep it as a plain attribute."""
+    home = _HOME.get(name, __name__)
+    if home != __name__:
+        value = getattr(_import_module(home), name)
+    else:
+        try:
+            value = _import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as error:
+            if error.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    import pkgutil
+
+    subpackages = (name for _, name, _ in pkgutil.iter_modules(__path__) if name[0] != "_")
+    return sorted({*globals(), *__all__, *subpackages})

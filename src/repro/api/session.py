@@ -9,17 +9,18 @@ per call.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import OrderedDict, deque
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.builder import obj
-from repro.core.errors import ComplexObjectError, LintError, StoreError
+from repro.core.errors import ComplexObjectError, LintError, NestingError, StoreError
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject, too_deep
+from repro.core.objects import ComplexObject
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
-from repro.calculus.terms import Formula, formula as to_formula
+from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
 from repro.engine import SemiNaiveEngine
 from repro.fault.deadline import Deadline
 from repro.lint import lint_query
@@ -62,6 +63,26 @@ def _check_options(options: Mapping) -> None:
     if unknown:
         valid = sorted(_QUERY_OPTIONS)
         raise ReproError(f"unknown query option(s) {sorted(unknown)}; valid options: {valid}")
+
+
+def _formula_boundary(method):
+    """Report a query formula too deep to walk as one :class:`NestingError` naming its depth.
+
+    Wraps the session's query entry points.  A :class:`NestingError` raised
+    further in (planning, a closure) already names what overflowed.
+    """
+
+    @functools.wraps(method)
+    def guarded(self, query, *args, **kwargs):
+        try:
+            return method(self, query, *args, **kwargs)
+        except NestingError:
+            raise
+        except RecursionError:
+            formula = query.formula if isinstance(query, PreparedQuery) else self._as_formula(query)
+            raise too_deep_formula(method.__name__, (formula,)) from None
+
+    return guarded
 
 
 def connect(
@@ -246,6 +267,7 @@ class Session:
         return Program(snapshot.rules, database=snapshot.base())
 
     # -- the query pipeline --------------------------------------------------------------
+    @_formula_boundary
     def prepare(self, query, *, lint: str = "warn", **options) -> "PreparedQuery":
         """Parse and remember a query for repeated execution.
 
@@ -310,6 +332,7 @@ class Session:
                 lint=lint, param_shapes=param_shapes,
             )
 
+    @_formula_boundary
     def execute(self, query, params: Optional[Mapping] = None, **options) -> "Cursor":
         """Run a query and return a streaming :class:`Cursor` over its matches.
 
@@ -373,6 +396,7 @@ class Session:
         """Run a query and materialize the full answer — ``E(O)`` of Definition 4.2."""
         return self.execute(query, params, **options).all()
 
+    @_formula_boundary
     def explain(
         self, query, params: Optional[Mapping] = None, *, analyze: bool = False, **options
     ) -> str:
@@ -461,7 +485,8 @@ class Session:
                     span.set(engine=evaluator.name, rules=len(snapshot.rules), mode=mode)
                 result = evaluator.run(seed, **resume)
             except RecursionError:
-                raise too_deep(seed, "close") from None
+                parts = [part for rule in snapshot.rules for part in (rule.head, rule.body)]
+                raise too_deep_formula("close", parts, seed) from None
         _METRICS.histogram("session.closure_ns").observe(time.perf_counter_ns() - start_ns)
         self._last_closure_stats = result.stats
         snapshot.keep_closure(key, self._rules_version, seed, evaluator, result)

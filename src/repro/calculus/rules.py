@@ -25,7 +25,7 @@ from repro.core.lattice import union, union_all
 from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.matching import match_all
 from repro.calculus.substitution import Substitution
-from repro.calculus.terms import Formula, formula as to_formula
+from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
 
 __all__ = ["Rule", "RuleSet", "apply_rule", "apply_rules"]
 
@@ -44,17 +44,21 @@ class Rule:
     def __init__(self, head, body=None, name: Optional[str] = None, span=None):
         head_formula = to_formula(head)
         body_formula = None if body is None else to_formula(body)
-        if body_formula is not None:
-            extra = head_formula.variables() - body_formula.variables()
+        try:
+            head_variables = head_formula.variables()
+            body_variables = None if body_formula is None else body_formula.variables()
+        except RecursionError:
+            raise too_deep_formula("make a rule", (head_formula, body_formula)) from None
+        if body_variables is not None:
+            extra = head_variables - body_variables
             if extra:
                 missing = ", ".join(sorted(extra))
                 raise ValueError(
                     f"head variables must occur in the body (Definition 4.3); unbound: {missing}"
                 )
-        else:
-            if head_formula.variables():
-                free = ", ".join(sorted(head_formula.variables()))
-                raise ValueError(f"a fact must be ground; free variables: {free}")
+        elif head_variables:
+            free = ", ".join(sorted(head_variables))
+            raise ValueError(f"a fact must be ground; free variables: {free}")
         object.__setattr__(self, "head", head_formula)
         object.__setattr__(self, "body", body_formula)
         object.__setattr__(self, "name", name)

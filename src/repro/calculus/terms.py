@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.builder import obj
-from repro.core.errors import NotAnObjectError, ParameterError
-from repro.core.objects import ComplexObject
+from repro.core.errors import NestingError, NotAnObjectError, ParameterError
+from repro.core.objects import ComplexObject, nesting_levels, too_deep
 
 __all__ = [
     "Formula",
@@ -286,6 +286,27 @@ class SetFormula(Formula):
         # signature sorts element signatures to make structurally equivalent
         # formulae compare equal.
         return ("set", tuple(sorted(element._signature() for element in self.elements)))
+
+
+def _subformulas(node: Formula) -> Iterable[Formula]:
+    if isinstance(node, TupleFormula):
+        return [value for _, value in node._attrs]
+    return node.elements if isinstance(node, SetFormula) else ()
+
+
+def too_deep_formula(
+    to: str, formulas: Iterable[Optional[Formula]], target: Optional[ComplexObject] = None
+) -> NestingError:
+    """The error for a walk (to prepare, plan, close...) that overflowed the stack.
+
+    Names the depth of the deepest of ``formulas`` (``None`` is skipped), or
+    of ``target`` — the object the walk ran against — when that is nested
+    deeper: the deeper of the two is what the stack could not hold.
+    """
+    levels = nesting_levels([node for node in formulas if node is not None], _subformulas)
+    if target is not None and nesting_levels([target]) > levels:
+        return too_deep(target, to)
+    return NestingError(f"formula is nested {levels} levels deep, too deep to {to}")
 
 
 def var(name: str) -> Variable:

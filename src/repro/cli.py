@@ -68,14 +68,13 @@ expand them as environment variables)
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import ReproError, Session, connect
-from repro.core.errors import ParameterError
+from repro.core.errors import ComplexObjectError, ParameterError, StoreError
 from repro.core.objects import BOTTOM, ComplexObject
-from repro.parser import parse_formula, parse_object, parse_program, parse_rule
-from repro.parser.printer import pretty
+from repro.parser import parse_formula, parse_object, parse_program, parse_rule, pretty
 
 __all__ = ["main", "build_parser"]
 
@@ -260,8 +259,7 @@ def _stats_line(result) -> str:
 
 def _run_lint(arguments, stream) -> int:
     """The ``lint`` subcommand: analyze, render, and pick the exit code."""
-    import json
-
+    from repro.api import connect
     from repro.lint import lint_source
 
     # A database serves both consumers: profiled, it gives the plan-level
@@ -294,19 +292,17 @@ def _run_lint(arguments, stream) -> int:
 
 
 def _run_store(arguments, stream) -> int:
-    from repro.core.errors import StoreError
-
     if arguments.action == "verify":
         # Offline, read-only: never opens a session (a mutating open would
         # truncate torn tails and quarantine corruption — verify reports
         # the damage instead of repairing it).  Exit 1 when not clean.
-        import json
-
         from repro.store.verify import verify_wal
 
         report = verify_wal(arguments.db_path)
         print(json.dumps(report, indent=2, sort_keys=True), file=stream)
         return 0 if report["clean"] else 1
+
+    from repro.api import connect
 
     session = connect(arguments.db_path)
     try:
@@ -366,6 +362,8 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
             rendered = value.to_text() if arguments.compact else pretty(value)
             print(rendered, file=stream)
         elif arguments.command == "query":
+            from repro.api import Session
+
             session = Session.over_object(_load_database(arguments.database))
             formula = parse_formula(_read_source(arguments.formula))
             params = _parse_params(arguments.param)
@@ -389,6 +387,8 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
             rule = parse_rule(_read_source(arguments.rule))
             print(pretty(rule.apply(database)), file=stream)
         elif arguments.command == "run":
+            from repro.api import Session
+
             session = Session.over_object(_load_database(arguments.database))
             session.register(parse_program(_read_source(arguments.program)))
             guards = {"max_iterations": arguments.max_iterations}
@@ -424,18 +424,18 @@ def main(argv: Optional[Sequence[str]] = None, output=None) -> int:
         elif arguments.command == "store":
             return _run_store(arguments, stream)
         elif arguments.command == "stats":
-            import json
-
             from repro import obs
 
             if arguments.db_path:
+                from repro.api import connect
+
                 # Opening the store replays its WAL, so the snapshot below
                 # reflects the recovery (records replayed, torn tail bytes).
                 connect(arguments.db_path).shutdown()
             print(
                 json.dumps(obs.snapshot(), indent=2, sort_keys=True), file=stream
             )
-    except ReproError as error:
+    except ComplexObjectError as error:
         # One catch covers the whole library surface (parse, plan, parameter,
         # schema, store, divergence): a single line, no traceback, exit 1.
         print(f"error: {error}", file=stream)

@@ -33,9 +33,10 @@ class NestingError(ComplexObjectError, RecursionError):
     """An object is nested too deeply for a recursive operation to finish.
 
     Raised in place of a raw :class:`RecursionError` by the printing entry
-    points (``ComplexObject.to_text``, :func:`repro.parser.printer.pretty`)
-    and the session's (``execute`` / ``query`` / ``explain`` / ``close``);
-    the message names the nesting depth.
+    points (``ComplexObject.to_text``, :func:`repro.parser.printer.pretty`),
+    the session's (``prepare`` / ``execute`` / ``query`` / ``explain`` /
+    ``close``) and ``Rule(...)``; the message names the nesting depth of the
+    object or formula that overflowed.
     """
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
 from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
@@ -143,8 +143,7 @@ class ComplexObject:
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = self._compute_hash()
-            object.__setattr__(self, "_hash", cached)
+            cached = _cache_hashes(self)
         return cached
 
     def _compute_hash(self) -> int:
@@ -643,17 +642,44 @@ def _children(node: ComplexObject) -> Iterable[ComplexObject]:
     return node._elements if isinstance(node, SetObject) else ()
 
 
-def too_deep(value: ComplexObject, to: str) -> NestingError:
-    """The error for an object whose walk (to print, plan, close...) overflowed the stack.
+def _cache_hashes(root: ComplexObject) -> int:
+    """Fill the ``_hash`` slot of ``root`` and of every unhashed node below it.
 
-    Counts the container levels breadth-first, so building the message never
-    recurses into the object that just proved too deep for that.
+    Children first, on an explicit stack: each ``_compute_hash`` then reads
+    only cached child hashes, so hashing never recurses and an object of any
+    depth a commit accepts can key a dict (a path index) or a set.
     """
-    levels, frontier = -1, [value]
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in _children(node) if child._hash is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node._hash is None:
+            object.__setattr__(node, "_hash", node._compute_hash())
+    return root._hash
+
+
+def nesting_levels(roots: Iterable, children: Callable[[Any], Iterable] = _children) -> int:
+    """The container levels of the deepest of ``roots`` (-1 for none).
+
+    Counted breadth-first, so it never recurses into a structure that just
+    proved too deep to walk recursively.
+    """
+    levels, frontier = -1, list(roots)
     while frontier:
         levels += 1
-        frontier = [child for node in frontier for child in _children(node)]
-    return NestingError(f"object is nested {levels} levels deep, too deep to {to}")
+        frontier = [child for node in frontier for child in children(node)]
+    return levels
+
+
+def too_deep(value: ComplexObject, to: str) -> NestingError:
+    """The error for an object whose walk (to print, plan, close...) overflowed the stack."""
+    return NestingError(
+        f"object is nested {nesting_levels([value])} levels deep, too deep to {to}"
+    )
 
 
 def _check_attribute(name: str, value: object) -> None:

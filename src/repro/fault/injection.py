@@ -321,8 +321,11 @@ def install_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[Fault
     """Install an injector from ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``.
 
     ``REPRO_FAULTS`` holds ``;``-separated spec strings; an empty or absent
-    variable installs nothing.  Called once at import, so ``REPRO_FAULTS=...
-    python -m repro ...`` activates injection for the whole process.
+    variable installs nothing.  Called once, when this module is first
+    imported — by the first import of the store or the session
+    (``import repro`` alone imports none of them) — so ``REPRO_FAULTS=...
+    python -m repro store ...`` activates injection for the whole process,
+    and the CLI reports a malformed value as its one ``error:`` line.
     Either one malformed is a :class:`StoreError` naming it — a point outside
     :data:`KNOWN_POINTS` included: nothing fires it, so the run would test nothing.
     """

@@ -307,14 +307,19 @@ class ObjectDatabase:
                         if value is not None or name in state
                     }
                     if effective:
+                        # Every index key first: a failing batch logs and indexes nothing.
+                        keyed = [
+                            (index, name, None if value is None else index.keys_of(value))
+                            for index in self._indexes.values()
+                            for name, value in effective.items()
+                        ]
                         if self._storage is not None:
                             self._storage.apply_batch(effective, state)
-                        for index in self._indexes.values():
-                            for name, value in effective.items():
-                                if value is None:
-                                    index.remove(name)
-                                else:
-                                    index.add(name, value)
+                        for index, name, keys in keyed:
+                            if keys is None:
+                                index.remove(name)
+                            else:
+                                index.assign(name, keys)
                         self._state = state.following(effective)
             except TransactionError:
                 _METRICS.counter("store.conflicts").inc()

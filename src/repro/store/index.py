@@ -51,9 +51,17 @@ class PathIndex:
     # -- maintenance ---------------------------------------------------------------
     def add(self, name: str, value: ComplexObject) -> None:
         """Index the stored object ``value`` under ``name``."""
+        self.assign(name, self.keys_of(value))
+
+    def assign(self, name: str, keyed: Tuple[Set[ComplexObject], bool]) -> None:
+        """Index ``name`` under ``keyed``, the :meth:`keys_of` its object.
+
+        Cannot fail, so a commit computes every ``keys_of`` first and then
+        assigns: a batch that fails leaves the index as it was.
+        """
+        keys, wildcard = keyed
         self.remove(name)
-        keys: Set[ComplexObject] = set()
-        if self._collect(value, self.path.steps, keys):
+        if wildcard:
             self._wildcards.add(name)
         for key in keys:
             self._entries.setdefault(key, set()).add(name)
@@ -84,43 +92,37 @@ class PathIndex:
         for name, value in items:
             self.add(name, value)
 
-    def _collect(
-        self, value: ComplexObject, steps: Tuple[str, ...], keys: Set[ComplexObject]
-    ) -> bool:
-        """Gather the values at the path into ``keys``; ``True`` marks a wildcard.
+    def keys_of(self, value: ComplexObject) -> Tuple[Set[ComplexObject], bool]:
+        """The values at the path in ``value``, and whether ⊤ makes it a wildcard.
 
         Follows the same traversal as :func:`repro.core.paths.get_path`
         (tuple attributes consume steps, sets are descended transparently)
         but keeps every collected value instead of folding them into a
         normalized set — set reduction would absorb dominated keys — and
         flags ⊤ anywhere along or at the end of the path as a wildcard.
+        The walk keeps its own stack, so no nesting depth makes it fail.
         """
-        if value.is_top:
-            return True
-        if not steps:
-            if isinstance(value, SetObject):
-                wildcard = False
+        keys: Set[ComplexObject] = set()
+        wildcard = False
+        pending = [(value, self.path.steps)]
+        while pending:
+            value, steps = pending.pop()
+            if value.is_top:
+                wildcard = True
+            elif isinstance(value, SetObject):
                 for element in value.elements:
                     if element.is_top:
                         wildcard = True
-                    else:
+                    elif not steps:
                         keys.add(element)
-                return wildcard
-            if value.is_bottom:
-                return False
-            keys.add(value)
-            return False
-        if isinstance(value, TupleObject):
-            return self._collect(value.get(steps[0]), steps[1:], keys)
-        if isinstance(value, SetObject):
-            wildcard = False
-            for element in value.elements:
-                if element.is_top:
-                    wildcard = True
-                elif isinstance(element, (TupleObject, SetObject)):
-                    wildcard |= self._collect(element, steps, keys)
-            return wildcard
-        return False
+                    elif isinstance(element, (TupleObject, SetObject)):
+                        pending.append((element, steps))
+            elif not steps:
+                if not value.is_bottom:
+                    keys.add(value)
+            elif isinstance(value, TupleObject):
+                pending.append((value.get(steps[0]), steps[1:]))
+        return keys, wildcard
 
     # -- queries --------------------------------------------------------------------
     def lookup(self, key: ComplexObject) -> FrozenSet[str]:

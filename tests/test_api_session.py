@@ -16,7 +16,8 @@ Covers the public contract of :func:`repro.connect` / :class:`Session`:
 import pytest
 
 import repro
-from repro import ParameterError, ReproError, Session, connect, parse_formula, parse_object
+from repro import ParameterError, ReproError, Rule, Session, TupleFormula, Variable, connect
+from repro import parse_formula, parse_object
 from repro.calculus.fixpoint import close as calculus_close
 from repro.calculus.interpretation import interpret as baseline_interpret
 from repro.core.errors import ComplexObjectError, NestingError, StoreError
@@ -615,6 +616,37 @@ class TestNestingErrors:
         assert session.cache_info()["plans_cached"] == 0
         session.put("x", _chain(3))
         assert session.query("[x: X]") == TupleObject({"x": _chain(3)})
+
+    def test_a_deep_formula_at_every_entry_point(self):
+        deep = _deep_formula(3000)
+        session = Session(seed=parse_object("[a: 1]"))
+        calls = [
+            ("prepare", lambda: session.prepare(deep)),
+            ("prepare", lambda: session.prepare(deep, lint="off")),
+            ("execute", lambda: session.execute(deep).all()),
+            ("explain", lambda: session.explain(deep)),
+            ("make a rule", lambda: session.register([Rule(deep, deep)])),
+        ]
+        for verb, call in calls:
+            message = f"formula is nested 3000 levels deep, too deep to {verb}$"
+            with pytest.raises(NestingError, match=message):
+                call()
+        assert session.rules == ()
+
+    def test_a_deep_rule_is_named_instead_of_the_shallow_seed(self):
+        deep = _deep_formula(900)
+        session = Session(seed=parse_object("[a: 1]")).register([Rule(deep, deep)])
+        message = "formula is nested 900 levels deep, too deep to close"
+        with pytest.raises(NestingError, match=message):
+            session.close()
+
+
+def _deep_formula(depth):
+    """``[a: [a: ... X]]``, ``depth`` tuple formulae deep."""
+    formula = Variable("X")
+    for _ in range(depth):
+        formula = TupleFormula(a=formula)
+    return formula
 
 
 class TestSessionReplacesTheRemovedEntryPoints:

@@ -1,10 +1,16 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -280,6 +286,19 @@ class TestErrorSurface:
         self.assert_one_line_error(
             *run_cli("store", "--db-path", db_path, "get", "ghost")
         )
+
+    def test_malformed_fault_environment_in_a_fresh_process(self, tmp_path):
+        # The injector arms when the store is first imported, which happens
+        # inside the subcommand: the bad point is reported like any error.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "store", "--db-path", str(tmp_path / "db.wal"),
+             "names"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "REPRO_FAULTS": "store.wal.fsnc:fail"},
+        )
+        self.assert_one_line_error(completed.returncode, completed.stdout + completed.stderr)
+        assert "'store.wal.fsnc'" in completed.stdout
 
 
 class TestStoreCommand:

@@ -1,7 +1,12 @@
 """Unit tests for path indexes (repro.store.index)."""
 
+from unittest import mock
+
+import pytest
+
 from repro import parse_object
-from repro.core.builder import obj
+from repro.core.builder import obj, set_of, tup
+from repro.store import ObjectDatabase
 from repro.store.index import PathIndex
 
 
@@ -88,3 +93,38 @@ class TestReverseMap:
         assert index.lookup(obj("austin")) == {"b"}
         index.remove("b")
         assert len(index) == 0
+
+
+def _nested(depth, wrap):
+    value = obj(1)
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+class TestDeepCommits:
+    """An index never changes which values a commit accepts, or what ``find`` answers."""
+
+    def test_deep_put_keeps_find_equal_to_the_scan(self):
+        old = parse_object("[a: 1]")
+        deep_tuple = _nested(2500, lambda inner: tup(a=inner))
+        deep_set = tup(a=_nested(3000, set_of))
+        indexed, scanned = ObjectDatabase(), ObjectDatabase()
+        indexed.create_index("a")
+        for db in (indexed, scanned):
+            db.put("q", old)
+            db.put("q", deep_tuple)
+            db.put("s", deep_set)
+        for pattern in (old, deep_tuple, deep_set, parse_object("[a: 2]")):
+            assert indexed.find(pattern) == scanned.find(pattern)
+        assert indexed.find(deep_tuple) == ["q"]
+
+    def test_a_failed_commit_leaves_every_index_as_it_was(self):
+        db = ObjectDatabase()
+        first, second = db.create_index("a"), db.create_index("b")
+        db.put("q", parse_object("[a: 1, b: 1]"))
+        with mock.patch.object(second, "keys_of", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError):
+                db.put("q", parse_object("[a: 2, b: 2]"))
+        assert db.get("q") == parse_object("[a: 1, b: 1]")
+        assert first.lookup(obj(1)) == {"q"} and first.lookup(obj(2)) == frozenset()
