@@ -34,6 +34,7 @@ class NestingError(ComplexObjectError, RecursionError):
 
     Raised in place of a raw :class:`RecursionError` by the printing entry
     points (``ComplexObject.to_text``, :func:`repro.parser.printer.pretty`),
+    the set-building ones (``SetObject(...)``, ``raw``, ``add``, ``discard``),
     the session's (``prepare`` / ``execute`` / ``query`` / ``explain`` /
     ``close``) and ``Rule(...)``; the message names the nesting depth of the
     object or formula that overflowed.

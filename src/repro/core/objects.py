@@ -491,12 +491,15 @@ class SetObject(ComplexObject):
             collected.append(element)
         # One pass over the elements: dedup once (structural hash/eq), reduce
         # the unique survivors, and hand the result to a constructor that does
-        # not dedup or reduce again.
-        if len(collected) > 1:
-            collected = list(dict.fromkeys(collected))
-        if len(collected) > 1:
-            collected = _reduce_unique(collected)
-        return cls._from_reduced(collected)
+        # not dedup or reduce again; elements too deep to order raise NestingError.
+        try:
+            if len(collected) > 1:
+                collected = list(dict.fromkeys(collected))
+            if len(collected) > 1:
+                collected = _reduce_unique(collected)
+            return cls._from_reduced(collected)
+        except RecursionError:
+            raise _too_deep_to_order(collected) from None
 
     @classmethod
     def raw(cls, elements: Iterable[ComplexObject]) -> "SetObject":
@@ -510,7 +513,10 @@ class SetObject(ComplexObject):
         for element in elements:
             _check_element(element)
             collected.append(element)
-        return cls._build(collected)
+        try:
+            return cls._build(collected)
+        except RecursionError:
+            raise _too_deep_to_order(collected) from None
 
     @classmethod
     def _build(cls, elements: Iterable[ComplexObject]) -> "SetObject":
@@ -609,21 +615,27 @@ class SetObject(ComplexObject):
         if self._incremental(element):
             from repro.core.order import _grown
 
-            return _grown(self, element)
+            try:
+                return _grown(self, element)
+            except RecursionError:
+                raise _too_deep_to_order([element]) from None
         return SetObject(self._elements + (element,))
 
     def discard(self, element: ComplexObject) -> "SetObject":
         """Return a new set without ``element`` (no error if absent)."""
-        if self._incremental(element):
-            from repro.core.order import _shrunk
+        try:
+            if self._incremental(element):
+                from repro.core.order import _shrunk
 
-            return _shrunk(self, element)
-        remaining = [e for e in self._elements if e != element]
-        if self._iid is not None:
-            # Removing an element keeps the remaining ones distinct and
-            # reduced, so the hash-consing fast path applies.
-            return SetObject._from_reduced(remaining)
-        return SetObject._build(remaining)
+                return _shrunk(self, element)
+            remaining = [e for e in self._elements if e != element]
+            if self._iid is not None:
+                # Removing an element keeps the remaining ones distinct and
+                # reduced, so the hash-consing fast path applies.
+                return SetObject._from_reduced(remaining)
+            return SetObject._build(remaining)
+        except RecursionError:
+            raise _too_deep_to_order([element]) from None
 
     def _compute_key(self):
         return (_RANK_SET, tuple(element.sort_key() for element in self._elements))
@@ -680,6 +692,11 @@ def too_deep(value: ComplexObject, to: str) -> NestingError:
     return NestingError(
         f"object is nested {nesting_levels([value])} levels deep, too deep to {to}"
     )
+
+
+def _too_deep_to_order(elements) -> NestingError:
+    """The error for set elements whose ordering keys overflowed the stack."""
+    return too_deep(max(elements, key=lambda element: nesting_levels([element])), "order")
 
 
 def _check_attribute(name: str, value: object) -> None:

@@ -22,7 +22,7 @@ maintains:
   value as a ``$parameter`` gives the prepared plan a fixed key.
 
 Statistics are optional by design: ``Session.prepare(lint="warn")`` lints
-with ``statistics=None`` (collecting them walks the whole database, which
+with ``statistics=None`` (a first collection walks every spine set, which
 would blow the prepare budget), while ``lint_rules`` handed a database —
 ``repro lint --db-path`` / ``--database`` and ``Program.lint()`` — profiles
 it and gets RL303 and better orderings.

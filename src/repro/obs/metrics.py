@@ -282,6 +282,8 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
 DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_entries",
     "core.memo.subobject_hit_rate",
+    "core.memo.set_summary_entries",
+    "core.memo.set_summary_hit_rate",
     "session.index.entries",
 )
 

@@ -9,8 +9,10 @@ attributes from the root (a *spine* set, the only kind a body plan scans):
   found there — the classic ``V(R, a)`` statistic, so an equality probe at
   that key path is estimated to keep ``cardinality / distinct`` elements.
 
-The collection is O(size of the object) and runs once per engine run (and
-once per EXPLAIN); estimates therefore describe the object the optimizer saw,
+Each spine set's part (its *summary*: cardinality and key-path counts) is
+walked once per interned set, memoised on its intern id in the ``set_summary``
+memo table and shared by every caller — plan misses, engine runs, lint; a raw
+set is walked every time.  Estimates describe the object the optimizer saw,
 not the final closure — staleness costs ordering quality, never correctness,
 because every leaf order computes the same substitution set (see
 :mod:`repro.plan.ir`).
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
+from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
 from repro.core.paths import Path
 
@@ -36,6 +39,9 @@ DEFAULT_CARDINALITY = 32.0
 #: Cap on the per-key distinct-atom sets kept during collection; beyond this
 #: the count saturates (the estimate is already "essentially unique").
 _MAX_DISTINCT_TRACKED = 4096
+
+#: ``(intern id, 0)`` → that set's ``(cardinality, ((key path, distinct), ...))``.
+_SUMMARIES: IdPairCache = register_cache(IdPairCache(maxsize=1 << 12), "set_summary")
 
 
 @dataclass
@@ -53,32 +59,18 @@ class DatabaseStatistics:
     # -- collection -----------------------------------------------------------------
     @classmethod
     def collect(cls, database: ComplexObject) -> "DatabaseStatistics":
-        """Walk ``database`` once and record every spine set's statistics."""
+        """Walk ``database``'s spine and record every spine set's summary."""
         stats = cls()
-        distinct: Dict[Tuple[Path, Path], Set[Atom]] = {}
 
         def walk_spine(value: ComplexObject, path: Path) -> None:
             if isinstance(value, TupleObject):
                 for name, item in value.items():
                     walk_spine(item, path.child(name))
             elif isinstance(value, SetObject):
-                stats.set_cardinalities[path] = len(value.elements)
-                for element in value.elements:
-                    walk_element(element, path, _ROOT)
-
-        def walk_element(value: ComplexObject, set_path: Path, key_path: Path) -> None:
-            # Mirror repro.plan.indexes.element_keys: key paths descend
-            # through the element's tuple attributes only.
-            if isinstance(value, Atom):
-                bucket = distinct.setdefault((set_path, key_path), set())
-                if len(bucket) < _MAX_DISTINCT_TRACKED:
-                    bucket.add(value)
-            elif isinstance(value, TupleObject):
-                for name, item in value.items():
-                    walk_element(item, set_path, key_path.child(name))
+                stats.set_cardinalities[path], counts = _summary(value)
+                stats.distinct_atoms.update(((path, key), n) for key, n in counts)
 
         walk_spine(database, _ROOT)
-        stats.distinct_atoms = {key: len(atoms) for key, atoms in distinct.items()}
         return stats
 
     # -- estimates ------------------------------------------------------------------
@@ -131,3 +123,30 @@ class DatabaseStatistics:
                 )
             },
         }
+
+
+def _summary(value: SetObject) -> Tuple[int, Tuple[Tuple[Path, int], ...]]:
+    """``value``'s cardinality and distinct-atom counts, memoised when interned."""
+    iid = value._iid
+    known = None if iid is None else _SUMMARIES.get(iid, 0)
+    if known is not None:
+        return known
+    distinct: Dict[Path, Set[Atom]] = {}
+
+    def walk_element(item: ComplexObject, key_path: Path) -> None:
+        # Mirror repro.plan.indexes.element_keys: key paths descend
+        # through the element's tuple attributes only.
+        if isinstance(item, Atom):
+            bucket = distinct.setdefault(key_path, set())
+            if len(bucket) < _MAX_DISTINCT_TRACKED:
+                bucket.add(item)
+        elif isinstance(item, TupleObject):
+            for name, child in item.items():
+                walk_element(child, key_path.child(name))
+
+    for element in value.elements:
+        walk_element(element, _ROOT)
+    known = len(value.elements), tuple((key, len(atoms)) for key, atoms in distinct.items())
+    if iid is not None:
+        _SUMMARIES.put(iid, 0, known)
+    return known

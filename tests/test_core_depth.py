@@ -1,4 +1,4 @@
-"""Unit tests for the depth measure (Definition 3.2) and node counting."""
+"""Unit tests for the depth measure (Definition 3.2), node counting and too-deep sets."""
 
 import math
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.builder import obj
 from repro.core.depth import depth, node_count
-from repro.core.objects import BOTTOM, TOP
+from repro.core.errors import NestingError
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 
 
 class TestDepth:
@@ -51,3 +52,37 @@ class TestNodeCount:
         assert node_count(obj({"a": 1, "b": 2})) == 3
         assert node_count(obj([1, 2, 3])) == 4
         assert node_count(obj({"a": [1, 2]})) == 4
+
+
+class TestTooDeepToOrder:
+    """Building a set over an element too deep to key names the element's depth."""
+
+    @staticmethod
+    def _chain(levels):
+        value = Atom(1)
+        for _ in range(levels):
+            value = TupleObject({"a": value})
+        return value
+
+    @pytest.mark.parametrize("levels", [400, 3000])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda deep: SetObject([deep]),
+            lambda deep: SetObject([Atom(1)]).add(deep),
+            lambda deep: obj({"xs": [deep]}),
+            lambda deep: SetObject.raw([deep, Atom(2)]),
+            lambda deep: SetObject([Atom(1)]).discard(deep),
+        ],
+        ids=["constructor", "add", "obj", "raw", "discard"],
+    )
+    def test_raises_a_nesting_error(self, build, levels):
+        deep = self._chain(levels)
+        with pytest.raises(NestingError, match=f"nested {levels} levels deep, too deep to order$"):
+            build(deep)
+        # The element itself stays usable: hashing never recurses.
+        assert hash(deep) == hash(deep) and deep.get("a") is not None
+
+    def test_a_shallow_chain_still_builds(self):
+        shallow = self._chain(50)
+        assert SetObject([Atom(1)]).add(shallow) is SetObject([Atom(1), shallow])
