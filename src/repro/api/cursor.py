@@ -22,7 +22,7 @@ from repro.calculus.terms import Formula
 from repro.lint.diagnostics import new_diagnostic
 from repro.lint.shapes import maybe_subobject
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan import interpret_plan, iter_match_rows
+from repro.plan import iter_match_rows, match_rows
 from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_body_plan
 from repro.plan.ir import BodyPlan
@@ -191,12 +191,15 @@ class Cursor:
       index store it was resolved to (later commits do not change the
       rendering).
 
-    A cursor is single-pass: it consumes the executor's row stream
-    (:func:`repro.plan.execute.iter_match_rows`) once, shared by all of the
-    above, and keeps the rows it consumed; a match is the body projected
-    over one row (:func:`~repro.plan.compile.compile_projection`, compiled
-    once per cursor), ``all()`` the projection over every row.  Re-execute
-    the prepared query for a fresh cursor.
+    A cursor is single-pass: it opens the executor's row stream
+    (:func:`repro.plan.execute.iter_match_rows`) at its first terminal,
+    consumes it once, shared by all of the above, and keeps the rows it
+    consumed; a match is the body projected over one row
+    (:func:`~repro.plan.compile.compile_projection`, compiled once per
+    cursor), ``all()`` the projection over every row.  An ``all()`` that
+    comes first takes the rows in whole batches
+    (:func:`~repro.plan.execute.match_rows`) instead of opening the stream.
+    Re-execute the prepared query for a fresh cursor.
     """
 
     def __init__(
@@ -207,19 +210,17 @@ class Cursor:
         # cursor's own reference, so a commit that replaces the session's
         # leaves this cursor its target and the index store its leaves probe.
         self._resolved = resolved
-        self._plan = plan = resolved.plan
+        self._plan = resolved.plan
         self._target = target = resolved.target
         self._indexes = indexes = resolved.snapshot.indexes_for(target)
         self._allow_bottom = allow_bottom
-        self._stats = stats
-        self._on_finish = on_finish
-        self._deadline = deadline
-        self._finished = False
-        self._started = False
-        self._stream = iter(()) if target is None else iter_match_rows(
-            plan, target, indexes=indexes, allow_bottom=allow_bottom,
-            stats=stats, deadline=deadline,
+        self._options = dict(
+            indexes=indexes, allow_bottom=allow_bottom, stats=stats, deadline=deadline
         )
+        self._on_finish = on_finish
+        self._finished = False
+        # The executor's row stream, opened by the first terminal.
+        self._stream: Optional[Iterator] = None
         # Every row consumed so far, and how many of them iteration has
         # projected into ``_seen`` (the rest came through :meth:`bindings`).
         self._names: Tuple[str, ...] = ()
@@ -238,6 +239,10 @@ class Cursor:
 
     def _pull(self) -> Optional[tuple]:
         """Consume the next executor row (``None`` once exhausted)."""
+        if self._stream is None:
+            self._stream = iter(()) if self._target is None else iter_match_rows(
+                self._plan, self._target, **self._options
+            )
         for self._names, row in self._stream:
             self._rows.append(row)
             return row
@@ -255,7 +260,6 @@ class Cursor:
         return self
 
     def __next__(self) -> ComplexObject:
-        self._started = True
         rows, seen = self._rows, self._seen
         if self._projected < len(rows):
             # What bindings() handed out counts as streamed: never repeat it.
@@ -277,7 +281,6 @@ class Cursor:
         nothing is projected per row — the rows are kept, and the body is
         projected only if :meth:`all` or iteration asks for matches later.
         """
-        self._started = True
         while (row := self._pull()) is not None:
             yield Substitution._from_sorted(tuple(zip(self._names, row)))
 
@@ -292,21 +295,17 @@ class Cursor:
     def all(self) -> ComplexObject:
         """Drain the stream and union every match: ``E(O)`` (⊥ when empty)."""
         if self._result is None:
-            if not self._started and self._target is not None:
-                # Nothing consumed yet: project the whole batch run at once
-                # (the common ``Session.query`` path).  The stream is left
-                # exhausted, exactly as a drain would.
-                self._result = interpret_plan(
-                    self._plan, self._target, indexes=self._indexes,
-                    allow_bottom=self._allow_bottom, stats=self._stats, deadline=self._deadline,
+            if self._stream is None and self._target is not None:
+                # Nothing consumed yet (the common ``Session.query`` path):
+                # take every row in whole batches; the drain below finds the
+                # stream exhausted.
+                self._names, self._rows = match_rows(
+                    self._plan, self._target, **self._options
                 )
                 self._stream = iter(())
-                self._started = True
-                self._finish()
-            else:
-                while self._pull() is not None:
-                    pass
-                self._result = self._projection()(self._rows) if self._rows else BOTTOM
+            while self._pull() is not None:
+                pass
+            self._result = self._projection()(self._rows) if self._rows else BOTTOM
         return self._result
 
     def explain(self) -> str:

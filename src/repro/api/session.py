@@ -19,7 +19,7 @@ from repro.core.errors import ComplexObjectError, LintError, NestingError, Store
 from repro.core.lattice import union
 from repro.core.objects import ComplexObject
 from repro.calculus.fixpoint import ClosureResult
-from repro.calculus.rules import Rule
+from repro.calculus.rules import Rule, rule_formulas
 from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
 from repro.engine import SemiNaiveEngine
 from repro.fault.deadline import Deadline
@@ -68,7 +68,8 @@ def _check_options(options: Mapping) -> None:
 def _formula_boundary(method):
     """Report a query formula too deep to walk as one :class:`NestingError` naming its depth.
 
-    Wraps the session's query entry points.  A :class:`NestingError` raised
+    Wraps the session's query entry points.  The error names the deeper of
+    the query and the registered rules; a :class:`NestingError` raised
     further in (planning, a closure) already names what overflowed.
     """
 
@@ -80,7 +81,8 @@ def _formula_boundary(method):
             raise
         except RecursionError:
             formula = query.formula if isinstance(query, PreparedQuery) else self._as_formula(query)
-            raise too_deep_formula(method.__name__, (formula,)) from None
+            parts = [formula, *rule_formulas(self._rules)]
+            raise too_deep_formula(method.__name__, parts) from None
 
     return guarded
 
@@ -485,8 +487,7 @@ class Session:
                     span.set(engine=evaluator.name, rules=len(snapshot.rules), mode=mode)
                 result = evaluator.run(seed, **resume)
             except RecursionError:
-                parts = [part for rule in snapshot.rules for part in (rule.head, rule.body)]
-                raise too_deep_formula("close", parts, seed) from None
+                raise too_deep_formula("close", rule_formulas(snapshot.rules), seed) from None
         _METRICS.histogram("session.closure_ns").observe(time.perf_counter_ns() - start_ns)
         self._last_closure_stats = result.stats
         snapshot.keep_closure(key, self._rules_version, seed, evaluator, result)

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.lattice import union
 from repro.core.objects import ComplexObject
 from repro.calculus.fixpoint import ClosureResult
+from repro.calculus.rules import rule_formulas
 from repro.calculus.terms import too_deep_formula
 from repro.lint.shapes import infer_shapes
 from repro.obs import trace as _trace
@@ -161,7 +162,7 @@ class Snapshot:
                 shapes = infer_shapes(self.rules, target)
             plan = optimize_body(plan, DatabaseStatistics.collect(target), shapes)
         except RecursionError:
-            parts = [formula, *(part for rule in self.rules for part in (rule.head, rule.body))]
+            parts = [formula, *rule_formulas(self.rules)]
             raise too_deep_formula("plan", parts, target) from None
         self._plans[(formula, mode)] = plan
         while len(self._plans) > _CACHE_LIMIT:

@@ -184,6 +184,11 @@ class RuleSet:
         return f"<RuleSet of {len(self.rules)} rules>"
 
 
+def rule_formulas(rules: Iterable[Rule]) -> List[Optional[Formula]]:
+    """Every rule's head and body (``None`` for a fact), for :func:`too_deep_formula`."""
+    return [part for rule in rules for part in (rule.head, rule.body)]
+
+
 def apply_rule(
     rule: Rule, database: ComplexObject, *, allow_bottom: bool = False
 ) -> ComplexObject:

@@ -5,8 +5,8 @@ timeout_ms=250)``) and threaded down the pipeline; the places evaluation can
 spend unbounded time each call :meth:`Deadline.check` at their natural
 yield points:
 
-* the physical executor between plan instance steps
-  (:func:`repro.plan.execute.match_rows`) and the streaming cursor per row;
+* the physical executor before each operator chunk, whole batches
+  (:func:`repro.plan.execute.match_rows`) and streamed ones alike;
 * the engine and its oracle between fixpoint rounds
   (:meth:`SemiNaiveEngine._charge`, :func:`repro.calculus.fixpoint.close`
   per iteration).

@@ -26,8 +26,9 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.calculus.dependency import DependencyGraph
-from repro.calculus.rules import Rule, RuleSet
-from repro.calculus.terms import Formula, formula as to_formula
+from repro.calculus.rules import Rule, RuleSet, rule_formulas
+from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
+from repro.core.errors import NestingError
 from repro.lint.diagnostics import Diagnostic, LintReport, finish_report
 from repro.lint.formulas import check_query_formula, check_rule_formulas
 from repro.lint.graph import (
@@ -86,29 +87,36 @@ def lint_rules(
     RL2xx findings then describe the program *against that database* rather
     than against its own facts alone — and, without ``statistics``, is
     profiled for the plan checks; ``params`` (a name → value mapping)
-    enables the RL204 shape-impossible-binding check on the query.
+    enables the RL204 shape-impossible-binding check on the query.  A
+    formula or database nested too deeply to analyse raises
+    :class:`~repro.core.errors.NestingError` naming its depth.
     """
     program = _as_rules(rules)
     if isinstance(query, str):
         query = parse_formula(query)
-    if statistics is None and database is not None:
-        statistics = DatabaseStatistics.collect(database)
-
-    graph = DependencyGraph(program)
-    findings: List[Diagnostic] = []
-    findings.extend(check_divergence(program, graph))
-    findings.extend(check_duplicates(program))
-    findings.extend(check_dead_rules(program, graph, query))
-    for index, rule in enumerate(program):
-        findings.extend(check_rule_formulas(rule, index))
-    findings.extend(check_rule_plans(program, statistics))
-    shapes = infer_shapes(tuple(program), database)
-    findings.extend(check_shapes(program, shapes, query=query))
-    if query is not None:
-        findings.extend(check_query_formula(query))
-        findings.extend(check_query_plan(query, statistics, program))
-        if params:
-            findings.extend(check_params(shapes, query, params))
+    try:
+        if statistics is None and database is not None:
+            statistics = DatabaseStatistics.collect(database)
+        graph = DependencyGraph(program)
+        findings: List[Diagnostic] = []
+        findings.extend(check_divergence(program, graph))
+        findings.extend(check_duplicates(program))
+        findings.extend(check_dead_rules(program, graph, query))
+        for index, rule in enumerate(program):
+            findings.extend(check_rule_formulas(rule, index))
+        findings.extend(check_rule_plans(program, statistics))
+        shapes = infer_shapes(tuple(program), database)
+        findings.extend(check_shapes(program, shapes, query=query))
+        if query is not None:
+            findings.extend(check_query_formula(query))
+            findings.extend(check_query_plan(query, statistics, program))
+            if params:
+                findings.extend(check_params(shapes, query, params))
+    except NestingError:
+        raise
+    except RecursionError:
+        parts = [query, *rule_formulas(program)]
+        raise too_deep_formula("lint", parts, database) from None
 
     facts = sum(1 for rule in program if rule.is_fact)
     report = finish_report(

@@ -3,7 +3,11 @@
 This is the one matching loop every evaluation path shares — the engine,
 sessions (store pushdowns included) and EXPLAIN call :func:`match_rows`, a
 streaming cursor :func:`iter_match_rows`; both hand out value rows, which
-:func:`~repro.plan.compile.compile_projection` joins into answers.  Its
+:func:`~repro.plan.compile.compile_projection` joins into answers.  There is
+one walk (:meth:`_Executor.walk`, depth-first over chunks of partial rows)
+with two chunk policies: :func:`match_rows` hands each leaf's whole output
+down as one chunk — breadth-first in effect — and :func:`iter_match_rows`
+ramps chunks 1, 2, 4, ... so the first row costs one path.  Its
 oracle is the derivation-maximal enumeration of
 :func:`repro.calculus.matching.match_all` (Definition 4.2):
 on a source-ordered plan the two return the same list, on a cost-ordered one
@@ -109,40 +113,15 @@ def match_rows(
     filled with actual per-leaf cardinalities and accesses for EXPLAIN.
     ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
     operator batch, raising :class:`~repro.core.errors.QueryTimeout` when
-    spent.
+    spent.  The walk runs on whole batches: each leaf's output is one chunk.
     """
-    if stats is None:
-        stats = EngineStats()
-    if plan.pruned is not None:
-        # The shape analysis proved this body can never produce a row; the
-        # zero-row answer is exact, not an estimate (soundness is pinned by
-        # tests/test_shape_properties.py).
-        if record is not None:
-            record["rows"] = 0
-            if record.get("timed", False):
-                record["wall_ns"] = 0
-        return (), []
-    # EXPLAIN ANALYZE: a record created with {"timed": True} additionally
-    # collects wall time — per scan leaf (``by_leaf_ns``, filled by the
-    # executor) and for the whole match (``wall_ns``).  Plain records keep
-    # their historical rows-only shape, so ordinary EXPLAIN output is
-    # unchanged.
-    timed = record is not None and record.get("timed", False)
-    if timed:
-        start_ns = time.perf_counter_ns()
-    executor = _Executor(position, delta_elements, indexes, stats, record, deadline, allow_bottom)
-    try:
-        layout, batch = executor.run_batch(plan, target)
-        finalizer = _RowFinalizer(layout, allow_bottom)
-        rows = [row for row in map(finalizer.emit, batch) if row is not None]
-    finally:
-        executor.flush_metrics()
-    stats.substitutions += len(rows)
-    if record is not None:
-        record["rows"] = len(rows)
-        if timed:
-            record["wall_ns"] = time.perf_counter_ns() - start_ns
-    return finalizer.names, rows
+    names, rows = (), []
+    for names, chunk in _row_chunks(
+        plan, target, position, delta_elements, indexes, stats, allow_bottom,
+        record, deadline, None,
+    ):
+        rows += chunk
+    return names, rows
 
 
 def iter_match_rows(
@@ -186,24 +165,57 @@ def iter_match_rows(
         raise ValueError(
             f"batch_size must be a positive integer, got {batch_size!r}"
         )
+    for names, rows in _row_chunks(
+        plan, target, position, delta_elements, indexes, stats, allow_bottom,
+        None, deadline, batch_size,
+    ):
+        for row in rows:
+            yield names, row
+
+
+def _row_chunks(
+    plan: BodyPlan, target: ComplexObject, position, delta_elements, indexes, stats,
+    allow_bottom: bool, record: Optional[dict], deadline, batch_size: Optional[int],
+) -> Iterator[Tuple[Tuple[str, ...], List[tuple]]]:
+    """The one match run behind both entry points: finalized ``(names, rows)`` chunks.
+
+    :meth:`_Executor.walk` on whole batches (``batch_size=None``) or the
+    ramp; each chunk deduplicated against the earlier ones and counted.
+    """
     if stats is None:
         stats = EngineStats()
     if plan.pruned is not None:
-        # Statically proved empty: stream nothing.
+        # The shape analysis proved this body can never produce a row; the
+        # zero-row answer is exact, not an estimate (soundness is pinned by
+        # tests/test_shape_properties.py).
+        if record is not None:
+            record["rows"] = 0
+            if record.get("timed", False):
+                record["wall_ns"] = 0
         return
-    executor = _Executor(position, delta_elements, indexes, stats, None, deadline, allow_bottom)
+    # EXPLAIN ANALYZE: a record created with {"timed": True} also collects
+    # wall time, per scan leaf (``by_leaf_ns``) and for the whole match.
+    timed = record is not None and record.get("timed", False)
+    if timed:
+        start_ns = time.perf_counter_ns()
+    executor = _Executor(position, delta_elements, indexes, stats, record, deadline, allow_bottom)
     finalizer: Optional[_RowFinalizer] = None
+    total = 0
     try:
-        for row in executor.stream_batches(plan, target, batch_size):
+        for layout, chunk in executor.walk(plan, target, batch_size):
             if finalizer is None:
-                finalizer = _RowFinalizer(executor.final_layout, allow_bottom)
-            row = finalizer.emit(row)
-            if row is None:
-                continue
-            stats.substitutions += 1
-            yield finalizer.names, row
+                finalizer = _RowFinalizer(layout, allow_bottom)
+            rows = [row for row in map(finalizer.emit, chunk) if row is not None]
+            if rows:
+                stats.substitutions += len(rows)
+                total += len(rows)
+                yield finalizer.names, rows
     finally:
         executor.flush_metrics()
+    if record is not None:
+        record["rows"] = total
+        if timed:
+            record["wall_ns"] = time.perf_counter_ns() - start_ns
 
 
 # Oracle/test adapters: rows as :class:`Substitution` objects, for the tests and
@@ -314,7 +326,8 @@ class _ScanState:
     """Per-run cached state of one scan-leaf instance.
 
     Everything here is computed at most once per instance per run and shared
-    by every batch (and, in streaming mode, every chunk) that reaches it.
+    by every chunk that reaches it — one per run on whole batches, many on
+    the streaming ramp.
     """
 
     __slots__ = (
@@ -342,7 +355,7 @@ class _ScanState:
 
 
 class _Executor:
-    """One match run, batch-at-a-time: operators exchange columnar row batches.
+    """One match run, chunk-at-a-time: operators exchange columnar row batches.
 
     A batch is ``(layout, rows)``: one names tuple plus plain value tuples,
     one per partial substitution, aligned to it.  The layout is a property of
@@ -351,15 +364,22 @@ class _Executor:
     :func:`_merge_plan` and then meets rows with C-level tuple concats plus
     an ``is`` check per shared column.
 
-    * each leaf's witnesses are matched **once per batch** and the resulting
-      rows shared across partials; dynamic index probes are cached per
-      distinct bound key value (identity-keyed — interning made ``==`` an
-      ``is``), so a frontier binding the same join key a thousand times pays
-      one probe and one witness-match pass;
+    :meth:`walk` is the one schedule: depth-first over chunks of each
+    operator's output.  Its chunk policy is the only difference between
+    the entry points — whole batches (``batch_size=None``, every leaf runs
+    once: :func:`match_rows`) or the 1, 2, 4, ... ramp
+    (:func:`iter_match_rows`).  Chunks split a batch without reordering it,
+    so both policies yield the same rows in the same order.
+
+    * each leaf's witnesses are matched **once per run** and the resulting
+      rows shared across partials and chunks; dynamic index probes are
+      cached per distinct bound key value (identity-keyed — interning made
+      ``==`` an ``is``), so a frontier binding the same join key a thousand
+      times pays one probe and one witness-match pass;
     * every scan leaf's element formula, nested sets included, is compiled
       by :func:`repro.plan.compile.compile_element_matcher`: one closure
       call per witness appends that witness's rows;
-    * deadlines are checked once per operator batch, not once per tuple;
+    * deadlines are checked once per operator chunk, not once per tuple;
     * final rows leave as plain value tuples, in sorted-name order, after
       identity-keyed dedup (:class:`_RowFinalizer`).
 
@@ -380,7 +400,6 @@ class _Executor:
         "record",
         "deadline",
         "drop_bottom",
-        "final_layout",
         "_batches",
         "_batch_rows",
         "_compiled_hits",
@@ -405,105 +424,57 @@ class _Executor:
         self._batches = 0
         self._batch_rows: List[int] = []
         self._compiled_hits = 0
-        #: Layout of the rows :meth:`stream_batches` yields; set before the
-        #: first yield.
-        self.final_layout: Tuple[str, ...] = ()
+        if record is not None:
+            record["by_leaf"] = {}
+            record["by_leaf_batches"] = {}
+            record["by_leaf_access"] = {}
+            if record.get("timed", False):
+                record["by_leaf_ns"] = {}
 
     # -- top level ----------------------------------------------------------------------
-    def run_batch(
-        self, plan: BodyPlan, target: ComplexObject
-    ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """The whole meet-product as one breadth-first batch pipeline."""
-        instances = self._instances(plan, target)
-        if instances is None:
-            return (), []
+    def walk(
+        self, plan: BodyPlan, target: ComplexObject, batch_size: Optional[int]
+    ) -> Iterator[Tuple[Tuple[str, ...], List[tuple]]]:
+        """The meet-product, depth-first over chunks: ``(layout, rows)`` past the last leaf.
 
-        actuals: Optional[Dict[Tuple, int]] = None
-        leaf_batches: Optional[Dict[Tuple, list]] = None
-        leaf_ns: Optional[Dict[Tuple, int]] = None
-        if self.record is not None:
-            actuals = {}
-            self.record["by_leaf"] = actuals
-            leaf_batches = {}
-            self.record["by_leaf_batches"] = leaf_batches
-            self.record["by_leaf_access"] = {}
-            if self.record.get("timed", False):
-                leaf_ns = {}
-                self.record["by_leaf_ns"] = leaf_ns
-
-        state: Dict[object, object] = {}
-        layout: Tuple[str, ...] = ()
-        rows: List[tuple] = [()]
-        for step, instance in enumerate(instances):
-            if self.deadline is not None:
-                self.deadline.check(
-                    "plan execution",
-                    partial_explain=lambda: _timeout_explain(
-                        plan, f"batch {step} of {len(instances)},"
-                        f" {len(rows)} partial substitutions"
-                    ),
-                )
-            if leaf_ns is not None:
-                step_start = time.perf_counter_ns()
-            layout, rows = self._step(instance, layout, rows, state)
-            if actuals is not None and instance.spec is not None:
-                key = leaf_key(instance.spec)
-                actuals[key] = len(rows)
-                entry = leaf_batches.setdefault(key, [0, 0])
-                entry[0] += 1
-                entry[1] += len(rows)
-                if leaf_ns is not None:
-                    leaf_ns[key] = leaf_ns.get(key, 0) + (
-                        time.perf_counter_ns() - step_start
-                    )
-            if not rows:
-                return layout, []
-        return layout, rows
-
-    def stream_batches(
-        self, plan: BodyPlan, target: ComplexObject, batch_size: int
-    ) -> Iterator[tuple]:
-        """Depth-first chunked enumeration: :meth:`run_batch` order, lazily.
-
-        Chunks ramp 1, 2, 4, ... up to ``batch_size`` at every depth, so the
-        leftmost path to the first row runs on single-partial chunks while
-        bulk drains run on full ones.  Scan state (probes, matched
-        alternatives, merge plans) lives in ``state`` across chunks —
-        revisiting an instance with a later chunk re-uses every earlier
-        probe and match.  Yields rows of :attr:`final_layout`.
+        Each instance steps over one chunk and hands its output down in
+        chunks: the whole output (``batch_size=None``; every leaf runs once
+        and an empty batch ends the run) or sizes ramping 1, 2, 4, ... up to
+        ``batch_size``, so the first row's path runs on single-partial
+        chunks.  Scan state (probes, matched alternatives, merge plans)
+        lives in ``state`` across chunks, so no chunk re-probes or re-matches.
         """
         instances = self._instances(plan, target)
         if instances is None:
             return
         state: Dict[object, object] = {}
         total = len(instances)
-
-        def descend(
-            depth: int, layout: Tuple[str, ...], chunk: List[tuple]
-        ) -> Iterator[tuple]:
+        pending = [(0, (), [()])]  # (depth, layout, chunk); the next to walk is last
+        while pending:
+            depth, layout, chunk = pending.pop()
             if depth == total:
-                self.final_layout = layout
-                yield from chunk
-                return
-            instance = instances[depth]
+                yield layout, chunk
+                continue
             if self.deadline is not None:
                 self.deadline.check(
-                    "streaming plan execution",
+                    "plan execution",
                     partial_explain=lambda: _timeout_explain(
-                        plan, f"depth {depth}, chunk of {len(chunk)}"
+                        plan, f"leaf {depth + 1} of {total},"
+                        f" {len(chunk)} partial substitutions"
                     ),
                 )
-            merged_layout, merged = self._step(instance, layout, chunk, state)
-            start = 0
-            size = 1
-            while start < len(merged):
-                end = min(start + size, len(merged))
-                yield from descend(depth + 1, merged_layout, merged[start:end])
-                start = end
-                if size < batch_size:
-                    size = min(size * 2, batch_size)
-
-        yield from descend(0, (), [()])
+            layout, rows = self._step(instances[depth], layout, chunk, state)
+            if batch_size is None:
+                if rows:
+                    pending.append((depth + 1, layout, rows))
+                continue
+            chunks = []
+            start, size = 0, 1
+            while start < len(rows):
+                chunks.append((depth + 1, layout, rows[start:start + size]))
+                start += size
+                size = min(size * 2, batch_size)
+            pending.extend(reversed(chunks))
 
     # -- runtime flattening -------------------------------------------------------------
     def _instances(
@@ -599,11 +570,26 @@ class _Executor:
         rows: List[tuple],
         state: Dict[object, object],
     ) -> Tuple[Tuple[str, ...], List[tuple]]:
-        """One operator over one batch, counted for the ``exec.*`` metrics."""
-        if instance.spec is None:
+        """One operator over one chunk, counted for ``exec.*`` and, per scan
+        leaf, into the record's ``by_leaf`` / ``by_leaf_batches`` / ``by_leaf_ns``."""
+        spec = instance.spec
+        if spec is None:
             layout, rows = self._fixed_step(instance, layout, rows, state)
-        else:
+        elif self.record is None:
             layout, rows = self._scan_batch(instance, layout, rows, state)
+        else:
+            start_ns = time.perf_counter_ns()
+            layout, rows = self._scan_batch(instance, layout, rows, state)
+            elapsed_ns = time.perf_counter_ns() - start_ns
+            key = leaf_key(spec)
+            actuals = self.record["by_leaf"]
+            actuals[key] = actuals.get(key, 0) + len(rows)
+            entry = self.record["by_leaf_batches"].setdefault(key, [0, 0])
+            entry[0] += 1
+            entry[1] += len(rows)
+            timings = self.record.get("by_leaf_ns")
+            if timings is not None:
+                timings[key] = timings.get(key, 0) + elapsed_ns
         self._batches += 1
         self._batch_rows.append(len(rows))
         return layout, rows

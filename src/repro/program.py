@@ -20,6 +20,7 @@ concrete syntax via :meth:`Program.from_source` (which delegates to
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, List, Optional, Sequence
 
 from repro.api import Session
@@ -29,7 +30,9 @@ from repro.calculus.fixpoint import (
     DEFAULT_MAX_NODES,
     ClosureResult,
 )
-from repro.calculus.rules import Rule, RuleSet
+from repro.calculus.rules import Rule, RuleSet, rule_formulas
+from repro.calculus.terms import too_deep_formula
+from repro.core.errors import NestingError
 from repro.core.lattice import union, union_all
 from repro.core.objects import BOTTOM, ComplexObject
 from repro.engine import SemiNaiveEngine
@@ -40,6 +43,27 @@ from repro.plan.explain import execution_record, render_program_plan
 from repro.plan.indexes import TargetIndexes
 
 __all__ = ["Program"]
+
+
+def _depth_boundary(method):
+    """Report a program too deep to walk as one :class:`NestingError` naming its depth.
+
+    The error names the deepest of the program's rules, facts and seed
+    database; a :class:`NestingError` raised further in already names what
+    overflowed.
+    """
+
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except NestingError:
+            raise
+        except RecursionError:
+            parts = rule_formulas([*self._facts, *self._rules])
+            raise too_deep_formula(method.__name__, parts, self._database) from None
+
+    return guarded
 
 
 class Program:
@@ -100,6 +124,7 @@ class Program:
         return Program(combined, database=self._database)
 
     # -- analysis -----------------------------------------------------------------
+    @_depth_boundary
     def lint(self, query=None):
         """Run the whole-program static analyzer (:mod:`repro.lint`).
 
@@ -121,6 +146,7 @@ class Program:
         contributions = [compile_projection(fact.head, ())([()]) for fact in self._facts]
         return union(self._database, union_all(contributions))
 
+    @_depth_boundary
     def evaluate(
         self,
         *,
@@ -153,6 +179,7 @@ class Program:
         )
         return evaluator.run(self.seed())
 
+    @_depth_boundary
     def explain(
         self,
         query_formula=None,

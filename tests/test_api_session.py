@@ -640,6 +640,13 @@ class TestNestingErrors:
         with pytest.raises(NestingError, match=message):
             session.close()
 
+    def test_a_deep_rule_is_named_instead_of_the_shallow_query(self):
+        deep = _deep_formula(400)
+        session = repro.connect().register([Rule(deep, deep)])
+        message = "formula is nested 400 levels deep, too deep to prepare$"
+        with pytest.raises(NestingError, match=message):
+            session.prepare("[a: X]")
+
 
 def _deep_formula(depth):
     """``[a: [a: ... X]]``, ``depth`` tuple formulae deep."""

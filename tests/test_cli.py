@@ -57,6 +57,16 @@ class TestParseCommand:
             "error: object is nested 400 levels deep, too deep to print"
         ]
 
+    def test_linting_a_hostile_rule_is_one_error_line(self, tmp_path):
+        deep = "[a: " * 400 + "X" + "]" * 400
+        path = tmp_path / "deep.co"
+        path.write_text(f"{deep} :- {deep}.", encoding="utf-8")
+        code, output = run_cli("lint", f"@{path}")
+        assert code == 1
+        assert output.splitlines() == [
+            "error: formula is nested 400 levels deep, too deep to lint"
+        ]
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "object.co"
         path.write_text("[name: peter]", encoding="utf-8")

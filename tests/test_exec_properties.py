@@ -48,7 +48,7 @@ from repro.plan import (  # noqa: E402
     optimize_body,
 )
 from repro.plan.compile import compile_element_matcher  # noqa: E402
-from repro.plan.execute import iter_match_plan  # noqa: E402
+from repro.plan.execute import iter_match_plan, iter_match_rows, match_rows  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "d", "r1", "r2", "name")
 
@@ -111,10 +111,43 @@ def test_source_ordered_plan_enumerates_match_all_as_a_list(body_text, database,
     assert list(one_partial) == expected
 
 
+@st.composite
+def _grown_relations(draw):
+    """``(previous, current)``, both ``[r1: {...}, r2: {...}]``, previous ≤ current.
+
+    Element shapes are the ones the bodies really match — ``complex_objects``
+    almost never satisfies a two-leaf body, which would make the delta
+    property vacuous.  No ⊤: a ⊤ on a delta path has no sound delta, and the
+    engine falls back to a full match there.
+    """
+    values = st.integers(min_value=0, max_value=1).map(Atom)
+    names = st.lists(
+        st.fixed_dictionaries({"name": values}).map(TupleObject), max_size=2
+    ).map(SetObject)
+    shapes = {
+        "r1": st.one_of(
+            values,
+            st.fixed_dictionaries({"a": st.one_of(values, names), "b": values}).map(TupleObject),
+            st.fixed_dictionaries({"name": values}).map(TupleObject),
+        ),
+        "r2": st.one_of(
+            values, st.fixed_dictionaries({"c": values, "d": values}).map(TupleObject)
+        ),
+    }
+    previous, current = {}, {}
+    for name, shape in shapes.items():
+        elements = draw(st.lists(shape, min_size=1, max_size=5))
+        old = draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)))
+        current[name] = SetObject(elements)
+        previous[name] = SetObject([e for e, keep in zip(elements, old) if keep])
+    return TupleObject(previous), TupleObject(current)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(BODY_SHAPES),
-    complex_objects(max_depth=3),
+    # Relations the bodies really join on, so that index probes answer.
+    st.one_of(complex_objects(max_depth=3), _grown_relations().map(lambda pair: pair[1])),
     st.booleans(),
     st.sampled_from(BATCH_SIZES),
 )
@@ -131,6 +164,22 @@ def test_cost_ordered_plan_streams_what_it_materialises(
         )
     )
     assert streamed == materialised
+    # One walk: whatever the chunk size, a leaf probes each key and matches
+    # each witness once per run, exactly as on whole batches.
+    indexes = TargetIndexes(database)
+    whole = EngineStats()
+    _, rows = match_rows(plan, database, indexes=indexes, stats=whole, allow_bottom=allow)
+    for size in BATCH_SIZES:
+        chunked = EngineStats()
+        drained = iter_match_rows(
+            plan, database, indexes=indexes, stats=chunked, allow_bottom=allow, batch_size=size
+        )
+        assert [row for _, row in drained] == rows
+        assert _counters(chunked) == _counters(whole)
+
+
+def _counters(stats):
+    return (stats.match_attempts, stats.index_hits, stats.index_misses, stats.substitutions)
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,38 +223,6 @@ def test_index_pushdown_changes_nothing_about_the_answer(left, right):
 
 
 DELTA_BODIES = [text for text in BODY_SHAPES if decompose(parse_formula(text)).decomposable]
-
-
-@st.composite
-def _grown_relations(draw):
-    """``(previous, current)``, both ``[r1: {...}, r2: {...}]``, previous ≤ current.
-
-    Element shapes are the ones the bodies really match — ``complex_objects``
-    almost never satisfies a two-leaf body, which would make the delta
-    property vacuous.  No ⊤: a ⊤ on a delta path has no sound delta, and the
-    engine falls back to a full match there.
-    """
-    values = st.integers(min_value=0, max_value=1).map(Atom)
-    names = st.lists(
-        st.fixed_dictionaries({"name": values}).map(TupleObject), max_size=2
-    ).map(SetObject)
-    shapes = {
-        "r1": st.one_of(
-            values,
-            st.fixed_dictionaries({"a": st.one_of(values, names), "b": values}).map(TupleObject),
-            st.fixed_dictionaries({"name": values}).map(TupleObject),
-        ),
-        "r2": st.one_of(
-            values, st.fixed_dictionaries({"c": values, "d": values}).map(TupleObject)
-        ),
-    }
-    previous, current = {}, {}
-    for name, shape in shapes.items():
-        elements = draw(st.lists(shape, min_size=1, max_size=5))
-        old = draw(st.lists(st.booleans(), min_size=len(elements), max_size=len(elements)))
-        current[name] = SetObject(elements)
-        previous[name] = SetObject([e for e, keep in zip(elements, old) if keep])
-    return TupleObject(previous), TupleObject(current)
 
 
 @settings(max_examples=150, deadline=None)

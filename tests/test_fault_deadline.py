@@ -189,6 +189,19 @@ class TestExecutorDeadline:
         assert "timed out" in explain
         assert "progress:" in explain
 
+    def test_a_spent_deadline_stops_the_stream_at_its_first_row(self):
+        from repro.plan import compile_body, iter_match_rows
+        from repro.parser import parse_formula, parse_object
+
+        database = parse_object("[r1: {[a: 1], [a: 2], [a: 3]}]")
+        plan = compile_body(parse_formula("[r1: {[a: X]}]"))
+        stream = iter_match_rows(plan, database, deadline=Deadline(-1))
+        with pytest.raises(QueryTimeout) as info:
+            next(stream)
+        explain = info.value.partial_explain
+        assert "timed out" in explain
+        assert "progress:" in explain
+
     def test_match_plan_without_deadline_is_unaffected(self):
         from repro.plan import compile_body, match_plan
         from repro.parser import parse_formula, parse_object

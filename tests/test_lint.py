@@ -15,6 +15,7 @@ from repro.calculus.terms import (
     var,
 )
 from repro.core import BOTTOM, TOP
+from repro.core.errors import NestingError
 from repro.lint import (
     CODES,
     Diagnostic,
@@ -239,6 +240,11 @@ class TestProgramFacade:
         assert any(stratum["recursive"] for stratum in report.strata)
         flattened = sorted(i for s in report.strata for i in s["rules"])
         assert flattened == [1, 2]
+
+    def test_a_rule_too_deep_to_analyse_is_one_nesting_error(self):
+        deep = parse_formula("[a: " * 400 + "X" + "]" * 400)
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to lint$"):
+            lint_rules([Rule(deep, deep)])
 
 
 class TestReport:

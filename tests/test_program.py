@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import Program, Session, parse_formula, parse_object, parse_rule
+from repro import Program, Rule, Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
-from repro.core.errors import DivergenceError
+from repro.core.errors import DivergenceError, NestingError
 from repro.core.objects import BOTTOM
 
 
@@ -85,3 +85,25 @@ class TestEvaluation:
         )
         codes = {diagnostic.code for diagnostic in program.lint().diagnostics}
         assert "RL003" in codes
+
+
+def _deep_rule_program(depth=400):
+    """One rule ``f :- f`` with ``f`` = ``[a: [a: ... X]]``, ``depth`` tuples deep."""
+    deep = parse_formula("[a: " * depth + "X" + "]" * depth)
+    return Program([Rule(deep, deep)])
+
+
+class TestNestingErrors:
+    """A rule too deep to walk is one NestingError naming its depth, at every entry point."""
+
+    def test_explain(self):
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to explain$"):
+            _deep_rule_program().explain()
+
+    def test_evaluate(self):
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to evaluate$"):
+            _deep_rule_program().evaluate()
+
+    def test_lint(self):
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to lint$"):
+            _deep_rule_program().lint()
