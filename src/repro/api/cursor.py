@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.builder import obj
-from repro.core.errors import ComplexObjectError, LintError
+from repro.core.errors import LintError
 from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.substitution import Substitution
 from repro.calculus.terms import Formula
-from repro.lint.diagnostics import new_diagnostic
-from repro.lint.shapes import maybe_subobject
-from repro.obs.metrics import REGISTRY as _METRICS
+from repro.lint.analyzer import check_bindings
 from repro.plan import iter_match_rows, match_rows
 from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_body_plan
@@ -118,31 +115,12 @@ class PreparedQuery:
         """
         return dict(self._param_shapes)
 
-    def _check_shapes(self, merged: Mapping) -> None:
+    def _check_bindings(self, values: Mapping[str, ComplexObject]) -> None:
         """Refute shape-impossible parameter bindings (RL204) at bind time."""
         if not self._param_shapes:
             return
-        findings = []
-        for name, slot in self._param_shapes:
-            if name not in merged:
-                continue
-            try:
-                value = obj(merged[name])
-            except (ComplexObjectError, TypeError):
-                continue  # conversion problems surface via validation
-            if maybe_subobject(value, slot):
-                continue
-            message = (
-                f"${name} is bound to {value.to_text()} but every derivable object at"
-                f" its slot has shape {slot.describe()}, so the query returns nothing"
-            )
-            findings.append(new_diagnostic("RL204", message=message, formula=f"${name}"))
-        if not findings:
-            return
-        for finding in findings:
-            _METRICS.counter("lint.warnings").inc()
-            _METRICS.counter(f"lint.code.{finding.code}").inc()
-        if self._lint == "strict":
+        findings = check_bindings(self._param_shapes, values)
+        if findings and self._lint == "strict":
             raise LintError(
                 f"parameter values failed strict shape check"
                 f" ({len(findings)} finding(s)): {self.source}",
@@ -151,9 +129,7 @@ class PreparedQuery:
 
     def execute(self, params: Optional[Mapping] = None, **kwparams) -> "Cursor":
         """Execute with ``params`` (a mapping, and/or keyword arguments)."""
-        merged = {**(params or {}), **kwparams}
-        self._check_shapes(merged)
-        return self._session.execute(self, merged)
+        return self._session.execute(self, {**(params or {}), **kwparams})
 
     def one(self, params: Optional[Mapping] = None, **kwparams) -> ComplexObject:
         """First matching instantiation (⊥ when nothing matches)."""

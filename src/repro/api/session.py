@@ -23,8 +23,7 @@ from repro.calculus.rules import Rule, rule_formulas
 from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
 from repro.engine import SemiNaiveEngine
 from repro.fault.deadline import Deadline
-from repro.lint import lint_query
-from repro.lint.shapes import infer_shapes
+from repro.lint.analyzer import prepare_lint
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.parser import parse_formula, parse_program
@@ -161,10 +160,11 @@ class Session:
         self._seed_version = 0
         self._counters = _Counters(dict.fromkeys(_COUNTER_METRICS, 0))
         self._snapshot = Snapshot(None, None, None, (), self._counters)
-        # Prepare-time lint reports, keyed on (source text, rules version):
-        # reports are frozen, so re-preparing the same query re-attaches the
-        # same diagnostics without re-running the analysis (the ≤1.10x
-        # prepare budget benchmarks/run_lint_benchmarks.py pins).
+        # The one prepare-time lint cache: (report, parameter slots) keyed on
+        # (source text, rules version).  Reports are frozen, so re-preparing
+        # the same query re-attaches the same diagnostics without re-running
+        # the analysis (the ≤1.10x prepare budget
+        # benchmarks/run_lint_benchmarks.py pins).
         self._lint_reports: "OrderedDict[Tuple, object]" = OrderedDict()
         self._slow_query_ms = slow_query_ms
         self._slow_log: "deque" = deque(maxlen=32)
@@ -284,7 +284,9 @@ class Session:
         :attr:`PreparedQuery.diagnostics`; ``"strict"`` additionally raises
         :class:`LintError` when the report has errors *or* warnings;
         ``"off"`` skips the analysis.  The pass is statistics-free (no walk
-        of the database), so preparing stays cheap.
+        of the database) and runs once per query text and rules version, so
+        preparing stays cheap.  Every execution then checks its bound values
+        against the slots the pass inferred (RL204).
         """
         if lint not in ("warn", "strict", "off"):
             raise ReproError(f'lint must be "warn", "strict" or "off", got {lint!r}')
@@ -298,20 +300,11 @@ class Session:
                 lint_key = (source, self._rules_version)
                 entry = self._lint_reports.get(lint_key)
                 if entry is None:
-                    report = lint_query(parsed, rules=self._rules)
-                    # Also record the inferred shape of every ``$parameter``
-                    # slot — the join of every object derivable at its
-                    # position — so each execution can refute
-                    # shape-impossible bindings (RL204) before touching the
-                    # database.  Gated on a grounded program: without facts
-                    # the analysis has no derivable objects to bound the
-                    # slots with.
-                    slots: Tuple = ()
-                    if parsed.parameters():
-                        shapes = infer_shapes(tuple(self._rules))
-                        if shapes.grounded:
-                            slots = tuple(sorted(shapes.query(parsed).param_slots().items()))
-                    entry = (report, slots)
+                    # The report, and the inferred shape of every ``$parameter``
+                    # slot, from one abstract match: each execution refutes
+                    # shape-impossible bindings (RL204) against the slots
+                    # before touching the database.
+                    entry = prepare_lint(parsed, self._rules)
                     if len(self._lint_reports) >= 256:
                         self._lint_reports.popitem(last=False)
                     self._lint_reports[lint_key] = entry
@@ -357,12 +350,12 @@ class Session:
             :class:`QueryTimeout` carrying the elapsed time and a partial
             EXPLAIN of the work already done.
         """
-        link = None
+        link = prepared = None
         if isinstance(query, PreparedQuery):
             # Options fixed at prepare time are defaults; the span links back
             # to the prepare that built the query.
             options = {**query.options, **options}
-            query, link = query.formula, query.trace_id
+            prepared, query, link = query, query.formula, query.trace_id
         formula = self._as_formula(query)
         _check_options(options)
         start_ns = time.perf_counter_ns()
@@ -377,6 +370,8 @@ class Session:
                     span.set(prepared_from=link)
                 trace_id = span.trace_id
             values = self._convert_params(formula, params or {})
+            if prepared is not None:
+                prepared._check_bindings(values)
             timeout_ms = options.get("timeout_ms")
             if timeout_ms is not None and not (
                 isinstance(timeout_ms, (int, float)) and timeout_ms > 0

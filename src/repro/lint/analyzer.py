@@ -9,11 +9,15 @@ parses first (so findings carry line/column spans), ``lint_query`` analyses
 one query formula against an optional program, and ``check_containment`` is
 the RL001 helper for head/body pairs that have not been admitted as a
 :class:`~repro.calculus.rules.Rule` yet (the Rule constructor rejects them).
+``prepare_lint`` is ``lint_query`` plus the query's ``$parameter`` slots —
+what ``Session.prepare`` runs (and caches per session) — and
+``check_bindings`` is the RL204 check a prepared query runs at bind time.
 
 Every run publishes its outcome to the observability registry:
 ``lint.runs``, ``lint.errors``, ``lint.warnings`` and a per-code counter
 ``lint.code.RLxxx`` — so a fleet's metrics show *which* diagnostics its
-programs trip, not just how many.
+programs trip, not just how many.  A bind-time check counts its findings
+the same way but is not a run.
 
 Linting never mutates: rules, formulae and statistics are read-only inputs,
 and identical inputs produce identical reports (the property tests pin
@@ -22,14 +26,22 @@ both).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.calculus.dependency import DependencyGraph
 from repro.calculus.rules import Rule, RuleSet, rule_formulas
 from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
+from repro.core.builder import obj
 from repro.core.errors import NestingError
-from repro.lint.diagnostics import Diagnostic, LintReport, finish_report
+from repro.core.objects import ComplexObject
+from repro.lint.diagnostics import (
+    ERROR,
+    WARNING,
+    Diagnostic,
+    LintReport,
+    finish_report,
+    new_diagnostic,
+)
 from repro.lint.formulas import check_query_formula, check_rule_formulas
 from repro.lint.graph import (
     check_dead_rules,
@@ -39,11 +51,13 @@ from repro.lint.graph import (
 )
 from repro.lint.plans import check_query_plan, check_rule_plans
 from repro.lint.shapes import (
+    ProgramShapes,
     check_params,
     check_query_shape,
     check_shapes,
     infer_shapes,
 )
+from repro.lint.shapes.checks import ParamSlots
 from repro.obs import metrics
 from repro.parser import parse_formula, parse_program
 from repro.plan.statistics import DatabaseStatistics
@@ -51,16 +65,15 @@ from repro.plan.statistics import DatabaseStatistics
 __all__ = ["lint_rules", "lint_source", "lint_query", "check_containment"]
 
 
-def _publish(report: LintReport) -> None:
-    """Fold one report into the process-wide metrics registry."""
+def _publish(findings: Sequence[Diagnostic], *, run: bool = True) -> None:
+    """Fold findings into the process-wide metrics registry (``run``: one more run)."""
     registry = metrics.REGISTRY
-    registry.counter("lint.runs").inc()
-    if report.errors:
-        registry.counter("lint.errors").inc(report.errors)
-    if report.warnings:
-        registry.counter("lint.warnings").inc(report.warnings)
-    for code, count in report.by_code().items():
-        registry.counter(f"lint.code.{code}").inc(count)
+    if run:
+        registry.counter("lint.runs").inc()
+    for finding in findings:
+        if finding.severity in (ERROR, WARNING):
+            registry.counter(f"lint.{finding.severity}s").inc()
+        registry.counter(f"lint.code.{finding.code}").inc()
 
 
 def _as_rules(rules: Union[RuleSet, Sequence[Rule]]) -> Sequence[Rule]:
@@ -106,12 +119,10 @@ def lint_rules(
             findings.extend(check_rule_formulas(rule, index))
         findings.extend(check_rule_plans(program, statistics))
         shapes = infer_shapes(tuple(program), database)
-        findings.extend(check_shapes(program, shapes, query=query))
+        findings.extend(check_shapes(program, shapes))
         if query is not None:
-            findings.extend(check_query_formula(query))
-            findings.extend(check_query_plan(query, statistics, program))
-            if params:
-                findings.extend(check_params(shapes, query, params))
+            query_findings, _ = _query_findings(query, statistics, program, shapes, params)
+            findings.extend(query_findings)
     except NestingError:
         raise
     except RecursionError:
@@ -126,7 +137,7 @@ def lint_rules(
         facts=facts,
         shapes=shapes.summary_lines(),
     )
-    _publish(report)
+    _publish(report.diagnostics)
     return report
 
 
@@ -148,10 +159,27 @@ def lint_source(
     )
 
 
+def _query_findings(
+    query: Formula,
+    statistics: Optional[DatabaseStatistics],
+    rules: Sequence[Rule],
+    shapes: ProgramShapes,
+    params,
+) -> Tuple[List[Diagnostic], ParamSlots]:
+    """A query's own findings, and its ``$parameter`` slots from the same match."""
+    findings = list(check_query_formula(query))
+    findings.extend(check_query_plan(query, statistics, rules))
+    shape_findings, slots = check_query_shape(shapes, query)
+    findings.extend(shape_findings)
+    if params:
+        values = {name: obj(params[name]) for name, _ in slots if name in params}
+        findings.extend(check_params(slots, values))
+    return findings, slots
+
+
 def lint_query(
     query: Union[Formula, str],
     *,
-    statistics: Optional[DatabaseStatistics] = None,
     rules: Union[RuleSet, Sequence[Rule]] = (),
     params=None,
 ) -> LintReport:
@@ -161,71 +189,41 @@ def lint_query(
     program, if any) merely keep RL303 from flagging derived paths that
     exist once the program has run, and seed the shape pass (RL201/RL203
     against the program's derivable shapes; RL204 when ``params`` carries
-    the values about to be bound).
+    the values about to be bound).  The pass is statistics-free and not
+    memoised here: ``Session.prepare`` caches its result per session.
     """
     if isinstance(query, str):
         query = parse_formula(query)
-    if statistics is None:
-        # The statistics-free pass is a pure function of (query, rules) —
-        # exactly what every ``Session.prepare`` runs — so its report is
-        # memoized the same way ``compile_body`` memoizes plans (reports are
-        # frozen, so sharing one instance is safe).  Metrics are published
-        # on the miss only: a cache hit is not a new analysis run.  This is
-        # what keeps the default ``lint="warn"`` within the ≤1.10x prepare
-        # budget ``benchmarks/run_lint_benchmarks.py`` pins.
-        report = _query_report(query, tuple(_as_rules(rules)))
-        if params:
-            report = _with_param_findings(report, query, _as_rules(rules), params)
-        return report
-    findings = list(check_query_formula(query))
-    findings.extend(check_query_plan(query, statistics, _as_rules(rules)))
-    shapes = infer_shapes(tuple(_as_rules(rules)))
-    findings.extend(check_query_shape(shapes, query))
-    if params:
-        findings.extend(check_params(shapes, query, params))
-    report = finish_report(findings)
-    _publish(report)
-    return report
+    return prepare_lint(query, _as_rules(rules), params)[0]
 
 
-def _with_param_findings(
-    report: LintReport,
-    query: Formula,
-    rules: Sequence[Rule],
-    params,
-) -> LintReport:
-    """Fold RL204 findings into a (possibly cached) query report.
+def prepare_lint(
+    query: Formula, rules: Sequence[Rule], params=None
+) -> Tuple[LintReport, ParamSlots]:
+    """``lint_query``'s report plus the query's ``$parameter`` slot shapes.
 
-    Parameter values vary per call, so this stays *outside* the
-    ``_query_report`` cache; the shape inference itself is memoized, making
-    the per-call cost one abstract query match plus a membership test per
-    parameter.  The extra findings' counters are published manually — the
-    cached report already published its own on the miss.
+    One abstract match of the query yields both the RL201/RL203 findings
+    and the slots :func:`check_bindings` checks bound values against
+    (empty when the program has no facts to ground the analysis).
     """
-    extra = check_params(infer_shapes(tuple(rules)), query, params)
-    if not extra:
-        return report
-    registry = metrics.REGISTRY
-    for diagnostic in extra:
-        registry.counter("lint.warnings").inc()
-        registry.counter(f"lint.code.{diagnostic.code}").inc()
-    return finish_report(
-        report.diagnostics + tuple(extra),
-        strata=report.strata,
-        rules=report.rules,
-        facts=report.facts,
-        shapes=report.shapes,
-    )
-
-
-@lru_cache(maxsize=512)
-def _query_report(query: Formula, rules: Tuple[Rule, ...]) -> LintReport:
-    findings = list(check_query_formula(query))
-    findings.extend(check_query_plan(query, None, rules))
-    findings.extend(check_query_shape(infer_shapes(rules), query))
+    rules = tuple(rules)
+    findings, slots = _query_findings(query, None, rules, infer_shapes(rules), params)
     report = finish_report(findings)
-    _publish(report)
-    return report
+    _publish(report.diagnostics)
+    return report, slots
+
+
+def check_bindings(
+    slots: ParamSlots, values: Mapping[str, ComplexObject]
+) -> List[Diagnostic]:
+    """RL204 at bind time: bound values against a prepared query's slots.
+
+    The findings count under ``lint.warnings`` / ``lint.code.RL204`` like
+    any other, but a bind-time check is not a new analysis run.
+    """
+    findings = check_params(slots, values)
+    _publish(findings, run=False)
+    return findings
 
 
 def _containment_formula(value) -> Formula:
@@ -249,14 +247,9 @@ def check_containment(head, body) -> List[Diagnostic]:
         body_formula.variables() if body_formula is not None else frozenset()
     )
     return [
-        Diagnostic(
-            code="RL001",
-            severity="error",
+        new_diagnostic(
+            "RL001",
             message=f"head variable {name} does not occur in the body",
-            hint=(
-                "every head variable must be bound by the body (Definition"
-                " 4.3); bind it in the body or drop it from the head"
-            ),
             formula=name,
         )
         for name in sorted(head_formula.variables() - body_variables)

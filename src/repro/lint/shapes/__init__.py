@@ -39,7 +39,6 @@ from repro.lint.shapes.domain import (
     admits,
     join,
     make_tuple,
-    maybe_subobject,
     meet,
     merge,
     shape_of_object,
@@ -75,7 +74,6 @@ __all__ = [
     "infer_shapes",
     "join",
     "make_tuple",
-    "maybe_subobject",
     "meet",
     "merge",
     "shape_of_object",

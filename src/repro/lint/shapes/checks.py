@@ -22,14 +22,14 @@ exists, and gets no shape findings at all.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.calculus.rules import Rule
 from repro.calculus.terms import Formula
-from repro.core.builder import obj
+from repro.core.objects import ComplexObject
 from repro.lint.diagnostics import Diagnostic, new_diagnostic
 from repro.lint.plans import _locate
-from repro.lint.shapes.domain import maybe_subobject
+from repro.lint.shapes.domain import Shape, admits
 from repro.lint.shapes.infer import ProgramShapes
 
 __all__ = ["check_shapes", "check_query_shape", "check_params"]
@@ -40,13 +40,12 @@ __all__ = ["check_shapes", "check_query_shape", "check_params"]
 _RULE_CODES = {"literal": "RL201", "empty": "RL202", "contradiction": "RL203"}
 _QUERY_CODES = {"literal": "RL201", "empty": "RL201", "contradiction": "RL203"}
 
+#: A query's ``$parameter`` slots: ``(name, shape)`` pairs sorted by name.
+ParamSlots = Tuple[Tuple[str, Shape], ...]
 
-def check_shapes(
-    rules: Sequence[Rule],
-    shapes: ProgramShapes,
-    query: Optional[Formula] = None,
-) -> List[Diagnostic]:
-    """RL201/RL202/RL203 over every rule body (and the query formula)."""
+
+def check_shapes(rules: Sequence[Rule], shapes: ProgramShapes) -> List[Diagnostic]:
+    """RL201/RL202/RL203 over every rule body."""
     if not shapes.grounded:
         return []
     findings: List[Diagnostic] = []
@@ -62,56 +61,53 @@ def check_shapes(
                 **_locate(rule, summary.index),
             )
         )
-    if query is not None:
-        findings.extend(check_query_shape(shapes, query))
     return findings
 
 
-def check_query_shape(shapes: ProgramShapes, query: Formula) -> List[Diagnostic]:
-    """RL201/RL203 for a query formula alone (``Session.prepare``'s pass)."""
+def check_query_shape(
+    shapes: ProgramShapes, query: Formula
+) -> Tuple[List[Diagnostic], ParamSlots]:
+    """RL201/RL203 for a query formula, and the shape of its ``$parameter`` slots.
+
+    One abstract match yields both: the findings, and the slots
+    :func:`check_params` later checks bound values against.  An ungrounded
+    program yields neither.
+    """
     if not shapes.grounded:
-        return []
-    failure = shapes.query(query).failure
+        return [], ()
+    abstract = shapes.body_abstract(query)
+    failure = abstract.failure
     if failure is None:
-        return []
-    return [
-        new_diagnostic(
-            _QUERY_CODES[failure.kind],
-            message=failure.detail,
-            formula=failure.subject,
-        )
-    ]
+        return [], abstract.params
+    finding = new_diagnostic(
+        _QUERY_CODES[failure.kind], message=failure.detail, formula=failure.subject
+    )
+    return [finding], abstract.params
 
 
 def check_params(
-    shapes: ProgramShapes,
-    query: Formula,
-    params: Mapping[str, object],
+    slots: ParamSlots, values: Mapping[str, ComplexObject]
 ) -> List[Diagnostic]:
     """RL204: parameters bound to values outside their inferred slot shape.
 
-    ``params`` values may be Python values (coerced the same way the
-    session's ``bind`` coerces them) or already-built complex objects.
+    ``slots`` come from :func:`check_query_shape`, ``values`` are the bound
+    complex objects.  ``lint_query(params=)`` and a prepared query's
+    bind-time check both call this one function.
     """
-    if not shapes.grounded:
-        return []
-    slots = shapes.query(query).param_slots()
     findings: List[Diagnostic] = []
-    for name in sorted(params):
-        slot = slots.get(name)
-        if slot is None:
+    for name, slot in slots:
+        value = values.get(name)
+        if value is None or admits(slot, value):
             continue
-        value = obj(params[name])
-        if not maybe_subobject(value, slot):
-            findings.append(
-                new_diagnostic(
-                    "RL204",
-                    message=(
-                        f"${name} is bound to {value.to_text()} but every"
-                        f" derivable object at its slot has shape"
-                        f" {slot.describe()}, so the query returns nothing"
-                    ),
-                    formula=f"${name}",
-                )
+        findings.append(
+            new_diagnostic(
+                "RL204",
+                message=(
+                    f"${name} is bound to {value.to_text()} but every"
+                    f" derivable object at its slot has shape"
+                    f" {slot.describe()}, so the query returns nothing"
+                ),
+                formula=f"${name}",
             )
+        )
     return findings

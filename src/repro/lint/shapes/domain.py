@@ -77,7 +77,6 @@ __all__ = [
     "admits",
     "join",
     "make_tuple",
-    "maybe_subobject",
     "meet",
     "merge",
     "self_merge",
@@ -216,7 +215,12 @@ def shape_of_object(value: ComplexObject) -> Shape:
 
 
 def admits(shape: Shape, value: ComplexObject) -> bool:
-    """``True`` when ``value`` conforms to ``shape`` (⊥ conforms to everything)."""
+    """``True`` when ``value`` conforms to ``shape`` (⊥ conforms to everything).
+
+    By downward closure this is also the feasibility test behind constant
+    selections and RL204: ``False`` proves ``value ⊑ x`` fails for *every*
+    ``x`` conforming to ``shape``.
+    """
     if value is BOTTOM:
         return True
     if shape == TOPANY:
@@ -240,40 +244,6 @@ def admits(shape: Shape, value: ComplexObject) -> bool:
             return False
         # max_card deliberately ignored: admission must stay downward closed.
         return all(admits(shape.element, item) for item in value.elements)
-    raise TypeError(f"not a shape: {shape!r}")
-
-
-def maybe_subobject(value: ComplexObject, shape: Shape) -> bool:
-    """Could some object admitted by ``shape`` have ``value`` as a sub-object?
-
-    The feasibility test behind constant selections and RL204: a ``False``
-    proves ``value ⊑ x`` fails for *every* ``x`` conforming to ``shape``.
-    """
-    if value is BOTTOM:
-        return True
-    if shape == TOPANY:
-        return True  # ⊤ is above everything
-    if value is TOP:
-        return False  # ⊤ ⊑ x only for x = ⊤
-    if shape == ANY:
-        return True  # shape admits value itself
-    if shape == ABSENT:
-        return False
-    if isinstance(shape, AtomShape):
-        if not isinstance(value, Atom):
-            return False
-        return shape.values is None or value in shape.values
-    if isinstance(shape, TupleShape):
-        if not isinstance(value, TupleObject):
-            return False
-        return all(
-            maybe_subobject(item, shape.get(name)) for name, item in value.items()
-        )
-    if isinstance(shape, SetShape):
-        if not isinstance(value, SetObject):
-            return False
-        # value ⊑ S needs a witness element above every element of value.
-        return all(maybe_subobject(item, shape.element) for item in value.elements)
     raise TypeError(f"not a shape: {shape!r}")
 
 

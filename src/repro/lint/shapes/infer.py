@@ -62,9 +62,9 @@ from repro.lint.shapes.domain import (
     SetShape,
     Shape,
     TupleShape,
+    admits,
     join,
     make_tuple,
-    maybe_subobject,
     meet,
     merge,
     self_merge,
@@ -112,9 +112,6 @@ class BodyAbstract:
             if var == name:
                 return shape
         return None
-
-    def param_slots(self) -> Dict[str, Shape]:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,7 @@ class _Matcher:
             self.params[node.name] = shape if old is None else join(old, shape)
             return
         if isinstance(node, Constant):
-            if not maybe_subobject(node.value, shape):
+            if not admits(shape, node.value):
                 kind = self._absent_kind(in_element) if shape == ABSENT else "literal"
                 self._fail(
                     kind,
@@ -394,10 +391,6 @@ class ProgramShapes:
         if not self.grounded:
             return None
         return self.body_abstract(body).failure
-
-    def query(self, formula: Formula) -> BodyAbstract:
-        """Abstract result for a query formula (same walk as a rule body)."""
-        return self.body_abstract(formula)
 
     def summary_lines(self) -> Tuple[Tuple[str, str], ...]:
         """(subject, shape) pairs for reports: the database, then each rule."""

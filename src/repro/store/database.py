@@ -344,7 +344,13 @@ class ObjectDatabase:
 
     # -- schemas -------------------------------------------------------------------------
     def declare_schema(self, name: str, schema: SchemaType) -> None:
-        """Attach a schema to ``name``; the current and future values must conform."""
+        """Attach a schema to ``name``; the current and future values must conform.
+
+        Declarations last only for this process: the write-ahead log records
+        objects, not schemas, so a reopened store has no schema for ``name``
+        (``schema_of`` is ``None``) and accepts any value until it is declared
+        again.
+        """
         with self._lock:
             current = self._state.get(name)
             if current is not None:

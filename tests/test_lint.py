@@ -59,6 +59,12 @@ class TestContainment:
         assert findings[0].is_error
         assert findings[0].formula == "Y"
 
+    def test_rl001_severity_and_hint_come_from_the_registry(self):
+        [finding] = check_containment("[out: {X, Y}]", "[in: {X}]")
+        assert finding.severity == CODES["RL001"].severity
+        assert finding.hint == CODES["RL001"].hint
+        assert finding.message == "head variable Y does not occur in the body"
+
     def test_clean_pair_has_no_findings(self):
         assert check_containment("[out: {X}]", "[in: {X}]") == []
 

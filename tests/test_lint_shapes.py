@@ -8,6 +8,7 @@ diagnostics are pinned program-by-program in ``tests/lint_corpus/``.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import parse_formula, parse_object, parse_program
 from repro.api import LintError, Session
@@ -16,6 +17,7 @@ from repro.core.builder import obj
 from repro.calculus.fixpoint import close
 from repro.engine import SemiNaiveEngine
 from repro.lint import lint_query, lint_source
+from repro.lint.shapes import infer as shapes_infer
 from repro.lint.shapes import (
     ABSENT,
     ANY,
@@ -32,6 +34,7 @@ from repro.lint.shapes import (
 )
 from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
 from repro.plan.explain import render_body_plan
+from repro.obs.metrics import REGISTRY
 from repro.plan.statistics import DEFAULT_CARDINALITY
 from repro.core.paths import Path
 
@@ -278,6 +281,75 @@ class TestSessionDoor:
         session = Session.over_object(parse_object("[r1: {[a: 1]}]"))
         rendered = session.explain("[r1: {[b: X]}]")
         assert "pruned by shape analysis" in rendered
+
+
+#: The parameterised query over the ``[r1: {[a: c]}]`` / ``r2`` programs below.
+PARAM_QUERY = "[r2: {$v}]"
+_ATOMS = ("a", "b", "c", "d")
+
+
+def _param_program(atoms):
+    facts = "".join(f"[r1: {{[a: {atom}]}}].\n" for atom in sorted(atoms))
+    return facts + "[r2: {X}] :- [r1: {[a: X]}].\n"
+
+
+def _fields(diagnostic):
+    return diagnostic.code, diagnostic.message, diagnostic.formula, diagnostic.hint
+
+
+class TestOneRL204:
+    """RL204 is one check: bind time and ``lint_query(params=)`` agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=st.sets(st.sampled_from(_ATOMS), min_size=1),
+        bound=st.sampled_from(_ATOMS + ("1", "{a}", "[a: b]")),
+    )
+    def test_execute_reports_what_lint_query_reports(self, atoms, bound):
+        source = _param_program(atoms)
+        value = parse_object(bound)
+        expected = [
+            d for d in lint_query(PARAM_QUERY, rules=rules_of(source), params={"v": value})
+            .diagnostics if d.code == "RL204"
+        ]
+        assert len(expected) == (bound not in atoms)
+
+        session = Session()
+        session.register(source)
+        strict = session.prepare(PARAM_QUERY, lint="strict")
+        raised = ()
+        if expected:
+            with pytest.raises(LintError) as excinfo:
+                strict.execute(v=value)
+            raised = excinfo.value.diagnostics
+        else:
+            strict.execute(v=value).all()
+        assert [_fields(d) for d in raised] == [_fields(d) for d in expected]
+
+        warned = session.prepare(PARAM_QUERY)
+        before = REGISTRY.counter("lint.code.RL204").value
+        answer = warned.execute(v=value).all()
+        assert REGISTRY.counter("lint.code.RL204").value - before == len(expected)
+        if expected:
+            assert answer.is_bottom
+
+    def test_a_prepare_miss_runs_the_abstract_matcher_once(self, monkeypatch):
+        session = Session()
+        session.register(_param_program({"e"}))
+        session.prepare("[r1: {[a: $w]}]")  # warms the program's inference
+        runs = []
+        original = shapes_infer._Matcher.run
+
+        def counted(matcher, body):
+            runs.append(body)
+            return original(matcher, body)
+
+        monkeypatch.setattr(shapes_infer._Matcher, "run", counted)
+        session.prepare(PARAM_QUERY)
+        assert len(runs) == 1  # a miss: findings and slots from one match
+        session.prepare(PARAM_QUERY)
+        session.prepare(PARAM_QUERY, lint="strict")
+        assert len(runs) == 1  # hits run nothing
 
 
 def test_program_explain_renders_shape_annotations():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro import Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.core.errors import SchemaError, StoreError
@@ -194,6 +195,19 @@ class TestSchemas:
             database.put("people", [{"name": 42}])
         # A conforming write still succeeds.
         database.put("people", [{"name": "zoe", "age": 1}])
+
+    def test_declared_schemas_last_only_for_the_process(self, tmp_path):
+        # The WAL logs objects, not schemas: a reopened store has none.
+        path = str(tmp_path / "db.wal")
+        with repro.connect(path) as session:
+            session.database.declare_schema("xs", set_type(integer()))
+            session.put("xs", [1, 2])
+            with pytest.raises(SchemaError):
+                session.put("xs", parse_object("{a}"))
+        with repro.connect(path) as session:
+            assert session.database.schema_of("xs") is None
+            session.put("xs", parse_object("{a}"))
+            assert session.database["xs"] == parse_object("{a}")
 
 
 class TestUpdates:

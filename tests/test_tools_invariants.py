@@ -35,6 +35,9 @@ class TestCurrentTreeIsClean:
     def test_one_projection(self):
         assert check_invariants.check_one_projection() == []
 
+    def test_one_diagnostic_home(self):
+        assert check_invariants.check_one_diagnostic_home() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -47,6 +50,7 @@ class TestCurrentTreeIsClean:
         assert "invariant layering: ok" in completed.stdout
         assert "invariant session-version: ok" in completed.stdout
         assert "invariant one-projection: ok" in completed.stdout
+        assert "invariant one-diagnostic-home: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -310,4 +314,42 @@ class TestOneProjectionInvariant:
             "engine/core.py:3",
             "engine/core.py:4",
             "plan/execute.py:3",
+        ]
+
+
+class TestOneDiagnosticHomeInvariant:
+    def test_each_diagnostic_built_outside_lint_is_one_violation(self, tmp_path):
+        root = _package(tmp_path, {
+            "api/cursor.py": (
+                "from repro.lint.diagnostics import new_diagnostic\n"
+                "def check(name):\n"
+                "    return [new_diagnostic('RL204', formula=name)]\n"
+            ),
+            "api/session.py": (
+                "from repro.lint import diagnostics\n"
+                "from repro.lint.diagnostics import Diagnostic\n"
+                "def finding(message):\n"
+                "    first = diagnostics.new_diagnostic('RL204', message=message)\n"
+                "    return first, Diagnostic('RL204', 'warning', message, 'hint')\n"
+            ),
+            # Naming the type (annotations, isinstance) is fine outside lint.
+            "core/errors.py": (
+                "from repro.lint.diagnostics import Diagnostic\n"
+                "def findings(error) -> 'tuple[Diagnostic, ...]':\n"
+                "    return tuple(d for d in error.args if isinstance(d, Diagnostic))\n"
+            ),
+            # Inside repro.lint findings are built freely.
+            "lint/shapes/checks.py": (
+                "from repro.lint.diagnostics import Diagnostic, new_diagnostic\n"
+                "def check(name):\n"
+                "    return [new_diagnostic('RL204', formula=name)]\n"
+            ),
+        })
+        violations = check_invariants.check_one_diagnostic_home(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == [
+            "api/cursor.py:1",
+            "api/cursor.py:3",
+            "api/session.py:4",
+            "api/session.py:5",
         ]

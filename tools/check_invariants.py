@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Eight invariants that matter for correctness but that no unit test can pin
+Nine invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -83,6 +83,15 @@ Eight invariants that matter for correctness but that no unit test can pin
     second, slower head path — the streaming cursor projects each row too.
     Only the oracle (:mod:`repro.calculus`) keeps ``instantiate``.  There is
     no pragma.
+
+``one-diagnostic-home``
+    A lint finding is built, counted and cached behind :mod:`repro.lint`
+    (codes, severities and hints come from its registry), so no module
+    outside ``src/repro/lint/`` imports ``new_diagnostic`` or constructs a
+    ``Diagnostic``: a finding built elsewhere is a second copy of its
+    message and its counters.  Code outside asks :mod:`repro.lint` for
+    findings (e.g. ``check_bindings`` for RL204 at bind time).  There is no
+    pragma.
 
 Run from the repository root::
 
@@ -594,6 +603,34 @@ def check_one_projection(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
+# -- invariant 9: lint findings are built inside repro.lint only -------------------------
+
+DIAGNOSTIC_BUILDERS = ("new_diagnostic", "Diagnostic")
+
+
+def check_one_diagnostic_home(package_root: Path = SRC_ROOT) -> List[str]:
+    violations: List[str] = []
+    home = package_root / "lint"
+    for path in _python_sources(package_root):
+        if home in path.parents:
+            continue
+        tree, _ = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name.split(".")[-1] == "new_diagnostic":
+                what = "imports new_diagnostic"
+            elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) in DIAGNOSTIC_BUILDERS:
+                what = "constructs a diagnostic"
+            else:
+                continue
+            violations.append(
+                f"{_relative(path)}:{node.lineno}: {what} (build lint findings"
+                f" inside repro.lint and ask it for them)"
+            )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -607,6 +644,7 @@ def main() -> int:
         ("layering", check_layering),
         ("session-version", check_session_version),
         ("one-projection", check_one_projection),
+        ("one-diagnostic-home", check_one_diagnostic_home),
     )
     failures = 0
     for name, check in checks:
