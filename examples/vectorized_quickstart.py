@@ -10,7 +10,7 @@ binding.  This walkthrough shows the executor and its instrumentation:
    (Definition 4.2, read literally) does, order included;
 2. the compiled-leaf cache — every scan leaf's element formula, nested sets
    included, compiles to one matcher closure once per formula
-   (``compile_element_matcher.cache_info()`` shows reuse across
+   (the memo ``compile_element_matcher.cache`` shows reuse across
    prepared-query re-executions);
 3. EXPLAIN ANALYZE — per-leaf batch counts and rows/batch;
 4. the ``exec.*`` metrics in ``repro.obs.snapshot()``.
@@ -77,18 +77,18 @@ def demo_compiled_leaf_cache() -> None:
         ))
         people = session.prepare("[people: {[name: $who, age: A]}]")
         values = ("p3", "p14", "p15", "p92", "p65")
-        before = compile_element_matcher.cache_info()
+        memo = compile_element_matcher.cache
+        before = (memo.misses, memo.hits)
         for who in values:
             people.execute(who=who).all()
-        first_pass = compile_element_matcher.cache_info()
+        first_pass = (memo.misses, memo.hits)
         for who in values:
             people.execute(who=who).all()
-        second_pass = compile_element_matcher.cache_info()
-        print(f"first pass:  {first_pass.misses - before.misses} compiles"
+        print(f"first pass:  {first_pass[0] - before[0]} compiles"
               f" (one per distinct $who binding)")
-        print(f"second pass: {second_pass.misses - first_pass.misses} compiles,"
-              f" {second_pass.hits - first_pass.hits} cache hits")
-        print("-> the compiler is cached on the (interned) formula:"
+        print(f"second pass: {memo.misses - first_pass[0]} compiles,"
+              f" {memo.hits - first_pass[1]} cache hits")
+        print("-> the compiler is memoised on the (interned) formula:"
               " re-executions pay zero recompilation")
 
 

@@ -147,9 +147,8 @@ class Snapshot:
     def plan_for(self, formula, mode: Tuple, target: ComplexObject):
         """Optimize ``formula`` for ``target`` and keep the plan (a miss).
 
-        What the cache saves is the cost-based reordering (compilation is
-        memoized on the formula, statistics per interned set).  A target
-        nested too deeply to walk raises :class:`~repro.core.errors.NestingError`.
+        What the cache saves is the cost-based reordering.  A target nested
+        too deeply to walk raises :class:`~repro.core.errors.NestingError`.
         """
         self._counters.count("plan_misses")
         plan = compile_body(formula)

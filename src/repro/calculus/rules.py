@@ -19,6 +19,7 @@ fixpoint semantics of :mod:`repro.calculus.fixpoint` well defined.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lattice import union, union_all
@@ -36,7 +37,8 @@ class Rule:
     ``span`` is optional source-location metadata (a
     :class:`repro.parser.SourceSpan`) attached by the parser so static
     diagnostics (:mod:`repro.lint`) can point at the offending clause; like
-    ``name`` it does not participate in equality or hashing.
+    ``name`` it does not participate in equality or hashing, which compare
+    the (hash-consed) head and body by identity.
     """
 
     __slots__ = ("head", "body", "name", "span")
@@ -44,11 +46,12 @@ class Rule:
     def __init__(self, head, body=None, name: Optional[str] = None, span=None):
         head_formula = to_formula(head)
         body_formula = None if body is None else to_formula(body)
-        try:
-            head_variables = head_formula.variables()
-            body_variables = None if body_formula is None else body_formula.variables()
-        except RecursionError:
-            raise too_deep_formula("make a rule", (head_formula, body_formula)) from None
+        parts = (head_formula, body_formula)
+        # Nested deeper than the recursion limit, no walk of the rule can finish.
+        if max(part._depth for part in parts if part is not None) > sys.getrecursionlimit():
+            raise too_deep_formula("make a rule", parts)
+        head_variables = head_formula.variables()
+        body_variables = None if body_formula is None else body_formula.variables()
         if body_variables is not None:
             extra = head_variables - body_variables
             if extra:
@@ -117,7 +120,7 @@ class Rule:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rule):
             return NotImplemented
-        return self.head == other.head and self.body == other.body
+        return self.head is other.head and self.body is other.body
 
     def __hash__(self) -> int:
         return hash((self.head, self.body))

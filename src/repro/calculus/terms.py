@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.builder import obj
 from repro.core.errors import NestingError, NotAnObjectError, ParameterError
+from repro.core.intern import intern_term
 from repro.core.objects import ComplexObject, nesting_levels, too_deep
 
 __all__ = [
@@ -41,29 +42,36 @@ __all__ = [
 class Formula:
     """Abstract base class of well-formed formulae.
 
-    Formulae are immutable; equality and hashing are structural, which lets
-    rule sets deduplicate rules and lets tests compare parsed and hand-built
-    formulae directly.
+    Formulae are immutable and hash-consed like objects
+    (:func:`repro.core.intern.intern_term`): the constructors return the one
+    instance of each structure, so equality is identity and hashing is by
+    identity.  A set formula's element order is part of its structure —
+    ``{X, Y}`` and ``{Y, X}`` are two formulae with one meaning.  Each node
+    fixes its container depth and its variable and parameter names when it
+    is built.
     """
 
-    __slots__ = ()
+    __slots__ = ("_iid", "_depth", "_variables", "_parameters", "__weakref__")
 
     def variables(self) -> FrozenSet[str]:
         """The names of the variables occurring in the formula."""
-        raise NotImplementedError
+        return self._variables
 
     def parameters(self) -> FrozenSet[str]:
         """The names of the ``$parameter`` slots occurring in the formula."""
-        return frozenset()
+        return self._parameters
 
     @property
     def is_ground(self) -> bool:
         """``True`` when the formula contains no variables."""
-        return not self.variables()
+        return not self._variables
 
     def to_text(self) -> str:
         """Render the formula in the paper's concrete syntax."""
         raise NotImplementedError
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __str__(self) -> str:
         return self.to_text()
@@ -71,22 +79,35 @@ class Formula:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.to_text()}>"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self._signature() == other._signature()
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
+_NO_NAMES: FrozenSet[str] = frozenset()
 
-    def __hash__(self) -> int:
-        return hash(self._signature())
 
-    def _signature(self):
-        raise NotImplementedError
+def _build(cls, slot, value, children, variables, parameters):
+    """A new ``cls`` node: a leaf's names are given, a container's come from its ``children``."""
+    node = object.__new__(cls)
+    object.__setattr__(node, slot, value)
+    if children:
+        depth = 1 + max(child._depth for child in children)
+        variables = _joined(child._variables for child in children)
+        parameters = _joined(child._parameters for child in children)
+    else:
+        depth = 0
+        variables = frozenset(variables) if variables else _NO_NAMES
+        parameters = frozenset(parameters) if parameters else _NO_NAMES
+    object.__setattr__(node, "_depth", depth)
+    object.__setattr__(node, "_variables", variables)
+    object.__setattr__(node, "_parameters", parameters)
+    return node
+
+
+def _joined(sets):
+    """The union of ``sets``, sharing one of them when it holds all the others."""
+    result = _NO_NAMES
+    for names in sets:
+        if not names <= result:
+            result = names if names >= result else result | names
+    return result
 
 
 class Variable(Formula):
@@ -94,51 +115,38 @@ class Variable(Formula):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not isinstance(name, str):
             raise ValueError("variable names must be non-empty strings")
         if not (name[0].isupper() or name[0] == "_"):
             raise ValueError(
                 f"variable names must start with an upper-case letter or '_': {name!r}"
             )
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Variable is immutable")
-
-    def variables(self) -> FrozenSet[str]:
-        return frozenset({self.name})
+        return intern_term(("v", name), _build, cls, "name", name, (), (name,), ())
 
     def to_text(self) -> str:
         return self.name
 
-    def _signature(self):
-        return ("var", self.name)
-
 
 class Constant(Formula):
-    """A ground complex object used as a formula (Definition 4.1(ii))."""
+    """A ground complex object used as a formula (Definition 4.1(ii)).
+
+    Two constants are one formula when their values are one interned object,
+    or equal raw ones.
+    """
 
     __slots__ = ("value",)
 
-    def __init__(self, value: ComplexObject):
+    def __new__(cls, value: ComplexObject):
         if not isinstance(value, ComplexObject):
             raise NotAnObjectError(
                 f"Constant expects a ComplexObject, got {type(value).__name__}"
             )
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Constant is immutable")
-
-    def variables(self) -> FrozenSet[str]:
-        return frozenset()
+        key = ("c", value._iid) if value._iid is not None else ("raw", value)
+        return intern_term(key, _build, cls, "value", value, (), (), ())
 
     def to_text(self) -> str:
         return self.value.to_text()
-
-    def _signature(self):
-        return ("const", self.value)
 
 
 class Parameter(Formula):
@@ -155,29 +163,17 @@ class Parameter(Formula):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not isinstance(name, str):
             raise ValueError("parameter names must be non-empty strings")
         if not (name[0].isalpha() or name[0] == "_"):
             raise ValueError(
                 f"parameter names must start with a letter or '_': {name!r}"
             )
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Parameter is immutable")
-
-    def variables(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def parameters(self) -> FrozenSet[str]:
-        return frozenset({self.name})
+        return intern_term(("p", name), _build, cls, "name", name, (), (), (name,))
 
     def to_text(self) -> str:
         return f"${self.name}"
-
-    def _signature(self):
-        return ("param", self.name)
 
 
 class TupleFormula(Formula):
@@ -185,7 +181,7 @@ class TupleFormula(Formula):
 
     __slots__ = ("_attrs",)
 
-    def __init__(self, attributes: Mapping[str, Formula] = None, **kwargs: Formula):
+    def __new__(cls, attributes: Mapping[str, Formula] = None, **kwargs: Formula):
         mapping: Dict[str, Formula] = {}
         if attributes:
             mapping.update(attributes)
@@ -199,10 +195,8 @@ class TupleFormula(Formula):
                     f"attribute {name!r} must map to a Formula, got {type(value).__name__}"
                 )
         ordered = tuple(sorted(mapping.items(), key=lambda item: item[0]))
-        object.__setattr__(self, "_attrs", ordered)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("TupleFormula is immutable")
+        children = tuple(value for _, value in ordered)
+        return intern_term(("t", ordered), _build, cls, "_attrs", ordered, children, (), ())
 
     @property
     def attributes(self) -> Tuple[str, ...]:
@@ -222,42 +216,24 @@ class TupleFormula(Formula):
     def __len__(self) -> int:
         return len(self._attrs)
 
-    def variables(self) -> FrozenSet[str]:
-        names: FrozenSet[str] = frozenset()
-        for _, value in self._attrs:
-            names |= value.variables()
-        return names
-
-    def parameters(self) -> FrozenSet[str]:
-        names: FrozenSet[str] = frozenset()
-        for _, value in self._attrs:
-            names |= value.parameters()
-        return names
-
     def to_text(self) -> str:
         inner = ", ".join(f"{name}: {value.to_text()}" for name, value in self._attrs)
         return f"[{inner}]"
 
-    def _signature(self):
-        return ("tuple", tuple((name, value._signature()) for name, value in self._attrs))
-
 
 class SetFormula(Formula):
-    """A set-shaped formula ``{w1, ..., wn}`` (Definition 4.1(iv))."""
+    """A set-shaped formula ``{w1, ..., wn}`` (Definition 4.1(iv)), elements in written order."""
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements: Iterable[Formula] = ()):
+    def __new__(cls, elements: Iterable[Formula] = ()):
         collected = tuple(elements)
         for element in collected:
             if not isinstance(element, Formula):
                 raise TypeError(
                     f"set formula elements must be Formulae, got {type(element).__name__}"
                 )
-        object.__setattr__(self, "elements", collected)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("SetFormula is immutable")
+        return intern_term(("s", collected), _build, cls, "elements", collected, collected, (), ())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -265,33 +241,9 @@ class SetFormula(Formula):
     def __iter__(self):
         return iter(self.elements)
 
-    def variables(self) -> FrozenSet[str]:
-        names: FrozenSet[str] = frozenset()
-        for element in self.elements:
-            names |= element.variables()
-        return names
-
-    def parameters(self) -> FrozenSet[str]:
-        names: FrozenSet[str] = frozenset()
-        for element in self.elements:
-            names |= element.parameters()
-        return names
-
     def to_text(self) -> str:
         inner = ", ".join(element.to_text() for element in self.elements)
         return "{" + inner + "}"
-
-    def _signature(self):
-        # Element order is irrelevant to the formula's meaning, so the
-        # signature sorts element signatures to make structurally equivalent
-        # formulae compare equal.
-        return ("set", tuple(sorted(element._signature() for element in self.elements)))
-
-
-def _subformulas(node: Formula) -> Iterable[Formula]:
-    if isinstance(node, TupleFormula):
-        return [value for _, value in node._attrs]
-    return node.elements if isinstance(node, SetFormula) else ()
 
 
 def too_deep_formula(
@@ -303,7 +255,7 @@ def too_deep_formula(
     of ``target`` — the object the walk ran against — when that is nested
     deeper: the deeper of the two is what the stack could not hold.
     """
-    levels = nesting_levels([node for node in formulas if node is not None], _subformulas)
+    levels = max((node._depth for node in formulas if node is not None), default=-1)
     if target is not None and nesting_levels([target]) > levels:
         return too_deep(target, to)
     return NestingError(f"formula is nested {levels} levels deep, too deep to {to}")
@@ -327,8 +279,8 @@ def bind_parameters(
     The substitution is purely structural — a parameter becomes a
     :class:`Constant` carrying its value — so the result has exactly the
     shape, paths and variables of ``target``.  Sub-formulae without
-    parameters are returned *as the same object*, which keeps the
-    ``lru_cache``-keyed plan compilation effective for the unchanged parts.
+    parameters are returned *as the same object*, and formulae are
+    hash-consed, so binding the same values again gives the same formula.
     Raises :class:`~repro.core.errors.ParameterError` when a slot has no
     value; extra names in ``values`` are the caller's concern (see
     :meth:`repro.api.PreparedQuery.execute`, which rejects them).

@@ -29,13 +29,17 @@ Example 3.2 counterexamples require, and they keep the seed's structural
 equality semantics.  Mixed comparisons (raw vs interned) fall back to the
 structural path.
 
-Thread safety: the table is guarded by a lock held across the lookup-or-insert
+Formulae (:mod:`repro.calculus.terms`) are hash-consed the same way, in a
+table of their own (:func:`intern_term`).
+
+Thread safety: each table is guarded by a lock held across the lookup-or-insert
 critical section, so concurrent constructions of the same structure always
 converge on a single canonical instance.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -66,8 +70,8 @@ class _InternTable:
         self.hits = 0
         self.misses = 0
 
-    def intern(self, key: Any, build: Callable[[], Any]) -> Any:
-        """Return the canonical instance for ``key``, building it on a miss.
+    def intern(self, key: Any, build: Callable[..., Any], *args: Any) -> Any:
+        """Return the canonical instance for ``key``, building it (``build(*args)``) on a miss.
 
         The lock is held across the whole lookup-or-insert so racing threads
         cannot both build and leak two "canonical" instances of one structure.
@@ -78,7 +82,7 @@ class _InternTable:
                 self.hits += 1
                 return canonical
             self.misses += 1
-            canonical = build()
+            canonical = build(*args)
             object.__setattr__(canonical, "_iid", self._next_id)
             self._next_id += 1
             self._table[key] = canonical
@@ -93,11 +97,18 @@ class _InternTable:
 
 
 _TABLE = _InternTable()
+_TERMS = _InternTable()
 
 
 def intern_node(key: Any, build: Callable[[], Any]) -> Any:
     """Intern one node: return the canonical instance for ``key``."""
     return _TABLE.intern(key, build)
+
+
+def intern_term(key: Any, build: Callable[..., Any], *args: Any) -> Any:
+    """Intern one formula node; a hit takes no lock (a dict read is atomic)."""
+    canonical = _TERMS._table.get(key)
+    return _TERMS.intern(key, build, *args) if canonical is None else canonical
 
 
 def _register_singleton(instance: Any, iid: int) -> None:
@@ -133,6 +144,7 @@ def intern_stats() -> Dict[str, int]:
     """Counters for diagnostics and benchmarks: table size, hits, misses."""
     return {
         "interned_objects": len(_TABLE),
+        "interned_terms": len(_TERMS),
         "hits": _TABLE.hits,
         "misses": _TABLE.misses,
         "caches": len(_CACHES),
@@ -196,6 +208,29 @@ def register_cache(cache: Any, name: str) -> Any:
     """
     _CACHES[name] = cache
     return cache
+
+
+def node_memo(name: str, maxsize: int = 4096) -> Callable:
+    """Memoise a function of one interned node in the ``(iid, 0)``-keyed cache ``name``.
+
+    An entry keeps its node alive, so an equal node built again is the same
+    instance and hits.  ``__wrapped__`` is the uncached function, ``cache`` the table.
+    """
+    table = register_cache(IdPairCache(maxsize), name)
+
+    def decorate(function: Callable[[Any], Any]) -> Callable[[Any], Any]:
+        @functools.wraps(function)
+        def memoised(node):
+            entry = table.get(node._iid, 0)
+            if entry is None:
+                entry = (node, function(node))
+                table.put(node._iid, 0, entry)
+            return entry[1]
+
+        memoised.cache = table
+        return memoised
+
+    return decorate
 
 
 def memo_tables() -> Dict[str, Any]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
 from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
@@ -674,7 +674,7 @@ def _cache_hashes(root: ComplexObject) -> int:
     return root._hash
 
 
-def nesting_levels(roots: Iterable, children: Callable[[Any], Iterable] = _children) -> int:
+def nesting_levels(roots: Iterable) -> int:
     """The container levels of the deepest of ``roots`` (-1 for none).
 
     Counted breadth-first, so it never recurses into a structure that just
@@ -683,7 +683,7 @@ def nesting_levels(roots: Iterable, children: Callable[[Any], Iterable] = _child
     levels, frontier = -1, list(roots)
     while frontier:
         levels += 1
-        frontier = [child for node in frontier for child in children(node)]
+        frontier = [child for node in frontier for child in _children(node)]
     return levels
 
 

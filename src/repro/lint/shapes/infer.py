@@ -421,9 +421,10 @@ def infer_shapes(
 ) -> ProgramShapes:
     """Run the whole-program inference; memoized on ``(rules, database)``.
 
-    ``rules`` must be a tuple (rules and interned objects are hashable, which
-    is what makes the memoization safe and cheap — ``Session.prepare`` calls
-    this once per distinct program).  ``database``, when provided, closes the
+    ``rules`` must be a tuple (a rule hashes its hash-consed head and body by
+    identity, an interned object by a cached int, which is what makes the
+    memoization safe and cheap — ``Session.prepare`` calls this once per
+    distinct program).  ``database``, when provided, closes the
     world: its exact shape seeds the fixpoint and no open-world fallback
     applies.
     """

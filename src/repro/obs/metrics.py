@@ -275,8 +275,9 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
 
 #: The ``core.memo.*`` gauges are set when a snapshot is taken, from the memo
 #: tables' own ``hits`` / ``misses`` / ``len``
-#: (:func:`repro.core.intern.memo_tables`): what can silently grow is visible,
-#: and nothing is updated on the hot path.  ``session.index.entries`` is set
+#: (:func:`repro.core.intern.memo_tables`), and ``core.intern.term_entries``
+#: from the formula intern table: what can silently grow is visible, and
+#: nothing is updated on the hot path.  ``session.index.entries`` is set
 #: by the session that last built or dropped index buckets: the ``(set path,
 #: key path)`` tables it holds for its current version.
 DECLARED_GAUGES: Tuple[str, ...] = (
@@ -284,6 +285,13 @@ DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_hit_rate",
     "core.memo.set_summary_entries",
     "core.memo.set_summary_hit_rate",
+    "core.memo.element_keys_entries",
+    "core.memo.element_keys_hit_rate",
+    "core.memo.element_matcher_entries",
+    "core.memo.element_matcher_hit_rate",
+    "core.memo.compile_body_entries",
+    "core.memo.compile_body_hit_rate",
+    "core.intern.term_entries",
     "session.index.entries",
 )
 
@@ -356,9 +364,10 @@ class MetricsRegistry:
 
     # -- export -------------------------------------------------------------------------
     def _sample_memo_tables(self) -> None:
-        """Set the ``core.memo.*`` gauges from the process-wide memo tables."""
-        from repro.core.intern import memo_tables
+        """Set the ``core.memo.*`` gauges and ``core.intern.term_entries``."""
+        from repro.core.intern import intern_stats, memo_tables
 
+        self.gauge("core.intern.term_entries").set(intern_stats()["interned_terms"])
         for name, table in memo_tables().items():
             lookups = table.hits + table.misses
             self.gauge(f"core.memo.{name}_entries").set(len(table))

@@ -13,13 +13,12 @@ in :mod:`repro.plan.ir`:
 Everything *below* a set element belongs to the witness and is matched by
 the closure :func:`compile_element_matcher` builds for that element — the
 one witness matcher, with :mod:`repro.calculus.matching` as its oracle.
-Both are pure and cached on the (immutable, hashable) formula.  A head goes
-the other way, into the join of its instantiations: :func:`compile_projection`.
+Both are pure and memoised on the (hash-consed) formula's intern id.  A head
+goes the other way, into the join of its instantiations: :func:`compile_projection`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -32,6 +31,7 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.core.errors import ParameterError
+from repro.core.intern import node_memo
 from repro.core.lattice import _join, intersection, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject, maximal_unique
@@ -50,7 +50,7 @@ __all__ = [
 _ROOT = Path(())
 
 
-@lru_cache(maxsize=4096)  # cached per element formula, shared across plans
+@node_memo("element_matcher")  # per element formula, shared across plans
 def compile_element_matcher(element: Formula):
     """Compile one scan-leaf element formula into ``(layout, match)``.
 
@@ -72,11 +72,9 @@ def compile_element_matcher(element: Formula):
     * a ⊤ witness gives one all-⊤ row at every level;
     * a :class:`Parameter` raises :class:`ParameterError`: bind it first.
 
-    The cache is keyed on the formula, so prepared-plan re-execution pays
-    zero recompilation; ``compile_element_matcher.cache_info()`` exposes the
-    hit counts.  Formula equality ignores set-element order, so two spellings
-    of one set formula share the first one's enumeration order, as they share
-    one :func:`compile_body` plan.
+    The memo is keyed on the formula's intern id, so prepared-plan
+    re-execution pays zero recompilation; it is registered as
+    ``element_matcher`` (the ``core.memo.element_matcher_*`` gauges).
     """
     return _compile(element)
 
@@ -429,7 +427,7 @@ def parameter_keys(element: Formula):
     return tuple(found)
 
 
-@lru_cache(maxsize=4096)  # bounded: long-lived processes see many programs
+@node_memo("compile_body")  # bounded: long-lived processes see many programs
 def compile_body(body: Formula) -> BodyPlan:
     """Compile a body/query formula into its source-order :class:`BodyPlan`."""
     leaves: List[Leaf] = []

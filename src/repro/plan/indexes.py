@@ -28,11 +28,10 @@ element, and a long-lived session cannot grow without bound).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula, Variable
-from repro.core.intern import is_interned
+from repro.core.intern import is_interned, node_memo
 from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
 from repro.core.paths import Path, navigate, new_set_elements
 from repro.obs.trace import NULL_SPAN
@@ -48,7 +47,7 @@ _ROOT = Path(())
 ElementKey = Tuple[Path, Union[Atom, str]]
 
 
-@lru_cache(maxsize=4096)  # bounded: long-lived processes see many programs
+@node_memo("element_keys")  # bounded: long-lived processes see many programs
 def element_keys(element_formula: Formula) -> Tuple[ElementKey, ...]:
     """The usable lookup keys of one set-element formula, static keys first.
 

@@ -402,10 +402,10 @@ class TestCacheEviction:
             session.database.create_index("b")
             prepared = session.prepare("[r1: {[a: $x, b: B]}]")
             prepared.execute(x=0).all()  # first execution plans (and compiles)
-            before = compile_body.cache_info().currsize
+            before = len(compile_body.cache)
             for value in range(1, 10):
                 prepared.execute(x=value).all()
-            assert compile_body.cache_info().currsize == before
+            assert len(compile_body.cache) == before
 
     def test_refuted_bindings_hit_the_plan_cache_without_compiling(self):
         from repro.plan.compile import compile_body
@@ -415,11 +415,11 @@ class TestCacheEviction:
             session.database.create_index("name")
             prepared = session.prepare("[family: {[name: $who, kids: K]}]")
             prepared.execute(who="abraham").all()
-            before = compile_body.cache_info().currsize
+            before = len(compile_body.cache)
             shorts = session.database.access_stats["query_index_shortcircuits"]
             for index in range(5):
                 assert prepared.execute(who=f"nobody{index}").all().is_bottom
-            assert compile_body.cache_info().currsize == before
+            assert len(compile_body.cache) == before
             assert (
                 session.database.access_stats["query_index_shortcircuits"]
                 == shorts + 5
@@ -450,6 +450,46 @@ class TestCacheEviction:
         for thread in threads:
             thread.join()
         assert not errors
+
+
+class TestHashConsedFormulae:
+    """Formulae are interned, and the compile memos key on their intern ids."""
+
+    @staticmethod
+    def _misses():
+        from repro.core import intern
+        from repro.plan.compile import compile_body, compile_element_matcher
+        from repro.plan.indexes import element_keys
+
+        memos = (compile_body.cache, compile_element_matcher.cache, element_keys.cache)
+        return [table.misses for table in (intern._TERMS, *memos)]
+
+    def test_a_second_execute_with_the_same_binding_misses_nothing(self):
+        with connect() as session:
+            session.put("r1", parse_object("{[a: 1, b: x], [a: 2, b: y]}"))
+            prepared = session.prepare("[r1: {[a: $x, b: B]}]")
+            first = prepared.execute(x=1)
+            assert first.all() == parse_object("[r1: {[a: 1, b: x]}]")
+            before = self._misses()
+            # The first cursor holds its bound body; the memos hold the bound element.
+            second = prepared.execute(x=1)
+            assert second.all() == first.all()
+            assert self._misses() == before
+            assert second._plan.body is first._plan.body
+            del first, second
+            before = self._misses()
+            prepared.execute(x=1).all()
+            assert self._misses()[1:] == before[1:]
+
+    def test_clear_object_caches_empties_the_compile_memos(self):
+        from repro.plan.compile import compile_body, compile_element_matcher
+        from repro.plan.indexes import element_keys
+
+        Session(seed=parse_object("[r1: {[a: 1, b: x]}]")).query("[r1: {[a: A, b: x]}]")
+        memos = (compile_body.cache, compile_element_matcher.cache, element_keys.cache)
+        assert all(len(memo) >= 1 for memo in memos)
+        repro.clear_object_caches()
+        assert [len(memo) for memo in memos] == [0, 0, 0]
 
 
 class TestOneSnapshotPerVersion:

@@ -312,6 +312,22 @@ class TestExplainRendersThePlanThatRuns:
         assert cursor.explain() == text
 
 
+class TestSetElementSpellings:
+    """``{X, Y}`` and ``{Y, X}`` are two formulae: neither borrows the other's plan or matcher."""
+
+    def test_a_reordered_set_formula_gets_its_own_plan_and_matcher(self):
+        from repro.plan.compile import compile_element_matcher
+
+        session = Session(seed=parse_object("[r: {1, 2}]"))
+        session.query("[r: {X, Y}]")
+        misses = session.cache_info()["plan_misses"]
+        text = session.explain("[r: {Y, X}]")
+        assert text.splitlines()[0] == "query plan: [r: {Y, X}]"
+        assert session.cache_info()["plan_misses"] == misses + 1
+        assert compile_element_matcher(parse_formula("{X, Y}"))[0] == ("X", "Y")
+        assert compile_element_matcher(parse_formula("{Y, X}"))[0] == ("Y", "X")
+
+
 class TestExplainShowsTheActualAccess:
     """Each scan leaf prints what the run examined beside the estimate."""
 

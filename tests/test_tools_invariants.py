@@ -38,6 +38,9 @@ class TestCurrentTreeIsClean:
     def test_one_diagnostic_home(self):
         assert check_invariants.check_one_diagnostic_home() == []
 
+    def test_id_keyed_memos(self):
+        assert check_invariants.check_id_keyed_memos() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -51,6 +54,7 @@ class TestCurrentTreeIsClean:
         assert "invariant session-version: ok" in completed.stdout
         assert "invariant one-projection: ok" in completed.stdout
         assert "invariant one-diagnostic-home: ok" in completed.stdout
+        assert "invariant id-keyed-memos: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -352,4 +356,61 @@ class TestOneDiagnosticHomeInvariant:
             "api/cursor.py:3",
             "api/session.py:4",
             "api/session.py:5",
+        ]
+
+
+class TestIdKeyedMemosInvariant:
+    def test_each_functools_cached_function_is_one_violation(self, tmp_path):
+        root = _package(tmp_path, {
+            "plan/compile.py": (
+                "from functools import lru_cache\n"
+                "@lru_cache(maxsize=4096)\n"
+                "def compile_body(body):\n"
+                "    return body\n"
+                "@lru_cache\n"
+                "def element_keys(element):\n"
+                "    return ()\n"
+            ),
+            "plan/indexes.py": (
+                "import functools as ft\n"
+                "from functools import cache as memo, wraps\n"
+                "@ft.cache\n"
+                "def keys(element):\n"
+                "    return ()\n"
+                "@memo\n"
+                "def paths(element):\n"
+                "    return ()\n"
+                "@wraps(paths)\n"
+                "def wrapper(element):\n"
+                "    return paths(element)\n"
+            ),
+            # The allowlisted function keeps its cache; a namesake elsewhere does not.
+            "lint/shapes/infer.py": (
+                "from functools import lru_cache\n"
+                "@lru_cache(maxsize=128)\n"
+                "def infer_shapes(rules, database=None):\n"
+                "    return rules\n"
+            ),
+            "lint/analyzer.py": (
+                "import functools\n"
+                "@functools.lru_cache(maxsize=128)\n"
+                "def infer_shapes(rules, database=None):\n"
+                "    return rules\n"
+            ),
+            # An id-keyed memo is what the invariant asks for.
+            "core/order.py": (
+                "from repro.core.intern import node_memo\n"
+                "@node_memo('subobject')\n"
+                "def summary(node):\n"
+                "    return node\n"
+            ),
+        })
+        violations = check_invariants.check_id_keyed_memos(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == [
+            "lint/analyzer.py:2",
+            "plan/compile.py:2",
+            "plan/compile.py:5",
+            "plan/indexes.py:3",
+            "plan/indexes.py:6",
         ]

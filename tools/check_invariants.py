@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Nine invariants that matter for correctness but that no unit test can pin
+Ten invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -92,6 +92,14 @@ Nine invariants that matter for correctness but that no unit test can pin
     message and its counters.  Code outside asks :mod:`repro.lint` for
     findings (e.g. ``check_bindings`` for RL204 at bind time).  There is no
     pragma.
+
+``id-keyed-memos``
+    Objects and formulae are hash-consed, so a memo keys on intern ids
+    (:func:`repro.core.intern.node_memo`, an ``IdPairCache`` registered
+    with ``clear_object_caches()``), never on hashed arguments: no module
+    under ``src/`` uses ``functools.lru_cache`` or ``functools.cache``
+    outside the functions of :data:`CACHE_ALLOWED`, each listed with its
+    reason.  There is no pragma.
 
 Run from the repository root::
 
@@ -631,6 +639,54 @@ def check_one_diagnostic_home(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
+# -- invariant 10: memos key on intern ids ------------------------------------------------
+
+FUNCTOOLS_CACHES = ("lru_cache", "cache")
+
+#: ``module path inside the package::function`` → why it keeps a functools cache.
+CACHE_ALLOWED = {
+    "lint/shapes/infer.py::infer_shapes": (
+        "keyed on (rules, database); emptying it per cold op doubles genealogy_closure's"
+        " op, so it stays until it is re-keyed on the database's shape (ROADMAP 15(b))"
+    ),
+}
+
+
+def check_id_keyed_memos(package_root: Path = SRC_ROOT) -> List[str]:
+    violations: List[str] = []
+    for path in _python_sources(package_root):
+        tree, _ = _parse(path)
+        module = path.relative_to(package_root).as_posix()
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names |= {a.asname or a.name for a in node.names if a.name in FUNCTOOLS_CACHES}
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and f"{module}::{node.name}" in CACHE_ALLOWED
+            for decorator in node.decorator_list
+            for inner in ast.walk(decorator)
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Name) and node.id in names or (
+                isinstance(node, ast.Attribute)
+                and node.attr in FUNCTOOLS_CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                violations.append(
+                    f"{_relative(path)}:{node.lineno}: uses a functools cache (memoise"
+                    f" on intern ids with repro.core.intern.node_memo)"
+                )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -645,6 +701,7 @@ def main() -> int:
         ("session-version", check_session_version),
         ("one-projection", check_one_projection),
         ("one-diagnostic-home", check_one_diagnostic_home),
+        ("id-keyed-memos", check_id_keyed_memos),
     )
     failures = 0
     for name, check in checks:
