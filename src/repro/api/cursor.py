@@ -74,17 +74,17 @@ class PreparedQuery:
     """
 
     __slots__ = (
-        "_session", "source", "formula", "options", "trace_id", "diagnostics",
+        "_session", "_source", "formula", "options", "trace_id", "diagnostics",
         "_lint", "_param_shapes",
     )
 
     def __init__(
-        self, session, source: str, formula: Formula, options: dict,
+        self, session, source: Optional[str], formula: Formula, options: dict,
         trace_id: Optional[str] = None, diagnostics: Tuple = (), lint: str = "warn",
         param_shapes: Tuple = (),
     ):
         self._session = session
-        self.source = source
+        self._source = source
         self.formula = formula
         self.options = options
         #: The trace id of the ``session.prepare`` span that built this
@@ -96,6 +96,11 @@ class PreparedQuery:
         self.diagnostics = tuple(diagnostics)
         self._lint = lint
         self._param_shapes = tuple(param_shapes)
+
+    @property
+    def source(self) -> str:
+        """The query text as written, or the prepared formula rendered."""
+        return self.formula.to_text() if self._source is None else self._source
 
     @property
     def parameters(self):

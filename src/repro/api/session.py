@@ -9,24 +9,24 @@ per call.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import OrderedDict, deque
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.builder import obj
-from repro.core.errors import ComplexObjectError, LintError, NestingError, StoreError
+from repro.core.errors import ComplexObjectError, LintError, StoreError
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject
+from repro.core.objects import ComplexObject, too_deep
 from repro.calculus.fixpoint import ClosureResult
-from repro.calculus.rules import Rule, rule_formulas
-from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
+from repro.calculus.rules import Rule
+from repro.calculus.terms import Formula
 from repro.engine import SemiNaiveEngine
 from repro.fault.deadline import Deadline
 from repro.lint.analyzer import prepare_lint
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.parser import parse_formula, parse_program
+from repro.parser import parse_program
+from repro.parser.parser import as_formula
 from repro.plan import bind_body_plan, compile_body
 from repro.plan.parameters import validate_parameters
 from repro.plan.stats import EngineStats
@@ -62,28 +62,6 @@ def _check_options(options: Mapping) -> None:
     if unknown:
         valid = sorted(_QUERY_OPTIONS)
         raise ReproError(f"unknown query option(s) {sorted(unknown)}; valid options: {valid}")
-
-
-def _formula_boundary(method):
-    """Report a query formula too deep to walk as one :class:`NestingError` naming its depth.
-
-    Wraps the session's query entry points.  The error names the deeper of
-    the query and the registered rules; a :class:`NestingError` raised
-    further in (planning, a closure) already names what overflowed.
-    """
-
-    @functools.wraps(method)
-    def guarded(self, query, *args, **kwargs):
-        try:
-            return method(self, query, *args, **kwargs)
-        except NestingError:
-            raise
-        except RecursionError:
-            formula = query.formula if isinstance(query, PreparedQuery) else self._as_formula(query)
-            parts = [formula, *rule_formulas(self._rules)]
-            raise too_deep_formula(method.__name__, parts) from None
-
-    return guarded
 
 
 def connect(
@@ -161,7 +139,7 @@ class Session:
         self._counters = _Counters(dict.fromkeys(_COUNTER_METRICS, 0))
         self._snapshot = Snapshot(None, None, None, (), self._counters)
         # The one prepare-time lint cache: (report, parameter slots) keyed on
-        # (source text, rules version).  Reports are frozen, so re-preparing
+        # (interned formula, rules version).  Reports are frozen, so re-preparing
         # the same query re-attaches the same diagnostics without re-running
         # the analysis (the ≤1.10x prepare budget
         # benchmarks/run_lint_benchmarks.py pins).
@@ -269,7 +247,6 @@ class Session:
         return Program(snapshot.rules, database=snapshot.base())
 
     # -- the query pipeline --------------------------------------------------------------
-    @_formula_boundary
     def prepare(self, query, *, lint: str = "warn", **options) -> "PreparedQuery":
         """Parse and remember a query for repeated execution.
 
@@ -284,20 +261,21 @@ class Session:
         :attr:`PreparedQuery.diagnostics`; ``"strict"`` additionally raises
         :class:`LintError` when the report has errors *or* warnings;
         ``"off"`` skips the analysis.  The pass is statistics-free (no walk
-        of the database) and runs once per query text and rules version, so
+        of the database) and runs once per formula and rules version, so
         preparing stays cheap.  Every execution then checks its bound values
-        against the slots the pass inferred (RL204).
+        against the slots the pass inferred (RL204).  A formula deeper than
+        the depth budget raises :class:`NestingError` before any walk.
         """
         if lint not in ("warn", "strict", "off"):
             raise ReproError(f'lint must be "warn", "strict" or "off", got {lint!r}')
         with _trace.span("session.prepare") as span:
             _check_options(options)
-            parsed = self._as_formula(query)
-            source = query if isinstance(query, str) else parsed.to_text()
+            parsed = as_formula(query, "prepare")
+            source = query if isinstance(query, str) else None
             diagnostics: Tuple = ()
             param_shapes: Tuple = ()
             if lint != "off":
-                lint_key = (source, self._rules_version)
+                lint_key = (parsed, self._rules_version)
                 entry = self._lint_reports.get(lint_key)
                 if entry is None:
                     # The report, and the inferred shape of every ``$parameter``
@@ -313,13 +291,13 @@ class Session:
                 if lint == "strict" and not report.ok(strict=True):
                     raise LintError(
                         f"query failed strict lint ({report.errors} error(s),"
-                        f" {report.warnings} warning(s)): {source}",
+                        f" {report.warnings} warning(s)): {source or parsed.to_text()}",
                         diagnostics,
                     )
             self._counters.count("prepared_queries")
             trace_id = None
             if span.enabled:
-                span.set(query=source, parameters=len(parsed.parameters()))
+                span.set(query=source or parsed.to_text(), parameters=len(parsed.parameters()))
                 trace_id = span.trace_id
             return PreparedQuery(
                 self, source, parsed, options,
@@ -327,12 +305,12 @@ class Session:
                 lint=lint, param_shapes=param_shapes,
             )
 
-    @_formula_boundary
     def execute(self, query, params: Optional[Mapping] = None, **options) -> "Cursor":
         """Run a query and return a streaming :class:`Cursor` over its matches.
 
         ``query`` may be source text, a :class:`Formula` or a
-        :class:`PreparedQuery`; ``params`` binds its ``$parameters``.
+        :class:`PreparedQuery` (one deeper than the formula depth budget
+        raises :class:`NestingError`); ``params`` binds its ``$parameters``.
         Keyword options:
 
         ``against=name``
@@ -355,8 +333,9 @@ class Session:
             # Options fixed at prepare time are defaults; the span links back
             # to the prepare that built the query.
             options = {**query.options, **options}
-            prepared, query, link = query, query.formula, query.trace_id
-        formula = self._as_formula(query)
+            prepared, formula, link = query, query.formula, query.trace_id
+        else:
+            formula = as_formula(query, "execute")
         _check_options(options)
         start_ns = time.perf_counter_ns()
         _METRICS.counter("session.queries").inc()
@@ -393,7 +372,6 @@ class Session:
         """Run a query and materialize the full answer — ``E(O)`` of Definition 4.2."""
         return self.execute(query, params, **options).all()
 
-    @_formula_boundary
     def explain(
         self, query, params: Optional[Mapping] = None, *, analyze: bool = False, **options
     ) -> str:
@@ -406,12 +384,12 @@ class Session:
         (``probed ... → n candidates`` / ``scanned n``) beside the estimate.
         ``analyze=True`` is EXPLAIN ANALYZE: the run is timed and the
         rendering adds wall time per plan node next to the optimizer's
-        estimates.  EXPLAIN never moves the store's ``access_stats``.
+        estimates.  EXPLAIN never moves the store's ``access_stats``, and
+        refuses a query deeper than the formula depth budget, as execute does.
         """
-        if isinstance(query, PreparedQuery):
-            options = {**query.options, **options}
-            query = query.formula
-        formula = self._as_formula(query)
+        prepared = isinstance(query, PreparedQuery)
+        options = {**query.options, **options} if prepared else options
+        formula = query.formula if prepared else as_formula(query, "explain")
         _check_options(options)
         values = self._convert_params(formula, params or {})
         resolved = self._resolve(formula, values, options, counted=False)
@@ -482,7 +460,8 @@ class Session:
                     span.set(engine=evaluator.name, rules=len(snapshot.rules), mode=mode)
                 result = evaluator.run(seed, **resume)
             except RecursionError:
-                raise too_deep_formula("close", rule_formulas(snapshot.rules), seed) from None
+                # Formulae are within the depth budget: only the seed is too deep.
+                raise too_deep(seed, "close") from None
         _METRICS.histogram("session.closure_ns").observe(time.perf_counter_ns() - start_ns)
         self._last_closure_stats = result.stats
         snapshot.keep_closure(key, self._rules_version, seed, evaluator, result)
@@ -576,14 +555,6 @@ class Session:
         )
 
     # -- internals ------------------------------------------------------------------------
-    @staticmethod
-    def _as_formula(query) -> Formula:
-        if isinstance(query, Formula):
-            return query
-        if isinstance(query, str):
-            return parse_formula(query)
-        return to_formula(query)
-
     def _convert_params(self, formula: Formula, params: Mapping) -> Dict[str, ComplexObject]:
         provided = {name: obj(value) for name, value in params.items()}
         validate_parameters(formula.parameters(), provided)

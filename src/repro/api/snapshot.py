@@ -16,10 +16,8 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject
+from repro.core.objects import ComplexObject, too_deep
 from repro.calculus.fixpoint import ClosureResult
-from repro.calculus.rules import rule_formulas
-from repro.calculus.terms import too_deep_formula
 from repro.lint.shapes import infer_shapes
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -161,8 +159,8 @@ class Snapshot:
                 shapes = infer_shapes(self.rules, target)
             plan = optimize_body(plan, DatabaseStatistics.collect(target), shapes)
         except RecursionError:
-            parts = [formula, *rule_formulas(self.rules)]
-            raise too_deep_formula("plan", parts, target) from None
+            # Formulae are within the depth budget: only the target is too deep.
+            raise too_deep(target, "plan") from None
         self._plans[(formula, mode)] = plan
         while len(self._plans) > _CACHE_LIMIT:
             self._plans.popitem(last=False)

@@ -19,14 +19,13 @@ fixpoint semantics of :mod:`repro.calculus.fixpoint` well defined.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lattice import union, union_all
 from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.matching import match_all
 from repro.calculus.substitution import Substitution
-from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
+from repro.calculus.terms import formula as to_formula, within_budget
 
 __all__ = ["Rule", "RuleSet", "apply_rule", "apply_rules"]
 
@@ -38,7 +37,8 @@ class Rule:
     :class:`repro.parser.SourceSpan`) attached by the parser so static
     diagnostics (:mod:`repro.lint`) can point at the offending clause; like
     ``name`` it does not participate in equality or hashing, which compare
-    the (hash-consed) head and body by identity.
+    the (hash-consed) head and body by identity.  A head or body deeper than
+    the formula depth budget raises :class:`~repro.core.errors.NestingError`.
     """
 
     __slots__ = ("head", "body", "name", "span")
@@ -46,10 +46,8 @@ class Rule:
     def __init__(self, head, body=None, name: Optional[str] = None, span=None):
         head_formula = to_formula(head)
         body_formula = None if body is None else to_formula(body)
-        parts = (head_formula, body_formula)
-        # Nested deeper than the recursion limit, no walk of the rule can finish.
-        if max(part._depth for part in parts if part is not None) > sys.getrecursionlimit():
-            raise too_deep_formula("make a rule", parts)
+        parts = [head_formula] if body_formula is None else [head_formula, body_formula]
+        within_budget(max(parts, key=lambda part: part._depth), "make a rule")
         head_variables = head_formula.variables()
         body_variables = None if body_formula is None else body_formula.variables()
         if body_variables is not None:
@@ -185,11 +183,6 @@ class RuleSet:
 
     def __repr__(self) -> str:
         return f"<RuleSet of {len(self.rules)} rules>"
-
-
-def rule_formulas(rules: Iterable[Rule]) -> List[Optional[Formula]]:
-    """Every rule's head and body (``None`` for a fact), for :func:`too_deep_formula`."""
-    return [part for rule in rules for part in (rule.head, rule.body)]
 
 
 def apply_rule(

@@ -18,12 +18,13 @@ upper-case letter are variables, everything else is a constant.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.core.builder import obj
+from repro.core.builder import converting, obj
 from repro.core.errors import NestingError, NotAnObjectError, ParameterError
 from repro.core.intern import intern_term
-from repro.core.objects import ComplexObject, nesting_levels, too_deep
+from repro.core.objects import ComplexObject, nesting_levels
 
 __all__ = [
     "Formula",
@@ -36,6 +37,7 @@ __all__ = [
     "formula",
     "param",
     "var",
+    "within_budget",
 ]
 
 
@@ -67,7 +69,10 @@ class Formula:
         return not self._variables
 
     def to_text(self) -> str:
-        """Render the formula in the paper's concrete syntax."""
+        """Render the formula in the paper's concrete syntax (within the depth budget)."""
+        return within_budget(self, "print")._text()
+
+    def _text(self) -> str:
         raise NotImplementedError
 
     def __setattr__(self, key, value):
@@ -92,7 +97,8 @@ def _build(cls, slot, value, children, variables, parameters):
         variables = _joined(child._variables for child in children)
         parameters = _joined(child._parameters for child in children)
     else:
-        depth = 0
+        # A constant is as deep as its value's container levels.
+        depth = nesting_levels([value]) if slot == "value" else 0
         variables = frozenset(variables) if variables else _NO_NAMES
         parameters = frozenset(parameters) if parameters else _NO_NAMES
     object.__setattr__(node, "_depth", depth)
@@ -124,7 +130,7 @@ class Variable(Formula):
             )
         return intern_term(("v", name), _build, cls, "name", name, (), (name,), ())
 
-    def to_text(self) -> str:
+    def _text(self) -> str:
         return self.name
 
 
@@ -132,7 +138,7 @@ class Constant(Formula):
     """A ground complex object used as a formula (Definition 4.1(ii)).
 
     Two constants are one formula when their values are one interned object,
-    or equal raw ones.
+    or equal raw ones.  Its ``_depth`` counts its value's container levels.
     """
 
     __slots__ = ("value",)
@@ -145,8 +151,8 @@ class Constant(Formula):
         key = ("c", value._iid) if value._iid is not None else ("raw", value)
         return intern_term(key, _build, cls, "value", value, (), (), ())
 
-    def to_text(self) -> str:
-        return self.value.to_text()
+    def _text(self) -> str:
+        return self.value._text()
 
 
 class Parameter(Formula):
@@ -172,7 +178,7 @@ class Parameter(Formula):
             )
         return intern_term(("p", name), _build, cls, "name", name, (), (), (name,))
 
-    def to_text(self) -> str:
+    def _text(self) -> str:
         return f"${self.name}"
 
 
@@ -216,8 +222,8 @@ class TupleFormula(Formula):
     def __len__(self) -> int:
         return len(self._attrs)
 
-    def to_text(self) -> str:
-        inner = ", ".join(f"{name}: {value.to_text()}" for name, value in self._attrs)
+    def _text(self) -> str:
+        inner = ", ".join(f"{name}: {value._text()}" for name, value in self._attrs)
         return f"[{inner}]"
 
 
@@ -241,24 +247,20 @@ class SetFormula(Formula):
     def __iter__(self):
         return iter(self.elements)
 
-    def to_text(self) -> str:
-        inner = ", ".join(element.to_text() for element in self.elements)
+    def _text(self) -> str:
+        inner = ", ".join(element._text() for element in self.elements)
         return "{" + inner + "}"
 
 
-def too_deep_formula(
-    to: str, formulas: Iterable[Optional[Formula]], target: Optional[ComplexObject] = None
-) -> NestingError:
-    """The error for a walk (to prepare, plan, close...) that overflowed the stack.
+def within_budget(node: Formula, to: str) -> Formula:
+    """``node``, or :class:`~repro.core.errors.NestingError` when it is too deep ``to`` walk.
 
-    Names the depth of the deepest of ``formulas`` (``None`` is skipped), or
-    of ``target`` — the object the walk ran against — when that is nested
-    deeper: the deeper of the two is what the stack could not hold.
+    The one depth budget for formulae is a quarter of the recursion limit: a
+    formula walk takes at most about three frames a level.
     """
-    levels = max((node._depth for node in formulas if node is not None), default=-1)
-    if target is not None and nesting_levels([target]) > levels:
-        return too_deep(target, to)
-    return NestingError(f"formula is nested {levels} levels deep, too deep to {to}")
+    if node._depth > sys.getrecursionlimit() // 4:
+        raise NestingError(f"formula is nested {node._depth} levels deep, too deep to {to}")
+    return node
 
 
 def var(name: str) -> Variable:
@@ -313,17 +315,21 @@ FormulaLike = Union[Formula, ComplexObject, None, bool, int, float, str, dict, l
 def formula(value: FormulaLike) -> Formula:
     """Build a formula from a Python literal that may embed variables.
 
-    Mirrors :func:`repro.core.builder.obj` but keeps :class:`Variable`
-    instances (and nested formulae) intact, so a join formula can be written
-    as ``formula({"r1": [{"a": var("X")}], "r2": [{"b": var("X")}]})``.
+    Mirrors :func:`repro.core.builder.obj` (its errors too) but keeps
+    :class:`Variable` instances (and nested formulae) intact, so a join formula
+    can be written as ``formula({"r1": [{"a": var("X")}], "r2": [{"b": var("X")}]})``.
     """
+    return converting(_convert, value)
+
+
+def _convert(value: FormulaLike) -> Formula:
     if isinstance(value, Formula):
         return value
     if isinstance(value, ComplexObject):
         return Constant(value)
     if isinstance(value, Mapping):
-        return TupleFormula({name: formula(item) for name, item in value.items()})
+        return TupleFormula({name: _convert(item) for name, item in value.items()})
     if isinstance(value, (list, tuple, set, frozenset)):
-        return SetFormula(formula(item) for item in value)
+        return SetFormula(_convert(item) for item in value)
     # Atomic Python values (and None → ⊥) become ground constants.
     return Constant(obj(value))

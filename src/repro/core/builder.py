@@ -18,10 +18,10 @@ hierarchical tuple of Example 2.1 directly from a literal.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Dict, Mapping, Set, Union
 
 from repro.core.atoms import is_atom_value
-from repro.core.errors import NotAnObjectError
+from repro.core.errors import NestingError, NotAnObjectError
 from repro.core.objects import (
     BOTTOM,
     TOP,
@@ -45,8 +45,23 @@ def obj(value: PythonValue) -> ComplexObject:
     "age": None})`` equals ``obj({"name": "peter"})``.
 
     Raises :class:`~repro.core.errors.NotAnObjectError` for values outside the
-    model (functions, arbitrary classes, dictionaries with non-string keys...).
+    model (functions, arbitrary classes, dictionaries with non-string keys...),
+    and :class:`~repro.core.errors.NestingError` for a cyclic value or one too deep.
     """
+    return converting(_convert, value)
+
+
+def converting(convert, value):
+    """``convert(value)``; a value too deep to convert, or cyclic, raises NestingError."""
+    try:
+        return convert(value)
+    except NestingError:  # an element too deep to order names its own depth
+        raise
+    except RecursionError:
+        raise _too_deep_value(value) from None
+
+
+def _convert(value: PythonValue) -> ComplexObject:
     if isinstance(value, ComplexObject):
         return value
     if value is None:
@@ -60,13 +75,34 @@ def obj(value: PythonValue) -> ComplexObject:
                 raise NotAnObjectError(
                     f"tuple attribute names must be strings, got {type(key).__name__}"
                 )
-            converted[key] = obj(item)
+            converted[key] = _convert(item)
         return TupleObject(converted)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return SetObject(obj(item) for item in value)
+        return SetObject(_convert(item) for item in value)
     raise NotAnObjectError(
         f"cannot convert {type(value).__name__} into a complex object"
     )
+
+
+def _too_deep_value(value) -> NestingError:
+    """The error for a Python value whose conversion overflowed the stack: its
+    container levels, counted depth-first on an explicit stack, or that it is
+    cyclic (a child that is open but not yet counted closes a cycle)."""
+    levels: Dict[int, int] = {}
+    opened: Set[int] = set()
+    stack = [value]
+    while stack:
+        node = stack[-1]
+        is_set = isinstance(node, (list, tuple, set, frozenset))
+        children = node.values() if isinstance(node, Mapping) else node if is_set else ()
+        if id(node) in opened:
+            levels[id(stack.pop())] = max((1 + levels[id(c)] for c in children), default=0)
+            continue
+        opened.add(id(node))
+        if any(id(c) in opened and id(c) not in levels for c in children):
+            return NestingError("value is cyclic, it cannot be converted to an object")
+        stack.extend(children)
+    return NestingError(f"value is nested {levels[id(value)]} levels deep, too deep to convert")
 
 
 def atom(value) -> ComplexObject:

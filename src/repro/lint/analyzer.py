@@ -29,11 +29,10 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.calculus.dependency import DependencyGraph
-from repro.calculus.rules import Rule, RuleSet, rule_formulas
-from repro.calculus.terms import Formula, formula as to_formula, too_deep_formula
+from repro.calculus.rules import Rule, RuleSet
+from repro.calculus.terms import Formula
 from repro.core.builder import obj
-from repro.core.errors import NestingError
-from repro.core.objects import ComplexObject
+from repro.core.objects import ComplexObject, too_deep
 from repro.lint.diagnostics import (
     ERROR,
     WARNING,
@@ -59,7 +58,8 @@ from repro.lint.shapes import (
 )
 from repro.lint.shapes.checks import ParamSlots
 from repro.obs import metrics
-from repro.parser import parse_formula, parse_program
+from repro.parser import parse_program
+from repro.parser.parser import as_formula
 from repro.plan.statistics import DatabaseStatistics
 
 __all__ = ["lint_rules", "lint_source", "lint_query", "check_containment"]
@@ -101,12 +101,12 @@ def lint_rules(
     than against its own facts alone — and, without ``statistics``, is
     profiled for the plan checks; ``params`` (a name → value mapping)
     enables the RL204 shape-impossible-binding check on the query.  A
-    formula or database nested too deeply to analyse raises
-    :class:`~repro.core.errors.NestingError` naming its depth.
+    ``query`` deeper than the formula depth budget, or a ``database`` too
+    deep to analyse, raises :class:`~repro.core.errors.NestingError`.
     """
     program = _as_rules(rules)
-    if isinstance(query, str):
-        query = parse_formula(query)
+    if query is not None:
+        query = as_formula(query, "lint")
     try:
         if statistics is None and database is not None:
             statistics = DatabaseStatistics.collect(database)
@@ -123,11 +123,9 @@ def lint_rules(
         if query is not None:
             query_findings, _ = _query_findings(query, statistics, program, shapes, params)
             findings.extend(query_findings)
-    except NestingError:
-        raise
     except RecursionError:
-        parts = [query, *rule_formulas(program)]
-        raise too_deep_formula("lint", parts, database) from None
+        # Formulae are within the depth budget: only the database is too deep.
+        raise too_deep(database, "lint") from None
 
     facts = sum(1 for rule in program if rule.is_fact)
     report = finish_report(
@@ -192,9 +190,7 @@ def lint_query(
     the values about to be bound).  The pass is statistics-free and not
     memoised here: ``Session.prepare`` caches its result per session.
     """
-    if isinstance(query, str):
-        query = parse_formula(query)
-    return prepare_lint(query, _as_rules(rules), params)[0]
+    return prepare_lint(as_formula(query, "lint"), _as_rules(rules), params)[0]
 
 
 def prepare_lint(
@@ -226,26 +222,17 @@ def check_bindings(
     return findings
 
 
-def _containment_formula(value) -> Formula:
-    """Coerce a head/body argument: source text parses, the rest converts."""
-    if isinstance(value, str):
-        return parse_formula(value)
-    return to_formula(value)
-
-
 def check_containment(head, body) -> List[Diagnostic]:
     """RL001 findings for a prospective ``head :- body`` pair.
 
     The :class:`~repro.calculus.rules.Rule` constructor *rejects* clauses
     violating Definition 4.3, so admitted rules can never trip RL001; this
     helper lets tooling diagnose a head/body pair before construction and
-    report the violation with the same code and hint.
+    report the violation with the same code and hint (or the depth budget's
+    :class:`~repro.core.errors.NestingError`, as the constructor would).
     """
-    head_formula = _containment_formula(head)
-    body_formula = _containment_formula(body) if body is not None else None
-    body_variables = (
-        body_formula.variables() if body_formula is not None else frozenset()
-    )
+    head_formula = as_formula(head, "make a rule")
+    body_variables = frozenset() if body is None else as_formula(body, "make a rule").variables()
     return [
         new_diagnostic(
             "RL001",

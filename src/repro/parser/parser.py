@@ -26,7 +26,7 @@ query formulae (:func:`parse_formula`), not in objects, rules or programs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.errors import ParseError
 from repro.core.objects import BOTTOM, TOP, Atom, ComplexObject, SetObject, TupleObject
@@ -38,6 +38,8 @@ from repro.calculus.terms import (
     SetFormula,
     TupleFormula,
     Variable,
+    formula as to_formula,
+    within_budget,
 )
 from repro.parser.lexer import Token, TokenType, tokenize
 
@@ -88,6 +90,11 @@ def parse_formula(text: str) -> Formula:
     """
     parser = _Parser(text, allow_variables=True, allow_parameters=True)
     return parser.parse_single_term()
+
+
+def as_formula(query, to: str) -> Formula:
+    """The intake of a query or clause: parsed or converted, within the depth budget."""
+    return within_budget(parse_formula(query) if isinstance(query, str) else to_formula(query), to)
 
 
 def parse_rule(text: str) -> Rule:
@@ -174,13 +181,15 @@ class _Parser:
         return term
 
     def parse_clause(self, require_period: bool) -> Rule:
+        start_token = self.peek()
         try:
-            return self._parse_clause(require_period)
+            head, body = self._parse_clause(require_period)
         except RecursionError:
             raise self.too_deep() from None
+        # Outside the guard: a clause too deep for the formula budget is Rule's error.
+        return Rule(head, body, span=self._span_from(start_token))
 
-    def _parse_clause(self, require_period: bool) -> Rule:
-        start_token = self.peek()
+    def _parse_clause(self, require_period: bool) -> Tuple[object, Optional[Formula]]:
         head = self.parse_term()
         body: Optional[Formula] = None
         if self.peek().type is TokenType.ARROW:
@@ -191,10 +200,7 @@ class _Parser:
         elif require_period:
             token = self.peek()
             raise ParseError("expected '.' at the end of the clause", self.text, token.position)
-        span = self._span_from(start_token)
-        if body is None:
-            return Rule(_to_object(head), span=span)
-        return Rule(head, body, span=span)
+        return (head, body) if body is not None else (_to_object(head), None)
 
     def _span_from(self, start_token: Token) -> SourceSpan:
         """The span from ``start_token`` through the last consumed token."""

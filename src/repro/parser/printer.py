@@ -46,16 +46,15 @@ def pretty(value, indent: int = 2, max_width: int = 60) -> str:
         return f"{head} :-\n{_shift(body, indent)}."
     if isinstance(value, RuleSet):
         return "\n".join(pretty(rule, indent, max_width) for rule in value)
-    if not isinstance(value, (ComplexObject, Formula)):
-        value = obj(value)
+    if isinstance(value, Formula):  # to_text() checks the depth budget
+        return _pretty_node(value, indent, max_width, level=0)
+    value = obj(value)
     try:
         return _pretty_node(value, indent, max_width, level=0)
     except RecursionError:
         # Also a NestingError from a to_text() further down, which only
         # measured the sub-object it was asked to render.
-        if isinstance(value, ComplexObject):
-            raise too_deep(value, "print") from None
-        raise
+        raise too_deep(value, "print") from None
 
 
 def _pretty_node(value, indent: int, max_width: int, level: int) -> str:

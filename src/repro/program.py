@@ -30,14 +30,14 @@ from repro.calculus.fixpoint import (
     DEFAULT_MAX_NODES,
     ClosureResult,
 )
-from repro.calculus.rules import Rule, RuleSet, rule_formulas
-from repro.calculus.terms import too_deep_formula
+from repro.calculus.rules import Rule, RuleSet
 from repro.core.errors import NestingError
 from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject
+from repro.core.objects import BOTTOM, ComplexObject, too_deep
 from repro.engine import SemiNaiveEngine
 from repro.lint import lint_rules
 from repro.parser import parse_program
+from repro.parser.parser import as_formula
 from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_program_plan
 from repro.plan.indexes import TargetIndexes
@@ -46,12 +46,8 @@ __all__ = ["Program"]
 
 
 def _depth_boundary(method):
-    """Report a program too deep to walk as one :class:`NestingError` naming its depth.
-
-    The error names the deepest of the program's rules, facts and seed
-    database; a :class:`NestingError` raised further in already names what
-    overflowed.
-    """
+    """Report a seed database too deep to walk as one :class:`NestingError` naming
+    its depth (one raised further in already names what overflowed)."""
 
     @functools.wraps(method)
     def guarded(self, *args, **kwargs):
@@ -60,8 +56,7 @@ def _depth_boundary(method):
         except NestingError:
             raise
         except RecursionError:
-            parts = rule_formulas([*self._facts, *self._rules])
-            raise too_deep_formula(method.__name__, parts, self._database) from None
+            raise too_deep(self._database, method.__name__) from None
 
     return guarded
 
@@ -76,6 +71,8 @@ class Program:
     database:
         Optional seed object; defaults to ⊥ (the empty database), in which
         case facts alone provide the initial content.
+    Rules and queries are within the formula depth budget; a seed database
+    too deep to walk raises :class:`~repro.core.errors.NestingError`.
     """
 
     def __init__(
@@ -124,7 +121,6 @@ class Program:
         return Program(combined, database=self._database)
 
     # -- analysis -----------------------------------------------------------------
-    @_depth_boundary
     def lint(self, query=None):
         """Run the whole-program static analyzer (:mod:`repro.lint`).
 
@@ -201,8 +197,10 @@ class Program:
         (EXPLAIN ANALYZE).  The optional ``query_formula`` (a formula or
         source text) is rendered by :meth:`Session.explain` on the closure —
         the target the query runs against, computed even without
-        ``analyze``.
+        ``analyze``; it meets the formula depth budget before any planning.
         """
+        if query_formula is not None:
+            query_formula = as_formula(query_formula, "explain")
         engine = SemiNaiveEngine(self._rules)
         plans = engine.plan(self.seed())
         session = Session.over_program(self)

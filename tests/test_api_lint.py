@@ -56,6 +56,21 @@ class TestLintReportCaching:
         second = session.prepare("[r1: {X, Y}]")
         assert first.diagnostics is second.diagnostics
 
+    def test_two_spellings_of_one_formula_share_the_report(self, session):
+        from repro.obs import metrics
+
+        runs = metrics.REGISTRY.counter("lint.runs")
+        before = runs.value
+        first = session.prepare("[a:X]")
+        second = session.prepare("[a: X]")
+        assert runs.value == before + 1
+        assert first.formula is second.formula
+        assert (first.source, second.source) == ("[a:X]", "[a: X]")
+
+    def test_a_strict_formula_argument_is_named_in_the_error(self, session):
+        with pytest.raises(LintError, match=r"\): \[r1: \{X, Y\}\]$"):
+            session.prepare(repro.parse_formula("[r1:{X,Y}]"), lint="strict")
+
     def test_rule_registration_invalidates_the_key(self, session):
         first = session.prepare("[derived: {X, Y}]")
         session.register("[derived: {X}] :- [r1: {X}].")

@@ -675,17 +675,43 @@ class TestNestingErrors:
 
     def test_a_deep_rule_is_named_instead_of_the_shallow_seed(self):
         deep = _deep_formula(900)
-        session = Session(seed=parse_object("[a: 1]")).register([Rule(deep, deep)])
-        message = "formula is nested 900 levels deep, too deep to close"
+        message = "formula is nested 900 levels deep, too deep to make a rule$"
         with pytest.raises(NestingError, match=message):
-            session.close()
+            Session(seed=parse_object("[a: 1]")).register([Rule(deep, deep)])
 
     def test_a_deep_rule_is_named_instead_of_the_shallow_query(self):
         deep = _deep_formula(400)
-        session = repro.connect().register([Rule(deep, deep)])
-        message = "formula is nested 400 levels deep, too deep to prepare$"
+        message = "formula is nested 400 levels deep, too deep to make a rule$"
         with pytest.raises(NestingError, match=message):
-            session.prepare("[a: X]")
+            repro.connect().register([Rule(deep, deep)])
+
+    def test_an_object_used_as_a_query_is_named_not_its_target(self):
+        session = Session(seed=parse_object("[r: {[a: 1]}]"))
+        message = "^formula is nested 400 levels deep, too deep to execute$"
+        with pytest.raises(NestingError, match=message):
+            session.query(_chain(400))
+        assert session.cache_info()["plan_misses"] == 0
+
+    def test_a_deep_or_cyclic_parameter_value_is_named_not_the_formula(self):
+        deep = 1
+        for _ in range(3000):
+            deep = {"a": deep}
+        cyclic = {}
+        cyclic["a"] = cyclic
+        session = Session(seed=parse_object("[r: {1}]"))
+        prepared = session.prepare("[r: {$p}]")
+        calls = (lambda p: session.query("[r: {$p}]", {"p": p}), lambda p: prepared.all(p=p))
+        for call in calls:
+            with pytest.raises(NestingError, match="^value is nested 3000 levels deep"):
+                call(deep)
+            with pytest.raises(NestingError, match="^value is cyclic"):
+                call(cyclic)
+            assert call(1) == parse_object("[r: {1}]")
+        # The same values as the query itself are refused at intake too.
+        with pytest.raises(NestingError, match="^value is nested 3001 levels deep"):
+            session.query({"r": deep})
+        with pytest.raises(NestingError, match="^value is cyclic"):
+            session.prepare(cyclic)
 
 
 def _deep_formula(depth):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import obj
 from repro.core.intern import is_interned
-from repro.core.objects import BOTTOM, TOP, Atom, SetObject
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.calculus.terms import (
     Constant,
     Parameter,
@@ -129,6 +129,7 @@ _VALUES = (
     lambda: SetObject([Atom(1)]),
     lambda: SetObject.raw([Atom(1)]),
     lambda: SetObject.raw([BOTTOM, Atom(2), Atom(2)]),
+    lambda: obj({"a": [[]]}),
 )
 
 _LEAVES = st.one_of(
@@ -195,9 +196,23 @@ def _names(signature):
 
 
 def _depth(signature):
-    """Container levels, as ``repro.core.objects.nesting_levels`` counts them."""
+    """Container levels, as ``repro.core.objects.nesting_levels`` counts them.
+
+    A constant counts its value's levels, so ``_depth`` is the depth of the
+    formula's whole walk.
+    """
+    if signature[0] == "const":
+        return _value_levels(signature[2])
     children = _children(signature)
     return 1 + max(map(_depth, children)) if children else 0
+
+
+def _value_levels(value):
+    if isinstance(value, TupleObject):
+        children = [item for _, item in value.items()]
+    else:
+        children = list(value) if isinstance(value, SetObject) else []
+    return 1 + max(map(_value_levels, children)) if children else 0
 
 
 class TestHashConsing:

@@ -64,7 +64,7 @@ class TestParseCommand:
         code, output = run_cli("lint", f"@{path}")
         assert code == 1
         assert output.splitlines() == [
-            "error: formula is nested 400 levels deep, too deep to lint"
+            "error: formula is nested 400 levels deep, too deep to make a rule"
         ]
 
     def test_parse_from_file(self, tmp_path):

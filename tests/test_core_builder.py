@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.builder import atom, obj, python_value, set_of, tup
-from repro.core.errors import NotAnObjectError
+from repro.core.errors import NestingError, NotAnObjectError
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 
 
@@ -48,6 +48,33 @@ class TestObj:
     def test_rejects_unsupported_types(self):
         with pytest.raises(NotAnObjectError):
             obj(object())
+
+    @pytest.mark.parametrize("wrap", [lambda v: {"a": v}, lambda v: [v]], ids=["dicts", "lists"])
+    def test_a_value_too_deep_to_convert_names_its_depth(self, wrap):
+        value = 1
+        for _ in range(3000):
+            value = wrap(value)
+        message = "^value is nested 3000 levels deep, too deep to convert$"
+        with pytest.raises(NestingError, match=message) as caught:
+            obj(value)
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+    def test_a_shared_value_is_counted_once_per_level(self):
+        value = [1]
+        for _ in range(3000):
+            value = [value, {"a": value}]
+        with pytest.raises(NestingError, match="^value is nested 6001 levels deep"):
+            obj(value)
+
+    @pytest.mark.parametrize("cycle", ["dict", "list"])
+    def test_a_cyclic_value_is_named_cyclic(self, cycle):
+        value = {"b": 1} if cycle == "dict" else [1]
+        if cycle == "dict":
+            value["a"] = [value]
+        else:
+            value.append({"a": value})
+        with pytest.raises(NestingError, match="^value is cyclic"):
+            obj(value)
 
 
 class TestHelpers:

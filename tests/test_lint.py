@@ -249,8 +249,11 @@ class TestProgramFacade:
 
     def test_a_rule_too_deep_to_analyse_is_one_nesting_error(self):
         deep = parse_formula("[a: " * 400 + "X" + "]" * 400)
-        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to lint$"):
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to make a rule$"):
             lint_rules([Rule(deep, deep)])
+        for lint in (lambda: lint_rules([], query=deep), lambda: lint_query(deep)):
+            with pytest.raises(NestingError, match="nested 400 levels deep, too deep to lint$"):
+                lint()
 
 
 class TestReport:

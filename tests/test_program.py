@@ -1,11 +1,18 @@
 """Unit tests for the Program facade (repro.program)."""
 
+import sys
+
 import pytest
 
 from repro import Program, Rule, Session, parse_formula, parse_object, parse_rule
+from repro.calculus.terms import SetFormula, TupleFormula, var
 from repro.core.builder import obj
-from repro.core.errors import DivergenceError, NestingError
+from repro.core.errors import DivergenceError, NestingError, ParseError
 from repro.core.objects import BOTTOM
+from repro.lint import lint_query, lint_rules
+from repro.obs import metrics
+from repro.parser.printer import pretty
+from repro.plan import compile_body
 
 
 class TestConstruction:
@@ -93,17 +100,92 @@ def _deep_rule_program(depth=400):
     return Program([Rule(deep, deep)])
 
 
+#: The formula depth budget (``repro.calculus.terms.within_budget``).
+BUDGET = sys.getrecursionlimit() // 4
+
+
+def _nested(levels, alternate, leaf):
+    """``leaf`` under ``levels`` containers: tuples, or tuples and sets taking turns
+    (the outermost always a tuple, so it matches against a database)."""
+    for level in range(levels, 0, -1):
+        if alternate and (levels - level) % 2:
+            leaf = SetFormula([leaf])
+        else:
+            leaf = TupleFormula(a=leaf)
+    return leaf
+
+
+def _under_frames(frames, call):
+    """``call()`` from ``frames`` more Python frames down the stack."""
+    return call() if frames == 0 else _under_frames(frames - 1, call)
+
+
+def _entry_points(query, rule, data):
+    """``(verb, call)`` for every intake of a formula and the walks behind it."""
+    session = Session(seed=data)
+    return [
+        ("prepare", lambda: session.prepare(query)),
+        ("prepare", lambda: session.prepare(query, lint="off")),
+        ("execute", lambda: session.execute(query).all()),
+        ("explain", lambda: session.explain(query)),
+        ("make a rule", lambda: Session(seed=data).register([rule()]).close()),
+        ("make a rule", lambda: Program([rule()], database=data).evaluate()),
+        ("make a rule", lambda: Program([rule()], database=data).explain()),
+        ("make a rule", lambda: Program([rule()], database=data).lint()),
+        ("explain", lambda: Program([], database=data).explain(query)),
+        ("lint", lambda: lint_rules([], query=query, database=data)),
+        ("lint", lambda: lint_query(query)),
+        ("print", lambda: str(query)),
+        ("print", lambda: pretty(query)),
+        ("make a rule", lambda: str(rule())),
+        ("make a rule", lambda: pretty(rule())),
+    ]
+
+
 class TestNestingErrors:
-    """A rule too deep to walk is one NestingError naming its depth, at every entry point."""
+    """One depth budget for formulae: refused at intake, and every walk fits within it."""
 
-    def test_explain(self):
-        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to explain$"):
-            _deep_rule_program().explain()
+    def test_a_rule_too_deep_is_refused_when_it_is_made(self):
+        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to make a rule$"):
+            _deep_rule_program()
 
-    def test_evaluate(self):
-        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to evaluate$"):
-            _deep_rule_program().evaluate()
+    @pytest.mark.parametrize("alternate", [False, True], ids=["tuples", "tuples-and-sets"])
+    def test_a_formula_of_the_budget_fits_every_walk_under_150_frames(self, alternate):
+        query = _nested(BUDGET, alternate, var("X"))
+        data = obj({"a": 1}) if alternate else parse_object(
+            "[a: " * BUDGET + "1" + "]" * BUDGET
+        )
+        assert query._depth == BUDGET
+        for _, call in _entry_points(query, lambda: Rule(query, query), data):
+            _under_frames(150, call)
 
-    def test_lint(self):
-        with pytest.raises(NestingError, match="nested 400 levels deep, too deep to lint$"):
-            _deep_rule_program().lint()
+    @pytest.mark.parametrize("alternate", [False, True], ids=["tuples", "tuples-and-sets"])
+    def test_one_level_more_is_refused_at_intake_before_any_walk(self, alternate):
+        query = _nested(BUDGET + 1, alternate, var("X"))
+        runs = metrics.REGISTRY.counter("lint.runs")
+        before = (runs.value, compile_body.cache.misses)
+        message = f"formula is nested {BUDGET + 1} levels deep, too deep to "
+        for verb, call in _entry_points(query, lambda: Rule(query, query), obj({"a": 1})):
+            with pytest.raises(NestingError, match=f"^{message}{verb}$"):
+                call()
+        assert (runs.value, compile_body.cache.misses) == before
+
+    def test_a_parsed_rule_too_deep_is_rules_error_not_a_parse_error(self):
+        deep = "[a: " * (BUDGET + 1) + "X" + "]" * (BUDGET + 1)
+        parses = ((parse_rule, f"{deep} :- {deep}"), (Program.from_source, f"{deep} :- {deep}."))
+        for parse, text in parses:
+            with pytest.raises(NestingError, match="too deep to make a rule$") as caught:
+                parse(text)
+            assert not isinstance(caught.value, ParseError)
+
+    def test_a_seed_database_too_deep_to_walk_is_named(self):
+        deep = obj(1)
+        for _ in range(900):
+            deep = obj({"a": deep})
+        rules = [parse_rule("[u: {X}] :- [r: {X}]")]
+        program = Program(rules, database=obj({"r": [1], "x": deep}))
+        calls = (("evaluate", program.evaluate), ("explain", program.explain), ("lint", program.lint))
+        for verb, call in calls:
+            message = f"^object is nested 901 levels deep, too deep to {verb}$"
+            with pytest.raises(NestingError, match=message):
+                call()

@@ -41,6 +41,9 @@ class TestCurrentTreeIsClean:
     def test_id_keyed_memos(self):
         assert check_invariants.check_id_keyed_memos() == []
 
+    def test_one_depth_budget(self):
+        assert check_invariants.check_one_depth_budget() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -55,6 +58,7 @@ class TestCurrentTreeIsClean:
         assert "invariant one-projection: ok" in completed.stdout
         assert "invariant one-diagnostic-home: ok" in completed.stdout
         assert "invariant id-keyed-memos: ok" in completed.stdout
+        assert "invariant one-depth-budget: ok" in completed.stdout
 
 
 class TestRegistryParsing:
@@ -414,3 +418,74 @@ class TestIdKeyedMemosInvariant:
             "plan/indexes.py:3",
             "plan/indexes.py:6",
         ]
+
+
+class TestOneDepthBudgetInvariant:
+    def test_each_recursion_catch_and_limit_read_outside_the_allowlist_is_one_violation(
+        self, tmp_path
+    ):
+        root = _package(tmp_path, {
+            "api/session.py": (
+                "import builtins\n"
+                "class Session:\n"
+                "    def prepare(self, query):\n"
+                "        try:\n"
+                "            return query.to_text()\n"
+                "        except RecursionError:\n"
+                "            raise\n"
+                "    def execute(self, query):\n"
+                "        try:\n"
+                "            return query.to_text()\n"
+                "        except (ValueError, builtins.RecursionError) as error:\n"
+                "            raise error\n"
+                # The allowlisted data-side handler keeps its catch.
+                "    def _close(self, seed):\n"
+                "        try:\n"
+                "            return seed.to_text()\n"
+                "        except RecursionError:\n"
+                "            raise\n"
+            ),
+            "calculus/rules.py": (
+                "import sys\n"
+                "from sys import getrecursionlimit\n"
+                "def check(depth):\n"
+                "    return depth > sys.getrecursionlimit()\n"
+            ),
+            # The budget function reads the limit; a typed NestingError is caught freely.
+            "calculus/terms.py": (
+                "import sys\n"
+                "def within_budget(node, to):\n"
+                "    return node._depth <= sys.getrecursionlimit() // 4\n"
+                "def render(node):\n"
+                "    try:\n"
+                "        return node.to_text()\n"
+                "    except NestingError:\n"
+                "        raise\n"
+            ),
+            # A namesake of an allowlisted function in another module is not allowed.
+            "lint/formulas.py": (
+                "def lint_rules(rules):\n"
+                "    try:\n"
+                "        return list(rules)\n"
+                "    except RecursionError:\n"
+                "        return []\n"
+            ),
+        })
+        violations = check_invariants.check_one_depth_budget(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == [
+            "api/session.py:11",
+            "api/session.py:6",
+            "calculus/rules.py:2",
+            "calculus/rules.py:4",
+            "lint/formulas.py:4",
+        ]
+
+    def test_every_allowlisted_site_exists_in_the_tree(self):
+        sites = set()
+        for path in check_invariants.SRC_ROOT.rglob("*.py"):
+            tree, _ = check_invariants._parse(path)
+            module = path.relative_to(check_invariants.SRC_ROOT).as_posix()
+            sites |= {f"{module}::{scope}" for scope, _ in check_invariants._qualified_nodes(tree)}
+        assert set(check_invariants.RECURSION_ALLOWED) <= sites
+        assert check_invariants.BUDGET_FUNCTION in sites

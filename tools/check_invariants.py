@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Ten invariants that matter for correctness but that no unit test can pin
+Eleven invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -100,6 +100,16 @@ Ten invariants that matter for correctness but that no unit test can pin
     under ``src/`` uses ``functools.lru_cache`` or ``functools.cache``
     outside the functions of :data:`CACHE_ALLOWED`, each listed with its
     reason.  There is no pragma.
+
+``one-depth-budget``
+    A formula is refused at intake when it is deeper than the one depth
+    budget (:func:`repro.calculus.terms.within_budget`, a quarter of the
+    recursion limit), so no formula walk can overflow the stack.  So
+    ``sys.getrecursionlimit`` is read only by that function, and ``except
+    RecursionError`` appears under ``src/`` only at the sites of
+    :data:`RECURSION_ALLOWED` (module, qualified function), each listed
+    with its reason: untrusted text, object walks, the converter of Python
+    values and the data-side handlers.  There is no pragma.
 
 Run from the repository root::
 
@@ -687,6 +697,72 @@ def check_id_keyed_memos(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
+# -- invariant 11: one depth budget for formulae ------------------------------------------
+
+#: ``module path inside the package::qualified function`` → why it may catch RecursionError.
+RECURSION_ALLOWED = {
+    "parser/parser.py::parse_object": "untrusted text: converting what parsed",
+    "parser/parser.py::_Parser.parse_single_term": "untrusted text: the recursive descent",
+    "parser/parser.py::_Parser.parse_clause": "untrusted text: the recursive descent",
+    "store/codec.py::parse_record": "untrusted text: decoding a WAL record",
+    "store/storage.py::FileStorage.apply_batch": "encoding a WAL record of a deep object",
+    "core/objects.py::ComplexObject.to_text": "an object walk: printing",
+    "core/objects.py::SetObject.__new__": "an object walk: ordering the elements",
+    "core/objects.py::SetObject.raw": "an object walk: ordering the elements",
+    "core/objects.py::SetObject.add": "an object walk: ordering the elements",
+    "core/objects.py::SetObject.discard": "an object walk: ordering the elements",
+    "parser/printer.py::pretty": "an object walk: printing",
+    "core/builder.py::converting": "obj() / formula(): converting outside Python values",
+    "api/snapshot.py::Snapshot.plan_for": "a data-side handler, until 15(b): shapes, statistics",
+    "api/session.py::Session._close": "a data-side handler, until 15(b): the closure",
+    "program.py::_depth_boundary.guarded": "a data-side handler, until 15(b): the seed",
+    "lint/analyzer.py::lint_rules": "a data-side handler, until 15(b): the linted database",
+}
+
+#: The one function that reads the recursion limit: the formula depth budget.
+BUDGET_FUNCTION = "calculus/terms.py::within_budget"
+
+
+def _qualified_nodes(tree: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
+    """Every node with the qualified name of its innermost enclosing function ("" at top)."""
+    stack: List[Tuple[ast.AST, str]] = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def check_one_depth_budget(package_root: Path = SRC_ROOT) -> List[str]:
+    violations: List[str] = []
+    for path in _python_sources(package_root):
+        tree, _ = _parse(path)
+        module = path.relative_to(package_root).as_posix()
+        for scope, node in _qualified_nodes(tree):
+            site = f"{module}::{scope}"
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {
+                    getattr(inner, "id", getattr(inner, "attr", None))
+                    for inner in ast.walk(node.type)
+                }
+                if "RecursionError" in caught and site not in RECURSION_ALLOWED:
+                    violations.append(
+                        f"{_relative(path)}:{node.lineno}: catches RecursionError outside"
+                        f" RECURSION_ALLOWED (check a formula with within_budget at its"
+                        f" intake instead, or list the site with its reason)"
+                    )
+            named = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                named = node.name
+            if named == "getrecursionlimit" and site != BUDGET_FUNCTION:
+                violations.append(
+                    f"{_relative(path)}:{node.lineno}: reads the recursion limit outside"
+                    f" {BUDGET_FUNCTION} (the one formula depth budget)"
+                )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -702,6 +778,7 @@ def main() -> int:
         ("one-projection", check_one_projection),
         ("one-diagnostic-home", check_one_diagnostic_home),
         ("id-keyed-memos", check_id_keyed_memos),
+        ("one-depth-budget", check_one_depth_budget),
     )
     failures = 0
     for name, check in checks:
