@@ -59,9 +59,7 @@ def run_suite(smoke: bool) -> dict:
     from repro import parse_formula, parse_object
     from repro.api import Session
     from repro.calculus.interpretation import interpret
-    from repro.core.objects import BOTTOM
-    from repro.plan.indexes import IndexStore
-    from repro.plan.stats import EngineStats
+    from repro.plan.indexes import TargetIndexes
     from repro.plan import DatabaseStatistics, compile_body, match_plan, optimize_body
     from repro.store.database import ObjectDatabase
 
@@ -92,9 +90,7 @@ def run_suite(smoke: bool) -> dict:
     body = parse_formula(
         "[a_r: {[x: X, y: Y]}, b_r: {[y: Y, z: Z]}, c_r: {[z: Z, tag: t0]}]"
     )
-    indexes = IndexStore(EngineStats())
-    indexes.register_body(body)
-    indexes.refresh(BOTTOM, chain_db)
+    indexes = TargetIndexes(chain_db)
     source_plan = compile_body(body)
     optimized_plan = optimize_body(source_plan, DatabaseStatistics.collect(chain_db))
     assert str(optimized_plan.leaves[0].path) == "c_r", "optimizer should probe c_r first"

@@ -193,7 +193,7 @@ class Snapshot:
         """The ``(evaluator, previous)`` a ``close()`` miss may resume from, or ``None``.
 
         Takes the base an older version left under the guards ``key``: a
-        resumed run mutates the evaluator's indexes, so an aborted one leaves
+        resumed run mutates the evaluator's plans, so an aborted one leaves
         no base.  It resumes while the rules are unchanged and the database
         only grew in the sub-object order (``old ∪ new == new``).
         """

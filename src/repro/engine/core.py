@@ -10,8 +10,9 @@ over :meth:`RuleSet.apply`, which shares no plan code with it.
 The engine stratifies the rule set along its dependency graph
 (:mod:`repro.calculus.dependency`), applies non-recursive strata once, and
 iterates each recursive stratum with delta-restricted plan execution
-(:mod:`repro.engine.delta`) accelerated by incrementally maintained match
-indexes (:mod:`repro.plan.indexes`).  Rule bodies run through the plan
+(:mod:`repro.engine.delta`) accelerated by match indexes built at their
+first probe (:mod:`repro.plan.indexes`): each round's store carries over the
+tables of every set the round left alone.  Rule bodies run through the plan
 pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
 cost-based optimizer orders its leaves against statistics of the database
 being closed, and the physical executor runs it; each head compiles once
@@ -57,7 +58,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.plan.compile import compile_body, compile_projection
 from repro.plan.execute import match_rows
-from repro.plan.indexes import IndexStore
+from repro.plan.indexes import TargetIndexes
 from repro.plan.ir import BodyPlan
 from repro.plan.optimize import optimize_body
 from repro.plan.statistics import DatabaseStatistics
@@ -117,9 +118,9 @@ class SemiNaiveEngine:
             rule: compile_projection(rule.head, tuple(sorted(rule.variables())))
             for rule in self.rules
         }
-        #: (closure, plans, indexes) of the last completed run — what a
+        #: (closure, plans) of the last completed run — what a
         #: ``run(database, previous=closure)`` resumes from.
-        self._retained: Optional[Tuple[ComplexObject, Dict, Optional[IndexStore]]] = None
+        self._retained: Optional[Tuple[ComplexObject, Dict[Rule, BodyPlan]]] = None
 
     # -- public API -------------------------------------------------------------------
     def run(
@@ -133,7 +134,7 @@ class SemiNaiveEngine:
         least closed object above ``previous ∪ database``, and ``previous``
         is closed: a match whose set witnesses are all old derives nothing
         new (the argument of :mod:`repro.engine.delta`), so every stratum
-        runs delta rounds only, on the plans and indexes the last run left.
+        runs delta rounds only, on the plans the last run left.
         Any other ``previous`` is ignored and the run starts from scratch.
         ``iterations`` and ``stats`` describe the work of this call alone.
         """
@@ -142,31 +143,18 @@ class SemiNaiveEngine:
         stats.recursive_strata = sum(1 for s in self._strata if s.recursive)
         retained, self._retained = self._retained, None
         if previous is not None and retained is not None and retained[0] is previous:
-            _, plans, indexes = retained
+            plans = retained[1]
             # A shape proof held against the old database only: the rules it
             # pruned run live (in source order) from here on.
             for rule in [r for r, plan in plans.items() if plan.pruned is not None]:
                 plans[rule] = self._body_plans[rule]
-                if indexes is not None:
-                    indexes.register_body(rule.body)
             current = union(previous, database)
-            if indexes is not None:
-                indexes.refresh(previous, current)
         else:
             previous = None
             plans = self.plan(database)
             stats.rules_pruned = sum(
                 1 for plan in plans.values() if plan.pruned is not None
             )
-            indexes = None
-            if self.use_indexes:
-                indexes = IndexStore(stats)
-                for rule in self.rules:
-                    # Pruned bodies never execute, so maintaining their match
-                    # indexes every round would be pure overhead.
-                    if rule.body is not None and plans[rule].pruned is None:
-                        indexes.register_body(rule.body)
-                indexes.refresh(BOTTOM, database)
             current = database
 
         budget = [0]  # recursive rounds charged against max_iterations
@@ -182,7 +170,7 @@ class SemiNaiveEngine:
                     # Every stratum of a resumed run starts from the same
                     # closed base: none of its rules has seen the growth yet.
                     current = self._close_stratum(
-                        stratum, previous, current, plans, indexes, stats, budget
+                        stratum, previous, current, plans, stats, budget
                     )
             if run_span.enabled:
                 run_span.set(
@@ -191,9 +179,9 @@ class SemiNaiveEngine:
                     resumed=previous is not None,
                 )
         _METRICS.record_engine_run(stats)
-        # Retained only on normal exit: a run that leaves by exception has
-        # indexed elements of a database nobody will resume from.
-        self._retained = (current, plans, indexes)
+        # Retained only on normal exit: a run that leaves by exception leaves
+        # no closure to resume from.
+        self._retained = (current, plans)
         return EngineResult(
             value=current, iterations=stats.iterations, converged=True, stats=stats
         )
@@ -224,7 +212,6 @@ class SemiNaiveEngine:
         previous: Optional[ComplexObject],
         current: ComplexObject,
         plans: Dict[Rule, BodyPlan],
-        indexes: Optional[IndexStore],
         stats: EngineStats,
         budget: List[int],
     ) -> ComplexObject:
@@ -233,13 +220,15 @@ class SemiNaiveEngine:
         ``previous is None`` makes the first round a full application — it
         must see the whole database, the delta discipline only covers growth
         since ``previous`` — and every later round a delta round.  A
-        non-recursive stratum is done after one round.
+        non-recursive stratum is done after one round.  Each round probes
+        the match indexes of the database it matches against.
         """
         live = self._live_rules(stratum, plans)
         if not live:
             # Every rule of this stratum is statically empty: its fixpoint is
             # the input, no round needs to run.
             return current
+        indexes = TargetIndexes(current) if self.use_indexes else None
         round_ns = _METRICS.histogram("engine.round_ns")
         round_number = 0
         while True:
@@ -275,10 +264,10 @@ class SemiNaiveEngine:
             # independent ones, which close() advances in the same round.
             stats.iterations += 1
             check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
-            if indexes is not None:
-                indexes.refresh(current, next_value)
             if not stratum.recursive:
                 return next_value
+            if indexes is not None:
+                indexes = indexes.over(next_value)
             previous, current = current, next_value
 
     @staticmethod
@@ -318,7 +307,7 @@ class SemiNaiveEngine:
         rule: Rule,
         database: ComplexObject,
         plans: Dict[Rule, BodyPlan],
-        indexes: Optional[IndexStore],
+        indexes: Optional[TargetIndexes],
         stats: EngineStats,
     ) -> ComplexObject:
         """One full (non-delta) application of a rule, ``r(O)`` of Definition 4.4."""
@@ -348,7 +337,7 @@ class SemiNaiveEngine:
         previous: ComplexObject,
         current: ComplexObject,
         plans: Dict[Rule, BodyPlan],
-        indexes: Optional[IndexStore],
+        indexes: Optional[TargetIndexes],
         stats: EngineStats,
     ) -> ComplexObject:
         """One semi-naive application: only matches with a new witness.

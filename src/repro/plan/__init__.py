@@ -18,8 +18,8 @@ compiled path:
   reordering with bound-variable awareness, cross-product penalties and
   index access-path selection;
 * :mod:`repro.plan.indexes` — the match indexes scan leaves probe (one
-  bucket structure, maintained per round by the engine or built at first
-  probe by a session);
+  store, built at first probe; an engine round carries over the tables of
+  the sets it left alone);
 * :mod:`repro.plan.execute` — the physical executor shared by every
   evaluator, with index pushdown and semi-naive delta restriction, counting
   its work in :class:`~repro.plan.stats.EngineStats`;

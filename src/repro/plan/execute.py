@@ -106,10 +106,9 @@ def match_rows(
     ``names`` is sorted; each row binds it by position, in enumeration order.
     Agrees with :func:`repro.calculus.matching.match_all` on every body and
     target (restricted to the new-witness subset when ``position`` — a
-    :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is an
-    :class:`repro.plan.indexes.IndexStore` (or anything with its
-    ``candidates`` method — sessions pass a
-    :class:`~repro.plan.indexes.TargetIndexes`); ``record``, when given, is
+    :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is
+    the :class:`repro.plan.indexes.TargetIndexes` of ``target`` (or anything
+    with its ``candidates`` method); ``record``, when given, is
     filled with actual per-leaf cardinalities and accesses for EXPLAIN.
     ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
     operator batch, raising :class:`~repro.core.errors.QueryTimeout` when

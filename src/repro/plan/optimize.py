@@ -17,8 +17,8 @@ the running partial-substitution count small:
 
 Each placed leaf also records its **access path** — the index probe the
 executor should attempt first — which is how selection and attribute-path
-pushdown reach :class:`repro.plan.indexes.IndexStore` (during evaluation) and
-:class:`repro.store.PathIndex` (store-side, see
+pushdown reach :class:`repro.plan.indexes.TargetIndexes` (the engine's and
+the sessions' match indexes) and :class:`repro.store.PathIndex` (store-side, see
 :meth:`repro.store.ObjectDatabase.access_path`).  Without statistics the same
 greedy pass runs on defaults, which still orders static-key probes before
 bare scans — the heuristic the algebra lowering uses at translation time.

@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from itertools import chain
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule, RuleSet
@@ -494,13 +494,15 @@ class ObjectDatabase:
     ) -> List[str]:
         """Names of the stored objects of which ``pattern`` is a sub-object.
 
-        When ``path`` names an index and ``pattern`` pins a value at that path,
+        When ``path`` names an index and ``pattern`` pins atoms at that path,
         the index narrows the candidates before the sub-object check.  With no
         explicit path, every index whose path the pattern pins with ground
         atoms prefilters the candidates (their intersection), so path-rooted
-        patterns avoid the full-snapshot scan entirely; ``access_stats``
-        counts prefiltered vs scanned searches.  The indexes are read under
-        the writer mutex, together with the state they describe.
+        patterns avoid the full-snapshot scan entirely.  A pattern that pins
+        no atom at an index's path is scanned: only an atom's lookup is a
+        superset of the matches.  ``access_stats`` counts prefiltered vs
+        scanned searches.  The indexes are read under the writer mutex,
+        together with the state they describe.
         """
         with self._lock:
             state = self._state
@@ -510,19 +512,11 @@ class ObjectDatabase:
                 key = str(path if isinstance(path, Path) else Path(path))
                 index = self._indexes.get(key)
                 if index is not None:
-                    located = get_path(pattern, key)
-                    values = (
-                        located.elements if isinstance(located, SetObject) else [located]
-                    )
-                    gathered: List[str] = []
-                    for value in values:
-                        if value.is_bottom:
-                            continue
-                        gathered.extend(index.lookup(value))
-                    candidates = sorted(set(gathered))
-                    counter = "find_path_lookups"
+                    candidates = self._prefilter_candidates(pattern, (index,))
+                    if candidates is not None:
+                        counter = "find_path_lookups"
             elif self._indexes:
-                candidates = self._prefilter_candidates(pattern)
+                candidates = self._prefilter_candidates(pattern, self._indexes.values())
                 if candidates is not None:
                     counter = "find_index_prefilters"
         if candidates is None:
@@ -534,8 +528,11 @@ class ObjectDatabase:
             if (stored := state.get(name)) is not None and is_subobject(pattern, stored)
         ]
 
-    def _prefilter_candidates(self, pattern: ComplexObject) -> Optional[List[str]]:
-        """Candidate names from every index the pattern pins with ground atoms.
+    @staticmethod
+    def _prefilter_candidates(
+        pattern: ComplexObject, indexes: Iterable[PathIndex]
+    ) -> Optional[List[str]]:
+        """Candidate names from every one of ``indexes`` the pattern pins with atoms.
 
         Each pinned atom's lookup is individually a superset of the true
         matches (an atom is only dominated by itself or ⊤, and ⊤-carrying
@@ -545,7 +542,7 @@ class ObjectDatabase:
         index constrained the pattern.  Callers hold the writer mutex.
         """
         narrowed: Optional[set] = None
-        for index in self._indexes.values():
+        for index in indexes:
             located = get_path(pattern, index.path)
             values = located.elements if isinstance(located, SetObject) else (located,)
             atoms = [value for value in values if value.is_atom]

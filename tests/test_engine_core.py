@@ -1,15 +1,19 @@
 """End-to-end tests for the closure engine (repro.engine.core)."""
 
+from unittest import mock
+
 import pytest
 
 from repro import Program, Session, parse_formula, parse_object, parse_program, parse_rule
 from repro.core.errors import DivergenceError
-from repro.core.objects import TOP
+from repro.core.objects import TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
 from repro.calculus.fixpoint import close
 from repro.calculus.interpretation import interpret
 from repro.calculus.rules import RuleSet
 from repro.engine import EngineResult, SemiNaiveEngine, create_engine
+from repro.plan import indexes
+from repro.workloads import make_genealogy
 
 DESCENDANTS = """
 [doa: {abraham}].
@@ -266,11 +270,49 @@ class TestStats:
     def test_seminaive_does_less_matching_than_naive(self):
         # The headline claim: on a deep recursion the delta engine performs
         # fewer element-match attempts than round-count × database-size.
-        from repro.workloads import make_genealogy
-
         tree = make_genealogy(5, 2)
         program = Program.from_source(DESCENDANTS, database=tree.family_object)
         semi = program.evaluate()
         people = len(tree.people)
         rounds = semi.iterations
         assert semi.stats.match_attempts < rounds * people
+
+
+class TestBucketBuilds:
+    """The engine buckets a set at its first probe and keeps the table while
+    rounds leave the set alone (the one function that buckets is the count)."""
+
+    def test_cold_and_resumed_closes_bucket_the_family_once(self):
+        tree = make_genealogy(3, 3)
+        family = tree.family_object.get("family")
+        old = next(person for person in family if person.get("name") == Atom(tree.root))
+        grown = old.replace(
+            children=old.get("children").add(TupleObject({"name": Atom("n0")}))
+        )
+        leaf = TupleObject({"name": Atom("n0"), "children": SetObject()})
+        session = Session()
+        session.put("family", family)
+        session.register(parse_program(DESCENDANTS))
+
+        def builds(run):
+            with mock.patch.object(indexes, "_bucket", wraps=indexes._bucket) as build:
+                result = run()
+            return result, [(call.args[0], str(call.args[1])) for call in build.call_args_list]
+
+        cold, built = builds(session.close)
+        # (family, name) once, over all 40 people; doa is never bucketed.
+        assert [(len(members), key) for members, key in built] == [(40, "name")]
+        assert built[0][0] is cold.value.get("family")
+        assert cold.stats.full_matches > 0
+
+        session.transact(
+            lambda txn: txn.put("family", txn.get("family").discard(old).add(grown).add(leaf))
+        )
+        resumed, built = builds(session.close)
+        assert session.cache_info()["closure_maintained"] == 1
+        assert resumed.stats.full_matches == 0
+        # The resumed run builds at first probe like any other: once, over 41.
+        assert [(len(members), key) for members, key in built] == [(41, "name")]
+        assert built[0][0] is resumed.value.get("family")
+        written = TupleObject({"family": family.discard(old).add(grown).add(leaf)})
+        assert resumed.value == close(written, RuleSet(list(parse_program(DESCENDANTS)))).value

@@ -39,7 +39,7 @@ from repro.core.lattice import union, union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
 from repro.core.paths import new_set_elements  # noqa: E402
 from repro.engine.delta import decompose  # noqa: E402
-from repro.plan.indexes import IndexStore, TargetIndexes  # noqa: E402
+from repro.plan.indexes import TargetIndexes  # noqa: E402
 from repro.plan.stats import EngineStats  # noqa: E402
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
@@ -212,9 +212,7 @@ def test_index_pushdown_changes_nothing_about_the_answer(left, right):
         + ", ".join(f"[c: m{c}, d: t{d}]" for c, d in right)
         + "}]"
     )
-    indexes = IndexStore(EngineStats())
-    indexes.register_body(body)
-    indexes.refresh(BOTTOM, database)
+    indexes = TargetIndexes(database)
     plan = _plan(body, database, optimized=True)
     with_index = match_plan(plan, database, indexes=indexes)
     assert list(iter_match_plan(plan, database, indexes=indexes)) == with_index

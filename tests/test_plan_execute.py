@@ -20,7 +20,7 @@ from repro.core.errors import ComplexObjectError
 from repro.core.objects import BOTTOM
 from repro.engine import SemiNaiveEngine
 from repro.engine.delta import decompose
-from repro.plan.indexes import IndexStore
+from repro.plan.indexes import TargetIndexes
 from repro.plan.stats import EngineStats
 from repro.plan import (
     DatabaseStatistics,
@@ -121,9 +121,7 @@ class TestIndexes:
             " [name: b, children: {[name: c]}]}, doa: {a}]"
         )
         stats = EngineStats()
-        indexes = IndexStore(stats)
-        indexes.register_body(body)
-        indexes.refresh(BOTTOM, database)
+        indexes = TargetIndexes(database)
         plan = optimize_body(compile_body(body), DatabaseStatistics.collect(database))
         with_index = set(match_plan(plan, database, indexes=indexes, stats=stats))
         without = set(match_plan(plan, database))
@@ -134,9 +132,7 @@ class TestIndexes:
         body = parse_formula("[r: {[k: pin, v: X]}]")
         database = parse_object("[r: {[k: pin, v: 1], [k: other, v: 2]}]")
         stats = EngineStats()
-        indexes = IndexStore(stats)
-        indexes.register_body(body)
-        indexes.refresh(BOTTOM, database)
+        indexes = TargetIndexes(database)
         plan = optimize_body(compile_body(body))
         result = match_plan(
             plan, database, indexes=indexes, stats=stats, allow_bottom=True

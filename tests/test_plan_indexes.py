@@ -1,9 +1,12 @@
 """Unit tests for match indexes (repro.plan.indexes)."""
 
+from unittest import mock
+
 from repro import parse_object, parse_rule
 from repro.calculus.terms import Constant, formula, var
-from repro.core.objects import Atom, BOTTOM, TOP, SetObject, TupleObject
-from repro.plan.indexes import IndexStore, MatchIndex, TargetIndexes, element_keys
+from repro.core.objects import Atom, TOP, SetObject, TupleObject
+from repro.plan import indexes
+from repro.plan.indexes import TargetIndexes, element_keys
 from repro.core.paths import Path
 
 
@@ -38,115 +41,9 @@ class TestElementKeys:
         assert element_keys(element) == ()
 
 
-class TestMatchIndex:
-    ELEMENTS = (
-        parse_object("[name: ann, age: 1]"),
-        parse_object("[name: bob, age: 2]"),
-        parse_object("[name: ann, city: paris]"),
-        parse_object("[name: {odd}, age: 3]"),  # non-atom key value: unbucketed
-        parse_object("plain"),  # atoms index under the root path
-    )
-
-    def _index(self):
-        index = MatchIndex(Path("r"), [Path("name"), Path(())])
-        index.extend(self.ELEMENTS)
-        return index
-
-    def test_lookup_by_key(self):
-        index = self._index()
-        found = index.candidates(Path("name"), Atom("ann"))
-        assert set(found) == {self.ELEMENTS[0], self.ELEMENTS[2]}
-
-    def test_missing_key_is_definitively_empty(self):
-        assert self._index().candidates(Path("name"), Atom("zoe")) == ()
-
-    def test_root_path_buckets_atomic_elements(self):
-        assert list(self._index().candidates(Path(()), Atom("plain"))) == [self.ELEMENTS[4]]
-
-    def test_a_hit_is_the_stored_bucket_not_a_copy(self):
-        index = self._index()
-        first = index.candidates(Path("name"), Atom("ann"))
-        assert index.candidates(Path("name"), Atom("ann")) is first
-
-    def test_unregistered_path_cannot_answer(self):
-        assert self._index().candidates(Path("age"), Atom(1)) is None
-
-    def test_non_atom_key_cannot_answer(self):
-        assert self._index().candidates(Path("name"), parse_object("{1}")) is None
-
-    def test_add_is_idempotent(self):
-        index = self._index()
-        index.add(self.ELEMENTS[0])
-        assert len(index.candidates(Path("name"), Atom("ann"))) == 2
-
-    def test_clear(self):
-        index = self._index()
-        index.clear()
-        assert index.candidates(Path("name"), Atom("ann")) == ()
-        assert len(index) == 0
-
-
-class TestIndexStore:
-    BODY = parse_rule(
-        "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]"
-    ).body
-
-    def test_register_body_and_refresh(self):
-        store = IndexStore()
-        store.register_body(self.BODY)
-        db = parse_object(
-            "[family: {[name: abraham, children: {[name: isaac]}]}, doa: {abraham}]"
-        )
-        store.refresh(BOTTOM, db)
-        family = store.candidates(Path("family"), Path("name"), Atom("abraham"))
-        assert list(family) == [parse_object("[name: abraham, children: {[name: isaac]}]")]
-        # The doa set indexes its atomic elements under the root path.
-        assert list(store.candidates(Path("doa"), Path(()), Atom("abraham"))) == [
-            Atom("abraham")
-        ]
-
-    def test_incremental_refresh_adds_only_new_elements(self):
-        store = IndexStore()
-        store.register_body(self.BODY)
-        before = parse_object("[doa: {abraham}, family: {}]")
-        after = parse_object("[doa: {abraham, isaac}, family: {}]")
-        store.refresh(BOTTOM, before)
-        store.refresh(before, after)
-        assert list(store.candidates(Path("doa"), Path(()), Atom("isaac"))) == [Atom("isaac")]
-
-    def test_absorbed_elements_stay_until_they_outnumber_the_live_set(self):
-        store = IndexStore()
-        store.register_body(self.BODY)
-
-        def family(*children):
-            names = ", ".join(f"[name: {child}]" for child in children)
-            return parse_object(f"[family: {{[name: abraham, children: {{{names}}}]}}]")
-
-        def indexed():
-            return len(store.candidates(Path("family"), Path("name"), Atom("abraham")))
-
-        versions = [family("a"), family("a", "b"), family("a", "b", "c")]
-        store.refresh(BOTTOM, versions[0])
-        store.refresh(versions[0], versions[1])
-        assert indexed() == 2  # the absorbed tuple is stale, by design
-        store.refresh(versions[1], versions[2])
-        assert indexed() == 1  # three for one live element: rebuilt
-
-    def test_a_body_registered_late_is_indexed_from_the_whole_database(self):
-        store = IndexStore()
-        before = parse_object("[doa: {abraham}]")
-        after = parse_object("[doa: {abraham, isaac}]")
-        store.refresh(BOTTOM, before)
-        store.register_body(self.BODY)
-        store.refresh(before, after)
-        assert list(store.candidates(Path("doa"), Path(()), Atom("abraham"))) == [
-            Atom("abraham")
-        ]
-
-    def test_unknown_set_path_cannot_answer(self):
-        store = IndexStore()
-        store.register_body(self.BODY)
-        assert store.candidates(Path("nowhere"), Path(()), Atom(1)) is None
+def bucketed():
+    """Patch the one function that buckets a set; its calls are the builds."""
+    return mock.patch.object(indexes, "_bucket", wraps=indexes._bucket)
 
 
 class TestTargetIndexes:
@@ -175,12 +72,12 @@ class TestTargetIndexes:
 
     def test_the_first_probe_builds_one_bucket_and_later_probes_reuse_it(self):
         store, builds = self._store()
-        assert store.entries == 0 and builds == []
+        assert builds == []
         found = store.candidates(Path("people"), Path("name"), Atom("ann"))
         assert set(found) == {
             parse_object("[name: ann, age: 1]"), parse_object("[name: ann, city: paris]")
         }
-        assert builds == [("people", "name", 4)] and store.entries == 1
+        assert builds == [("people", "name", 4)]
         assert store.candidates(Path("people"), Path("name"), Atom("ann")) is found
         assert store.candidates(Path("people"), Path("name"), Atom("zoe")) == ()
         assert builds == [("people", "name", 4)]
@@ -195,13 +92,12 @@ class TestTargetIndexes:
         assert [build[:2] for build in builds] == [
             ("people", "name"), ("people", "age"), ("tags", "")
         ]
-        assert store.entries == 3
 
     def test_a_non_atom_key_cannot_answer_and_builds_nothing(self):
         store, builds = self._store()
         assert store.candidates(Path("people"), Path("name"), parse_object("{odd}")) is None
         assert store.candidates(Path("people"), Path("name"), parse_object("[a: 1]")) is None
-        assert builds == [] and store.entries == 0
+        assert builds == []
 
     def test_a_path_that_holds_no_set_cannot_answer(self):
         store, builds = self._store()
@@ -215,11 +111,108 @@ class TestTargetIndexes:
         raw = TupleObject.raw(
             {"r": SetObject.raw([TupleObject.raw({"name": TOP}), parse_object("[name: ann]")])}
         )
-        store = TargetIndexes(raw)
-        assert store.candidates(Path("r"), Path("name"), Atom("ann")) is None
-        assert store.entries == 0
+        with bucketed() as build:
+            assert TargetIndexes(raw).candidates(Path("r"), Path("name"), Atom("ann")) is None
+        assert build.call_count == 0
 
     def test_without_a_hook_builds_are_silent(self):
+        with bucketed() as build:
+            store = TargetIndexes(self.TARGET)
+            assert len(store.candidates(Path("people"), Path("name"), Atom("ann"))) == 2
+        assert build.call_count == 1
+
+    def test_over_keeps_the_tables_of_sets_shared_by_identity(self):
         store = TargetIndexes(self.TARGET)
-        assert len(store.candidates(Path("people"), Path("name"), Atom("ann"))) == 2
-        assert store.entries == 1
+        people = store.candidates(Path("people"), Path("name"), Atom("ann"))
+        store.candidates(Path("tags"), Path(()), Atom("red"))
+        grown = self.TARGET.replace(tags=self.TARGET.get("tags").add(Atom("green")))
+        assert grown.get("people") is self.TARGET.get("people")
+        with bucketed() as build:
+            following = store.over(grown)
+            assert following.target is grown
+            # The shared set keeps its table: no build, the very same bucket.
+            assert following.candidates(Path("people"), Path("name"), Atom("ann")) is people
+            assert build.call_count == 0
+            # The changed set rebuilds at its first probe, over its new elements.
+            assert list(following.candidates(Path("tags"), Path(()), Atom("green"))) == [
+                Atom("green")
+            ]
+            assert build.call_count == 1
+            assert build.call_args.args[0] is grown.get("tags")
+        # The store it came from still answers for its own target.
+        assert store.candidates(Path("tags"), Path(()), Atom("green")) == ()
+
+    def test_the_root_path_buckets_only_atomic_elements(self):
+        mixed = parse_object("[r: {plain, other, [name: plain]}]")
+        with bucketed() as build:
+            store = TargetIndexes(mixed)
+            assert list(store.candidates(Path("r"), Path(()), Atom("plain"))) == [
+                Atom("plain")
+            ]
+            assert store.candidates(Path("r"), Path(()), Atom("absent")) == ()
+        assert build.call_count == 1
+
+    def test_a_bucket_lists_its_elements_in_set_order(self):
+        store = TargetIndexes(self.TARGET)
+        people = self.TARGET.get("people")
+        expected = [e for e in people.elements if e.get("name") == Atom("ann")]
+        assert list(store.candidates(Path("people"), Path("name"), Atom("ann"))) == expected
+
+    def test_a_nested_key_path_reads_through_tuples_only(self):
+        target = parse_object(
+            "[r: {[who: [name: ann], n: 1], [who: [name: ann], n: 2],"
+            " [who: {[name: ann]}, n: 3], [who: ann, n: 4]}]"
+        )
+        found = TargetIndexes(target).candidates(Path("r"), Path("who.name"), Atom("ann"))
+        assert sorted(element.get("n").value for element in found) == [1, 2]
+
+    def test_a_set_below_a_tuple_is_addressed_by_its_full_path(self):
+        target = parse_object("[a: [b: {[k: 1], [k: 2]}], c: {[k: 1]}]")
+        store = TargetIndexes(target)
+        assert list(store.candidates(Path("a.b"), Path("k"), Atom(2))) == [
+            parse_object("[k: 2]")
+        ]
+        assert store.candidates(Path("a"), Path("k"), Atom(2)) is None
+
+    def test_over_leaves_no_stale_element_of_a_changed_set(self):
+        # The absorbed version of a grown element is gone from its bucket.
+        def family(*children):
+            names = ", ".join(f"[name: {child}]" for child in children)
+            return parse_object(f"[family: {{[name: abraham, children: {{{names}}}]}}]")
+
+        versions = [family("a"), family("a", "b"), family("a", "b", "c")]
+        store = TargetIndexes(versions[0])
+        for version in versions:
+            store = store.over(version)
+            found = store.candidates(Path("family"), Path("name"), Atom("abraham"))
+            assert list(found) == list(version.get("family").elements)
+
+    def test_over_carries_a_shared_table_through_several_versions(self):
+        store = TargetIndexes(self.TARGET)
+        people = store.candidates(Path("people"), Path("name"), Atom("bob"))
+        target = self.TARGET
+        with bucketed() as build:
+            for colour in ("green", "amber", "grey"):
+                target = target.replace(tags=target.get("tags").add(Atom(colour)))
+                store = store.over(target)
+                assert store.candidates(Path("people"), Path("name"), Atom("bob")) is people
+        assert build.call_count == 0
+
+    def test_over_looks_again_at_a_path_that_held_no_set(self):
+        store, builds = self._store()
+        assert store.candidates(Path("title"), Path(()), Atom("thesis")) is None
+        retitled = self.TARGET.replace(title=parse_object("{thesis, draft}"))
+        following = store.over(retitled)
+        assert list(following.candidates(Path("title"), Path(()), Atom("thesis"))) == [
+            Atom("thesis")
+        ]
+        # The build hook carries over to the following store.
+        assert [build[:2] for build in builds] == [("title", "")]
+
+    def test_over_a_path_that_no_longer_holds_a_set_cannot_answer(self):
+        store = TargetIndexes(self.TARGET)
+        assert list(store.candidates(Path("tags"), Path(()), Atom("red"))) == [Atom("red")]
+        with bucketed() as build:
+            following = store.over(self.TARGET.replace(tags=Atom("red")))
+            assert following.candidates(Path("tags"), Path(()), Atom("red")) is None
+        assert build.call_count == 0

@@ -96,6 +96,42 @@ class TestQueries:
         assert database.indexes() == ()
 
 
+class TestFindOnAnIndexedPath:
+    """``find(p, path=...)`` narrows on the atoms ``p`` pins there, else scans."""
+
+    STORED = {
+        "x": "[a: 1, b: 1]",
+        "y": "[a: 2, b: 1]",
+        "z": "[a: [c: 1, d: 2]]",
+        "w": "[a: {1, 2, 3}]",
+        "v": "[a: {[c: 1, d: 2]}, b: 1]",
+    }
+
+    @pytest.mark.parametrize(
+        "pattern, expected, counter",
+        [
+            ("[b: 1]", ["v", "x", "y"], "find_scans"),  # ⊥ at the path
+            ("[a: 1, b: 1]", ["x"], "find_path_lookups"),  # an atom
+            ("[a: [c: 1]]", ["z"], "find_scans"),  # a tuple sub-object
+            ("[a: {1, 2}]", ["w"], "find_path_lookups"),  # a set of atoms
+            ("[a: {[c: 1]}]", ["v"], "find_scans"),  # a set of tuples
+        ],
+    )
+    def test_find_on_the_path_equals_the_scan(self, pattern, expected, counter):
+        indexed, unindexed = ObjectDatabase(), ObjectDatabase()
+        indexed.create_index("a")
+        for db in (indexed, unindexed):
+            for name, text in self.STORED.items():
+                db.put(name, parse_object(text))
+        before = indexed.access_stats
+        found = indexed.find(parse_object(pattern), path="a")
+        assert found == unindexed.find(parse_object(pattern)) == expected
+        after = indexed.access_stats
+        assert {key: after[key] - before[key] for key in after if after[key] != before[key]} == {
+            counter: 1
+        }
+
+
 class TestMissingAgainst:
     """A missing ``against=`` name is a StoreError, not a bare KeyError."""
 

@@ -1,6 +1,7 @@
 """The AST invariant checker (tools/check_invariants.py) holds on this tree."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,13 +53,15 @@ class TestCurrentTreeIsClean:
             cwd=str(REPO_ROOT),
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
-        assert "invariant raw-constructors: ok" in completed.stdout
-        assert "invariant layering: ok" in completed.stdout
-        assert "invariant session-version: ok" in completed.stdout
-        assert "invariant one-projection: ok" in completed.stdout
-        assert "invariant one-diagnostic-home: ok" in completed.stdout
-        assert "invariant id-keyed-memos: ok" in completed.stdout
-        assert "invariant one-depth-budget: ok" in completed.stdout
+        for name, _ in check_invariants.CHECKS:
+            assert f"invariant {name}: ok" in completed.stdout
+
+    def test_readme_lists_exactly_the_invariants_the_script_runs(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        intro = readme.index("Codebase invariants — ")
+        listing = readme[intro:].split("\n\n")[1]
+        named = re.findall(r"^- `([a-z-]+)` — ", listing, flags=re.MULTILINE)
+        assert named == [name for name, _ in check_invariants.CHECKS]
 
 
 class TestRegistryParsing:

@@ -766,22 +766,26 @@ def check_one_depth_budget(package_root: Path = SRC_ROOT) -> List[str]:
 # -- entry point -------------------------------------------------------------------------
 
 
+#: Every invariant, by the name the report prints, in run order.  README's
+#: "Codebase invariants" list names exactly these (a tier-1 test checks it).
+CHECKS = (
+    ("raw-constructors", check_raw_constructors),
+    ("fault-points", check_fault_points),
+    ("diagnostic-codes", check_diagnostic_codes),
+    ("lock-discipline", check_lock_discipline),
+    ("store-planning", check_store_planning),
+    ("layering", check_layering),
+    ("session-version", check_session_version),
+    ("one-projection", check_one_projection),
+    ("one-diagnostic-home", check_one_diagnostic_home),
+    ("id-keyed-memos", check_id_keyed_memos),
+    ("one-depth-budget", check_one_depth_budget),
+)
+
+
 def main() -> int:
-    checks = (
-        ("raw-constructors", check_raw_constructors),
-        ("fault-points", check_fault_points),
-        ("diagnostic-codes", check_diagnostic_codes),
-        ("lock-discipline", check_lock_discipline),
-        ("store-planning", check_store_planning),
-        ("layering", check_layering),
-        ("session-version", check_session_version),
-        ("one-projection", check_one_projection),
-        ("one-diagnostic-home", check_one_diagnostic_home),
-        ("id-keyed-memos", check_id_keyed_memos),
-        ("one-depth-budget", check_one_depth_budget),
-    )
     failures = 0
-    for name, check in checks:
+    for name, check in CHECKS:
         violations = check()
         if violations:
             failures += len(violations)
