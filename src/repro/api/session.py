@@ -14,12 +14,12 @@ from collections import OrderedDict, deque
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.builder import obj
-from repro.core.errors import ComplexObjectError, LintError, StoreError
+from repro.core.errors import ComplexObjectError, LintError, NestingError, StoreError
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject, too_deep
+from repro.core.objects import ComplexObject, nesting_levels, too_deep
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
-from repro.calculus.terms import Formula
+from repro.calculus.terms import Formula, bind_parameters, within_budget
 from repro.engine import SemiNaiveEngine
 from repro.fault.deadline import Deadline
 from repro.lint.analyzer import prepare_lint
@@ -55,6 +55,16 @@ _NON_GUARD_OPTIONS = ("against", "on_closure", "allow_bottom", "timeout_ms")
 
 #: What remains: the divergence guards :meth:`Session.close` accepts.
 _GUARD_OPTIONS = _QUERY_OPTIONS.difference(_NON_GUARD_OPTIONS)
+
+
+def _check_printable(formula: Formula, values: Mapping[str, ComplexObject]) -> None:
+    """EXPLAIN prints ``formula`` bound to ``values``: name the value that makes it too deep."""
+    try:
+        within_budget(bind_parameters(formula, values), "print")
+    except NestingError:  # the formula itself is within the budget
+        depth, name = max((nesting_levels([value]) + 1, name) for name, value in values.items())
+        message = f"value bound to ${name} is nested {depth} levels deep, too deep to print"
+        raise NestingError(message) from None
 
 
 def _check_options(options: Mapping) -> None:
@@ -386,12 +396,15 @@ class Session:
         rendering adds wall time per plan node next to the optimizer's
         estimates.  EXPLAIN never moves the store's ``access_stats``, and
         refuses a query deeper than the formula depth budget, as execute does.
+        It prints the bound query, so it also refuses a ``$parameter`` value
+        that makes it too deep to print, naming that value; execute runs it.
         """
         prepared = isinstance(query, PreparedQuery)
         options = {**query.options, **options} if prepared else options
         formula = query.formula if prepared else as_formula(query, "explain")
         _check_options(options)
         values = self._convert_params(formula, params or {})
+        _check_printable(formula, values)
         resolved = self._resolve(formula, values, options, counted=False)
         return _render_explain(resolved, options.get("allow_bottom", False), analyze)
 

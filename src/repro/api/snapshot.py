@@ -53,7 +53,7 @@ class _Counters(dict):
 
 
 def _index_build(built: List[int], set_path, key_path, elements: int):
-    """Count one first-probe bucket build; returns the span it runs under.
+    """Count one bucket build (planner's or executor's); returns the span it runs under.
 
     Takes the snapshot's build count, not the snapshot: with no cycle through
     its index stores, a replaced snapshot is freed at once."""
@@ -145,8 +145,10 @@ class Snapshot:
     def plan_for(self, formula, mode: Tuple, target: ComplexObject):
         """Optimize ``formula`` for ``target`` and keep the plan (a miss).
 
-        What the cache saves is the cost-based reordering.  A target nested
-        too deeply to walk raises :class:`~repro.core.errors.NestingError`.
+        What the cache saves is the cost-based reordering.  Its distinct-atom
+        estimates read the tables of ``target``'s index store, which the
+        cursor then probes.  A target nested too deeply to walk raises
+        :class:`~repro.core.errors.NestingError`.
         """
         self._counters.count("plan_misses")
         plan = compile_body(formula)
@@ -157,7 +159,8 @@ class Snapshot:
                 # provably-empty body is pruned (the executor answers it without
                 # scanning) and EXPLAIN shows each leaf's inferred element shape.
                 shapes = infer_shapes(self.rules, target)
-            plan = optimize_body(plan, DatabaseStatistics.collect(target), shapes)
+            statistics = DatabaseStatistics.collect(target, self.indexes_for(target))
+            plan = optimize_body(plan, statistics, shapes)
         except RecursionError:
             # Formulae are within the depth budget: only the target is too deep.
             raise too_deep(target, "plan") from None

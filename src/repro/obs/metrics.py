@@ -228,7 +228,7 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "session.closure_cache.evictions",
     "session.closure_cache.invalidations",
     "session.closure_cache.maintained",
-    # session index stores — first-probe bucket builds, and the probes an
+    # session index stores — bucket builds by a first reader, and the probes an
     # index answered (folded in from a query's stats when its cursor ends)
     "session.index.builds",
     "session.index.probes",
@@ -283,8 +283,6 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
 DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_entries",
     "core.memo.subobject_hit_rate",
-    "core.memo.set_summary_entries",
-    "core.memo.set_summary_hit_rate",
     "core.memo.element_keys_entries",
     "core.memo.element_keys_hit_rate",
     "core.memo.element_matcher_entries",

@@ -12,14 +12,14 @@ compiled path:
   argument that makes join reordering sound;
 * :mod:`repro.plan.compile` — the rule-body compiler (formula → plan),
   cached on the immutable formula;
-* :mod:`repro.plan.statistics` — attribute-path cardinality and
-  distinct-atom statistics collected in one walk of the database;
+* :mod:`repro.plan.statistics` — spine-set cardinalities, and distinct-atom
+  counts that are the sizes of the executor's bucket tables;
 * :mod:`repro.plan.optimize` — the cost-based optimizer: greedy join
   reordering with bound-variable awareness, cross-product penalties and
   index access-path selection;
 * :mod:`repro.plan.indexes` — the match indexes scan leaves probe (one
-  store, built at first probe; an engine round carries over the tables of
-  the sets it left alone);
+  store, each table built by its first reader, probe or estimate; an engine
+  round carries over the tables of the sets it left alone);
 * :mod:`repro.plan.execute` — the physical executor shared by every
   evaluator, with index pushdown and semi-naive delta restriction, counting
   its work in :class:`~repro.plan.stats.EngineStats`;

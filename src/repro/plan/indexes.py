@@ -14,11 +14,14 @@ candidate condition.
 A :class:`TargetIndexes` therefore buckets the elements of the set at one
 attribute path (a :class:`repro.core.paths.Path`, as in the persistent
 store's ``PathIndex``) by the atom found at one key path inside the element,
-building each table at its first probe.  Targets are immutable, so a table
-is never maintained: a closure round matches against a new database and
-switches to :meth:`TargetIndexes.over` it, which keeps the tables of every
-set the round left alone — hash-consing makes it the same object — and
-rebuilds the others when they are next probed.
+building each table at its first read.  Two readers share a table: the
+executor's probe and the optimizer's ``V(R, a)`` statistic, which is the
+table's size (:meth:`repro.plan.statistics.DatabaseStatistics.distinct`), so
+a plan and the cursor running it bucket a set once.  Targets are immutable,
+so a table is never maintained: a closure round matches against a new
+database and switches to :meth:`TargetIndexes.over` it, which keeps the
+tables of every set the round left alone — hash-consing makes it the same
+object — and rebuilds the others when they are next read.
 """
 
 from __future__ import annotations
@@ -95,12 +98,13 @@ def _bucket(members: SetObject, key_path: Path) -> Dict[Atom, List[ComplexObject
 
 
 class TargetIndexes:
-    """The match indexes of one immutable target, each built when first probed.
+    """The match indexes of one immutable target, each built when first read.
 
     A table maps the atoms at one key path inside the elements of the set at
-    one set path to the elements carrying them.  The first atom-keyed probe
-    of a ``(set path, key path)`` builds its table in one pass over the set
-    (:func:`_bucket`), a leaf that never probes builds nothing, and whatever
+    one set path to the elements carrying them.  The first reader of a
+    ``(set path, key path)`` — an atom-keyed probe or a distinct-atom
+    estimate — builds its table in one pass over the set (:func:`_bucket`),
+    a key nothing reads builds nothing, and whatever
     cannot be indexed answers ``None`` so the executor scans — a non-atom
     key, a path that holds no set, or a set that is not interned (a raw set
     may hold ⊤ below an element, which matches every atom and which no
@@ -125,8 +129,10 @@ class TargetIndexes:
 
         Keeps every table whose set path holds the very same interned set in
         ``target`` — in a hash-consed database, every set the change left
-        alone — and builds the others afresh at their first probe.
+        alone — and builds the others afresh at their first read.
         """
+        if target is self.target:
+            return self
         following = TargetIndexes(target, self._on_build)
         for set_path, node in self._sets.items():
             if node is not None and navigate(target, set_path) is node:
@@ -148,19 +154,30 @@ class TargetIndexes:
         """
         if not isinstance(key, Atom):
             return None
+        table = self._tables.get((set_path, key_path)) or self.table(set_path, key_path)
+        return None if table is None else table.get(key, ())
+
+    def table(self, set_path: Path, key_path: Path) -> Optional[Dict[Atom, List[ComplexObject]]]:
+        """The ``atom → elements`` table of ``(set_path, key_path)``, built by its first reader.
+
+        The reader is a probe (:meth:`candidates`) or the optimizer's
+        distinct-atom estimate (its size); ``None`` when the set at
+        ``set_path`` cannot be indexed.  Callers never mutate it.
+        """
         table = self._tables.get((set_path, key_path))
-        if table is None:
-            try:
-                members = self._sets[set_path]
-            except KeyError:
-                node = navigate(self.target, set_path)
-                members = node if isinstance(node, SetObject) and is_interned(node) else None
-                self._sets[set_path] = members
-            if members is None:
-                return None
-            span = NULL_SPAN
-            if self._on_build is not None:
-                span = self._on_build(set_path, key_path, len(members))
-            with span:
-                table = self._tables[set_path, key_path] = _bucket(members, key_path)
-        return table.get(key, ())
+        if table is not None:
+            return table
+        try:
+            members = self._sets[set_path]
+        except KeyError:
+            node = navigate(self.target, set_path)
+            members = node if isinstance(node, SetObject) and is_interned(node) else None
+            self._sets[set_path] = members
+        if members is None:
+            return None
+        span = NULL_SPAN
+        if self._on_build is not None:
+            span = self._on_build(set_path, key_path, len(members))
+        with span:
+            table = self._tables[set_path, key_path] = _bucket(members, key_path)
+        return table

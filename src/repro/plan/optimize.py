@@ -49,11 +49,13 @@ def estimate_leaf(
     leaf: Leaf,
     bound: Set[str],
     statistics: Optional[DatabaseStatistics],
+    shapes=None,
 ) -> LeafEstimate:
     """Estimated surviving rows and chosen access path for one leaf.
 
     ``bound`` is the set of variables bound by the leaves placed before this
-    one; only those make a dynamic key probeable.
+    one; only those make a dynamic key probeable.  ``shapes`` bounds the
+    cardinality of a set the statistics never saw.
     """
     if not isinstance(leaf, ScanLeaf):
         # Free leaves produce at most one row; label them by what they do.
@@ -67,11 +69,10 @@ def estimate_leaf(
             access = "select"
         return LeafEstimate(rows=1.0, access=access)
     stats = statistics if statistics is not None else DatabaseStatistics()
-    cardinality = stats.cardinality(leaf.path)
     if leaf.static_keys:
         key_path, atom = leaf.static_keys[0]
         return LeafEstimate(
-            rows=stats.equality_estimate(leaf.path, key_path),
+            rows=stats.equality_estimate(leaf.path, key_path, shapes),
             access=f"index {key_path}={atom.to_text()}",
         )
     if leaf.param_keys:
@@ -80,16 +81,16 @@ def estimate_leaf(
         # at planning time.
         key_path, name = leaf.param_keys[0]
         return LeafEstimate(
-            rows=stats.equality_estimate(leaf.path, key_path),
+            rows=stats.equality_estimate(leaf.path, key_path, shapes),
             access=f"index {key_path}=${name} (param)",
         )
     for key_path, name in leaf.dynamic_keys:
         if name in bound:
             return LeafEstimate(
-                rows=stats.equality_estimate(leaf.path, key_path),
+                rows=stats.equality_estimate(leaf.path, key_path, shapes),
                 access=f"index {key_path}=${name}",
             )
-    return LeafEstimate(rows=cardinality, access="scan")
+    return LeafEstimate(rows=stats.cardinality(leaf.path, shapes), access="scan")
 
 
 def optimize_body(
@@ -102,8 +103,9 @@ def optimize_body(
     ``shapes`` (a :class:`~repro.lint.shapes.ProgramShapes`) makes the shape
     analysis load-bearing: a body the abstract interpreter proves can never
     produce a row is marked ``pruned`` (the executor then short-circuits to
-    zero rows), and each scan leaf's estimate is annotated with the inferred
-    element shape for EXPLAIN.  Pruning only happens on *grounded* inferences
+    zero rows), a set the statistics never saw is estimated from its shape's
+    cardinality bound, and each scan leaf's estimate is annotated with the
+    inferred element shape for EXPLAIN.  Pruning only happens on *grounded* inferences
     — an engine run infers against the actual database, so the proof is
     relative to the world that will really be scanned.
     """
@@ -124,7 +126,7 @@ def optimize_body(
 
     ordered: List[Leaf] = list(free)
     estimates: List[LeafEstimate] = [
-        estimate_leaf(leaf, set(), statistics) for leaf in free
+        estimate_leaf(leaf, set(), statistics, shapes) for leaf in free
     ]
     bound: Set[str] = set()
     for leaf in free:
@@ -137,7 +139,7 @@ def optimize_body(
         best_estimate: Optional[LeafEstimate] = None
         best_score = float("inf")
         for index, leaf in enumerate(remaining):
-            estimate = estimate_leaf(leaf, bound, statistics)
+            estimate = estimate_leaf(leaf, bound, statistics, shapes)
             connected = not bound or bool(leaf.variables & bound) or not leaf.variables
             score = estimate.rows if connected else estimate.rows * _CROSS_PRODUCT_PENALTY
             if score < best_score:

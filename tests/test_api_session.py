@@ -713,6 +713,22 @@ class TestNestingErrors:
         with pytest.raises(NestingError, match="^value is cyclic"):
             session.prepare(cyclic)
 
+    def test_explain_names_a_bound_value_too_deep_to_print(self):
+        value = 1
+        for _ in range(300):
+            value = {"a": value}
+        session = Session(seed=parse_object("[r: {[a: 1]}]"))
+        prepared = session.prepare("[r: {[a: $v]}]", lint="off")
+        message = r"^value bound to \$v is nested 301 levels deep, too deep to print$"
+        with pytest.raises(NestingError, match=message):
+            session.explain(prepared, {"v": value})
+        with pytest.raises(NestingError, match=message):
+            prepared.explain(v=value)
+        # Execute prints nothing, so it answers the same binding.
+        assert prepared.execute(v=value).all() is BOTTOM
+        assert prepared.execute(v=1).all() == parse_object("[r: {[a: 1]}]")
+        assert "query plan: [r: {[a: 1]}]" in prepared.explain(v=1)
+
 
 def _deep_formula(depth):
     """``[a: [a: ... X]]``, ``depth`` tuple formulae deep."""

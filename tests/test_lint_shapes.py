@@ -217,8 +217,11 @@ class TestPlanIntegration:
         # path the shapes can still bound.
         statistics = DatabaseStatistics.collect(parse_object("[other: {1}]"))
         assert statistics.cardinality(Path(("in",))) == DEFAULT_CARDINALITY
-        statistics.shapes = shapes
-        assert statistics.cardinality(Path(("in",))) == 3.0
+        assert statistics.cardinality(Path(("in",)), shapes) == 3.0
+        # optimize_body's shapes argument is the estimator's one route to them.
+        plan = optimize_body(compile_body(parse_formula("[in: {X}]")), statistics, shapes)
+        assert plan.estimates[0].rows == 3.0
+        assert optimize_body(plan, statistics).estimates[0].rows == DEFAULT_CARDINALITY
 
 
 class TestEngineIntegration:

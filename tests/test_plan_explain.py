@@ -351,7 +351,9 @@ class TestExplainShowsTheActualAccess:
         assert "scanned 2" in session.explain(self.QUERY, {"who": [1, 2]})
         literal = session.explain(self.QUERY, {"who": "mary"}, allow_bottom=True)
         assert "scanned 2" in literal and "probed" not in literal
-        assert session.cache_info()["indexes_cached"] == 0
+        # Planning may build a table for its estimates; nothing probes it.
+        session.execute(self.QUERY, {"who": "mary"}, allow_bottom=True).all()
+        assert session.stats()["query"].index_hits == 0
 
     def test_explain_runs_what_the_cursor_runs(self):
         session = _store_session()

@@ -66,10 +66,9 @@ class TestStatistics:
 
     def test_cardinalities_and_distincts(self):
         stats = DatabaseStatistics.collect(parse_object(self.DB))
-        assert stats.set_cardinalities[Path("r1")] == 3
-        assert stats.set_cardinalities[Path("deep.r2")] == 1
-        assert stats.distinct_atoms[(Path("r1"), Path("a"))] == 3
-        assert stats.distinct_atoms[(Path("r1"), Path("b"))] == 2
+        assert stats.set_cardinalities == {Path("r1"): 3, Path("deep.r2"): 1}
+        assert stats.distinct(Path("r1"), Path("a")) == 3
+        assert stats.distinct(Path("r1"), Path("b")) == 2
 
     def test_equality_estimate_uses_distinct_counts(self):
         stats = DatabaseStatistics.collect(parse_object(self.DB))
@@ -77,11 +76,6 @@ class TestStatistics:
         # Unknown paths fall back to defaults rather than claiming zero cost.
         assert stats.cardinality(Path("missing")) > 0
         assert stats.distinct(Path("missing"), Path("x")) > 0
-
-    def test_as_dict_is_json_friendly(self):
-        snapshot = DatabaseStatistics.collect(parse_object(self.DB)).as_dict()
-        assert snapshot["cardinalities"]["r1"] == 3.0
-        assert snapshot["distinct"]["r1::b"] == 2.0
 
 
 class TestOptimizer:

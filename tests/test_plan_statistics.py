@@ -1,24 +1,28 @@
-"""Statistics as a fold over interned sets: each spine set is summarised once.
+"""Statistics read the executor's bucket tables: one per-set summary.
 
-``DatabaseStatistics.collect`` walks the tuple spine and takes each spine
-set's summary (cardinality, distinct atoms per key path) from a memo keyed on
-the set's intern id.  The oracle is the from-scratch walk below — the whole
-collection the optimizer used before summaries were memoised — and the
-exact-counter tests pin that a session summarises a set once per interned
-value, not once per plan miss.
+``DatabaseStatistics.collect`` walks the tuple spine for cardinalities only;
+the optimizer's distinct-atom count ``V(R, a)`` is the size of the bucket
+table the executor probes (``repro.plan.indexes._bucket``, the one function
+that walks a set's elements for key atoms), built by its first reader.  The
+oracle is a from-scratch, uncapped count of the atoms at each key path, and
+the exact-counter tests pin that planner and executor share each table.
 """
 
+from collections import Counter
 from typing import Dict, Set, Tuple
+from unittest import mock
 
 import pytest
 
-import repro
-from repro import Session
+from repro import Session, parse_formula, parse_program
 from repro.core.builder import obj
 from repro.core.objects import BOTTOM, TOP, Atom, ComplexObject, SetObject, TupleObject
 from repro.core.paths import Path
-from repro.plan import statistics
+from repro.engine import SemiNaiveEngine
+from repro.plan import compile_body, indexes, optimize_body
+from repro.plan.indexes import TargetIndexes
 from repro.plan.statistics import DatabaseStatistics
+from repro.workloads import make_genealogy
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -26,44 +30,62 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 _ROOT = Path(())
 
 
-def oracle(database: ComplexObject) -> dict:
-    """Every spine set walked from scratch, nothing memoised."""
-    cardinalities: Dict[Path, int] = {}
-    distinct: Dict[Tuple[Path, Path], Set[Atom]] = {}
+def spine(database: ComplexObject) -> Dict[Path, SetObject]:
+    """Every set reachable through tuple attributes, by path."""
+    found: Dict[Path, SetObject] = {}
 
-    def walk_spine(value, path):
+    def walk(value, path):
         if isinstance(value, TupleObject):
             for name, item in value.items():
-                walk_spine(item, path.child(name))
+                walk(item, path.child(name))
         elif isinstance(value, SetObject):
-            cardinalities[path] = len(value.elements)
-            for element in value.elements:
-                walk_element(element, path, _ROOT)
+            found[path] = value
 
-    def walk_element(value, set_path, key_path):
+    walk(database, _ROOT)
+    return found
+
+
+def atoms_by_key(members: SetObject) -> Dict[Path, Set[Atom]]:
+    """The atoms at each key path (tuple steps only) inside ``members``' elements, uncapped."""
+    found: Dict[Path, Set[Atom]] = {}
+
+    def walk(value, key_path):
         if isinstance(value, Atom):
-            bucket = distinct.setdefault((set_path, key_path), set())
-            if len(bucket) < statistics._MAX_DISTINCT_TRACKED:
-                bucket.add(value)
+            found.setdefault(key_path, set()).add(value)
         elif isinstance(value, TupleObject):
             for name, item in value.items():
-                walk_element(item, set_path, key_path.child(name))
+                walk(item, key_path.child(name))
 
-    walk_spine(database, _ROOT)
-    expected = DatabaseStatistics(
-        set_cardinalities=cardinalities,
-        distinct_atoms={key: len(atoms) for key, atoms in distinct.items()},
-    )
-    return expected.as_dict()
+    for element in members.elements:
+        walk(element, _ROOT)
+    return found
 
 
-# -- the memoised collection equals the oracle ------------------------------------------
+class CountedStatistics(DatabaseStatistics):
+    """The estimator over a from-scratch count of every spine set, no index store."""
 
-#: More distinct atoms than the per-key cap tracks (4 096).
-PAST_THE_CAP = SetObject(Atom(i) for i in range(statistics._MAX_DISTINCT_TRACKED + 9))
+    def __init__(self, database: ComplexObject):
+        sets = spine(database)
+        super().__init__({path: len(members) for path, members in sets.items()})
+        self.counts: Dict[Tuple[Path, Path], int] = {
+            (path, key): len(atoms)
+            for path, members in sets.items()
+            for key, atoms in atoms_by_key(members).items()
+        }
+
+    def distinct(self, set_path, key_path, shapes=None):
+        known = self.counts.get((set_path, key_path))
+        if known:
+            return float(known)
+        return max(1.0, self.cardinality(set_path, shapes) ** 0.5)
+
+
+# -- distinct() is the uncapped count, with the √cardinality fallback ----------------------
+
+#: More distinct atoms than the old per-key cap tracked (4 096).
+PAST_THE_CAP = SetObject(Atom(i) for i in range(4096 + 9))
 PAST_THE_CAP_IN_TUPLES = SetObject(
-    TupleObject({"k": Atom(i), "g": Atom(i % 3)})
-    for i in range(statistics._MAX_DISTINCT_TRACKED + 5)
+    TupleObject({"k": Atom(i), "g": Atom(i % 3)}) for i in range(4096 + 5)
 )
 
 _ATOMS = st.one_of(st.integers(0, 5), st.sampled_from(["x", "y", "z"])).map(Atom)
@@ -84,27 +106,8 @@ _INTERNED_SETS = st.one_of(
     st.just(PAST_THE_CAP),
     st.just(PAST_THE_CAP_IN_TUPLES),
 )
-
-
-@st.composite
-def _edited_sets(draw):
-    """A chain of ``add`` / ``discard`` from an interned set."""
-    value = draw(_INTERNED_SETS)
-    for grow, element, at in draw(
-        st.lists(st.tuples(st.booleans(), _ELEMENTS, st.integers(0, 1 << 16)), max_size=4)
-    ):
-        if not isinstance(value, SetObject):
-            break
-        if grow:
-            value = value.add(element)
-        elif len(value):
-            value = value.discard(value.elements[at % len(value)])
-    return value
-
-
 _SETS = st.one_of(
     _INTERNED_SETS,
-    _edited_sets(),
     st.lists(st.one_of(_ELEMENTS, _SPECIAL), max_size=6).map(SetObject.raw),
     st.just(SetObject.raw(PAST_THE_CAP.elements + (BOTTOM,))),
 )
@@ -117,50 +120,100 @@ _DATABASES = st.recursive(
     ),
     max_leaves=6,
 )
+#: Paths no drawn database holds, beside the ones the oracle finds.
+_ABSENT = (Path(("zz",)), Path(("r", "zz")))
 
 
 @settings(max_examples=250, deadline=None)
 @given(_DATABASES)
-def test_collect_equals_the_from_scratch_walk(database):
-    expected = oracle(database)
-    # The first call may summarise; the second reads every interned set's memo.
-    assert DatabaseStatistics.collect(database).as_dict() == expected
-    assert DatabaseStatistics.collect(database).as_dict() == expected
+def test_distinct_is_the_uncapped_count_of_atoms_at_the_key(database):
+    stats = DatabaseStatistics.collect(database)
+    sets = spine(database)
+    assert stats.set_cardinalities == {path: len(members) for path, members in sets.items()}
+    for set_path in (*sets, *_ABSENT):
+        members = sets.get(set_path)
+        counts = {}
+        if members is not None and members._iid is not None:  # a raw set has no table
+            counts = {key: len(atoms) for key, atoms in atoms_by_key(members).items()}
+        fallback = max(1.0, stats.cardinality(set_path) ** 0.5)
+        for key_path in (*counts, _ROOT, *_ABSENT):
+            assert stats.distinct(set_path, key_path) == (counts.get(key_path) or fallback)
 
 
-def test_distinct_counts_saturate_at_the_cap():
-    cap = statistics._MAX_DISTINCT_TRACKED
+def test_counts_past_the_old_cap_are_exact():
     database = TupleObject({"r": PAST_THE_CAP, "s": PAST_THE_CAP_IN_TUPLES})
-    for _ in range(2):
-        stats = DatabaseStatistics.collect(database)
-        assert stats.distinct_atoms[(Path(("r",)), _ROOT)] == cap
-        assert stats.distinct_atoms[(Path(("s",)), Path(("k",)))] == cap
-        assert stats.distinct_atoms[(Path(("s",)), Path(("g",)))] == 3
-        assert stats.as_dict() == oracle(database)
+    stats = DatabaseStatistics.collect(database)
+    assert stats.distinct(Path(("r",)), _ROOT) == 4096 + 9
+    assert stats.distinct(Path(("s",)), Path(("k",))) == 4096 + 5
+    assert stats.distinct(Path(("s",)), Path(("g",))) == 3
 
 
-def test_a_raw_set_is_summarised_afresh_whenever_its_id_comes_back():
-    # Raw sets carry no intern id; CPython hands a freed set's id() to the next
-    # one, so a memo keyed on id() would answer for the wrong contents.
-    seen = set()
-    for size in range(1, 60):
-        database = TupleObject.raw({"r": SetObject.raw([Atom(i) for i in range(size)])})
-        seen.add(id(database.get("r")))
-        assert DatabaseStatistics.collect(database).as_dict() == oracle(database)
-        del database
-    assert len(seen) < 59  # ids were reused, so the check above had teeth
-
-
-def test_collect_returns_a_fresh_object():
-    database = obj({"r": [1, 2]})
-    first = DatabaseStatistics.collect(database)
-    first.shapes = object()
-    first.set_cardinalities.clear()
+def test_collect_reads_the_store_it_is_given():
+    database = obj({"r": [{"a": 1}, {"a": 2}]})
+    store = TargetIndexes(database)
+    first = DatabaseStatistics.collect(database, store)
+    assert first.indexes is store
     second = DatabaseStatistics.collect(database)
-    assert second.shapes is None and second.set_cardinalities == {Path(("r",)): 2}
+    assert second.indexes is not store and second.set_cardinalities == {Path(("r",)): 2}
+    # The estimate built the table the executor's probe then reads.
+    assert first.distinct(Path(("r",)), Path(("a",))) == 2
+    assert store.candidates(Path(("r",)), Path(("a",)), Atom(1)) == [obj({"a": 1})]
+    assert DatabaseStatistics().distinct(Path(("r",)), Path(("a",))) == 32.0 ** 0.5
 
 
-# -- one summary per interned spine set, not one per plan miss ---------------------------
+# -- the estimator is unchanged: only the source of its numbers moved ---------------------
+
+_KEYS = st.sampled_from(["a", "b", "c"])
+_VARIABLES = st.sampled_from(["X", "Y", "Z"])
+_TERMS = st.one_of(_VARIABLES, st.integers(0, 3).map(str))
+#: Element formulae: a term at the root, or a tuple of terms and nested sets.
+_ELEMENT_FORMULAE = st.one_of(
+    _TERMS,
+    st.dictionaries(
+        _KEYS,
+        st.one_of(_TERMS, _TERMS.map(lambda term: "{[a: %s]}" % term)),
+        min_size=1,
+        max_size=3,
+    ).map(lambda items: "[" + ", ".join(f"{k}: {v}" for k, v in items.items()) + "]"),
+)
+_BODIES = st.dictionaries(
+    st.sampled_from(["r", "s", "t"]), _ELEMENT_FORMULAE, min_size=1, max_size=3
+).map(lambda items: "[" + ", ".join(f"{k}: {{{v}}}" for k, v in items.items()) + "]")
+
+_VALUES = st.one_of(st.integers(0, 3).map(Atom), st.just(BOTTOM))
+#: Flat-ish elements: atoms at the root, tuples missing key attributes, nested sets.
+_ROWS = st.one_of(
+    st.integers(0, 40).map(Atom),
+    st.dictionaries(
+        _KEYS,
+        st.one_of(_VALUES, st.integers(0, 40).map(Atom), st.lists(_VALUES, max_size=2).map(
+            lambda values: SetObject(TupleObject({"a": value}) for value in values)
+        )),
+        max_size=3,
+    ).map(TupleObject),
+)
+_RELATIONS = st.one_of(st.lists(_ROWS, max_size=30).map(SetObject), st.just(BOTTOM))
+_FLAT_DATABASES = st.dictionaries(
+    st.sampled_from(["r", "s", "t"]), _RELATIONS, max_size=3
+).map(TupleObject)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODIES, _FLAT_DATABASES)
+def test_optimize_body_orders_and_estimates_as_over_a_from_scratch_count(body, database):
+    plan = compile_body(parse_formula(body))
+    over_tables = optimize_body(plan, DatabaseStatistics.collect(database))
+    over_counts = optimize_body(plan, CountedStatistics(database))
+    assert over_tables.leaves == over_counts.leaves
+    assert over_tables.estimates == over_counts.estimates
+
+
+# -- planner and executor share each table: exact build counts ---------------------------
+
+
+def _builds():
+    """Wrap the one function that buckets a set; its calls are ``(set, key path)``."""
+    return mock.patch.object(indexes, "_bucket", wraps=indexes._bucket)
 
 
 def _library(count, tag):
@@ -172,33 +225,55 @@ def _library(count, tag):
     )
 
 
-def _summarised():
-    return statistics._SUMMARIES.misses
+def test_a_from_scratch_run_builds_each_table_of_the_seed_once():
+    tree = make_genealogy(3, 3)
+    family = tree.family_object.get("family")
+    seed = TupleObject({"family": family, "doa": SetObject([Atom(tree.root)])})
+    rules = parse_program(
+        "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
+    )
+    engine = SemiNaiveEngine(rules)
+    with _builds() as planned:
+        engine.plan(seed)
+    # Planning reads V(family, name): it builds that table, once.
+    assert [(call.args[0], call.args[1]) for call in planned.call_args_list] == [
+        (family, Path(("name",)))
+    ]
+    with _builds() as built:
+        result = engine.run(seed)
+    # The run plans with the store its first round probes: one build in all,
+    # and the rounds after it keep the family table (the set never changes).
+    assert [(call.args[0], call.args[1]) for call in built.call_args_list] == [
+        (family, Path(("name",)))
+    ]
+    assert result.value.get("doa") == SetObject(Atom(p) for p in tree.expected_descendants)
 
 
-def test_a_session_summarises_each_spine_set_once_per_value():
-    repro.clear_object_caches()
+def test_forty_ad_hoc_queries_build_each_probed_table_once():
     session = Session()
-    session.put("library", _library(30, "summary-probe-"))
-    before = _summarised()
-    for index in range(40):
-        session.execute(f"[library: {{[title: T{index}, author: A{index}]}}]").all()
+    session.put("library", _library(30, "t"))
+    with _builds() as built:
+        for index in range(20):
+            session.execute(f"[library: {{[title: t{index}, year: Y]}}]").all()
+            session.execute(f"[library: {{[author: author{index % 4}, year: Y{index}]}}]").all()
     assert session.cache_info()["plan_misses"] == 40
-    assert _summarised() - before == 1
+    library = session.get("library")
+    keys = Counter((call.args[0] is library, str(call.args[1])) for call in built.call_args_list)
+    assert keys == {(True, "title"): 1, (True, "author"): 1}
+    assert session.cache_info()["indexes_cached"] == 2
 
-    # Two stored objects, two spine sets; replacing one rebuilds only it.
-    session.put("shelf", _library(5, "shelf-"))
-    session.execute("[shelf: {[title: T]}]").all()
-    assert _summarised() - before == 2
-    hits = statistics._SUMMARIES.hits
-    session.put("shelf", _library(6, "shelf-"))
-    session.execute("[shelf: {[title: T]}, library: {[title: T]}]").all()
-    assert _summarised() - before == 3
-    assert statistics._SUMMARIES.hits == hits + 1  # the library set's summary
 
-    entries = len(statistics._SUMMARIES)
-    assert entries >= 3
-    assert repro.obs.snapshot()["gauges"]["core.memo.set_summary_entries"] == entries
-    repro.clear_object_caches()
-    assert len(statistics._SUMMARIES) == 0
-    assert repro.obs.snapshot()["gauges"]["core.memo.set_summary_entries"] == 0
+def test_a_prepared_read_after_a_write_builds_its_table_while_planning():
+    session = Session()
+    session.put("library", _library(30, "t"))
+    read = session.prepare("[library: {[title: $t, year: Y]}]")
+    assert read.execute(t="t3").all() != BOTTOM
+    session.put("library", _library(31, "t"))
+    with _builds() as built:
+        cursor = read.execute(t="t30")  # resolves and plans; nothing consumed yet
+        assert [str(call.args[1]) for call in built.call_args_list] == ["title"]
+        assert built.call_args_list[0].args[0] is session.get("library")
+        assert cursor.all() != BOTTOM
+        assert read.execute(t="t7").all() != BOTTOM
+    assert built.call_count == 1
+    assert session.stats()["query"].index_hits == 1

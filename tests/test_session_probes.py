@@ -6,6 +6,7 @@ formula); the exact-counter tests pin that the probes really happen.
 """
 
 import time
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.calculus.terms import bind_parameters
 from repro.core.builder import obj
 from repro.core.errors import QueryTimeout
 from repro.core.objects import Atom, SetObject, TupleObject
+from repro.core.paths import Path
+from repro.plan import indexes
 from repro.workloads import make_document_collection, make_part_hierarchy
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,8 +108,8 @@ def _assert_session_answers_the_oracle(stored, query, value, allow_bottom, top_s
         streamed = list(cursor)
         assert len(streamed) == len(set(streamed))
         assert repro.union_all(streamed) == expected == cursor.all()
-    if allow_bottom:
-        assert session.cache_info()["indexes_cached"] == 0  # no narrowing at all
+        if allow_bottom:  # no narrowing at all: planning may build, nothing probes
+            assert session.stats()["query"].index_hits == 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -248,21 +251,21 @@ class TestExactCounters:
 # -- (d) deadlines ---------------------------------------------------------------------------
 
 
-def test_a_spent_deadline_is_noticed_before_the_bucket_is_built():
+def test_a_spent_deadline_is_noticed_before_any_match_attempt():
     session = Session()
     session.put("big", SetObject(TupleObject({"k": Atom(i), "v": Atom(-i)}) for i in range(3000)))
-    lookup = session.prepare("{[k: $k, v: V]}", against="big")
-    cursor = session.execute(lookup, {"k": 5}, timeout_ms=0.001)
-    time.sleep(0.002)
-    with pytest.raises(QueryTimeout):
-        cursor.all()
-    assert session.cache_info()["indexes_cached"] == 0
-    streaming = session.execute(lookup, {"k": 5}, timeout_ms=0.001)
-    time.sleep(0.002)
-    with pytest.raises(QueryTimeout):
-        next(streaming)
-    assert session.cache_info()["indexes_cached"] == 0
-    assert lookup.execute(k=5).all() == parse_object("{[k: 5, v: -5]}")
+    with mock.patch.object(indexes, "_bucket", wraps=indexes._bucket) as bucket:
+        lookup = session.prepare("{[k: $k, v: V]}", against="big")
+        for terminal in (Cursor.all, next):
+            cursor = session.execute(lookup, {"k": 5}, timeout_ms=0.001)
+            time.sleep(0.002)
+            with pytest.raises(QueryTimeout) as caught:
+                terminal(cursor)
+            # Stopped in front of the one leaf: no witness was tried.
+            assert "leaf 1 of 1, 1 partial substitutions" in caught.value.partial_explain
+        assert lookup.execute(k=5).all() == parse_object("{[k: 5, v: -5]}")
+    # The planner built the probed table; no cursor, cut short or not, built it again.
+    assert [call.args[1] for call in bucket.call_args_list] == [Path(("k",))]
     assert session.cache_info()["indexes_cached"] == 1
 
 
@@ -302,13 +305,21 @@ class TestObservability:
             (root,) = tracer.traces()
         finally:
             repro.obs.disable_tracing()
-        builds = [span for span in root.children if span.name == "session.index.build"]
+        # The tables are built by their first reader, the planner's estimates
+        # inside the first execute; the second execute and both cursors build
+        # nothing.
+        planning, _ = [span for span in root.children if span.name == "session.execute"]
+        builds = [span for span in planning.children if span.name == "session.index.build"]
         assert [
             (span.attrs["set_path"], span.attrs["key_path"], span.attrs["elements"])
             for span in builds
         ] == [("component", "assembly_id", 120), ("part", "part_id", 121)]
         assert all(span.duration_ns is not None for span in builds)
-        assert [span.name for span in root.children].count("session.execute") == 2
+
+        def names(span):
+            return [span.name] + [name for child in span.children for name in names(child)]
+
+        assert names(root).count("session.index.build") == 2
 
 
 # -- Cursor.bindings() keeps rows, projects on demand ---------------------------------------
