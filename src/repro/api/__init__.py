@@ -22,7 +22,7 @@ compare against), shaped like a classic database client API:
 * :meth:`Session.register` + :meth:`Session.close` evaluate rule closures.
 
 :mod:`repro.api.session` holds the session, :mod:`repro.api.snapshot` what
-it derives from one ``version`` (plans, index stores, closures), and
+it derives from one ``version`` (plans, index builds, closures), and
 :mod:`repro.api.cursor` prepared queries and cursors; this package
 re-exports their public names.
 

@@ -146,8 +146,8 @@ class Snapshot:
         """Optimize ``formula`` for ``target`` and keep the plan (a miss).
 
         What the cache saves is the cost-based reordering.  Its distinct-atom
-        estimates read the tables of ``target``'s index store, which the
-        cursor then probes.  A target nested too deeply to walk raises
+        estimates read the tables ``target``'s sets carry, which the cursor
+        then probes.  A target nested too deeply to walk raises
         :class:`~repro.core.errors.NestingError`.
         """
         self._counters.count("plan_misses")
@@ -172,8 +172,8 @@ class Snapshot:
 
     # -- index stores -------------------------------------------------------------------
     def indexes_for(self, target: Optional[ComplexObject]) -> Optional[TargetIndexes]:
-        """The index store of ``target``: one per target per version, never
-        refreshed (targets are immutable) — it goes with its snapshot."""
+        """The index store of ``target``: one per target per version, counting
+        its builds as this version's — the tables it reads live on the sets."""
         if target is None:
             return None
         indexes = self._indexes.get(id(target))

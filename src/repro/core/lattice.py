@@ -34,10 +34,11 @@ set operands go through a single reduction.  A semi-naive round that derives
 ``k`` one-element ``[doa: {X}]`` heads therefore makes no sub-object test at
 all (distinct interned atoms are never comparable) and interns two nodes,
 where a pairwise fold built ``k − 1`` intermediate sets and tested ``k²/2``
-pairs of atoms.  The binary set join and the n-ary one share one scan,
-:func:`repro.core.order.maximal_cross`: already-reduced operands are only
-tested against each other, never within, and relational rows only inside
-their discriminator bucket.
+pairs of atoms.  The binary set join and the n-ary one share one step:
+the larger operand grows by the elements it lacks, each tested only against
+its own bucket, and derives its index and bucket tables from the larger
+one's (``repro.core.order._grown_by``).  Raw operands may be non-reduced
+(Example 3.2): :func:`repro.core.order.maximal_cross` joins them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.core.objects import (
     Top,
     TupleObject,
 )
-from repro.core.order import is_subobject, maximal_cross, maximal_unique
+from repro.core.order import _grown_by, _lacking, is_subobject, maximal_cross, maximal_unique
 
 __all__ = [
     "union",
@@ -93,12 +94,12 @@ def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObjec
         for name in set(left.attributes) | set(right.attributes):
             attributes[name] = union(left.get(name), right.get(name))
         return TupleObject(attributes)
-    # Definition 3.4(iv): reduced set union.  Both operands are already
-    # reduced, so only cross-domination between the two element lists has to
-    # be checked, never a pair inside one operand.
+    # Definition 3.4(iv): reduced set union.  Both operands are reduced: the
+    # larger grows by what the smaller holds alone, tested by bucket only.
     if isinstance(left, SetObject) and isinstance(right, SetObject):
         if left._iid is not None and right._iid is not None:
-            return SetObject._from_reduced(_join_reduced(left.elements, right.elements))
+            larger, smaller = (left, right) if len(left) >= len(right) else (right, left)
+            return _grown_by(larger, _lacking(larger, smaller.elements))
         # Raw operands may be non-reduced (Example 3.2): the survivors can
         # still dominate each other, so the result must stay un-interned.
         # Right first: of a mutually dominating pair the right element stays.
@@ -145,26 +146,6 @@ def _intersection_structural(left: ComplexObject, right: ComplexObject) -> Compl
         return SetObject(pairwise)
     # Definition 3.5(v): incompatible kinds.
     return BOTTOM
-
-
-def _join_reduced(left, right):
-    """Elements of the reduced union of two interned sets' element lists.
-
-    Interned operands are reduced and their elements canonical, so an element
-    both sides hold (the same instance) is kept, and no *other* element of
-    either side dominates or is dominated by it: only the elements one side
-    holds alone are scanned, O(n + dL·dR) instead of O(n²) when two versions
-    of one large set are joined.  Among those a distinct atom is comparable
-    with nothing, which the scan knows — so is every atom once the shared
-    ones are out, whatever the operand sizes.
-    """
-    right_ids = set(map(id, right))
-    kept = [element for element in left if id(element) in right_ids]
-    if kept:
-        shared = set(map(id, kept))
-        left = [element for element in left if id(element) not in shared]
-        right = [element for element in right if id(element) not in shared]
-    return kept + maximal_cross(left, right)
 
 
 def union_all(objects: Iterable[ComplexObject]) -> ComplexObject:
@@ -228,20 +209,12 @@ def _join(operands):
             if joined is TOP:
                 return TOP
         return TupleObject(attributes)
-    # The largest operand is never reduced again: the others' elements are
-    # gathered and reduced once (atoms without a test, rows by bucket), then
-    # joined to it like any second operand.  Re-reducing everything tests
-    # every pair inside each operand a second time.
+    # The largest operand is never reduced again: the others' elements it
+    # lacks are gathered and reduced once (atoms without a test, rows by
+    # bucket), then it grows by them like by any second operand.
     largest = max(operands, key=len)
-    seen = set(map(id, largest.elements))
-    rest = []
-    for operand in operands:
-        if operand is not largest:
-            for element in operand.elements:
-                if id(element) not in seen:
-                    seen.add(id(element))
-                    rest.append(element)
-    return SetObject._from_reduced(maximal_cross(largest.elements, maximal_unique(rest)))
+    rest = {e._iid: e for operand in operands if operand is not largest for e in operand.elements}
+    return _grown_by(largest, maximal_unique(_lacking(largest, rest.values())))
 
 
 def intersection_all(objects: Iterable[ComplexObject]) -> ComplexObject:

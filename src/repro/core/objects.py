@@ -475,8 +475,9 @@ class SetObject(ComplexObject):
     equality coincides with the paper's set equality.
     """
 
-    # ``_index`` (repro.core.order._set_index) is set only on sets add/discard use.
-    __slots__ = ("_elements", "_index")
+    # Set by repro.core.order alone, on interned sets: the domination index and
+    # the bucket tables by key path, a memo clear_object_caches() drops.
+    __slots__ = ("_elements", "_index", "_tables")
     kind = "set"
     _rank = _RANK_SET
 
@@ -568,9 +569,8 @@ class SetObject(ComplexObject):
         return instance
 
     @classmethod
-    def _from_derived(cls, ordered, ids, depth, size, index) -> "SetObject":
-        """Intern a set ``add`` / ``discard`` derived, with its key, fingerprint
-        and domination index (kept by an intern hit that has its own)."""
+    def _from_derived(cls, ordered, ids, depth, size) -> "SetObject":
+        """Intern a set ``repro.core.order._spliced`` derived, with its key and fingerprint."""
 
         def build():
             instance = ComplexObject.__new__(cls)
@@ -580,10 +580,7 @@ class SetObject(ComplexObject):
             object.__setattr__(instance, "_size", size)
             return instance
 
-        result = _intern.intern_node(("s", ids), build)
-        if index is not None and getattr(result, "_index", None) is None:
-            object.__setattr__(result, "_index", index)
-        return result
+        return _intern.intern_node(("s", ids), build)
 
     # -- collection-style access ---------------------------------------------------
     @property
@@ -613,10 +610,10 @@ class SetObject(ComplexObject):
     def add(self, element: ComplexObject) -> "SetObject":
         """Return a new set with ``element`` added (and the result re-reduced)."""
         if self._incremental(element):
-            from repro.core.order import _grown
+            from repro.core.order import _grown_by
 
             try:
-                return _grown(self, element)
+                return self if element in self else _grown_by(self, (element,))
             except RecursionError:
                 raise _too_deep_to_order([element]) from None
         return SetObject(self._elements + (element,))
@@ -625,9 +622,9 @@ class SetObject(ComplexObject):
         """Return a new set without ``element`` (no error if absent)."""
         try:
             if self._incremental(element):
-                from repro.core.order import _shrunk
+                from repro.core.order import _set_index, _spliced
 
-                return _shrunk(self, element)
+                return _spliced(self, _set_index(self), (), (element,)) if element in self else self
             remaining = [e for e in self._elements if e != element]
             if self._iid is not None:
                 # Removing an element keeps the remaining ones distinct and

@@ -37,6 +37,7 @@ still hit the cache.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, insort
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -52,6 +53,7 @@ from repro.core.objects import (
     Top,
     TupleObject,
 )
+from repro.core.paths import Path
 
 __all__ = [
     "is_subobject",
@@ -356,36 +358,108 @@ def _discriminator_buckets(items, group):
 class _SetIndex(NamedTuple):
     """Where an interned set keeps what may dominate, or be dominated by, a newcomer.
 
-    Tuples by the atom they carry at ``disc`` (picked as
-    :func:`_discriminator_buckets` picks it: a dominator carries the same atom
-    wherever the dominated tuple carries one), the tuples with no atom there,
-    and the set elements; distinct atoms are incomparable.  With no
-    discriminating attribute ``disc`` is ``None`` and every tuple is
-    atom-less (``get(None)`` is ⊥).  ``ids`` is the sorted intern-id tuple
-    that is the set's intern key.
+    Tuples by the atom at ``disc`` (picked as :func:`_discriminator_buckets`
+    picks it: a dominator carries the same atom wherever the dominated tuple
+    does) in ``buckets``, the set's table at key path ``key``; the tuples with
+    no atom there, and the set elements, in set order.  With no discriminating
+    attribute ``disc`` and ``key`` are ``None`` and every tuple is atom-less.
+    ``ids`` is the sorted intern-id tuple that is the set's intern key.
     """
 
     disc: Optional[str]
-    buckets: Dict[Atom, tuple]
-    atomless: tuple
-    sets: tuple
+    key: Optional[Path]
+    buckets: Dict[Atom, List[ComplexObject]]
+    atomless: List[ComplexObject]
+    sets: List[ComplexObject]
     ids: Tuple[int, ...]
 
 
+class _Carried(weakref.WeakValueDictionary):
+    """The interned sets (by intern id) carrying ``_index`` (:class:`_SetIndex`) or
+    ``_tables`` (key path → :func:`_bucket`'s table), one registered memo whose
+    ``clear()`` drops both; ``misses`` counts tables built, ``hits`` those derived.
+    """
+
+    hits = misses = 0
+
+    def clear(self) -> None:
+        for value in list(self.values()):
+            object.__setattr__(value, "_index", None)
+            object.__setattr__(value, "_tables", None)
+        super().clear()
+
+
+_CARRIED = register_cache(_Carried(), "set_tables")
+
+
+def _carry(value: SetObject, index: Optional[_SetIndex], tables) -> None:
+    """Keep ``index`` and ``tables`` on ``value``; what it carries already wins.  The
+    table dict is replaced, never updated: a race loses a table, built again."""
+    if index is not None and getattr(value, "_index", None) is None:
+        object.__setattr__(value, "_index", index)
+    if tables:
+        own = getattr(value, "_tables", None)
+        object.__setattr__(value, "_tables", {**tables, **own} if own else tables)
+    _CARRIED[value._iid] = value
+
+
+def _atom_at(element: ComplexObject, path: Path) -> Optional[Atom]:
+    """The atom at ``path`` inside ``element`` (tuple steps only), else ``None``."""
+    current = element
+    for step in path.steps:
+        if not isinstance(current, TupleObject):
+            return None
+        current = current.get(step)
+    return current if isinstance(current, Atom) else None
+
+
+def _bucket(members: SetObject, key_path: Path) -> Dict[Atom, List[ComplexObject]]:
+    """The elements of ``members`` grouped by the atom at ``key_path``, in set order.
+
+    The one function that buckets a set from scratch: elements without an
+    atom there are left out.  At the root path an element is its own key and
+    alone in its bucket, so the pass skips the per-element walk.
+    """
+    elements = members.elements
+    if not key_path.steps:
+        return {element: [element] for element in elements if isinstance(element, Atom)}
+    table: Dict[Atom, List[ComplexObject]] = {}
+    for element in elements:
+        key = _atom_at(element, key_path)
+        if key is not None:
+            table.setdefault(key, []).append(element)
+    return table
+
+
+def _carried(value: SetObject, key_path: Path) -> Optional[Dict[Atom, List[ComplexObject]]]:
+    """The table the interned set ``value`` carries at ``key_path``, else ``None``."""
+    return (getattr(value, "_tables", None) or {}).get(key_path)
+
+
+def _tabled(value: SetObject, key_path: Path) -> Dict[Atom, List[ComplexObject]]:
+    """Bucket the interned set ``value`` at ``key_path`` from scratch and keep the table on it."""
+    table = _bucket(value, key_path)
+    _CARRIED.misses += 1
+    _carry(value, None, {key_path: table})
+    return table
+
+
 def _set_index(value: SetObject) -> _SetIndex:
-    """The set's index, built at first use and cached on it (a race builds it twice)."""
+    """The set's index, built at first use and kept on it (a race builds it twice)."""
     index = getattr(value, "_index", None)
     if index is None:
         tuples = [e for e in value._elements if isinstance(e, TupleObject)]
-        disc, found = _discriminator_buckets(tuples, range(len(tuples)))
+        disc, _ = _discriminator_buckets(tuples, range(len(tuples)))
+        key = disc and Path((disc,))  # a disc table is never empty
         index = _SetIndex(
             disc,
-            {atom: tuple(tuples[i] for i in at) for atom, at in (found or {}).items()},
-            tuple(t for t in tuples if not isinstance(t.get(disc), Atom)),
-            tuple(e for e in value._elements if isinstance(e, SetObject)),
+            key,
+            _carried(value, key) or _tabled(value, key) if key else {},
+            [t for t in tuples if not isinstance(t.get(disc), Atom)],
+            [e for e in value._elements if isinstance(e, SetObject)],
             tuple(sorted(e._iid for e in value._elements)),
         )
-        object.__setattr__(value, "_index", index)
+        _carry(value, index, None)
     return index
 
 
@@ -396,86 +470,103 @@ def _neighbours(index: _SetIndex, element: ComplexObject):
     value = element.get(index.disc)
     if isinstance(value, Atom):
         bucket = index.buckets.get(value, ())
-        return bucket, bucket + index.atomless
+        return bucket, chain(bucket, index.atomless)
     if value is BOTTOM:  # a tuple carrying an atom there may still dominate it
         return chain(index.atomless, *index.buckets.values()), index.atomless
     return index.atomless, index.atomless
 
 
-def _grown(value: SetObject, element: ComplexObject) -> SetObject:
-    """``SetObject(value.elements + (element,))`` for interned operands other than ⊥ / ⊤.
+def _lacking(value: SetObject, elements: Iterable[ComplexObject]) -> List[ComplexObject]:
+    """The interned ``elements`` that the interned set ``value`` does not hold, by intern id."""
+    held = set(_set_index(value).ids)
+    return [e for e in elements if e._iid not in held]
 
-    Only ``element``'s neighbours are tested, each pair behind the depth /
-    width fingerprint prune of :func:`_is_subobject_inner`.  ``value`` is
-    reduced, so if a held element dominates ``element``, ``element``
-    dominates none and the answer is ``value``; otherwise what it dominates
-    leaves.
+
+def _grown_by(value: SetObject, batch: Sequence[ComplexObject]) -> SetObject:
+    """``SetObject(value.elements + batch)`` for an interned antichain ``batch``
+    of elements other than ⊥ / ⊤ that ``value`` does not hold.  Each newcomer
+    is tested against its neighbours only (an atom against none): both sides
+    are reduced, so a newcomer a held element dominates dominates none and
+    stays out, and what the others dominate leaves.
     """
-    if element in value:
-        return value
     index = _set_index(value)
-    if isinstance(element, Atom):
-        return _spliced(value, index, element, ())
-    above, below = _neighbours(index, element)
-    if any(_is_subobject_inner(element, other) for other in above):
-        return value
-    gone = [other for other in below if _is_subobject_inner(other, element)]
-    return _spliced(value, index, element, gone)
-
-
-def _shrunk(value: SetObject, element: ComplexObject) -> SetObject:
-    """``value`` without ``element``, for interned operands other than ⊥ / ⊤."""
-    if element not in value:
-        return value
-    return _spliced(value, _set_index(value), None, (element,))
+    added: List[ComplexObject] = []
+    gone: Dict[int, ComplexObject] = {}
+    for element in batch:
+        if not isinstance(element, Atom):
+            above, below = _neighbours(index, element)
+            if any(_is_subobject_inner(element, other) for other in above):
+                continue
+            gone.update((id(o), o) for o in below if _is_subobject_inner(o, element))
+        added.append(element)
+    return _spliced(value, index, added, list(gone.values())) if added else value
 
 
 def _spliced(value: SetObject, index: _SetIndex, added, removed) -> SetObject:
-    """``value`` less ``removed`` plus ``added`` (or ``None``), interned with the
-    key, fingerprint and index derived from ``value``'s."""
+    """``value`` less ``removed`` plus ``added``, interned with the key, fingerprint,
+    index and tables derived from ``value``'s: the one place a set is derived
+    from another.  Each table is copied once; only the buckets touched change.
+    """
     ordered, ids, size, depth = list(value._elements), list(index.ids), value._size, value._depth
     for old in removed:
         del ordered[bisect_left(ordered, old.sort_key(), key=ComplexObject.sort_key)]
         del ids[bisect_left(ids, old._iid)]
         size -= old._size
-    if added is not None:
-        ordered.insert(bisect_left(ordered, added.sort_key(), key=ComplexObject.sort_key), added)
-        insort(ids, added._iid)
-        size += added._size
-        depth = max(depth, 1 + added._depth)
+    if len(added) == 1:
+        insort(ordered, added[0], key=ComplexObject.sort_key)
+        insort(ids, added[0]._iid)
+    elif added:  # one merge of two sorted runs
+        ordered = sorted(ordered + list(added), key=ComplexObject.sort_key)
+        ids = sorted(ids + [new._iid for new in added])
+    for new in added:
+        size += new._size
+        depth = max(depth, 1 + new._depth)
     if any(1 + old._depth == value._depth for old in removed):  # a deepest one left
         depth = 1 + max((e._depth for e in ordered), default=1)
     ids = tuple(ids)
-    child = _child_index(index, ids, added, removed)
-    return SetObject._from_derived(tuple(ordered), ids, depth, size, child)
+    changes = [(old, False) for old in removed] + [(new, True) for new in added]
+    carried = {index.key: index.buckets} if index.key else {}
+    carried.update(getattr(value, "_tables", None) or ())
+    tables = {path: _retabled(table, path, changes) for path, table in carried.items()}
+    _CARRIED.hits += len(tables)
+    child = SetObject._from_derived(tuple(ordered), ids, depth, size)
+    _carry(child, _child_index(index, ids, changes, tables.get(index.key, {})), tables)
+    return child
 
 
-def _child_index(index: _SetIndex, ids, added, removed) -> Optional[_SetIndex]:
-    """``index`` once ``removed`` left and ``added`` joined: the bucket dict is
-    copied shallowly and only the touched groups are replaced.  A tuple joining
-    a set with no discriminator leaves the child to pick one at its first use."""
-    disc, buckets, atomless, sets, _ = index
-    if disc is None and isinstance(added, TupleObject):
-        return None
-    buckets = dict(buckets)
-    changes = [(old, False) for old in removed]
-    if added is not None:
-        changes.append((added, True))
+def _retabled(table, key_path: Path, changes):
+    """``table`` once each ``(element, joins)`` of ``changes`` joined or left:
+    copied once, and only the buckets they touch are replaced."""
+    table = dict(table)
     for element, joins in changes:
-        atom = element.get(disc) if isinstance(element, TupleObject) else None
-        if isinstance(atom, Atom):
-            bucket = _edited(buckets.pop(atom, ()), element, joins)
+        atom = _atom_at(element, key_path)
+        if atom is not None:
+            bucket = _edited(table.pop(atom, ()), element, joins)
             if bucket:
-                buckets[atom] = bucket
-        elif isinstance(element, TupleObject):
-            atomless = _edited(atomless, element, joins)
-        elif isinstance(element, SetObject):
+                table[atom] = bucket
+    return table
+
+
+def _child_index(index: _SetIndex, ids, changes, buckets) -> Optional[_SetIndex]:
+    """``index`` once ``changes`` are made, ``buckets`` the child's table at ``key``.
+    A tuple joining a set with no discriminator leaves the child to pick one."""
+    disc, key, _, atomless, sets, _ = index
+    if disc is None and any(joins and isinstance(e, TupleObject) for e, joins in changes):
+        return None
+    for element, joins in changes:
+        if isinstance(element, SetObject):
             sets = _edited(sets, element, joins)
-    return _SetIndex(disc, buckets, atomless, sets, ids)
+        elif isinstance(element, TupleObject) and not isinstance(element.get(disc), Atom):
+            atomless = _edited(atomless, element, joins)
+    return _SetIndex(disc, key, buckets, atomless, sets, ids)
 
 
-def _edited(group: tuple, element: ComplexObject, joins: bool) -> tuple:
-    return group + (element,) if joins else tuple(e for e in group if e is not element)
+def _edited(group, element: ComplexObject, joins: bool) -> List[ComplexObject]:
+    """A new ``group`` (in set order) with ``element`` joined, or left."""
+    if not joins:
+        return [e for e in group if e is not element]
+    at = bisect_left(group, element.sort_key(), key=ComplexObject.sort_key)
+    return [*group[:at], element, *group[at:]]
 
 
 def maximal_unique(objects: List[ComplexObject]) -> List[ComplexObject]:

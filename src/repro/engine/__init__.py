@@ -14,8 +14,8 @@ the flat Datalog layer already enjoys to the complex-object calculus itself:
 It schedules rules by the dependency graph of
 :mod:`repro.calculus.dependency` (strongly-connected components in
 topological order: non-recursive strata applied once, recursive ones
-iterated), probes the match indexes of :mod:`repro.plan.indexes` (each
-table built by its first reader, planner or probe), and counts its work in
+iterated), probes the match indexes of :mod:`repro.plan.indexes` (tables a
+grown set derives from its parent's), and counts its work in
 :class:`~repro.plan.stats.EngineStats`.
 
 Quick use::

@@ -10,10 +10,9 @@ over :meth:`RuleSet.apply`, which shares no plan code with it.
 The engine stratifies the rule set along its dependency graph
 (:mod:`repro.calculus.dependency`), applies non-recursive strata once, and
 iterates each recursive stratum with delta-restricted plan execution
-(:mod:`repro.engine.delta`) accelerated by match indexes built at their
-first read (:mod:`repro.plan.indexes`): planning reads the tables of the
-store the first round probes, and each round's store carries over the
-tables of every set the round left alone.  Rule bodies run through the plan
+(:mod:`repro.engine.delta`) accelerated by match indexes
+(:mod:`repro.plan.indexes`) whose tables the sets carry: a set a round
+grows derives them from the one it grew from.  Rule bodies run through the plan
 pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
 cost-based optimizer orders its leaves against statistics of the database
 being closed, and the physical executor runs it; each head compiles once
@@ -150,12 +149,9 @@ class SemiNaiveEngine:
             for rule in [r for r, plan in plans.items() if plan.pruned is not None]:
                 plans[rule] = self._body_plans[rule]
             current = union(previous, database)
-            indexes = TargetIndexes(current) if self.use_indexes else None
         else:
             previous = None
-            # The first round probes the store the planner's estimates filled.
-            indexes = TargetIndexes(database) if self.use_indexes else None
-            plans = self._plan(database, indexes)
+            plans = self.plan(database)  # its estimates build the tables rounds probe
             stats.rules_pruned = sum(
                 1 for plan in plans.values() if plan.pruned is not None
             )
@@ -173,9 +169,7 @@ class SemiNaiveEngine:
                         )
                     # Every stratum of a resumed run starts from the same
                     # closed base: none of its rules has seen the growth yet.
-                    current, indexes = self._close_stratum(
-                        stratum, previous, current, plans, indexes, stats, budget
-                    )
+                    current = self._close_stratum(stratum, previous, current, plans, stats, budget)
             if run_span.enabled:
                 run_span.set(
                     engine=self.name,
@@ -201,11 +195,7 @@ class SemiNaiveEngine:
         :meth:`run` executes these plans and ``Program.explain`` renders
         them.
         """
-        return self._plan(database, None)
-
-    def _plan(self, database: ComplexObject, indexes: Optional[TargetIndexes]):
-        """:meth:`plan`, its estimates reading ``indexes`` (a fresh store if ``None``)."""
-        statistics = DatabaseStatistics.collect(database, indexes)
+        statistics = DatabaseStatistics.collect(database)
         shapes = infer_shapes(self.rules.rules, database) if self.use_shapes else None
         return {
             rule: optimize_body(plan, statistics, shapes)
@@ -219,26 +209,23 @@ class SemiNaiveEngine:
         previous: Optional[ComplexObject],
         current: ComplexObject,
         plans: Dict[Rule, BodyPlan],
-        indexes: Optional[TargetIndexes],
         stats: EngineStats,
         budget: List[int],
-    ) -> Tuple[ComplexObject, Optional[TargetIndexes]]:
-        """Iterate one stratum to its local fixpoint; returns it with the last store.
+    ) -> ComplexObject:
+        """Iterate one stratum to its local fixpoint and return it.
 
         ``previous is None`` makes the first round a full application — it
         must see the whole database, the delta discipline only covers growth
         since ``previous`` — and every later round a delta round.  A
         non-recursive stratum is done after one round.  Each round probes
-        the match indexes of the database it matches against: ``indexes``
-        (``None``: no probing) carried ``over`` to it.
+        the match indexes of the database it matches against (none without
+        ``use_indexes``), whose sets carry their tables.
         """
         live = self._live_rules(stratum, plans)
         if not live:
             # Every rule of this stratum is statically empty: its fixpoint is
             # the input, no round needs to run.
-            return current, indexes
-        if indexes is not None:
-            indexes = indexes.over(current)
+            return current
         round_ns = _METRICS.histogram("engine.round_ns")
         round_number = 0
         while True:
@@ -248,6 +235,7 @@ class SemiNaiveEngine:
             else:
                 self._check_deadline(current)
             round_start = time.perf_counter_ns()
+            indexes = TargetIndexes(current) if self.use_indexes else None
             with _trace.span("engine.round") as span:
                 if span.enabled:
                     span.set(
@@ -268,16 +256,14 @@ class SemiNaiveEngine:
                 next_value = union(current, produced)
             round_ns.observe(time.perf_counter_ns() - round_start)
             if next_value == current:
-                return current, indexes
+                return current
             # ``iterations`` counts growing rounds only, summed over strata:
             # comparable with close()'s count for one recursion, larger for
             # independent ones, which close() advances in the same round.
             stats.iterations += 1
             check_guards(next_value, stats.iterations, self.max_nodes, self.max_depth)
             if not stratum.recursive:
-                return next_value, indexes
-            if indexes is not None:
-                indexes = indexes.over(next_value)
+                return next_value
             previous, current = current, next_value
 
     @staticmethod

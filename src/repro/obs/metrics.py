@@ -277,9 +277,9 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
 #: tables' own ``hits`` / ``misses`` / ``len``
 #: (:func:`repro.core.intern.memo_tables`), and ``core.intern.term_entries``
 #: from the formula intern table: what can silently grow is visible, and
-#: nothing is updated on the hot path.  ``session.index.entries`` is set
-#: by the session that last built or dropped index buckets: the ``(set path,
-#: key path)`` tables it holds for its current version.
+#: nothing is updated on the hot path (``set_tables``: the sets carrying
+#: derived tables).  ``session.index.entries`` is set by the session that last
+#: built index buckets or moved versions: the tables built for its version.
 DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.subobject_entries",
     "core.memo.subobject_hit_rate",
@@ -289,6 +289,8 @@ DECLARED_GAUGES: Tuple[str, ...] = (
     "core.memo.element_matcher_hit_rate",
     "core.memo.compile_body_entries",
     "core.memo.compile_body_hit_rate",
+    "core.memo.set_tables_entries",
+    "core.memo.set_tables_hit_rate",
     "core.intern.term_entries",
     "session.index.entries",
 )

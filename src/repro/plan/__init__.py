@@ -17,9 +17,9 @@ compiled path:
 * :mod:`repro.plan.optimize` — the cost-based optimizer: greedy join
   reordering with bound-variable awareness, cross-product penalties and
   index access-path selection;
-* :mod:`repro.plan.indexes` — the match indexes scan leaves probe (one
-  store, each table built by its first reader, probe or estimate; an engine
-  round carries over the tables of the sets it left alone);
+* :mod:`repro.plan.indexes` — the match indexes scan leaves probe (tables
+  kept on the interned sets: derived by the write that grew a set, or built
+  by the first reader, probe or estimate);
 * :mod:`repro.plan.execute` — the physical executor shared by every
   evaluator, with index pushdown and semi-naive delta restriction, counting
   its work in :class:`~repro.plan.stats.EngineStats`;

@@ -9,12 +9,12 @@ looks inside a set.
 The classic ``V(R, a)`` statistic — the number of distinct atoms at a key
 path inside a spine set's elements, so an equality probe at that key path
 is estimated to keep ``cardinality / distinct`` elements — is the size of
-the executor's bucket table for that ``(set path, key path)``: the
-statistics hold the target's :class:`~repro.plan.indexes.TargetIndexes`, and
-whichever of the optimizer and the executor reads a table first builds it
-for both.  Estimates describe the object the optimizer saw, not the final
-closure — staleness costs ordering quality, never correctness, because every
-leaf order computes the same substitution set (see :mod:`repro.plan.ir`).
+the executor's bucket table for that ``(set path, key path)``, which the set
+carries; whichever of optimizer and executor first reads the table of a set
+no write derived builds it for both.  Estimates describe the object the
+optimizer saw, not the final closure — staleness costs ordering quality,
+never correctness, because every leaf order computes the same substitution
+set (see :mod:`repro.plan.ir`).
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class DatabaseStatistics:
     ) -> "DatabaseStatistics":
         """Walk ``database``'s spine and record every spine set's cardinality.
 
-        ``indexes`` is ``database``'s index store — pass the one the plan's
-        executor will probe, so the two share tables; a fresh one otherwise.
+        ``indexes`` is ``database``'s index store — pass one whose build hook
+        counts the estimates' builds; a fresh one otherwise.
         """
         stats = cls(indexes=TargetIndexes(database) if indexes is None else indexes)
 

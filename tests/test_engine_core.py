@@ -6,13 +6,15 @@ import pytest
 
 from repro import Program, Session, parse_formula, parse_object, parse_program, parse_rule
 from repro.core.errors import DivergenceError
+from repro.core.intern import clear_object_caches
 from repro.core.objects import TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
+from repro.core.paths import Path
 from repro.calculus.fixpoint import close
 from repro.calculus.interpretation import interpret
 from repro.calculus.rules import RuleSet
 from repro.engine import EngineResult, SemiNaiveEngine, create_engine
-from repro.plan import indexes
+from repro.core import order
 from repro.workloads import make_genealogy
 
 DESCENDANTS = """
@@ -279,10 +281,11 @@ class TestStats:
 
 
 class TestBucketBuilds:
-    """The engine buckets a set at its first probe and keeps the table while
-    rounds leave the set alone (the one function that buckets is the count)."""
+    """The engine buckets a set at its first probe, and the table stays on the
+    set: rounds that leave the set alone find it, and a write that grows the
+    set derives the grown set's table (the one function that buckets is the count)."""
 
-    def test_cold_and_resumed_closes_bucket_the_family_once(self):
+    def test_a_cold_close_buckets_the_family_once_and_a_resumed_one_never(self):
         tree = make_genealogy(3, 3)
         family = tree.family_object.get("family")
         old = next(person for person in family if person.get("name") == Atom(tree.root))
@@ -290,12 +293,13 @@ class TestBucketBuilds:
             children=old.get("children").add(TupleObject({"name": Atom("n0")}))
         )
         leaf = TupleObject({"name": Atom("n0"), "children": SetObject()})
+        clear_object_caches()
         session = Session()
         session.put("family", family)
         session.register(parse_program(DESCENDANTS))
 
         def builds(run):
-            with mock.patch.object(indexes, "_bucket", wraps=indexes._bucket) as build:
+            with mock.patch.object(order, "_bucket", wraps=order._bucket) as build:
                 result = run()
             return result, [(call.args[0], str(call.args[1])) for call in build.call_args_list]
 
@@ -311,8 +315,9 @@ class TestBucketBuilds:
         resumed, built = builds(session.close)
         assert session.cache_info()["closure_maintained"] == 1
         assert resumed.stats.full_matches == 0
-        # The resumed run builds at first probe like any other: once, over 41.
-        assert [(len(members), key) for members, key in built] == [(41, "name")]
-        assert built[0][0] is resumed.value.get("family")
+        # The write derived the 41-person family's table from the 40-person one's.
+        assert built == []
+        grown_family = resumed.value.get("family")
+        assert grown_family._tables[Path("name")] == order._bucket(grown_family, Path("name"))
         written = TupleObject({"family": family.discard(old).add(grown).add(leaf)})
         assert resumed.value == close(written, RuleSet(list(parse_program(DESCENDANTS)))).value

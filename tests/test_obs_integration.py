@@ -391,9 +391,20 @@ def test_memo_tables_are_gauges_sampled_at_snapshot_time():
     }
     assert cold["core.memo.subobject_entries"] == warm["core.memo.subobject_entries"] >= 1
     assert warm["core.memo.subobject_hit_rate"] > cold["core.memo.subobject_hit_rate"]
+    # The sets carrying tables: a table built on ``right.a``, one derived by ``add``.
+    rows = right.get("a")
+    session = repro.Session()
+    session.put("rows", rows)
+    session.query("{[x: 1, y: Y]}", against="rows")
+    grown = rows.add(repro.obj({"x": 9}))
+    carrying = repro.obs.snapshot()["gauges"]
+    assert carrying["core.memo.set_tables_entries"] >= 2
+    assert carrying["core.memo.set_tables_hit_rate"] > 0.0
     repro.clear_object_caches()
     cleared = repro.obs.snapshot()["gauges"]
     assert cleared["core.memo.subobject_entries"] == 0
+    assert cleared["core.memo.set_tables_entries"] == 0
+    assert rows._tables is None and grown._index is None
     assert 0.0 <= cleared["core.memo.subobject_hit_rate"] <= 1.0
 
 

@@ -4,8 +4,9 @@ from unittest import mock
 
 from repro import parse_object, parse_rule
 from repro.calculus.terms import Constant, formula, var
+from repro.core.intern import clear_object_caches
 from repro.core.objects import Atom, TOP, SetObject, TupleObject
-from repro.plan import indexes
+from repro.core import order
 from repro.plan.indexes import TargetIndexes, element_keys
 from repro.core.paths import Path
 
@@ -43,11 +44,13 @@ class TestElementKeys:
 
 def bucketed():
     """Patch the one function that buckets a set; its calls are the builds."""
-    return mock.patch.object(indexes, "_bucket", wraps=indexes._bucket)
+    return mock.patch.object(order, "_bucket", wraps=order._bucket)
 
 
 class TestTargetIndexes:
-    """The build-at-first-probe policy over one immutable target."""
+    """Tables live on the interned sets: a set nothing derived is bucketed by
+    its first reader, an unchanged set keeps its tables in every later store,
+    and ``add`` / ``discard`` derive the grown set's tables from its parent's."""
 
     TARGET = parse_object(
         "[people: {[name: ann, age: 1], [name: bob, age: 2], [name: ann, city: paris],"
@@ -55,6 +58,7 @@ class TestTargetIndexes:
     )
 
     def _store(self):
+        clear_object_caches()  # a table outlives the store that built it
         builds = []
 
         class Recorded:
@@ -116,29 +120,29 @@ class TestTargetIndexes:
         assert build.call_count == 0
 
     def test_without_a_hook_builds_are_silent(self):
+        clear_object_caches()
         with bucketed() as build:
             store = TargetIndexes(self.TARGET)
             assert len(store.candidates(Path("people"), Path("name"), Atom("ann"))) == 2
         assert build.call_count == 1
 
-    def test_over_keeps_the_tables_of_sets_shared_by_identity(self):
+    def test_a_later_store_reuses_an_unchanged_sets_table_and_add_derives_it(self):
+        clear_object_caches()
         store = TargetIndexes(self.TARGET)
         people = store.candidates(Path("people"), Path("name"), Atom("ann"))
         store.candidates(Path("tags"), Path(()), Atom("red"))
         grown = self.TARGET.replace(tags=self.TARGET.get("tags").add(Atom("green")))
         assert grown.get("people") is self.TARGET.get("people")
         with bucketed() as build:
-            following = store.over(grown)
-            assert following.target is grown
-            # The shared set keeps its table: no build, the very same bucket.
+            following = TargetIndexes(grown)
+            # The unchanged set keeps its table: the very same bucket.
             assert following.candidates(Path("people"), Path("name"), Atom("ann")) is people
-            assert build.call_count == 0
-            # The changed set rebuilds at its first probe, over its new elements.
-            assert list(following.candidates(Path("tags"), Path(()), Atom("green"))) == [
-                Atom("green")
-            ]
-            assert build.call_count == 1
-            assert build.call_args.args[0] is grown.get("tags")
+            # The grown set carries the table add derived from the old one's.
+            for colour in ("green", "red", "blue"):
+                assert list(following.candidates(Path("tags"), Path(()), Atom(colour))) == [
+                    Atom(colour)
+                ]
+        assert build.call_count == 0
         # The store it came from still answers for its own target.
         assert store.candidates(Path("tags"), Path(()), Atom("green")) == ()
 
@@ -174,45 +178,50 @@ class TestTargetIndexes:
         ]
         assert store.candidates(Path("a"), Path("k"), Atom(2)) is None
 
-    def test_over_leaves_no_stale_element_of_a_changed_set(self):
+    def test_a_derived_table_keeps_no_stale_element_of_a_changed_set(self):
         # The absorbed version of a grown element is gone from its bucket.
-        def family(*children):
-            names = ", ".join(f"[name: {child}]" for child in children)
-            return parse_object(f"[family: {{[name: abraham, children: {{{names}}}]}}]")
+        clear_object_caches()
+        family = parse_object("{[name: abraham, children: {}], [name: sarah, children: {}]}")
+        first = TargetIndexes(TupleObject({"family": family}))
+        assert len(first.table(Path("family"), Path("name"))) == 2
+        for child in ("a", "b", "c"):
+            (old,) = [e for e in family.elements if e.get("name") == Atom("abraham")]
+            grown = old.replace(children=old.get("children").add(parse_object(f"[name: {child}]")))
+            with bucketed() as build:
+                family = family.add(grown)  # grown absorbs old
+                store = TargetIndexes(TupleObject({"family": family}))
+                found = store.candidates(Path("family"), Path("name"), Atom("abraham"))
+                table = store.table(Path("family"), Path("name"))
+            assert build.call_count == 0
+            assert list(found) == [grown]
+            assert table == order._bucket(family, Path("name"))
 
-        versions = [family("a"), family("a", "b"), family("a", "b", "c")]
-        store = TargetIndexes(versions[0])
-        for version in versions:
-            store = store.over(version)
-            found = store.candidates(Path("family"), Path("name"), Atom("abraham"))
-            assert list(found) == list(version.get("family").elements)
-
-    def test_over_carries_a_shared_table_through_several_versions(self):
+    def test_an_unchanged_set_keeps_its_table_through_several_versions(self):
+        clear_object_caches()
         store = TargetIndexes(self.TARGET)
         people = store.candidates(Path("people"), Path("name"), Atom("bob"))
         target = self.TARGET
         with bucketed() as build:
             for colour in ("green", "amber", "grey"):
                 target = target.replace(tags=target.get("tags").add(Atom(colour)))
-                store = store.over(target)
+                store = TargetIndexes(target)
                 assert store.candidates(Path("people"), Path("name"), Atom("bob")) is people
         assert build.call_count == 0
 
-    def test_over_looks_again_at_a_path_that_held_no_set(self):
+    def test_a_later_store_looks_again_at_a_path_that_held_no_set(self):
         store, builds = self._store()
         assert store.candidates(Path("title"), Path(()), Atom("thesis")) is None
         retitled = self.TARGET.replace(title=parse_object("{thesis, draft}"))
-        following = store.over(retitled)
+        following = TargetIndexes(retitled, store._on_build)
         assert list(following.candidates(Path("title"), Path(()), Atom("thesis"))) == [
             Atom("thesis")
         ]
-        # The build hook carries over to the following store.
         assert [build[:2] for build in builds] == [("title", "")]
 
-    def test_over_a_path_that_no_longer_holds_a_set_cannot_answer(self):
+    def test_a_path_that_no_longer_holds_a_set_cannot_answer(self):
         store = TargetIndexes(self.TARGET)
         assert list(store.candidates(Path("tags"), Path(()), Atom("red"))) == [Atom("red")]
         with bucketed() as build:
-            following = store.over(self.TARGET.replace(tags=Atom("red")))
+            following = TargetIndexes(self.TARGET.replace(tags=Atom("red")))
             assert following.candidates(Path("tags"), Path(()), Atom("red")) is None
         assert build.call_count == 0

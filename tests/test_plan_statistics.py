@@ -2,10 +2,12 @@
 
 ``DatabaseStatistics.collect`` walks the tuple spine for cardinalities only;
 the optimizer's distinct-atom count ``V(R, a)`` is the size of the bucket
-table the executor probes (``repro.plan.indexes._bucket``, the one function
-that walks a set's elements for key atoms), built by its first reader.  The
-oracle is a from-scratch, uncapped count of the atoms at each key path, and
-the exact-counter tests pin that planner and executor share each table.
+table the executor probes (``repro.core.order._bucket``, the one function
+that buckets a set's elements by key atom from scratch), built by its first
+reader and kept on the interned set.  The oracle is a from-scratch, uncapped
+count of the atoms at each key path; the exact-counter tests pin that
+planner and executor share each table, and that a set a write or a closure
+round grows derives its tables from its parent's instead of bucketing again.
 """
 
 from collections import Counter
@@ -16,13 +18,16 @@ import pytest
 
 from repro import Session, parse_formula, parse_program
 from repro.core.builder import obj
+from repro.core.intern import clear_object_caches
 from repro.core.objects import BOTTOM, TOP, Atom, ComplexObject, SetObject, TupleObject
 from repro.core.paths import Path
 from repro.engine import SemiNaiveEngine
-from repro.plan import compile_body, indexes, optimize_body
+from repro.core import order
+from repro.plan import compile_body, optimize_body
 from repro.plan.indexes import TargetIndexes
 from repro.plan.statistics import DatabaseStatistics
-from repro.workloads import make_genealogy
+from repro.store.updates import insert_element
+from repro.workloads import make_document_collection, make_genealogy
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -213,7 +218,7 @@ def test_optimize_body_orders_and_estimates_as_over_a_from_scratch_count(body, d
 
 def _builds():
     """Wrap the one function that buckets a set; its calls are ``(set, key path)``."""
-    return mock.patch.object(indexes, "_bucket", wraps=indexes._bucket)
+    return mock.patch.object(order, "_bucket", wraps=order._bucket)
 
 
 def _library(count, tag):
@@ -233,6 +238,7 @@ def test_a_from_scratch_run_builds_each_table_of_the_seed_once():
         "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
     )
     engine = SemiNaiveEngine(rules)
+    clear_object_caches()
     with _builds() as planned:
         engine.plan(seed)
     # Planning reads V(family, name): it builds that table, once.
@@ -241,15 +247,21 @@ def test_a_from_scratch_run_builds_each_table_of_the_seed_once():
     ]
     with _builds() as built:
         result = engine.run(seed)
-    # The run plans with the store its first round probes: one build in all,
-    # and the rounds after it keep the family table (the set never changes).
+    # The table outlived the store that built it: the run's planning and
+    # every round find it on the family set, which no round changes.
+    assert built.call_args_list == []
+    assert result.value.get("doa") == SetObject(Atom(p) for p in tree.expected_descendants)
+    # Dropped with the object caches: a cold run builds it once again.
+    clear_object_caches()
+    with _builds() as built:
+        assert engine.run(seed).value is result.value
     assert [(call.args[0], call.args[1]) for call in built.call_args_list] == [
         (family, Path(("name",)))
     ]
-    assert result.value.get("doa") == SetObject(Atom(p) for p in tree.expected_descendants)
 
 
 def test_forty_ad_hoc_queries_build_each_probed_table_once():
+    clear_object_caches()
     session = Session()
     session.put("library", _library(30, "t"))
     with _builds() as built:
@@ -264,6 +276,7 @@ def test_forty_ad_hoc_queries_build_each_probed_table_once():
 
 
 def test_a_prepared_read_after_a_write_builds_its_table_while_planning():
+    clear_object_caches()
     session = Session()
     session.put("library", _library(30, "t"))
     read = session.prepare("[library: {[title: $t, year: Y]}]")
@@ -276,4 +289,93 @@ def test_a_prepared_read_after_a_write_builds_its_table_while_planning():
         assert cursor.all() != BOTTOM
         assert read.execute(t="t7").all() != BOTTOM
     assert built.call_count == 1
+    assert session.stats()["query"].index_hits == 1
+
+
+# -- a write derives the tables of the sets it grows: exact counters ---------------------
+
+
+def _atoms_read():
+    """Wrap the one reader of the atom at a key path inside an element."""
+    return mock.patch.object(order, "_atom_at", wraps=order._atom_at)
+
+
+@pytest.mark.parametrize("generations", [4, 5])
+def test_a_one_leaf_write_re_closed_and_read_builds_no_table(generations):
+    """Example 4.5 at 121 and 364 people: a leaf added, the closure resumed and
+    ``[doa: {$who}]`` asked of it.  The family set and the doa set each derive
+    their tables from the version they grew from: nothing is bucketed again,
+    and the atom reader runs per changed element, not per family member."""
+    tree = make_genealogy(generations, 3)
+    family = tree.family_object.get("family")
+    person = {element.get("name").value: element for element in family.elements}
+    clear_object_caches()
+    session = Session()
+    session.put("family", family)
+    session.register(
+        "[doa: {%s}]. [doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
+        % tree.root
+    )
+    member = session.prepare("[doa: {$who}]", on_closure=True)
+    parents = sorted(person)
+
+    def new_leaf(parent, child):
+        old = person[parent]
+        grown = old.replace(children=old.get("children").add(TupleObject({"name": Atom(child)})))
+        leaf = TupleObject({"name": Atom(child), "children": SetObject()})
+        person[parent], person[child] = grown, leaf
+        return child, old, grown, leaf
+
+    def write_close_and_read(child, old, grown, leaf):
+        session.transact(
+            lambda txn: txn.put("family", txn.get("family").discard(old).add(grown).add(leaf))
+        )
+        session.close()
+        return member.execute(who=child).all()
+
+    write_close_and_read(*new_leaf(parents[0], "warm"))  # the first read builds doa's table
+    for step in range(3):
+        inputs = new_leaf(parents[step + 1], f"n{step}")
+        with _builds() as built, _atoms_read() as read:
+            answer = write_close_and_read(*inputs)
+        assert answer == TupleObject({"doa": SetObject([Atom(f"n{step}")])})
+        assert session.cache_info()["closure_maintained"] == step + 1
+        assert built.call_args_list == []  # the parent commit rebuilt 2
+        # One read per element a table gains or loses: three in the family's
+        # name table (old out, grown and leaf in), one in doa's root table.
+        # Within 2·|Δ| + 10 for |Δ| = 4; the parent commit read one per person.
+        assert read.call_count == 4
+    assert session.cache_info()["indexes_cached"] == 0
+
+
+READ = "[docs: {[title: $t, author: A, sections: {[heading: H, length: L]}]}]"
+
+
+@pytest.mark.parametrize("documents", [40, 120])
+def test_an_insert_element_write_and_the_read_after_it_build_no_table(documents):
+    library = make_document_collection(documents, 4, 5, rng=3)
+    clear_object_caches()
+    session = Session()
+    session.put("library", library)
+    read = session.prepare(READ, against="library")
+
+    def insert_and_read(title):
+        document = TupleObject(
+            {
+                "title": Atom(title),
+                "author": Atom("mary"),
+                "sections": SetObject([TupleObject({"heading": Atom("h"), "length": Atom(1)})]),
+            }
+        )
+        session.transact(
+            lambda txn: txn.put("library", insert_element(txn.get("library"), "docs", document))
+        )
+        return read.execute(t=title).all()
+
+    assert insert_and_read("warm") != BOTTOM  # plans and builds the title table
+    with _builds() as built, _atoms_read() as read_atoms:
+        answer = insert_and_read("fresh")
+    assert built.call_args_list == []  # the parent commit rebuilt 1
+    assert read_atoms.call_count == 1  # the new document's title: within 2·|Δ| + 10
+    assert answer.get("docs").elements[0].get("title") == Atom("fresh")
     assert session.stats()["query"].index_hits == 1

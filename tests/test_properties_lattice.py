@@ -24,6 +24,7 @@ from repro.core.intern import clear_object_caches, intern_stats
 from repro.core.lattice import intersection, is_lattice_consistent, union, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject
+from repro.core.paths import Path
 from repro.workloads import make_document_collection, make_genealogy
 
 
@@ -517,3 +518,133 @@ class TestSetsGrowInTheirBucket:
         assert grown is SetObject(held.elements + (new,))
         assert grown.add(covered[0]) is grown  # dominated now: nothing changes
         assert grown.discard(new) is SetObject(x for x in grown if x is not new)
+
+
+# -- a derived set carries what a fresh build gives ------------------------------------------
+
+#: The root key path and two attribute key paths, one through a tuple at the key.
+KEY_PATHS = (Path(()), Path("k"), Path("k.a"))
+
+
+def key_values():
+    """What a row holds at its key attribute ``k``: an atom, a tuple or a set."""
+    atom = st.integers(min_value=0, max_value=2).map(Atom)
+    rows = st.dictionaries(st.sampled_from(("a", "b")), atom, min_size=1, max_size=2)
+    return st.one_of(atom, atom, rows.map(TupleObject), small_sets())
+
+
+def _row(key, rest):
+    return TupleObject({**rest, **({} if key is None else {"k": key})})
+
+
+def table_elements():
+    """Rows with ⊥ (absent), an atom, a tuple or a set at ``k``; atoms; nested sets."""
+    rest = st.dictionaries(
+        st.sampled_from(("a", "s")),
+        st.one_of(st.integers(min_value=0, max_value=2).map(Atom), small_sets()),
+        max_size=2,
+    )
+    rows = st.builds(_row, st.one_of(st.none(), key_values()), rest)
+    return st.one_of(
+        rows,
+        rows,
+        st.integers(min_value=0, max_value=3).map(Atom),
+        small_sets(),
+        small_sets().map(lambda inner: SetObject([inner])),
+    )
+
+
+def table_operand(held):
+    """A fresh element, a held one, one a held one dominates, or one dominating held ones."""
+    options = [table_elements()]
+    if held:
+        pick = st.sampled_from(held)
+        options += [
+            pick,
+            pick.map(_weakened),
+            pick.map(_weakened_keeping_key),
+            pick.map(lambda first: _cover(first, held)),
+        ]
+    return st.one_of(options)
+
+
+def carrying(value):
+    """``value`` with a domination index and a table at every key path, built from scratch."""
+    order._set_index(value)
+    for key_path in KEY_PATHS:
+        if order._carried(value, key_path) is None:
+            order._tabled(value, key_path)
+    return value
+
+
+def rebuilt_index(value, disc):
+    """The index ``_set_index`` builds for ``value`` when it picks ``disc``."""
+    tuples = [e for e in value.elements if isinstance(e, TupleObject)]
+    key = disc and Path((disc,))
+    return order._SetIndex(
+        disc,
+        key,
+        {} if disc is None else order._bucket(value, key),
+        [t for t in tuples if not isinstance(t.get(disc), Atom)],
+        [e for e in value.elements if isinstance(e, SetObject)],
+        tuple(sorted(e._iid for e in value.elements)),
+    )
+
+
+def assert_carries_a_fresh_build(result):
+    """Every table ``result`` carries is ``_bucket``'s, bucket order included, and its
+    index is ``_set_index``'s from scratch — for the discriminator a derived index
+    keeps from its parent, which a fresh pick may not choose."""
+    tables, index = result._tables, getattr(result, "_index", None)
+    assert set(KEY_PATHS) <= set(tables)
+    for key_path, table in tables.items():
+        assert table == order._bucket(result, key_path)
+    clear_object_caches()
+    assert (result._tables, result._index) == (None, None)
+    fresh = order._set_index(result)
+    if index is not None:
+        assert index == (fresh if fresh.disc == index.disc else rebuilt_index(result, index.disc))
+
+
+class TestDerivedTablesAreAFreshBuild:
+    """``add``, ``discard``, ``union`` and ``union_all`` derive the result's bucket
+    tables and domination index from an operand's; a from-scratch build is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(table_elements(), max_size=10).map(SetObject), st.data())
+    def test_chains_carry_the_tables_and_index_a_fresh_build_gives(self, current, data):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            carrying(current)
+            operation = data.draw(st.sampled_from(("add", "discard", "union", "union_all")))
+            if operation == "add":
+                element = data.draw(table_operand(current.elements))
+                result, expected = current.add(element), SetObject(current.elements + (element,))
+            elif operation == "discard":
+                element = data.draw(table_operand(current.elements))
+                result = current.discard(element)
+                expected = SetObject([x for x in current if x is not element])
+            else:
+                others = data.draw(
+                    st.lists(
+                        st.lists(table_operand(current.elements), max_size=5).map(SetObject),
+                        min_size=1,
+                        max_size=1 if operation == "union" else 3,
+                    )
+                )
+                operands = [current, *map(carrying, others)]
+                result = union(*operands) if operation == "union" else union_all(operands)
+                expected = SetObject([e for operand in operands for e in operand.elements])
+                raw = SetObject.raw(current.elements + tuple(map(_weakened, current.elements)))
+                joined = union(raw, others[0])
+                # Raw operands may be non-reduced (Example 3.2): the join stays
+                # un-interned, the one scan of the two sides.
+                right = list(others[0].elements)
+                left = [e for e in dict.fromkeys(raw.elements) if e not in right]
+                assert joined._iid is None and getattr(joined, "_tables", None) is None
+                if joined is not raw:
+                    assert set(joined.elements) == set(order.maximal_cross(right, left))
+            assert result is expected
+            if not isinstance(result, SetObject):  # an added ⊤
+                return
+            assert_carries_a_fresh_build(result)
+            current = result

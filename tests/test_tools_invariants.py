@@ -45,6 +45,9 @@ class TestCurrentTreeIsClean:
     def test_one_depth_budget(self):
         assert check_invariants.check_one_depth_budget() == []
 
+    def test_one_set_derivation(self):
+        assert check_invariants.check_one_set_derivation() == []
+
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -492,3 +495,45 @@ class TestOneDepthBudgetInvariant:
             sites |= {f"{module}::{scope}" for scope, _ in check_invariants._qualified_nodes(tree)}
         assert set(check_invariants.RECURSION_ALLOWED) <= sites
         assert check_invariants.BUDGET_FUNCTION in sites
+
+
+class TestOneSetDerivationInvariant:
+    ORDER = (
+        "def _spliced(value, index, added, removed):\n"
+        "    child = SetObject._from_derived(ordered, ids, depth, size)\n"
+        "    object.__setattr__(child, '_tables', tables)\n"
+        "    return child\n"
+    )
+
+    def test_only_the_module_of_spliced_may_derive_a_set(self, tmp_path):
+        root = _package(tmp_path, {
+            "core/order.py": self.ORDER,
+            # Setting a set's own slots in its constructor is not a derivation.
+            "core/objects.py": "def build(i):\n    object.__setattr__(i, '_elements', ())\n",
+        })
+        assert check_invariants.check_one_set_derivation(root) == []
+
+    def test_one_violation_is_reported_once(self, tmp_path):
+        root = _package(tmp_path, {
+            "core/order.py": self.ORDER,
+            "plan/indexes.py": (
+                "def keep(members, tables):\n"
+                "    object.__setattr__(members, '_tables', tables)\n"
+            ),
+        })
+        (violation,) = check_invariants.check_one_set_derivation(root)
+        assert violation.split("repro/", 1)[1].startswith("plan/indexes.py:2: sets a set's")
+
+    def test_each_way_of_deriving_outside_is_one_violation(self, tmp_path):
+        root = _package(tmp_path, {
+            "core/order.py": self.ORDER,
+            "core/lattice.py": (
+                "def join(left, right):\n"
+                "    child = SetObject._from_derived(o, i, d, s)\n"
+                "    setattr(child, '_index', None)\n"
+                "    return child\n"
+            ),
+        })
+        violations = check_invariants.check_one_set_derivation(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == ["core/lattice.py:2", "core/lattice.py:3"]

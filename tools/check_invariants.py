@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Eleven invariants that matter for correctness but that no unit test can pin
+Twelve invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -110,6 +110,16 @@ Eleven invariants that matter for correctness but that no unit test can pin
     :data:`RECURSION_ALLOWED` (module, qualified function), each listed
     with its reason: untrusted text, object walks, the converter of Python
     values and the data-side handlers.  There is no pragma.
+
+``one-set-derivation``
+    An interned set carries what is derived from it — its domination index
+    (slot ``_index``) and its bucket tables (slot ``_tables``) — and a set
+    that ``add``, ``discard`` or a union derives from another gets both from
+    one function, ``_spliced`` of :mod:`repro.core.order`.  So only the
+    module that defines ``_spliced`` may set those slots
+    (``object.__setattr__(set, "_index" | "_tables", ...)`` or ``setattr``)
+    or call ``SetObject._from_derived``: a second place that derives a set
+    would have to keep its tables right a second time.  There is no pragma.
 
 Run from the repository root::
 
@@ -763,6 +773,46 @@ def check_one_depth_budget(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
+# -- invariant 12: one place derives a set ------------------------------------------------
+
+#: The slots of an interned set that hold what is derived from it.
+DERIVED_SLOTS = frozenset({"_index", "_tables"})
+
+#: The function whose module alone may set them.
+DERIVING_FUNCTION = "_spliced"
+
+
+def check_one_set_derivation(package_root: Path = SRC_ROOT) -> List[str]:
+    violations: List[str] = []
+    for path in _python_sources(package_root):
+        tree, _ = _parse(path)
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == DERIVING_FUNCTION
+            for node in tree.body
+        ):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            named = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            slot = node.args[1] if len(node.args) > 1 else None
+            if named == "_from_derived":
+                what = "calls SetObject._from_derived"
+            elif (
+                named in ("__setattr__", "setattr")
+                and isinstance(slot, ast.Constant)
+                and slot.value in DERIVED_SLOTS
+            ):
+                what = f"sets a set's derived slot {slot.value}"
+            else:
+                continue
+            violations.append(
+                f"{_relative(path)}:{node.lineno}: {what} (only the module of"
+                f" {DERIVING_FUNCTION}, repro.core.order, derives a set)"
+            )
+    return violations
+
+
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -780,6 +830,7 @@ CHECKS = (
     ("one-diagnostic-home", check_one_diagnostic_home),
     ("id-keyed-memos", check_id_keyed_memos),
     ("one-depth-budget", check_one_depth_budget),
+    ("one-set-derivation", check_one_set_derivation),
 )
 
 
