@@ -11,13 +11,12 @@ Three object-level workloads demonstrate what interning buys:
   kind/depth/breadth fingerprints, and hash-conses the result; the baseline
   is the seed's quadratic scan over raw twins.
 * **closure sweep** — the Example 4.5 recursive engine workload, whose inner
-  loops (match, meet, union, dedup) all ride on interned equality.  Compared
-  against the PR-1 baseline through the saved pytest-benchmark series and
-  ``run_benchmarks.py`` (no regression allowed).
+  loops (match, meet, union, dedup) all ride on interned equality.
 
 Every timed function is also executed once for correctness before timing is
-trusted.  ``benchmarks/run_benchmarks.py`` reuses the builders below to emit
-the machine-readable ``BENCH_core.json``.
+trusted.  ``benchmarks/run_benchmarks.py`` reuses the deep-pair builders
+below to emit ``BENCH_core.json``, and the cost ledger's
+``core.set_reduction`` cell (``tools/cost_ledger.py``) the reduction ones.
 """
 
 import pytest
@@ -37,7 +36,7 @@ DESCENDANTS_SOURCE = """
 """
 
 
-# -- builders (shared with run_benchmarks.py) -----------------------------------------
+# -- builders (shared with run_benchmarks.py and tools/cost_ledger.py) -----------------
 def raw_twin(value: ComplexObject) -> ComplexObject:
     """A structurally equal, non-interned replica built with raw constructors."""
     if isinstance(value, TupleObject):

@@ -1,27 +1,21 @@
 #!/usr/bin/env python
 """Emit the machine-readable session-API benchmark record ``BENCH_api.json``.
 
-Companion to ``run_benchmarks.py`` (core), ``run_store_benchmarks.py``
-(storage) and ``run_plan_benchmarks.py`` (planner): this script pins the two
-headline wins of the :mod:`repro.api` facade —
-
-* **prepared reuse** — executing a prepared, parameterized query
-  (:meth:`Session.prepare` once, ``execute(params)`` many times, the plan
-  cached on the store's statistics version) versus the legacy
-  parse-per-call discipline (re-parse the source with the constants spliced
-  in, re-collect statistics, re-optimize on every call);
-* **cursor streaming** — first-row latency of ``execute(...).one()`` on a
-  combinatorially large result versus materialising the full ``E(O)``
-  union with ``query()``.
+Times **prepared reuse**: executing a prepared, parameterized query
+(:meth:`Session.prepare` once, ``execute(params)`` many times, the plan
+cached on the store's statistics version) against the parse-per-call
+discipline (re-parse the source with the constants spliced in and plan in a
+fresh session on every call).  Cursor streaming is the cost ledger's
+``api.materialise_vs_first_row`` cell (``tools/cost_ledger.py``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_api_benchmarks.py [--smoke] [--output PATH]
 
 ``--smoke`` shrinks sizes and repetitions so CI can exercise the harness in
-seconds; in that mode the speedup targets are recorded but not enforced.  In
+seconds; in that mode the speedup target is recorded but not enforced.  In
 full mode the script exits non-zero unless prepared reuse clears its ≥5x
-floor (the acceptance bar of the API redesign) and streaming clears ≥3x.
+floor (the acceptance bar of the API redesign).
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-TARGET_SPEEDUPS = {"prepared_reuse": 5.0, "streaming_first_row": 3.0}
+TARGET_SPEEDUPS = {"prepared_reuse": 5.0}
 
 
 def _median_ns(func, *, repeats: int, number: int) -> float:
@@ -58,7 +52,6 @@ def run_suite(smoke: bool) -> dict:
     repeats = 3 if smoke else 9
     hot_rows = 12 if smoke else 24
     cold_rows = 150 if smoke else 1200
-    pair_rows = 10 if smoke else 24
     results = {}
 
     def record(name: str, func, *, number: int, objects: int) -> float:
@@ -115,32 +108,6 @@ def run_suite(smoke: bool) -> dict:
     cache_info = session.cache_info()
     assert cache_info["plan_hits"] >= 1, "prepared reuse must hit the plan cache"
 
-    # -- cursor streaming -------------------------------------------------------------
-    # A two-element scan over one set has quadratically many matches; the
-    # cursor's depth-first executor yields the first after one path while
-    # ``query()``/``all()`` pay for the full meet-product and its union.
-    pairs = Session.over_object(
-        parse_object(
-            "[pairs: {" + ", ".join(
-                f"[l: {i}, r: r{i}]" for i in range(pair_rows)
-            ) + "}]"
-        )
-    )
-    body = parse_formula("[pairs: {[l: X], [r: Y]}]")
-    assert not pairs.execute(body).one().is_bottom
-    first_row = record(
-        "cursor_first_row",
-        lambda: pairs.execute(body).one(),
-        number=20,
-        objects=pair_rows,
-    )
-    materialized = record(
-        "materialize_all",
-        lambda: pairs.execute(body).all(),
-        number=3,
-        objects=pair_rows,
-    )
-
     return {
         "schema": "bench-api/v1",
         "mode": "smoke" if smoke else "full",
@@ -154,7 +121,6 @@ def run_suite(smoke: bool) -> dict:
         "benchmarks": results,
         "speedups": {
             "prepared_reuse": round(parsed_ns / prepared_ns, 2),
-            "streaming_first_row": round(materialized / first_row, 2),
         },
     }
 

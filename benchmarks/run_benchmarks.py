@@ -1,20 +1,21 @@
 #!/usr/bin/env python
 """Emit the machine-readable core benchmark record ``BENCH_core.json``.
 
-Runs the interning/reduction/closure microbenchmarks (reusing the builders in
-``bench_interning.py``) without pytest, records per-benchmark median
-nanoseconds and object counts, and derives the headline speedups of the
-hash-consed paths over the seed's structural paths.
+Times deep equality of interned objects against the seed's structural
+comparison (reusing the builders in ``bench_interning.py``) without pytest.
+The structural side compares materialised sort keys, C-level work that a
+call count does not see, so this contract stays a wall-clock floor; set
+reduction is the cost ledger's ``core.set_reduction`` cell
+(``tools/cost_ledger.py``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--smoke] [--output PATH]
 
 ``--smoke`` shrinks repetitions so CI can exercise the harness in seconds; in
-that mode the speedup targets are recorded but not enforced.  In full mode
-the script exits non-zero unless deep equality and set reduction are at least
-``TARGET_SPEEDUP``× faster than the structural baselines, seeding the perf
-trajectory with an enforced floor.
+that mode the speedup target is recorded but not enforced.  In full mode the
+script exits non-zero unless deep equality is at least ``TARGET_SPEEDUP``×
+faster than the structural baseline.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 TARGET_SPEEDUP = 3.0
-ENGINE_BUDGET_RATIO = 1.05  # warm/cold closure parity guard
 
 
 def _load_builders():
@@ -57,10 +57,8 @@ def _median_ns(func, *, repeats: int, number: int) -> float:
 
 
 def run_suite(smoke: bool) -> dict:
-    from repro.calculus.fixpoint import close
-    from repro.core import intern_stats, clear_object_caches
+    from repro.core import intern_stats
     from repro.core.depth import node_count
-    from repro.core.objects import SetObject
 
     bench = _load_builders()
     repeats = 3 if smoke else 9
@@ -88,44 +86,8 @@ def run_suite(smoke: bool) -> dict:
         objects=nodes,
     )
 
-    # Set reduction: fingerprint-pruned interned path vs the seed's quadratic scan.
-    count = 120
-    elements = bench.make_reduction_elements(count)
-    twins = [bench.raw_twin(element) for element in elements]
-    for twin in twins:
-        twin.sort_key()
-
-    def reduce_interned():
-        clear_object_caches()
-        return SetObject(elements)
-
-    def reduce_seed():
-        clear_object_caches()
-        return bench.seed_reduce(twins)
-
-    assert len(reduce_interned()) == count == len(reduce_seed())
-    red_interned = record("set_reduction_interned", reduce_interned, number=20, objects=len(elements))
-    red_seed = record("set_reduction_seed", reduce_seed, number=5, objects=len(elements))
-
-    # Recursive-closure engine sweep (the PR-1 headline workload).
-    program = bench.make_closure_program(3 if smoke else 5, 2)
-    closure_nodes = node_count(program.evaluate().value)
-    record(
-        "closure_seminaive",
-        lambda: program.evaluate(),
-        number=3,
-        objects=closure_nodes,
-    )
-    record(
-        "closure_oracle",
-        lambda: close(program.seed(), program.rules),
-        number=3,
-        objects=closure_nodes,
-    )
-
     speedups = {
         "deep_equality": round(eq_structural / eq_interned, 2),
-        "set_reduction": round(red_seed / red_interned, 2),
     }
     return {
         "schema": "bench-core/v1",

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Emit the machine-readable robustness benchmark record ``BENCH_fault.json``.
 
-Companion to ``run_obs_benchmarks.py`` (observability cost contract): this
-script pins the **cost and liveness contracts** of :mod:`repro.fault` and the
+Companion to the cost ledger's ``obs.disabled_vs_stripped`` cell
+(``tools/cost_ledger.py``, the observability cost contract): this script
+pins the **cost and liveness contracts** of :mod:`repro.fault` and the
 store's retry layer —
 
 * **disabled injection overhead** — the headline guarantee: a WAL commit

@@ -4,7 +4,8 @@
 :mod:`repro.obs` is the zero-dependency observability layer wired through the
 whole pipeline — sessions, planner, engine, store.  Everything here is off by
 default and nearly free when off (the disabled-overhead contract is pinned by
-``benchmarks/run_obs_benchmarks.py``).  This walkthrough covers:
+the cost ledger's ``obs.disabled_vs_stripped`` cell, ``tools/cost_ledger.py``).
+This walkthrough covers:
 
 1. ``obs.enable_tracing()`` — every query/closure/commit becomes a tree of
    timed spans with a per-query trace id; ``obs.render_trace`` prints it;

@@ -22,5 +22,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=[],
-    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark", "numpy"]},
+    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
 )

@@ -151,8 +151,8 @@ class Session:
         # The one prepare-time lint cache: (report, parameter slots) keyed on
         # (interned formula, rules version).  Reports are frozen, so re-preparing
         # the same query re-attaches the same diagnostics without re-running
-        # the analysis (the ≤1.10x prepare budget
-        # benchmarks/run_lint_benchmarks.py pins).
+        # the analysis (the ≤1.10x prepare budget the cost ledger's
+        # lint.warn_vs_off cell pins, tools/cost_ledger.py).
         self._lint_reports: "OrderedDict[Tuple, object]" = OrderedDict()
         self._slow_query_ms = slow_query_ms
         self._slow_log: "deque" = deque(maxlen=32)

@@ -16,9 +16,10 @@ the disabled path does not even evaluate the attribute expressions::
         if sp.enabled:
             sp.set(writes=len(effective))
 
-The enforced-overhead benchmark (``benchmarks/run_obs_benchmarks.py``) pins
-this contract: a workload run with tracing disabled must stay within 5% of
-the same workload with the hooks monkeypatched to literal no-ops.
+The cost ledger's ``obs.disabled_vs_stripped`` cell (``tools/cost_ledger.py``)
+pins this contract: a workload run with tracing disabled must make at most
+1.05× the calls of the same workload with the hooks monkeypatched to
+literal no-ops.
 
 When a tracer is installed (:func:`enable`), spans nest through a
 thread-local stack: a span started while another is active becomes its child
