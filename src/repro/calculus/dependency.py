@@ -34,7 +34,7 @@ on itself) is iterated to a local fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from repro.calculus.rules import Rule
 from repro.calculus.terms import (
@@ -52,21 +52,23 @@ __all__ = ["Stratum", "DependencyGraph", "access_paths"]
 _ROOT = Path(())
 
 
-def access_paths(formula: Formula) -> FrozenSet[Path]:
+def access_paths(formula: Formula) -> Tuple[Path, ...]:
     """The paths of a formula's access points (variables, constants, sets).
 
     Recursion descends through tuple formulae only; the path of a set formula
     stands for everything inside it, the path of a variable or constant for
-    everything it may bind or carry.
+    everything it may bind or carry.  The paths come in the formula's own
+    order, never a hash order, so :func:`paths_interact` over them stops at
+    the same pair under every ``PYTHONHASHSEED``.
     """
-    found: Set[Path] = set()
+    found: List[Path] = []
 
     def walk(node: Formula, path: Path) -> None:
         if isinstance(node, TupleFormula):
             if not len(node):
                 # An empty tuple formula matches any tuple: it reads (and a
                 # head writes) the tuple's existence at this very path.
-                found.add(path)
+                found.append(path)
                 return
             for name, child in node.items():
                 walk(child, path.child(name))
@@ -74,20 +76,24 @@ def access_paths(formula: Formula) -> FrozenSet[Path]:
         if isinstance(node, (SetFormula, Variable, Constant, Parameter)):
             # A parameter is a constant slot whose value arrives at execute
             # time: like a constant, it carries content below its path.
-            found.add(path)
+            found.append(path)
             return
         raise TypeError(f"not a formula: {node!r}")
 
     walk(formula, _ROOT)
-    return frozenset(found)
+    return tuple(found)
 
 
 def _is_prefix(shorter: Path, longer: Path) -> bool:
     return longer.steps[: len(shorter.steps)] == shorter.steps
 
 
-def paths_interact(produced: FrozenSet[Path], consumed: FrozenSet[Path]) -> bool:
-    """``True`` when some produced path may change some consumed region."""
+def paths_interact(produced: Collection[Path], consumed: Collection[Path]) -> bool:
+    """``True`` when some produced path may change some consumed region.
+
+    Stops at the first interacting pair: over ordered collections (as
+    :func:`access_paths` returns) its work does not depend on the hash seed.
+    """
     for write in produced:
         for read in consumed:
             if _is_prefix(write, read) or _is_prefix(read, write):
@@ -115,7 +121,7 @@ class DependencyGraph:
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self._writes = [access_paths(rule.head) for rule in self.rules]
         self._reads = [
-            access_paths(rule.body) if rule.body is not None else frozenset()
+            access_paths(rule.body) if rule.body is not None else ()
             for rule in self.rules
         ]
         # edges[i] = indices of rules whose body may observe rule i's output.

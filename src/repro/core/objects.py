@@ -490,12 +490,15 @@ class SetObject(ComplexObject):
             if element is BOTTOM:
                 continue
             collected.append(element)
-        # One pass over the elements: dedup once (structural hash/eq), reduce
-        # the unique survivors, and hand the result to a constructor that does
-        # not dedup or reduce again; elements too deep to order raise NestingError.
+        # One pass over the elements: dedup once (by intern id, as equal
+        # interned elements are identical; by structural hash/eq once a raw
+        # one is among them), reduce the unique survivors, and hand the result
+        # to a constructor that does not dedup or reduce again; elements too
+        # deep to order raise NestingError.
         try:
             if len(collected) > 1:
-                collected = list(dict.fromkeys(collected))
+                unique = {element._iid: element for element in collected}
+                collected = list(dict.fromkeys(collected) if None in unique else unique.values())
             if len(collected) > 1:
                 collected = _reduce_unique(collected)
             return cls._from_reduced(collected)

@@ -150,7 +150,10 @@ def new_set_elements(
     Returns ``None`` when no sound delta exists (⊤ reached along the path —
     matching against ⊤ manufactures bindings without witnesses), and the empty
     tuple when the path holds nothing matchable.  A previously absent set
-    makes every current element new.
+    makes every current element new.  An unchanged set is the same object
+    (interning), so it has no new elements; two interned sets are diffed by
+    intern id, with no ``__hash__`` call per element; raw sets, whose
+    elements are equal without being identical, by equality.
     """
     now = navigate(current, path)
     if now.is_top:
@@ -158,9 +161,14 @@ def new_set_elements(
     if not isinstance(now, SetObject):
         return ()
     before = navigate(previous, path)
+    if before is now:
+        return ()
     if before.is_top:  # pragma: no cover - previous ≤ current rules this out
         return None
     if not isinstance(before, SetObject):
         return now.elements
+    if before._iid is not None and now._iid is not None:
+        old = {element._iid for element in before.elements}
+        return tuple([element for element in now.elements if element._iid not in old])
     old = set(before.elements)
     return tuple(element for element in now.elements if element not in old)

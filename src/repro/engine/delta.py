@@ -30,7 +30,13 @@ executor as the ``delta_elements`` of a single :func:`repro.plan.execute.
 match_rows` call, so a whole semi-naive frontier flows through the plan as
 **one batch**: the restricted scan leaf emits every new witness's
 alternatives at once and the meet-product joins them against the other
-leaves frontier-at-a-time rather than witness-at-a-time.
+leaves frontier-at-a-time rather than witness-at-a-time.  The restricted
+leaf runs first, whatever the optimizer ranked it, and scans its witnesses
+without probing; the other leaves probe the match indexes by the variables
+it binds, so a round costs about what its frontier joins with, not what
+the sets hold.  The frontier itself is
+:func:`repro.core.paths.new_set_elements`: nothing for a set that did not
+change, an intern-id diff for one that grew.
 """
 
 from __future__ import annotations

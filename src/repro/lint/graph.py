@@ -184,7 +184,7 @@ def check_dead_rules(
     query_reads = access_paths(query)
     writes = [access_paths(rule.head) for rule in rules]
     reads = [
-        access_paths(rule.body) if rule.body is not None else frozenset()
+        access_paths(rule.body) if rule.body is not None else ()
         for rule in rules
     ]
     live: Set[int] = {

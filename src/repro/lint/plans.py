@@ -30,7 +30,7 @@ it and gets RL303 and better orderings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.calculus.dependency import access_paths, paths_interact
 from repro.calculus.rules import Rule
@@ -106,7 +106,7 @@ def _object_set_paths(value, path, into) -> None:
         for name, item in value.items():
             _object_set_paths(item, path.child(name), into)
     elif isinstance(value, SetObject):
-        into.add(path)
+        into[path] = None
 
 
 def _written_paths(rules: Sequence[Rule]):
@@ -119,13 +119,14 @@ def _written_paths(rules: Sequence[Rule]):
     covers programs linted against a store profile that has not seen the
     program's facts.
     """
-    paths = set()
+    paths: Dict[Path, None] = {}  # in rule order: paths_interact stops at its first hit
     for rule in rules:
         if rule.is_fact:
             _object_set_paths(rule.apply(BOTTOM), Path(""), paths)
         else:
-            paths.update(access_paths(rule.head))
-    return frozenset(paths)
+            for path in access_paths(rule.head):
+                paths[path] = None
+    return tuple(paths)
 
 
 def _locate(rule: Rule, index: int) -> dict:
@@ -199,4 +200,4 @@ def check_body_plan(
     statistics: Optional[DatabaseStatistics] = None,
 ) -> List[Diagnostic]:
     """Plan findings for one pre-compiled body plan (no location info)."""
-    return _plan_findings(plan, statistics, frozenset(), {})
+    return _plan_findings(plan, statistics, (), {})

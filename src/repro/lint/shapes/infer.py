@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.calculus.rules import Rule
 from repro.calculus.terms import (
@@ -126,7 +126,7 @@ class RuleShape:
 class _Matcher:
     """One abstract run of the matcher: body formula against database shape."""
 
-    def __init__(self, db: Shape, written: FrozenSet[Path], closed: bool):
+    def __init__(self, db: Shape, written: Tuple[Path, ...], closed: bool):
         self.db = db
         self.written = written
         self.closed = closed
@@ -315,7 +315,7 @@ def _head_shape(node: Formula, bindings: Mapping[str, Shape]) -> Shape:
     raise TypeError(f"not a formula: {node!r}")
 
 
-def _written_paths(rules: Tuple[Rule, ...]) -> FrozenSet[Path]:
+def _written_paths(rules: Tuple[Rule, ...]) -> Tuple[Path, ...]:
     from repro.lint.plans import _written_paths as written
 
     return written(rules)
@@ -335,7 +335,7 @@ class ProgramShapes:
     #: ``--db-path`` lints); ``False`` applies the open-world ANY fallback at
     #: spine paths the program never writes.
     closed: bool
-    written: FrozenSet[Path]
+    written: Tuple[Path, ...]
 
     # -- region lookups ---------------------------------------------------------------
     def shape_at(self, path: Path) -> Shape:
@@ -404,7 +404,7 @@ class ProgramShapes:
 
 
 def _contribution(
-    rule: Rule, db: Shape, written: FrozenSet[Path], closed: bool
+    rule: Rule, db: Shape, written: Tuple[Path, ...], closed: bool
 ) -> Tuple[Shape, Optional[MatchFailure]]:
     """Abstract ``r(D̂)``: match the body, instantiate the head, self-merge."""
     abstract = _Matcher(db, written, closed).run(rule.body)

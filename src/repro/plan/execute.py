@@ -15,10 +15,10 @@ the same set (``tests/test_exec_properties.py``).  On top of the definition
 it adds:
 
 * **Leaf ordering.**  The body's leaves are executed in the optimizer's
-  order.  Because the result is the meet-product over the leaves'
-  alternatives, deduplicated at the end, any order yields the same
-  substitution set (see :mod:`repro.plan.ir`) — ordering is purely a cost
-  decision.
+  order (a delta restriction's leaf first, see below).  Because the result
+  is the meet-product over the leaves' alternatives, deduplicated at the
+  end, any order yields the same substitution set (see
+  :mod:`repro.plan.ir`) — ordering is purely a cost decision.
 
 * **Index pushdown.**  A scan leaf probes the supplied index store before
   scanning: static keys immediately, dynamic keys per partial substitution —
@@ -31,6 +31,9 @@ it adds:
 * **Delta restriction.**  One scan leaf can be restricted to an explicit
   witness list (the semi-naive frontier), identified by its
   ``(path, element_index)`` position exactly as in :mod:`repro.engine.delta`.
+  The restricted leaf runs first, ahead of the optimizer's order, and scans
+  its witnesses without probing; the other leaves probe by the variables it
+  binds, so a round costs about what its frontier joins with.
 
 Below a scan leaf the executor matches nothing itself: each candidate
 witness is one call of the element's compiled matcher
@@ -383,7 +386,8 @@ class _Executor:
       identity-keyed dedup (:class:`_RowFinalizer`).
 
     The enumeration order is partials outer, alternatives inner, instances
-    in (rank, arrival) order — on a source-ordered plan exactly the list
+    in (restricted first, rank, arrival) order — on a source-ordered plan
+    without a restriction exactly the list
     :func:`repro.calculus.matching.match_all` returns, which
     ``tests/test_exec_properties.py`` pins.
 
@@ -484,9 +488,13 @@ class _Executor:
         instances: List[_Instance] = []
         if not self._flatten(plan.body, target, _ROOT, leaves, instances):
             return None
-        # Stable sort: optimizer rank first, arrival order as the tiebreak;
-        # collapsed subtrees (⊤ on the spine) carry rank -1 and run first.
-        instances.sort(key=lambda instance: (instance.rank, instance.order))
+        # Stable sort: a delta round's restricted leaf first, so its few new
+        # witnesses bind the join variables the later leaves probe by; then
+        # optimizer rank, arrival order as the tiebreak.  Collapsed subtrees
+        # (⊤ on the spine) carry rank -1 and run first among the rest.
+        instances.sort(
+            key=lambda instance: (not instance.restricted, instance.rank, instance.order)
+        )
         return instances
 
     def _flatten(
@@ -629,6 +637,8 @@ class _Executor:
             alt_layout, matcher = compile_element_matcher(spec.element)
             scan = _ScanState(matcher, _merge_plan(layout, alt_layout))
             static_keys, dynamic_keys = (), ()
+            # A restricted leaf scans only its frontier: a probe would answer
+            # from the whole set, old witnesses included.
             if self.indexes is not None and not instance.restricted:
                 static_keys = spec.static_keys
                 dynamic_keys = spec.dynamic_keys

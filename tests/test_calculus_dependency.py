@@ -9,23 +9,23 @@ from repro.core.paths import Path
 class TestAccessPaths:
     def test_set_formula_path(self):
         body = parse_rule("[out: {X}] :- [r1: {X}]").body
-        assert access_paths(body) == frozenset({Path("r1")})
+        assert access_paths(body) == (Path("r1"),)
 
     def test_nested_tuple_paths(self):
         target = formula({"a": {"b": [var("X")], "c": var("Y")}})
-        assert access_paths(target) == frozenset({Path("a.b"), Path("a.c")})
+        assert access_paths(target) == (Path("a.b"), Path("a.c"))
 
     def test_root_variable(self):
-        assert access_paths(var("X")) == frozenset({Path(())})
+        assert access_paths(var("X")) == (Path(()),)
 
     def test_empty_tuple_formula_is_an_access_point(self):
-        assert access_paths(formula({})) == frozenset({Path(())})
+        assert access_paths(formula({})) == (Path(()),)
 
     def test_sets_are_opaque(self):
         # Paths do not descend into set elements: the set's own path stands
         # for everything inside it.
         body = parse_rule("[out: {X}] :- [family: {[name: Y, children: {[name: X]}]}]").body
-        assert access_paths(body) == frozenset({Path("family")})
+        assert access_paths(body) == (Path("family"),)
 
 
 class TestPathsInteract:

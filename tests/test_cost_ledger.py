@@ -117,3 +117,17 @@ def test_a_subset_re_measures_exactly():
     fresh = ledger.measure(SUBSET)
     assert sorted(fresh) == sorted(SUBSET)
     assert ledger.verdicts(fresh, recorded) == []
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="COST.json holds CPython 3.11's counts: comprehension inlining in 3.12"
+    " changes call counts",
+)
+def test_a_dependency_graph_bound_cell_counts_alike_under_another_hash_seed():
+    """COST.json is recorded under PYTHONHASHSEED=0.  Registering rules builds a
+    DependencyGraph, whose path tests stop at the first hit: over paths in
+    formula order they stop at the same pair under every seed."""
+    recorded = json.loads((REPO_ROOT / "COST.json").read_text())["cells"]
+    fresh = ledger.measure(["obs.disabled_vs_stripped"], hash_seed="123")
+    assert ledger.verdicts(fresh, recorded) == []

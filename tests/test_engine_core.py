@@ -7,13 +7,14 @@ import pytest
 from repro import Program, Session, parse_formula, parse_object, parse_program, parse_rule
 from repro.core.errors import DivergenceError
 from repro.core.intern import clear_object_caches
-from repro.core.objects import TOP, Atom, SetObject, TupleObject
+from repro.core.objects import TOP, Atom, ComplexObject, SetObject, TupleObject
 from repro.core.order import is_subobject
-from repro.core.paths import Path
+from repro.core.paths import Path, new_set_elements
 from repro.calculus.fixpoint import close
 from repro.calculus.interpretation import interpret
 from repro.calculus.rules import RuleSet
 from repro.engine import EngineResult, SemiNaiveEngine, create_engine
+from repro.engine import core as engine_core
 from repro.core import order
 from repro.workloads import make_genealogy
 
@@ -285,14 +286,10 @@ class TestBucketBuilds:
     set: rounds that leave the set alone find it, and a write that grows the
     set derives the grown set's table (the one function that buckets is the count)."""
 
-    def test_a_cold_close_buckets_the_family_once_and_a_resumed_one_never(self):
+    def test_a_close_buckets_each_probed_set_once_and_resumed_closes_derive_the_rest(self):
         tree = make_genealogy(3, 3)
         family = tree.family_object.get("family")
-        old = next(person for person in family if person.get("name") == Atom(tree.root))
-        grown = old.replace(
-            children=old.get("children").add(TupleObject({"name": Atom("n0")}))
-        )
-        leaf = TupleObject({"name": Atom("n0"), "children": SetObject()})
+        root = next(person for person in family if person.get("name") == Atom(tree.root))
         clear_object_caches()
         session = Session()
         session.put("family", family)
@@ -303,21 +300,107 @@ class TestBucketBuilds:
                 result = run()
             return result, [(call.args[0], str(call.args[1])) for call in build.call_args_list]
 
+        def write_leaf(parent, name):
+            grown = parent.replace(
+                children=parent.get("children").add(TupleObject({"name": Atom(name)}))
+            )
+            leaf = TupleObject({"name": Atom(name), "children": SetObject()})
+            session.transact(
+                lambda txn: txn.put(
+                    "family", txn.get("family").discard(parent).add(grown).add(leaf)
+                )
+            )
+            return grown
+
         cold, built = builds(session.close)
-        # (family, name) once, over all 40 people; doa is never bucketed.
+        # (family, name) once, over all 40 people: the full first round scans doa.
         assert [(len(members), key) for members, key in built] == [(40, "name")]
         assert built[0][0] is cold.value.get("family")
         assert cold.stats.full_matches > 0
 
-        session.transact(
-            lambda txn: txn.put("family", txn.get("family").discard(old).add(grown).add(leaf))
-        )
+        grown = write_leaf(root, "n0")
         resumed, built = builds(session.close)
         assert session.cache_info()["closure_maintained"] == 1
         assert resumed.stats.full_matches == 0
-        # The write derived the 41-person family's table from the 40-person one's.
-        assert built == []
+        # The new family tuples run first and probe doa by their names: the
+        # cold close's 40-person doa set is bucketed by element, once.  The
+        # write derived the 41-person family's table from the 40-person one's.
+        assert [(len(members), key) for members, key in built] == [(40, "")]
+        assert built[0][0] is cold.value.get("doa")
         grown_family = resumed.value.get("family")
         assert grown_family._tables[Path("name")] == order._bucket(grown_family, Path("name"))
-        written = TupleObject({"family": family.discard(old).add(grown).add(leaf)})
+        written = TupleObject({"family": family.discard(root).add(grown).add(
+            TupleObject({"name": Atom("n0"), "children": SetObject()})
+        )})
         assert resumed.value == close(written, RuleSet(list(parse_program(DESCENDANTS)))).value
+
+        # Every table the next resumed close probes was derived by a write or a round.
+        write_leaf(grown, "n1")
+        again, built = builds(session.close)
+        assert session.cache_info()["closure_maintained"] == 2
+        assert built == []
+        doa = again.value.get("doa")
+        assert doa._tables[Path(())] == order._bucket(doa, Path(()))
+        assert {element.value for element in doa} == {
+            *tree.expected_descendants, "n0", "n1"
+        }
+
+
+class TestResumedCloseCost:
+    """A resumed close is driven by its delta: its cost does not grow with the closure."""
+
+    @staticmethod
+    def resume_after_one_leaf(generations):
+        tree = make_genealogy(generations, 3)
+        family = tree.family_object.get("family")
+        root = next(person for person in family if person.get("name") == Atom(tree.root))
+        grown = root.replace(
+            children=root.get("children").add(TupleObject({"name": Atom("n0")}))
+        )
+        leaf = TupleObject({"name": Atom("n0"), "children": SetObject()})
+        session = Session()
+        session.put("family", family)
+        session.register(parse_program(DESCENDANTS))
+        session.close()
+        session.transact(
+            lambda txn: txn.put("family", txn.get("family").discard(root).add(grown).add(leaf))
+        )
+        return len(family), session
+
+    @pytest.mark.parametrize("generations, people", [(4, 121), (5, 364)])
+    def test_a_one_leaf_write_costs_five_match_attempts_at_any_size(self, generations, people):
+        size, session = self.resume_after_one_leaf(generations)
+        assert size == people
+        resumed = session.close()
+        assert session.cache_info()["closure_maintained"] == 1
+        # Round 1: the two new family tuples (the grown root, the leaf), then
+        # doa probed by the root's name; round 2, which derives nothing: the
+        # new doa element, then family probed by its name (the leaf).
+        assert resumed.stats.match_attempts == 5
+        assert "n0" in {element.value for element in resumed.value.get("doa")}
+
+    def test_the_delta_is_found_without_hashing_an_element(self):
+        _, session = self.resume_after_one_leaf(4)
+        diffing, diffs, hashed = [False], [], []
+        original = ComplexObject.__hash__
+
+        def diff(*args):
+            diffs.append(args[2])
+            diffing[0] = True
+            try:
+                return new_set_elements(*args)
+            finally:
+                diffing[0] = False
+
+        def counting_hash(value):
+            if diffing[0]:
+                hashed.append(value)
+            return original(value)
+
+        with mock.patch.object(engine_core, "new_set_elements", diff), \
+                mock.patch.object(ComplexObject, "__hash__", counting_hash):
+            session.close()
+        assert session.cache_info()["closure_maintained"] == 1
+        # Both set paths (family, doa) of each of the two delta rounds.
+        assert len(diffs) == 4
+        assert hashed == []

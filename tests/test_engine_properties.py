@@ -113,31 +113,46 @@ MERGING_RULE = "[heir: X] :- [doa: {X}]."
 
 @st.composite
 def grown_databases(draw):
-    """``(rules, O, O')`` with ``O ≤ O'``: a pruned genealogy and the whole one."""
+    """``(rules, O, O')`` with ``O ≤ O'``: a pruned genealogy and the whole one,
+    or a genealogy and the same one after one-leaf writes."""
     from repro.core.lattice import union
-    from repro.core.objects import SetObject, TupleObject
+    from repro.core.objects import Atom, SetObject, TupleObject
 
     tree = make_genealogy(
         draw(st.integers(min_value=0, max_value=3)), draw(st.integers(1, 3))
     )
-    kept = []
-    for person in tree.family_object["family"].elements:
-        fate = draw(st.sampled_from(["keep", "drop", "childless"]))
-        if fate == "keep":
-            kept.append(person)
-        elif fate == "childless":
-            kept.append(person.replace(children=SetObject()))
-    small = TupleObject({"family": SetObject(kept)})
+    family = tree.family_object["family"]
+    if draw(st.booleans()):
+        kept = []
+        for person in family.elements:
+            fate = draw(st.sampled_from(["keep", "drop", "childless"]))
+            if fate == "keep":
+                kept.append(person)
+            elif fate == "childless":
+                kept.append(person.replace(children=SetObject()))
+        small = TupleObject({"family": SetObject(kept)})
+        large = union(small, tree.family_object)
+    else:
+        # The write closure_after_write makes: a parent's tuple replaced by
+        # one that dominates it (one more child), plus the child's own tuple.
+        small, written = tree.family_object, family
+        for number in range(draw(st.integers(min_value=1, max_value=3))):
+            parent = draw(st.sampled_from(written.elements))
+            child = TupleObject({"name": Atom(f"n{number}")})
+            grown = parent.replace(children=parent.get("children").add(child))
+            leaf = child.replace(children=SetObject())
+            written = written.discard(parent).add(grown).add(leaf)
+        large = TupleObject({"family": written})
     extras = draw(st.sets(st.sampled_from(sorted(EXTRA_RULES))))
     source = DESCENDANTS_RULES + "".join(EXTRA_RULES[name] for name in sorted(extras))
     if draw(st.booleans()):
         source += MERGING_RULE
     program = Program.from_source(source, database=small)
-    grown = program.with_database(union(small, tree.family_object))
+    grown = program.with_database(large)
     return program.rules, program.seed(), grown.seed()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(grown_databases(), st.booleans())
 def test_resuming_from_a_smaller_closure_equals_running_from_scratch(drawn, use_indexes):
     from repro.engine import SemiNaiveEngine

@@ -14,7 +14,10 @@ they exercise the short-circuit layout paths) under both semantics:
 * index pushdown (the batch probe cache) changes nothing about the answer —
   nor, with the sessions' build-at-first-probe store, about its order;
 * delta restriction (``position=``/``delta_elements=``) enumerates exactly
-  the matches that a grown database adds to ``E(O)``;
+  the matches that a grown database adds to ``E(O)``, and on two- and
+  three-leaf joins exactly the oracle's matches with a new witness at the
+  restricted position, wherever the optimizer ranks that leaf, with and
+  without index probes;
 * below the plan, the one witness matcher
   (:func:`repro.plan.compile.compile_element_matcher`) emits, for any element
   formula and witness, the rows of the oracle's ``_match`` in its order.
@@ -23,7 +26,7 @@ they exercise the short-circuit layout paths) under both semantics:
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro import parse_formula, parse_object  # noqa: E402
 from repro.calculus.interpretation import interpret  # noqa: E402
@@ -48,6 +51,7 @@ from repro.plan import (  # noqa: E402
     optimize_body,
 )
 from repro.plan.compile import compile_element_matcher  # noqa: E402
+from repro.plan.ir import leaf_key  # noqa: E402
 from repro.plan.execute import iter_match_plan, iter_match_rows, match_rows  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "d", "r1", "r2", "name")
@@ -112,28 +116,35 @@ def test_source_ordered_plan_enumerates_match_all_as_a_list(body_text, database,
 
 
 @st.composite
-def _grown_relations(draw):
+def _grown_relations(draw, joins=False):
     """``(previous, current)``, both ``[r1: {...}, r2: {...}]``, previous ≤ current.
 
     Element shapes are the ones the bodies really match — ``complex_objects``
     almost never satisfies a two-leaf body, which would make the delta
     property vacuous.  No ⊤: a ⊤ on a delta path has no sound delta, and the
-    engine falls back to a full match there.
+    engine falls back to a full match there.  ``joins`` keeps to the tuples
+    :data:`JOIN_BODIES` read, so that most draws join.
     """
     values = st.integers(min_value=0, max_value=1).map(Atom)
     names = st.lists(
         st.fixed_dictionaries({"name": values}).map(TupleObject), max_size=2
     ).map(SetObject)
-    shapes = {
-        "r1": st.one_of(
-            values,
-            st.fixed_dictionaries({"a": st.one_of(values, names), "b": values}).map(TupleObject),
-            st.fixed_dictionaries({"name": values}).map(TupleObject),
-        ),
-        "r2": st.one_of(
-            values, st.fixed_dictionaries({"c": values, "d": values}).map(TupleObject)
-        ),
-    }
+    pairs = st.fixed_dictionaries({"a": values, "b": values}).map(TupleObject)
+    named = st.fixed_dictionaries({"name": values}).map(TupleObject)
+    edges = st.fixed_dictionaries({"c": values, "d": values}).map(TupleObject)
+    if joins:
+        shapes = {"r1": st.one_of(pairs, named), "r2": edges}
+    else:
+        shapes = {
+            "r1": st.one_of(
+                values,
+                st.fixed_dictionaries(
+                    {"a": st.one_of(values, names), "b": values}
+                ).map(TupleObject),
+                named,
+            ),
+            "r2": st.one_of(values, edges),
+        }
     previous, current = {}, {}
     for name, shape in shapes.items():
         elements = draw(st.lists(shape, min_size=1, max_size=5))
@@ -239,6 +250,74 @@ def test_delta_restriction_enumerates_exactly_the_growth(body_text, relations, o
         assert set(restricted) <= every_match
         pieces.extend(substitution.apply(body) for substitution in restricted)
     assert union_all(pieces) == interpret(body, current)
+
+
+#: Two- and three-leaf joins over ``_grown_relations``' r1 / r2.  The
+#: constants are static keys: a restricted leaf that probed by them would
+#: reach old witnesses.
+JOIN_BODIES = [
+    "[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]",
+    "[r1: {[a: X, b: Y], [a: Y, b: X]}]",
+    "[r1: {[a: X, b: 1]}, r2: {[c: X, d: Z]}]",
+    "[r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z], [c: Z, d: X]}]",
+    "[r1: {[a: X, b: Y], [name: X]}, r2: {[c: Y, d: 0]}]",
+]
+
+
+def _restricted_match_all(body, target, position, witnesses):
+    """``match_all`` with the element at ``position`` matched against ``witnesses`` only.
+
+    The oracle moves that element into a set formula of its own, at a fresh
+    attribute beside its set, which holds exactly the witnesses (raw, so
+    reduction keeps every one of them).
+    """
+    (name,) = position.path.steps
+    elements = body.get(name).elements
+    index = position.element_index
+    attributes = dict(body.items())
+    attributes[name] = SetFormula(elements[:index] + elements[index + 1:])
+    attributes["delta_" + name] = SetFormula([elements[index]])
+    split = target.replace(**{"delta_" + name: SetObject.raw(witnesses)})
+    return set(match_all(TupleFormula(attributes), split))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(JOIN_BODIES), _grown_relations(joins=True), st.booleans(), st.booleans()
+)
+# An old r1 witness carries the restricted leaf's static key b: 1.
+@example(
+    JOIN_BODIES[2],
+    (
+        parse_object("[r1: {[a: 0, b: 1]}, r2: {[c: 0, d: 0], [c: 1, d: 0]}]"),
+        parse_object("[r1: {[a: 0, b: 1], [a: 1, b: 1]}, r2: {[c: 0, d: 0], [c: 1, d: 0]}]"),
+    ),
+    True,
+    True,
+)
+def test_a_restricted_leaf_anywhere_in_the_plan_matches_only_its_witnesses(
+    body_text, relations, optimized, probing
+):
+    """The restricted leaf runs first whatever the optimizer's rank; the others
+    probe by its bindings.  Rows equal the restricted oracle's, as a set."""
+    body = parse_formula(body_text)
+    previous, current = relations
+    plan = _plan(body, current, optimized)
+    positions = decompose(body).positions
+    first = plan.leaves[0]
+    # Every position but the optimizer's first runs ahead of its rank.
+    assert len(positions) >= 2
+    assert any(
+        (position.path.steps, position.element_index) != leaf_key(first)
+        for position in positions
+    )
+    indexes = TargetIndexes(current) if probing else None
+    for position in positions:
+        fresh = new_set_elements(previous, current, position.path)
+        restricted = match_plan(
+            plan, current, position=position, delta_elements=fresh, indexes=indexes
+        )
+        assert set(restricted) == _restricted_match_all(body, current, position, fresh)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,8 +5,8 @@ Each cell counts the Python-level work of an operation with ``cProfile``:
 the calls of every function (``calls``) and of a short list of hot ones
 (:data:`HOT`).  A count is bit-for-bit reproducible, so the ledger compares
 exactly where a wall clock could only compare with a tolerance.  Counts are
-taken under ``PYTHONHASHSEED=0``; ``--selftest`` shows which of them depend on
-the seed (ROADMAP 21(d)).  C-level and I/O work (sorting, ``json``, ``fsync``)
+taken under ``PYTHONHASHSEED=0``; ``--selftest`` shows that none of them
+depends on the seed.  C-level and I/O work (sorting, ``json``, ``fsync``)
 is invisible to a count; that stays with ``benchmarks/e2e``.
 
 There are two kinds of cell:
@@ -60,8 +60,8 @@ SCALED = {
     "bom_join.reopen": ("linear", None),
     "genealogy_closure.op": ("linear", None),
     "genealogy_closure.reopen": ("linear", None),
-    "closure_after_write.op": ("flat", "5(d)"),
-    "closure_after_write.read": ("flat", "5(d)"),
+    "closure_after_write.op": ("flat", None),
+    "closure_after_write.read": ("flat", None),
     "closure_after_write.reopen": ("linear", None),
     "doc_mixed.op": ("flat", None),
     "doc_mixed.write_first_read": ("flat", None),
