@@ -3,9 +3,10 @@
 :meth:`Session.prepare <repro.api.Session.prepare>` returns a
 :class:`PreparedQuery`; every execution resolves it once
 (``Session._resolve``) into a :class:`_Resolved` record — the snapshot, the
-access path, the target, the bound plan — and a :class:`Cursor` runs exactly
-that record, probing ``snapshot.indexes_for(target)``, while EXPLAIN
-(:func:`_render_explain`) renders it.  A cursor holds its record, so it
+access path, the target, the plan and the ``$parameter`` values — and a
+:class:`Cursor` runs exactly that record, probing
+``snapshot.indexes_for(target)``, while EXPLAIN (:func:`_render_explain`)
+renders it with the values bound.  A cursor holds its record, so it
 answers from the version it was opened on whatever commits land while it
 streams.
 """
@@ -23,6 +24,7 @@ from repro.plan import iter_match_rows, match_rows
 from repro.plan.compile import compile_projection
 from repro.plan.explain import execution_record, render_body_plan
 from repro.plan.ir import BodyPlan
+from repro.plan.parameters import bind_body_plan
 from repro.api.snapshot import Snapshot
 
 
@@ -31,8 +33,9 @@ class _Resolved(NamedTuple):
 
     ``access`` names the path taken (``against``, ``closure``, ``seed``, or
     the store's ``pushdown`` / ``snapshot`` / ``refuted``), ``notes`` are the
-    lines EXPLAIN prints for it, ``target`` is the object the bound ``plan``
-    runs against — ``None`` when a path index refuted the query.
+    lines EXPLAIN prints for it, ``target`` is the object ``plan`` runs
+    against — ``None`` when a path index refuted the query — and ``params``
+    the values its ``$parameter`` slots read.
     """
 
     snapshot: Snapshot
@@ -40,17 +43,19 @@ class _Resolved(NamedTuple):
     notes: Tuple[str, ...]
     target: Optional[ComplexObject]
     plan: BodyPlan
+    params: Mapping[str, ComplexObject]
 
 
 def _render_explain(resolved: _Resolved, allow_bottom: bool, analyze: bool) -> str:
     """EXPLAIN (ANALYZE) of one :class:`_Resolved` record.
 
-    The plan is run once, apart from any cursor's stream but probing the
-    same index store, to collect actual rows and accesses (and times under
-    ``analyze``); a refuted query (``target is None``) runs nothing and
-    shows the unexecuted plan.
+    The plan, bound to the record's values, is run once, apart from any
+    cursor's stream but probing the same index store, to collect actual rows
+    and accesses (and times under ``analyze``); a refuted query (``target is
+    None``) runs nothing and shows the unexecuted plan.
     """
-    _, _, notes, target, plan = resolved
+    _, _, notes, target, plan, params = resolved
+    plan = bind_body_plan(plan, params)
     record = None
     if target is not None:
         record = execution_record(
@@ -68,9 +73,9 @@ class PreparedQuery:
 
     Created by :meth:`Session.prepare`.  Holds the parsed formula (with its
     ``$parameter`` slots) and the execution options fixed at prepare time;
-    each :meth:`execute` binds values into the session's cached plan — on an
-    unchanged store that is a dictionary lookup plus a structural
-    substitution, no parsing and no optimization.
+    each :meth:`execute` runs the session's cached plan with its values in
+    the slots — on an unchanged store that is a dictionary lookup, no
+    parsing, no optimization and no rebuilt formula.
     """
 
     __slots__ = (
@@ -177,6 +182,7 @@ class Cursor:
     consumes it once, shared by all of the above, and keeps the rows it
     consumed; a match is the body projected over one row
     (:func:`~repro.plan.compile.compile_projection`, compiled once per
+    parameterized plan and kept in its ``projections``, else once per
     cursor), ``all()`` the projection over every row.  An ``all()`` that
     comes first takes the rows in whole batches
     (:func:`~repro.plan.execute.match_rows`) instead of opening the stream.
@@ -191,12 +197,13 @@ class Cursor:
         # cursor's own reference, so a commit that replaces the session's
         # leaves this cursor its target and the index store its leaves probe.
         self._resolved = resolved
-        self._plan = resolved.plan
+        self._params = resolved.params
         self._target = target = resolved.target
         self._indexes = indexes = resolved.snapshot.indexes_for(target)
         self._allow_bottom = allow_bottom
         self._options = dict(
-            indexes=indexes, allow_bottom=allow_bottom, stats=stats, deadline=deadline
+            indexes=indexes, allow_bottom=allow_bottom, stats=stats, deadline=deadline,
+            params=resolved.params,
         )
         self._on_finish = on_finish
         self._finished = False
@@ -211,6 +218,11 @@ class Cursor:
         self._project = None
         self._result: Optional[ComplexObject] = None
 
+    @property
+    def _plan(self) -> BodyPlan:
+        """The cursor's plan with its values bound: the plan its EXPLAIN renders."""
+        return bind_body_plan(self._resolved.plan, self._params)
+
     def _finish(self) -> None:
         """Fire the completion callback exactly once, at stream exhaustion."""
         if not self._finished:
@@ -222,7 +234,7 @@ class Cursor:
         """Consume the next executor row (``None`` once exhausted)."""
         if self._stream is None:
             self._stream = iter(()) if self._target is None else iter_match_rows(
-                self._plan, self._target, **self._options
+                self._resolved.plan, self._target, **self._options
             )
         for self._names, row in self._stream:
             self._rows.append(row)
@@ -231,9 +243,21 @@ class Cursor:
         return None
 
     def _projection(self):
-        """The body's compiled projection over this cursor's rows."""
+        """The body's compiled projection over this cursor's rows.
+
+        A plan with ``$parameters`` keeps it in its ``projections``, for every
+        execution of its prepared query, whatever the values; a cursor of a
+        parameter-free plan compiles its own.
+        """
         if self._project is None:
-            self._project = compile_projection(self._plan.body, self._names)
+            plan, names = self._resolved.plan, self._names
+            projections = plan.projections
+            if projections is None:
+                self._project = compile_projection(plan.body, names)
+            elif names in projections:
+                self._project = projections[names]
+            else:
+                self._project = projections[names] = compile_projection(plan.body, names)
         return self._project
 
     # -- streaming --------------------------------------------------------------------
@@ -244,12 +268,12 @@ class Cursor:
         rows, seen = self._rows, self._seen
         if self._projected < len(rows):
             # What bindings() handed out counts as streamed: never repeat it.
-            project = self._projection()
-            seen.update(project([row]) for row in rows[self._projected:])
+            project, params = self._projection(), self._params
+            seen.update(project([row], params) for row in rows[self._projected:])
             self._projected = len(rows)
         while (row := self._pull()) is not None:
             self._projected += 1
-            instantiation = self._projection()([row])
+            instantiation = self._projection()([row], self._params)
             if instantiation not in seen:
                 seen.add(instantiation)
                 return instantiation
@@ -281,12 +305,14 @@ class Cursor:
                 # take every row in whole batches; the drain below finds the
                 # stream exhausted.
                 self._names, self._rows = match_rows(
-                    self._plan, self._target, **self._options
+                    self._resolved.plan, self._target, **self._options
                 )
                 self._stream = iter(())
             while self._pull() is not None:
                 pass
-            self._result = self._projection()(self._rows) if self._rows else BOTTOM
+            self._result = (
+                self._projection()(self._rows, self._params) if self._rows else BOTTOM
+            )
         return self._result
 
     def explain(self) -> str:

@@ -27,7 +27,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.parser import parse_program
 from repro.parser.parser import as_formula
-from repro.plan import bind_body_plan, compile_body
+from repro.plan import compile_body
 from repro.plan.parameters import validate_parameters
 from repro.plan.stats import EngineStats
 from repro.store.database import ObjectDatabase
@@ -105,12 +105,12 @@ class Session:
     rule closures and the CLI — through one pipeline::
 
         parse → compile (cached) → optimize (cached per version)
-              → bind $parameters → stream
+              → stream, $parameters read from their slots
 
-    Target selection, the plan cache and parameter binding are one private
-    step (:meth:`_resolve`) shared by execution and EXPLAIN, so EXPLAIN
-    renders the plan that runs.  Everything derived from the database lives
-    in one :class:`~repro.api.snapshot.Snapshot` of the session
+    Target selection and the plan cache are one private step
+    (:meth:`_resolve`) shared by execution and EXPLAIN, so EXPLAIN renders
+    the plan that runs, with its values bound.  Everything derived from the
+    database lives in one :class:`~repro.api.snapshot.Snapshot` of the session
     :attr:`version` (store commits plus the session's own seed/rule
     revisions), which :meth:`_current` reads once per call and replaces
     whole when it moved.  So re-executing a :class:`PreparedQuery` on an
@@ -606,26 +606,25 @@ class Session:
             mode = ("seed", allow_bottom)
         else:
             # Store-backed whole-database execution.  The store's refutation
-            # probe reads a binding of the *parameterized* compiled plan
+            # probe reads the leaves of the *parameterized* compiled plan
             # (cached-optimized when available, else the compile-memoized
-            # source order — leaf order is irrelevant to refutation), so no
-            # bound formula is ever compiled: distinct parameter values,
-            # refuted or not, cannot churn the global compile cache.
+            # source order — leaf order is irrelevant to refutation) with the
+            # values in their slots, so no bound formula or leaf is ever
+            # built: distinct parameter values, refuted or not, cannot churn
+            # the global compile cache.
             cached = snapshot.cached_plan(formula, ("db",))
-            plan = bind_body_plan(
-                cached if cached is not None else compile_body(formula), values
-            )
+            plan = cached if cached is not None else compile_body(formula)
             access, note, target = self._db.access_path(
                 formula, plan.leaves, state=snapshot.state,
-                allow_bottom=allow_bottom, counted=counted,
+                allow_bottom=allow_bottom, counted=counted, params=values,
             )
             if target is not None and cached is None:
-                plan = bind_body_plan(snapshot.plan_for(formula, ("db",), target), values)
-            return _Resolved(snapshot, access, (note,), target, plan)
+                plan = snapshot.plan_for(formula, ("db",), target)
+            return _Resolved(snapshot, access, (note,), target, plan, values)
         plan = snapshot.cached_plan(formula, mode)
         if plan is None:
             plan = snapshot.plan_for(formula, mode, target)
-        return _Resolved(snapshot, mode[0], notes, target, bind_body_plan(plan, values))
+        return _Resolved(snapshot, mode[0], notes, target, plan, values)
 
     def _current(self) -> Snapshot:
         """The snapshot of the current :attr:`version` — the one place it is read.

@@ -25,7 +25,10 @@ compiled path:
   its work in :class:`~repro.plan.stats.EngineStats`;
 * :mod:`repro.plan.explain` — the EXPLAIN renderer (estimated vs. actual
   cardinalities) behind ``Program.explain()``, ``Session.explain()`` and the
-  CLI ``--explain`` flags.
+  CLI ``--explain`` flags;
+* :mod:`repro.plan.parameters` — a plan with its ``$parameters`` bound: the
+  oracle of prepared execution, which reads them from slots (``params=``),
+  and what EXPLAIN renders.
 
 Quick use::
 

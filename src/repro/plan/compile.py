@@ -15,6 +15,12 @@ the closure :func:`compile_element_matcher` builds for that element — the
 one witness matcher, with :mod:`repro.calculus.matching` as its oracle.
 Both are pure and memoised on the (hash-consed) formula's intern id.  A head
 goes the other way, into the join of its instantiations: :func:`compile_projection`.
+
+A ``$parameter`` compiles once, like a constant whose value is read at call
+time: matchers and projections take the execution's ``params`` mapping, and a
+slot is tested as a sub-object of its witness exactly as a bound
+:class:`Constant` would be (:func:`repro.calculus.terms.bind_parameters`, the
+oracle).  Nothing is rebuilt per parameter value.
 """
 
 from __future__ import annotations
@@ -30,14 +36,22 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.core.errors import ParameterError
 from repro.core.intern import node_memo
 from repro.core.lattice import _join, intersection, union_all
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.core.order import is_subobject, maximal_unique
 from repro.core.paths import Path
 from repro.plan.indexes import element_keys
-from repro.plan.ir import BindLeaf, BodyPlan, CheckLeaf, ConstLeaf, Leaf, ParamLeaf, ScanLeaf
+from repro.plan.ir import (
+    NO_PARAMS,
+    BindLeaf,
+    BodyPlan,
+    CheckLeaf,
+    ConstLeaf,
+    Leaf,
+    ParamLeaf,
+    ScanLeaf,
+)
 
 __all__ = [
     "compile_body",
@@ -54,27 +68,30 @@ _ROOT = Path(())
 def compile_element_matcher(element: Formula):
     """Compile one scan-leaf element formula into ``(layout, match)``.
 
-    ``match(witness, out)`` appends to ``out`` one value row per
+    ``match(witness, out, params)`` appends to ``out`` one value row per
     derivation-maximal substitution of ``element`` against ``witness`` —
-    exactly the substitutions ``repro.calculus.matching._match`` enumerates,
-    in its order, duplicates and ⊥ bindings included (the executor's strict
-    filter drops those).  Every row is aligned to ``layout``: the element's
-    variables in first-occurrence walk order.
+    exactly the substitutions ``repro.calculus.matching._match`` enumerates
+    for ``element`` with ``params`` bound, in its order, duplicates and ⊥
+    bindings included (the executor's strict filter drops those).  Every row
+    is aligned to ``layout``: the element's variables in first-occurrence
+    walk order.  ``params`` defaults to :data:`NO_PARAMS`.
 
     * a :class:`Variable` binds the witness;
     * a :class:`Constant` is a subobject test (identity fast path first,
       since interned equal objects are identical);
+    * a :class:`Parameter` is the same test of the value ``params`` binds it
+      to — a slot, never a variable: it binds nothing;
     * a :class:`TupleFormula` is the running product of its attributes'
       alternatives, a :class:`SetFormula` that of its elements' alternatives
       over the witness's elements (or their vanish row when there are none);
       shared variables meet through :func:`_merge_rows`.  A flat tuple of
-      distinct variables and constants takes :func:`_compile_flat_tuple`;
-    * a ⊤ witness gives one all-⊤ row at every level;
-    * a :class:`Parameter` raises :class:`ParameterError`: bind it first.
+      distinct variables, constants and slots takes :func:`_compile_flat_tuple`;
+    * a ⊤ witness gives one all-⊤ row at every level.
 
     The memo is keyed on the formula's intern id, so prepared-plan
-    re-execution pays zero recompilation; it is registered as
-    ``element_matcher`` (the ``core.memo.element_matcher_*`` gauges).
+    re-execution pays zero recompilation, whatever its parameter values; it
+    is registered as ``element_matcher`` (the ``core.memo.element_matcher_*``
+    gauges).
     """
     return _compile(element)
 
@@ -85,7 +102,7 @@ def _compile(element: Formula):
     if isinstance(element, Constant):
         value = element.value
 
-        def match_constant(witness, out, _value=value):
+        def match_constant(witness, out, params=NO_PARAMS, _value=value):
             if _value is witness or is_subobject(_value, witness):
                 out.append(())
 
@@ -97,19 +114,22 @@ def _compile(element: Formula):
         return _compile_product(element.items(), TupleObject)
     if isinstance(element, SetFormula):
         return _compile_product([(None, child) for child in element.elements], SetObject)
+    if isinstance(element, Parameter):
+
+        def match_parameter(witness, out, params=NO_PARAMS, _name=element.name):
+            value = params[_name]
+            if value is witness or is_subobject(value, witness):
+                out.append(())
+
+        return (), match_parameter
     _reject(element)
 
 
 def _reject(node: Formula):
-    if isinstance(node, Parameter):
-        raise ParameterError(
-            f"cannot execute a plan with unbound parameter ${node.name};"
-            " bind it first (repro.plan.parameters.bind_body_plan)"
-        )
     raise TypeError(f"not a formula: {node!r}")
 
 
-def _match_variable(witness, out):
+def _match_variable(witness, out, params=NO_PARAMS):
     out.append((witness,))
 
 
@@ -127,9 +147,13 @@ def _compile_product(children, kind):
     for name, child in children:
         child_layout, match = _compile(child)
         layout, new_indices, overlap = _merge_plan(layout, child_layout)
-        steps.append((name, match, _vanish_row(child), new_indices, overlap))
+        # A slot's vanish row depends on its value: decided per match.
+        vanish = child if type(child) is Parameter else _vanish_row(child)
+        steps.append((name, match, vanish, new_indices, overlap))
 
-    def match_product(witness, out, _steps=tuple(steps), _top=(TOP,) * len(layout)):
+    def match_product(
+        witness, out, params=NO_PARAMS, _steps=tuple(steps), _top=(TOP,) * len(layout)
+    ):
         if witness is TOP:
             out.append(_top)
             return
@@ -139,12 +163,15 @@ def _compile_product(children, kind):
         for name, match, vanish, new_indices, overlap in _steps:
             alternatives: List[tuple] = []
             if name is not None:
-                match(witness.get(name), alternatives)
+                match(witness.get(name), alternatives, params)
             else:
                 for element in witness.elements:
-                    match(element, alternatives)
+                    match(element, alternatives, params)
                 if not alternatives and vanish is not None:
-                    alternatives.append(vanish)
+                    if type(vanish) is Parameter:
+                        vanish = _vanish_row(vanish, params)
+                    if vanish is not None:
+                        alternatives.append(vanish)
             if not alternatives:
                 return
             merged: List[tuple] = []
@@ -155,15 +182,17 @@ def _compile_product(children, kind):
     return layout, match_product
 
 
-def _vanish_row(element: Formula) -> Optional[tuple]:
+def _vanish_row(element: Formula, params=NO_PARAMS) -> Optional[tuple]:
     """The row of an element formula that vanishes from a witness-less set.
 
-    A bare variable binds ⊥, the ⊥ constant binds nothing; any other element
-    formula cannot vanish (``None``).
+    A bare variable binds ⊥, the ⊥ constant (or a slot ``params`` binds to ⊥)
+    binds nothing; any other element formula cannot vanish (``None``).
     """
     if isinstance(element, Variable):
         return (BOTTOM,)
-    if isinstance(element, Constant) and element.value is BOTTOM:
+    if isinstance(element, Constant):
+        return () if element.value is BOTTOM else None
+    if type(element) is Parameter and params[element.name] is BOTTOM:
         return ()
     return None
 
@@ -171,13 +200,15 @@ def _vanish_row(element: Formula) -> Optional[tuple]:
 def _compile_flat_tuple(element: TupleFormula):
     """The dominant relational shape, specialised: one row build per witness.
 
-    A depth-1 tuple of distinct variables and ground constants — e.g.
-    ``[src: X, dst: Y]`` or ``[z: Z, tag: t0]`` — has at most one match and
-    needs no product: run the constant subobject checks, then read the
-    variables' attributes into one row.  Repeated variables or nested
-    structure take the general product (``None`` here).
+    A depth-1 tuple of distinct variables, ground constants and slots — e.g.
+    ``[src: X, dst: Y]``, ``[z: Z, tag: t0]`` or ``[assembly_id: $a, part_id:
+    P]`` — has at most one match and needs no product: run the constant and
+    slot subobject checks, then read the variables' attributes into one row.
+    Repeated variables or nested structure take the general product (``None``
+    here).
     """
     checks = []
+    slots = []
     attributes = []
     layout: List[str] = []
     for name, child in element.items():
@@ -188,13 +219,17 @@ def _compile_flat_tuple(element: TupleFormula):
             attributes.append(name)
         elif isinstance(child, Constant):
             checks.append((name, child.value))
+        elif type(child) is Parameter:
+            slots.append((name, child.name))
         else:
             return None
 
     def match_flat(
         witness,
         out,
+        params=NO_PARAMS,
         _checks=tuple(checks),
+        _slots=tuple(slots),
         _attributes=tuple(attributes),
         _top=(TOP,) * len(layout),
     ):
@@ -205,6 +240,11 @@ def _compile_flat_tuple(element: TupleFormula):
             return
         get = witness.get
         for attribute, value in _checks:
+            found = get(attribute)
+            if value is not found and not is_subobject(value, found):
+                return
+        for attribute, name in _slots:
+            value = params[name]
             found = get(attribute)
             if value is not found and not is_subobject(value, found):
                 return
@@ -321,23 +361,37 @@ class _RawValue(Exception):
 
 
 def compile_projection(formula: Formula, names: Tuple[str, ...]):
-    """Compile a head (or query body) into ``project(rows)``, its ``r(O)``.
+    """Compile a head (or query body) into ``project(rows, params)``, its ``r(O)``.
 
     Each row binds ``names`` by position (:func:`repro.plan.execute.match_rows`).
-    ``project(rows)`` is ``union_all`` of the per-row instantiations — the
-    same interned instance — joined column-wise, as the lub distributes over
-    the constructors (Definition 3.4): a tuple spine joins attribute by
-    attribute, a set reduces the elements of all rows once (each built per
-    row by closures indexed by column), a variable joins its column and a
-    constant is itself.  No rows give ⊥; a raw value in a row takes the fold.
-    Not cached: a bound query body differs with every parameter value.
+    ``project(rows, params)`` is ``union_all`` of the per-row instantiations
+    of ``formula`` with ``params`` bound — the same interned instance —
+    joined column-wise, as the lub distributes over the constructors
+    (Definition 3.4): a tuple spine joins attribute by attribute, a set
+    gathers the elements of all rows once (each built per row by closures
+    indexed by column), a variable joins its column and a constant is itself.
+    A ``$parameter`` is read as one more column, the same in every row.  No
+    rows give ⊥; a raw value in a row takes the fold.
+
+    The elements a set gathers are reduced once, unless they are an antichain
+    by construction (:func:`_differ_at_one_atom`).  Compiled once per plan:
+    ``params`` (default :data:`NO_PARAMS`) comes with each call.
     """
+    slots = formula.parameters()
+    slots = tuple(sorted(slots)) if slots else ()
     columns = {name: index for index, name in enumerate(names)}
+    for offset, slot in enumerate(slots):
+        columns["$" + slot] = len(names) + offset
     join = _compile_join(formula, columns)
 
-    def project(rows):
+    def project(rows, params=NO_PARAMS):
+        if not rows:
+            return BOTTOM
+        if slots:
+            bound = tuple([params[slot] for slot in slots])
+            rows = [row + bound for row in rows]
         try:
-            return join(rows) if rows else BOTTOM
+            return join(rows)
         except _RawValue:
             build = _compile_builder(formula, columns)
             return union_all(build(row) for row in rows)
@@ -353,11 +407,13 @@ def _compile_builder(node: Formula, columns):
     if isinstance(node, Constant):
         return lambda row, _value=node.value: _value
     if isinstance(node, TupleFormula):
-        items = tuple((name, _compile_builder(child, columns)) for name, child in node.items())
+        items = tuple([(name, _compile_builder(child, columns)) for name, child in node.items()])
         return lambda row: TupleObject({name: build(row) for name, build in items})
     if isinstance(node, SetFormula):
-        elements = tuple(_compile_builder(child, columns) for child in node.elements)
+        elements = tuple([_compile_builder(child, columns) for child in node.elements])
         return lambda row: SetObject(build(row) for build in elements)
+    if isinstance(node, Parameter):
+        return itemgetter(columns["$" + node.name])
     _reject(node)
 
 
@@ -366,7 +422,8 @@ def _compile_join(node: Formula, columns):
     if isinstance(node, (Variable, SetFormula)):
         is_set = isinstance(node, SetFormula)
         gathered = node.elements if is_set else (node,)
-        builders = tuple(_compile_builder(child, columns) for child in gathered)
+        builders = tuple([_compile_builder(child, columns) for child in gathered])
+        candidates = _distinct_atom_sources(gathered, columns) if is_set else ()
 
         def join_gathered(rows):
             # Distinct by intern id: a raw value has none, ⊤ absorbs, ⊥ drops.
@@ -376,17 +433,84 @@ def _compile_join(node: Formula, columns):
             if TOP._iid in values:
                 return TOP
             values.pop(BOTTOM._iid, None)
-            if is_set:
-                return SetObject._from_reduced(maximal_unique(list(values.values())))
-            return _join(list(values.values()))
+            elements = list(values.values())
+            if not is_set:
+                return _join(elements)
+            count = len(elements)
+            if count > 1 and not _differ_at_one_atom(rows, count, candidates):
+                elements = maximal_unique(elements)
+            return SetObject._from_reduced(elements)
 
         return join_gathered
     if isinstance(node, Constant):
         return lambda rows, _value=node.value: _value
     if isinstance(node, TupleFormula):
-        items = tuple((name, _compile_join(child, columns)) for name, child in node.items())
+        items = tuple([(name, _compile_join(child, columns)) for name, child in node.items()])
         return lambda rows: TupleObject({name: join(rows) for name, join in items})
+    if isinstance(node, Parameter):
+        # A slot on the spine is its value, as a constant is.
+        return lambda rows, _index=columns["$" + node.name]: rows[0][_index]
     _reject(node)
+
+
+_TUPLE_FORMULAS = {TupleFormula}
+
+
+def _distinct_atom_sources(elements: Tuple[Formula, ...], columns) -> tuple:
+    """Where the elements a set formula gathers may differ at one atom.
+
+    One candidate per position every element formula fills with a bound
+    variable or a ``$slot``: the element itself, when every element formula
+    is one, else each attribute all of them (tuple formulas) have.  A
+    candidate is the ``itemgetter`` of each element formula's column there.
+    (A constant there holds one atom for every row, so it separates nothing.)
+    """
+    if set(map(type, elements)) == _TUPLE_FORMULAS:
+        fields = list(map(dict, map(TupleFormula.items, elements)))
+        shared = set(fields[0])
+        for field in fields[1:]:
+            shared &= set(field)
+        positions = [map(itemgetter(name), fields) for name in fields[0] if name in shared]
+    else:
+        positions = [elements]
+    candidates = []
+    for position in positions:
+        getters = []
+        for node in position:
+            if type(node) is Variable:
+                column = node.name
+            elif type(node) is Parameter:
+                column = "$" + node.name
+            else:
+                break
+            if column not in columns:  # an unbound variable: ⊥ in every row
+                break
+            getters.append(itemgetter(columns[column]))
+        else:
+            candidates.append(tuple(getters))
+    return tuple(candidates)
+
+
+_ATOMS_ONLY = {Atom}
+
+
+def _differ_at_one_atom(rows: List[tuple], count: int, candidates: tuple) -> bool:
+    """Do the ``count`` elements built from ``rows`` differ at one atom position?
+
+    Each element carries, at a candidate position, the value its column holds
+    in the row that built it.  When every such value is an atom and there are
+    ``count`` distinct ones, no two elements share one, and the elements are
+    an antichain: distinct atoms are incomparable, so no element is a
+    sub-object of another, and the set needs no reduction.  Any ⊥, ⊤ or
+    non-atom at the position, or a shared atom, answers ``False``.
+    """
+    for getters in candidates:
+        atoms: List[object] = []
+        for getter in getters:
+            atoms += map(getter, rows)
+        if set(map(type, atoms)) == _ATOMS_ONLY and len(set(map(id, atoms))) == count:
+            return True
+    return False
 
 
 def split_element_keys(element: Formula):

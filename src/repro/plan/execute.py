@@ -21,7 +21,8 @@ it adds:
   :mod:`repro.plan.ir`) — ordering is purely a cost decision.
 
 * **Index pushdown.**  A scan leaf probes the supplied index store before
-  scanning: static keys immediately, dynamic keys per partial substitution —
+  scanning: static keys (``$slots`` bound to atoms among them) immediately,
+  dynamic keys per partial substitution —
   the accumulated partial carries every binding made by earlier leaves, so a
   join variable bound by a cheap leaf turns later scans into hash lookups.
   Narrowing discards only witnesses whose match would bind the key variable
@@ -38,6 +39,10 @@ it adds:
 Below a scan leaf the executor matches nothing itself: each candidate
 witness is one call of the element's compiled matcher
 (:func:`repro.plan.compile.compile_element_matcher`), nested sets included.
+
+A parameterized plan runs as compiled: ``params`` maps each ``$slot`` to its
+value for this run, and the matchers, the spine and the probes read it there.
+Its oracle is the plan :func:`repro.plan.parameters.bind_body_plan` binds.
 
 Runtime shape anomalies — ⊤ on the spine, a tuple formula over a non-tuple
 value — collapse the affected subtree into a single constant-alternative
@@ -59,7 +64,6 @@ from repro.calculus.terms import (
     TupleFormula,
     Variable,
 )
-from repro.core.errors import ParameterError
 from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
@@ -72,7 +76,7 @@ from repro.plan.compile import (
     compile_element_matcher,
     compile_projection,
 )
-from repro.plan.ir import BodyPlan, ScanLeaf, leaf_key
+from repro.plan.ir import NO_PARAMS, BodyPlan, ScanLeaf, leaf_key
 from repro.plan.stats import EngineStats
 
 __all__ = [
@@ -103,6 +107,7 @@ def match_rows(
     allow_bottom: bool = False,
     record: Optional[dict] = None,
     deadline=None,
+    params=NO_PARAMS,
 ) -> Tuple[Tuple[str, ...], List[tuple]]:
     """Deduplicated derivation-maximal matches of the plan's body: ``(names, rows)``.
 
@@ -115,12 +120,14 @@ def match_rows(
     filled with actual per-leaf cardinalities and accesses for EXPLAIN.
     ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
     operator batch, raising :class:`~repro.core.errors.QueryTimeout` when
-    spent.  The walk runs on whole batches: each leaf's output is one chunk.
+    spent.  ``params`` binds the plan's ``$parameters`` (reading a slot it
+    does not bind raises :class:`~repro.core.errors.ParameterError`).  The
+    walk runs on whole batches: each leaf's output is one chunk.
     """
     names, rows = (), []
     for names, chunk in _row_chunks(
         plan, target, position, delta_elements, indexes, stats, allow_bottom,
-        record, deadline, None,
+        record, deadline, None, params,
     ):
         rows += chunk
     return names, rows
@@ -137,6 +144,7 @@ def iter_match_rows(
     allow_bottom: bool = False,
     deadline=None,
     batch_size: Optional[int] = None,
+    params=NO_PARAMS,
 ) -> Iterator[Tuple[Tuple[str, ...], tuple]]:
     """Stream the rows of :func:`match_rows` lazily, as ``(names, row)`` pairs.
 
@@ -169,7 +177,7 @@ def iter_match_rows(
         )
     for names, rows in _row_chunks(
         plan, target, position, delta_elements, indexes, stats, allow_bottom,
-        None, deadline, batch_size,
+        None, deadline, batch_size, params,
     ):
         for row in rows:
             yield names, row
@@ -178,6 +186,7 @@ def iter_match_rows(
 def _row_chunks(
     plan: BodyPlan, target: ComplexObject, position, delta_elements, indexes, stats,
     allow_bottom: bool, record: Optional[dict], deadline, batch_size: Optional[int],
+    params,
 ) -> Iterator[Tuple[Tuple[str, ...], List[tuple]]]:
     """The one match run behind both entry points: finalized ``(names, rows)`` chunks.
 
@@ -200,7 +209,9 @@ def _row_chunks(
     timed = record is not None and record.get("timed", False)
     if timed:
         start_ns = time.perf_counter_ns()
-    executor = _Executor(position, delta_elements, indexes, stats, record, deadline, allow_bottom)
+    executor = _Executor(
+        position, delta_elements, indexes, stats, record, deadline, allow_bottom, params
+    )
     finalizer: Optional[_RowFinalizer] = None
     total = 0
     try:
@@ -403,13 +414,14 @@ class _Executor:
         "record",
         "deadline",
         "drop_bottom",
+        "params",
         "_batches",
         "_batch_rows",
         "_compiled_hits",
     )
 
     def __init__(
-        self, position, delta_elements, indexes, stats, record, deadline, allow_bottom
+        self, position, delta_elements, indexes, stats, record, deadline, allow_bottom, params
     ):
         self.position = position
         self.delta_elements = delta_elements
@@ -424,6 +436,8 @@ class _Executor:
         #: filter would discard anyway disappear (EXPLAIN's per-leaf actuals
         #: therefore count *surviving* rows).
         self.drop_bottom = not allow_bottom
+        #: The run's ``$parameter`` values, read by slots wherever they occur.
+        self.params = params
         self._batches = 0
         self._batch_rows: List[int] = []
         self._compiled_hits = 0
@@ -556,18 +570,17 @@ class _Executor:
             )
             return True
         if isinstance(node, Constant):
-            # Identity fast path first: interned constants hit their exact
-            # witness by pointer comparison.
-            if node.value is target or is_subobject(node.value, target):
-                out.append(_Instance(rank=rank, order=len(out), rows=[()]))
-                return True
-            return False
-        if isinstance(node, Parameter):
-            raise ParameterError(
-                f"cannot execute a plan with unbound parameter ${node.name};"
-                " bind it first (repro.plan.parameters.bind_body_plan)"
-            )
-        raise TypeError(f"not a formula: {node!r}")
+            value = node.value
+        elif isinstance(node, Parameter):
+            value = self.params[node.name]  # a slot is the constant its run binds
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        # Identity fast path first: interned constants hit their exact
+        # witness by pointer comparison.
+        if value is target or is_subobject(value, target):
+            out.append(_Instance(rank=rank, order=len(out), rows=[()]))
+            return True
+        return False
 
     # -- per-instance operators ---------------------------------------------------------
     def _step(
@@ -641,6 +654,8 @@ class _Executor:
             # from the whole set, old witnesses included.
             if self.indexes is not None and not instance.restricted:
                 static_keys = spec.static_keys
+                if spec.param_keys:
+                    static_keys = spec.bound_keys(self.params)
                 dynamic_keys = spec.dynamic_keys
             static_candidates = None
             if static_keys:
@@ -774,10 +789,11 @@ class _Executor:
         self.stats.match_attempts += count
         self._compiled_hits += count
         alt_rows: List[tuple] = []
+        params = self.params
         for witness in candidates:
-            matcher(witness, alt_rows)
+            matcher(witness, alt_rows, params)
         if not alt_rows:
-            vanish = _vanish_row(element)
+            vanish = _vanish_row(element, params)
             # A bare variable's vanish row binds ⊥, which the strict filter
             # discards at the end — drop it (and the partials it would
             # extend) here instead.

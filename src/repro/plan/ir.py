@@ -32,10 +32,11 @@ renders, what :mod:`repro.plan.execute` runs, and what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.calculus.terms import Formula
+from repro.core.errors import ParameterError
 from repro.core.objects import Atom, ComplexObject
 from repro.core.paths import Path
 
@@ -48,8 +49,25 @@ __all__ = [
     "ParamLeaf",
     "LeafEstimate",
     "BodyPlan",
+    "NO_PARAMS",
     "leaf_key",
 ]
+
+
+class _Unbound(dict):
+    """The values of an execution that binds no ``$parameter``: reading a slot raises."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        raise ParameterError(
+            f"cannot execute a plan with unbound parameter ${name}; pass its value"
+        )
+
+
+#: The ``params`` of a parameter-free execution: every slot read raises
+#: :class:`~repro.core.errors.ParameterError`.
+NO_PARAMS = _Unbound()
 
 
 @dataclass(frozen=True)
@@ -79,15 +97,33 @@ class ScanLeaf(Leaf):
     static_keys: Tuple[Tuple[Path, Atom], ...] = ()
     dynamic_keys: Tuple[Tuple[Path, str], ...] = ()
     variables: FrozenSet[str] = frozenset()
-    #: (key path, parameter name) pairs: slots that become *static* keys once
-    #: the parameter is bound — the optimizer costs them like an equality
-    #: probe, and :func:`repro.plan.parameters.bind_body_plan` turns them into
-    #: real ``static_keys`` without re-planning.
+    #: (key path, parameter name) pairs: ``$slots`` that probe like *static*
+    #: keys once an execution binds them to atoms — the optimizer costs them
+    #: like an equality probe, and :meth:`bound_keys` reads them at execute
+    #: time, with no re-planning and no rebuilt leaf.
     param_keys: Tuple[Tuple[Path, str], ...] = ()
 
     def describe(self) -> str:
         where = str(self.path) or "<root>"
         return f"scan {where} ~ {self.element.to_text()}"
+
+    def bound_keys(self, params) -> Tuple[Tuple[Path, Atom], ...]:
+        """The static keys with every slot ``params`` binds to an atom among them.
+
+        In key-path order, which is :func:`repro.plan.indexes.element_keys`'
+        walk order: the static keys the element bound to ``params`` has.  A
+        slot bound to anything but an atom keys nothing (its leaf scans).
+        """
+        if not self.param_keys:
+            return self.static_keys
+        bound = [
+            (key_path, value)
+            for key_path, name in self.param_keys
+            if isinstance(value := params[name], Atom)
+        ]
+        if not self.static_keys:
+            return tuple(bound)
+        return tuple(sorted(self.static_keys + tuple(bound), key=lambda key: key[0].steps))
 
 
 @dataclass(frozen=True)
@@ -117,10 +153,11 @@ class ParamLeaf(Leaf):
     """A spine ``$parameter`` slot: a :class:`ConstLeaf` whose value arrives later.
 
     Compiled from a :class:`repro.calculus.terms.Parameter` on the body's
-    spine; :func:`repro.plan.parameters.bind_body_plan` replaces it with a
-    :class:`ConstLeaf` carrying the bound value at execute time.  Executing a
-    plan that still contains one is an error (the executor raises
-    :class:`~repro.core.errors.ParameterError`).
+    spine.  The executor reads its value from the execution's ``params`` and
+    tests it as a :class:`ConstLeaf` tests its constant; executing without a
+    value for it raises :class:`~repro.core.errors.ParameterError`.
+    (:func:`repro.plan.parameters.bind_body_plan`, the oracle and EXPLAIN's
+    renderer, replaces it with that :class:`ConstLeaf`.)
     """
 
     name: str = ""
@@ -169,6 +206,18 @@ class BodyPlan:
     #: one-line proof; the executor then short-circuits to zero rows without
     #: touching the database.  ``None`` = not pruned.
     pruned: Optional[str] = None
+    #: A plan with ``$parameters`` keeps its body's compiled projections by
+    #: row names (:func:`repro.plan.compile.compile_projection`): the first
+    #: cursor to answer from it compiles one, and it lives as long as the
+    #: plan.  ``None`` for a parameter-free plan, whose cursors compile their
+    #: own: an ad-hoc query text runs once.
+    projections: Optional[Dict[Tuple[str, ...], object]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.body.parameters():
+            object.__setattr__(self, "projections", {})
 
     @property
     def variables(self) -> FrozenSet[str]:

@@ -1,14 +1,20 @@
-"""Late binding of ``$parameter`` slots into compiled, optimized plans.
+"""``$parameter`` binding as an oracle: the bound plan a prepared execution equals.
 
-This is the piece that makes prepared queries (:mod:`repro.api`) cheap to
-re-execute: a parameterized formula is parsed, compiled and cost-ordered
-*once*, and each execution only substitutes the parameter values into the
-already-ordered plan.  Binding is sound without re-planning because a
-parameter stands for a constant — substituting it changes neither the body's
-shape (so every leaf keeps its ``(path, element_index)`` identity) nor its
-variable set (so the optimizer's join order and cross-product analysis still
-apply); the only thing that changes is that parameter key slots become
-ground static keys, i.e. the plan gets *more* index-probeable, never less.
+A prepared query (:mod:`repro.api`) is parsed, compiled and cost-ordered
+*once*; each execution then runs that very plan with its values in slots —
+the compiled matchers, the spine and the index probes read them from the
+execution's ``params`` (:mod:`repro.plan.compile`, :mod:`repro.plan.execute`)
+and nothing is rebuilt per value.  :func:`bind_body_plan` is what such an
+execution must equal: the plan with every parameter replaced by a
+:class:`~repro.calculus.terms.Constant` of its value.  It is the oracle of the
+property tests, the ``plan.bind`` probe of ``benchmarks/e2e/layers.py`` and
+what EXPLAIN renders, never the execute path.  Binding is sound without
+re-planning because a parameter stands for a constant — substituting it
+changes neither the body's shape (so every leaf keeps its ``(path,
+element_index)`` identity) nor its variable set (so the optimizer's join
+order and cross-product analysis still apply); the only thing that changes is
+that parameter key slots become ground static keys, i.e. the plan gets *more*
+index-probeable, never less.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from repro.core.paths import Path, get_path
 from repro.engine import SemiNaiveEngine
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan.ir import ScanLeaf
+from repro.plan.ir import NO_PARAMS, ScanLeaf
 from repro.schema.check import check_object
 from repro.schema.types import SchemaType
 from repro.store.index import PathIndex
@@ -409,6 +409,7 @@ class ObjectDatabase:
         state: Optional[_State] = None,
         allow_bottom: bool = False,
         counted: bool = True,
+        params: Mapping[str, ComplexObject] = NO_PARAMS,
     ) -> Tuple[str, str, Optional[ComplexObject]]:
         """The access path of one whole-database query, decided on one state.
 
@@ -417,19 +418,20 @@ class ObjectDatabase:
         read), ``"pushdown"`` (``target`` holds only the root attributes the
         formula mentions) or ``"snapshot"`` (``target`` is the full database
         object, ``note`` saying why); ``note`` is the line EXPLAIN prints for
-        the decision.  ``leaves`` are the leaves of the query's compiled,
-        parameter-bound :class:`~repro.plan.ir.BodyPlan` — planning is the
-        caller's job (:mod:`repro.api.session`), the store only reads their
-        static keys against its indexes.  ``state`` is the state the caller
-        already holds (default: the current one); the decision and the
-        target come from it, and the path indexes are consulted only while
-        it is still current.  Every ``counted`` call moves exactly one
+        the decision.  ``leaves`` are the leaves of the query's compiled
+        :class:`~repro.plan.ir.BodyPlan` and ``params`` the values of its
+        ``$parameter`` slots — planning is the caller's job
+        (:mod:`repro.api.session`), the store only reads their static keys,
+        atom-bound slots included, against its indexes.  ``state`` is the
+        state the caller already holds (default: the current one); the
+        decision and the target come from it, and the path indexes are
+        consulted only while it is still current.  Every ``counted`` call moves exactly one
         ``access_stats`` counter (an EXPLAIN passes ``counted=False``).
         """
         if state is None:
             state = self._state
         if isinstance(formula, TupleFormula) and not state.top_names:
-            if not allow_bottom and self._index_refutes(state, leaves):
+            if not allow_bottom and self._index_refutes(state, leaves, params):
                 decision = (
                     "refuted",
                     "index short-circuit: a path index refutes the query;"
@@ -459,15 +461,16 @@ class ObjectDatabase:
             self._bump(_ACCESS_COUNTERS[decision[0]])
         return decision
 
-    def _index_refutes(self, state: _State, leaves) -> bool:
+    def _index_refutes(self, state: _State, leaves, params) -> bool:
         """``True`` when a path index proves the query answers ⊥ on ``state``.
 
-        Looks for a scan leaf that pins a ground atom at an indexed path
-        under one root attribute; if the index (wildcards included) maps that
-        atom to no stored name — or not to the leaf's root attribute — the
-        leaf has no witness, its element formula cannot vanish (vanishing
-        needs a bare variable or a ⊥ constant, which carry no static key),
-        and the conjunction is empty.  The indexes describe the current
+        Looks for a scan leaf that pins a ground atom (a constant, or a slot
+        ``params`` binds to one) at an indexed path under one root
+        attribute; if the index (wildcards included) maps that atom to no
+        stored name — or not to the leaf's root attribute — the leaf has no
+        witness, its element formula cannot vanish (vanishing needs a bare
+        variable or a ⊥ constant or slot, which carry no static key), and
+        the conjunction is empty.  The indexes describe the current
         state only, so they are read under the writer mutex and only while
         ``state`` is current; otherwise the answer is ``False`` and the
         caller pushes down, which is always correct.
@@ -478,12 +481,11 @@ class ObjectDatabase:
             if state is not self._state:
                 return False
             for leaf in leaves:
-                if not isinstance(leaf, ScanLeaf) or not leaf.static_keys:
+                if not isinstance(leaf, ScanLeaf) or not leaf.path.steps:
                     continue
-                if not leaf.path.steps:
-                    continue
+                keys = leaf.bound_keys(params) if leaf.param_keys else leaf.static_keys
                 root, inner = leaf.path.steps[0], leaf.path.steps[1:]
-                for key_path, atom in leaf.static_keys:
+                for key_path, atom in keys:
                     index = self._indexes.get(".".join(inner + key_path.steps))
                     if index is not None and root not in index.lookup(atom):
                         return True

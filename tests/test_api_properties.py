@@ -11,7 +11,9 @@ Two contracts from the API redesign, pinned over generated inputs:
 * **parameters ≡ substituted constants** — executing a prepared query with
   ``$name`` bindings equals re-parsing the source with the values spliced in
   as constants, i.e. late binding changes when planning happens, never what
-  is computed.
+  is computed; and, for any value (⊥, ⊤, tuples and sets too) on every
+  access path, equals interpreting the formula
+  :func:`~repro.calculus.terms.bind_parameters` binds, under both semantics.
 """
 
 from itertools import islice
@@ -22,7 +24,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro import Program, Session, parse_formula, parse_object  # noqa: E402
+from repro.calculus.fixpoint import close as oracle_close  # noqa: E402
 from repro.calculus.interpretation import interpret as baseline_interpret  # noqa: E402
+from repro.calculus.terms import bind_parameters  # noqa: E402
 from repro.core.lattice import union_all  # noqa: E402
 from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject  # noqa: E402
 
@@ -169,6 +173,89 @@ def test_prepared_reuse_never_drifts_across_bindings(database, template, rounds)
         assert prepared.execute(bindings).all() == baseline_interpret(
             parse_formula(substituted), database
         )
+
+
+# Slots on the spine and as set elements, inside tuples and beside variables.
+SLOT_TEMPLATES = [
+    ("[r1: {[a: $p, b: X]}]", ("p",)),
+    ("[r1: {[a: $p, b: X]}, r2: {[c: X, d: $q]}]", ("p", "q")),
+    ("[r1: {[name: $p], [name: X]}]", ("p",)),
+    ("[r1: $p, r2: {[c: Y]}]", ("p",)),
+    ("[r1: {$p, X}]", ("p",)),
+    ("[r1: {[a: X, b: [c: $p]]}, r2: $q]", ("p", "q")),
+]
+
+_SLOT_RULES = "[r2: {[c: X, d: X]}] :- [r1: {[a: X]}]."
+
+
+def _slot_values():
+    """What a slot, or a stored attribute, may hold: atoms, ⊥, ⊤, tuples and sets.
+
+    Over two atoms, so that a value is often a strict sub-object of another
+    (``[x: 1]`` of ``[x: 1, y: 2]``) or meets it above ⊥ without being one.
+    """
+    atoms = st.sampled_from((Atom(1), Atom(2)))
+    tuples = st.dictionaries(st.sampled_from(("x", "y")), atoms, max_size=2).map(TupleObject)
+    sets = st.lists(atoms, max_size=2).map(SetObject)
+    return st.one_of(atoms, st.just(BOTTOM), st.just(TOP), tuples, sets)
+
+
+def _slot_relations():
+    """``r1`` / ``r2`` sets of such values and of tuples holding them."""
+    value = _slot_values()
+    element = st.one_of(
+        value,
+        st.fixed_dictionaries(
+            {"a": value, "b": value}, optional={name: value for name in ("c", "d", "name")}
+        ).map(TupleObject),
+    )
+    relation = st.lists(element, min_size=1, max_size=4).map(SetObject)
+    return st.fixed_dictionaries({"r1": relation, "r2": relation}).map(TupleObject)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    database=_slot_relations(),
+    template=st.sampled_from(SLOT_TEMPLATES),
+    values=st.lists(_slot_values(), min_size=2, max_size=2),
+    path=st.sampled_from(["over_object", "against", "on_closure", "store", "indexed_store"]),
+    allow_bottom=st.booleans(),
+)
+def test_prepared_slots_equal_the_bound_formula_on_every_path(
+    database, template, values, path, allow_bottom
+):
+    """Every access path executes the prepared plan as the bound formula interprets."""
+    source, names = template
+    bindings = dict(zip(names, values))
+    bound = bind_parameters(parse_formula(source), bindings)
+    options = {"allow_bottom": allow_bottom}
+    if path == "over_object":
+        session, target = Session.over_object(database), database
+    elif path == "against":
+        session, target = Session(), database
+        session.put("library", database)
+        options["against"] = "library"
+    elif path == "on_closure":
+        session = Session.over_object(database, rules=_SLOT_RULES)
+        program = Program.from_source(_SLOT_RULES, database=database)
+        target = oracle_close(program.seed(), program.rules).value
+        options["on_closure"] = True
+    else:
+        session = Session()
+        # A ⊤ relation collapsed the database: store it whole (the snapshot path).
+        stored = database.items() if isinstance(database, TupleObject) else [("all", database)]
+        for name, value in stored:
+            session.put(name, value)
+        if path == "indexed_store":
+            # The refutation probe reads the slots' values against these.
+            for key in ("a", "d", "name"):
+                session.database.create_index(key)
+        target = session.database.as_object()
+    prepared = session.prepare(source, **options)
+    expected = baseline_interpret(bound, target, allow_bottom=allow_bottom)
+    for _ in range(2):  # a plan miss, then a hit
+        assert prepared.execute(bindings).all() == expected
+    assert union_all(list(prepared.execute(bindings))) == expected
 
 
 @given(

@@ -33,9 +33,11 @@ from repro.calculus.interpretation import interpret  # noqa: E402
 from repro.calculus.matching import _match, match_all  # noqa: E402
 from repro.calculus.terms import (  # noqa: E402
     Constant,
+    Parameter,
     SetFormula,
     TupleFormula,
     Variable,
+    bind_parameters,
 )
 from repro.core.errors import ParameterError  # noqa: E402
 from repro.core.lattice import union, union_all  # noqa: E402
@@ -396,20 +398,49 @@ def witnesses_for(draw, element):
     return SetObject(draw(st.lists(shapes, min_size=size, max_size=size)))
 
 
+def _slotted(element, values):
+    """``element`` with each constant leaf a ``$slot`` that ``values`` binds to it."""
+    if isinstance(element, Constant):
+        name = f"c{len(values)}"
+        values[name] = element.value
+        return Parameter(name)
+    if isinstance(element, TupleFormula):
+        return TupleFormula({name: _slotted(child, values) for name, child in element.items()})
+    if isinstance(element, SetFormula):
+        return SetFormula([_slotted(child, values) for child in element.elements])
+    return element
+
+
 @settings(max_examples=400, deadline=None)
-@given(element_formulas().flatmap(lambda element: st.tuples(st.just(element), witnesses_for(element))))
-def test_compiled_matcher_emits_the_oracle_rows_in_order(case):
-    """Rows aligned to the layout are ``_match``'s bindings, as a list."""
+@given(
+    element_formulas().flatmap(lambda element: st.tuples(st.just(element), witnesses_for(element))),
+    st.booleans(),
+)
+def test_compiled_matcher_emits_the_oracle_rows_in_order(case, slotted):
+    """Rows aligned to the layout are ``_match``'s bindings, as a list.
+
+    ``slotted``: every constant (⊥ and ⊤ included) is a ``$slot`` instead,
+    read from ``params`` — it matches as the constant it is bound to.
+    """
     element, witness = case
-    layout, match = compile_element_matcher(element)
+    values = {}
+    compiled = _slotted(element, values) if slotted else element
+    assert bind_parameters(compiled, values) is element
+    layout, match = compile_element_matcher(compiled)
     assert len(set(layout)) == len(layout)
     assert set(layout) == element.variables()
     rows = []
-    match(witness, rows)
+    match(witness, rows, values)
     expected = [substitution.as_dict() for substitution in _match(element, witness)]
     assert [dict(zip(layout, row)) for row in rows] == expected
 
 
-def test_an_unbound_parameter_does_not_compile():
+def test_an_unbound_parameter_does_not_match():
+    """A slot compiles once; a match without its value raises, naming it."""
+    layout, match = compile_element_matcher(parse_formula("[a: $p]"))
     with pytest.raises(ParameterError, match=r"\$p"):
-        compile_element_matcher(parse_formula("[a: $p]"))
+        match(parse_object("[a: 1]"), [])
+    rows = []
+    match(parse_object("[a: 1]"), rows, {"p": parse_object("1")})
+    match(parse_object("[a: 2]"), rows, {"p": parse_object("1")})
+    assert layout == () and rows == [()]

@@ -190,7 +190,7 @@ class TestMatcherErrors:
         def forged(element):
             seen = []
 
-            def match(witness, out):
+            def match(witness, out, params):
                 seen.append(witness)
                 if len(seen) == 2:
                     raise ComplexObjectError("forged failure at the second witness")

@@ -32,8 +32,10 @@ from repro.calculus.rules import Rule  # noqa: E402
 from repro.calculus.substitution import Substitution, instantiate  # noqa: E402
 from repro.calculus.terms import (  # noqa: E402
     Constant,
+    Parameter,
     SetFormula,
     TupleFormula,
+    bind_parameters,
     formula,
     var,
 )
@@ -283,14 +285,60 @@ def row_batches(draw):
     return draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
 
 
-@settings(max_examples=300, deadline=None)
-@given(head_formulas(), row_batches())
-def test_compiled_projection_is_the_join_of_the_instantiations(head, rows):
-    project = compile_projection(head, _ROW_NAMES)
-    expected = union_all(
-        instantiate(head, Substitution(dict(zip(_ROW_NAMES, row)))) for row in rows
+# A set whose elements differ at one atom attribute is built without a
+# reduction; these heads put ⊥, ⊤, non-atoms, shared atoms, slots and nothing
+# (an unbound variable) in that column, so a reduction skipped wrongly shows.
+_COLUMN_VALUES = (
+    Atom(1), Atom(2), BOTTOM, TOP, TupleObject({"x": Atom(1)}),
+    TupleObject({"x": Atom(1), "y": Atom(2)}), SetObject([Atom(1)]),
+)
+
+
+def _column_leaves():
+    return st.one_of(
+        st.sampled_from(_ROW_NAMES + ("W",)).map(var),
+        st.sampled_from(("p", "q")).map(Parameter),
+        st.sampled_from(_COLUMN_VALUES[:3] + _COLUMN_VALUES[4:5]).map(Constant),
     )
-    answer = project(rows)
+
+
+@st.composite
+def discriminated_heads(draw):
+    """``{[a: ·, b: ·], ...}`` (mostly) or ``{·, ...}``, bare or under ``[r: ...]``."""
+    if draw(st.integers(min_value=0, max_value=3)):
+        elements = draw(st.lists(
+            st.fixed_dictionaries(
+                {"a": _column_leaves(), "b": _column_leaves()}, optional={"c": _column_leaves()}
+            ).map(TupleFormula),
+            min_size=1, max_size=3,
+        ))
+    else:
+        elements = draw(st.lists(_column_leaves(), min_size=1, max_size=3))
+    head = SetFormula(elements)
+    return TupleFormula({"r": head}) if draw(st.booleans()) else head
+
+
+@st.composite
+def discriminated_cases(draw):
+    """A discriminated head, rows over :data:`_COLUMN_VALUES` and its slots' values."""
+    rows = draw(st.lists(
+        st.tuples(*(st.sampled_from(_COLUMN_VALUES),) * len(_ROW_NAMES)), min_size=2, max_size=5
+    ))
+    params = {name: draw(st.sampled_from(_COLUMN_VALUES)) for name in ("p", "q")}
+    return draw(discriminated_heads()), rows, params
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.tuples(head_formulas(), row_batches(), st.just({})), discriminated_cases()))
+def test_compiled_projection_is_the_join_of_the_instantiations(case):
+    """The join of the per-row instantiations of the head, ``$slots`` read from ``params``."""
+    head, rows, params = case
+    project = compile_projection(head, _ROW_NAMES)
+    bound = bind_parameters(head, params)
+    expected = union_all(
+        instantiate(bound, Substitution(dict(zip(_ROW_NAMES, row)))) for row in rows
+    )
+    answer = project(rows, params)
     if expected._iid is None:
         # A raw answer is never canonical: the fold builds a fresh one per call.
         assert answer._iid is None and answer == expected

@@ -5,6 +5,7 @@ Definition 4.2 itself (``repro.interpret`` / ``match_all`` on the bound
 formula); the exact-counter tests pin that the probes really happen.
 """
 
+import cProfile
 import time
 from unittest import mock
 
@@ -252,6 +253,84 @@ class TestExactCounters:
         assert stats.index_hits == 1
 
 
+
+
+class TestPreparedExecutionBuildsNothing:
+    """A plan hit runs the prepared plan with its values in slots: nothing is rebuilt."""
+
+    def test_a_new_value_binds_interns_compiles_and_reduces_nothing(self):
+        from repro.api import cursor as cursor_module
+        from repro.calculus import terms
+        from repro.core import intern
+        from repro.plan import ir
+        from repro.plan.compile import compile_body, compile_element_matcher
+
+        session, hierarchy = _bom_session()
+        by_assembly = {}
+        for row in hierarchy.flat_database["component"].to_dicts():
+            by_assembly.setdefault(row["assembly_id"], set()).add(row["part_id"])
+        first, second = sorted(
+            assembly for assembly, parts in by_assembly.items() if len(parts) > 1
+        )[:2]
+        point = session.prepare(POINT)
+        assert point.execute(a=first).all() is not BOTTOM
+
+        built = []
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built.append(cls.__name__)
+                original(self, *args, **kwargs)
+
+            return mock.patch.object(cls, "__init__", init)
+
+        projections = []
+        compile_projection = cursor_module.compile_projection
+
+        def spy(formula, names):
+            projections.append(names)
+            return compile_projection(formula, names)
+
+        memos = (compile_body.cache, compile_element_matcher.cache)
+        misses = [memo.misses for memo in memos]
+        terms_before = len(intern._TERMS)
+        hits = session.cache_info()["plan_hits"]
+        profile = cProfile.Profile()
+        with counting(ir.ScanLeaf), counting(ir.ConstLeaf), \
+                mock.patch.object(cursor_module, "compile_projection", spy):
+            profile.enable()
+            answer = point.execute(a=second).all()
+            profile.disable()
+        calls = {entry.code: entry.callcount for entry in profile.getstats()}
+        assert session.cache_info()["plan_hits"] == hits + 1
+        assert {row.get("part_id").value for row in answer.get("component").elements} == (
+            by_assembly[second]
+        )
+        # Both answer sets differ at one atom attribute (part_id): no reduction.
+        assert len(answer.get("part").elements) == len(by_assembly[second]) > 1
+        assert calls.get(terms.bind_parameters.__code__, 0) == 0
+        assert len(intern._TERMS) == terms_before
+        assert built == []
+        assert [memo.misses for memo in memos] == misses
+        assert projections == []
+        assert calls.get(order._survivors.__code__, 0) == 0
+        # The oracle: the query with its value spliced in as a constant.
+        bound = terms.bind_parameters(parse_formula(POINT), {"a": Atom(second)})
+        assert answer == repro.interpret(bound, session.database.as_object())
+
+    def test_elements_that_share_their_atoms_are_still_reduced(self):
+        """``[r: {[a: $p, b: B]}]`` gathers ``[a: 1, b: 2]`` and ``[a: 1]``: reduced."""
+        session = Session()
+        session.put("r", parse_object("{[a: 1, b: 2], [a: 1, c: 3]}"))
+        prepared = session.prepare("[r: {[a: $p, b: B]}]", allow_bottom=True)
+        with mock.patch.object(order, "_survivors", wraps=order._survivors) as survivors:
+            answer = prepared.execute(p=1).all()
+        assert answer == parse_object("[r: {[a: 1, b: 2]}]")
+        assert survivors.call_count == 1
+
+
 # -- (d) deadlines ---------------------------------------------------------------------------
 
 
@@ -349,7 +428,7 @@ class TestLazyBindings:
         def spy(formula, names):
             compiled.append(names)
             project = original(formula, names)
-            return lambda rows: projected.append(len(rows)) or project(rows)
+            return lambda rows, params: projected.append(len(rows)) or project(rows, params)
 
         monkeypatch.setattr(cursor_module, "compile_projection", spy)
         cursor = self._session().execute(self.QUERY)

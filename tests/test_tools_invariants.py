@@ -330,6 +330,35 @@ class TestOneProjectionInvariant:
             "plan/execute.py:3",
         ]
 
+    def test_each_binding_outside_the_allowlist_is_one_violation(self, tmp_path):
+        root = _package(tmp_path, {
+            "plan/parameters.py": (
+                "def bind_body_plan(plan, values):\n"
+                "    return bind_parameters(plan.body, values)\n"
+            ),
+            "api/cursor.py": (
+                "from repro.plan.parameters import bind_body_plan\n"
+                "def _render_explain(resolved):\n"
+                "    return bind_body_plan(resolved.plan, resolved.params)\n"
+                "class Cursor:\n"
+                "    def _pull(self):\n"
+                "        return bind_body_plan(self.plan, self.params)\n"
+            ),
+            "api/session.py": (
+                "from repro.calculus import terms\n"
+                "def _check_printable(formula, values):\n"
+                "    return terms.bind_parameters(formula, values)\n"
+                "def _resolve(formula, values):\n"
+                "    return terms.bind_parameters(formula, values)\n"
+            ),
+            # The oracle binds as it likes.
+            "calculus/interpretation.py": "def f(g, v):\n    return bind_parameters(g, v)\n",
+        })
+        violations = check_invariants.check_one_projection(root)
+        lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
+        assert lines == ["api/cursor.py:6", "api/session.py:5"]
+        assert all("BINDING_ALLOWED" in violation for violation in violations)
+
 
 class TestOneDiagnosticHomeInvariant:
     def test_each_diagnostic_built_outside_lint_is_one_violation(self, tmp_path):

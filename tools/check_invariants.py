@@ -81,8 +81,12 @@ Twelve invariants that matter for correctness but that no unit test can pin
     ``src/repro/api/`` references ``instantiate`` or calls ``.apply(...)``
     (a substitution's instantiation): a per-row instantiation there is a
     second, slower head path — the streaming cursor projects each row too.
-    Only the oracle (:mod:`repro.calculus`) keeps ``instantiate``.  There is
-    no pragma.
+    Only the oracle (:mod:`repro.calculus`) keeps ``instantiate``.  Likewise
+    a prepared execution reads its ``$parameters`` from slots, so no module
+    under ``src/repro/plan/`` or ``src/repro/api/`` calls ``bind_parameters``
+    or ``bind_body_plan`` outside :data:`BINDING_ALLOWED` (each site with its
+    reason): a bound formula or plan per execution is a second, slower
+    parameter path.  There is no pragma.
 
 ``one-diagnostic-home``
     A lint finding is built, counted and cached behind :mod:`repro.lint`
@@ -605,8 +609,39 @@ def check_session_version(api_root: Path = SRC_ROOT / "api") -> List[str]:
 PROJECTION_PACKAGES = ("engine", "plan", "api")
 
 
+#: The calls that build a formula or plan with its ``$parameters`` bound.
+BINDERS = ("bind_parameters", "bind_body_plan")
+
+#: The packages whose executions read ``$parameters`` from slots.
+BINDING_PACKAGES = ("plan", "api")
+
+#: ``module path inside the package::qualified function`` → why it may bind.
+BINDING_ALLOWED = {
+    "plan/parameters.py::bind_body_plan": (
+        "the oracle of slot execution, and the e2e plan.bind probe"
+    ),
+    "api/session.py::_check_printable": "EXPLAIN prints the bound query: name a too-deep value",
+    "api/cursor.py::_render_explain": "EXPLAIN renders the plan bound to its values",
+    "api/cursor.py::Cursor._plan": "the bound plan a cursor's EXPLAIN renders",
+}
+
+
 def check_one_projection(package_root: Path = SRC_ROOT) -> List[str]:
     violations: List[str] = []
+    for package in BINDING_PACKAGES:
+        for path in _python_sources(package_root / package):
+            tree, _ = _parse(path)
+            module = path.relative_to(package_root).as_posix()
+            for scope, node in _qualified_nodes(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                named = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if named in BINDERS and f"{module}::{scope}" not in BINDING_ALLOWED:
+                    violations.append(
+                        f"{_relative(path)}:{node.lineno}: calls {named} outside"
+                        f" BINDING_ALLOWED (read $parameters from their slots: pass"
+                        f" params to the executor and the projection)"
+                    )
     for package in PROJECTION_PACKAGES:
         for path in _python_sources(package_root / package):
             tree, _ = _parse(path)
