@@ -1,19 +1,16 @@
 """B10 — object-store throughput: inserts, lookups, pattern search, codec,
-commits, recovery and indexed writes.
+commits and recovery.
 
 Measures the database substrate rather than the calculus itself:
 
 * bulk insert of generated documents into an in-memory store;
 * point lookup by name;
-* pattern search (``find``) with a full scan versus with a path index;
+* pattern search (``find``), a scan of the stored objects;
 * JSON codec round-trip of a large object (what the file-backed engine pays
   per write);
 * transaction commit throughput on the in-memory engine and on the
   fsync-per-commit write-ahead log;
-* recovery time: replaying a WAL back into a live database;
-* indexed-write throughput: ``put`` against a database with a path index,
-  which exercises the reverse-map maintenance path (the old full-table-scan
-  eviction is measured against it in ``run_store_benchmarks.py``).
+* recovery time: replaying a WAL back into a live database.
 """
 
 from functools import lru_cache
@@ -36,12 +33,10 @@ def _documents(count: int):
     return tuple(collection.get("docs"))
 
 
-def _loaded_database(count: int, indexed: bool) -> ObjectDatabase:
+def _loaded_database(count: int) -> ObjectDatabase:
     database = ObjectDatabase()
     for position, document in enumerate(_documents(count)):
         database.put(f"doc{position}", document)
-    if indexed:
-        database.create_index("title")
     return database
 
 
@@ -63,7 +58,7 @@ def test_bulk_insert(benchmark, count):
 @pytest.mark.benchmark(group="B10-lookup")
 @pytest.mark.parametrize("count", SIZES)
 def test_point_lookup(benchmark, count):
-    database = _loaded_database(count, indexed=False)
+    database = _loaded_database(count)
     name = f"doc{count // 2}"
     result = benchmark(database.get, name)
     assert result is not None
@@ -72,18 +67,9 @@ def test_point_lookup(benchmark, count):
 @pytest.mark.benchmark(group="B10-find")
 @pytest.mark.parametrize("count", SIZES)
 def test_pattern_search_scan(benchmark, count):
-    database = _loaded_database(count, indexed=False)
+    database = _loaded_database(count)
     pattern = parse_object(f"[title: doc{count - 1}]")
     matches = benchmark(database.find, pattern)
-    assert len(matches) == 1
-
-
-@pytest.mark.benchmark(group="B10-find")
-@pytest.mark.parametrize("count", SIZES)
-def test_pattern_search_indexed(benchmark, count):
-    database = _loaded_database(count, indexed=True)
-    pattern = parse_object(f"[title: doc{count - 1}]")
-    matches = benchmark(database.find, pattern, path="title")
     assert len(matches) == 1
 
 
@@ -146,15 +132,3 @@ def test_wal_recovery(benchmark, count, tmp_path):
 
     assert len(benchmark(run)) == count
 
-
-@pytest.mark.benchmark(group="B10-indexed-write")
-@pytest.mark.parametrize("count", [1000])
-def test_indexed_write_throughput(benchmark, count):
-    database = _loaded_database(count, indexed=True)
-    documents = _documents(count)
-    target = f"doc{count // 2}"
-    replacement = documents[0]
-
-    # Each put must evict the old index entries for the name and add the new
-    # ones; with the reverse map this costs O(keys), not O(index).
-    benchmark(database.put, target, replacement)

@@ -9,7 +9,7 @@ document database end to end:
 * load a generated collection into a file-backed :class:`ObjectDatabase`;
 * *discover* a schema from the data (the paper's future-work item 4) and
   enforce it on later writes;
-* build a path index on keywords and compare indexed vs scan lookups;
+* find the stored objects that contain a pattern;
 * answer content queries with calculus formulae and restructure the results
   with rules (an inverted keyword index built by a rule);
 * run a transactional multi-document update.
@@ -81,17 +81,9 @@ def main() -> None:
           f" ({elapsed:.2f} ms)")
     store.put("keyword_index", pairs)
 
-    # --- indexed lookup vs scan ---------------------------------------------------------
-    store.create_index("keyword")
-    probe = parse_object("[keyword: lattice]")
-    start = time.perf_counter()
-    scan_matches = store.find(probe)
-    scan_ms = (time.perf_counter() - start) * 1000
-    start = time.perf_counter()
-    indexed_matches = store.find(probe, path="keyword")
-    indexed_ms = (time.perf_counter() - start) * 1000
-    print(f"Find objects containing [keyword: lattice]: scan {scan_ms:.2f} ms,"
-          f" indexed {indexed_ms:.2f} ms, same answer: {scan_matches == indexed_matches}")
+    # --- pattern search ------------------------------------------------------------------
+    print(f"Objects containing {{[keyword: lattice]}}:"
+          f" {store.find(parse_object('{[keyword: lattice]}'))}")
 
     # --- transactional update -----------------------------------------------------------
     with store.transaction() as txn:

@@ -30,8 +30,8 @@ substrates needed to evaluate it:
 * :mod:`repro.schema` — a typing/schema extension (the paper's future work);
 * :mod:`repro.algebra` — an algebra of complex objects and a rule-to-algebra
   translator (the paper's future work);
-* :mod:`repro.store` — a persistent object store with path indexes, updates
-  and transactions;
+* :mod:`repro.store` — a persistent object store with updates and
+  transactions;
 * :mod:`repro.workloads` — synthetic data generators used by tests, examples
   and benchmarks.
 

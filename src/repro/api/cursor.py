@@ -3,7 +3,7 @@
 :meth:`Session.prepare <repro.api.Session.prepare>` returns a
 :class:`PreparedQuery`; every execution resolves it once
 (``Session._resolve``) into a :class:`_Resolved` record — the snapshot, the
-access path, the target, the plan and the ``$parameter`` values — and a
+target, the plan and the ``$parameter`` values — and a
 :class:`Cursor` runs exactly that record, probing
 ``snapshot.indexes_for(target)``, while EXPLAIN (:func:`_render_explain`)
 renders it with the values bound.  A cursor holds its record, so it
@@ -31,17 +31,16 @@ from repro.api.snapshot import Snapshot
 class _Resolved(NamedTuple):
     """What ``Session._resolve`` decided for one execution, in ``snapshot``.
 
-    ``access`` names the path taken (``against``, ``closure``, ``seed``, or
-    the store's ``pushdown`` / ``snapshot`` / ``refuted``), ``notes`` are the
-    lines EXPLAIN prints for it, ``target`` is the object ``plan`` runs
-    against — ``None`` when a path index refuted the query — and ``params``
-    the values its ``$parameter`` slots read.
+    ``access`` names the target (``against``, ``closure``, ``seed`` or
+    ``db``, the whole stored database), ``notes`` are the lines EXPLAIN
+    prints for it, ``target`` is the object ``plan`` runs against and
+    ``params`` the values its ``$parameter`` slots read.
     """
 
     snapshot: Snapshot
     access: str
     notes: Tuple[str, ...]
-    target: Optional[ComplexObject]
+    target: ComplexObject
     plan: BodyPlan
     params: Mapping[str, ComplexObject]
 
@@ -51,17 +50,14 @@ def _render_explain(resolved: _Resolved, allow_bottom: bool, analyze: bool) -> s
 
     The plan, bound to the record's values, is run once, apart from any
     cursor's stream but probing the same index store, to collect actual rows
-    and accesses (and times under ``analyze``); a refuted query (``target is
-    None``) runs nothing and shows the unexecuted plan.
+    and accesses (and times under ``analyze``).
     """
     _, _, notes, target, plan, params = resolved
     plan = bind_body_plan(plan, params)
-    record = None
-    if target is not None:
-        record = execution_record(
-            plan, target, indexes=resolved.snapshot.indexes_for(target),
-            allow_bottom=allow_bottom, timed=analyze,
-        )
+    record = execution_record(
+        plan, target, indexes=resolved.snapshot.indexes_for(target),
+        allow_bottom=allow_bottom, timed=analyze,
+    )
     rendered = render_body_plan(
         plan, record=record, header=f"query plan: {plan.body.to_text()}"
     )
@@ -233,9 +229,7 @@ class Cursor:
     def _pull(self) -> Optional[tuple]:
         """Consume the next executor row (``None`` once exhausted)."""
         if self._stream is None:
-            self._stream = iter(()) if self._target is None else iter_match_rows(
-                self._resolved.plan, self._target, **self._options
-            )
+            self._stream = iter_match_rows(self._resolved.plan, self._target, **self._options)
         for self._names, row in self._stream:
             self._rows.append(row)
             return row
@@ -300,7 +294,7 @@ class Cursor:
     def all(self) -> ComplexObject:
         """Drain the stream and union every match: ``E(O)`` (⊥ when empty)."""
         if self._result is None:
-            if self._stream is None and self._target is not None:
+            if self._stream is None:
                 # Nothing consumed yet (the common ``Session.query`` path):
                 # take every row in whole batches; the drain below finds the
                 # stream exhausted.

@@ -27,7 +27,6 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.parser import parse_program
 from repro.parser.parser import as_formula
-from repro.plan import compile_body
 from repro.plan.parameters import validate_parameters
 from repro.plan.stats import EngineStats
 from repro.store.database import ObjectDatabase
@@ -90,9 +89,8 @@ def connect(
     objects) for :meth:`Session.close`.  ``slow_query_ms`` arms the
     session's slow-query log (see :meth:`Session.slow_queries`).
     ``lock_timeout`` (seconds) bounds every wait for the store's writer
-    mutex — commits and the reads that consult path indexes — raising
-    :class:`LockTimeout` instead of hanging past it; other reads take no
-    lock.
+    mutex — commits and schema reads — raising :class:`LockTimeout`
+    instead of hanging past it; other reads take no lock.
     """
     return Session(path, rules=rules, slow_query_ms=slow_query_ms, lock_timeout=lock_timeout)
 
@@ -583,10 +581,10 @@ class Session:
 
         ``deadline`` bounds an ``on_closure`` evaluation (usually the
         expensive part of such a query); ``counted=False`` is EXPLAIN, which
-        must not move the store's ``access_stats``.
+        must not move the store's ``access_stats``: every counted
+        whole-database execution moves ``query_scans`` by one.
         """
         snapshot = self._current()
-        allow_bottom = bool(options.get("allow_bottom", False))
         against = options.get("against")
         notes: Tuple[str, ...] = ()
         if against is not None:
@@ -603,24 +601,13 @@ class Session:
             target = snapshot.base()
             # Strict matching over the seeded object plans with closed-world
             # shapes (see Snapshot.plan_for), so the semantics flag keys the plan.
-            mode = ("seed", allow_bottom)
+            mode = ("seed", bool(options.get("allow_bottom", False)))
         else:
-            # Store-backed whole-database execution.  The store's refutation
-            # probe reads the leaves of the *parameterized* compiled plan
-            # (cached-optimized when available, else the compile-memoized
-            # source order — leaf order is irrelevant to refutation) with the
-            # values in their slots, so no bound formula or leaf is ever
-            # built: distinct parameter values, refuted or not, cannot churn
-            # the global compile cache.
-            cached = snapshot.cached_plan(formula, ("db",))
-            plan = cached if cached is not None else compile_body(formula)
-            access, note, target = self._db.access_path(
-                formula, plan.leaves, state=snapshot.state,
-                allow_bottom=allow_bottom, counted=counted, params=values,
-            )
-            if target is not None and cached is None:
-                plan = snapshot.plan_for(formula, ("db",), target)
-            return _Resolved(snapshot, access, (note,), target, plan, values)
+            target = snapshot.state.as_object()
+            mode = ("db",)
+            notes = (f"target: whole database ({len(snapshot.state)} stored objects)",)
+            if counted:
+                self._db._bump("query_scans")
         plan = snapshot.cached_plan(formula, mode)
         if plan is None:
             plan = snapshot.plan_for(formula, mode, target)

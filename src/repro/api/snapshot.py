@@ -171,11 +171,9 @@ class Snapshot:
         return plan
 
     # -- index stores -------------------------------------------------------------------
-    def indexes_for(self, target: Optional[ComplexObject]) -> Optional[TargetIndexes]:
+    def indexes_for(self, target: ComplexObject) -> TargetIndexes:
         """The index store of ``target``: one per target per version, counting
         its builds as this version's — the tables it reads live on the sets."""
-        if target is None:
-            return None
         indexes = self._indexes.get(id(target))
         if indexes is None:
             on_build = partial(_index_build, self._built)

@@ -34,8 +34,7 @@ Subcommands
               ``put``/``get``/``delete``/``names``/``query``/``compact``
               run against it, each commit fsynced;
               ``query`` accepts ``--param`` bindings, and ``--explain`` shows
-              the plan and the store access path (root-attribute pushdown /
-              index short-circuit).  ``verify`` is different: it checks the
+              the target and the plan.  ``verify`` is different: it checks the
               WAL **offline and read-only** (no session, no recovery
               side-effects), prints an integrity report as JSON, and exits
               1 when the log is damaged.

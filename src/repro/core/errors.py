@@ -153,8 +153,8 @@ class LockTimeout(StoreError):
     Raised by :meth:`repro.store.locks.WriteLock.acquire` when called with
     ``timeout=`` (or armed with ``connect(lock_timeout=...)``) and another
     writer held the lock past the deadline — the graceful-degradation
-    alternative to blocking forever.  Only commits and the reads that
-    consult path indexes wait for the mutex; other reads take no lock.
+    alternative to blocking forever.  Only commits, schema declarations and
+    schema reads wait for the mutex; other reads take no lock.
     """
 
 

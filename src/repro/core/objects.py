@@ -659,7 +659,7 @@ def _cache_hashes(root: ComplexObject) -> int:
 
     Children first, on an explicit stack: each ``_compute_hash`` then reads
     only cached child hashes, so hashing never recurses and an object of any
-    depth a commit accepts can key a dict (a path index) or a set.
+    depth a commit accepts can key a dict or a set.
     """
     stack = [root]
     while stack:

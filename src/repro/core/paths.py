@@ -112,7 +112,7 @@ def iter_paths(value: ComplexObject, prefix: Path = None) -> Iterator[Tuple[Path
     """Yield every ``(path, value)`` pair of tuple attributes, descending through sets.
 
     The same path may be yielded several times with different values (once per
-    set element); this is exactly what the path index wants.
+    set element).
     """
     current_prefix = prefix if prefix is not None else Path(())
     if isinstance(value, TupleObject):

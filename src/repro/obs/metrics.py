@@ -236,8 +236,6 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     # ObjectDatabase.access_stats
     "store.commits",
     "store.conflicts",
-    "store.index.find_index_prefilters",
-    "store.index.find_path_lookups",
     "store.index.find_scans",
     "store.index.query_root_pushdowns",
     "store.index.query_index_shortcircuits",

@@ -1,7 +1,7 @@
 """The physical executor: run a :class:`BodyPlan` against a database object.
 
 This is the one matching loop every evaluation path shares — the engine,
-sessions (store pushdowns included) and EXPLAIN call :func:`match_rows`, a
+sessions and EXPLAIN call :func:`match_rows`, a
 streaming cursor :func:`iter_match_rows`; both hand out value rows, which
 :func:`~repro.plan.compile.compile_projection` joins into answers.  There is
 one walk (:meth:`_Executor.walk`, depth-first over chunks of partial rows)

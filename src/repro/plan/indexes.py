@@ -12,8 +12,8 @@ constructors collapse such objects), so equality on the atom is the complete
 candidate condition.
 
 A :class:`TargetIndexes` therefore buckets the elements of the set at one
-attribute path (a :class:`repro.core.paths.Path`, as in the persistent
-store's ``PathIndex``) by the atom found at one key path inside the element.
+attribute path (a :class:`repro.core.paths.Path`) by the atom found at one
+key path inside the element.
 Two readers share a table: the executor's probe and the optimizer's
 ``V(R, a)`` statistic, its size
 (:meth:`repro.plan.statistics.DatabaseStatistics.distinct`).  The table lives

@@ -12,16 +12,16 @@ substrate so the calculus can be used as an actual database system:
   return new objects;
 * :mod:`repro.store.storage` — the write-ahead log that makes commits
   durable: group commit, torn-tail crash recovery and quarantine;
-* :mod:`repro.store.index` — path indexes over stored collections to
-  accelerate pattern selections, with O(keys) maintenance via a reverse map;
 * :mod:`repro.store.locks` — the writer mutex that serialises commits; readers
   take no lock, since every commit publishes one immutable state;
 * :mod:`repro.store.transactions` — atomic multi-statement transactions with
   validate-before-apply commit and optimistic snapshot validation;
 * :mod:`repro.store.database` — the :class:`~repro.store.database.ObjectDatabase`
   facade tying everything together: the one ``name → object`` map (published
-  as one immutable state per commit), calculus queries, rule closure, schema
-  enforcement and updates.
+  as one immutable state per commit), the whole database as one object for
+  the session's queries, pattern search, rule closure, schema enforcement and
+  updates.  The store does not plan: the session plans every query against
+  that one object, and the executor's bucket tables live on its sets.
 """
 
 from repro.store.codec import (
@@ -35,7 +35,6 @@ from repro.store.codec import (
     to_json_text,
 )
 from repro.store.database import ObjectDatabase
-from repro.store.index import PathIndex
 from repro.store.locks import WriteLock
 from repro.store.storage import FileStorage
 from repro.store.transactions import Transaction
@@ -50,7 +49,6 @@ from repro.store.updates import (
 __all__ = [
     "FileStorage",
     "ObjectDatabase",
-    "PathIndex",
     "Transaction",
     "WriteLock",
     "assign_path",

@@ -4,20 +4,16 @@ An object database is a named collection of complex objects — in memory,
 or durable over a write-ahead log (:class:`~repro.store.storage.FileStorage`)
 — with:
 
-* calculus queries: formulae evaluate against one stored object (or against
-  the whole database seen as a single tuple object, exactly the paper's "the
-  entire database can be modeled by a single object") through the session
-  facade of :mod:`repro.api.session` (``Session(database=db).query(...)``).
-  The session plans; the store contributes the access-path decision
-  (:meth:`ObjectDatabase.access_path`): root-attribute and indexed-path
-  selections are pushed into the store instead of materialising the snapshot
-  (``Session.explain`` / ``--explain`` on the CLI print the decision above
-  the plan).  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under`
-  evaluate rules and closures in place (the latter through the plan-compiled
-  engine);
+* calculus queries: formulae evaluate against one stored object or against
+  the whole database seen as a single tuple object (the paper's "the entire
+  database can be modeled by a single object", :meth:`ObjectDatabase.as_object`,
+  built at most once per committed version) through the session facade of
+  :mod:`repro.api.session` (``Session(database=db).query(...)``), which plans
+  and executes them; the store does not plan.
+  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under` evaluate rules and
+  closures in place (the latter through the plan-compiled engine);
 * pattern search across objects: :meth:`find` returns the names of the stored
-  objects of which a pattern is a sub-object, prefiltering through every
-  path index the pattern pins (``access_stats`` counts prefilters vs scans);
+  objects of which a pattern is a sub-object;
 * schema enforcement: a type per name (optional) checked on every write;
 * functional updates with :mod:`repro.store.updates`, and atomic
   multi-statement transactions with :mod:`repro.store.transactions`.
@@ -27,15 +23,14 @@ Concurrency discipline
 The database is safe for concurrent use from multiple threads.  Every commit
 takes the :class:`~repro.store.locks.WriteLock` once and does everything
 decisive under it (:meth:`ObjectDatabase.commit_batch`): validate schemas,
-conflict-check, log the batch (one WAL append + fsync), maintain the
-indexes, and publish the next :class:`_State` with one attribute assignment.
-A published state never changes, so readers take no lock: each read takes
-``self._state`` once, and :meth:`ObjectDatabase.state` hands out one state
-to read many times.  A failed commit publishes nothing.  Reads of what a
-commit mutates in place — path index contents, the schema and index
-registries — take the writer mutex.  The published state is the store's
-only ``name → object`` map: the log hands its replayed objects over once, at
-open, and keeps none.
+conflict-check, log the batch (one WAL append + fsync) and publish the next
+:class:`_State` with one attribute assignment.  A published state never
+changes, so readers take no lock: each read takes ``self._state`` once, and
+:meth:`ObjectDatabase.state` hands out one state to read many times.  A
+failed commit publishes nothing.  The schema registry, which a commit reads
+and :meth:`declare_schema` mutates in place, is read under the writer mutex.
+The published state is the store's only ``name → object`` map: the log hands
+its replayed objects over once, at open, and keeps none.
 """
 
 from __future__ import annotations
@@ -43,24 +38,21 @@ from __future__ import annotations
 import threading
 import time
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule, RuleSet
-from repro.calculus.terms import Formula, TupleFormula
 from repro.core.builder import obj
 from repro.core.errors import ConflictError, SchemaError, StoreError, TransactionError
 from repro.core.intern import clear_object_caches
-from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
+from repro.core.objects import BOTTOM, ComplexObject, TupleObject
 from repro.core.order import is_subobject
-from repro.core.paths import Path, get_path
+from repro.core.paths import Path
 from repro.engine import SemiNaiveEngine
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.plan.ir import NO_PARAMS, ScanLeaf
 from repro.schema.check import check_object
 from repro.schema.types import SchemaType
-from repro.store.index import PathIndex
 from repro.store.locks import WriteLock
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import FileStorage
@@ -68,13 +60,6 @@ from repro.store.transactions import Transaction
 from repro.store.updates import assign_path, insert_element, merge_object, remove_element
 
 __all__ = ["ObjectDatabase"]
-
-#: The ``access_stats`` counter each :meth:`ObjectDatabase.access_path` kind moves.
-_ACCESS_COUNTERS = {
-    "refuted": "query_index_shortcircuits",
-    "pushdown": "query_root_pushdowns",
-    "snapshot": "query_scans",
-}
 
 #: Copy-on-write shards of a state's name map: a commit copies only the
 #: shards its batch touches, not the whole map.
@@ -84,21 +69,16 @@ _SHARDS = 64
 class _State:
     """One committed state of the database, immutable once published.
 
-    ``version`` counts the committed batches; ``top_names`` are the names
-    whose value is ⊤ (a ⊤ value collapses :meth:`as_object` to ⊤ whether or
-    not a formula mentions its name, so no query pushes down while any
-    exist; ⊤ only occurs as a whole stored value, since any object
-    containing ⊤ collapses at construction).  The sorted
-    names and the whole-database object are memoised: each is built at most
-    once per version.  The default is the empty state before version 0 (its
+    ``version`` counts the committed batches.  The sorted names and the
+    whole-database object are memoised: each is built at most once per
+    version.  The default is the empty state before version 0 (its
     shards, never written, may all be one dict).
     """
 
-    __slots__ = ("version", "top_names", "_shards", "_count", "_names", "_object")
+    __slots__ = ("version", "_shards", "_count", "_names", "_object")
 
-    def __init__(self, version=-1, shards=({},) * _SHARDS, count=0, top_names=frozenset()):
+    def __init__(self, version=-1, shards=({},) * _SHARDS, count=0):
         self.version = version
-        self.top_names: FrozenSet[str] = top_names
         self._shards: Tuple[Dict[str, ComplexObject], ...] = shards
         self._count = count
         self._names: Optional[Tuple[str, ...]] = None
@@ -107,7 +87,7 @@ class _State:
     def following(self, changes: Mapping[str, Optional[ComplexObject]]) -> "_State":
         """The next version: ``changes`` (``None`` deletes) on copies of the shards they touch."""
         shards = list(self._shards)
-        count, top = self._count, self.top_names
+        count = self._count
         for name, value in changes.items():
             slot = hash(name) % _SHARDS
             if shards[slot] is self._shards[slot]:
@@ -118,11 +98,7 @@ class _State:
             else:
                 count += name not in shard
                 shard[name] = value
-            if value is not None and value.is_top:
-                top = top | {name}
-            elif name in top:
-                top = top - {name}
-        return _State(self.version + 1, tuple(shards), count, top)
+        return _State(self.version + 1, tuple(shards), count)
 
     def get(self, name: str, default=None) -> Optional[ComplexObject]:
         return self._shards[hash(name) % _SHARDS].get(name, default)
@@ -161,7 +137,7 @@ def _check_batch(changes: Mapping[str, Optional[ComplexObject]]) -> None:
 
 
 class ObjectDatabase:
-    """A named collection of complex objects with queries, indexes and updates."""
+    """A named collection of complex objects with queries and updates."""
 
     def __init__(
         self,
@@ -171,22 +147,17 @@ class ObjectDatabase:
     ):
         # ``None``: an in-memory store, whose commits are logged nowhere.
         self._storage = storage
-        self._indexes: Dict[str, PathIndex] = {}
         self._schemas: Dict[str, SchemaType] = {}
         # ``lock_timeout`` (seconds) bounds every acquisition of the writer
-        # mutex: past it, commits and index-consulting reads raise
-        # LockTimeout instead of hanging.
+        # mutex: past it, commits and schema reads raise LockTimeout instead
+        # of hanging.
         self._lock = WriteLock(default_timeout=lock_timeout)
         recovered = {} if storage is None else storage.recovered()
         self._state = _State().following(recovered)  # version 0
-        # Access-path counters: how often queries/finds used an index or
-        # pushdown instead of scanning the snapshot (see ``access_stats``).
-        # Lock-free readers bump them concurrently, so they go through their
-        # own mutex.
+        # Access counters (see ``access_stats``).  Lock-free readers bump
+        # them concurrently, so they go through their own mutex.
         self._stats_lock = threading.Lock()
         self._access_stats = {
-            "find_index_prefilters": 0,
-            "find_path_lookups": 0,
             "find_scans": 0,
             "query_root_pushdowns": 0,
             "query_index_shortcircuits": 0,
@@ -268,8 +239,7 @@ class ObjectDatabase:
            :class:`TransactionError` subclass) and applies nothing
            (first committer wins);
         3. the log appends the batch as one record (one WAL append + fsync;
-           an in-memory store has no log), the path indexes are maintained,
-           and the next state is published.
+           an in-memory store has no log), and the next state is published.
 
         Deletes of names that are already absent are dropped from the batch;
         a batch that ends up empty applies nothing and bumps no version.
@@ -307,19 +277,8 @@ class ObjectDatabase:
                         if value is not None or name in state
                     }
                     if effective:
-                        # Every index key first: a failing batch logs and indexes nothing.
-                        keyed = [
-                            (index, name, None if value is None else index.keys_of(value))
-                            for index in self._indexes.values()
-                            for name, value in effective.items()
-                        ]
                         if self._storage is not None:
                             self._storage.apply_batch(effective, state)
-                        for index, name, keys in keyed:
-                            if keys is None:
-                                index.remove(name)
-                            else:
-                                index.assign(name, keys)
                         self._state = state.following(effective)
             except TransactionError:
                 _METRICS.counter("store.conflicts").inc()
@@ -367,32 +326,14 @@ class ObjectDatabase:
         with self._lock:
             return self._schemas.get(name)
 
-    # -- indexes --------------------------------------------------------------------------
-    def create_index(self, path: Union[Path, str]) -> PathIndex:
-        """Create (or return) a path index and populate it from the stored objects."""
-        key = str(path if isinstance(path, Path) else Path(path))
-        with self._lock:
-            if key not in self._indexes:
-                index = PathIndex(key)
-                index.rebuild(self._state.items())
-                self._indexes[key] = index
-            return self._indexes[key]
-
-    def drop_index(self, path: Union[Path, str]) -> None:
-        """Remove a path index (no error when absent)."""
-        key = str(path if isinstance(path, Path) else Path(path))
-        with self._lock:
-            self._indexes.pop(key, None)
-
-    def indexes(self) -> Tuple[str, ...]:
-        """The paths currently indexed."""
-        with self._lock:
-            return tuple(sorted(self._indexes))
-
     # -- queries --------------------------------------------------------------------------
     @property
     def access_stats(self) -> Dict[str, int]:
-        """Counters of index pushdowns vs full scans (a copy; see ``find``)."""
+        """How many ``find`` scans and whole-database query scans ran (a copy).
+
+        ``query_root_pushdowns`` and ``query_index_shortcircuits`` stay, at 0:
+        a whole-database query reads the one database object.
+        """
         with self._stats_lock:
             return dict(self._access_stats)
 
@@ -401,161 +342,15 @@ class ObjectDatabase:
             self._access_stats[counter] += 1
         _METRICS.counter(f"store.index.{counter}").inc()
 
-    def access_path(
-        self,
-        formula: Formula,
-        leaves,
-        *,
-        state: Optional[_State] = None,
-        allow_bottom: bool = False,
-        counted: bool = True,
-        params: Mapping[str, ComplexObject] = NO_PARAMS,
-    ) -> Tuple[str, str, Optional[ComplexObject]]:
-        """The access path of one whole-database query, decided on one state.
+    def find(self, pattern: ComplexObject) -> List[str]:
+        """Names of the stored objects of which ``pattern`` is a sub-object, sorted.
 
-        Returns ``(kind, note, target)``.  ``kind`` is ``"refuted"`` (a path
-        index proves the answer is ⊥: ``target`` is ``None`` and nothing is
-        read), ``"pushdown"`` (``target`` holds only the root attributes the
-        formula mentions) or ``"snapshot"`` (``target`` is the full database
-        object, ``note`` saying why); ``note`` is the line EXPLAIN prints for
-        the decision.  ``leaves`` are the leaves of the query's compiled
-        :class:`~repro.plan.ir.BodyPlan` and ``params`` the values of its
-        ``$parameter`` slots — planning is the caller's job
-        (:mod:`repro.api.session`), the store only reads their static keys,
-        atom-bound slots included, against its indexes.  ``state`` is the
-        state the caller already holds (default: the current one); the
-        decision and the target come from it, and the path indexes are
-        consulted only while it is still current.  Every ``counted`` call moves exactly one
-        ``access_stats`` counter (an EXPLAIN passes ``counted=False``).
+        One scan of one committed state; the sub-object test memoises on
+        intern ids, so a repeated search over unchanged objects is cheap.
         """
-        if state is None:
-            state = self._state
-        if isinstance(formula, TupleFormula) and not state.top_names:
-            if not allow_bottom and self._index_refutes(state, leaves, params):
-                decision = (
-                    "refuted",
-                    "index short-circuit: a path index refutes the query;"
-                    " answers ⊥ without reading or interpreting",
-                    None,
-                )
-            else:
-                read = {
-                    name: value
-                    for name in formula.attributes
-                    if (value := state.get(name)) is not None
-                }
-                decision = (
-                    "pushdown",
-                    f"target: root-attribute pushdown reads {len(read)}"
-                    f" of {len(state)} stored objects",
-                    TupleObject(read),
-                )
-        else:
-            reason = (
-                "a stored value is ⊤, which collapses the database object"
-                if isinstance(formula, TupleFormula)
-                else "formula is not tuple-shaped"
-            )
-            decision = ("snapshot", f"target: full snapshot ({reason})", state.as_object())
-        if counted:
-            self._bump(_ACCESS_COUNTERS[decision[0]])
-        return decision
-
-    def _index_refutes(self, state: _State, leaves, params) -> bool:
-        """``True`` when a path index proves the query answers ⊥ on ``state``.
-
-        Looks for a scan leaf that pins a ground atom (a constant, or a slot
-        ``params`` binds to one) at an indexed path under one root
-        attribute; if the index (wildcards included) maps that atom to no
-        stored name — or not to the leaf's root attribute — the leaf has no
-        witness, its element formula cannot vanish (vanishing needs a bare
-        variable or a ⊥ constant or slot, which carry no static key), and
-        the conjunction is empty.  The indexes describe the current
-        state only, so they are read under the writer mutex and only while
-        ``state`` is current; otherwise the answer is ``False`` and the
-        caller pushes down, which is always correct.
-        """
-        if not self._indexes:
-            return False
-        with self._lock:
-            if state is not self._state:
-                return False
-            for leaf in leaves:
-                if not isinstance(leaf, ScanLeaf) or not leaf.path.steps:
-                    continue
-                keys = leaf.bound_keys(params) if leaf.param_keys else leaf.static_keys
-                root, inner = leaf.path.steps[0], leaf.path.steps[1:]
-                for key_path, atom in keys:
-                    index = self._indexes.get(".".join(inner + key_path.steps))
-                    if index is not None and root not in index.lookup(atom):
-                        return True
-        return False
-
-    def find(
-        self, pattern: ComplexObject, *, path: Optional[Union[Path, str]] = None
-    ) -> List[str]:
-        """Names of the stored objects of which ``pattern`` is a sub-object.
-
-        When ``path`` names an index and ``pattern`` pins atoms at that path,
-        the index narrows the candidates before the sub-object check.  With no
-        explicit path, every index whose path the pattern pins with ground
-        atoms prefilters the candidates (their intersection), so path-rooted
-        patterns avoid the full-snapshot scan entirely.  A pattern that pins
-        no atom at an index's path is scanned: only an atom's lookup is a
-        superset of the matches.  ``access_stats`` counts prefiltered vs
-        scanned searches.  The indexes are read under the writer mutex,
-        together with the state they describe.
-        """
-        with self._lock:
-            state = self._state
-            candidates: Optional[Sequence[str]] = None
-            counter = "find_scans"
-            if path is not None:
-                key = str(path if isinstance(path, Path) else Path(path))
-                index = self._indexes.get(key)
-                if index is not None:
-                    candidates = self._prefilter_candidates(pattern, (index,))
-                    if candidates is not None:
-                        counter = "find_path_lookups"
-            elif self._indexes:
-                candidates = self._prefilter_candidates(pattern, self._indexes.values())
-                if candidates is not None:
-                    counter = "find_index_prefilters"
-        if candidates is None:
-            candidates = state.names()
-        self._bump(counter)
-        return [
-            name
-            for name in candidates
-            if (stored := state.get(name)) is not None and is_subobject(pattern, stored)
-        ]
-
-    @staticmethod
-    def _prefilter_candidates(
-        pattern: ComplexObject, indexes: Iterable[PathIndex]
-    ) -> Optional[List[str]]:
-        """Candidate names from every one of ``indexes`` the pattern pins with atoms.
-
-        Each pinned atom's lookup is individually a superset of the true
-        matches (an atom is only dominated by itself or ⊤, and ⊤-carrying
-        objects are in every lookup via the wildcard set), so their
-        intersection — across values and across indexes — is a sound
-        prefilter; the final sub-object check still runs.  ``None`` means no
-        index constrained the pattern.  Callers hold the writer mutex.
-        """
-        narrowed: Optional[set] = None
-        for index in indexes:
-            located = get_path(pattern, index.path)
-            values = located.elements if isinstance(located, SetObject) else (located,)
-            atoms = [value for value in values if value.is_atom]
-            for atom in atoms:
-                names = index.lookup(atom)
-                narrowed = set(names) if narrowed is None else (narrowed & names)
-                if not narrowed:
-                    return []
-        if narrowed is None:
-            return None
-        return sorted(narrowed)
+        state = self._state
+        self._bump("find_scans")
+        return [name for name, stored in state.items() if is_subobject(pattern, stored)]
 
     # -- rules ----------------------------------------------------------------------------
     def apply_rules(
@@ -718,4 +513,4 @@ class ObjectDatabase:
         clear_object_caches()
 
     def __repr__(self) -> str:
-        return f"<ObjectDatabase {len(self)} objects, {len(self.indexes())} indexes>"
+        return f"<ObjectDatabase {len(self)} objects>"

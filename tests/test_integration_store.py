@@ -41,7 +41,7 @@ class TestDeductiveStoreWorkflow:
 
 
 class TestDocumentStoreWorkflow:
-    """Documents: schema inference, indexed search, query, update, transaction."""
+    """Documents: schema inference, pattern search, query, update, transaction."""
 
     @pytest.fixture
     def documents_db(self):
@@ -56,10 +56,9 @@ class TestDocumentStoreWorkflow:
         # Re-writing the same object conforms trivially.
         database.put("library", collection)
 
-    def test_indexed_title_lookup(self, documents_db):
+    def test_title_lookup(self, documents_db):
         database, _ = documents_db
-        database.create_index("docs.title")
-        matches = database.find(parse_object("[docs: {[title: doc3]}]"), path="docs.title")
+        matches = database.find(parse_object("[docs: {[title: doc3]}]"))
         assert matches == ["library"]
 
     def test_keyword_query_via_calculus(self, documents_db):

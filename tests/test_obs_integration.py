@@ -248,13 +248,19 @@ def test_commits_and_conflicts_reach_the_registry():
 
 
 def test_access_path_counters_mirror_access_stats():
-    pushdowns_before = _counter("store.index.query_root_pushdowns")
+    names = ("query_scans", "query_root_pushdowns", "query_index_shortcircuits")
+    before = {name: _counter(f"store.index.{name}") for name in names}
     with repro.connect() as session:
         session.put("r1", repro.parse_object("{[name: ada]}"))
         session.query("[r1: {[name: X]}]")
-        local = session.database.access_stats["query_root_pushdowns"]
-    assert local >= 1
-    assert _counter("store.index.query_root_pushdowns") > pushdowns_before
+        session.explain("[r1: {[name: X]}]")
+        local = session.database.access_stats
+    assert {name: local[name] for name in names} == {
+        "query_scans": 1, "query_root_pushdowns": 0, "query_index_shortcircuits": 0,
+    }
+    assert {name: _counter(f"store.index.{name}") - before[name] for name in names} == {
+        "query_scans": 1, "query_root_pushdowns": 0, "query_index_shortcircuits": 0,
+    }
 
 
 def test_wal_append_and_recovery_metrics(tmp_path):

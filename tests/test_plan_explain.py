@@ -151,31 +151,29 @@ class TestCliExplain:
             "[family: [family: {[name: X]}]]", "--explain",
         )
         assert code == 0
-        assert "root-attribute pushdown" in text
+        assert "target: whole database (1 stored objects)" in text.splitlines()
         assert "query plan:" in text
 
 
 class TestStoreExplain:
-    """The store-backed session's EXPLAIN: the access-path note, then the plan."""
+    """The store-backed session's EXPLAIN: one target line, then the plan."""
 
-    def test_explain_notes_the_access_path(self):
+    def test_explain_prints_one_target_line(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))
         database.put("other", parse_object("[x: 1]"))
-        text = Session(database=database).explain("[family: [family: {[name: X]}]]")
-        assert "reads 1 of 2 stored objects" in text
-        assert "query plan:" in text
+        lines = Session(database=database).explain("[family: [family: {[name: X]}]]").splitlines()
+        assert lines[0] == "target: whole database (2 stored objects)"
+        assert lines[1].startswith("query plan:")
 
-    def test_explain_reports_index_shortcircuit(self):
+    def test_explain_of_an_absent_atom_runs_the_plan(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))
-        database.create_index("family.name")
         text = Session(database=database).explain(
             "[family: [family: {[name: nobody, kids: K]}]]"
         )
-        assert "index short-circuit" in text
-        # Nothing ran, so the plan carries no actuals.
-        assert "actual" not in text
+        assert text.splitlines()[0] == "target: whole database (1 stored objects)"
+        assert "=> 0 substitutions (actual)" in text
 
     def test_explain_against_one_object(self):
         database = ObjectDatabase()
@@ -199,12 +197,6 @@ def _store_session():
     return session
 
 
-def _indexed_session():
-    session = _store_session()
-    session.database.create_index("name")
-    return session
-
-
 def _top_session():
     session = _store_session()
     session.put("everything", TOP)
@@ -223,25 +215,24 @@ def _seeded_session():
     )
 
 
+#: The target line of the store sessions' EXPLAIN (``_top_session`` stores one more).
+_WHOLE = "target: whole database (2 stored objects)"
+
 #: One query per resolution mode: (session factory, query, params, options,
-#: the access-path note EXPLAIN must print, or None when the mode has none).
+#: the target note EXPLAIN must print, or None when the mode has none).
 MODES = {
-    "pushdown": (_store_session, "[r1: {[name: X, age: 2]}]", {}, {}, "pushdown"),
-    "pushdown-param": (
-        _store_session, "[r1: {[name: $who, age: A]}]", {"who": "mary"}, {}, "pushdown",
+    "db": (_store_session, "[r1: {[name: X, age: 2]}]", {}, {}, _WHOLE),
+    "db-param": (_store_session, "[r1: {[name: $who, age: A]}]", {"who": "mary"}, {}, _WHOLE),
+    "db-join": (
+        _store_session, "[r1: {[name: X, age: A]}, r2: {[who: X, town: T]}]", {}, {}, _WHOLE,
     ),
-    "pushdown-join": (
-        _store_session, "[r1: {[name: X, age: A]}, r2: {[who: X, town: T]}]", {}, {},
-        "pushdown",
+    "db-top": (
+        _top_session, "[r1: {[name: X]}]", {}, {}, "target: whole database (3 stored objects)",
     ),
-    "snapshot-top": (_top_session, "[r1: {[name: X]}]", {}, {}, "full snapshot"),
-    "snapshot-shape": (_store_session, "X", {}, {}, "full snapshot"),
-    "refuted": (
-        _indexed_session, "[r1: {[name: nobody, age: A]}]", {}, {}, "index short-circuit",
-    ),
-    "refuted-param": (
-        _indexed_session, "[r1: {[name: $who, age: A]}]", {"who": "nobody"}, {},
-        "index short-circuit",
+    "db-shape": (_store_session, "X", {}, {}, _WHOLE),
+    "db-absent": (_store_session, "[r1: {[name: nobody, age: A]}]", {}, {}, _WHOLE),
+    "db-absent-param": (
+        _store_session, "[r1: {[name: $who, age: A]}]", {"who": "nobody"}, {}, _WHOLE,
     ),
     "against": (
         _store_session, "{[name: X, age: A]}", {}, {"against": "r1"}, "stored object 'r1'",
@@ -274,14 +265,12 @@ class TestExplainRendersThePlanThatRuns:
         misses = session.cache_info()["plan_misses"]
         text = session.explain(query, params, **options)
         assert session.cache_info()["plan_misses"] == misses
-        record = None
-        if cursor._target is not None:
-            record = execution_record(
-                cursor._plan,
-                cursor._target,
-                indexes=cursor._indexes,
-                allow_bottom=options.get("allow_bottom", False),
-            )
+        record = execution_record(
+            cursor._plan,
+            cursor._target,
+            indexes=cursor._indexes,
+            allow_bottom=options.get("allow_bottom", False),
+        )
         assert _plan_section(text) == render_body_plan(
             cursor._plan,
             record=record,
@@ -293,14 +282,9 @@ class TestExplainRendersThePlanThatRuns:
             assert note in text.splitlines()[0]
         assert cursor.explain() == text
         # ... and the plan EXPLAIN describes computes the oracle's answer.
-        target = cursor._target
-        if target is not None:
-            bound = cursor._plan.body
-            assert cursor.all() == interpret(
-                bound, target, allow_bottom=options.get("allow_bottom", False)
-            )
-        else:
-            assert cursor.all() is BOTTOM
+        assert cursor.all() == interpret(
+            cursor._plan.body, cursor._target, allow_bottom=options.get("allow_bottom", False)
+        )
 
     def test_explain_first_then_execute_hits_the_plan_it_cached(self, mode):
         make, query, params, options, _ = MODES[mode]
@@ -378,28 +362,20 @@ class TestCursorExplainIsStable:
         # ... while a fresh EXPLAIN describes the store as it is now.
         assert "=> 1 substitutions (actual)" in session.explain(query)
 
-    def test_refuted_cursor_explain_survives_dropping_the_index(self):
-        session = _indexed_session()
+    def test_empty_cursor_explain_survives_a_commit_that_fills_it(self):
+        session = _store_session()
         cursor = session.execute("[r1: {[name: nobody, age: A]}]")
         before = cursor.explain()
-        session.database.drop_index("name")
+        session.put("r1", parse_object("{[name: nobody, age: 1]}"))
         assert cursor.explain() == before
         assert cursor.all() is BOTTOM
 
 
 class TestAccessStatsCountExecutions:
     @pytest.mark.parametrize(
-        "mode, counter",
-        [
-            ("pushdown", "query_root_pushdowns"),
-            ("pushdown-param", "query_root_pushdowns"),
-            ("snapshot-top", "query_scans"),
-            ("snapshot-shape", "query_scans"),
-            ("refuted", "query_index_shortcircuits"),
-            ("refuted-param", "query_index_shortcircuits"),
-        ],
+        "mode", ["db", "db-param", "db-top", "db-shape", "db-absent", "db-absent-param"]
     )
-    def test_explain_counts_nothing_and_execute_counts_one(self, mode, counter):
+    def test_explain_counts_nothing_and_execute_counts_one(self, mode):
         make, query, params, options, _ = MODES[mode]
         session = make()
         start = session.database.access_stats
@@ -410,7 +386,7 @@ class TestAccessStatsCountExecutions:
         cursor.explain()
         cursor.all()
         moved = session.database.access_stats
-        assert moved[counter] == start[counter] + 1
+        assert moved["query_scans"] == start["query_scans"] + 1
         assert sum(moved.values()) == sum(start.values()) + 1
 
     def test_targets_outside_the_store_decision_count_nothing(self):

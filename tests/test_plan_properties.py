@@ -181,16 +181,19 @@ def test_one_full_engine_round_matches_rule_apply(body_text, database):
     assert result.value == union(database, rule.apply(database))
 
 
-@settings(max_examples=25, deadline=None)
+#: A stored value: a tagged record, or ⊤, which collapses the whole database.
+_STORED_VALUES = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=50)).map(
+        lambda pair: parse_object(f"[tag: {{t{pair[0]}}}, num: {pair[1]}]")
+    ),
+    st.just(TOP),
+)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["alpha", "beta", "gamma", "delta"]),
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=0, max_value=50),
-        ),
-        min_size=1,
-        max_size=8,
+    st.dictionaries(
+        st.sampled_from(["alpha", "beta", "gamma", "delta"]), _STORED_VALUES, max_size=4
     ),
     st.sampled_from(
         [
@@ -198,17 +201,23 @@ def test_one_full_engine_round_matches_rule_apply(body_text, database):
             "[alpha: [tag: {T}], beta: [num: N]]",
             "[gamma: [num: 3]]",
             "[delta: [tag: {t9}]]",
+            # ``epsilon`` is never stored.
+            "[epsilon: [tag: {T}]]",
+            "[alpha: [tag: {T}], epsilon: E]",
+            "X",
         ]
     ),
+    st.booleans(),
 )
-def test_store_query_pushdown_equals_snapshot_interpretation(rows, query_text):
+def test_store_query_equals_interpretation_of_the_database_object(
+    stored, query_text, allow_bottom
+):
     database = ObjectDatabase()
-    for name, tag, num in rows:
-        database.put(name, parse_object(f"[tag: {{t{tag}}}, num: {num}]"))
-    database.create_index("tag")
+    for name, value in stored.items():
+        database.put(name, value)
     query = parse_formula(query_text)
-    answer = Session(database=database).query(query)
-    assert answer == interpret(query, database.as_object())
+    answer = Session(database=database).query(query, allow_bottom=allow_bottom)
+    assert answer == interpret(query, database.as_object(), allow_bottom=allow_bottom)
 
 
 @settings(max_examples=25, deadline=None)
@@ -223,21 +232,17 @@ def test_store_query_pushdown_equals_snapshot_interpretation(rows, query_text):
     ),
     st.integers(min_value=0, max_value=4),
 )
-def test_store_find_prefilter_equals_full_scan(rows, probe):
+def test_store_find_equals_full_scan(rows, probe):
     database = ObjectDatabase()
     for position, (num, tag) in enumerate(rows):
         database.put(
             f"obj{position}", parse_object(f"[tag: {{t{tag}}}, num: {num}]")
         )
     pattern = parse_object(f"[tag: {{t{probe}}}]")
-    scanned = database.find(pattern)
-    database.create_index("tag")
-    prefiltered = database.find(pattern)
-    assert prefiltered == scanned
     expected = sorted(
         name for name in database.names() if is_subobject(pattern, database[name])
     )
-    assert prefiltered == expected
+    assert database.find(pattern) == expected
 
 
 # -- compiled head projections --------------------------------------------------------

@@ -3,12 +3,19 @@
 import pytest
 
 import repro
-from repro import Session, parse_formula, parse_object, parse_rule
-from repro.core.builder import obj
+from repro import Session, is_subobject, parse_formula, parse_object, parse_rule
+from repro.core.builder import obj, set_of, tup
 from repro.core.errors import SchemaError, StoreError
 from repro.schema.types import integer, set_type, string, tuple_type
 from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
+
+
+def _nested(depth, wrap):
+    value = obj(1)
+    for _ in range(depth):
+        value = wrap(value)
+    return value
 
 
 @pytest.fixture
@@ -75,29 +82,19 @@ class TestQueries:
         matches = database.find(parse_object("{[name: peter]}"))
         assert matches == ["people"]
 
-    def test_find_with_index(self, database, genealogy_small):
-        database.create_index("family.name")
-        matches = database.find(
-            parse_object("[family: {[name: abraham]}]"), path="family.name"
-        )
+    def test_find_a_nested_pattern(self, database, genealogy_small):
+        matches = database.find(parse_object("[family: {[name: abraham]}]"))
         assert matches == ["family_tree"]
-        assert "family.name" in database.indexes()
 
-    def test_index_maintained_on_updates(self, database):
-        database.create_index("name")
+    def test_find_follows_updates(self, database):
         database.put("one_person", {"name": "zoe"})
-        assert database.find(parse_object("[name: zoe]"), path="name") == ["one_person"]
+        assert database.find(parse_object("[name: zoe]")) == ["one_person"]
         database.remove("one_person")
-        assert database.find(parse_object("[name: zoe]"), path="name") == []
-
-    def test_drop_index(self, database):
-        database.create_index("name")
-        database.drop_index("name")
-        assert database.indexes() == ()
+        assert database.find(parse_object("[name: zoe]")) == []
 
 
-class TestFindOnAnIndexedPath:
-    """``find(p, path=...)`` narrows on the atoms ``p`` pins there, else scans."""
+class TestFindEqualsTheScan:
+    """``find(p)`` names the stored objects ``p`` is a sub-object of, in one scan."""
 
     STORED = {
         "x": "[a: 1, b: 1]",
@@ -108,28 +105,41 @@ class TestFindOnAnIndexedPath:
     }
 
     @pytest.mark.parametrize(
-        "pattern, expected, counter",
+        "pattern, expected",
         [
-            ("[b: 1]", ["v", "x", "y"], "find_scans"),  # ⊥ at the path
-            ("[a: 1, b: 1]", ["x"], "find_path_lookups"),  # an atom
-            ("[a: [c: 1]]", ["z"], "find_scans"),  # a tuple sub-object
-            ("[a: {1, 2}]", ["w"], "find_path_lookups"),  # a set of atoms
-            ("[a: {[c: 1]}]", ["v"], "find_scans"),  # a set of tuples
+            ("[b: 1]", ["v", "x", "y"]),  # ⊥ at a
+            ("[a: 1, b: 1]", ["x"]),  # an atom
+            ("[a: [c: 1]]", ["z"]),  # a tuple sub-object
+            ("[a: {1, 2}]", ["w"]),  # a set of atoms
+            ("[a: {[c: 1]}]", ["v"]),  # a set of tuples
         ],
     )
-    def test_find_on_the_path_equals_the_scan(self, pattern, expected, counter):
-        indexed, unindexed = ObjectDatabase(), ObjectDatabase()
-        indexed.create_index("a")
-        for db in (indexed, unindexed):
-            for name, text in self.STORED.items():
-                db.put(name, parse_object(text))
-        before = indexed.access_stats
-        found = indexed.find(parse_object(pattern), path="a")
-        assert found == unindexed.find(parse_object(pattern)) == expected
-        after = indexed.access_stats
+    def test_find_equals_the_scan(self, pattern, expected):
+        db = ObjectDatabase()
+        for name, text in self.STORED.items():
+            db.put(name, parse_object(text))
+        before = db.access_stats
+        found = db.find(parse_object(pattern))
+        scan = [name for name in db.names() if is_subobject(parse_object(pattern), db[name])]
+        assert found == scan == expected
+        after = db.access_stats
         assert {key: after[key] - before[key] for key in after if after[key] != before[key]} == {
-            counter: 1
+            "find_scans": 1
         }
+
+    def test_deep_puts_keep_find_equal_to_the_scan(self):
+        old = parse_object("[a: 1]")
+        deep_tuple = _nested(2500, lambda inner: tup(a=inner))
+        deep_set = tup(a=_nested(3000, set_of))
+        db = ObjectDatabase()
+        db.put("q", old)
+        db.put("q", deep_tuple)
+        db.put("s", deep_set)
+        for pattern in (old, deep_tuple, deep_set, parse_object("[a: 2]")):
+            assert db.find(pattern) == [
+                name for name in db.names() if is_subobject(pattern, db[name])
+            ]
+        assert db.find(deep_tuple) == ["q"]
 
 
 class TestMissingAgainst:
@@ -156,14 +166,13 @@ class TestBatchCommit:
         assert "people" not in database
         assert database["cities"] == obj(["austin"])
 
-    def test_commit_batch_maintains_indexes(self, database):
-        database.create_index("name")
+    def test_find_sees_each_committed_batch(self, database):
         database.commit_batch(
             {"zoe": obj({"name": "zoe"}), "ann": obj({"name": "ann"})}
         )
-        assert database.find(parse_object("[name: zoe]"), path="name") == ["zoe"]
+        assert database.find(parse_object("[name: zoe]")) == ["zoe"]
         database.commit_batch({"zoe": None})
-        assert database.find(parse_object("[name: zoe]"), path="name") == []
+        assert database.find(parse_object("[name: zoe]")) == []
 
     def test_version_bumps_once_per_batch(self, database):
         before = database.version

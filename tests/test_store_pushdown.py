@@ -1,4 +1,4 @@
-"""Store-side pushdown: query restriction, index short-circuit, find prefilter."""
+"""Store-backed queries read one whole-database target; ``find`` is a scan."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro import Session, is_subobject, parse_formula, parse_object
 from repro.calculus.interpretation import interpret
 from repro.core.objects import BOTTOM
 from repro.store.database import ObjectDatabase
-from repro.store.index import PathIndex
 
 
 def ask(database, formula, **options):
@@ -33,13 +32,25 @@ def populated():
     return database
 
 
-class TestQueryPushdown:
-    def test_tuple_query_counts_a_root_pushdown(self, populated):
-        before = populated.access_stats["query_root_pushdowns"]
-        ask(populated, "[family: [family: {[name: X]}]]")
-        assert populated.access_stats["query_root_pushdowns"] == before + 1
+def moved(database, before):
+    """The ``access_stats`` counters that moved since ``before``, and by how much."""
+    after = database.access_stats
+    return {key: after[key] - before[key] for key in after if after[key] != before[key]}
 
-    def test_pushdown_answer_equals_full_snapshot_interpretation(self, populated):
+
+class TestWholeDatabaseTarget:
+    def test_each_execute_counts_one_scan_and_explain_none(self, populated):
+        session = Session(database=populated)
+        query = "[family: [family: {[name: X]}]]"
+        for _ in range(2):
+            before = populated.access_stats
+            session.query(query)
+            assert moved(populated, before) == {"query_scans": 1}
+        before = populated.access_stats
+        session.explain(query)
+        assert moved(populated, before) == {}
+
+    def test_answer_equals_interpretation_of_the_database_object(self, populated):
         for source in (
             "[family: [family: {[name: X]}]]",
             "[obj3: [tag: {T}]]",
@@ -49,30 +60,30 @@ class TestQueryPushdown:
             query = parse_formula(source)
             assert ask(populated, query) == interpret(query, populated.as_object())
 
-    def test_non_tuple_query_falls_back_to_the_snapshot(self, populated):
-        before = populated.access_stats["query_scans"]
+    def test_non_tuple_query_reads_the_same_target(self, populated):
+        before = populated.access_stats
         query = parse_formula("X")
         assert ask(populated, query) == interpret(query, populated.as_object())
-        assert populated.access_stats["query_scans"] == before + 1
+        assert moved(populated, before) == {"query_scans": 1}
 
-    def test_allow_bottom_pushdown_agrees(self, populated):
+    def test_allow_bottom_agrees(self, populated):
         query = parse_formula("[family: [family: {[name: X, kids: {K}]}]]")
         assert ask(populated, query, allow_bottom=True) == interpret(
             query, populated.as_object(), allow_bottom=True
         )
 
-    def test_top_valued_object_disables_pushdown(self, populated):
+    def test_top_valued_object_collapses_the_target(self, populated):
         # A stored ⊤ collapses as_object() to ⊤ even for names the formula
-        # never mentions; the pushdown must fall back to the snapshot path.
+        # never mentions.
         populated.put("anything", parse_object("top"))
         query = parse_formula("[family: [family: {[name: X]}]]")
         assert ask(populated, query) == interpret(query, populated.as_object())
         assert ask(populated, query).is_top
-        # Removing the ⊤ value re-enables the pushdown.
         populated.remove("anything")
-        before = populated.access_stats["query_root_pushdowns"]
+        before = populated.access_stats
         assert ask(populated, query) == interpret(query, populated.as_object())
-        assert populated.access_stats["query_root_pushdowns"] == before + 1
+        assert not ask(populated, query).is_top
+        assert moved(populated, before) == {"query_scans": 2}
 
     def test_against_still_targets_one_object(self, populated):
         query = parse_formula("[family: {[name: X]}]")
@@ -81,104 +92,59 @@ class TestQueryPushdown:
         )
 
 
-class TestIndexShortCircuit:
-    def test_absent_atom_answers_bottom_from_the_index(self, populated):
-        populated.create_index("family.name")
-        before = populated.access_stats["query_index_shortcircuits"]
+class TestAbsentAtoms:
+    def test_absent_atom_answers_bottom(self, populated):
+        before = populated.access_stats
         result = ask(populated, "[family: [family: {[name: nobody, kids: K]}]]")
         assert result is BOTTOM
-        assert populated.access_stats["query_index_shortcircuits"] == before + 1
+        assert moved(populated, before) == {"query_scans": 1}
 
-    def test_present_atom_is_not_shortcircuited(self, populated):
-        populated.create_index("family.name")
+    def test_present_atom_answers(self, populated):
         result = ask(populated, "[family: [family: {[name: abraham, kids: K]}]]")
         assert not result.is_bottom
 
-    def test_shortcircuit_agrees_with_interpretation(self, populated):
-        populated.create_index("family.name")
+    def test_absent_atom_agrees_with_interpretation(self, populated):
         query = parse_formula("[family: [family: {[name: nobody]}]]")
         assert ask(populated, query) == interpret(query, populated.as_object())
 
-    def test_top_at_indexed_path_is_wildcarded_not_missed(self, populated):
-        populated.create_index("family.name")
+    def test_top_at_a_path_dominates_any_atom(self, populated):
         populated.put("weird", parse_object("[family: {[name: top, kids: {x}]}]"))
         query = parse_formula("[weird: [family: {[name: anyname]}]]")
-        # ⊤ dominates any name, so the index must not refute this query.
+        # ⊤ dominates any name, so the query has an answer.
         assert ask(populated, query) == interpret(query, populated.as_object())
         assert not ask(populated, query).is_bottom
 
 
-class TestFindPrefilter:
-    def test_prefilter_counts_and_agrees_with_scan(self, populated):
+class TestFind:
+    def test_find_counts_one_scan_and_agrees_with_the_sub_object_order(self, populated):
         pattern = parse_object("[tag: {t3}]")
-        expected = populated.find(pattern)
-        assert populated.access_stats["find_scans"] >= 1
-        populated.create_index("tag")
-        prefiltered = populated.find(pattern)
-        stats = populated.access_stats
-        assert stats["find_index_prefilters"] >= 1
-        assert prefiltered == expected
+        before = populated.access_stats
+        names = populated.find(pattern)
+        assert moved(populated, before) == {"find_scans": 1}
+        assert names == [
+            name for name in populated.names() if is_subobject(pattern, populated[name])
+        ]
+        assert names == [f"obj{position}" for position in (11, 15, 19, 3, 7)]
 
-    def test_unconstrained_pattern_still_scans(self, populated):
-        populated.create_index("tag")
-        before = populated.access_stats["find_scans"]
-        names = populated.find(parse_object("[num: 7]"))
-        assert names == ["obj7"]
-        assert populated.access_stats["find_scans"] == before + 1
+    def test_pattern_without_a_set_is_found(self, populated):
+        assert populated.find(parse_object("[num: 7]")) == ["obj7"]
 
-    def test_multiple_indexes_intersect(self, populated):
-        populated.create_index("tag")
-        populated.create_index("num")
-        names = populated.find(parse_object("[tag: {t3}, num: 7]"))
-        assert names == ["obj7"]
-        assert populated.access_stats["find_index_prefilters"] >= 1
+    def test_pattern_pinning_two_attributes(self, populated):
+        assert populated.find(parse_object("[tag: {t3}, num: 7]")) == ["obj7"]
 
-    def test_wildcard_objects_survive_the_prefilter(self, populated):
-        populated.create_index("tag")
+    def test_top_valued_attribute_matches_any_pattern(self, populated):
         populated.put("anything", parse_object("[tag: top]"))
         names = populated.find(parse_object("[tag: {t2}]"))
         assert "anything" in names
 
-    def test_explicit_path_behaviour_is_preserved(self, populated):
-        populated.create_index("tag")
-        names = populated.find(parse_object("[tag: {t1}]"), path="tag")
+    def test_find_equals_the_scan(self, populated):
+        names = populated.find(parse_object("[tag: {t1}]"))
         scan = [
             name
             for name in populated.names()
             if is_subobject(parse_object("[tag: {t1}]"), populated[name])
         ]
         assert names == scan
-
-
-class TestPathIndexWildcards:
-    def test_lookup_includes_wildcards(self):
-        index = PathIndex("family.name")
-        index.add("normal", parse_object("[family: {[name: abraham]}]"))
-        index.add("wild", parse_object("[family: top]"))
-        assert index.lookup(parse_object("abraham")) == {"normal", "wild"}
-        assert index.lookup(parse_object("zzz")) == {"wild"}
-
-    def test_wildcard_cleared_on_remove_and_overwrite(self):
-        index = PathIndex("name")
-        index.add("w", parse_object("top"))
-        assert "w" in index.lookup(parse_object("anything"))
-        index.add("w", parse_object("[name: fixed]"))
-        assert "w" not in index.lookup(parse_object("anything"))
-        index.remove("w")
-        assert index.lookup(parse_object("fixed")) == frozenset()
-
-    def test_set_descended_keys_are_not_reduced_away(self):
-        # The two elements are incomparable, but their k-values dominate each
-        # other: folding the collected values into a normalized set (as
-        # get_path does) would absorb [a: 1] and lose its key — the index's
-        # own traversal must keep both.
-        index = PathIndex("items.k")
-        index.add(
-            "both",
-            parse_object("[items: {[k: [a: 1], t: 1], [k: [a: 1, b: 2], t: 0]}]"),
-        )
-        assert "both" in index.lookup(parse_object("[a: 1]"))
-        assert "both" in index.lookup(parse_object("[a: 1, b: 2]"))
 
 
 class TestCloseUnder:

@@ -172,11 +172,9 @@ class TestStateMatchesADictModel:
             assert state.version == version
             assert dict(state.items()) == model
             assert len(state) == len(model)
-            assert state.top_names == {name for name, value in model.items() if value.is_top}
         if durable:
             database.close()
             database = open_database()
             state = database.state()
             assert dict(state.items()) == model
-            assert state.top_names == {name for name, value in model.items() if value.is_top}
             database.close()

@@ -84,8 +84,6 @@ class TestRegistryParsing:
 class TestStorePlanningInvariant:
     def test_a_seeded_violation_is_reported_per_import(self, tmp_path):
         (tmp_path / "clean.py").write_text(
-            "from repro.plan.ir import ScanLeaf\n"
-            "import repro.plan.ir\n"
             "from repro.planets import compile_body\n"
             "from repro.core.paths import Path\n"
         )
@@ -95,13 +93,17 @@ class TestStorePlanningInvariant:
             "def pushdown_plan(parsed, target):\n"
             "    from repro.plan.statistics import DatabaseStatistics\n"
             "    from ..plan.optimize import optimize_body\n"
+            "from repro.plan.ir import ScanLeaf\n"
+            "import repro.plan.ir\n"
         )
         violations = sorted(check_invariants.check_store_planning(tmp_path))
         assert [violation.split(": ")[0].rsplit("/", 1)[1] for violation in violations] == [
             "planner.py:1", "planner.py:1", "planner.py:2", "planner.py:4", "planner.py:5",
+            "planner.py:6", "planner.py:7",
         ]
         assert "repro.plan.compile_body" in violations[1]
         assert "repro.plan.optimize" in violations[4]
+        assert "repro.plan.ir" in violations[5] and "repro.plan.ir" in violations[6]
         assert all("clean.py" not in violation for violation in violations)
 
 
@@ -132,9 +134,9 @@ class ObjectDatabase:
     def compact(self):
         self._storage.compact()
 
-    def find(self, pattern):
+    def schema_of(self, name):
         with self._lock:
-            return [name for name in self._indexes]
+            return self._schemas.get(name)
 
     def _rebuild(self):
         self._state = self._state.following({})

@@ -36,7 +36,7 @@ Twelve invariants that matter for correctness but that no unit test can pin
     reads ``self._state`` at most once — two reads could see two commits —
     and ``self._state`` is assigned only in ``__init__`` and inside
     ``commit_batch``'s ``with self._lock:`` block.  What commits still
-    mutate in place (``_storage``, ``_indexes``, ``_schemas``) is touched by
+    mutate in place (``_storage``, ``_schemas``) is touched by
     public methods only inside ``with self._lock:``.  Private helpers are
     exempt from the last rule (their contract is "callers hold the lock");
     a public-method exception (e.g. teardown, which is single-threaded by
@@ -45,12 +45,10 @@ Twelve invariants that matter for correctness but that no unit test can pin
 ``store-planning``
     Planning lives in one place (``Session._resolve`` in
     :mod:`repro.api.session`, planning through
-    :class:`repro.api.snapshot.Snapshot`):
-    the store decides access paths from the plan leaves it is handed and
-    never compiles, collects statistics or optimizes.  So no module under
-    ``src/repro/store/`` may import anything from :mod:`repro.plan` except
-    names of the IR module, ``repro.plan.ir`` — at module level or deferred
-    inside a function.
+    :class:`repro.api.snapshot.Snapshot`) against one whole-database target;
+    the store neither plans nor reads plans.  So no module under
+    ``src/repro/store/`` may import anything from :mod:`repro.plan` — at
+    module level or deferred inside a function.
 
 ``layering``
     The package graph is the pipeline: every module of ``src/repro/``
@@ -149,7 +147,7 @@ ALLOW_RAW_PRAGMA = "invariant: allow-raw"
 UNLOCKED_OK_PRAGMA = "invariant: unlocked-ok"
 
 #: ObjectDatabase attributes commits mutate in place, guarded by ``self._lock``.
-PROTECTED_ATTRIBUTES = frozenset({"_storage", "_indexes", "_schemas"})
+PROTECTED_ATTRIBUTES = frozenset({"_storage", "_schemas"})
 
 #: The ObjectDatabase attribute holding the published, immutable state.
 STATE_ATTRIBUTE = "_state"
@@ -422,10 +420,9 @@ def check_lock_discipline(path: Path = SRC_ROOT / "store" / "database.py") -> Li
     return violations
 
 
-# -- invariant 5: the store imports only IR types from repro.plan -------------------------
+# -- invariant 5: the store imports nothing from repro.plan --------------------------------
 
 PLAN_PACKAGE = "repro.plan"
-PLAN_IR_MODULE = "repro.plan.ir"
 
 
 def check_store_planning(store_root: Path = SRC_ROOT / "store") -> List[str]:
@@ -446,12 +443,10 @@ def check_store_planning(store_root: Path = SRC_ROOT / "store") -> List[str]:
             for name in imported:
                 if name != PLAN_PACKAGE and not name.startswith(PLAN_PACKAGE + "."):
                     continue
-                if name == PLAN_IR_MODULE:
-                    continue
                 violations.append(
                     f"{_relative(path)}:{node.lineno}: the store imports {name} —"
-                    f" only {PLAN_IR_MODULE} names may cross from {PLAN_PACKAGE}"
-                    f" into repro.store (planning belongs to Session._resolve)"
+                    f" nothing crosses from {PLAN_PACKAGE} into repro.store"
+                    f" (planning belongs to Session._resolve)"
                 )
     return violations
 
