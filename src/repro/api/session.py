@@ -383,7 +383,7 @@ class Session:
     def explain(
         self, query, params: Optional[Mapping] = None, *, analyze: bool = False, **options
     ) -> str:
-        """EXPLAIN for :meth:`execute`: the chosen access path and plan.
+        """EXPLAIN for :meth:`execute`: the target and the plan.
 
         Renders the plan :meth:`execute` runs with the same arguments — both
         take it from the one resolve-and-plan step and its plan cache — with

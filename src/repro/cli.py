@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_command.add_argument(
         "--explain",
         action="store_true",
-        help="print the optimized query plan and the chosen store access path"
+        help="print the query's target and its optimized plan"
         " instead of the answer (query)",
     )
     store_command.add_argument(

@@ -349,6 +349,18 @@ class TestStoreCommand:
         assert "peter" in output
         assert "john" not in output
 
+    def test_query_explain_prints_the_whole_database_target(self, tmp_path):
+        db_path = str(tmp_path / "db.wal")
+        run_cli("store", "--db-path", db_path, "put", "a", "[name: peter]")
+        run_cli("store", "--db-path", db_path, "put", "b", "[name: john]")
+        code, output = run_cli(
+            "store", "--db-path", db_path, "query", "[a: [name: X]]", "--explain"
+        )
+        assert code == 0
+        lines = output.splitlines()
+        assert lines[0] == "target: whole database (2 stored objects)"
+        assert lines[1].startswith("query plan:")
+
     def test_compact_rewrites_the_log(self, tmp_path):
         import os
 

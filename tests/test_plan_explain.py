@@ -175,6 +175,30 @@ class TestStoreExplain:
         assert text.splitlines()[0] == "target: whole database (1 stored objects)"
         assert "=> 0 substitutions (actual)" in text
 
+    def test_the_target_line_counts_the_committed_objects(self):
+        database = ObjectDatabase()
+        session = Session(database=database)
+        query = "[family: [family: {[name: X]}]]"
+        assert session.explain(query).splitlines()[0] == (
+            "target: whole database (0 stored objects)"
+        )
+        database.put("family", parse_object("[family: {[name: abraham]}]"))
+        database.put("other", parse_object("[x: 1]"))
+        database.remove("other")
+        assert session.explain(query).splitlines()[0] == (
+            "target: whole database (1 stored objects)"
+        )
+
+    def test_explain_analyze_prints_the_same_target_line(self):
+        database = ObjectDatabase()
+        database.put("family", parse_object("[family: {[name: abraham]}]"))
+        session = Session(database=database)
+        query = "[family: [family: {[name: X]}]]"
+        analyzed = session.explain(query, analyze=True).splitlines()
+        assert analyzed[0] == session.explain(query).splitlines()[0]
+        assert analyzed[1].startswith("query plan:")
+        assert database.access_stats["query_scans"] == 0
+
     def test_explain_against_one_object(self):
         database = ObjectDatabase()
         database.put("family", parse_object("[family: {[name: abraham]}]"))

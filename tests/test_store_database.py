@@ -92,6 +92,49 @@ class TestQueries:
         database.remove("one_person")
         assert database.find(parse_object("[name: zoe]")) == []
 
+    def test_find_sees_a_transaction_only_once_it_commits(self, database):
+        pattern = parse_object("[name: zoe]")
+        with database.transaction() as transaction:
+            transaction.put("one_person", obj({"name": "zoe"}))
+            assert database.find(pattern) == []
+        assert database.find(pattern) == ["one_person"]
+
+    def test_find_takes_a_pattern_and_no_path(self, database):
+        with pytest.raises(TypeError):
+            database.find(parse_object("[name: peter]"), path="name")
+
+    def test_find_after_reopening_reads_the_recovered_objects(self, tmp_path):
+        path = str(tmp_path / "db.wal")
+        db = ObjectDatabase(FileStorage(path))
+        db.put("a", parse_object("[tag: {red, blue}]"))
+        db.put("b", parse_object("[tag: {red}]"))
+        db.put("c", parse_object("[tag: {blue}]"))
+        db.remove("c")
+        db.close()
+        reopened = ObjectDatabase(FileStorage(path))
+        try:
+            assert reopened.find(parse_object("[tag: {red}]")) == ["a", "b"]
+            assert reopened.find(parse_object("[tag: {blue}]")) == ["a"]
+        finally:
+            reopened.close()
+
+    def test_find_after_compacting_and_reopening_is_unchanged(self, tmp_path):
+        path = str(tmp_path / "db.wal")
+        db = ObjectDatabase(FileStorage(path))
+        for version in range(3):
+            db.put("x", parse_object(f"[n: {version}, tag: {{t}}]"))
+        db.put("y", parse_object("[tag: {t}]"))
+        pattern = parse_object("[tag: {t}]")
+        before = db.find(pattern)
+        db.compact()
+        db.close()
+        reopened = ObjectDatabase(FileStorage(path))
+        try:
+            assert reopened.find(pattern) == before == ["x", "y"]
+            assert reopened.find(parse_object("[n: 2]")) == ["x"]
+        finally:
+            reopened.close()
+
 
 class TestFindEqualsTheScan:
     """``find(p)`` names the stored objects ``p`` is a sub-object of, in one scan."""

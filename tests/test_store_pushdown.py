@@ -7,6 +7,7 @@ from repro import Session, is_subobject, parse_formula, parse_object
 # it is the calculus baseline interpret.
 from repro.calculus.interpretation import interpret
 from repro.core.objects import BOTTOM
+from repro.obs.metrics import REGISTRY
 from repro.store.database import ObjectDatabase
 
 
@@ -91,6 +92,62 @@ class TestWholeDatabaseTarget:
             query, populated["family"]
         )
 
+    def test_against_counts_no_whole_database_scan(self, populated):
+        before = populated.access_stats
+        ask(populated, "[family: {[name: X]}]", against="family")
+        assert moved(populated, before) == {}
+
+    def test_a_commit_is_seen_by_the_next_query_on_a_cached_plan(self, populated):
+        session = Session(database=populated)
+        query = "[family: [family: {[name: X]}]]"
+        session.query(query)
+        populated.put(
+            "family", parse_object("[family: {[name: abraham], [name: hagar]}]")
+        )
+        assert session.query(query) == parse_object(
+            "[family: [family: {[name: abraham], [name: hagar]}]]"
+        )
+        assert session.query(query) == interpret(
+            parse_formula(query), populated.as_object()
+        )
+
+    def test_a_cursor_reads_the_version_it_was_opened_on(self, populated):
+        session = Session(database=populated)
+        query = parse_formula("[family: [family: {[name: X]}]]")
+        held = populated.as_object()
+        cursor = session.execute(query)
+        populated.put("family", parse_object("[family: {[name: hagar]}]"))
+        assert cursor.all() == interpret(query, held)
+        assert session.query(query) == parse_object("[family: [family: {[name: hagar]}]]")
+
+    def test_prepared_query_counts_one_scan_per_execute(self, populated):
+        prepared = Session(database=populated).prepare(
+            "[family: [family: {[name: $who, kids: K]}]]"
+        )
+        for who in ("abraham", "sarah", "nobody"):
+            before = populated.access_stats
+            answer = prepared.execute(who=who).all()
+            assert moved(populated, before) == {"query_scans": 1}
+            query = parse_formula(f"[family: [family: {{[name: {who}, kids: K]}}]]")
+            assert answer == interpret(query, populated.as_object())
+
+    def test_an_empty_database_is_the_empty_tuple(self):
+        database = ObjectDatabase()
+        query = parse_formula("[missing: X]")
+        assert database.as_object() == parse_object("[]")
+        assert ask(database, query) == interpret(query, parse_object("[]"))
+        assert database.access_stats["query_scans"] == 1
+
+    def test_the_retired_counters_stay_at_zero(self, populated):
+        session = Session(database=populated)
+        session.query("[obj3: [tag: {T}]]")
+        session.query("[family: [family: {[name: nobody]}]]")
+        session.explain("[obj1: [num: N]]")
+        stats = populated.access_stats
+        assert stats["query_root_pushdowns"] == 0
+        assert stats["query_index_shortcircuits"] == 0
+        assert stats["query_scans"] == 2
+
 
 class TestAbsentAtoms:
     def test_absent_atom_answers_bottom(self, populated):
@@ -136,6 +193,31 @@ class TestFind:
         populated.put("anything", parse_object("[tag: top]"))
         names = populated.find(parse_object("[tag: {t2}]"))
         assert "anything" in names
+
+    def test_find_on_an_empty_database(self):
+        database = ObjectDatabase()
+        assert database.find(parse_object("[tag: {t1}]")) == []
+        assert database.access_stats["find_scans"] == 1
+
+    def test_find_sees_an_element_inserted_in_place(self, populated):
+        pattern = parse_object("[tag: {t9}]")
+        assert populated.find(pattern) == []
+        populated.insert("obj7", "tag", "t9")
+        assert populated.find(pattern) == ["obj7"]
+
+    def test_bottom_pattern_matches_every_name(self, populated):
+        assert populated.find(BOTTOM) == list(populated.names())
+
+    def test_top_pattern_matches_only_top_objects(self, populated):
+        populated.put("anything", parse_object("top"))
+        assert populated.find(parse_object("top")) == ["anything"]
+
+    def test_each_find_moves_the_scan_metric_by_one(self, populated):
+        counter = REGISTRY.counter("store.index.find_scans")
+        before = counter.value
+        populated.find(parse_object("[num: 1]"))
+        populated.find(parse_object("[num: 2]"))
+        assert counter.value == before + 2
 
     def test_find_equals_the_scan(self, populated):
         names = populated.find(parse_object("[tag: {t1}]"))
