@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.builder import obj
 from repro.core.errors import ComplexObjectError, LintError, NestingError, StoreError
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject, nesting_levels, too_deep
+from repro.core.objects import ComplexObject, nesting_levels
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
 from repro.calculus.terms import Formula, bind_parameters, within_budget
@@ -437,9 +437,11 @@ class Session:
         deliberately *not* part of the cache key: a closure that completed
         within any deadline is the correct closure, a cached hit is returned
         instantly, and an evaluation that fails (timeout, divergence guard)
-        caches nothing and drops the stale entry it started from.  A database
-        nested too deeply for the engine raises
-        :class:`~repro.core.errors.NestingError` naming its depth.
+        caches nothing and drops the stale entry it started from.  A round
+        that derives anything over a database deeper than the ``max_depth``
+        guard raises :class:`~repro.core.errors.DivergenceError`; one whose
+        union or projection is too deep to walk raises
+        :class:`~repro.core.errors.NestingError` naming the database's depth.
         """
         unknown = set(guards) - _GUARD_OPTIONS
         if unknown:
@@ -457,22 +459,18 @@ class Session:
         with _trace.span("session.close") as span:
             program = self._program(snapshot)
             seed = program.seed()
-            try:
-                resume = {}
-                resumed = snapshot.resume(key, self._rules_version, seed)
-                if resumed is None:
-                    evaluator = SemiNaiveEngine(program.rules, deadline=deadline, **guards)
-                else:
-                    evaluator, previous = resumed
-                    evaluator.deadline = deadline
-                    resume = {"previous": previous}
-                if span.enabled:
-                    mode = "delta" if resume else "full"
-                    span.set(engine=evaluator.name, rules=len(snapshot.rules), mode=mode)
-                result = evaluator.run(seed, **resume)
-            except RecursionError:
-                # Formulae are within the depth budget: only the seed is too deep.
-                raise too_deep(seed, "close") from None
+            resume = {}
+            resumed = snapshot.resume(key, self._rules_version, seed)
+            if resumed is None:
+                evaluator = SemiNaiveEngine(program.rules, deadline=deadline, **guards)
+            else:
+                evaluator, previous = resumed
+                evaluator.deadline = deadline
+                resume = {"previous": previous}
+            if span.enabled:
+                mode = "delta" if resume else "full"
+                span.set(engine=evaluator.name, rules=len(snapshot.rules), mode=mode)
+            result = evaluator.run(seed, **resume)
         _METRICS.histogram("session.closure_ns").observe(time.perf_counter_ns() - start_ns)
         self._last_closure_stats = result.stats
         snapshot.keep_closure(key, self._rules_version, seed, evaluator, result)
@@ -576,8 +574,7 @@ class Session:
 
         Options and bound ``$parameter`` values in, one :class:`_Resolved`
         record out, which a :class:`Cursor` executes and EXPLAIN renders.  A
-        target nested too deeply to plan raises
-        :class:`~repro.core.errors.NestingError`.
+        target of any depth is planned.
 
         ``deadline`` bounds an ``on_closure`` evaluation (usually the
         expensive part of such a query); ``counted=False`` is EXPLAIN, which

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.lattice import union
-from repro.core.objects import ComplexObject, too_deep
+from repro.core.objects import ComplexObject
 from repro.calculus.fixpoint import ClosureResult
 from repro.lint.shapes import infer_shapes
 from repro.obs import trace as _trace
@@ -147,23 +147,19 @@ class Snapshot:
 
         What the cache saves is the cost-based reordering.  Its distinct-atom
         estimates read the tables ``target``'s sets carry, which the cursor
-        then probes.  A target nested too deeply to walk raises
-        :class:`~repro.core.errors.NestingError`.
+        then probes.  Neither walk recurses over ``target``, so a target of
+        any depth is planned.
         """
         self._counters.count("plan_misses")
         plan = compile_body(formula)
-        try:
-            shapes = None
-            if mode == ("seed", False):
-                # Closed-world shape inference over the actual seeded object: a
-                # provably-empty body is pruned (the executor answers it without
-                # scanning) and EXPLAIN shows each leaf's inferred element shape.
-                shapes = infer_shapes(self.rules, target)
-            statistics = DatabaseStatistics.collect(target, self.indexes_for(target))
-            plan = optimize_body(plan, statistics, shapes)
-        except RecursionError:
-            # Formulae are within the depth budget: only the target is too deep.
-            raise too_deep(target, "plan") from None
+        shapes = None
+        if mode == ("seed", False):
+            # Closed-world shape inference over the actual seeded object: a
+            # provably-empty body is pruned (the executor answers it without
+            # scanning) and EXPLAIN shows each leaf's inferred element shape.
+            shapes = infer_shapes(self.rules, target)
+        statistics = DatabaseStatistics.collect(target, self.indexes_for(target))
+        plan = optimize_body(plan, statistics, shapes)
         self._plans[(formula, mode)] = plan
         while len(self._plans) > _CACHE_LIMIT:
             self._plans.popitem(last=False)

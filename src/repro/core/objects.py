@@ -688,7 +688,7 @@ def nesting_levels(roots: Iterable) -> int:
 
 
 def too_deep(value: ComplexObject, to: str) -> NestingError:
-    """The error for an object whose walk (to print, plan, close...) overflowed the stack."""
+    """The error for an object whose walk (to print, to order) overflowed the stack."""
     return NestingError(
         f"object is nested {nesting_levels([value])} levels deep, too deep to {to}"
     )

@@ -2,21 +2,19 @@
 
 A :class:`Path` is a sequence of attribute names, written ``"family.children"``
 in text form.  Paths address tuple attributes only; set elements are not
-individually addressable (they have no names), but :func:`iter_paths` descends
-*through* sets so an index over the path ``"r1.name"`` sees the ``name``
-attribute of every element of the set stored at ``r1``.  :func:`navigate`
-does not: it follows tuple attributes only, which is how plans and the
-closure engine address a set itself, and :func:`new_set_elements` is the
-per-round delta of the set found that way.
+individually addressable (they have no names).  :func:`navigate` follows
+tuple attributes only, which is how plans and the closure engine address a
+set itself, and :func:`new_set_elements` is the per-round delta of the set
+found that way.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
 
-__all__ = ["Path", "get_path", "has_path", "iter_paths", "navigate", "new_set_elements"]
+__all__ = ["Path", "get_path", "has_path", "navigate", "new_set_elements"]
 
 
 class Path:
@@ -106,23 +104,6 @@ def has_path(value: ComplexObject, path: Union[Path, str]) -> bool:
     if isinstance(result, SetObject):
         return len(result) > 0
     return not result.is_bottom
-
-
-def iter_paths(value: ComplexObject, prefix: Path = None) -> Iterator[Tuple[Path, ComplexObject]]:
-    """Yield every ``(path, value)`` pair of tuple attributes, descending through sets.
-
-    The same path may be yielded several times with different values (once per
-    set element).
-    """
-    current_prefix = prefix if prefix is not None else Path(())
-    if isinstance(value, TupleObject):
-        for name, item in value.items():
-            child = current_prefix.child(name)
-            yield (child, item)
-            yield from iter_paths(item, child)
-    elif isinstance(value, SetObject):
-        for element in value:
-            yield from iter_paths(element, current_prefix)
 
 
 def navigate(value: ComplexObject, path: Path) -> ComplexObject:

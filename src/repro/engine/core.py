@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DivergenceError
 from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject
+from repro.core.objects import BOTTOM, ComplexObject, too_deep
 from repro.calculus.fixpoint import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_ITERATIONS,
@@ -141,41 +141,48 @@ class SemiNaiveEngine:
         stats = EngineStats()
         stats.strata = len(self._strata)
         stats.recursive_strata = sum(1 for s in self._strata if s.recursive)
-        retained, self._retained = self._retained, None
-        if previous is not None and retained is not None and retained[0] is previous:
-            plans = retained[1]
-            # A shape proof held against the old database only: the rules it
-            # pruned run live (in source order) from here on.
-            for rule in [r for r, plan in plans.items() if plan.pruned is not None]:
-                plans[rule] = self._body_plans[rule]
-            current = union(previous, database)
-        else:
-            previous = None
-            plans = self.plan(database)  # its estimates build the tables rounds probe
-            stats.rules_pruned = sum(
-                1 for plan in plans.values() if plan.pruned is not None
-            )
-            current = database
-
-        budget = [0]  # recursive rounds charged against max_iterations
-        with _trace.span("engine.run") as run_span:
-            for number, stratum in enumerate(self._strata, start=1):
-                with _trace.span("engine.stratum") as stratum_span:
-                    if stratum_span.enabled:
-                        stratum_span.set(
-                            stratum=number,
-                            recursive=stratum.recursive,
-                            rules=len(stratum.rules),
-                        )
-                    # Every stratum of a resumed run starts from the same
-                    # closed base: none of its rules has seen the growth yet.
-                    current = self._close_stratum(stratum, previous, current, plans, stats, budget)
-            if run_span.enabled:
-                run_span.set(
-                    engine=self.name,
-                    iterations=stats.iterations,
-                    resumed=previous is not None,
+        try:
+            retained, self._retained = self._retained, None
+            if previous is not None and retained is not None and retained[0] is previous:
+                plans = retained[1]
+                # A shape proof held against the old database only: the rules it
+                # pruned run live (in source order) from here on.
+                for rule in [r for r, plan in plans.items() if plan.pruned is not None]:
+                    plans[rule] = self._body_plans[rule]
+                current = union(previous, database)
+            else:
+                previous = None
+                plans = self.plan(database)  # its estimates build the tables rounds probe
+                stats.rules_pruned = sum(
+                    1 for plan in plans.values() if plan.pruned is not None
                 )
+                current = database
+
+            budget = [0]  # recursive rounds charged against max_iterations
+            with _trace.span("engine.run") as run_span:
+                for number, stratum in enumerate(self._strata, start=1):
+                    with _trace.span("engine.stratum") as stratum_span:
+                        if stratum_span.enabled:
+                            stratum_span.set(
+                                stratum=number,
+                                recursive=stratum.recursive,
+                                rules=len(stratum.rules),
+                            )
+                        # Every stratum of a resumed run starts from the same
+                        # closed base: none of its rules has seen the growth yet.
+                        current = self._close_stratum(
+                            stratum, previous, current, plans, stats, budget
+                        )
+                if run_span.enabled:
+                    run_span.set(
+                        engine=self.name,
+                        iterations=stats.iterations,
+                        resumed=previous is not None,
+                    )
+        except RecursionError:
+            # Formulae are within the depth budget: only the data is too deep
+            # for the union and the projection, which recurse over it.
+            raise too_deep(database, "close") from None
         _METRICS.record_engine_run(stats)
         # Retained only on normal exit: a run that leaves by exception leaves
         # no closure to resume from.

@@ -32,7 +32,7 @@ from repro.calculus.dependency import DependencyGraph
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula
 from repro.core.builder import obj
-from repro.core.objects import ComplexObject, too_deep
+from repro.core.objects import ComplexObject
 from repro.lint.diagnostics import (
     ERROR,
     WARNING,
@@ -101,31 +101,28 @@ def lint_rules(
     than against its own facts alone — and, without ``statistics``, is
     profiled for the plan checks; ``params`` (a name → value mapping)
     enables the RL204 shape-impossible-binding check on the query.  A
-    ``query`` deeper than the formula depth budget, or a ``database`` too
-    deep to analyse, raises :class:`~repro.core.errors.NestingError`.
+    ``query`` deeper than the formula depth budget raises
+    :class:`~repro.core.errors.NestingError`; a ``database`` of any depth is
+    analysed.
     """
     program = _as_rules(rules)
     if query is not None:
         query = as_formula(query, "lint")
-    try:
-        if statistics is None and database is not None:
-            statistics = DatabaseStatistics.collect(database)
-        graph = DependencyGraph(program)
-        findings: List[Diagnostic] = []
-        findings.extend(check_divergence(program, graph))
-        findings.extend(check_duplicates(program))
-        findings.extend(check_dead_rules(program, graph, query))
-        for index, rule in enumerate(program):
-            findings.extend(check_rule_formulas(rule, index))
-        findings.extend(check_rule_plans(program, statistics))
-        shapes = infer_shapes(tuple(program), database)
-        findings.extend(check_shapes(program, shapes))
-        if query is not None:
-            query_findings, _ = _query_findings(query, statistics, program, shapes, params)
-            findings.extend(query_findings)
-    except RecursionError:
-        # Formulae are within the depth budget: only the database is too deep.
-        raise too_deep(database, "lint") from None
+    if statistics is None and database is not None:
+        statistics = DatabaseStatistics.collect(database)
+    graph = DependencyGraph(program)
+    findings: List[Diagnostic] = []
+    findings.extend(check_divergence(program, graph))
+    findings.extend(check_duplicates(program))
+    findings.extend(check_dead_rules(program, graph, query))
+    for index, rule in enumerate(program):
+        findings.extend(check_rule_formulas(rule, index))
+    findings.extend(check_rule_plans(program, statistics))
+    shapes = infer_shapes(tuple(program), database)
+    findings.extend(check_shapes(program, shapes))
+    if query is not None:
+        query_findings, _ = _query_findings(query, statistics, program, shapes, params)
+        findings.extend(query_findings)
 
     facts = sum(1 for rule in program if rule.is_fact)
     report = finish_report(

@@ -39,19 +39,11 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "new_diagnostic",
-    "severity_rank",
 ]
 
 ERROR = "error"
 WARNING = "warning"
 INFO = "info"
-
-_SEVERITY_RANK = {ERROR: 2, WARNING: 1, INFO: 0}
-
-
-def severity_rank(severity: str) -> int:
-    """Numeric rank of a severity (higher is worse); unknown ranks lowest."""
-    return _SEVERITY_RANK.get(severity, -1)
 
 
 @dataclass(frozen=True)

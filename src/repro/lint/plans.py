@@ -44,7 +44,7 @@ from repro.plan.ir import BindLeaf, BodyPlan, ScanLeaf
 from repro.plan.optimize import optimize_body
 from repro.plan.statistics import DatabaseStatistics
 
-__all__ = ["check_body_plan", "check_rule_plans", "check_query_plan"]
+__all__ = ["check_rule_plans", "check_query_plan"]
 
 
 def _plan_findings(
@@ -193,11 +193,3 @@ def _dynamic_only_findings(plan: BodyPlan) -> List[Diagnostic]:
             formula=plan.body.to_text(),
         )
     ]
-
-
-def check_body_plan(
-    plan: BodyPlan,
-    statistics: Optional[DatabaseStatistics] = None,
-) -> List[Diagnostic]:
-    """Plan findings for one pre-compiled body plan (no location info)."""
-    return _plan_findings(plan, statistics, (), {})

@@ -191,24 +191,51 @@ def make_tuple(items: Iterable[Tuple[str, Shape]]) -> Shape:
 # -- concrete → abstract ------------------------------------------------------------
 
 
-def shape_of_object(value: ComplexObject) -> Shape:
-    """The exact (most precise) shape of one concrete object."""
+def shape_of_object(value: ComplexObject, depth: int = DEPTH_LIMIT + 1) -> Shape:
+    """The shape of one concrete object, exact down to ``depth`` levels.
+
+    Below that cut a non-⊥ value reads :data:`ANY`, or :data:`TOPANY` when
+    it is or holds ⊤ (only a raw object can hold ⊤).  The default cut lies
+    below :func:`truncate`'s, so ``truncate(shape_of_object(x))`` equals the
+    truncated exact shape for every normalized ``x`` of any depth, and the
+    fold recurses at most ``depth`` levels however deep ``x`` is.  A lattice
+    union of two shapes that both reach the cut may widen to TOPANY where
+    the exact shapes would not: sound, as every shape admits what the exact
+    one does.
+    """
     if value is BOTTOM:
         return ABSENT
+    if depth <= 0:
+        return TOPANY if _holds_top(value) else ANY
     if value is TOP:
         return TOPANY
     if isinstance(value, Atom):
         return AtomShape(frozenset((value,)))
     if isinstance(value, TupleObject):
         return make_tuple(
-            (name, shape_of_object(item)) for name, item in value.items()
+            (name, shape_of_object(item, depth - 1)) for name, item in value.items()
         )
     if isinstance(value, SetObject):
         element: Shape = ABSENT
         for item in value.elements:
-            element = join(element, shape_of_object(item))
+            element = join(element, shape_of_object(item, depth - 1))
         return SetShape(element, float(len(value.elements)))
     raise TypeError(f"not a complex object: {value!r}")
+
+
+def _holds_top(value: ComplexObject) -> bool:
+    """``True`` when ⊤ occurs in ``value``; an interned part holds none, so only
+    raw parts are walked, breadth-first on a list that only grows."""
+    parts = [value]
+    for part in parts:
+        if part is TOP:
+            return True
+        if part._iid is None:
+            if isinstance(part, TupleObject):
+                parts.extend(item for _, item in part.items())
+            elif isinstance(part, SetObject):
+                parts.extend(part.elements)
+    return False
 
 
 # -- conformance --------------------------------------------------------------------

@@ -90,7 +90,6 @@ __all__ = [
     "span",
     "trace",
     "traces",
-    "tracing_enabled",
 ]
 
 #: Schema tag of the :func:`snapshot` document.
@@ -105,11 +104,6 @@ def enable_tracing(*, max_traces: int = 128) -> Tracer:
 def disable_tracing() -> None:
     """Uninstall the tracer; span hooks return to no-ops."""
     trace.disable()
-
-
-def tracing_enabled() -> bool:
-    """Whether a tracer is currently installed."""
-    return trace.current_tracer() is not None
 
 
 def traces() -> List[Span]:

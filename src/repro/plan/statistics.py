@@ -55,15 +55,15 @@ class DatabaseStatistics:
         counts the estimates' builds; a fresh one otherwise.
         """
         stats = cls(indexes=TargetIndexes(database) if indexes is None else indexes)
-
-        def walk_spine(value: ComplexObject, path: Path) -> None:
+        # Breadth-first on a list that only grows: no recursion, so a spine of
+        # any depth is walked.
+        spine = [(database, _ROOT)]
+        for value, path in spine:
             if isinstance(value, TupleObject):
                 for name, item in value.items():
-                    walk_spine(item, path.child(name))
+                    spine.append((item, path.child(name)))
             elif isinstance(value, SetObject):
                 stats.set_cardinalities[path] = len(value)
-
-        walk_spine(database, _ROOT)
         return stats
 
     # -- estimates ------------------------------------------------------------------

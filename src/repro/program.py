@@ -20,7 +20,6 @@ concrete syntax via :meth:`Program.from_source` (which delegates to
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, List, Optional, Sequence
 
 from repro.api import Session
@@ -31,9 +30,8 @@ from repro.calculus.fixpoint import (
     ClosureResult,
 )
 from repro.calculus.rules import Rule, RuleSet
-from repro.core.errors import NestingError
 from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject, too_deep
+from repro.core.objects import BOTTOM, ComplexObject
 from repro.engine import SemiNaiveEngine
 from repro.lint import lint_rules
 from repro.parser import parse_program
@@ -43,22 +41,6 @@ from repro.plan.explain import execution_record, render_program_plan
 from repro.plan.indexes import TargetIndexes
 
 __all__ = ["Program"]
-
-
-def _depth_boundary(method):
-    """Report a seed database too deep to walk as one :class:`NestingError` naming
-    its depth (one raised further in already names what overflowed)."""
-
-    @functools.wraps(method)
-    def guarded(self, *args, **kwargs):
-        try:
-            return method(self, *args, **kwargs)
-        except NestingError:
-            raise
-        except RecursionError:
-            raise too_deep(self._database, method.__name__) from None
-
-    return guarded
 
 
 class Program:
@@ -72,7 +54,11 @@ class Program:
         Optional seed object; defaults to ⊥ (the empty database), in which
         case facts alone provide the initial content.
     Rules and queries are within the formula depth budget; a seed database
-    too deep to walk raises :class:`~repro.core.errors.NestingError`.
+    of any depth is planned and linted.  A closure round that derives
+    anything over one deeper than the ``max_depth`` guard raises
+    :class:`~repro.core.errors.DivergenceError`, and one whose union or
+    projection is too deep to walk raises
+    :class:`~repro.core.errors.NestingError`.
     """
 
     def __init__(
@@ -142,7 +128,6 @@ class Program:
         contributions = [compile_projection(fact.head, ())([()]) for fact in self._facts]
         return union(self._database, union_all(contributions))
 
-    @_depth_boundary
     def evaluate(
         self,
         *,
@@ -175,7 +160,6 @@ class Program:
         )
         return evaluator.run(self.seed())
 
-    @_depth_boundary
     def explain(
         self,
         query_formula=None,

@@ -60,18 +60,6 @@ class RelationalDatabase:
     def items(self):
         return tuple(self._relations.items())
 
-    # -- functional updates ----------------------------------------------------------
-    def with_relation(self, name: str, relation: Relation) -> "RelationalDatabase":
-        """Return a new database with ``name`` bound to ``relation``."""
-        updated = dict(self._relations)
-        updated[name] = relation.with_name(name)
-        return RelationalDatabase(updated)
-
-    def without_relation(self, name: str) -> "RelationalDatabase":
-        """Return a new database with ``name`` removed (no error if absent)."""
-        updated = {k: v for k, v in self._relations.items() if k != name}
-        return RelationalDatabase(updated)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelationalDatabase):
             return NotImplemented

@@ -20,7 +20,7 @@ from repro import ParameterError, ReproError, Rule, Session, TupleFormula, Varia
 from repro import parse_formula, parse_object
 from repro.calculus.fixpoint import close as calculus_close
 from repro.calculus.interpretation import interpret as baseline_interpret
-from repro.core.errors import ComplexObjectError, NestingError, StoreError
+from repro.core.errors import ComplexObjectError, DivergenceError, NestingError, StoreError
 from repro.core.objects import BOTTOM, Atom, TupleObject
 
 
@@ -319,8 +319,6 @@ class TestClosureMaintenance:
             assert session.cache_info()["closure_maintained"] == 0
 
     def test_guard_tripped_by_resumed_growth_evicts_the_base(self):
-        from repro.core.errors import DivergenceError
-
         with connect(rules=self.RULES) as session:
             session.put("family", parse_object(self.SMALL))
             session.close(max_nodes=17)
@@ -615,7 +613,7 @@ def _chain(depth: int):
 
 
 class TestNestingErrors:
-    """Session entry points name a too-deep object's depth, and cache nothing for it."""
+    """Session entry points name a too-deep formula or value, and answer over data of any depth."""
 
     def test_close_over_a_deep_stored_object(self):
         session = Session()
@@ -623,38 +621,42 @@ class TestNestingErrors:
         session.put("x", _chain(3))
         session.register("[u: {X}] :- [r: {X}].")
         session.close()
-        # A replacement, not growth: the engine plans the whole database.
+        # A replacement, not growth: the engine closes the whole 901-deep
+        # database, and its first round trips the default depth guard.
         session.put("x", _chain(900))
-        with pytest.raises(NestingError, match="nested 901 levels deep, too deep to close"):
+        with pytest.raises(DivergenceError, match="closure exceeded depth 200"):
             session.close()
-        with pytest.raises(NestingError, match="nested 901 levels deep"):
+        with pytest.raises(DivergenceError, match="closure exceeded depth 200"):
             session.query("[u: X]", on_closure=True)
         # Neither the failed closures nor the base they started from is kept.
         assert session.cache_info()["closures_cached"] == 0
-        session.remove("x")
-        assert session.close().value == parse_object("[r: {1}, u: {1}]")
-        assert session.cache_info()["closure_maintained"] == 0
+        closed = session.close(max_depth=1000).value
+        assert (closed.get("u"), closed.get("x")) == (parse_object("{1}"), _chain(900))
+        # A closure that derives nothing returns at any depth.
+        session.remove("r")
+        session.put("x", _chain(3000))
+        assert session.close().value == TupleObject({"x": _chain(3000)})
+        # One that must walk it, to project or unite, names its depth.
+        session.register("[y: {X}] :- [x: X].")
+        with pytest.raises(NestingError, match="nested 3001 levels deep, too deep to close$"):
+            session.close()
 
     def test_a_query_on_a_deeply_seeded_session(self):
         session = Session(seed=_chain(900))
-        with pytest.raises(NestingError, match="nested 900 levels deep, too deep to plan"):
-            session.query("[x: X]")
-        with pytest.raises(NestingError, match="nested 900 levels deep"):
-            session.prepare("[x: X]").all()
-        with pytest.raises(NestingError, match="nested 900 levels deep"):
-            session.explain("[x: X]")
+        assert session.query("[a: X]") == _chain(900)
+        assert session.prepare("[a: X]").all() == _chain(900)
+        assert "bind X := a" in session.explain("[a: X]")
         info = session.cache_info()
-        assert (info["plan_misses"], info["plans_cached"]) == (3, 0)
+        assert (info["plan_misses"], info["plans_cached"]) == (1, 1)
 
     def test_a_query_over_a_deep_store(self):
         session = Session()
         session.put("x", _chain(3000))
-        for call in (session.query, session.explain, session.execute):
-            with pytest.raises(NestingError, match="nested 3001 levels deep, too deep to plan"):
-                call("[x: X]")
-        assert session.cache_info()["plans_cached"] == 0
-        session.put("x", _chain(3))
-        assert session.query("[x: X]") == TupleObject({"x": _chain(3)})
+        expected = TupleObject({"x": _chain(3000)})
+        assert session.query("[x: X]") == expected
+        assert session.execute("[x: X]").all() == expected
+        assert "bind X := x" in session.explain("[x: X]")
+        assert session.cache_info()["plans_cached"] == 1
 
     def test_a_deep_formula_at_every_entry_point(self):
         deep = _deep_formula(3000)

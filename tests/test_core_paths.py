@@ -5,7 +5,7 @@ import pytest
 from repro import parse_object
 from repro.core.builder import obj
 from repro.core.objects import BOTTOM, TOP
-from repro.core.paths import Path, get_path, has_path, iter_paths, navigate, new_set_elements
+from repro.core.paths import Path, get_path, has_path, navigate, new_set_elements
 
 
 class TestPath:
@@ -66,23 +66,6 @@ class TestHasPath:
 
     def test_empty_set_result_counts_as_absent(self):
         assert not has_path(parse_object("[r1: {}]"), "r1.name")
-
-
-class TestIterPaths:
-    def test_all_paths_yielded(self):
-        value = obj({"a": {"b": 1}, "c": 2})
-        paths = {(str(path), item) for path, item in iter_paths(value)}
-        assert ("a", obj({"b": 1})) in paths
-        assert ("a.b", obj(1)) in paths
-        assert ("c", obj(2)) in paths
-
-    def test_set_elements_share_the_parent_path(self):
-        value = parse_object("[r1: {[name: peter], [name: john]}]")
-        names = [item for path, item in iter_paths(value) if str(path) == "r1.name"]
-        assert sorted(name.value for name in names) == ["john", "peter"]
-
-    def test_atoms_have_no_paths(self):
-        assert list(iter_paths(obj(5))) == []
 
 
 class TestNavigate:

@@ -153,6 +153,14 @@ def test_counts_past_the_old_cap_are_exact():
     assert stats.distinct(Path(("s",)), Path(("g",))) == 3
 
 
+def test_a_spine_of_any_depth_is_walked():
+    database = obj([1, 2, 3])
+    for _ in range(3000):
+        database = TupleObject({"a": database})
+    stats = DatabaseStatistics.collect(database)
+    assert stats.set_cardinalities == {Path(("a",) * 3000): 3}
+
+
 def test_collect_reads_the_store_it_is_given():
     database = obj({"r": [{"a": 1}, {"a": 2}]})
     store = TargetIndexes(database)

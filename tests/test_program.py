@@ -178,14 +178,28 @@ class TestNestingErrors:
                 parse(text)
             assert not isinstance(caught.value, ParseError)
 
-    def test_a_seed_database_too_deep_to_walk_is_named(self):
+    def test_a_seed_database_of_any_depth_is_walked(self):
         deep = obj(1)
         for _ in range(900):
             deep = obj({"a": deep})
         rules = [parse_rule("[u: {X}] :- [r: {X}]")]
         program = Program(rules, database=obj({"r": [1], "x": deep}))
-        calls = (("evaluate", program.evaluate), ("explain", program.explain), ("lint", program.lint))
-        for verb, call in calls:
-            message = f"^object is nested 901 levels deep, too deep to {verb}$"
-            with pytest.raises(NestingError, match=message):
+        report = program.lint()
+        assert (report.diagnostics, report.rules) == ((), 1)
+        # Deriving u grows a 901-deep database: past the default depth guard.
+        for call in (program.evaluate, program.explain):
+            with pytest.raises(DivergenceError, match="closure exceeded depth 200"):
                 call()
+        assert program.evaluate(max_depth=1000).value.get("u") == obj([1])
+        assert "scan r ~ X" in program.explain(max_depth=1000)
+        # A closure that derives nothing returns at any depth.
+        for _ in range(2100):
+            deep = obj({"a": deep})
+        idle = Program([parse_rule("[u: {X}] :- [q: {X}]")], database=obj({"x": deep}))
+        result = idle.evaluate()
+        assert (result.value, result.iterations) == (idle.database, 0)
+        # One that must walk it, to project or unite, names its depth.
+        growing = idle.with_rules([parse_rule("[y: {X}] :- [x: X]")])
+        message = "^object is nested 3001 levels deep, too deep to close$"
+        with pytest.raises(NestingError, match=message):
+            growing.evaluate()

@@ -475,10 +475,13 @@ class TestOneDepthBudgetInvariant:
                 "            return query.to_text()\n"
                 "        except (ValueError, builtins.RecursionError) as error:\n"
                 "            raise error\n"
-                # The allowlisted data-side handler keeps its catch.
-                "    def _close(self, seed):\n"
+            ),
+            # An allowlisted object walk keeps its catch.
+            "core/objects.py": (
+                "class ComplexObject:\n"
+                "    def to_text(self):\n"
                 "        try:\n"
-                "            return seed.to_text()\n"
+                "            return self._text()\n"
                 "        except RecursionError:\n"
                 "            raise\n"
             ),
@@ -501,11 +504,11 @@ class TestOneDepthBudgetInvariant:
             ),
             # A namesake of an allowlisted function in another module is not allowed.
             "lint/formulas.py": (
-                "def lint_rules(rules):\n"
+                "def pretty(value):\n"
                 "    try:\n"
-                "        return list(rules)\n"
+                "        return value.to_text()\n"
                 "    except RecursionError:\n"
-                "        return []\n"
+                "        return ''\n"
             ),
         })
         violations = check_invariants.check_one_depth_budget(root)

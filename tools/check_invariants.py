@@ -110,8 +110,11 @@ Twelve invariants that matter for correctness but that no unit test can pin
     ``sys.getrecursionlimit`` is read only by that function, and ``except
     RecursionError`` appears under ``src/`` only at the sites of
     :data:`RECURSION_ALLOWED` (module, qualified function), each listed
-    with its reason: untrusted text, object walks, the converter of Python
-    values and the data-side handlers.  There is no pragma.
+    with its reason: untrusted text, object walks (printing, ordering, the
+    closure's union and projection), the WAL's encode refusal and the
+    converter of Python values.  Planning and linting walk data without
+    recursing over its depth (a depth-bounded shape fold, a flat spine
+    walk), so they catch nothing.  There is no pragma.
 
 ``one-set-derivation``
     An interned set carries what is derived from it — its domination index
@@ -753,10 +756,7 @@ RECURSION_ALLOWED = {
     "core/objects.py::SetObject.discard": "an object walk: ordering the elements",
     "parser/printer.py::pretty": "an object walk: printing",
     "core/builder.py::converting": "obj() / formula(): converting outside Python values",
-    "api/snapshot.py::Snapshot.plan_for": "a data-side handler, until 15(b): shapes, statistics",
-    "api/session.py::Session._close": "a data-side handler, until 15(b): the closure",
-    "program.py::_depth_boundary.guarded": "a data-side handler, until 15(b): the seed",
-    "lint/analyzer.py::lint_rules": "a data-side handler, until 15(b): the linted database",
+    "engine/core.py::SemiNaiveEngine.run": "an object walk: the closure's union and projection",
 }
 
 #: The one function that reads the recursion limit: the formula depth budget.
