@@ -192,14 +192,22 @@ class Snapshot:
         Takes the base an older version left under the guards ``key``: a
         resumed run mutates the evaluator's plans, so an aborted one leaves
         no base.  It resumes while the rules are unchanged and the database
-        only grew in the sub-object order (``old ∪ new == new``).
+        only grew in the sub-object order (``old ∪ new == new``).  The union
+        recurses over the data: seeds too deep for it are not compared, and
+        the close runs in full.
         """
         entry = self._bases.pop(key, None)
         if entry is None:
             return None
         self._counters.count("closure_invalidations")
         old_rules, old_seed, evaluator, old_result = entry
-        if old_rules == rules_version and union(old_seed, seed) == seed:
+        if old_rules != rules_version:
+            return None
+        try:
+            grew = union(old_seed, seed) == seed
+        except RecursionError:
+            grew = False
+        if grew:
             self._counters.count("closure_maintained")
             return evaluator, old_result.value
         return None

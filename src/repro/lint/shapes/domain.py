@@ -53,7 +53,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.objects import (
     BOTTOM,
@@ -91,6 +93,8 @@ DEPTH_LIMIT = 8
 ATOM_LIMIT = 16
 
 _INF = math.inf
+#: A tuple's ``(name, value)`` pair, read without a Python-level call.
+_NAME, _VALUE = itemgetter(0), itemgetter(1)
 
 
 class Shape:
@@ -191,51 +195,99 @@ def make_tuple(items: Iterable[Tuple[str, Shape]]) -> Shape:
 # -- concrete → abstract ------------------------------------------------------------
 
 
-def shape_of_object(value: ComplexObject, depth: int = DEPTH_LIMIT + 1) -> Shape:
-    """The shape of one concrete object, exact down to ``depth`` levels.
+def shape_of_object(value: ComplexObject) -> Shape:
+    """The exact (most precise) shape of one concrete object.
 
-    Below that cut a non-⊥ value reads :data:`ANY`, or :data:`TOPANY` when
-    it is or holds ⊤ (only a raw object can hold ⊤).  The default cut lies
-    below :func:`truncate`'s, so ``truncate(shape_of_object(x))`` equals the
-    truncated exact shape for every normalized ``x`` of any depth, and the
-    fold recurses at most ``depth`` levels however deep ``x`` is.  A lattice
-    union of two shapes that both reach the cut may widen to TOPANY where
-    the exact shapes would not: sound, as every shape admits what the exact
-    one does.
+    The shape at one position of ``value`` is the join of the shapes of every
+    value standing there: a set's element shape joins its elements', and
+    below a group of tuples one attribute's values form the next group.  So
+    the fold walks positions post-order on an explicit stack instead of the
+    call stack: it folds an object of any depth, and it folds a group at
+    once instead of joining two deep shapes (:func:`join` recurses).
+
+    A stack entry pairs what to fold with the list its shape goes to: one
+    object, a list (a group), or a tuple ``(names, shapes, extra)`` for a
+    position whose children's ``shapes`` are done.  ``names`` is ``None`` at
+    a set position, whose ``extra`` is the cardinality; at a tuple position
+    ``extra`` says that atoms or sets stand beside the tuples.
     """
-    if value is BOTTOM:
-        return ABSENT
-    if depth <= 0:
-        return TOPANY if _holds_top(value) else ANY
-    if value is TOP:
-        return TOPANY
-    if isinstance(value, Atom):
-        return AtomShape(frozenset((value,)))
-    if isinstance(value, TupleObject):
-        return make_tuple(
-            (name, shape_of_object(item, depth - 1)) for name, item in value.items()
-        )
-    if isinstance(value, SetObject):
-        element: Shape = ABSENT
-        for item in value.elements:
-            element = join(element, shape_of_object(item, depth - 1))
-        return SetShape(element, float(len(value.elements)))
-    raise TypeError(f"not a complex object: {value!r}")
+    if not isinstance(value, ComplexObject):
+        raise TypeError(f"not a complex object: {value!r}")
+    folded: List[Shape] = []
+    stack: list = [(value, folded)]
+    while stack:
+        item, out = stack.pop()
+        kind = item.__class__
+        if kind is Atom:
+            out.append(AtomShape(frozenset((item,))))
+        elif kind is TupleObject:
+            pairs = item.items()
+            kids: List[Shape] = []
+            stack.append(((tuple(map(_NAME, pairs)), kids, False), out))
+            # Pushed last to first, so the children fold in order.
+            stack.extend(zip(map(_VALUE, reversed(pairs)), repeat(kids)))
+        elif kind is SetObject:
+            elements = item.elements
+            kids = []
+            count = len(elements)
+            stack.append(((None, kids, float(count)), out))
+            stack.append((elements[0] if count == 1 else list(elements), kids))
+        elif kind is tuple:
+            names, kids, extra = item
+            if names is None:
+                out.append(SetShape(kids[0], extra))
+            else:
+                shape = make_tuple(zip(names, kids))
+                # Beside atoms or sets, tuples join to ANY unless they hold ⊤.
+                out.append(ANY if extra and shape is not TOPANY else shape)
+        elif kind is list:
+            _open_group(item, out, stack)
+        elif item is BOTTOM:
+            out.append(ABSENT)
+        elif item is TOP:
+            out.append(TOPANY)
+        else:
+            raise TypeError(f"not a complex object: {item!r}")
+    return folded[0]
 
 
-def _holds_top(value: ComplexObject) -> bool:
-    """``True`` when ⊤ occurs in ``value``; an interned part holds none, so only
-    raw parts are walked, breadth-first on a list that only grows."""
-    parts = [value]
-    for part in parts:
-        if part is TOP:
-            return True
-        if part._iid is None:
-            if isinstance(part, TupleObject):
-                parts.extend(item for _, item in part.items())
-            elif isinstance(part, SetObject):
-                parts.extend(part.elements)
-    return False
+def _open_group(group: list, out: List[Shape], stack: list) -> None:
+    """Fold a group of values standing at one position, or push its children."""
+    atoms = set()
+    fields: Optional[Dict[str, list]] = None
+    sets = []
+    for item in group:
+        kind = item.__class__
+        if kind is Atom:
+            atoms.add(item)
+        elif kind is TupleObject:
+            if fields is None:
+                fields = {}
+            for name, child in item.items():
+                fields.setdefault(name, []).append(child)
+        elif kind is SetObject:
+            sets.append(item)
+        elif item is TOP:
+            out.append(TOPANY)
+            return
+        elif item is not BOTTOM:
+            raise TypeError(f"not a complex object: {item!r}")
+    if fields is not None:
+        kids: List[Shape] = []
+        names = tuple(fields)
+        stack.append(((names, kids, bool(atoms or sets)), out))
+        stack.extend(zip(map(fields.__getitem__, reversed(names)), repeat(kids)))
+    elif sets and atoms:
+        out.append(ANY)
+    elif sets:
+        kids = []
+        card = max([len(each.elements) for each in sets])
+        stack.append(((None, kids, float(card)), out))
+        stack.append(([element for each in sets for element in each.elements], kids))
+    elif atoms:
+        out.append(AtomShape(frozenset(atoms) if len(atoms) <= ATOM_LIMIT else None))
+    else:
+        out.append(ABSENT)
 
 
 # -- conformance --------------------------------------------------------------------
@@ -409,12 +461,16 @@ def self_merge(shape: Shape) -> Shape:
 
 
 def _contains_topany(shape: Shape) -> bool:
-    if shape == TOPANY:
-        return True
-    if isinstance(shape, TupleShape):
-        return any(_contains_topany(child) for _, child in shape.attrs)
-    if isinstance(shape, SetShape):
-        return _contains_topany(shape.element)
+    """``True`` when TOPANY occurs in ``shape``, walked on a list that only grows
+    (the shape of a deep object is as deep as it)."""
+    parts = [shape]
+    for part in parts:
+        if part == TOPANY:
+            return True
+        if isinstance(part, TupleShape):
+            parts.extend(child for _, child in part.attrs)
+        elif isinstance(part, SetShape):
+            parts.append(part.element)
     return False
 
 

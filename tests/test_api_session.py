@@ -604,9 +604,9 @@ class TestOneSnapshotPerVersion:
         }
 
 
-def _chain(depth: int):
+def _chain(depth: int, leaf: int = 1):
     """``[a: [a: ... 1]]``, ``depth`` tuples deep: too deep to walk recursively."""
-    value = Atom(1)
+    value = Atom(leaf)
     for _ in range(depth):
         value = TupleObject({"a": value})
     return value
@@ -640,6 +640,18 @@ class TestNestingErrors:
         session.register("[y: {X}] :- [x: X].")
         with pytest.raises(NestingError, match="nested 3001 levels deep, too deep to close$"):
             session.close()
+
+    def test_a_deep_replacement_closes_in_full(self):
+        session = Session()
+        session.register("[u: {X}] :- [w: {X}].")
+        session.put("x", _chain(3000))
+        session.close()
+        # Whether the new database grew from the base needs a union of the two
+        # chains, too deep to walk: the close does not resume, it runs in full.
+        session.put("x", _chain(3000, leaf=2))
+        assert session.close().value == TupleObject({"x": _chain(3000, leaf=2)})
+        info = session.cache_info()
+        assert (info["closure_invalidations"], info["closure_maintained"]) == (1, 0)
 
     def test_a_query_on_a_deeply_seeded_session(self):
         session = Session(seed=_chain(900))

@@ -235,6 +235,16 @@ class TestEngineIntegration:
         assert baseline.stats.rules_pruned == 0
         assert "pruned by shape analysis" in pruned.stats.summary()
 
+    def test_a_fact_deeper_than_the_cut_keeps_dead_rules_pruned(self):
+        # The seed holds the fact, and inference unites the two shapes before
+        # truncating: folded exactly, they unite to the fact's own shape.
+        fact = "[f: " + "[a: " * 10 + "1" + "]" * 10 + "]."
+        program = Program.from_source(fact + "\n[g: {X}] :- [h: {X}].\n")
+        report = program.lint()
+        assert (2, "RL202") in {(d.rule_index, d.code) for d in report.diagnostics}
+        assert dict(report.shapes)["database"] == "[f: " + "[a: " * 7 + "any" + "]" * 8
+        assert program.evaluate().stats.rules_pruned == 1
+
     def test_allow_bottom_disables_shape_pruning(self):
         # The abstract matcher models the strict (⊥-dropping) semantics
         # only; the literal Definition 4.2 semantics must not prune.

@@ -13,10 +13,9 @@ semantics change: for every drawn workload, the engine with ``use_shapes``
 on and off produces the oracle's closure, and every query over the closure
 answers identically whether or not its plan was pruned.
 
-**Bounded fold** — :func:`~repro.lint.shapes.shape_of_object` reads
-``DEPTH_LIMIT + 1`` levels of an object of any depth; truncated, its shape
-equals the truncated shape of the old exact fold (kept here as the oracle),
-and where a raw set mixes kinds above a ⊤ it is wider, never narrower.
+**Exact fold** — :func:`~repro.lint.shapes.shape_of_object` walks an
+object of any depth on an explicit stack; its shape equals the recursive
+fold's (kept here as the oracle), ⊤ and ⊥ included.
 
 Workloads are drawn from :mod:`repro.workloads` (genealogies and part
 hierarchies) with rule satellites that include shape-dead branches, so the
@@ -34,18 +33,15 @@ from repro.calculus.fixpoint import close  # noqa: E402
 from repro.engine import SemiNaiveEngine  # noqa: E402
 from repro.lint.shapes import (  # noqa: E402
     ABSENT,
-    ANY,
     DEPTH_LIMIT,
     TOPANY,
     AtomShape,
     SetShape,
-    TupleShape,
     admits,
     infer_shapes,
     join,
     make_tuple,
     shape_of_object,
-    truncate,
 )
 from repro.plan import (  # noqa: E402
     DatabaseStatistics,
@@ -141,11 +137,11 @@ def test_pruned_query_plans_answer_identically(program, query):
     assert interpret_plan(with_shapes, closure) == interpret_plan(without, closure)
 
 
-# -- the bounded fold against the exact one ---------------------------------------------
+# -- the fold against the recursive one ------------------------------------------------
 
 
-def _exact_shape(value):
-    """The fold before the cut: recursive over the whole object (the oracle)."""
+def _recursive_shape(value):
+    """The fold as a recursion over the object, joining its elements' shapes (the oracle)."""
     if value is BOTTOM:
         return ABSENT
     if value is TOP:
@@ -153,33 +149,16 @@ def _exact_shape(value):
     if isinstance(value, Atom):
         return AtomShape(frozenset((value,)))
     if isinstance(value, TupleObject):
-        return make_tuple((name, _exact_shape(item)) for name, item in value.items())
+        return make_tuple((name, _recursive_shape(item)) for name, item in value.items())
     element = ABSENT
     for item in value.elements:
-        element = join(element, _exact_shape(item))
+        element = join(element, _recursive_shape(item))
     return SetShape(element, float(len(value.elements)))
-
-
-def _covers(wide, narrow):
-    """``True`` when ``wide`` admits every object ``narrow`` does, read structurally."""
-    if wide == narrow or wide == TOPANY or narrow == ABSENT:
-        return True
-    if wide == ANY:
-        return narrow != TOPANY
-    if isinstance(wide, AtomShape) and isinstance(narrow, AtomShape):
-        return wide.values is None or (
-            narrow.values is not None and narrow.values <= wide.values
-        )
-    if isinstance(wide, TupleShape) and isinstance(narrow, TupleShape):
-        return all(_covers(wide.get(name), child) for name, child in narrow.attrs)
-    if isinstance(wide, SetShape) and isinstance(narrow, SetShape):
-        return _covers(wide.element, narrow.element)
-    return False
 
 
 _FOLD_ATOMS = st.sampled_from([Atom(1), Atom(2), Atom("x")])
 _FOLD_NAMES = st.sampled_from(["a", "b"])
-#: Deep enough that every drawn spine can pass the cut.
+#: Deep enough that a drawn spine passes truncate's cut.
 _SPINE = DEPTH_LIMIT + 5
 
 
@@ -191,8 +170,8 @@ def _small_objects(raw):
     return st.recursive(
         leaves,
         lambda children: st.one_of(
-            st.dictionaries(_FOLD_NAMES, children, min_size=1, max_size=2).map(tuple_of),
-            st.lists(children, min_size=1, max_size=2).map(set_of),
+            st.dictionaries(_FOLD_NAMES, children, max_size=2).map(tuple_of),
+            st.lists(children, max_size=3).map(set_of),
         ),
         max_leaves=8,
     )
@@ -213,51 +192,9 @@ def _deep_objects(draw, raw):
     return value
 
 
-@st.composite
-def _raw_one_kind_per_level(draw):
-    """A raw object whose every level holds one kind (or ⊤, or ⊥) down to its atoms.
-
-    No set mixes kinds, so no join widens to ANY and drops a ⊤ below it: the
-    bounded fold's reading of a ⊤ past the cut is then exactly the oracle's.
-    The first child of each level carries the spine on; the others end in ⊤
-    or ⊥ more often.
-    """
-    kinds = draw(
-        st.lists(st.sampled_from(["tuple", "set"]), min_size=DEPTH_LIMIT, max_size=_SPINE)
-    )
-    budget = [12]  # extra children, shared by the whole draw
-
-    def build(level, spine):
-        if draw(st.integers(0, 15 if spine else 3)) == 0:
-            return draw(st.sampled_from([TOP, BOTTOM]))
-        if level == len(kinds):
-            return draw(_FOLD_ATOMS)
-        width = 1
-        while width < 3 and budget[0] > 0 and draw(st.booleans()):
-            budget[0] -= 1
-            width += 1
-        children = [build(level + 1, spine and i == 0) for i in range(width)]
-        if kinds[level] == "tuple":
-            return TupleObject.raw(dict(zip("abc", children)))
-        return SetObject.raw(children)
-
-    return build(0, True)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_deep_objects(raw=False), _raw_one_kind_per_level()))
-def test_the_bounded_fold_truncates_to_the_exact_one(value):
-    """Truncated, the bounded fold is the exact fold, for every normalized object
-    (it holds no ⊤ below its root) and for raw ones holding ⊤ and ⊥ past the cut."""
-    assert truncate(shape_of_object(value)) == truncate(_exact_shape(value))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_deep_objects(raw=True))
-def test_the_bounded_fold_is_never_narrower(value):
-    """A raw set that mixes kinds lets the exact join drop a ⊤ below the cut
-    (``{1, {⊤}}`` folds to ``{any}``); the bounded fold reads the ⊤ instead
-    and is wider, so it still admits everything the exact shape admits."""
-    bounded, exact = truncate(shape_of_object(value)), truncate(_exact_shape(value))
-    assert _covers(bounded, exact)
-    assert admits(bounded, value) or not admits(exact, value)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_deep_objects(raw=False), _deep_objects(raw=True)))
+def test_the_fold_is_the_recursive_one(value):
+    """The fold on a stack gives the recursive fold's shape exactly, for normalized
+    objects and for raw ones that hold ⊤ and ⊥ at any level."""
+    assert shape_of_object(value) == _recursive_shape(value)

@@ -111,10 +111,11 @@ Twelve invariants that matter for correctness but that no unit test can pin
     RecursionError`` appears under ``src/`` only at the sites of
     :data:`RECURSION_ALLOWED` (module, qualified function), each listed
     with its reason: untrusted text, object walks (printing, ordering, the
-    closure's union and projection), the WAL's encode refusal and the
-    converter of Python values.  Planning and linting walk data without
-    recursing over its depth (a depth-bounded shape fold, a flat spine
-    walk), so they catch nothing.  There is no pragma.
+    closure's union and projection, and the resume check's union, which
+    falls back to a full close), the WAL's encode refusal and the converter
+    of Python values.  Planning and linting walk data without recursing over
+    its depth (the shape fold and the statistics' spine walk run on explicit
+    stacks), so they catch nothing.  There is no pragma.
 
 ``one-set-derivation``
     An interned set carries what is derived from it — its domination index
@@ -757,6 +758,7 @@ RECURSION_ALLOWED = {
     "parser/printer.py::pretty": "an object walk: printing",
     "core/builder.py::converting": "obj() / formula(): converting outside Python values",
     "engine/core.py::SemiNaiveEngine.run": "an object walk: the closure's union and projection",
+    "api/snapshot.py::Snapshot.resume": "an object walk: seeds too deep to compare close in full",
 }
 
 #: The one function that reads the recursion limit: the formula depth budget.
