@@ -118,6 +118,8 @@ class Session:
     Sessions are **not** thread-safe; the underlying database is.  Use one
     session per thread over a shared database.  ``lock_timeout`` (seconds)
     bounds the waits for the store's writer mutex, as in :func:`connect`.
+    ``path`` and ``lock_timeout`` open the session's own database, so a
+    session over a given ``database=`` refuses them (:class:`ReproError`).
     """
 
     def __init__(
@@ -131,6 +133,12 @@ class Session:
         lock_timeout: Optional[float] = None,
     ):
         if database is not None:
+            for name, value in (("path", path), ("lock_timeout", lock_timeout)):
+                if value is not None:
+                    raise ReproError(
+                        f"Session(database=...) ignores {name}={value!r}: the database"
+                        f" was opened with its own; pass one or the other"
+                    )
             self._db = database
             self._owns_db = False
         else:
@@ -183,7 +191,7 @@ class Session:
     # -- store passthrough --------------------------------------------------------------
     @property
     def database(self) -> ObjectDatabase:
-        """The underlying object database (indexes, schemas, transactions...)."""
+        """The underlying object database (schemas, transactions, ``find``...)."""
         return self._db
 
     @property
@@ -476,10 +484,6 @@ class Session:
         snapshot.keep_closure(key, self._rules_version, seed, evaluator, result)
         return result
 
-    def close_under(self, rules, **options) -> ClosureResult:
-        """One-shot closure under ad-hoc ``rules`` (delegates to the store)."""
-        return self._db.close_under(rules, **options)
-
     # -- transactions -------------------------------------------------------------------
     def transact(self, work, *, retry: Optional[RetryPolicy] = None):
         """Run ``work(txn)`` in a transaction, retrying write-write conflicts.
@@ -615,10 +619,10 @@ class Session:
 
         One call takes one committed store state (``ObjectDatabase.state``);
         the version is read from it and the snapshot keeps it, so every
-        target a call reads — ``against``, the whole-database object, the
-        store's access path — comes from the same commit as the version,
-        whatever commits land meanwhile.  When the version moved, the old
-        snapshot is replaced in one transition (:meth:`Snapshot.advance`).
+        target a call reads — ``against`` and the whole-database object —
+        comes from the same commit as the version, whatever commits land
+        meanwhile.  When the version moved, the old snapshot is replaced in
+        one transition (:meth:`Snapshot.advance`).
         """
         state = self._db.state()
         version = (state.version, self._seed_version, self._rules_version)

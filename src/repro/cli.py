@@ -40,8 +40,8 @@ Subcommands
               1 when the log is damaged.
 ``stats``     print the process-wide observability snapshot
               (:func:`repro.obs.snapshot`) as one JSON document — engine
-              counters, plan-cache traffic, store commits/conflicts, index
-              access paths, WAL appends/bytes/fsyncs, latency histograms;
+              counters, plan-cache traffic, store commits/conflicts, find
+              and query scans, WAL appends/bytes/fsyncs, latency histograms;
               ``--db-path`` opens a store first so its recovery shows up.
 
 ``query`` and ``store query`` also take ``--explain-analyze`` (EXPLAIN

@@ -9,7 +9,7 @@ the flat Datalog layer already enjoys to the complex-object calculus itself:
   so each round only matches against sub-objects contributed by the previous
   round (with a full-matching fallback for bodies that cannot be decomposed);
 * :mod:`repro.engine.core` — :class:`SemiNaiveEngine`, the one engine behind
-  ``Session.close()``, ``Program.evaluate()``, ``close_under`` and the CLI.
+  ``Session.close()``, ``Program.evaluate()`` and the CLI.
 
 It schedules rules by the dependency graph of
 :mod:`repro.calculus.dependency` (strongly-connected components in

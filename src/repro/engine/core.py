@@ -296,7 +296,7 @@ class SemiNaiveEngine:
         """Round-boundary deadline checkpoint (a no-op without a deadline).
 
         On expiry the in-flight partial closure travels out on the
-        :class:`QueryTimeout`, so a timed-out ``close_under`` is diagnosable.
+        :class:`QueryTimeout`, so a timed-out ``Session.close`` is diagnosable.
         """
         if self.deadline is not None:
             self.deadline.check(

@@ -122,9 +122,10 @@ def snapshot(registry: Optional[MetricsRegistry] = None) -> dict:
 
     The counters/gauges/histograms use dotted section prefixes —
     ``engine.*`` (semi-naive evaluation work), ``session.*`` (query traffic
-    and the plan/closure caches), ``store.*`` (commits, conflicts, index
-    access paths, WAL appends/bytes/fsyncs, lock contention) — so one
-    document answers "what has this process been doing" across layers.
+    and the plan/closure caches), ``store.*`` (commits, conflicts, ``find``
+    and whole-database query scans, WAL appends/bytes/fsyncs, lock
+    contention) — so one document answers "what has this process been
+    doing" across layers.
     """
     chosen = registry if registry is not None else REGISTRY
     tracer = trace.current_tracer()

@@ -232,8 +232,9 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     # index answered (folded in from a query's stats when its cursor ends)
     "session.index.builds",
     "session.index.probes",
-    # store — commits, conflicts, and the access-path counters that mirror
-    # ObjectDatabase.access_stats
+    # store — commits, conflicts, and the scan counters that mirror
+    # ObjectDatabase.access_stats (find_scans, query_scans; the other two
+    # stay at 0)
     "store.commits",
     "store.conflicts",
     "store.index.find_scans",

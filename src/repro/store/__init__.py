@@ -19,9 +19,11 @@ substrate so the calculus can be used as an actual database system:
 * :mod:`repro.store.database` — the :class:`~repro.store.database.ObjectDatabase`
   facade tying everything together: the one ``name → object`` map (published
   as one immutable state per commit), the whole database as one object for
-  the session's queries, pattern search, rule closure, schema enforcement and
-  updates.  The store does not plan: the session plans every query against
-  that one object, and the executor's bucket tables live on its sets.
+  the session's queries, pattern search, schema enforcement and updates.
+  The store neither plans nor evaluates rules: it sits below the planner and
+  the engine in the layer order, the session plans every query against that
+  one object and closes it under its rules, and the executor's bucket tables
+  live on its sets.
 """
 
 from repro.store.codec import (

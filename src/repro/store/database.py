@@ -9,9 +9,10 @@ or durable over a write-ahead log (:class:`~repro.store.storage.FileStorage`)
   database can be modeled by a single object", :meth:`ObjectDatabase.as_object`,
   built at most once per committed version) through the session facade of
   :mod:`repro.api.session` (``Session(database=db).query(...)``), which plans
-  and executes them; the store does not plan.
-  :meth:`ObjectDatabase.apply_rules` / :meth:`close_under` evaluate rules and
-  closures in place (the latter through the plan-compiled engine);
+  and executes them; the store neither plans nor evaluates rules (closures
+  run through ``Session.close`` or ``Program.evaluate``, one-shot
+  applications through ``RuleSet.apply``, and a result is stored with
+  :meth:`ObjectDatabase.put`);
 * pattern search across objects: :meth:`find` returns the names of the stored
   objects of which a pattern is a sub-object;
 * schema enforcement: a type per name (optional) checked on every write;
@@ -38,17 +39,14 @@ from __future__ import annotations
 import threading
 import time
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.calculus.fixpoint import ClosureResult
-from repro.calculus.rules import Rule, RuleSet
 from repro.core.builder import obj
 from repro.core.errors import ConflictError, SchemaError, StoreError, TransactionError
 from repro.core.intern import clear_object_caches
 from repro.core.objects import BOTTOM, ComplexObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
-from repro.engine import SemiNaiveEngine
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.schema.check import check_object
@@ -351,45 +349,6 @@ class ObjectDatabase:
         state = self._state
         self._bump("find_scans")
         return [name for name, stored in state.items() if is_subobject(pattern, stored)]
-
-    # -- rules ----------------------------------------------------------------------------
-    def apply_rules(
-        self,
-        rules: Union[Rule, RuleSet, Sequence[Rule]],
-        *,
-        against: Optional[str] = None,
-        allow_bottom: bool = False,
-    ) -> ComplexObject:
-        """Apply rules once (Definition 4.4) to one object or to the whole database."""
-        ruleset = rules if isinstance(rules, RuleSet) else RuleSet(
-            [rules] if isinstance(rules, Rule) else rules
-        )
-        target = self.as_object() if against is None else self._require(against)
-        return ruleset.apply(target, allow_bottom=allow_bottom)
-
-    def close_under(
-        self,
-        rules: Union[Rule, RuleSet, Sequence[Rule]],
-        *,
-        against: Optional[str] = None,
-        store_as: Optional[str] = None,
-        **guards,
-    ) -> ClosureResult:
-        """Compute the closure (Definition 4.6) and optionally store the result.
-
-        Evaluation runs :class:`repro.engine.SemiNaiveEngine` (stratified,
-        delta-driven and index-accelerated); ``guards`` are its divergence
-        guards and ``allow_bottom``.  The paper-literal series — including
-        the non-inflationary one — is the oracle
-        ``repro.calculus.fixpoint.close(db.as_object(), rules, ...)``, which
-        computes the same closure and raises the same
-        :class:`DivergenceError` on divergence.
-        """
-        target = self.as_object() if against is None else self._require(against)
-        result = SemiNaiveEngine(rules, **guards).run(target)
-        if store_as is not None:
-            self.put(store_as, result.value)
-        return result
 
     # -- updates ------------------------------------------------------------------------
     # The single-statement helpers below are read-modify-write: they re-read

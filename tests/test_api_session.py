@@ -49,6 +49,17 @@ class TestConnect:
                 "[family: [family: {[name: abraham]}]]"
             )
 
+    @pytest.mark.parametrize("name", ["path", "lock_timeout"])
+    def test_a_given_database_refuses_what_would_open_another(self, tmp_path, name):
+        from repro.store.database import ObjectDatabase
+
+        database = ObjectDatabase()
+        value = str(tmp_path / "other.wal") if name == "path" else 0.5
+        with pytest.raises(ReproError, match=f"ignores {name}="):
+            Session(database=database, **{name: value})
+        assert list(tmp_path.iterdir()) == []
+        assert database._lock.default_timeout is None
+
     def test_repro_error_is_the_catch_all(self):
         assert ReproError is ComplexObjectError
         assert issubclass(ParameterError, ReproError)

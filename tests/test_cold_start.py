@@ -3,8 +3,9 @@
 Each probe runs in a fresh interpreter, because this test process has long
 since imported the whole stack.  ``repro/__init__`` is a table of lazy
 exports, so ``import repro`` loads no layer, ``import repro.core`` loads the
-model without the store, linter, engine or sessions above it, and the CLI's
-``parse`` subcommand never reaches the session stack.
+model without the store, linter, engine or sessions above it, ``import
+repro.store`` loads no planner, linter, engine, parser or session, and the
+CLI's ``parse`` subcommand never reaches the session stack.
 """
 
 import json
@@ -46,6 +47,13 @@ def test_bare_import_loads_no_layer():
 def test_core_import_stops_at_the_model():
     modules = loaded_after("import repro.core")
     assert not layers(modules) & {"repro.store", "repro.lint", "repro.engine", "repro.api"}
+
+
+def test_store_import_stops_below_the_planner():
+    modules = loaded_after("import repro.store")
+    above = {"repro.plan", "repro.lint", "repro.engine", "repro.parser", "repro.api"}
+    assert not layers(modules) & above, modules
+    assert len(modules) <= 40, modules
 
 
 def test_cli_parse_stops_below_the_session_stack():

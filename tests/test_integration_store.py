@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Session, parse_formula, parse_object, parse_rule
+from repro import Program, Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.algebra.translate import translate_rule
 from repro.schema.inference import infer_type
@@ -27,7 +27,8 @@ class TestDeductiveStoreWorkflow:
                 "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]"
             ),
         ]
-        result = database.close_under(rules, against="family_tree", store_as="descendants")
+        result = Program(rules, database=database["family_tree"]).evaluate()
+        database.put("descendants", result.value)
         names = {element.value for element in result.value.get("doa")}
         assert names == set(tree.expected_descendants)
         database.close()

@@ -15,7 +15,6 @@ import repro.api
 import repro.calculus.fixpoint
 import repro.calculus.interpretation
 import repro.engine
-from repro.store.database import ObjectDatabase
 
 
 REPRO_ALL = [
@@ -143,7 +142,6 @@ def test_session_facade_identities():
         repro.Session.__init__,
         repro.Session.close,
         repro.connect,
-        ObjectDatabase.close_under,
     ],
     ids=lambda function: function.__qualname__,
 )

@@ -192,16 +192,6 @@ class TestMissingAgainst:
         with pytest.raises(StoreError):
             Session(database=database).query("{[name: X]}", against="missing")
 
-    def test_apply_rules_missing_against(self, database):
-        rule = parse_rule("[minors: {X}] :- [people: {[name: X, age: 7]}]")
-        with pytest.raises(StoreError):
-            database.apply_rules(rule, against="missing")
-
-    def test_close_under_missing_against(self, database):
-        rule = parse_rule("[doa: {abraham}].")
-        with pytest.raises(StoreError):
-            database.close_under(rule, against="missing")
-
 
 class TestBatchCommit:
     def test_commit_batch_applies_writes_and_deletes_together(self, database):
@@ -246,22 +236,25 @@ class TestBatchCommit:
 
 
 class TestRulesAndClosure:
-    def test_apply_rules(self, database):
-        rule = parse_rule("[minors: {X}] :- [people: {[name: X, age: 7]}]")
-        result = database.apply_rules(rule)
-        assert result == parse_object("[minors: {john}]")
+    """The store evaluates no rules: a session closes a stored object, ``put`` keeps it."""
 
-    def test_close_under_descendants(self, database, genealogy_small):
+    def test_a_closed_stored_object_is_stored_with_put(self, database, genealogy_small):
         rules = [
             parse_rule("[doa: {abraham}]."),
             parse_rule(
                 "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]"
             ),
         ]
-        result = database.close_under(rules, against="family_tree", store_as="descendants")
+        result = Session(seed=database["family_tree"], rules=rules).close()
+        database.put("descendants", result.value)
         names = {element.value for element in result.value.get("doa")}
         assert names == set(genealogy_small.expected_descendants)
-        assert "descendants" in database
+        assert database["descendants"] == result.value
+
+    def test_the_store_has_no_rule_evaluation(self):
+        for name in ("apply_rules", "close_under"):
+            assert not hasattr(ObjectDatabase, name)
+            assert not hasattr(Session, name)
 
 
 class TestSchemas:

@@ -229,7 +229,9 @@ class TestFind:
         assert names == scan
 
 
-class TestCloseUnder:
+class TestClosingAStoredObject:
+    """The store evaluates no rules; ``Session.close`` closes what it stores."""
+
     RULES = "[doa: {abraham}]. [doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
 
     def make_db(self):
@@ -239,24 +241,21 @@ class TestCloseUnder:
         database.put("family_tree", make_genealogy(3, 2).family_object)
         return database
 
+    def session(self):
+        database = self.make_db()
+        return Session(seed=database["family_tree"], rules=self.RULES), database
+
     def test_engine_and_oracle_agree(self):
         from repro import parse_program
         from repro.calculus.fixpoint import close
 
-        database = self.make_db()
-        rules = parse_program(self.RULES)
-        result = database.close_under(rules, against="family_tree")
+        session, database = self.session()
+        result = session.close()
         assert result.converged
-        assert result.value == close(database["family_tree"], rules).value
+        assert result.value == close(database["family_tree"], parse_program(self.RULES)).value
 
     def test_oracle_only_keywords_are_not_sniffed(self):
-        from repro import parse_program
-
         with pytest.raises(TypeError, match="inflationary"):
-            self.make_db().close_under(
-                parse_program(self.RULES), against="family_tree", inflationary=True
-            )
+            self.session()[0].close(inflationary=True)
         with pytest.raises(TypeError, match="engine"):
-            self.make_db().close_under(
-                parse_program(self.RULES), against="family_tree", engine=None
-            )
+            self.session()[0].close(engine=None)

@@ -24,9 +24,6 @@ class TestCurrentTreeIsClean:
     def test_lock_discipline(self):
         assert check_invariants.check_lock_discipline() == []
 
-    def test_store_planning(self):
-        assert check_invariants.check_store_planning() == []
-
     def test_layering(self):
         assert check_invariants.check_layering() == []
 
@@ -79,32 +76,6 @@ class TestRegistryParsing:
         sites = check_invariants._fired_points()
         assert set(sites) == set(check_invariants._registered_points()[0])
         assert all(sites.values())
-
-
-class TestStorePlanningInvariant:
-    def test_a_seeded_violation_is_reported_per_import(self, tmp_path):
-        (tmp_path / "clean.py").write_text(
-            "from repro.planets import compile_body\n"
-            "from repro.core.paths import Path\n"
-        )
-        (tmp_path / "planner.py").write_text(
-            "from repro.plan import ScanLeaf, compile_body\n"
-            "import repro.plan\n"
-            "def pushdown_plan(parsed, target):\n"
-            "    from repro.plan.statistics import DatabaseStatistics\n"
-            "    from ..plan.optimize import optimize_body\n"
-            "from repro.plan.ir import ScanLeaf\n"
-            "import repro.plan.ir\n"
-        )
-        violations = sorted(check_invariants.check_store_planning(tmp_path))
-        assert [violation.split(": ")[0].rsplit("/", 1)[1] for violation in violations] == [
-            "planner.py:1", "planner.py:1", "planner.py:2", "planner.py:4", "planner.py:5",
-            "planner.py:6", "planner.py:7",
-        ]
-        assert "repro.plan.compile_body" in violations[1]
-        assert "repro.plan.optimize" in violations[4]
-        assert "repro.plan.ir" in violations[5] and "repro.plan.ir" in violations[6]
-        assert all("clean.py" not in violation for violation in violations)
 
 
 #: An ObjectDatabase that breaks each leg of the lock discipline once: two
@@ -189,6 +160,38 @@ class TestLayeringInvariant:
         [violation] = check_invariants.check_layering(root)
         assert "calculus/program.py:2:" in violation
         assert "imports repro.engine" in violation
+
+    def test_every_store_import_of_the_planner_is_flagged(self, tmp_path):
+        """The store sits below the planner: no form of import reaches it."""
+        root = _package(tmp_path, {
+            "store/clean.py": (
+                "from repro.planets import compile_body\n"
+                "from repro.core.paths import Path\n"
+            ),
+            "store/planner.py": (
+                "from repro.plan import ScanLeaf, compile_body\n"
+                "import repro.plan\n"
+                "def pushdown_plan(parsed, target):\n"
+                "    from repro.plan.statistics import DatabaseStatistics\n"
+                "    from ..plan.optimize import optimize_body\n"
+                "from repro.plan.ir import ScanLeaf\n"
+                "import repro.plan.ir\n"
+            ),
+            "plan/optimize.py": "",
+            "plan/statistics.py": "",
+            "plan/ir.py": "",
+            "core/paths.py": "",
+        })
+        violations = sorted(check_invariants.check_layering(root))
+        assert [violation.split(": ")[0].rsplit("/", 1)[1] for violation in violations] == [
+            "planner.py:1", "planner.py:2", "planner.py:4", "planner.py:5",
+            "planner.py:6", "planner.py:7",
+        ]
+        assert "imports repro.plan," in violations[0]
+        assert "imports repro.plan.statistics" in violations[2]
+        assert "imports repro.plan.optimize" in violations[3]
+        assert "repro.plan.ir" in violations[4] and "repro.plan.ir" in violations[5]
+        assert all("clean.py" not in violation for violation in violations)
 
     def test_same_layer_and_downward_imports_pass(self, tmp_path):
         root = _package(tmp_path, {

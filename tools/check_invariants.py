@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Twelve invariants that matter for correctness but that no unit test can pin
+Eleven invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -42,25 +42,20 @@ Twelve invariants that matter for correctness but that no unit test can pin
     a public-method exception (e.g. teardown, which is single-threaded by
     contract) carries the pragma ``# invariant: unlocked-ok``.
 
-``store-planning``
-    Planning lives in one place (``Session._resolve`` in
-    :mod:`repro.api.session`, planning through
-    :class:`repro.api.snapshot.Snapshot`) against one whole-database target;
-    the store neither plans nor reads plans.  So no module under
-    ``src/repro/store/`` may import anything from :mod:`repro.plan` — at
-    module level or deferred inside a function.
-
 ``layering``
     The package graph is the pipeline: every module of ``src/repro/``
     belongs to one layer of :data:`LAYERS` and imports only from its own
     layer or an earlier one — at module level or deferred inside a
     function, so no deferred import can hide a cycle.  The order is
     ``core`` → ``obs`` / ``fault`` (injection, deadline) → ``calculus`` →
-    ``parser`` → ``plan`` → ``lint`` → ``engine`` → ``schema`` → ``store``
+    ``parser`` → ``schema`` → ``store`` → ``plan`` → ``lint`` → ``engine``
     → ``api`` + ``program`` → ``cli`` / ``fault.sweep`` / ``__main__`` /
-    ``repro/__init__``.  The :data:`LEAVES` (``relational``, ``datalog``,
-    ``algebra``, ``workloads``) may import anything, and only the top layer
-    may import them.  There is no pragma.
+    ``repro/__init__``.  So the store sits below the planner, the linter
+    and the engine: it neither plans, reads plans nor evaluates rules, and
+    planning lives in one place (``Session._resolve`` in
+    :mod:`repro.api.session`).  The :data:`LEAVES` (``relational``,
+    ``datalog``, ``algebra``, ``workloads``) may import anything, and only
+    the top layer may import them.  There is no pragma.
 
 ``session-version``
     A session derives its plans, index stores, closures and targets from one
@@ -424,38 +419,7 @@ def check_lock_discipline(path: Path = SRC_ROOT / "store" / "database.py") -> Li
     return violations
 
 
-# -- invariant 5: the store imports nothing from repro.plan --------------------------------
-
-PLAN_PACKAGE = "repro.plan"
-
-
-def check_store_planning(store_root: Path = SRC_ROOT / "store") -> List[str]:
-    violations: List[str] = []
-    for path in _python_sources(store_root):
-        tree, _ = _parse(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                # ``from ..plan.x import y`` inside repro/store/ is repro.plan.x.
-                imported = [f"repro.{module}" if node.level == 2 else module]
-                if imported == [PLAN_PACKAGE]:
-                    imported = [f"{PLAN_PACKAGE}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            for name in imported:
-                if name != PLAN_PACKAGE and not name.startswith(PLAN_PACKAGE + "."):
-                    continue
-                violations.append(
-                    f"{_relative(path)}:{node.lineno}: the store imports {name} —"
-                    f" nothing crosses from {PLAN_PACKAGE} into repro.store"
-                    f" (planning belongs to Session._resolve)"
-                )
-    return violations
-
-
-# -- invariant 6: imports run down the layer order --------------------------------------
+# -- invariant 5: imports run down the layer order --------------------------------------
 
 #: The pipeline, bottom first: module-name prefixes below ``repro.`` per
 #: layer.  The longest matching prefix decides (``fault.sweep`` sits at the
@@ -465,11 +429,11 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("obs", "fault"),
     ("calculus",),
     ("parser",),
+    ("schema",),
+    ("store",),
     ("plan",),
     ("lint",),
     ("engine",),
-    ("schema",),
-    ("store",),
     ("api", "program"),
     ("cli", "fault.sweep", "__main__", ""),
 )
@@ -560,7 +524,7 @@ def check_layering(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 7: the session reads its version in one place ------------------------------
+# -- invariant 6: the session reads its version in one place ------------------------------
 
 #: The :class:`repro.api.session.Session` methods that may take the store's state:
 #: the version property itself and the snapshot transition.
@@ -603,7 +567,7 @@ def check_session_version(api_root: Path = SRC_ROOT / "api") -> List[str]:
     return violations
 
 
-# -- invariant 8: heads are projected, never instantiated per row ------------------------
+# -- invariant 7: heads are projected, never instantiated per row ------------------------
 
 PROJECTION_PACKAGES = ("engine", "plan", "api")
 
@@ -665,7 +629,7 @@ def check_one_projection(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 9: lint findings are built inside repro.lint only -------------------------
+# -- invariant 8: lint findings are built inside repro.lint only -------------------------
 
 DIAGNOSTIC_BUILDERS = ("new_diagnostic", "Diagnostic")
 
@@ -693,7 +657,7 @@ def check_one_diagnostic_home(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 10: memos key on intern ids ------------------------------------------------
+# -- invariant 9: memos key on intern ids ------------------------------------------------
 
 FUNCTOOLS_CACHES = ("lru_cache", "cache")
 
@@ -741,7 +705,7 @@ def check_id_keyed_memos(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 11: one depth budget for formulae ------------------------------------------
+# -- invariant 10: one depth budget for formulae ------------------------------------------
 
 #: ``module path inside the package::qualified function`` → why it may catch RecursionError.
 RECURSION_ALLOWED = {
@@ -805,7 +769,7 @@ def check_one_depth_budget(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 12: one place derives a set ------------------------------------------------
+# -- invariant 11: one place derives a set ------------------------------------------------
 
 #: The slots of an interned set that hold what is derived from it.
 DERIVED_SLOTS = frozenset({"_index", "_tables"})
@@ -855,7 +819,6 @@ CHECKS = (
     ("fault-points", check_fault_points),
     ("diagnostic-codes", check_diagnostic_codes),
     ("lock-discipline", check_lock_discipline),
-    ("store-planning", check_store_planning),
     ("layering", check_layering),
     ("session-version", check_session_version),
     ("one-projection", check_one_projection),
