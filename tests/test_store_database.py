@@ -192,6 +192,14 @@ class TestMissingAgainst:
         with pytest.raises(StoreError):
             Session(database=database).query("{[name: X]}", against="missing")
 
+    def test_execute_missing_against_raises_before_a_row(self, database):
+        with pytest.raises(StoreError, match="missing"):
+            Session(database=database).execute("{[name: X]}", against="missing")
+
+    def test_explain_missing_against(self, database):
+        with pytest.raises(StoreError, match="missing"):
+            Session(database=database).explain("{[name: X]}", against="missing")
+
 
 class TestBatchCommit:
     def test_commit_batch_applies_writes_and_deletes_together(self, database):
