@@ -8,7 +8,8 @@ document database end to end:
 
 * load a generated collection into a file-backed :class:`ObjectDatabase`;
 * *discover* a schema from the data (the paper's future-work item 4) and
-  enforce it on later writes;
+  check a later write against it before storing it (the store keeps
+  untyped objects; typing is the :mod:`repro.schema` library above it);
 * find the stored objects that contain a pattern;
 * answer content queries with calculus formulae and restructure the results
   with rules (an inverted keyword index built by a rule);
@@ -27,7 +28,7 @@ from repro import parse_formula, parse_object, parse_rule
 from repro.api import Session
 from repro.core.builder import obj
 from repro.core.errors import SchemaError
-from repro.schema.inference import infer_type
+from repro.schema import check_object, infer_type
 from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 from repro.workloads import make_document_collection
@@ -44,16 +45,17 @@ def main() -> None:
     store.put("library", collection)
     print(f"Stored {documents} documents in {path}")
 
-    # --- schema discovery and enforcement --------------------------------------------
+    # --- schema discovery and checked writes ------------------------------------------
     discovered = infer_type(collection)
-    store.declare_schema("library", discovered)
     print("\nDiscovered schema (truncated):")
     print("  " + discovered.to_text()[:110] + "...")
+    update = obj({"docs": [{"title": 42}]})
     try:
-        store.put("library", obj({"docs": [{"title": 42}]}))
+        check_object(update, discovered, strict=True)
+        store.put("library", update)
     except SchemaError as error:
         print(f"  non-conforming write rejected: {str(error)[:90]}...")
-    store.put("library", collection)  # restore the conforming value
+    assert store["library"] == collection  # the rejected write never reached the store
 
     # --- content queries ---------------------------------------------------------------
     query = parse_formula("[docs: {[title: T, sections: {[keywords: {lattice}]}]}]")

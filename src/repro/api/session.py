@@ -89,7 +89,7 @@ def connect(
     objects) for :meth:`Session.close`.  ``slow_query_ms`` arms the
     session's slow-query log (see :meth:`Session.slow_queries`).
     ``lock_timeout`` (seconds) bounds every wait for the store's writer
-    mutex — commits and schema reads — raising :class:`LockTimeout`
+    mutex — commits and compaction — raising :class:`LockTimeout`
     instead of hanging past it; other reads take no lock.
     """
     return Session(path, rules=rules, slow_query_ms=slow_query_ms, lock_timeout=lock_timeout)
@@ -191,7 +191,7 @@ class Session:
     # -- store passthrough --------------------------------------------------------------
     @property
     def database(self) -> ObjectDatabase:
-        """The underlying object database (schemas, transactions, ``find``...)."""
+        """The underlying object database (transactions, ``find``, ``compact``...)."""
         return self._db
 
     @property

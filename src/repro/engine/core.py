@@ -17,10 +17,11 @@ pipeline of :mod:`repro.plan`: each compiles once into a logical plan, the
 cost-based optimizer orders its leaves against statistics of the database
 being closed, and the physical executor runs it; each head compiles once
 into the projection that joins it over the executor's rows.  Rules whose bodies cannot
-be delta-decomposed, and evaluations under the literal ``allow_bottom``
-semantics, fall back to full matching for correctness — each such fallback
-is counted per rule in the stats record so silent de-optimizations stay
-visible.
+be delta-decomposed fall back to full matching for correctness — each such
+fallback is counted per rule in the stats record so silent de-optimizations
+stay visible.  The engine evaluates the strict semantics only; the literal
+Definition 4.2 semantics (``allow_bottom``) is the oracle's
+(:func:`repro.calculus.fixpoint.close`).
 
 Divergent programs raise the same
 :class:`~repro.core.errors.DivergenceError` as the oracle, with the partial
@@ -86,7 +87,6 @@ class SemiNaiveEngine:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         max_nodes: int = DEFAULT_MAX_NODES,
         max_depth: Union[int, float] = DEFAULT_MAX_DEPTH,
-        allow_bottom: bool = False,
         use_indexes: bool = True,
         use_shapes: bool = True,
         deadline=None,
@@ -95,14 +95,11 @@ class SemiNaiveEngine:
         self.max_iterations = max_iterations
         self.max_nodes = max_nodes
         self.max_depth = max_depth
-        self.allow_bottom = allow_bottom
         self.deadline = deadline
-        # Index narrowing is only sound under the strict semantics (see
-        # repro.plan.execute); the literal semantics falls back to scans.
-        self.use_indexes = use_indexes and not allow_bottom
-        # Same gate for shape pruning: the abstract matcher models the strict
-        # semantics, where a ⊥ binding kills the row.
-        self.use_shapes = use_shapes and not allow_bottom
+        # Reference switches: tests and the cost ledger compare a scanning or
+        # unpruned run against the default one.
+        self.use_indexes = use_indexes
+        self.use_shapes = use_shapes
         self.graph = DependencyGraph(self.rules.rules)
         self._strata: List[Stratum] = self.graph.strata()
         self._decompositions: Dict[Rule, BodyDecomposition] = {
@@ -317,13 +314,7 @@ class SemiNaiveEngine:
         stats.full_matches += 1
         rows: List[tuple] = [()]
         if rule.body is not None:
-            _, rows = match_rows(
-                plans[rule],
-                database,
-                indexes=indexes,
-                stats=stats,
-                allow_bottom=self.allow_bottom,
-            )
+            _, rows = match_rows(plans[rule], database, indexes=indexes, stats=stats)
         return self._project(rule, rows, stats)
 
     def _project(self, rule: Rule, rows: List[tuple], stats: EngineStats) -> ComplexObject:
@@ -346,19 +337,18 @@ class SemiNaiveEngine:
         """One semi-naive application: only matches with a new witness.
 
         Falls back to a full application when the body cannot be
-        delta-decomposed, when the literal semantics is in force, or when no
-        sound delta exists for one of the body's set paths.
+        delta-decomposed, or when no sound delta exists for one of the body's
+        set paths.
         """
         if rule.body is None:
             # The fact already fired during the full first round (of this run
             # or of the run resumed from).
             return BOTTOM
         decomposition = self._decompositions[rule]
-        if not decomposition.decomposable or self.allow_bottom:
-            if not decomposition.decomposable:
-                # The silent de-optimization the stats record makes visible:
-                # this body re-matches in full on every delta round.
-                stats.count_fallback(rule)
+        if not decomposition.decomposable:
+            # The silent de-optimization the stats record makes visible: this
+            # body re-matches in full on every delta round.
+            stats.count_fallback(rule)
             return self._apply_full(rule, current, plans, indexes, stats)
         deltas: Dict[object, Tuple[ComplexObject, ...]] = {}
         for path in decomposition.set_paths:

@@ -39,6 +39,7 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "new_diagnostic",
+    "rule_location",
 ]
 
 ERROR = "error"
@@ -273,6 +274,22 @@ def new_diagnostic(code: str, *, message: Optional[str] = None, **location) -> D
         hint=info.hint,
         **location,
     )
+
+
+def rule_location(rule, index: Optional[int]) -> dict:
+    """Diagnostic location kwargs for ``rule``, the clause at 0-based ``index``.
+
+    The 1-based rule index, the clause text and, for a parsed clause, its
+    source line and column; ``{}`` when ``index`` is ``None`` (a query).
+    """
+    if index is None:
+        return {}
+    location = {"rule_index": index + 1, "rule": rule.to_text()}
+    span = getattr(rule, "span", None)
+    if span is not None:
+        location["line"] = span.line
+        location["column"] = span.column
+    return location
 
 
 def _sort_key(diagnostic: Diagnostic):

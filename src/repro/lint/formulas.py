@@ -38,7 +38,7 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
-from repro.lint.diagnostics import Diagnostic, new_diagnostic
+from repro.lint.diagnostics import Diagnostic, new_diagnostic, rule_location
 
 __all__ = ["check_rule_formulas", "check_query_formula"]
 
@@ -96,20 +96,9 @@ def _lattice_findings(formula: Formula, location: dict) -> List[Diagnostic]:
     return findings
 
 
-def _locate(rule: Rule, index: Optional[int]) -> dict:
-    if index is None:
-        return {}
-    location = {"rule_index": index + 1, "rule": rule.to_text()}
-    span = getattr(rule, "span", None)
-    if span is not None:
-        location["line"] = span.line
-        location["column"] = span.column
-    return location
-
-
 def check_rule_formulas(rule: Rule, index: Optional[int] = None) -> List[Diagnostic]:
     """All formula-level findings for one clause (0-based ``index``)."""
-    location = _locate(rule, index)
+    location = rule_location(rule, index)
     findings = _lattice_findings(rule.head, location)
     if rule.body is not None:
         findings.extend(_lattice_findings(rule.body, location))

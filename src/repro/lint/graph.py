@@ -39,7 +39,7 @@ from repro.calculus.terms import (
     Variable,
 )
 from repro.calculus.dependency import DependencyGraph, access_paths, paths_interact
-from repro.lint.diagnostics import Diagnostic, new_diagnostic
+from repro.lint.diagnostics import Diagnostic, new_diagnostic, rule_location
 
 __all__ = [
     "variable_depths",
@@ -112,16 +112,6 @@ def strata_summary(graph: DependencyGraph) -> Tuple[dict, ...]:
     return tuple(summary)
 
 
-def _locate(rule: Rule, index: int) -> dict:
-    """Diagnostic location kwargs for the 1-based clause at 0-based ``index``."""
-    location = {"rule_index": index + 1, "rule": rule.to_text()}
-    span = getattr(rule, "span", None)
-    if span is not None:
-        location["line"] = span.line
-        location["column"] = span.column
-    return location
-
-
 def check_divergence(
     rules: Sequence[Rule], graph: DependencyGraph
 ) -> List[Diagnostic]:
@@ -142,12 +132,12 @@ def check_divergence(
                         " found it; the closure may not exist"
                     ),
                     formula=subject,
-                    **_locate(rule, index),
+                    **rule_location(rule, index),
                 )
             )
         else:
             findings.append(
-                new_diagnostic("RL002", formula=subject, **_locate(rule, index))
+                new_diagnostic("RL002", formula=subject, **rule_location(rule, index))
             )
     return findings
 
@@ -163,7 +153,7 @@ def check_duplicates(rules: Sequence[Rule]) -> List[Diagnostic]:
                 new_diagnostic(
                     "RL004",
                     message=f"duplicate of rule {first + 1}",
-                    **_locate(rule, index),
+                    **rule_location(rule, index),
                 )
             )
     return findings
@@ -204,7 +194,7 @@ def check_dead_rules(
                 live.add(index)
                 changed = True
     return [
-        new_diagnostic("RL005", **_locate(rule, index))
+        new_diagnostic("RL005", **rule_location(rule, index))
         for index, rule in enumerate(rules)
         if index not in live
     ]

@@ -38,7 +38,7 @@ from repro.calculus.terms import Formula
 from repro.core import BOTTOM
 from repro.core.objects import SetObject, TupleObject
 from repro.core.paths import Path
-from repro.lint.diagnostics import Diagnostic, new_diagnostic
+from repro.lint.diagnostics import Diagnostic, new_diagnostic, rule_location
 from repro.plan.compile import compile_body
 from repro.plan.ir import BindLeaf, BodyPlan, ScanLeaf
 from repro.plan.optimize import optimize_body
@@ -129,15 +129,6 @@ def _written_paths(rules: Sequence[Rule]):
     return tuple(paths)
 
 
-def _locate(rule: Rule, index: int) -> dict:
-    location = {"rule_index": index + 1, "rule": rule.to_text()}
-    span = getattr(rule, "span", None)
-    if span is not None:
-        location["line"] = span.line
-        location["column"] = span.column
-    return location
-
-
 def check_rule_plans(
     rules: Sequence[Rule],
     statistics: Optional[DatabaseStatistics] = None,
@@ -150,7 +141,7 @@ def check_rule_plans(
             continue
         plan = compile_body(rule.body)
         findings.extend(
-            _plan_findings(plan, statistics, written, _locate(rule, index))
+            _plan_findings(plan, statistics, written, rule_location(rule, index))
         )
     return findings
 

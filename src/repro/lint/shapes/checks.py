@@ -27,8 +27,7 @@ from typing import List, Mapping, Sequence, Tuple
 from repro.calculus.rules import Rule
 from repro.calculus.terms import Formula
 from repro.core.objects import ComplexObject
-from repro.lint.diagnostics import Diagnostic, new_diagnostic
-from repro.lint.plans import _locate
+from repro.lint.diagnostics import Diagnostic, new_diagnostic, rule_location
 from repro.lint.shapes.domain import Shape, admits
 from repro.lint.shapes.infer import ProgramShapes
 
@@ -58,7 +57,7 @@ def check_shapes(rules: Sequence[Rule], shapes: ProgramShapes) -> List[Diagnosti
                 _RULE_CODES[summary.failure.kind],
                 message=summary.failure.detail,
                 formula=summary.failure.subject,
-                **_locate(rule, summary.index),
+                **rule_location(rule, summary.index),
             )
         )
     return findings

@@ -5,8 +5,9 @@ reachable through tuple attributes — into the conjunction of leaves described
 in :mod:`repro.plan.ir`:
 
 * each element of a set formula on the spine becomes a :class:`ScanLeaf`
-  carrying its usable index keys (static ground atoms and dynamic variables,
-  via :func:`repro.plan.indexes.element_keys`);
+  carrying its usable index keys (static ground atoms, dynamic variables
+  and ``$parameter`` slots, from one walk:
+  :func:`repro.plan.indexes.element_keys`);
 * a spine variable becomes a :class:`BindLeaf`, a spine constant a
   :class:`ConstLeaf`, an empty tuple/set formula a :class:`CheckLeaf`.
 
@@ -57,8 +58,6 @@ __all__ = [
     "compile_body",
     "compile_element_matcher",
     "compile_projection",
-    "parameter_keys",
-    "split_element_keys",
 ]
 
 _ROOT = Path(())
@@ -513,44 +512,6 @@ def _differ_at_one_atom(rows: List[tuple], count: int, candidates: tuple) -> boo
     return False
 
 
-def split_element_keys(element: Formula):
-    """Partition one element formula's lookup keys into (static, dynamic).
-
-    Static keys pair a key path with a ground atom; dynamic keys pair it with
-    a variable name (usable once an earlier leaf binds the variable).  The
-    single source of this classification — the executor reuses the tuples
-    stored on each :class:`ScanLeaf` rather than re-deriving them.
-    """
-    static = []
-    dynamic = []
-    for key_path, key in element_keys(element):
-        if isinstance(key, Atom):
-            static.append((key_path, key))
-        else:
-            dynamic.append((key_path, key))
-    return tuple(static), tuple(dynamic)
-
-
-def parameter_keys(element: Formula):
-    """(key path, parameter name) pairs an element formula pins with ``$slots``.
-
-    Mirrors :func:`repro.plan.indexes.element_keys` (tuple-attribute paths
-    only, nothing below a nested set formula) for :class:`Parameter` nodes —
-    the keys that become static equality probes once the parameter is bound.
-    """
-    found = []
-
-    def walk(node: Formula, path: Path) -> None:
-        if isinstance(node, TupleFormula):
-            for name, child in node.items():
-                walk(child, path.child(name))
-        elif isinstance(node, Parameter):
-            found.append((path, node.name))
-
-    walk(element, _ROOT)
-    return tuple(found)
-
-
 @node_memo("compile_body")  # bounded: long-lived processes see many programs
 def compile_body(body: Formula) -> BodyPlan:
     """Compile a body/query formula into its source-order :class:`BodyPlan`."""
@@ -569,7 +530,7 @@ def compile_body(body: Formula) -> BodyPlan:
                 leaves.append(CheckLeaf(path=path, shape="set"))
                 return
             for index, element in enumerate(node.elements):
-                static, dynamic = split_element_keys(element)
+                static, dynamic, param = element_keys(element)
                 leaves.append(
                     ScanLeaf(
                         path=path,
@@ -578,7 +539,7 @@ def compile_body(body: Formula) -> BodyPlan:
                         static_keys=static,
                         dynamic_keys=dynamic,
                         variables=element.variables(),
-                        param_keys=parameter_keys(element),
+                        param_keys=param,
                     )
                 )
             return

@@ -25,36 +25,46 @@ its parent's tables with only the touched buckets rebuilt.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.calculus.terms import Constant, Formula, TupleFormula, Variable
+from repro.calculus.terms import Constant, Formula, Parameter, TupleFormula, Variable
 from repro.core.intern import is_interned, node_memo
 from repro.core.objects import Atom, ComplexObject, SetObject
 from repro.core.order import _carried, _tabled
 from repro.core.paths import Path, navigate
 from repro.obs.trace import NULL_SPAN
 
-__all__ = ["TargetIndexes", "element_keys", "ElementKey"]
+__all__ = ["ElementKeys", "TargetIndexes", "element_keys"]
 
 _ROOT = Path(())
 
-#: One candidate lookup key of an element formula: the attribute path inside
-#: the element paired with either a ground atom (static) or a variable name
-#: (dynamic, usable once the variable is bound to an atom).
-ElementKey = Tuple[Path, Union[Atom, str]]
+#: The lookup keys of one element formula, each an (attribute path inside the
+#: element, key) pair: ``(static, dynamic, param)``, keyed by a ground atom, a
+#: variable name and a ``$parameter`` name.
+ElementKeys = Tuple[
+    Tuple[Tuple[Path, Atom], ...],
+    Tuple[Tuple[Path, str], ...],
+    Tuple[Tuple[Path, str], ...],
+]
 
 
 @node_memo("element_keys")  # bounded: long-lived processes see many programs
-def element_keys(element_formula: Formula) -> Tuple[ElementKey, ...]:
-    """The usable lookup keys of one set-element formula, static keys first.
+def element_keys(element_formula: Formula) -> ElementKeys:
+    """The usable lookup keys of one set-element formula: ``(static, dynamic, param)``.
 
-    Keys address paths through nested tuple formulae; the empty path covers
-    element formulae that *are* an atom constant or a bare variable.  Nothing
-    below a nested set formula is collected — those attributes belong to inner
-    witnesses, not to the indexed element.
+    Static keys pair a key path with a ground atom constant and probe at
+    once; dynamic keys pair it with a variable name, usable once an earlier
+    leaf binds the variable to an atom; param keys pair it with a
+    ``$parameter`` name, a static probe once an execution binds the slot to
+    an atom.  Keys address paths through nested tuple formulae, in walk
+    order; the empty path covers element formulae that *are* an atom
+    constant, a bare variable or a parameter.  Nothing below a nested set
+    formula is collected — those attributes belong to inner witnesses, not
+    to the indexed element.
     """
-    static: List[ElementKey] = []
-    dynamic: List[ElementKey] = []
+    static: List[Tuple[Path, Atom]] = []
+    dynamic: List[Tuple[Path, str]] = []
+    param: List[Tuple[Path, str]] = []
 
     def walk(node: Formula, path: Path) -> None:
         if isinstance(node, TupleFormula):
@@ -64,9 +74,11 @@ def element_keys(element_formula: Formula) -> Tuple[ElementKey, ...]:
             static.append((path, node.value))
         elif isinstance(node, Variable):
             dynamic.append((path, node.name))
+        elif isinstance(node, Parameter):
+            param.append((path, node.name))
 
     walk(element_formula, _ROOT)
-    return tuple(static) + tuple(dynamic)
+    return tuple(static), tuple(dynamic), tuple(param)
 
 
 class TargetIndexes:

@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.core.errors import ParameterError
 from repro.core.objects import ComplexObject
 from repro.calculus.terms import bind_parameters
-from repro.plan.compile import split_element_keys
+from repro.plan.indexes import element_keys
 from repro.plan.ir import BodyPlan, ConstLeaf, ParamLeaf, ScanLeaf
 
 __all__ = ["bind_body_plan", "validate_parameters"]
@@ -69,7 +69,7 @@ def bind_body_plan(
             bound_leaves.append(ConstLeaf(path=leaf.path, value=values[leaf.name]))
         elif isinstance(leaf, ScanLeaf) and leaf.element.parameters():
             element = bind_parameters(leaf.element, values)
-            static, dynamic = split_element_keys(element)
+            static, dynamic, _ = element_keys(element)
             bound_leaves.append(
                 ScanLeaf(
                     path=leaf.path,

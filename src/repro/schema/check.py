@@ -2,8 +2,9 @@
 
 ``conforms(object, type)`` answers the yes/no question; ``check_object``
 returns the full list of violations with the attribute/element path where each
-occurred, which the object store uses to produce actionable error messages on
-insert.  ``check_formula`` and ``check_rule`` perform the *static* part of the
+occurred (``strict=True`` raises :class:`SchemaError` on the first, the checked
+write a caller runs before storing a value; the store itself checks no
+schema).  ``check_formula`` and ``check_rule`` perform the *static* part of the
 same job for queries: attribute names that a closed tuple type does not
 declare, constants of the wrong sort, and set patterns applied to non-set
 positions are reported before any matching happens.

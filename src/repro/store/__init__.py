@@ -19,10 +19,12 @@ substrate so the calculus can be used as an actual database system:
 * :mod:`repro.store.database` — the :class:`~repro.store.database.ObjectDatabase`
   facade tying everything together: the one ``name → object`` map (published
   as one immutable state per commit), the whole database as one object for
-  the session's queries, pattern search, schema enforcement and updates.
-  The store neither plans nor evaluates rules: it sits below the planner and
-  the engine in the layer order, the session plans every query against that
-  one object and closes it under its rules, and the executor's bucket tables
+  the session's queries, pattern search and updates.  The store keeps
+  untyped objects: it neither checks schemas (:mod:`repro.schema` is a
+  library a caller runs before a write), plans nor evaluates rules.  It sits
+  below the planner and the engine in the layer order, and no module of it
+  imports the calculus; the session plans every query against that one
+  object and closes it under its rules, and the executor's bucket tables
   live on its sets.
 """
 

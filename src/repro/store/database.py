@@ -15,7 +15,6 @@ or durable over a write-ahead log (:class:`~repro.store.storage.FileStorage`)
   :meth:`ObjectDatabase.put`);
 * pattern search across objects: :meth:`find` returns the names of the stored
   objects of which a pattern is a sub-object;
-* schema enforcement: a type per name (optional) checked on every write;
 * functional updates with :mod:`repro.store.updates`, and atomic
   multi-statement transactions with :mod:`repro.store.transactions`.
 
@@ -23,15 +22,17 @@ Concurrency discipline
 ----------------------
 The database is safe for concurrent use from multiple threads.  Every commit
 takes the :class:`~repro.store.locks.WriteLock` once and does everything
-decisive under it (:meth:`ObjectDatabase.commit_batch`): validate schemas,
-conflict-check, log the batch (one WAL append + fsync) and publish the next
+decisive under it (:meth:`ObjectDatabase.commit_batch`): conflict-check,
+log the batch (one WAL append + fsync) and publish the next
 :class:`_State` with one attribute assignment.  A published state never
 changes, so readers take no lock: each read takes ``self._state`` once, and
 :meth:`ObjectDatabase.state` hands out one state to read many times.  A
-failed commit publishes nothing.  The schema registry, which a commit reads
-and :meth:`declare_schema` mutates in place, is read under the writer mutex.
-The published state is the store's only ``name → object`` map: the log hands
-its replayed objects over once, at open, and keeps none.
+failed commit publishes nothing.  The mutex guards only commits and
+:meth:`ObjectDatabase.compact`.  The store keeps objects, not types: a caller
+who wants a checked write runs :func:`repro.schema.check_object` (with
+``strict=True``) before :meth:`ObjectDatabase.put`.  The published state is
+the store's only ``name → object`` map: the log hands its replayed objects
+over once, at open, and keeps none.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.builder import obj
-from repro.core.errors import ConflictError, SchemaError, StoreError, TransactionError
+from repro.core.errors import ConflictError, StoreError, TransactionError
 from repro.core.intern import clear_object_caches
 from repro.core.objects import BOTTOM, ComplexObject, TupleObject
 from repro.core.order import is_subobject
 from repro.core.paths import Path
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.schema.check import check_object
-from repro.schema.types import SchemaType
 from repro.store.locks import WriteLock
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import FileStorage
@@ -145,10 +144,9 @@ class ObjectDatabase:
     ):
         # ``None``: an in-memory store, whose commits are logged nowhere.
         self._storage = storage
-        self._schemas: Dict[str, SchemaType] = {}
         # ``lock_timeout`` (seconds) bounds every acquisition of the writer
-        # mutex: past it, commits and schema reads raise LockTimeout instead
-        # of hanging.
+        # mutex: past it, commits and compaction raise LockTimeout instead of
+        # hanging.
         self._lock = WriteLock(default_timeout=lock_timeout)
         recovered = {} if storage is None else storage.recovered()
         self._state = _State().following(recovered)  # version 0
@@ -227,16 +225,12 @@ class ObjectDatabase:
         mutex is taken once and everything decisive happens under it, in
         order:
 
-        1. every written value is schema-checked against the schemas in force
-           *at commit time* (checking outside the lock would race a
-           concurrent :meth:`declare_schema`), so a violation anywhere in the
-           batch rejects the whole batch before anything is touched;
-        2. ``expected`` (a snapshot of name → previously-observed value,
+        1. ``expected`` (a snapshot of name → previously-observed value,
            ``None`` for absent) is validated against the current state — any
            mismatch raises :class:`ConflictError` (the retryable
            :class:`TransactionError` subclass) and applies nothing
            (first committer wins);
-        3. the log appends the batch as one record (one WAL append + fsync;
+        2. the log appends the batch as one record (one WAL append + fsync;
            an in-memory store has no log), and the next state is published.
 
         Deletes of names that are already absent are dropped from the batch;
@@ -250,17 +244,6 @@ class ObjectDatabase:
                 _check_batch(changes)
                 with self._lock:
                     state = self._state
-                    for name, value in changes.items():
-                        if value is None:
-                            continue
-                        schema = self._schemas.get(name)
-                        if schema is not None:
-                            issues = check_object(value, schema)
-                            if issues:
-                                raise SchemaError(
-                                    f"object for {name!r} violates its schema:"
-                                    f" {issues[0]}"
-                                )
                     if expected is not None:
                         for name, before in expected.items():
                             current = state.get(name)
@@ -298,31 +281,6 @@ class ObjectDatabase:
     def snapshot(self) -> Dict[str, ComplexObject]:
         """A consistent ``name → object`` copy of the current committed state."""
         return dict(self._state.items())
-
-    # -- schemas -------------------------------------------------------------------------
-    def declare_schema(self, name: str, schema: SchemaType) -> None:
-        """Attach a schema to ``name``; the current and future values must conform.
-
-        Declarations last only for this process: the write-ahead log records
-        objects, not schemas, so a reopened store has no schema for ``name``
-        (``schema_of`` is ``None``) and accepts any value until it is declared
-        again.
-        """
-        with self._lock:
-            current = self._state.get(name)
-            if current is not None:
-                issues = check_object(current, schema)
-                if issues:
-                    raise SchemaError(
-                        f"existing object for {name!r} violates the declared schema:"
-                        f" {issues[0]}"
-                    )
-            self._schemas[name] = schema
-
-    def schema_of(self, name: str) -> Optional[SchemaType]:
-        """The declared schema of ``name`` (or ``None``)."""
-        with self._lock:
-            return self._schemas.get(name)
 
     # -- queries --------------------------------------------------------------------------
     @property

@@ -3,9 +3,9 @@
 Readers take no lock: every commit publishes one immutable state (see
 :mod:`repro.store.database`), so a reader reads whichever state is current
 and keeps it as long as it likes.  :class:`WriteLock` serialises what still
-mutates in place — commits and schema declarations, and the schema reads —
-so first-committer-wins is decided under the same lock that publishes the
-decision.  It is non-reentrant.
+mutates in place — commits and compaction — so first-committer-wins is
+decided under the same lock that publishes the decision.  It is
+non-reentrant.
 
 Graceful degradation: :meth:`WriteLock.acquire` takes ``timeout=`` (seconds)
 and raises a typed :class:`~repro.core.errors.LockTimeout` instead of

@@ -2,11 +2,12 @@
 
 A :class:`Transaction` buffers writes and deletes against a snapshot of the
 database and applies them atomically on :meth:`commit` — genuinely
-all-or-nothing: every schema is validated and every change staged *before*
-anything touches storage, and the batch then lands under the database's
-writer mutex as one commit (a single WAL append + fsync on a durable
-store).  A commit that fails — schema violation, conflict, storage error —
-leaves the database exactly as it was.
+all-or-nothing: every change is staged *before* anything touches storage,
+and the batch then lands under the database's writer mutex as one commit (a
+single WAL append + fsync on a durable store).  A commit that fails —
+conflict, storage error — leaves the database exactly as it was.  The store
+checks no schema: a caller who wants typed writes checks each value with
+:func:`repro.schema.check_object` (``strict=True``) before :meth:`put`.
 
 Reads inside the transaction see its own uncommitted writes first, then one
 committed state of the database (:meth:`ObjectDatabase.state`), taken at the
@@ -109,12 +110,11 @@ class Transaction:
     def commit(self) -> None:
         """Validate everything, then apply the buffered changes as one batch.
 
-        Schema checks for every write run before any change is applied; the
-        snapshot validation and the apply step happen together under the
-        database's writer mutex (see :meth:`ObjectDatabase.commit_batch`).  Any
-        failure — :class:`~repro.core.errors.SchemaError`, a write-write
-        :class:`~repro.core.errors.ConflictError`, a storage error — leaves
-        the database untouched and this transaction inactive.
+        The snapshot validation and the apply step happen together under
+        the database's writer mutex (see :meth:`ObjectDatabase.commit_batch`).
+        Any failure — a write-write :class:`~repro.core.errors.ConflictError`,
+        a storage error — leaves the database untouched and this transaction
+        inactive.
         """
         self._require_active()
         # Deactivate first: whatever happens below, this transaction is over,

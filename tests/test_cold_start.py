@@ -4,8 +4,8 @@ Each probe runs in a fresh interpreter, because this test process has long
 since imported the whole stack.  ``repro/__init__`` is a table of lazy
 exports, so ``import repro`` loads no layer, ``import repro.core`` loads the
 model without the store, linter, engine or sessions above it, ``import
-repro.store`` loads no planner, linter, engine, parser or session, and the
-CLI's ``parse`` subcommand never reaches the session stack.
+repro.store`` loads no calculus, schema, planner, linter, engine, parser or
+session, and the CLI's ``parse`` subcommand never reaches the session stack.
 """
 
 import json
@@ -50,10 +50,14 @@ def test_core_import_stops_at_the_model():
 
 
 def test_store_import_stops_below_the_planner():
+    # The store keeps untyped objects: no schema check, so no calculus either.
     modules = loaded_after("import repro.store")
-    above = {"repro.plan", "repro.lint", "repro.engine", "repro.parser", "repro.api"}
+    above = {
+        "repro.calculus", "repro.schema",
+        "repro.plan", "repro.lint", "repro.engine", "repro.parser", "repro.api",
+    }
     assert not layers(modules) & above, modules
-    assert len(modules) <= 40, modules
+    assert len(modules) <= 28, modules
 
 
 def test_cli_parse_stops_below_the_session_stack():

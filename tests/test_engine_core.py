@@ -104,11 +104,17 @@ class TestAgreementWithClose:
         database = parse_object("[]")
         assert seminaive(ruleset, database).value == close(database, ruleset).value == TOP
 
-    def test_allow_bottom_falls_back_but_agrees(self):
+    def test_the_literal_semantics_is_the_oracles(self):
+        # The engine runs the strict semantics only: Y meets x and y to ⊥,
+        # which kills the row.  The literal Definition 4.2 closure, where a
+        # ⊥ binding matches, is reached through the oracle alone.
         database = parse_object("[r1: {[a: 1, b: x]}, r2: {[c: y, d: 2]}]")
         rules = RuleSet([parse_rule("[j: {[a: X, d: Z]}] :- [r1: {[a: X, b: Y]}, r2: {[c: Y, d: Z]}]")])
-        semi = seminaive(rules, database, allow_bottom=True)
-        assert semi.value == close(database, rules, allow_bottom=True).value
+        assert seminaive(rules, database).value == close(database, rules).value == database
+        literal = close(database, rules, allow_bottom=True).value
+        assert literal.get("j") == parse_object("{[a: 1, d: 2]}")
+        with pytest.raises(TypeError):
+            SemiNaiveEngine(rules, allow_bottom=True)
 
     def test_without_indexes_agrees(self, genealogy_small):
         rules = RuleSet([r for r in parse_program(DESCENDANTS) if not r.is_fact])

@@ -5,7 +5,7 @@ import pytest
 from repro import Program, Session, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj
 from repro.algebra.translate import translate_rule
-from repro.schema.inference import infer_type
+from repro.schema import conforms, infer_type
 from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 from repro.workloads import make_document_collection, make_genealogy, make_join_workload
@@ -19,7 +19,7 @@ class TestDeductiveStoreWorkflow:
         path = str(tmp_path / "db.jsonl")
         database = ObjectDatabase(FileStorage(path))
         database.put("family_tree", tree.family_object)
-        database.declare_schema("family_tree", infer_type(tree.family_object))
+        schema = infer_type(tree.family_object)
 
         rules = [
             parse_rule("[doa: {abraham}]."),
@@ -34,6 +34,7 @@ class TestDeductiveStoreWorkflow:
         database.close()
 
         reopened = ObjectDatabase(FileStorage(path))
+        assert conforms(reopened["family_tree"], schema)
         stored = reopened["descendants"]
         assert {element.value for element in stored.get("doa")} == set(
             tree.expected_descendants
@@ -53,8 +54,11 @@ class TestDocumentStoreWorkflow:
 
     def test_inferred_schema_accepts_future_conforming_writes(self, documents_db):
         database, collection = documents_db
-        database.declare_schema("library", infer_type(collection))
-        # Re-writing the same object conforms trivially.
+        schema = infer_type(collection)
+        assert conforms(database["library"], schema)
+        # Re-writing the same object conforms trivially; a wrong shape does not.
+        assert conforms(collection, schema)
+        assert not conforms(obj({"docs": 1}), schema)
         database.put("library", collection)
 
     def test_title_lookup(self, documents_db):

@@ -105,6 +105,27 @@ class TestDivergence:
         assert not {"RL002", "RL003"} & set(codes_of(report))
 
 
+class TestLocation:
+    def test_every_pass_locates_a_clause_alike(self):
+        # RL003 / RL002 come from the graph pass, RL202 from shapes, RL101
+        # from the formula pass and RL301 from the plan pass.
+        source = (
+            "[doa: {abraham}].\n"
+            "  [list: {[head: 1, tail: X]}] :- [list: {X}].\n"
+            "    [out: {X}] :- [r: {X}, s: {Y}].\n"
+            "      [big: {[w: {X}]}] :- [r: {X}].\n"
+        )
+        rules = parse_program(source)
+        report = lint_source(source)
+        located = sorted((d.code, d.rule_index, d.line, d.column) for d in report.diagnostics)
+        assert located == [
+            ("RL002", 4, 4, 7), ("RL003", 2, 2, 3), ("RL101", 3, 3, 5),
+            ("RL202", 2, 2, 3), ("RL301", 3, 3, 5),
+        ]
+        for diagnostic in report.diagnostics:
+            assert diagnostic.rule == rules[diagnostic.rule_index - 1].to_text()
+
+
 class TestVariableDepths:
     """The nesting-depth measure behind the RL002/RL003 growth test."""
 

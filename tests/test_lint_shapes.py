@@ -245,14 +245,6 @@ class TestEngineIntegration:
         assert dict(report.shapes)["database"] == "[f: " + "[a: " * 7 + "any" + "]" * 8
         assert program.evaluate().stats.rules_pruned == 1
 
-    def test_allow_bottom_disables_shape_pruning(self):
-        # The abstract matcher models the strict (⊥-dropping) semantics
-        # only; the literal Definition 4.2 semantics must not prune.
-        program = Program.from_source(CLOSURE)
-        engine = SemiNaiveEngine(program.rules, allow_bottom=True)
-        result = engine.run(program.seed())
-        assert result.stats.rules_pruned == 0
-
 
 class TestSessionDoor:
     def make_session(self):

@@ -2,7 +2,7 @@
 
 from unittest import mock
 
-from repro import parse_object, parse_rule
+from repro import parse_formula, parse_object, parse_rule
 from repro.calculus.terms import Constant, formula, var
 from repro.core.intern import clear_object_caches
 from repro.core.objects import Atom, TOP, SetObject, TupleObject
@@ -14,32 +14,42 @@ from repro.core.paths import Path
 class TestElementKeys:
     def test_static_key_from_atom_constant(self):
         element = formula({"name": Atom("abraham"), "age": var("A")})
-        keys = element_keys(element)
-        assert keys[0] == (Path("name"), Atom("abraham"))
+        static, _, _ = element_keys(element)
+        assert static == ((Path("name"), Atom("abraham")),)
 
     def test_dynamic_key_from_variable(self):
         element = formula({"name": var("Y")})
-        assert element_keys(element) == ((Path("name"), "Y"),)
+        assert element_keys(element) == ((), ((Path("name"), "Y"),), ())
 
     def test_static_keys_come_first(self):
         element = formula({"a": var("X"), "b": Atom(1)})
-        keys = element_keys(element)
-        assert keys[0] == (Path("b"), Atom(1))
-        assert (Path("a"), "X") in keys
+        assert element_keys(element) == (((Path("b"), Atom(1)),), ((Path("a"), "X"),), ())
+
+    def test_parameter_slots_key_apart(self):
+        element = parse_formula("[name: $who, age: A, tag: t]")
+        assert element_keys(element) == (
+            ((Path("tag"), Atom("t")),),
+            ((Path("age"), "A"),),
+            ((Path("name"), "who"),),
+        )
 
     def test_root_keys_for_atomic_elements(self):
-        assert element_keys(Constant(Atom("abraham"))) == ((Path(()), Atom("abraham")),)
-        assert element_keys(var("Y")) == ((Path(()), "Y"),)
+        root = Path(())
+        assert element_keys(Constant(Atom("abraham"))) == (((root, Atom("abraham")),), (), ())
+        assert element_keys(var("Y")) == ((), ((root, "Y"),), ())
+        assert element_keys(parse_formula("$who")) == ((), (), ((root, "who"),))
 
     def test_nothing_below_nested_sets(self):
         element = parse_rule(
             "[out: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]"
         ).body.get("family").elements[0]
-        assert element_keys(element) == ((Path("name"), "Y"),)
+        assert element_keys(element) == ((), ((Path("name"), "Y"),), ())
+        slotted = parse_formula("[name: Y, children: {[name: $who]}]")
+        assert element_keys(slotted) == ((), ((Path("name"), "Y"),), ())
 
     def test_non_atom_constant_yields_no_key(self):
         element = formula({"name": parse_object("{1}")})
-        assert element_keys(element) == ()
+        assert element_keys(element) == ((), (), ())
 
 
 def bucketed():

@@ -6,7 +6,8 @@ import repro
 from repro import Session, is_subobject, parse_formula, parse_object, parse_rule
 from repro.core.builder import obj, set_of, tup
 from repro.core.errors import SchemaError, StoreError
-from repro.schema.types import integer, set_type, string, tuple_type
+from repro.schema import check_object
+from repro.schema.types import integer, set_type
 from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 
@@ -265,38 +266,29 @@ class TestRulesAndClosure:
             assert not hasattr(Session, name)
 
 
-class TestSchemas:
-    PEOPLE_SCHEMA = set_type(
-        tuple_type({"name": string(), "age": integer()}, required=["name"])
-    )
+class TestUntypedStore:
+    """The store keeps objects, not types: ``repro.schema`` is a library run before a write."""
 
-    def test_declared_schema_validates_existing_object(self, database):
-        database.declare_schema("people", self.PEOPLE_SCHEMA)
-        assert database.schema_of("people") == self.PEOPLE_SCHEMA
+    def test_the_store_has_no_schema_registry(self, database):
+        for name in ("declare_schema", "schema_of"):
+            assert not hasattr(ObjectDatabase, name)
+        assert not hasattr(database, "_schemas")
 
-    def test_declaring_a_violated_schema_fails(self, database):
-        with pytest.raises(SchemaError):
-            database.declare_schema("people", set_type(integer()))
-
-    def test_writes_are_checked(self, database):
-        database.declare_schema("people", self.PEOPLE_SCHEMA)
-        with pytest.raises(SchemaError):
-            database.put("people", [{"name": 42}])
-        # A conforming write still succeeds.
-        database.put("people", [{"name": "zoe", "age": 1}])
-
-    def test_declared_schemas_last_only_for_the_process(self, tmp_path):
-        # The WAL logs objects, not schemas: a reopened store has none.
+    def test_a_checked_write_in_transact_lands_nothing(self, tmp_path):
         path = str(tmp_path / "db.wal")
+        numbers = set_type(integer())
+
+        def work(txn):
+            for name, value in (("a", parse_object("{1}")), ("b", parse_object("{x}"))):
+                check_object(value, numbers, strict=True)
+                txn.put(name, value)
+
         with repro.connect(path) as session:
-            session.database.declare_schema("xs", set_type(integer()))
-            session.put("xs", [1, 2])
-            with pytest.raises(SchemaError):
-                session.put("xs", parse_object("{a}"))
+            with pytest.raises(SchemaError, match="expected a int atom"):
+                session.transact(work)
+            assert session.database.snapshot() == {}
         with repro.connect(path) as session:
-            assert session.database.schema_of("xs") is None
-            session.put("xs", parse_object("{a}"))
-            assert session.database["xs"] == parse_object("{a}")
+            assert session.database.snapshot() == {}
 
 
 class TestUpdates:

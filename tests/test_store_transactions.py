@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.builder import obj
-from repro.core.errors import SchemaError, TransactionError
-from repro.schema.types import integer, set_type, string, tuple_type
+from repro.core.errors import ConflictError, InjectedFault, TransactionError
+from repro.fault import FaultSpec, inject
 from repro.store.database import ObjectDatabase
 from repro.store.storage import FileStorage
 
@@ -87,47 +87,63 @@ class TestAbortAndLifecycle:
 class TestAtomicity:
     """A failed commit must leave the database exactly as it was."""
 
-    SCHEMA = tuple_type({"balance": integer()}, required=["balance"])
-
-    def test_schema_failure_mid_batch_applies_nothing(self, database):
-        # Regression for the half-commit bug: the second write violates its
-        # schema, and the first — valid — write must NOT be applied.
-        database.declare_schema("account_b", self.SCHEMA)
-        txn = database.transaction()
-        txn.put("account_a", obj({"balance": 0}))
-        txn.put("account_b", obj({"balance": "not-a-number"}))
-        with pytest.raises(SchemaError):
-            txn.commit()
-        assert database["account_a"] == obj({"balance": 100})
-        assert database["account_b"] == obj({"balance": 50})
-
-    def test_schema_failure_mid_batch_is_atomic_on_disk(self, tmp_path):
-        path = str(tmp_path / "db.wal")
+    @staticmethod
+    def durable(path):
         database = ObjectDatabase(FileStorage(path))
         database.put("account_a", {"balance": 100})
         database.put("account_b", {"balance": 50})
-        database.declare_schema("account_b", self.SCHEMA)
+        return database
+
+    @staticmethod
+    def both_written(database):
         txn = database.transaction()
         txn.put("account_a", obj({"balance": 0}))
-        txn.put("account_b", obj({"balance": "oops"}))
-        with pytest.raises(SchemaError):
-            txn.commit()
+        txn.put("account_b", obj({"balance": 0}))
+        return txn
+
+    @staticmethod
+    def assert_holds(database, path, expected):
+        assert database.snapshot() == expected
         database.close()
-        # Nothing of the failed transaction reached the log either.
+        # Nothing of the failed batch reached the log either.
         reopened = ObjectDatabase(FileStorage(path))
-        assert reopened["account_a"] == obj({"balance": 100})
-        assert reopened["account_b"] == obj({"balance": 50})
+        assert reopened.snapshot() == expected
         reopened.close()
 
-    def test_failed_commit_deactivates_the_transaction(self, database):
-        database.declare_schema("account_a", self.SCHEMA)
-        txn = database.transaction()
-        txn.put("account_a", obj({"balance": "bad"}))
-        with pytest.raises(SchemaError):
+    def test_conflict_on_the_second_name_applies_nothing(self, tmp_path):
+        # Regression for the half-commit bug: the batch's second name changed
+        # since the transaction read it, and the first write must NOT land.
+        path = str(tmp_path / "db.wal")
+        database = self.durable(path)
+        txn = self.both_written(database)
+        database.put("account_b", {"balance": 7})
+        version = database.version
+        with pytest.raises(ConflictError, match="account_b"):
             txn.commit()
+        assert not txn.active
+        assert database.version == version
+        self.assert_holds(
+            database, path, {"account_a": obj({"balance": 100}), "account_b": obj({"balance": 7})}
+        )
+
+    @pytest.mark.parametrize("point", ["store.wal.append", "store.wal.fsync"])
+    def test_failed_log_write_applies_nothing(self, tmp_path, point):
+        # At store.wal.fsync the whole record is already in the file: the
+        # failed commit must cut it off again.
+        path = str(tmp_path / "db.wal")
+        database = self.durable(path)
+        txn = self.both_written(database)
+        version = database.version
+        with inject(FaultSpec(point)):
+            with pytest.raises(InjectedFault):
+                txn.commit()
         assert not txn.active
         with pytest.raises(TransactionError):
             txn.commit()
+        assert database.version == version
+        self.assert_holds(
+            database, path, {"account_a": obj({"balance": 100}), "account_b": obj({"balance": 50})}
+        )
 
     def test_exit_after_failed_commit_does_not_double_abort(self, database):
         # The context manager commits on a clean exit; when that commit fails

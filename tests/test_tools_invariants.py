@@ -105,10 +105,6 @@ class ObjectDatabase:
     def compact(self):
         self._storage.compact()
 
-    def schema_of(self, name):
-        with self._lock:
-            return self._schemas.get(name)
-
     def _rebuild(self):
         self._state = self._state.following({})
 """
@@ -120,7 +116,7 @@ class TestLockDisciplineInvariant:
         path.write_text(RACY_DATABASE)
         violations = check_invariants.check_lock_discipline(path)
         lines = sorted(int(violation.split(": ")[0].rsplit(":", 1)[1]) for violation in violations)
-        assert lines == [10, 14, 19, 22, 29]
+        assert lines == [10, 14, 19, 22, 25]
         assert sum("more than once" in violation for violation in violations) == 2
         assert sum("assigns self._state" in violation for violation in violations) == 2
         assert sum("self._storage" in violation for violation in violations) == 1
@@ -192,6 +188,24 @@ class TestLayeringInvariant:
         assert "imports repro.plan.optimize" in violations[3]
         assert "repro.plan.ir" in violations[4] and "repro.plan.ir" in violations[5]
         assert all("clean.py" not in violation for violation in violations)
+
+    def test_the_schema_library_is_a_leaf(self, tmp_path):
+        """The store keeps untyped objects: only the top layer imports schema."""
+        root = _package(tmp_path, {
+            "store/database.py": (
+                "from repro.schema.check import check_object\n"
+                "def put(name, value):\n"
+                "    from repro.schema import types\n"
+            ),
+            "cli.py": "from repro.schema import check_object\n",
+            "schema/check.py": "",
+            "schema/types.py": "",
+        })
+        violations = sorted(check_invariants.check_layering(root))
+        assert [violation.split(": ")[0].rsplit("/", 1)[1] for violation in violations] == [
+            "database.py:1", "database.py:3",
+        ]
+        assert "imports repro.schema.check" in violations[0]
 
     def test_same_layer_and_downward_imports_pass(self, tmp_path):
         root = _package(tmp_path, {

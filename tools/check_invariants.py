@@ -35,9 +35,9 @@ Eleven invariants that matter for correctness but that no unit test can pin
     commit.  So a public method (dunders included, ``__init__`` excepted)
     reads ``self._state`` at most once — two reads could see two commits —
     and ``self._state`` is assigned only in ``__init__`` and inside
-    ``commit_batch``'s ``with self._lock:`` block.  What commits still
-    mutate in place (``_storage``, ``_schemas``) is touched by
-    public methods only inside ``with self._lock:``.  Private helpers are
+    ``commit_batch``'s ``with self._lock:`` block.  The one thing commits
+    still mutate in place, the log (``_storage``), is touched by public
+    methods only inside ``with self._lock:``.  Private helpers are
     exempt from the last rule (their contract is "callers hold the lock");
     a public-method exception (e.g. teardown, which is single-threaded by
     contract) carries the pragma ``# invariant: unlocked-ok``.
@@ -48,14 +48,15 @@ Eleven invariants that matter for correctness but that no unit test can pin
     layer or an earlier one — at module level or deferred inside a
     function, so no deferred import can hide a cycle.  The order is
     ``core`` → ``obs`` / ``fault`` (injection, deadline) → ``calculus`` →
-    ``parser`` → ``schema`` → ``store`` → ``plan`` → ``lint`` → ``engine``
-    → ``api`` + ``program`` → ``cli`` / ``fault.sweep`` / ``__main__`` /
+    ``parser`` → ``store`` → ``plan`` → ``lint`` → ``engine`` → ``api`` +
+    ``program`` → ``cli`` / ``fault.sweep`` / ``__main__`` /
     ``repro/__init__``.  So the store sits below the planner, the linter
     and the engine: it neither plans, reads plans nor evaluates rules, and
     planning lives in one place (``Session._resolve`` in
-    :mod:`repro.api.session`).  The :data:`LEAVES` (``relational``,
-    ``datalog``, ``algebra``, ``workloads``) may import anything, and only
-    the top layer may import them.  There is no pragma.
+    :mod:`repro.api.session`).  The :data:`LEAVES` (``schema``,
+    ``relational``, ``datalog``, ``algebra``, ``workloads``) may import
+    anything, and only the top layer may import them: the store keeps
+    untyped objects and checks no schema.  There is no pragma.
 
 ``session-version``
     A session derives its plans, index stores, closures and targets from one
@@ -146,7 +147,7 @@ ALLOW_RAW_PRAGMA = "invariant: allow-raw"
 UNLOCKED_OK_PRAGMA = "invariant: unlocked-ok"
 
 #: ObjectDatabase attributes commits mutate in place, guarded by ``self._lock``.
-PROTECTED_ATTRIBUTES = frozenset({"_storage", "_schemas"})
+PROTECTED_ATTRIBUTES = frozenset({"_storage"})
 
 #: The ObjectDatabase attribute holding the published, immutable state.
 STATE_ATTRIBUTE = "_state"
@@ -429,7 +430,6 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("obs", "fault"),
     ("calculus",),
     ("parser",),
-    ("schema",),
     ("store",),
     ("plan",),
     ("lint",),
@@ -440,7 +440,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
 
 #: Packages outside the line: they may import any layer, and only the top
 #: layer may import them.
-LEAVES = frozenset({"relational", "datalog", "algebra", "workloads"})
+LEAVES = frozenset({"schema", "relational", "datalog", "algebra", "workloads"})
 
 _TOP = len(LAYERS) - 1
 _LEAF = -1
