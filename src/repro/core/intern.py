@@ -105,6 +105,10 @@ def intern_node(key: Any, build: Callable[[], Any]) -> Any:
     return _TABLE.intern(key, build)
 
 
+#: The live canonical instance for a key, or ``None``: builds nothing, takes no lock.
+probe_node = _TABLE._table.get
+
+
 def intern_term(key: Any, build: Callable[..., Any], *args: Any) -> Any:
     """Intern one formula node; a hit takes no lock (a dict read is atomic)."""
     canonical = _TERMS._table.get(key)

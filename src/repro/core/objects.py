@@ -30,6 +30,9 @@ default constructors return the one canonical instance per distinct structure,
 so ``==`` on them is an identity check and ``hash`` a cached int, and the
 sub-object order's memo table can key on intern ids.
 Raw objects are never interned and keep full structural semantics.
+Probes (:func:`probe_atom`, :func:`probe_tuple`, :func:`probe_set`) look up
+the key their constructor interns under and return the live canonical node
+or ``None``: only a canonical payload hits, and a hit is what it would build.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
-from repro.core.atoms import AtomValue, atom_key, atom_sort, is_atom_value
+from repro.core.atoms import AtomValue, atom_key, atom_sort
 from repro.core.errors import NestingError, NormalizationError
 
 __all__ = [
@@ -61,6 +64,19 @@ _RANK_ATOM = 1
 _RANK_TUPLE = 2
 _RANK_SET = 3
 _RANK_TOP = 4
+
+
+# The intern key of each kind: its constructor interns under it, its probe looks it up.
+def _atom_key(sort: str, value: AtomValue) -> tuple:
+    return ("a", sort, value)
+
+
+def _tuple_key(pairs) -> tuple:  # (name, interned value) pairs, sorted by name
+    return ("t", tuple([(name, value._iid) for name, value in pairs]))
+
+
+def _set_key(ids) -> tuple:  # the elements' intern ids, in any order
+    return ("s", tuple(sorted(ids)))
 
 
 class ComplexObject:
@@ -281,11 +297,13 @@ class Atom(ComplexObject):
     _rank = _RANK_ATOM
 
     def __new__(cls, value: AtomValue) -> "Atom":
-        if not is_atom_value(value):
+        try:
+            sort = atom_sort(value)
+        except TypeError:
             raise NormalizationError(
                 f"atomic objects must be int, float, str or bool, got {type(value).__name__}"
-            )
-        return _intern.intern_node(("a", atom_sort(value), value), lambda: cls._build(value))
+            ) from None
+        return _intern.intern_node(_atom_key(sort, value), lambda: cls._build(value))
 
     @classmethod
     def _build(cls, value: AtomValue) -> "Atom":
@@ -364,9 +382,8 @@ class TupleObject(ComplexObject):
         if interned:
             # Children are interned (hence normalized), so the tuple can be
             # hash-consed: the table key is built from child intern ids alone.
-            ordered = tuple(sorted(cleaned.items(), key=lambda item: item[0]))
-            key = ("t", tuple((name, value._iid) for name, value in ordered))
-            return _intern.intern_node(key, lambda: cls._from_canonical(ordered))
+            ordered = tuple(sorted(cleaned.items()))  # by name: names are distinct
+            return _intern.intern_node(_tuple_key(ordered), lambda: cls._from_canonical(ordered))
         return cls._build(cleaned)
 
     @classmethod
@@ -542,10 +559,10 @@ class SetObject(ComplexObject):
         order is only materialized once per distinct structure (on a miss).
         """
         elements = list(elements)
-        if all(element._iid is not None for element in elements):
-            key = ("s", tuple(sorted(element._iid for element in elements)))
+        ids = [element._iid for element in elements]
+        if None not in ids:
             return _intern.intern_node(
-                key,
+                _set_key(ids),
                 lambda: cls._from_canonical(
                     tuple(sorted(elements, key=ComplexObject.sort_key))
                 ),
@@ -646,6 +663,24 @@ class SetObject(ComplexObject):
     def _text(self) -> str:
         inner = ", ".join(element._text() for element in self._elements)
         return "{" + inner + "}"
+
+
+def probe_atom(sort: object, value: object) -> Optional[Atom]:
+    """The live atom of ``sort`` holding ``value`` (``1`` finds ``1.0``), or ``None``."""
+    try:
+        return _intern.probe_node(_atom_key(sort, value))
+    except TypeError:
+        return None
+
+
+def probe_tuple(pairs) -> Optional[TupleObject]:
+    """The live tuple of the ``(name, interned value)`` pairs, sorted by name, or ``None``."""
+    return _intern.probe_node(_tuple_key(pairs))
+
+
+def probe_set(ids) -> Optional[SetObject]:
+    """The live set of the elements with intern ids ``ids`` (any order), or ``None``."""
+    return _intern.probe_node(_set_key(ids))
 
 
 def _children(node: ComplexObject) -> Iterable[ComplexObject]:

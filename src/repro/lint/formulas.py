@@ -32,7 +32,6 @@ from repro.calculus.rules import Rule
 from repro.calculus.terms import (
     Constant,
     Formula,
-    Parameter,
     SetFormula,
     TupleFormula,
     Variable,

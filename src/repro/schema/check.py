@@ -90,9 +90,11 @@ def _check(value: ComplexObject, schema: SchemaType, path: str) -> List[TypeChec
         if not isinstance(value, Atom):
             return [TypeCheckIssue(path, f"expected an atom, got {value.to_text()}")]
         if schema.sort is not None and value.sort != schema.sort:
+            article = "an" if schema.sort[0] in "aeiou" else "a"
             return [
                 TypeCheckIssue(
-                    path, f"expected a {schema.sort} atom, got {value.sort} {value.to_text()}"
+                    path,
+                    f"expected {article} {schema.sort} atom, got {value.sort} {value.to_text()}",
                 )
             ]
         return []

@@ -39,6 +39,9 @@ from repro.core.objects import (
     SetObject,
     Top,
     TupleObject,
+    probe_atom,
+    probe_set,
+    probe_tuple,
 )
 
 __all__ = [
@@ -83,7 +86,7 @@ def encode_json(value: ComplexObject) -> Any:
 
 
 def decode_json(data: Any) -> ComplexObject:
-    """Decode the JSON form back into a complex object."""
+    """Decode the JSON form: probe for each node by its children's ids, construct on a miss."""
     if not isinstance(data, dict) or _KIND not in data:
         raise StoreError(f"malformed encoded object: {data!r}")
     kind = data[_KIND]
@@ -92,32 +95,37 @@ def decode_json(data: Any) -> ComplexObject:
     if kind == _TOP:
         return TOP
     if kind == _ATOM:
-        return Atom(_decode_atom(data))
+        found = probe_atom(data.get(_SORT), data.get(_VALUE))
+        return Atom(_decode_atom(data)) if found is None else found
     if kind == _TUPLE:
         payload = data.get(_VALUE, {})
         if not isinstance(payload, dict):
             raise StoreError(f"malformed tuple payload: {payload!r}")
-        return TupleObject({name: decode_json(item) for name, item in payload.items()})
+        pairs = [(name, decode_json(item)) for name, item in payload.items()]
+        found = probe_tuple(pairs)
+        return TupleObject(dict(pairs)) if found is None else found
     if kind == _SET:
         payload = data.get(_VALUE, [])
         if not isinstance(payload, list):
             raise StoreError(f"malformed set payload: {payload!r}")
-        return SetObject(decode_json(item) for item in payload)
+        elements = [decode_json(item) for item in payload]
+        found = probe_set([element._iid for element in elements])
+        return SetObject(elements) if found is None else found
     raise StoreError(f"unknown kind tag {kind!r}")
 
 
+_CONVERT = {"bool": bool, "int": int, "float": float, "string": str}
+
+
 def _decode_atom(data: dict):
-    sort = data.get(_SORT)
-    value = data.get(_VALUE)
-    if sort == "bool":
-        return bool(value)
-    if sort == "int":
-        return int(value)
-    if sort == "float":
-        return float(value)
-    if sort == "string":
-        return str(value)
-    raise StoreError(f"unknown atom sort {sort!r}")
+    sort, value = data.get(_SORT), data.get(_VALUE)
+    convert = _CONVERT.get(sort) if isinstance(sort, str) else None
+    if convert is None:
+        raise StoreError(f"unknown atom sort {sort!r}")
+    try:
+        return convert(value)
+    except (ValueError, TypeError, OverflowError) as error:
+        raise StoreError(f"atom sort {sort!r} cannot hold the value: {error}") from None
 
 
 def to_json_text(value: ComplexObject, indent: int = None) -> str:
@@ -137,6 +145,7 @@ def from_json_text(text: str) -> ComplexObject:
 # -- write-ahead-log record framing -------------------------------------------------
 
 _CHECKSUM = "crc"
+_FRAMED = f'{{"{_CHECKSUM}":'  # how frame_record begins a line
 
 
 def _canonical(record: dict) -> str:
@@ -169,8 +178,17 @@ def parse_record(line: str) -> dict:
     than torn.  (This also covers in-place damage to the checksum field's
     *name*, which must not demote a commit to an unchecked record.)  A line
     nested too deeply to parse is malformed like any other.
+    The checksum is verified on the body as read (the line without its
+    leading ``"crc":N,`` member), parsed once; only a line that fails that is
+    parsed whole and re-serialised to compare, as before.
     """
+    head, _, tail = line.partition(",")
+    stored = head[len(_FRAMED) :]
     try:
+        if head.startswith(_FRAMED) and stored.isascii() and stored.isdigit():
+            body = "{" + tail.rstrip("\n")
+            if zlib.crc32(body.encode("utf-8")) == int(stored):
+                return json.loads(body)
         record = json.loads(line)
         if not isinstance(record, dict):
             raise StoreError(f"malformed log record (not an object): {record!r}")

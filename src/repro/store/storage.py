@@ -111,9 +111,9 @@ class LogReplay:
             reason = f"not valid UTF-8 ({error})"
         except _UnreducedEdits as error:
             line_number, reason = error.since, str(error)
-        except (StoreError, ValueError, TypeError) as error:
-            # The last two: what decoding a checksummed but ill-typed image
-            # raises until the codec's errors are typed (ROADMAP 6(c)).
+        except (StoreError, ValueError, TypeError, RecursionError) as error:
+            # Past StoreError: a constructor refusing a checksummed payload,
+            # or a payload nested too deeply to decode.
             reason = str(error)
         else:
             return None

@@ -44,6 +44,17 @@ class TestCheckObject:
         assert issues[0].path == "name"
         assert "string" in issues[0].message
 
+    @pytest.mark.parametrize(
+        "value, schema, message",
+        [
+            (obj(True), integer(), "expected an int atom, got bool true"),
+            (obj(1), string(), "expected a string atom, got int 1"),
+        ],
+    )
+    def test_wrong_sort_message_takes_the_sorts_article(self, value, schema, message):
+        (issue,) = check_object(value, schema)
+        assert issue.message == message
+
     def test_missing_required_attribute(self):
         issues = check_object(obj({"age": 3}), PERSON)
         assert any("missing required" in issue.message for issue in issues)

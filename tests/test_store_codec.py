@@ -1,11 +1,19 @@
 """Unit tests for object serialization (repro.store.codec)."""
 
+import json
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import parse_object
+from repro.core import intern
+from repro.core.atoms import atom_sort
 from repro.core.builder import obj
 from repro.core.errors import StoreError
-from repro.core.objects import BOTTOM, TOP
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject, probe_tuple
+from repro.store import codec
 from repro.store.codec import (
     decode_json,
     dumps_object,
@@ -16,6 +24,7 @@ from repro.store.codec import (
     parse_record,
     to_json_text,
 )
+from tests.conftest import complex_objects
 
 
 SAMPLES = [
@@ -134,3 +143,197 @@ class TestRecordFraming:
         ):
             assert frame_record(record) == twice(record)
             assert parse_record(frame_record(record)) == record
+
+
+# -- decoding through the intern table -------------------------------------------------
+
+
+def _miss(*_):
+    return None
+
+
+def _constructors_only():
+    """``decode_json`` with every probe missing: the public constructors build each node."""
+    return mock.patch.multiple(codec, probe_atom=_miss, probe_tuple=_miss, probe_set=_miss)
+
+
+def _outcome(payload):
+    """What decoding ``payload`` answers: the object, or the type of the error it raises."""
+    try:
+        return decode_json(payload)
+    except (StoreError, ValueError, TypeError) as error:
+        return type(error)
+
+
+def _assert_exact(payload, warm):
+    """Probing answers what the constructors answer, by identity.
+
+    Warm: the constructors' answer is live while the probes decode, so a
+    probe that finds a wrong node is caught.  Cold: the probes decode first.
+    """
+    if warm:
+        with _constructors_only():
+            expected = _outcome(payload)
+        probed = _outcome(payload)
+    else:
+        probed = _outcome(payload)
+        with _constructors_only():
+            expected = _outcome(payload)
+    assert probed is expected, (payload, probed, expected)
+
+
+def _assert_probed(value):
+    """A live canonical value decodes by probes alone: the intern table is not asked."""
+    data = encode_json(value)
+    before = intern.intern_stats()
+    decoded = decode_json(data)
+    after = intern.intern_stats()
+    assert decoded is value
+    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"]), value
+
+
+_SORTS = ("bool", "int", "float", "string")
+_ATOM_PAYLOADS = st.builds(
+    lambda sort, value: {"k": "a", "srt": sort, "v": value},
+    st.sampled_from(_SORTS + ("decimal",)),
+    st.one_of(
+        st.booleans(),
+        st.integers(-3, 3),
+        st.sampled_from([1.5, 0.0, -0.0, 2.0, float("inf")]),
+        st.sampled_from(["x", "y", "1", ""]),
+        st.none(),
+    ),
+)
+#: Encoded payloads of every shape, canonical or not: unsorted, duplicated or
+#: dominated set elements, ⊥ / ⊤ children, atoms their sort does not describe.
+_PAYLOADS = st.recursive(
+    _ATOM_PAYLOADS | st.sampled_from([{"k": "B"}, {"k": "T"}]),
+    lambda children: st.one_of(
+        st.dictionaries(st.sampled_from(["a", "b", "c"]), children, max_size=3).map(
+            lambda value: {"k": "t", "v": value}
+        ),
+        st.lists(children, max_size=4).map(lambda value: {"k": "s", "v": value}),
+    ),
+    max_leaves=10,
+)
+
+_ONE = {"k": "a", "srt": "int", "v": 1}
+_PAIR = {"k": "t", "v": {"a": _ONE, "b": {"k": "a", "srt": "int", "v": 2}}}
+
+
+class TestDecodingProbesTheInternTable:
+    """``decode_json`` finds live canonical nodes before it builds; the constructors are its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=complex_objects(4))
+    def test_a_live_value_decodes_to_itself_by_probes_alone(self, value):
+        _assert_probed(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PAYLOADS, warm=st.booleans())
+    @example(payload={"k": "s", "v": [{"k": "a", "srt": "int", "v": 2}, _ONE]}, warm=True)
+    @example(payload={"k": "s", "v": [_ONE, _ONE]}, warm=True)
+    @example(payload={"k": "s", "v": [_PAIR, {"k": "t", "v": {"a": _ONE}}]}, warm=True)
+    @example(payload={"k": "s", "v": [_ONE, {"k": "B"}]}, warm=True)
+    @example(payload={"k": "t", "v": {"a": _ONE, "b": {"k": "B"}}}, warm=True)
+    @example(payload={"k": "s", "v": [_ONE, {"k": "T"}]}, warm=True)
+    @example(payload={"k": "a", "srt": "int", "v": True}, warm=True)
+    @example(payload={"k": "a", "srt": "float", "v": 1}, warm=True)
+    @example(payload={"k": "a", "srt": "bool", "v": 0}, warm=True)
+    @example(payload={"k": "a", "srt": "string", "v": 5}, warm=True)
+    @example(payload={"k": "a", "srt": "int", "v": 1.5}, warm=True)
+    @example(payload={"k": "a", "srt": "int", "v": [1]}, warm=True)
+    def test_any_payload_decodes_as_the_constructors_decode_it(self, payload, warm):
+        _assert_exact(payload, warm)
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_a_generated_value_decodes_as_the_constructors_decode_it(self, warm):
+        for value in (parse_object("{[a: 1, b: {2, x}], [a: 1]}"), obj([2.5, "x", False])):
+            _assert_exact(encode_json(value), warm)
+
+    def test_a_value_that_is_not_live_is_built_once(self):
+        rows = [{"k": "t", "v": {"a": {"k": "a", "srt": "string", "v": f"probe_cold_{i}"}}}
+                for i in (1, 2)]
+        data = {"k": "t", "v": {"fresh": {"k": "s", "v": rows}}}
+        before = intern.intern_stats()["misses"]
+        decoded = decode_json(data)
+        assert intern.intern_stats()["misses"] - before == 6  # 2 atoms, 2 rows, the set, the root
+        assert decoded is parse_object("[fresh: {[a: probe_cold_1], [a: probe_cold_2]}]")
+
+
+class TestTheProbeMutantsAreCaught:
+    """The checks above catch a probe keyed wrongly; each mutant stands in for one."""
+
+    def test_a_probe_that_takes_the_sort_from_the_value_is_caught(self):
+        def mutant(sort, value):
+            return intern.probe_node(("a", atom_sort(value), value))
+
+        held = Atom(1)  # noqa: F841 - live: what the mutant finds for a float-sorted 1
+        with mock.patch.object(codec, "probe_atom", mutant):
+            with pytest.raises(AssertionError):
+                _assert_exact({"k": "a", "srt": "float", "v": 1}, warm=True)
+
+    def test_a_probe_keyed_without_the_sort_is_caught(self):
+        def mutant(sort, value):
+            return intern.probe_node(("a", value))
+
+        with mock.patch.object(codec, "probe_atom", mutant):
+            with pytest.raises(AssertionError):
+                _assert_probed(Atom(1.5))
+
+    def test_a_probe_keyed_on_unsorted_ids_is_caught(self):
+        def mutant(ids):
+            return intern.probe_node(("s", tuple(ids)))
+
+        later, earlier = Atom("probe-order-z"), Atom("probe-order-a")
+        value = SetObject([later, earlier])
+        assert [element._iid for element in value] != sorted(element._iid for element in value)
+        with mock.patch.object(codec, "probe_set", mutant):
+            with pytest.raises(AssertionError):
+                _assert_probed(value)
+        _assert_probed(value)
+
+    def test_the_tuple_probe_misses_unsorted_names(self):
+        value = TupleObject({"a": Atom(1), "b": Atom(2)})
+        assert probe_tuple([("a", Atom(1)), ("b", Atom(2))]) is value
+        assert probe_tuple([("b", Atom(2)), ("a", Atom(1))]) is None
+        unsorted = {"k": "t", "v": {"b": encode_json(Atom(2)), "a": encode_json(Atom(1))}}
+        assert decode_json(unsorted) is value
+
+
+class TestRecordChecksumOnTheLineRead:
+    RECORD = {
+        "op": "commit",
+        "writes": {
+            "doc": encode_json(parse_object(
+                "[title: t1, n: -3, weight: 2.5, ok: true, tags: {x, y}, parts: {[a: 1], [b: 0.25]}]"
+            )),
+            "gone": None,
+        },
+    }
+
+    def test_one_changed_character_anywhere_in_the_line_fails(self):
+        line = frame_record(self.RECORD)
+        replacements = [chr(code) for code in range(32, 127)] + ["é", " ", "\x00"]
+        for at in range(len(line) - 1):  # the newline ends the record; it is not in it
+            for replacement in replacements:
+                if replacement == line[at]:
+                    continue
+                with pytest.raises(StoreError):
+                    parse_record(line[:at] + replacement + line[at + 1 :])
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=complex_objects(3))
+    def test_a_framed_record_parses_alike_through_both_checks(self, value):
+        record = {"op": "commit", "writes": {"x": encode_json(value), "y": None}}
+        line = frame_record(record)
+        with mock.patch.object(codec, "_canonical", wraps=codec._canonical) as canonical:
+            with mock.patch.object(codec.json, "loads", wraps=json.loads) as loads:
+                assert parse_record(line) == record
+                assert parse_record(line.rstrip("\n")) == record
+        assert (canonical.call_count, loads.call_count) == (0, 2)
+        # The same record, not laid out as framed: parsed whole, re-serialised, compared.
+        spaced = json.dumps(json.loads(line))
+        with mock.patch.object(codec, "_canonical", wraps=codec._canonical) as canonical:
+            assert parse_record(spaced) == record
+        assert canonical.call_count == 1

@@ -284,7 +284,7 @@ class TestUntypedStore:
                 txn.put(name, value)
 
         with repro.connect(path) as session:
-            with pytest.raises(SchemaError, match="expected a int atom"):
+            with pytest.raises(SchemaError, match="expected an int atom"):
                 session.transact(work)
             assert session.database.snapshot() == {}
         with repro.connect(path) as session:

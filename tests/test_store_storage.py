@@ -7,9 +7,11 @@ the log only for its recovery counters.
 
 import json
 import os
+import zlib
 
 import pytest
 
+import repro
 from repro import parse_object
 from repro.core.builder import obj
 from repro.core.errors import StoreError
@@ -347,6 +349,40 @@ class TestQuarantineRecovery:
         reloaded.close()
 
 
+class TestAtomsTheirSortCannotHold:
+    """A checksummed image whose atom its sort cannot hold is corruption, not a crash."""
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            {"k": "a", "srt": "int", "v": float("inf")},
+            {"k": "a", "srt": "int", "v": float("nan")},
+            {"k": "a", "srt": "float", "v": 10**400},
+            {"k": "a", "srt": "int", "v": "many"},
+            {"k": "t", "v": {"n": {"k": "a", "srt": "int", "v": None}}},
+        ],
+        ids=["int-infinity", "int-nan", "float-huge-int", "int-text", "nested-int-null"],
+    )
+    def test_both_doors_name_the_record_and_keep_the_prefix(self, tmp_path, image):
+        path = str(tmp_path / "store.wal")
+        database = ObjectDatabase(FileStorage(path))
+        database.put("x", obj(1))
+        database.close()
+        intact = os.path.getsize(path)
+        line = frame_record({"op": "commit", "writes": {"y": image}})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+        _assert_detected(path, 2, "cannot hold")
+        session = repro.connect(path)
+        try:
+            assert session.names() == ("x",)
+            assert session.get("x") is obj(1)
+        finally:
+            session.shutdown()
+        assert os.path.getsize(path) == intact
+        assert os.path.getsize(path + ".quarantine") == len(line)
+
+
 def _chain(depth):
     value = Atom(0)
     for _ in range(depth):
@@ -389,6 +425,20 @@ class TestTooDeep:
         assert (log.quarantined_records, log.quarantined_bytes) == (1, len(deep))
         assert os.path.getsize(path) == intact
         database.close()
+
+    def test_no_checksummed_image_at_the_parser_limit_escapes_the_report(self, tmp_path):
+        # The line checks on the text read and parses; its objects are one
+        # frame deeper to decode than its JSON was to parse.
+        path = str(tmp_path / "store.wal")
+        for depth in range(440, 520):
+            body = (
+                '{"op":"commit","writes":{"y":' + '{"k":"t","v":{"n":' * depth
+                + '{"k":"a","srt":"int","v":1}' + "}}" * depth + "}}"
+            )
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write('{"crc":%d,%s\n' % (zlib.crc32(body.encode("utf-8")), body[1:]))
+            report = verify_wal(path)
+            assert report["records"] + len(report["corrupt_records"]) == 1
 
     def test_no_depth_at_the_parser_limit_escapes_the_typed_error(self):
         # Just inside the parser's limit, re-serialising the parsed record

@@ -85,6 +85,7 @@ CONTRACTS = {
     "api.materialise_vs_first_row": ("materialise", "first_row", ">=", 3.0),
     "core.set_reduction": ("structural", "interned", ">=", 3.0),
     "plan.source_vs_cost_ordered": ("source_ordered", "cost_ordered", ">=", 2.0),
+    "store.decode_vs_encode": ("decode", "encode", "<=", 1.5),
 }
 
 #: Hot functions counted in every cell: label → (file under ``src/``, function name).
@@ -469,6 +470,25 @@ def _join_order():
     return {"cost_ordered": count(join(ordered), 3), "source_ordered": count(join(source), 3)}
 
 
+def _codec():
+    """Decoding a library image whose nodes are live against encoding it.
+
+    What a reopen decodes: an 800-document ``doc_mixed`` library, through
+    the JSON text the log holds, while the library it was written from is
+    still held.
+    """
+    from repro.core.objects import TupleObject
+    from repro.store.codec import decode_json, encode_json
+
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    from e2e.workloads.docs import balanced_documents
+
+    library = TupleObject({"docs": balanced_documents(800, SEED)})
+    image = json.loads(json.dumps(encode_json(library)))
+    assert decode_json(image) is library, "the image decodes to another object"
+    return {"decode": count(lambda: decode_json(image)), "encode": count(lambda: encode_json(library))}
+
+
 FIXTURES = {
     "obs.disabled_vs_stripped": _obs,
     "lint.warn_vs_off": _lint,
@@ -476,6 +496,7 @@ FIXTURES = {
     "api.materialise_vs_first_row": _streaming,
     "core.set_reduction": _reduction,
     "plan.source_vs_cost_ordered": _join_order,
+    "store.decode_vs_encode": _codec,
 }
 
 
