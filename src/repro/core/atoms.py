@@ -38,6 +38,10 @@ def is_atom_value(value: object) -> bool:
     return isinstance(value, (bool, int, float, str))
 
 
+#: The sort of each exact atom type: a subclass is sorted by :func:`atom_sort`.
+SORT_OF_TYPE = {bool: BOOL_SORT, int: INT_SORT, float: FLOAT_SORT, str: STRING_SORT}
+
+
 def atom_sort(value: AtomValue) -> str:
     """Return the sort tag (``"bool"``, ``"int"``, ``"float"`` or ``"string"``).
 

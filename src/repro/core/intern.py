@@ -100,13 +100,24 @@ _TABLE = _InternTable()
 _TERMS = _InternTable()
 
 
+#: The object table's weak references by key: a lookup without the lock is one dict read.
+_REFS = _TABLE._table.data
+
+
 def intern_node(key: Any, build: Callable[[], Any]) -> Any:
-    """Intern one node: return the canonical instance for ``key``."""
-    return _TABLE.intern(key, build)
+    """Intern one node: the canonical instance for ``key``; a hit takes no lock."""
+    ref = _REFS.get(key)
+    canonical = None if ref is None else ref()
+    if canonical is None:
+        return _TABLE.intern(key, build)
+    _TABLE.hits += 1
+    return canonical
 
 
-#: The live canonical instance for a key, or ``None``: builds nothing, takes no lock.
-probe_node = _TABLE._table.get
+def live_node(key: Any) -> Any:
+    """The live canonical instance for ``key``, or ``None``: builds nothing, takes no lock."""
+    ref = _REFS.get(key)
+    return None if ref is None else ref()
 
 
 def intern_term(key: Any, build: Callable[..., Any], *args: Any) -> Any:

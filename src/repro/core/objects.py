@@ -30,9 +30,6 @@ default constructors return the one canonical instance per distinct structure,
 so ``==`` on them is an identity check and ``hash`` a cached int, and the
 sub-object order's memo table can key on intern ids.
 Raw objects are never interned and keep full structural semantics.
-Probes (:func:`probe_atom`, :func:`probe_tuple`, :func:`probe_set`) look up
-the key their constructor interns under and return the live canonical node
-or ``None``: only a canonical payload hits, and a hit is what it would build.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core import intern as _intern
-from repro.core.atoms import AtomValue, atom_key, atom_sort
+from repro.core.atoms import SORT_OF_TYPE, AtomValue, atom_key, atom_sort
 from repro.core.errors import NestingError, NormalizationError
 
 __all__ = [
@@ -66,16 +63,8 @@ _RANK_SET = 3
 _RANK_TOP = 4
 
 
-# The intern key of each kind: its constructor interns under it, its probe looks it up.
-def _atom_key(sort: str, value: AtomValue) -> tuple:
-    return ("a", sort, value)
-
-
-def _tuple_key(pairs) -> tuple:  # (name, interned value) pairs, sorted by name
-    return ("t", tuple([(name, value._iid) for name, value in pairs]))
-
-
-def _set_key(ids) -> tuple:  # the elements' intern ids, in any order
+def _set_key(ids) -> tuple:
+    """The intern key of the set of the elements with intern ids ``ids``, in any order."""
     return ("s", tuple(sorted(ids)))
 
 
@@ -298,12 +287,15 @@ class Atom(ComplexObject):
 
     def __new__(cls, value: AtomValue) -> "Atom":
         try:
-            sort = atom_sort(value)
-        except TypeError:
-            raise NormalizationError(
-                f"atomic objects must be int, float, str or bool, got {type(value).__name__}"
-            ) from None
-        return _intern.intern_node(_atom_key(sort, value), lambda: cls._build(value))
+            sort = SORT_OF_TYPE[type(value)]
+        except KeyError:  # a subclass of an atom type, or no atom at all
+            try:
+                sort = atom_sort(value)
+            except TypeError:
+                raise NormalizationError(
+                    f"atomic objects must be int, float, str or bool, got {type(value).__name__}"
+                ) from None
+        return _intern.intern_node(("a", sort, value), lambda: cls._build(value))
 
     @classmethod
     def _build(cls, value: AtomValue) -> "Atom":
@@ -371,7 +363,8 @@ class TupleObject(ComplexObject):
         cleaned: Dict[str, ComplexObject] = {}
         interned = True
         for name, value in mapping.items():
-            _check_attribute(name, value)
+            if not (isinstance(name, str) and name and isinstance(value, ComplexObject)):
+                _check_attribute(name, value)  # raises
             if value is TOP:
                 return TOP
             if value is BOTTOM:
@@ -383,7 +376,8 @@ class TupleObject(ComplexObject):
             # Children are interned (hence normalized), so the tuple can be
             # hash-consed: the table key is built from child intern ids alone.
             ordered = tuple(sorted(cleaned.items()))  # by name: names are distinct
-            return _intern.intern_node(_tuple_key(ordered), lambda: cls._from_canonical(ordered))
+            key = ("t", tuple([(name, value._iid) for name, value in ordered]))
+            return _intern.intern_node(key, lambda: cls._from_canonical(ordered))
         return cls._build(cleaned)
 
     @classmethod
@@ -501,12 +495,20 @@ class SetObject(ComplexObject):
     def __new__(cls, elements: Iterable[ComplexObject] = ()):  # noqa: D102 - documented above
         collected = []
         for element in elements:
-            _check_element(element)
+            if not isinstance(element, ComplexObject):
+                _check_element(element)  # raises
             if element is TOP:
                 return TOP
             if element is BOTTOM:
                 continue
             collected.append(element)
+        ids = [element._iid for element in collected]
+        if None not in ids:
+            # A canonical set holds no duplicate, no ⊥ / ⊤ and no dominated
+            # pair, so its key is found only for the very elements it holds.
+            canonical = _intern.live_node(_set_key(ids))
+            if canonical is not None:
+                return canonical
         # One pass over the elements: dedup once (by intern id, as equal
         # interned elements are identical; by structural hash/eq once a raw
         # one is among them), reduce the unique survivors, and hand the result
@@ -663,24 +665,6 @@ class SetObject(ComplexObject):
     def _text(self) -> str:
         inner = ", ".join(element._text() for element in self._elements)
         return "{" + inner + "}"
-
-
-def probe_atom(sort: object, value: object) -> Optional[Atom]:
-    """The live atom of ``sort`` holding ``value`` (``1`` finds ``1.0``), or ``None``."""
-    try:
-        return _intern.probe_node(_atom_key(sort, value))
-    except TypeError:
-        return None
-
-
-def probe_tuple(pairs) -> Optional[TupleObject]:
-    """The live tuple of the ``(name, interned value)`` pairs, sorted by name, or ``None``."""
-    return _intern.probe_node(_tuple_key(pairs))
-
-
-def probe_set(ids) -> Optional[SetObject]:
-    """The live set of the elements with intern ids ``ids`` (any order), or ``None``."""
-    return _intern.probe_node(_set_key(ids))
 
 
 def _children(node: ComplexObject) -> Iterable[ComplexObject]:

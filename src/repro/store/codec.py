@@ -39,9 +39,6 @@ from repro.core.objects import (
     SetObject,
     Top,
     TupleObject,
-    probe_atom,
-    probe_set,
-    probe_tuple,
 )
 
 __all__ = [
@@ -85,8 +82,11 @@ def encode_json(value: ComplexObject) -> Any:
     raise StoreError(f"cannot encode {type(value).__name__} as JSON")
 
 
+_CONVERT = {"bool": bool, "int": int, "float": float, "string": str}
+
+
 def decode_json(data: Any) -> ComplexObject:
-    """Decode the JSON form: probe for each node by its children's ids, construct on a miss."""
+    """Decode the JSON form back into a complex object."""
     if not isinstance(data, dict) or _KIND not in data:
         raise StoreError(f"malformed encoded object: {data!r}")
     kind = data[_KIND]
@@ -95,37 +95,26 @@ def decode_json(data: Any) -> ComplexObject:
     if kind == _TOP:
         return TOP
     if kind == _ATOM:
-        found = probe_atom(data.get(_SORT), data.get(_VALUE))
-        return Atom(_decode_atom(data)) if found is None else found
+        try:
+            convert = _CONVERT[data[_SORT]]
+        except (KeyError, TypeError):  # TypeError: a sort that is not even hashable
+            raise StoreError(f"unknown atom sort {data.get(_SORT)!r}") from None
+        try:
+            value = convert(data.get(_VALUE))
+        except (ValueError, TypeError, OverflowError) as error:
+            raise StoreError(f"atom sort {data[_SORT]!r} cannot hold the value: {error}") from None
+        return Atom(value)
     if kind == _TUPLE:
         payload = data.get(_VALUE, {})
         if not isinstance(payload, dict):
             raise StoreError(f"malformed tuple payload: {payload!r}")
-        pairs = [(name, decode_json(item)) for name, item in payload.items()]
-        found = probe_tuple(pairs)
-        return TupleObject(dict(pairs)) if found is None else found
+        return TupleObject({name: decode_json(item) for name, item in payload.items()})
     if kind == _SET:
         payload = data.get(_VALUE, [])
         if not isinstance(payload, list):
             raise StoreError(f"malformed set payload: {payload!r}")
-        elements = [decode_json(item) for item in payload]
-        found = probe_set([element._iid for element in elements])
-        return SetObject(elements) if found is None else found
+        return SetObject([decode_json(item) for item in payload])
     raise StoreError(f"unknown kind tag {kind!r}")
-
-
-_CONVERT = {"bool": bool, "int": int, "float": float, "string": str}
-
-
-def _decode_atom(data: dict):
-    sort, value = data.get(_SORT), data.get(_VALUE)
-    convert = _CONVERT.get(sort) if isinstance(sort, str) else None
-    if convert is None:
-        raise StoreError(f"unknown atom sort {sort!r}")
-    try:
-        return convert(value)
-    except (ValueError, TypeError, OverflowError) as error:
-        raise StoreError(f"atom sort {sort!r} cannot hold the value: {error}") from None
 
 
 def to_json_text(value: ComplexObject, indent: int = None) -> str:
@@ -178,17 +167,19 @@ def parse_record(line: str) -> dict:
     than torn.  (This also covers in-place damage to the checksum field's
     *name*, which must not demote a commit to an unchecked record.)  A line
     nested too deeply to parse is malformed like any other.
-    The checksum is verified on the body as read (the line without its
-    leading ``"crc":N,`` member), parsed once; only a line that fails that is
-    parsed whole and re-serialised to compare, as before.
+    The checksum is verified on the line as read, less its ``"crc":N,``;
+    only a line that fails that is parsed whole and re-serialised to compare.
     """
     head, _, tail = line.partition(",")
     stored = head[len(_FRAMED) :]
     try:
-        if head.startswith(_FRAMED) and stored.isascii() and stored.isdigit():
+        # A JSON number: no sign, no leading zero, ASCII digits only.
+        if head.startswith(_FRAMED) and stored.isdecimal() and stored == str(int(stored)):
             body = "{" + tail.rstrip("\n")
             if zlib.crc32(body.encode("utf-8")) == int(stored):
-                return json.loads(body)
+                record = json.loads(body)
+                if _CHECKSUM not in record:  # a second crc member: as before
+                    return record
         record = json.loads(line)
         if not isinstance(record, dict):
             raise StoreError(f"malformed log record (not an object): {record!r}")

@@ -41,15 +41,23 @@ def _encode_edit(edit: dict) -> dict:
     return {"at": list(edit["at"]), **sides}
 
 
+def _decoded(data: object) -> ComplexObject:
+    """:func:`decode_json` of a checksummed payload; one too deep to decode is corrupt."""
+    try:
+        return decode_json(data)
+    except RecursionError:  # the line parsed, but decoding takes a frame more
+        raise StoreError("corrupt commit record (an object nested too deeply to decode)") from None
+
+
 def _decode_edit(entry: object) -> dict:
     """One logged edit back in :func:`~repro.store.updates.diff_object`'s form."""
     if isinstance(entry, dict):
         at, keys = entry.get("at"), entry.keys() - {"at"}
         if isinstance(at, list) and all(isinstance(step, str) and step for step in at):
             if keys == {"put"}:
-                return {"at": tuple(at), "put": decode_json(entry["put"])}
+                return {"at": tuple(at), "put": _decoded(entry["put"])}
             if keys == {"add", "del"} and all(isinstance(entry[key], list) for key in keys):
-                sides = {key: [decode_json(element) for element in entry[key]] for key in keys}
+                sides = {key: [_decoded(element) for element in entry[key]] for key in keys}
                 return {"at": tuple(at), **sides}
     raise StoreError(f"malformed edit: {entry!r}")
 
@@ -111,9 +119,8 @@ class LogReplay:
             reason = f"not valid UTF-8 ({error})"
         except _UnreducedEdits as error:
             line_number, reason = error.since, str(error)
-        except (StoreError, ValueError, TypeError, RecursionError) as error:
-            # Past StoreError: a constructor refusing a checksummed payload,
-            # or a payload nested too deeply to decode.
+        except (StoreError, ValueError, TypeError) as error:
+            # The last two: a constructor refusing a checksummed payload.
             reason = str(error)
         else:
             return None
@@ -132,7 +139,7 @@ class LogReplay:
                 f"corrupt commit record (missing writes) at line {line_number}"
             )
         images = {
-            name: None if data is None else decode_json(data)
+            name: None if data is None else _decoded(data)
             for name, data in writes.items()
         }
         staged = []

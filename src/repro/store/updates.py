@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import StoreError
 from repro.core.lattice import union
-from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject, probe_set
+from repro.core.objects import BOTTOM, TOP, ComplexObject, SetObject, TupleObject
 from repro.core.paths import Path
 
 __all__ = [
@@ -202,11 +202,11 @@ class _EditFold:
 
     Re-reducing a set per edit costs edits × set size; the fold instead keeps
     the live elements of every edited set in a dict by intern id and builds
-    the set when :meth:`rebuild` asks — the live set of those ids, else through
-    the public, reducing :class:`SetObject` constructor.  ``len(rebuilt) ==
-    len(live)`` is then the proof that the edits described reduced sets.
-    :meth:`stage` validates a whole group of edits against the folded state
-    without changing it; :meth:`commit` cannot fail.
+    the set — through the public, reducing :class:`SetObject` constructor —
+    when :meth:`rebuild` asks.  ``len(rebuilt) == len(live)`` is then the
+    proof that the edits described reduced sets.  :meth:`stage` validates a
+    whole group of edits against the folded state without changing it;
+    :meth:`commit` cannot fail.
     """
 
     __slots__ = ("value", "live", "rebuilt")
@@ -268,9 +268,7 @@ class _EditFold:
         """Build every folded set at or below ``under``; return the object."""
         for path in [path for path in self.live if path[: len(under)] == under]:
             live, since = self.live.pop(path)
-            rebuilt = probe_set(live)
-            if rebuilt is None:
-                rebuilt = SetObject(live.values())
+            rebuilt = SetObject(live.values())
             if not isinstance(rebuilt, SetObject) or len(rebuilt) != len(live):
                 raise _UnreducedEdits(path, since)
             self.value = _assign(self.value, path, rebuilt) if path else rebuilt

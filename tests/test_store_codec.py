@@ -1,6 +1,7 @@
 """Unit tests for object serialization (repro.store.codec)."""
 
 import json
+import zlib
 from unittest import mock
 
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import parse_object
-from repro.core import intern
-from repro.core.atoms import atom_sort
+from repro.core import intern, objects
 from repro.core.builder import obj
 from repro.core.errors import StoreError
-from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject, probe_tuple
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.store import codec
 from repro.store.codec import (
     decode_json,
@@ -152,9 +152,9 @@ def _miss(*_):
     return None
 
 
-def _constructors_only():
-    """``decode_json`` with every probe missing: the public constructors build each node."""
-    return mock.patch.multiple(codec, probe_atom=_miss, probe_tuple=_miss, probe_set=_miss)
+def _reducing_only():
+    """The set constructor with its probe missing: every set is deduplicated and reduced."""
+    return mock.patch.object(intern, "live_node", _miss)
 
 
 def _outcome(payload):
@@ -166,30 +166,30 @@ def _outcome(payload):
 
 
 def _assert_exact(payload, warm):
-    """Probing answers what the constructors answer, by identity.
+    """The set probe answers what reduction answers, by identity.
 
-    Warm: the constructors' answer is live while the probes decode, so a
-    probe that finds a wrong node is caught.  Cold: the probes decode first.
+    Warm: reduction's answer is live while the probe decodes, so a probe that
+    finds a wrong node is caught.  Cold: the probe decodes first.
     """
     if warm:
-        with _constructors_only():
+        with _reducing_only():
             expected = _outcome(payload)
         probed = _outcome(payload)
     else:
         probed = _outcome(payload)
-        with _constructors_only():
+        with _reducing_only():
             expected = _outcome(payload)
     assert probed is expected, (payload, probed, expected)
 
 
 def _assert_probed(value):
-    """A live canonical value decodes by probes alone: the intern table is not asked."""
+    """A live canonical value decodes by lookups alone: no node is built, no set reduced."""
     data = encode_json(value)
-    before = intern.intern_stats()
-    decoded = decode_json(data)
-    after = intern.intern_stats()
+    before = intern.intern_stats()["misses"]
+    with mock.patch.object(objects, "_reduce_unique", side_effect=AssertionError("reduced")):
+        decoded = decode_json(data)
     assert decoded is value
-    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"]), value
+    assert intern.intern_stats()["misses"] == before, value
 
 
 _SORTS = ("bool", "int", "float", "string")
@@ -221,12 +221,12 @@ _ONE = {"k": "a", "srt": "int", "v": 1}
 _PAIR = {"k": "t", "v": {"a": _ONE, "b": {"k": "a", "srt": "int", "v": 2}}}
 
 
-class TestDecodingProbesTheInternTable:
-    """``decode_json`` finds live canonical nodes before it builds; the constructors are its oracle."""
+class TestTheSetConstructorProbesTheInternTable:
+    """``SetObject`` finds a live canonical set before it reduces; reduction is its oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(value=complex_objects(4))
-    def test_a_live_value_decodes_to_itself_by_probes_alone(self, value):
+    def test_a_live_value_decodes_to_itself_by_lookups_alone(self, value):
         _assert_probed(value)
 
     @settings(max_examples=300, deadline=None)
@@ -243,11 +243,35 @@ class TestDecodingProbesTheInternTable:
     @example(payload={"k": "a", "srt": "string", "v": 5}, warm=True)
     @example(payload={"k": "a", "srt": "int", "v": 1.5}, warm=True)
     @example(payload={"k": "a", "srt": "int", "v": [1]}, warm=True)
-    def test_any_payload_decodes_as_the_constructors_decode_it(self, payload, warm):
+    def test_any_payload_decodes_as_reduction_decodes_it(self, payload, warm):
         _assert_exact(payload, warm)
 
+    @settings(max_examples=200, deadline=None)
+    @given(elements=st.lists(complex_objects(3), max_size=5), warm=st.booleans())
+    def test_any_elements_build_the_set_reduction_builds(self, elements, warm):
+        elements = elements + elements[:1]  # a duplicate, when there is an element
+        if warm:
+            with _reducing_only():
+                expected = SetObject(elements)
+            assert SetObject(reversed(elements)) is expected
+        else:
+            probed = SetObject(reversed(elements))
+            with _reducing_only():
+                assert SetObject(elements) is probed
+
+    def test_each_intern_key_tells_apart_what_the_model_tells_apart(self):
+        one, two = Atom(1), Atom(2)
+        distinct = [
+            one, Atom(1.0), Atom(True), Atom("1"),
+            TupleObject({"a": one}), TupleObject({"b": one}), TupleObject({"a": one, "b": one}),
+            SetObject([]), SetObject([one]), SetObject([two]), SetObject([one, two]),
+        ]
+        assert len({id(value) for value in distinct}) == len(distinct)
+        for value in distinct:
+            assert decode_json(encode_json(value)) is value
+
     @pytest.mark.parametrize("warm", [True, False])
-    def test_a_generated_value_decodes_as_the_constructors_decode_it(self, warm):
+    def test_a_generated_value_decodes_as_reduction_decodes_it(self, warm):
         for value in (parse_object("{[a: 1, b: {2, x}], [a: 1]}"), obj([2.5, "x", False])):
             _assert_exact(encode_json(value), warm)
 
@@ -260,45 +284,28 @@ class TestDecodingProbesTheInternTable:
         assert intern.intern_stats()["misses"] - before == 6  # 2 atoms, 2 rows, the set, the root
         assert decoded is parse_object("[fresh: {[a: probe_cold_1], [a: probe_cold_2]}]")
 
-
-class TestTheProbeMutantsAreCaught:
-    """The checks above catch a probe keyed wrongly; each mutant stands in for one."""
-
-    def test_a_probe_that_takes_the_sort_from_the_value_is_caught(self):
-        def mutant(sort, value):
-            return intern.probe_node(("a", atom_sort(value), value))
-
-        held = Atom(1)  # noqa: F841 - live: what the mutant finds for a float-sorted 1
-        with mock.patch.object(codec, "probe_atom", mutant):
-            with pytest.raises(AssertionError):
-                _assert_exact({"k": "a", "srt": "float", "v": 1}, warm=True)
-
-    def test_a_probe_keyed_without_the_sort_is_caught(self):
-        def mutant(sort, value):
-            return intern.probe_node(("a", value))
-
-        with mock.patch.object(codec, "probe_atom", mutant):
-            with pytest.raises(AssertionError):
-                _assert_probed(Atom(1.5))
-
     def test_a_probe_keyed_on_unsorted_ids_is_caught(self):
-        def mutant(ids):
-            return intern.probe_node(("s", tuple(ids)))
+        def mutant(key):  # the key as the elements came, not sorted by intern id
+            return intern._TABLE._table.get(("s", tuple(reversed(key[1]))))
 
         later, earlier = Atom("probe-order-z"), Atom("probe-order-a")
         value = SetObject([later, earlier])
-        assert [element._iid for element in value] != sorted(element._iid for element in value)
-        with mock.patch.object(codec, "probe_set", mutant):
+        with mock.patch.object(intern, "live_node", mutant):
             with pytest.raises(AssertionError):
                 _assert_probed(value)
         _assert_probed(value)
 
-    def test_the_tuple_probe_misses_unsorted_names(self):
-        value = TupleObject({"a": Atom(1), "b": Atom(2)})
-        assert probe_tuple([("a", Atom(1)), ("b", Atom(2))]) is value
-        assert probe_tuple([("b", Atom(2)), ("a", Atom(1))]) is None
-        unsorted = {"k": "t", "v": {"b": encode_json(Atom(2)), "a": encode_json(Atom(1))}}
-        assert decode_json(unsorted) is value
+    def test_a_probe_that_hits_a_dominated_pair_is_caught(self):
+        def mutant(key):  # any live one-element set of the elements: domination unchecked
+            found = (intern._TABLE._table.get(("s", (iid,))) for iid in key[1])
+            return next((hit for hit in found if hit is not None), None)
+
+        small = TupleObject({"a": Atom("dominated-probe")})
+        held = SetObject([small])  # noqa: F841 - live: what the mutant finds
+        big = {"k": "t", "v": {**encode_json(small)["v"], "b": _ONE}}
+        with mock.patch.object(intern, "live_node", mutant):
+            with pytest.raises(AssertionError):
+                _assert_exact({"k": "s", "v": [encode_json(small), big]}, warm=True)
 
 
 class TestRecordChecksumOnTheLineRead:
@@ -321,6 +328,18 @@ class TestRecordChecksumOnTheLineRead:
                     continue
                 with pytest.raises(StoreError):
                     parse_record(line[:at] + replacement + line[at + 1 :])
+
+    def test_a_line_json_refuses_is_refused_though_its_checksum_holds(self):
+        line = frame_record(self.RECORD)
+        head, _, tail = line.partition(",")
+        digits = head[len('{"crc":') :]
+        body = '{"crc":7,' + tail.rstrip("\n")  # a body that carries a crc member itself
+        for damaged in (
+            '{"crc":0' + digits + "," + tail,  # a leading zero: not a JSON number
+            f'{{"crc":{zlib.crc32(body.encode())},{body[1:]}\n',
+        ):
+            with pytest.raises(StoreError):
+                parse_record(damaged)
 
     @settings(max_examples=100, deadline=None)
     @given(value=complex_objects(3))

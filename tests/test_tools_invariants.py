@@ -45,9 +45,6 @@ class TestCurrentTreeIsClean:
     def test_one_set_derivation(self):
         assert check_invariants.check_one_set_derivation() == []
 
-    def test_intern_probes(self):
-        assert check_invariants.check_intern_probes() == []
-
     def test_script_exits_zero(self):
         completed = subprocess.run(
             [sys.executable, str(CHECKER)],
@@ -591,56 +588,3 @@ class TestOneSetDerivationInvariant:
         violations = check_invariants.check_one_set_derivation(root)
         lines = sorted(violation.split(": ")[0].split("repro/", 1)[1] for violation in violations)
         assert lines == ["core/lattice.py:2", "core/lattice.py:3"]
-
-
-class TestInternProbesInvariant:
-    CORE = {
-        "core/intern.py": "_TABLE = {}\nprobe_node = _TABLE.get\n",
-        "core/objects.py": (
-            "from repro.core import intern as _intern\n"
-            "def _atom_key(sort, value):\n"
-            "    return ('a', sort, value)\n"
-            "def probe_atom(sort, value):\n"
-            "    return _intern.probe_node(_atom_key(sort, value))\n"
-        ),
-    }
-
-    def test_the_core_may_read_the_table_and_the_rest_asks_the_probes(self, tmp_path):
-        root = _package(tmp_path, {
-            **self.CORE,
-            "store/codec.py": (
-                "from repro.core.objects import probe_atom\n"
-                "def decode(sort, value):\n"
-                "    return probe_atom(sort, value)\n"
-            ),
-        })
-        assert check_invariants.check_intern_probes(root) == []
-
-    def test_a_decoder_with_its_own_key_is_flagged(self, tmp_path):
-        root = _package(tmp_path, {
-            **self.CORE,
-            "store/codec.py": (
-                "from repro.core import intern\n"
-                "def decode(sort, value):\n"
-                "    return intern.probe_node(('a', sort, value))\n"
-            ),
-        })
-        (violation,) = check_invariants.check_intern_probes(root)
-        assert violation.split("repro/", 1)[1].startswith("store/codec.py:3: names probe_node")
-
-    def test_every_way_of_naming_the_internals_is_one_violation(self, tmp_path):
-        root = _package(tmp_path, {
-            **self.CORE,
-            "store/updates.py": (
-                "from repro.core.intern import _TABLE, intern_node\n"
-                "from repro.core.objects import _set_key\n"
-                "def rebuild(ids, build):\n"
-                "    return _TABLE.get(_set_key(ids))\n"
-            ),
-        })
-        lines = sorted(
-            violation.split(": ")[0].split("repro/", 1)[1]
-            for violation in check_invariants.check_intern_probes(root)
-        )
-        assert lines == ["store/updates.py:1", "store/updates.py:1", "store/updates.py:2",
-                         "store/updates.py:4", "store/updates.py:4"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Codebase invariants, checked with nothing but the stdlib ``ast`` module.
 
-Twelve invariants that matter for correctness but that no unit test can pin
+Eleven invariants that matter for correctness but that no unit test can pin
 (they are properties of the *source*, not of any one execution):
 
 ``raw-constructors``
@@ -122,16 +122,6 @@ Twelve invariants that matter for correctness but that no unit test can pin
     (``object.__setattr__(set, "_index" | "_tables", ...)`` or ``setattr``)
     or call ``SetObject._from_derived``: a second place that derives a set
     would have to keep its tables right a second time.  There is no pragma.
-
-``intern-probes``
-    Objects are hash-consed in one table, keyed per kind by one function
-    (``_atom_key``, ``_tuple_key``, ``_set_key`` of :mod:`repro.core.objects`)
-    that a kind's constructor interns under and its probe (``probe_atom``,
-    ``probe_tuple``, ``probe_set``) looks up.  So only modules under
-    ``src/repro/core/`` name the table (``_TABLE``), its raw operations
-    (``intern_node``, ``probe_node``) or the key functions: a decoder that
-    built its own keys could drift from the constructors and find the wrong
-    node.  Code outside asks the probes.  There is no pragma.
 
 Run from the repository root::
 
@@ -723,7 +713,7 @@ RECURSION_ALLOWED = {
     "parser/parser.py::_Parser.parse_single_term": "untrusted text: the recursive descent",
     "parser/parser.py::_Parser.parse_clause": "untrusted text: the recursive descent",
     "store/codec.py::parse_record": "untrusted text: decoding a WAL record",
-    "store/storage.py::LogReplay._scan": "untrusted text: decoding a WAL record's objects",
+    "store/storage.py::_decoded": "untrusted text: decoding a WAL record's objects",
     "store/storage.py::FileStorage.apply_batch": "encoding a WAL record of a deep object",
     "core/objects.py::ComplexObject.to_text": "an object walk: printing",
     "core/objects.py::SetObject.__new__": "an object walk: ordering the elements",
@@ -820,34 +810,6 @@ def check_one_set_derivation(package_root: Path = SRC_ROOT) -> List[str]:
     return violations
 
 
-# -- invariant 12: only the core reads the intern table ------------------------------------
-
-#: The object intern table, its raw operations and its key functions.
-INTERN_INTERNALS = frozenset(
-    {"_TABLE", "intern_node", "probe_node", "_atom_key", "_tuple_key", "_set_key"}
-)
-
-
-def check_intern_probes(package_root: Path = SRC_ROOT) -> List[str]:
-    violations: List[str] = []
-    for path in _python_sources(package_root):
-        if path.relative_to(package_root).parts[0] == "core":
-            continue
-        tree, _ = _parse(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            else:
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in INTERN_INTERNALS:
-                violations.append(
-                    f"{_relative(path)}:{node.lineno}: names {name}, the intern table's"
-                    " internals (only repro.core reads the table or builds its keys;"
-                    " ask the probes of repro.core.objects)"
-                )
-    return violations
-
-
 # -- entry point -------------------------------------------------------------------------
 
 
@@ -865,7 +827,6 @@ CHECKS = (
     ("id-keyed-memos", check_id_keyed_memos),
     ("one-depth-budget", check_one_depth_budget),
     ("one-set-derivation", check_one_set_derivation),
-    ("intern-probes", check_intern_probes),
 )
 
 

@@ -86,6 +86,7 @@ CONTRACTS = {
     "core.set_reduction": ("structural", "interned", ">=", 3.0),
     "plan.source_vs_cost_ordered": ("source_ordered", "cost_ordered", ">=", 2.0),
     "store.decode_vs_encode": ("decode", "encode", "<=", 1.5),
+    "store.cold_decode_vs_encode": ("decode", "encode", "<=", 3.0),
 }
 
 #: Hot functions counted in every cell: label → (file under ``src/``, function name).
@@ -470,12 +471,13 @@ def _join_order():
     return {"cost_ordered": count(join(ordered), 3), "source_ordered": count(join(source), 3)}
 
 
-def _codec():
-    """Decoding a library image whose nodes are live against encoding it.
+def _codec(warm: bool = True):
+    """Decoding a library image against encoding it.
 
     What a reopen decodes: an 800-document ``doc_mixed`` library, through
-    the JSON text the log holds, while the library it was written from is
-    still held.
+    the JSON text the log holds.  Warm, the library it was written from is
+    still held, as by a process reopening a store it was using; cold, it was
+    dropped first, as in a fresh process.
     """
     from repro.core.objects import TupleObject
     from repro.store.codec import decode_json, encode_json
@@ -485,8 +487,14 @@ def _codec():
 
     library = TupleObject({"docs": balanced_documents(800, SEED)})
     image = json.loads(json.dumps(encode_json(library)))
-    assert decode_json(image) is library, "the image decodes to another object"
-    return {"decode": count(lambda: decode_json(image)), "encode": count(lambda: encode_json(library))}
+    encode = count(lambda: encode_json(library))
+    if not warm:
+        del library
+        gc.collect()
+    decode = count(lambda: decode_json(image))
+    if warm:
+        assert decode_json(image) is library, "the image decodes to another object"
+    return {"decode": decode, "encode": encode}
 
 
 FIXTURES = {
@@ -497,6 +505,7 @@ FIXTURES = {
     "core.set_reduction": _reduction,
     "plan.source_vs_cost_ordered": _join_order,
     "store.decode_vs_encode": _codec,
+    "store.cold_decode_vs_encode": lambda: _codec(warm=False),
 }
 
 
